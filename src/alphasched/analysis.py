@@ -16,6 +16,10 @@ module machine-checks, with exact rational arithmetic:
 
 Every check returns a list of violation strings; empty means pass.  A single
 violation carries the exact rationals involved so it can be replayed.
+
+``verify_traces`` sweeps the check times in increasing order: each time's
+state is computed once (``TimePoint``), the borrow graph is carried forward
+(``BorrowSweep``) and the refined network is split from the base one.
 """
 
 from __future__ import annotations
@@ -27,9 +31,41 @@ from math import ceil
 from typing import Iterable, Optional, Sequence
 
 from .engine import simulate
-from .model import Instance, ModelError, ScheduleTrace, UnknownJobError, instance_to_json
+from .model import Instance, ModelError, Partition, ScheduleTrace, UnknownJobError, instance_to_json
 from .policies import PolicyKind
 from .rational import format_rat
+
+
+# --------------------------------------------------------------------------
+# per-time state
+# --------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class TimePoint:
+    """Both schedules' state at one check time, computed once and read by
+    every check made at that time."""
+
+    t: Fraction
+    work: dict[int, Fraction]  # the algorithm's elapsed work y_j(t), every job
+    part: Partition  # the algorithm's partition at t
+    opt_alive: frozenset[int]  # the optimum's alive set O(t)
+
+    @classmethod
+    def at(cls, alg_trace: ScheduleTrace, opt_trace: ScheduleTrace, t: Fraction) -> "TimePoint":
+        t = Fraction(t)
+        work = alg_trace.work_at(t)
+        return cls(t, work, alg_trace.partition(t, work), opt_trace.alive_at(t))
+
+
+def _state_of(
+    trace: ScheduleTrace, t: Fraction, point: Optional[TimePoint]
+) -> tuple[dict[int, Fraction], Partition]:
+    """(elapsed work, partition) of the algorithm's trace at t, from the point if given."""
+    if point is not None:
+        return point.work, point.part
+    work = trace.work_at(t)
+    return work, trace.partition(t, work)
 
 
 # --------------------------------------------------------------------------
@@ -41,22 +77,36 @@ from .rational import format_rat
 class BorrowGraph:
     vertices: tuple[int, ...]
     edges: frozenset[tuple[int, int, str]]  # (j, i, "N"|"C"): i ran inside j's lifetime
+    _succ: dict[int, list[int]] = field(init=False, repr=False, compare=False)
+    _reach: dict[int, frozenset[int]] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        succ: dict[int, set[int]] = {}
+        for j, i, _ in self.edges:
+            succ.setdefault(j, set()).add(i)
+        object.__setattr__(self, "_succ", {j: sorted(s) for j, s in succ.items()})
+        object.__setattr__(self, "_reach", {})
 
     def successors(self, j: int) -> list[int]:
-        return sorted({i for (a, i, _) in self.edges if a == j})
+        return list(self._succ.get(j, ()))
 
     def reachable(self, j: int) -> frozenset[int]:
+        """Vertices reachable from j, j included; memoised per graph."""
+        reach = self._reach.get(j)
+        if reach is not None:
+            return reach
         if j not in self.vertices:
             raise UnknownJobError(f"job {j} not in borrow graph")
         seen = {j}
         stack = [j]
         while stack:
             u = stack.pop()
-            for v in self.successors(u):
+            for v in self._succ.get(u, ()):
                 if v not in seen:
                     seen.add(v)
                     stack.append(v)
-        return frozenset(seen)
+        reach = self._reach[j] = frozenset(seen)
+        return reach
 
 
 def _lifetime_end(trace: ScheduleTrace, j: int, t: Fraction) -> Fraction:
@@ -67,7 +117,10 @@ def _lifetime_end(trace: ScheduleTrace, j: int, t: Fraction) -> Fraction:
 def build_borrow_graph(trace: ScheduleTrace, t: Fraction) -> BorrowGraph:
     """Edges (j, i, tag): job i receives work of positive measure inside j's
     lifetime [r_j, min(C_j, t)]; the tag records whether i was before (N) or
-    after (C) its signal on that stretch."""
+    after (C) its signal on that stretch.
+
+    Built from scratch; ``BorrowSweep`` gives the same graphs at increasing
+    times without the rebuild."""
     t = Fraction(t)
     jobs = [job for job in trace.instance.jobs if job.release <= t]
     ids = [job.id for job in jobs]
@@ -97,6 +150,82 @@ def build_borrow_graph(trace: ScheduleTrace, t: Fraction) -> BorrowGraph:
     return BorrowGraph(tuple(ids), frozenset(edges))
 
 
+def _first_overlap(
+    intervals: Sequence[tuple[Fraction, Fraction]], lo: Fraction, hi: Optional[Fraction]
+) -> Optional[Fraction]:
+    """Start of the earliest positive-measure overlap of sorted disjoint
+    intervals with the window [lo, hi) (hi None: unbounded), if any."""
+    for a, b in intervals:
+        start, end = max(a, lo), b if hi is None else min(b, hi)
+        if start < end:
+            return start
+    return None
+
+
+def borrow_thresholds(trace: ScheduleTrace) -> list[tuple[Fraction, int, int, str]]:
+    """(tau, j, i, tag) for every borrow edge that ever appears, sorted: the
+    edge belongs to ``build_borrow_graph(trace, t)`` exactly when t > tau.
+
+    Edge (j, i, N) looks at i's work inside [r_j, min(C_j, s_i)), edge
+    (j, i, C) inside [max(r_j, s_i), C_j); j's lifetime up to t cuts either
+    window at t, so the edge is present once t passes the start of the first
+    overlap of i's busy intervals with the window.
+    """
+    out = []
+    for job_j in trace.instance.jobs:
+        j, r_j = job_j.id, job_j.release
+        c_j = trace.completions.get(j)
+        for job_i in trace.instance.jobs:
+            i = job_i.id
+            if i == j:
+                continue
+            s_i = trace.emissions.get(i)
+            windows = {"N": (r_j, min((x for x in (c_j, s_i) if x is not None), default=None))}
+            if s_i is not None:
+                windows["C"] = (max(r_j, s_i), c_j)
+            for tag, (lo, hi) in windows.items():
+                tau = _first_overlap(trace.busy_intervals(i), lo, hi)
+                if tau is not None:
+                    out.append((tau, j, i, tag))
+    out.sort()
+    return out
+
+
+class BorrowSweep:
+    """The borrow graph of one trace at non-decreasing times, carried forward.
+
+    Vertices join at their release and edges once t passes their threshold
+    (``borrow_thresholds``); the graph object, and with it its memoised
+    reachability, is kept while neither changes.
+    """
+
+    def __init__(self, trace: ScheduleTrace):
+        self._releases = [(job.release, job.id) for job in trace.instance.jobs]
+        self._thresholds = borrow_thresholds(trace)
+        self._t: Optional[Fraction] = None
+        self._graph = BorrowGraph((), frozenset())
+        self._nv = 0
+        self._ne = 0
+
+    def at(self, t: Fraction) -> BorrowGraph:
+        t = Fraction(t)
+        if self._t is not None and t < self._t:
+            raise ModelError(f"borrow sweep asked for t={format_rat(t)} after t={format_rat(self._t)}")
+        self._t = t
+        nv, ne = self._nv, self._ne
+        while nv < len(self._releases) and self._releases[nv][0] <= t:
+            nv += 1
+        while ne < len(self._thresholds) and self._thresholds[ne][0] < t:
+            ne += 1
+        if (nv, ne) != (self._nv, self._ne):
+            self._nv, self._ne = nv, ne
+            self._graph = BorrowGraph(
+                tuple(j for _, j in self._releases[:nv]),
+                frozenset((j, i, tag) for _, j, i, tag in self._thresholds[:ne]),
+            )
+        return self._graph
+
+
 # --------------------------------------------------------------------------
 # flow network
 # --------------------------------------------------------------------------
@@ -114,6 +243,7 @@ def _vkey(v: Vertex):
     return (3, 0, 0)
 
 
+_ZERO = Fraction(0)
 SOURCE: Vertex = ("source",)
 SINK: Vertex = ("sink",)
 
@@ -131,22 +261,33 @@ class FlowNetwork:
     def total_supply(self) -> Fraction:
         return sum(self.supplies.values(), Fraction(0))
 
-    def job_reachable(self, j: int) -> frozenset[int]:
-        """Jobs reachable from j along positive-capacity arcs."""
+    def reach_sets(self, sources: Iterable[int]) -> dict[int, frozenset[int]]:
+        """Per source job, the jobs reachable from it along positive-capacity
+        arcs; the job-to-job step map is built once for all sources."""
+        open_dummies = {
+            u for (u, v), cap in self.arcs.items()
+            if u[0] == "dummy" and v == ("job", u[1]) and cap > 0
+        }
         onward: dict[int, set[int]] = {}
         for (u, v), cap in self.arcs.items():
-            if u[0] == "job" and v[0] == "dummy" and cap > 0:
-                if self.arcs.get((v, ("job", v[1])), Fraction(0)) > 0:
-                    onward.setdefault(u[1], set()).add(v[1])
-        seen = {j}
-        stack = [j]
-        while stack:
-            u = stack.pop()
-            for w in sorted(onward.get(u, ())):
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        return frozenset(seen)
+            if v in open_dummies and u[0] == "job" and cap > 0:
+                onward.setdefault(u[1], set()).add(v[1])
+        out = {}
+        for j in sources:
+            seen = {j}
+            stack = [j]
+            while stack:
+                u = stack.pop()
+                for w in onward.get(u, ()):
+                    if w not in seen:
+                        seen.add(w)
+                        stack.append(w)
+            out[j] = frozenset(seen)
+        return out
+
+    def job_reachable(self, j: int) -> frozenset[int]:
+        """Jobs reachable from j along positive-capacity arcs."""
+        return self.reach_sets((j,))[j]
 
 
 def build_flow_network(
@@ -154,6 +295,9 @@ def build_flow_network(
     opt_trace: ScheduleTrace,
     t: Fraction,
     extra_points: Iterable[Fraction] = (),
+    *,
+    point: Optional[TimePoint] = None,
+    work_by_time: Optional[dict[Fraction, dict[int, Fraction]]] = None,
 ) -> FlowNetwork:
     """Interval network at time t.
 
@@ -164,10 +308,19 @@ def build_flow_network(
     algorithm's alive jobs outside the optimum's alive set O(t); demands are
     the received work of jobs in O(t).  Jobs released after t are omitted:
     they have empty lifetimes and zero capacity everywhere.
+
+    ``point`` is the state at t if the caller holds it.  ``work_by_time``
+    maps time points to ``alg_trace.work_at``; the build reads its grid from
+    it and adds what is missing, so networks built at successive times of one
+    trace evaluate each grid point once.
     """
     t = Fraction(t)
     if alg_trace.instance.ids != opt_trace.instance.ids:
         raise ModelError("traces must share one instance")
+    if point is None:
+        point = TimePoint.at(alg_trace, opt_trace, t)
+    work_by_time = {} if work_by_time is None else work_by_time
+    work_by_time[t] = point.work
     points = {Fraction(0), t}
     jobs = [job for job in alg_trace.instance.jobs if job.release <= t]
     for job in jobs:
@@ -181,37 +334,41 @@ def build_flow_network(
             points.add(p)
     tps = tuple(sorted(points))
 
-    alive_alg = alg_trace.alive_at(t)
-    alive_opt = opt_trace.alive_at(t)
+    work = point.work
     # zero-valued entries are dropped: a job with no received work absorbs
     # nothing, and only positive demands forbid outgoing flow
-    supplies = {
-        j: alg_trace.remaining(j, t)
-        for j in sorted(alive_alg - alive_opt)
-        if alg_trace.remaining(j, t) > 0
-    }
-    demands = {
-        i: alg_trace.elapsed_work(i, t)
-        for i in sorted(alive_opt)
-        if alg_trace.elapsed_work(i, t) > 0
-    }
+    supplies = {}
+    for j in sorted(point.part.alive - point.opt_alive):
+        rest = alg_trace.instance.proc_of(j) - work[j]
+        if rest > 0:
+            supplies[j] = rest
+    demands = {i: work[i] for i in sorted(point.opt_alive) if work[i] > 0}
     infinite = sum(supplies.values(), Fraction(0)) + sum(demands.values(), Fraction(1))
 
-    lifetimes = {
-        job.id: (job.release, _lifetime_end(alg_trace, job.id, t)) for job in jobs
-    }
+    columns = []
+    for p in tps:
+        column = work_by_time.get(p)
+        if column is None:
+            column = work_by_time[p] = alg_trace.work_at(p)
+        columns.append(column)
+    # lifetimes [r_j, min(C_j, t)] run between grid points: keep them as
+    # index ranges, and list per interval the jobs whose lifetime holds it
+    index = {p: k for k, p in enumerate(tps)}
+    spans = [
+        (job.id, index[job.release], index[_lifetime_end(alg_trace, job.id, t)]) for job in jobs
+    ]
+    holders = [[("job", j) for j, lo, hi in spans if lo <= l < hi] for l in range(len(tps) - 1)]
+
     arcs: dict[tuple[Vertex, Vertex], Fraction] = {}
-    for i in (job.id for job in jobs):
+    for job in jobs:
+        i = job.id
+        vertex = ("job", i)
         for l in range(len(tps) - 1):
-            lo, hi = tps[l], tps[l + 1]
             dummy = ("dummy", i, l)
-            arcs[(dummy, ("job", i))] = alg_trace.interval_work(i, (lo, hi))
-            for j in (job.id for job in jobs):
-                if j == i:
-                    continue
-                jl, jh = lifetimes[j]
-                if jl <= lo and hi <= jh:
-                    arcs[(("job", j), dummy)] = infinite
+            arcs[(dummy, vertex)] = columns[l + 1][i] - columns[l][i]
+            for holder in holders[l]:
+                if holder != vertex:
+                    arcs[(holder, dummy)] = infinite
     for j, s in supplies.items():
         arcs[(SOURCE, ("job", j))] = s
     for i, d in demands.items():
@@ -226,88 +383,134 @@ def build_flow_network(
     )
 
 
+def split_network(net: FlowNetwork, alg_trace: ScheduleTrace) -> FlowNetwork:
+    """The network of the same time with every interval split at its midpoint.
+
+    Lifetimes run between grid points, so each half lies inside exactly the
+    lifetimes that hold the whole interval and the job-to-dummy arcs copy
+    over.  Only the work on each half of an interval that received work is
+    read from the trace.  Equal, arc for arc, to ``build_flow_network`` with
+    the midpoints as extra points.
+    """
+    tps = net.time_points
+    mids = [(a + b) / 2 for a, b in zip(tps, tps[1:])]
+    halves = {
+        ("dummy", i, l): (("dummy", i, 2 * l), ("dummy", i, 2 * l + 1))
+        for i in net.jobs
+        for l in range(len(mids))
+    }
+    arcs: dict[tuple[Vertex, Vertex], Fraction] = {}
+    for (u, v), cap in net.arcs.items():
+        if v[0] == "dummy":
+            for half in halves[v]:
+                arcs[(u, half)] = cap
+    for i in net.jobs:
+        vertex = ("job", i)
+        before = Fraction(0)  # work of i up to the interval's left end
+        for l, mid in enumerate(mids):
+            dummy = ("dummy", i, l)
+            left, right = halves[dummy]
+            cap = net.arcs[(dummy, vertex)]
+            early = alg_trace.elapsed_work(i, mid) - before if cap else cap
+            arcs[(left, vertex)] = early
+            arcs[(right, vertex)] = cap - early
+            before += cap
+    for (u, v), cap in net.arcs.items():
+        if u == SOURCE or v == SINK:
+            arcs[(u, v)] = cap
+    points = [tps[0]]
+    for mid, b in zip(mids, tps[1:]):
+        points += [mid, b]
+    return FlowNetwork(
+        time_points=tuple(points),
+        jobs=net.jobs,
+        arcs=arcs,
+        supplies=dict(net.supplies),
+        demands=dict(net.demands),
+        infinite=net.infinite,
+    )
+
+
 @dataclass
 class FlowResult:
     value: Fraction
     flow: dict[tuple[Vertex, Vertex], Fraction]
 
-    def job_to_job(self, j: int, i: int) -> Fraction:
-        total = Fraction(0)
+    def job_totals(self) -> dict[tuple[int, int], Fraction]:
+        """Flow from each job j into the dummies of each job i, summed over
+        the intervals, keyed (j, i)."""
+        totals: dict[tuple[int, int], Fraction] = {}
         for (u, v), f in self.flow.items():
-            if u == ("job", j) and v[0] == "dummy" and v[1] == i:
-                total += f
-        return total
+            if u[0] == "job" and v[0] == "dummy":
+                key = (u[1], v[1])
+                totals[key] = totals.get(key, Fraction(0)) + f
+        return totals
 
 
 def max_flow_saturates(net: FlowNetwork) -> tuple[bool, FlowResult]:
     """Exact max flow, breadth-first augmentation in deterministic order.
 
-    Demand vertices are never used as inner nodes of an augmenting path, so
-    the witness flow has no outgoing flow at any demand vertex.
+    Vertices are numbered in ``_vkey`` order and arcs enter the residual graph
+    sorted by their numbered ends, so the augmenting paths, and with them the
+    witness flow, depend on the network alone.  The residual capacities are
+    kept in one array, the reverse of arc e at e ^ 1.  Demand vertices are
+    never used as inner nodes of an augmenting path, so the witness flow has
+    no outgoing flow at any demand vertex.
     """
-    demand_vertices = {("job", i) for i in net.demands}
-    index: dict[Vertex, list[int]] = {}
-    ends: list[Vertex] = []
-    caps: list[Fraction] = []
-    flows: list[Fraction] = []
-
-    def add_edge(u: Vertex, v: Vertex, cap: Fraction) -> None:
-        index.setdefault(u, []).append(len(ends))
-        ends.append(v)
-        caps.append(cap)
-        flows.append(Fraction(0))
-        index.setdefault(v, []).append(len(ends))
-        ends.append(u)
-        caps.append(Fraction(0))
-        flows.append(Fraction(0))
-
-    for (u, v), cap in sorted(net.arcs.items(), key=lambda kv: (_vkey(kv[0][0]), _vkey(kv[0][1]))):
-        if cap > 0:
-            add_edge(u, v, cap)
-
-    def bfs() -> Optional[list[int]]:
-        parent_edge: dict[Vertex, int] = {SOURCE: -1}
-        queue = deque([SOURCE])
-        while queue:
-            u = queue.popleft()
-            if u == SINK:
-                break
-            if u in demand_vertices:
-                allowed = [e for e in index.get(u, []) if ends[e] == SINK]
-            else:
-                allowed = index.get(u, [])
-            for e in allowed:
-                v = ends[e]
-                if v in parent_edge or caps[e] - flows[e] <= 0:
-                    continue
-                parent_edge[v] = e
-                queue.append(v)
-        if SINK not in parent_edge:
-            return None
-        path = []
-        v = SINK
-        while v != SOURCE:
-            e = parent_edge[v]
-            path.append(e)
-            v = ends[e ^ 1]
-        return path
+    arcs = [(u, v, cap) for (u, v), cap in net.arcs.items() if cap > 0]
+    vertices = sorted({u for u, _, _ in arcs} | {v for _, v, _ in arcs} | {SOURCE, SINK}, key=_vkey)
+    number = {v: k for k, v in enumerate(vertices)}
+    size = len(vertices)
+    out: list[list[int]] = [[] for _ in vertices]  # residual arcs leaving each vertex
+    heads: list[int] = []
+    residual: list[Fraction] = []
+    for code, cap in sorted((number[u] * size + number[v], cap) for u, v, cap in arcs):
+        a, b = divmod(code, size)
+        out[a].append(len(heads))
+        heads.append(b)
+        residual.append(cap)
+        out[b].append(len(heads))
+        heads.append(a)
+        residual.append(_ZERO)
+    source, sink = number[SOURCE], number[SINK]
+    for i in net.demands:
+        d = number.get(("job", i))
+        if d is not None:
+            out[d] = [e for e in out[d] if heads[e] == sink]
+    is_open = [True, False] * len(arcs)  # residual[e] > 0, kept in step
 
     value = Fraction(0)
     while True:
-        path = bfs()
-        if path is None:
+        parent = [-1] * len(vertices)
+        parent[source] = len(heads)
+        queue = deque([source])
+        while queue and parent[sink] < 0:
+            u = queue.popleft()
+            for e in out[u]:
+                if is_open[e] and parent[heads[e]] < 0:
+                    parent[heads[e]] = e
+                    queue.append(heads[e])
+        if parent[sink] < 0:
             break
-        push = min(caps[e] - flows[e] for e in path)
+        path = []
+        w = sink
+        while w != source:
+            e = parent[w]
+            path.append(e)
+            w = heads[e ^ 1]
+        push = min(residual[e] for e in path)
         for e in path:
-            flows[e] += push
-            flows[e ^ 1] -= push
+            residual[e] -= push
+            residual[e ^ 1] += push
+            is_open[e] = residual[e] > 0
+            is_open[e ^ 1] = True
         value += push
 
     net_flow: dict[tuple[Vertex, Vertex], Fraction] = {}
-    for u, edge_ids in index.items():
+    for a, edge_ids in enumerate(out):
         for e in edge_ids:
-            if e % 2 == 0 and flows[e] > 0:
-                net_flow[(u, ends[e])] = flows[e]
+            if e % 2 == 0 and is_open[e ^ 1]:
+                net_flow[(vertices[a], vertices[heads[e]])] = residual[e ^ 1]
     return value == net.total_supply, FlowResult(value=value, flow=net_flow)
 
 
@@ -315,6 +518,7 @@ def verify_flow_feasible(net: FlowNetwork, result: FlowResult) -> list[str]:
     """Capacity and conservation audit of a witness flow."""
     violations = []
     balance: dict[Vertex, Fraction] = {}
+    outflow = {("job", i): Fraction(0) for i in net.demands}  # other than to the sink
     for (u, v), f in result.flow.items():
         if f < 0:
             violations.append(f"negative flow on {u}->{v}")
@@ -327,16 +531,15 @@ def verify_flow_feasible(net: FlowNetwork, result: FlowResult) -> list[str]:
             )
         balance[u] = balance.get(u, Fraction(0)) - f
         balance[v] = balance.get(v, Fraction(0)) + f
+        if u in outflow and v != SINK:
+            outflow[u] += f
     for v, b in balance.items():
         if v in (SOURCE, SINK):
             continue
         if b != 0:
             violations.append(f"conservation violated at {v}: net {format_rat(b)}")
     for i in net.demands:
-        out = sum(
-            (f for (u, v), f in result.flow.items() if u == ("job", i) and v != SINK),
-            Fraction(0),
-        )
+        out = outflow[("job", i)]
         if out != 0:
             violations.append(f"demand job {i} has outgoing flow {format_rat(out)}")
     return violations
@@ -351,15 +554,6 @@ def verify_flow_feasible(net: FlowNetwork, result: FlowResult) -> list[str]:
 class BetaMatrix:
     values: dict[tuple[int, int], Fraction]
     discarded_cycle_flow: Fraction = Fraction(0)
-
-    def row_sum(self, j: int) -> Fraction:
-        return sum((v for (a, _), v in self.values.items() if a == j), Fraction(0))
-
-    def col_sum(self, i: int) -> Fraction:
-        return sum((v for (_, b), v in self.values.items() if b == i), Fraction(0))
-
-    def get(self, j: int, i: int) -> Fraction:
-        return self.values.get((j, i), Fraction(0))
 
 
 def decompose_beta(result: FlowResult, net: FlowNetwork) -> BetaMatrix:
@@ -441,33 +635,39 @@ def check_beta_properties(
     alg_trace: ScheduleTrace,
     opt_trace: ScheduleTrace,
     t: Fraction,
+    *,
+    point: Optional[TimePoint] = None,
 ) -> list[str]:
     """Borrowing matrix properties: support inside reachability, rows equal to
     remaining work, columns bounded by received work."""
-    t = Fraction(t)
+    if point is None:
+        point = TimePoint.at(alg_trace, opt_trace, t)
     violations = []
-    alive_alg = alg_trace.alive_at(t)
-    alive_opt = opt_trace.alive_at(t)
-    sources = sorted(alive_alg - alive_opt)
-    sinks = sorted(alive_opt)
+    sources = sorted(point.part.alive - point.opt_alive)
+    sinks = sorted(point.opt_alive)
+    source_set, sink_set = set(sources), set(sinks)
     reach = {j: graph.reachable(j) for j in sources}
+    rows: dict[int, Fraction] = {}
+    cols: dict[int, Fraction] = {}
     for (j, i), v in sorted(beta.values.items()):
         if v < 0:
             violations.append(f"beta({j},{i}) negative")
-        if v > 0 and (j not in set(sources) or i not in set(sinks)):
+        if v > 0 and (j not in source_set or i not in sink_set):
             violations.append(f"beta({j},{i}) positive outside supply x demand")
         if v > 0 and i not in reach.get(j, frozenset()):
             violations.append(f"beta({j},{i}) positive but {i} unreachable from {j}")
+        rows[j] = rows.get(j, Fraction(0)) + v
+        cols[i] = cols.get(i, Fraction(0)) + v
     for j in sources:
-        rs = beta.row_sum(j)
-        expected = alg_trace.remaining(j, t)
+        rs = rows.get(j, Fraction(0))
+        expected = alg_trace.instance.proc_of(j) - point.work[j]
         if rs != expected:
             violations.append(
                 f"row sum of {j} is {format_rat(rs)}, expected {format_rat(expected)}"
             )
     for i in sinks:
-        cs = beta.col_sum(i)
-        bound = alg_trace.elapsed_work(i, t)
+        cs = cols.get(i, Fraction(0))
+        bound = point.work[i]
         if cs > bound:
             violations.append(
                 f"column sum of {i} is {format_rat(cs)} > received {format_rat(bound)}"
@@ -478,11 +678,15 @@ def check_beta_properties(
 def refine_flow(
     net: FlowNetwork, result: FlowResult, alg_trace: ScheduleTrace, opt_trace: ScheduleTrace, t: Fraction
 ) -> tuple[FlowNetwork, FlowResult]:
-    """Split every discretization interval at its midpoint and carry the flow
-    over; job-to-job amounts are preserved arc by arc."""
-    tps = net.time_points
-    mids = [(a + b) / 2 for a, b in zip(tps, tps[1:])]
-    refined = build_flow_network(alg_trace, opt_trace, t, extra_points=mids)
+    """Split every discretization interval at its midpoint (``split_network``)
+    and carry the flow over; job-to-job amounts are preserved arc by arc.
+
+    ``net`` must be the network of this trace pair at time t."""
+    if alg_trace.instance.ids != opt_trace.instance.ids:
+        raise ModelError("traces must share one instance")
+    if net.time_points[-1] != t:
+        raise ModelError(f"network is not the one at t={format_rat(Fraction(t))}")
+    refined = split_network(net, alg_trace)
     new_flow: dict[tuple[Vertex, Vertex], Fraction] = {}
     for (u, v), f in result.flow.items():
         if u == SOURCE or v == SINK:
@@ -539,19 +743,22 @@ def compute_segments(
     opt_trace: ScheduleTrace,
     t: Fraction,
     graph: Optional[BorrowGraph] = None,
+    *,
+    point: Optional[TimePoint] = None,
 ) -> SegmentPartition:
     """Group the algorithm's unsignalled alive jobs outside O(t) by the set of
     optimum jobs whose truncated progress they meet or exceed."""
     t = Fraction(t)
     alpha = alg_trace.instance.alpha
-    part = alg_trace.partition(t)
-    opt_alive = opt_trace.alive_at(t)
+    if point is None:
+        point = TimePoint.at(alg_trace, opt_trace, t)
+    part, opt_alive = point.part, point.opt_alive
     if graph is None:
         graph = build_borrow_graph(alg_trace, t)
 
     def truncated(j: int) -> Fraction:
         p = alg_trace.instance.proc_of(j)
-        return min(alg_trace.elapsed_work(j, t), alpha * p)
+        return min(point.work[j], alpha * p)
 
     candidates = sorted(part.nonclairvoyant - opt_alive)
     tvals = {j: truncated(j) for j in set(candidates) | set(opt_alive)}
@@ -597,7 +804,11 @@ class LocalBoundsResult:
 
 
 def check_local_bounds(
-    alg_trace: ScheduleTrace, opt_trace: ScheduleTrace, t: Fraction
+    alg_trace: ScheduleTrace,
+    opt_trace: ScheduleTrace,
+    t: Fraction,
+    *,
+    point: Optional[TimePoint] = None,
 ) -> LocalBoundsResult:
     """Pointwise alive-count bounds of the algorithm against the optimum.
 
@@ -611,8 +822,9 @@ def check_local_bounds(
     factor = 1 / (1 - alpha)
     extrapolated = factor.denominator != 1
     c = Fraction(ceil(factor))
-    part = alg_trace.partition(t)
-    opt_alive = opt_trace.alive_at(t)
+    if point is None:
+        point = TimePoint.at(alg_trace, opt_trace, t)
+    part, opt_alive = point.part, point.opt_alive
     counts = {
         "alive": len(part.alive),
         "alive_minus_opt": len(part.alive - opt_alive),
@@ -673,14 +885,16 @@ def check_branch_observations(trace: ScheduleTrace) -> list[str]:
             continue
         signalled = {j for j in alive if _signalled_at(trace, j, t)}
         fresh = alive - signalled
+        work = trace.work_at(t)
+        remaining = {j: trace.instance.proc_of(j) - work[j] for j in alive}
         if signalled:
             if not fresh:
                 srpt_side = True
             elif alpha == 1:
                 srpt_side = False
             else:
-                lhs = min(trace.remaining(j, t) for j in signalled)
-                rhs = (1 - alpha) / alpha * min(trace.elapsed_work(j, t) for j in fresh)
+                lhs = min(remaining[j] for j in signalled)
+                rhs = (1 - alpha) / alpha * min(work[j] for j in fresh)
                 srpt_side = lhs <= rhs
         else:
             srpt_side = False
@@ -696,27 +910,27 @@ def check_branch_observations(trace: ScheduleTrace) -> list[str]:
                 violations.append(
                     f"single-job branch at {format_rat(t)} ran unsignalled job {k}"
                 )
-            rem_k = trace.remaining(k, t)
+            rem_k = trace.instance.proc_of(k) - work[k]
             for j in alive:
-                if trace.remaining(j, t) < rem_k:
+                if remaining[j] < rem_k:
                     violations.append(
                         f"job {k} run at {format_rat(t)} but job {j} has less remaining work"
                     )
         else:
-            least = min(trace.elapsed_work(j, t) for j in fresh) if fresh else None
+            least = min(work[j] for j in fresh) if fresh else None
             for k in rated:
                 if k not in fresh:
                     violations.append(
                         f"sharing branch at {format_rat(t)} rated signalled job {k}"
                     )
                     continue
-                yk = trace.elapsed_work(k, t)
+                yk = work[k]
                 for j in alive:
-                    if trace.elapsed_work(j, t) < yk:
+                    if work[j] < yk:
                         violations.append(
                             f"job {k} shared at {format_rat(t)} but job {j} has less progress"
                         )
-            if fresh and set(rated) != {j for j in fresh if trace.elapsed_work(j, t) == least}:
+            if fresh and set(rated) != {j for j in fresh if work[j] == least}:
                 violations.append(
                     f"sharing branch at {format_rat(t)} did not rate the least-progressed set"
                 )
@@ -762,92 +976,107 @@ def check_clairvoyant_runs_block(trace: ScheduleTrace) -> list[str]:
     return violations
 
 
-def check_catch_up(trace: ScheduleTrace, times: Sequence[Fraction]) -> list[str]:
-    """If an unsignalled job i is processed while j is also unsignalled, then
-    j stays at least as progressed as i for as long as both stay unsignalled."""
-    violations = []
-    dominated: set[tuple[int, int]] = set()  # (i, j): y_j must stay >= y_i
-    boundaries = {seg.start for seg in trace.segments} | {seg.end for seg in trace.segments}
-    for t in times:
-        part = trace.partition(t)
-        for i, j in dominated:
-            if i in part.nonclairvoyant and j in part.nonclairvoyant:
-                yi, yj = trace.elapsed_work(i, t), trace.elapsed_work(j, t)
+class CatchUp:
+    """The catch-up check fed one check time at a time, in increasing order."""
+
+    def __init__(self, trace: ScheduleTrace):
+        self.trace = trace
+        self.violations: list[str] = []
+        self._dominated: set[tuple[int, int]] = set()  # (i, j): y_j must stay >= y_i
+        self._boundaries = {p for seg in trace.segments for p in (seg.start, seg.end)}
+
+    def observe(self, t: Fraction, work: dict[int, Fraction], part: Partition) -> None:
+        fresh = part.nonclairvoyant
+        for i, j in self._dominated:
+            if i in fresh and j in fresh:
+                yi, yj = work[i], work[j]
                 if yj < yi:
-                    violations.append(
+                    self.violations.append(
                         f"catch-up violated at {format_rat(t)}: y_{j}={format_rat(yj)} "
                         f"< y_{i}={format_rat(yi)} after {i} ran"
                     )
-        if t in boundaries:
-            continue  # record processing only at interior sample points
-        running = [
-            j
-            for seg in trace.segments
-            if seg.start < t < seg.end
-            for j, _ in seg.rates
-        ]
-        for i in running:
-            if i in part.nonclairvoyant:
-                for j in part.nonclairvoyant:
+        if t in self._boundaries:
+            return  # record processing only at interior sample points
+        seg = self.trace.segment_at(t)  # off the boundaries: start < t < end
+        if seg is None:
+            return
+        for i, _ in seg.rates:
+            if i in fresh:
+                for j in fresh:
                     if j != i:
-                        dominated.add((i, j))
-    return violations
+                        self._dominated.add((i, j))
+
+
+def check_catch_up(trace: ScheduleTrace, times: Sequence[Fraction]) -> list[str]:
+    """If an unsignalled job i is processed while j is also unsignalled, then
+    j stays at least as progressed as i for as long as both stay unsignalled."""
+    catch_up = CatchUp(trace)
+    for t in times:
+        t = Fraction(t)
+        work, part = _state_of(trace, t, None)
+        catch_up.observe(t, work, part)
+    return catch_up.violations
 
 
 def check_direct_borrow_order(
-    trace: ScheduleTrace, graph: BorrowGraph, t: Fraction
+    trace: ScheduleTrace, graph: BorrowGraph, t: Fraction, *, point: Optional[TimePoint] = None
 ) -> list[str]:
     """An unsignalled borrow edge (j -> i) between two currently unsignalled
     jobs implies j has at least i's progress."""
     t = Fraction(t)
-    part = trace.partition(t)
-    violations = []
+    work, part = _state_of(trace, t, point)
+    fresh = part.nonclairvoyant
+    found = []
     for (j, i, tag) in graph.edges:
-        if tag != "N":
-            continue
-        if j in part.nonclairvoyant and i in part.nonclairvoyant:
-            yj, yi = trace.elapsed_work(j, t), trace.elapsed_work(i, t)
-            if yj < yi:
-                violations.append(
-                    f"borrow edge ({j},{i},N) at t={format_rat(t)} with "
-                    f"y_{j}={format_rat(yj)} < y_{i}={format_rat(yi)}"
-                )
-    return violations
+        if tag == "N" and j in fresh and i in fresh and work[j] < work[i]:
+            found.append((j, i))
+    return [
+        f"borrow edge ({j},{i},N) at t={format_rat(t)} with "
+        f"y_{j}={format_rat(work[j])} < y_{i}={format_rat(work[i])}"
+        for j, i in sorted(found)
+    ]
 
 
 def check_reachability_closure(
-    trace: ScheduleTrace, graph: BorrowGraph, t: Fraction
+    trace: ScheduleTrace, graph: BorrowGraph, t: Fraction, *, point: Optional[TimePoint] = None
 ) -> list[str]:
     """The lifetime of a reachability set is one interval; every job executed
     inside it belongs to the set; for alive jobs the interval ends at t."""
     t = Fraction(t)
-    alive = trace.alive_at(t)
-    violations = []
+    alive = point.part.alive if point is not None else trace.alive_at(t)
     busy = {j: trace.busy_intervals(j) for j in graph.vertices}
+    # vertices often share their reachability set: look at each set once
+    seen: dict[frozenset[int], tuple[list, list[int]]] = {}
+    violations = []
     for j in graph.vertices:
         reach = graph.reachable(j)
-        intervals = trace.lifetime(reach, t)
+        if reach not in seen:
+            intervals = trace.lifetime(reach, t)
+            outsiders = []
+            if len(intervals) == 1:
+                lo, hi = intervals[0]
+                outsiders = [
+                    i
+                    for i in graph.vertices
+                    if i not in reach and any(max(a, lo) < min(b, hi) for a, b in busy[i])
+                ]
+            seen[reach] = (intervals, outsiders)
+        intervals, outsiders = seen[reach]
         if len(intervals) != 1:
             violations.append(
                 f"lifetime of reachability set of {j} at t={format_rat(t)} is "
                 f"{len(intervals)} intervals"
             )
             continue
-        lo, hi = intervals[0]
-        if j in alive and hi != t:
+        if j in alive and intervals[0][1] != t:
             violations.append(
-                f"alive job {j}: reachability lifetime ends at {format_rat(hi)}, not t"
+                f"alive job {j}: reachability lifetime ends at {format_rat(intervals[0][1])}, not t"
             )
-        for i in graph.vertices:
-            if i in reach:
-                continue
-            for a, b in busy[i]:
-                if max(a, lo) < min(b, hi):
-                    violations.append(
-                        f"job {i} executed inside lifetime of reachability set of {j} "
-                        f"but is not reachable (t={format_rat(t)})"
-                    )
-                    break
+        for i in outsiders:
+            violations.append(
+                f"job {i} executed inside lifetime of reachability set of {j} "
+                f"but is not reachable (t={format_rat(t)})"
+            )
     return violations
 
 
@@ -927,31 +1156,30 @@ def verify_traces(
     time_checks = []
     first_failure = None
 
-    trace_checks = {
-        "feasibility_alg": check_feasibility(alg_trace),
-        "feasibility_opt": check_feasibility(opt_trace),
-        "catch_up": check_catch_up(alg_trace, dense),
-    }
-    if branch_checks:
-        trace_checks["branch_observations"] = check_branch_observations(alg_trace)
-        trace_checks["clairvoyant_runs_block"] = check_clairvoyant_runs_block(alg_trace)
-
+    feasibility = (check_feasibility(alg_trace), check_feasibility(opt_trace))
+    catch_up = CatchUp(alg_trace)
+    borrow = BorrowSweep(alg_trace)
+    work_by_time: dict[Fraction, dict[int, Fraction]] = {}  # shared by the flow networks
     event_set = set(events)
     for t in dense:
         entry: dict = {"t": format_rat(t)}
         violations: list[str] = []
-        graph = build_borrow_graph(alg_trace, t)
-        violations += check_direct_borrow_order(alg_trace, graph, t)
-        violations += check_reachability_closure(alg_trace, graph, t)
+        point = TimePoint.at(alg_trace, opt_trace, t)
+        catch_up.observe(t, point.work, point.part)
+        graph = borrow.at(t)
+        violations += check_direct_borrow_order(alg_trace, graph, t, point=point)
+        violations += check_reachability_closure(alg_trace, graph, t, point=point)
         if alpha != 1:
-            lb = check_local_bounds(alg_trace, opt_trace, t)
+            lb = check_local_bounds(alg_trace, opt_trace, t, point=point)
             entry["counts"] = lb.counts
             violations += lb.violations
-        seg_part = compute_segments(alg_trace, opt_trace, t, graph=graph)
+        seg_part = compute_segments(alg_trace, opt_trace, t, graph=graph, point=point)
         entry["segments"] = len(seg_part.segments)
         violations += seg_part.violations
         if flow_checks and t in event_set:
-            net = build_flow_network(alg_trace, opt_trace, t)
+            net = build_flow_network(
+                alg_trace, opt_trace, t, point=point, work_by_time=work_by_time
+            )
             saturated, flow = max_flow_saturates(net)
             entry["supply"] = format_rat(net.total_supply)
             entry["max_flow"] = format_rat(flow.value)
@@ -961,11 +1189,11 @@ def verify_traces(
                     f"{format_rat(net.total_supply)} at t={format_rat(t)}"
                 )
             violations += verify_flow_feasible(net, flow)
+            net_reach = net.reach_sets(net.supplies)
             for j in net.supplies:
-                net_reach = net.job_reachable(j)
                 graph_reach = graph.reachable(j)
                 for i in net.demands:
-                    if (i in net_reach) != (i in graph_reach):
+                    if (i in net_reach[j]) != (i in graph_reach):
                         violations.append(
                             f"positive-capacity reachability and borrow reachability "
                             f"disagree for ({j},{i}) at t={format_rat(t)}"
@@ -978,17 +1206,18 @@ def verify_traces(
                         f"{format_rat(beta.discarded_cycle_flow)}"
                     )
                 violations += check_beta_properties(
-                    beta, graph, alg_trace, opt_trace, t
+                    beta, graph, alg_trace, opt_trace, t, point=point
                 )
                 if refinement:
                     refined_net, refined_flow = refine_flow(
                         net, flow, alg_trace, opt_trace, t
                     )
                     violations += verify_flow_feasible(refined_net, refined_flow)
+                    direct, refined_direct = flow.job_totals(), refined_flow.job_totals()
                     for j in net.supplies:
                         for i in net.demands:
-                            a = flow.job_to_job(j, i)
-                            b = refined_flow.job_to_job(j, i)
+                            a = direct.get((j, i), Fraction(0))
+                            b = refined_direct.get((j, i), Fraction(0))
                             if a != b:
                                 violations.append(
                                     f"refinement changed direct flow ({j},{i}): "
@@ -1004,6 +1233,15 @@ def verify_traces(
             if first_failure is None:
                 first_failure = {"t": format_rat(t), "violations": violations}
         time_checks.append(entry)
+
+    trace_checks = {
+        "feasibility_alg": feasibility[0],
+        "feasibility_opt": feasibility[1],
+        "catch_up": catch_up.violations,
+    }
+    if branch_checks:
+        trace_checks["branch_observations"] = check_branch_observations(alg_trace)
+        trace_checks["clairvoyant_runs_block"] = check_clairvoyant_runs_block(alg_trace)
 
     ok = first_failure is None and all(not v for v in trace_checks.values())
     if ok is False and first_failure is None:

@@ -203,7 +203,11 @@ class SimState:
             ]
             if emits:
                 for j in emits:
-                    assert self.progress[j] == self.alpha * self.proc[j]
+                    if self.progress[j] != self.alpha * self.proc[j]:
+                        raise EngineError(
+                            f"job {j} passed its signal point unobserved: progress "
+                            f"{self.progress[j]} > alpha * p = {self.alpha * self.proc[j]}"
+                        )
                     self.emitted.add(j)
                     self.signal[j] = self.now
                 self.log.append(self.now, "emission", emits)
@@ -316,7 +320,11 @@ class SimState:
                         cross = self.now + (
                             self.alpha / (1 - self.alpha) * min(rem) - level
                         ) / rho
-                        assert cross > self.now
+                        if cross <= self.now:
+                            raise EngineError(
+                                f"fused-rule threshold already crossed at {cross} "
+                                f"while sharing at {self.now}"
+                            )
                         offer("mode-switch", cross)
         if not cand:
             return None

@@ -356,7 +356,14 @@ class ScheduleTrace:
     disjoint, rated jobs are released and unfinished, per-job work never
     exceeds the processing time, and the total-flow identity
     sum_j (C_j - r_j) = integral |A(t)| dt holds exactly for complete traces.
+
+    The indices behind ``elapsed_work``, ``segment_at`` and ``busy_intervals``
+    are built on first use, so constructing a trace pays for none of them.
     """
+
+    _slopes: Optional[dict[int, list[Fraction]]] = None
+    _starts: Optional[list[Fraction]] = None
+    _busy: Optional[dict[int, tuple[Interval, ...]]] = None
 
     def __init__(self, instance: Instance, segments: Sequence[ExecutionSegment], horizon: Optional[Fraction] = None):
         if not instance.resolved:
@@ -433,6 +440,29 @@ class ScheduleTrace:
         rate = (cums[lo] - cums[lo - 1]) / (times[lo] - times[lo - 1])
         return times[lo - 1] + (target - cums[lo - 1]) / rate
 
+    def _slope_index(self) -> dict[int, list[Fraction]]:
+        """Per job, the work rate on each piece of its profile; built on first use."""
+        if self._slopes is None:
+            self._slopes = {
+                j: [(c1 - c0) / (t1 - t0)
+                    for t0, t1, c0, c1 in zip(times, times[1:], cums, cums[1:])]
+                for j, (times, cums) in self._profiles.items()
+            }
+        return self._slopes
+
+    def _work(self, job_id: int, t: Fraction) -> Fraction:
+        """``elapsed_work`` without the argument checks."""
+        times, cums = self._profiles[job_id]
+        if t <= times[0]:
+            return Fraction(0)
+        idx = bisect_right(times, t) - 1
+        if idx >= len(times) - 1:
+            return cums[-1]
+        slope = self._slope_index()[job_id][idx]
+        if not slope:
+            return cums[idx]
+        return cums[idx] + slope * (t - times[idx])
+
     def elapsed_work(self, job_id: int, t: Fraction) -> Fraction:
         """Total processing received by the job up to time t."""
         t = Fraction(t)
@@ -440,16 +470,14 @@ class ScheduleTrace:
             raise ModelError("time must be nonnegative")
         if job_id not in self._profiles:
             raise UnknownJobError(f"unknown job id {job_id}")
-        times, cums = self._profiles[job_id]
-        if t <= times[0]:
-            return Fraction(0)
-        idx = bisect_right(times, t) - 1
-        if idx >= len(times) - 1:
-            return cums[-1]
-        if cums[idx + 1] == cums[idx]:
-            return cums[idx]
-        rate = (cums[idx + 1] - cums[idx]) / (times[idx + 1] - times[idx])
-        return cums[idx] + rate * (t - times[idx])
+        return self._work(job_id, t)
+
+    def work_at(self, t: Fraction) -> dict[int, Fraction]:
+        """Elapsed work of every job of the instance at time t."""
+        t = Fraction(t)
+        if t < 0:
+            raise ModelError("time must be nonnegative")
+        return {j: self._work(j, t) for j in self._profiles}
 
     def remaining(self, job_id: int, t: Fraction) -> Fraction:
         """Remaining processing time at t; zero once completed."""
@@ -470,14 +498,17 @@ class ScheduleTrace:
                 out.add(job.id)
         return frozenset(out)
 
-    def partition(self, t: Fraction) -> Partition:
+    def partition(self, t: Fraction, work: Optional[Mapping[int, Fraction]] = None) -> Partition:
         """Alive/nonclairvoyant/clairvoyant/finished split at time t.
 
         A job sits on the nonclairvoyant side while its elapsed work is at
         most alpha * p (boundary inclusive); strictly beyond it counts as
-        clairvoyant.
+        clairvoyant.  ``work`` may pass in ``work_at(t)`` when the caller
+        already holds it.
         """
         t = Fraction(t)
+        if work is None:
+            work = self.work_at(t)
         alpha = self.instance.alpha
         alive, nonclair, clair, finished = set(), set(), set(), set()
         for job in self.instance.jobs:
@@ -488,7 +519,7 @@ class ScheduleTrace:
                 finished.add(job.id)
                 continue
             alive.add(job.id)
-            if self.elapsed_work(job.id, t) <= alpha * job.proc:
+            if work[job.id] <= alpha * job.proc:
                 nonclair.add(job.id)
             else:
                 clair.add(job.id)
@@ -526,8 +557,9 @@ class ScheduleTrace:
     def segment_at(self, t: Fraction) -> Optional[ExecutionSegment]:
         """The segment in force on [t, t + eps), if any (right-limit view)."""
         t = Fraction(t)
-        starts = [seg.start for seg in self.segments]
-        idx = bisect_right(starts, t) - 1
+        if self._starts is None:
+            self._starts = [seg.start for seg in self.segments]
+        idx = bisect_right(self._starts, t) - 1
         if idx >= 0 and self.segments[idx].end > t:
             return self.segments[idx]
         return None
@@ -536,14 +568,17 @@ class ScheduleTrace:
         """Maximal intervals on which the job receives positive rate."""
         if job_id not in self._profiles:
             raise UnknownJobError(f"unknown job id {job_id}")
-        out: list[list[Fraction]] = []
-        for seg in self.segments:
-            if seg.rate(job_id) > 0:
-                if out and out[-1][1] == seg.start:
-                    out[-1][1] = seg.end
-                else:
-                    out.append([seg.start, seg.end])
-        return [(lo, hi) for lo, hi in out]
+        if self._busy is None:
+            busy: dict[int, list[list[Fraction]]] = {j: [] for j in self._profiles}
+            for seg in self.segments:
+                for j, _ in seg.rates:
+                    out = busy[j]
+                    if out and out[-1][1] == seg.start:
+                        out[-1][1] = seg.end
+                    else:
+                        out.append([seg.start, seg.end])
+            self._busy = {j: tuple((lo, hi) for lo, hi in out) for j, out in busy.items()}
+        return list(self._busy[job_id])
 
     @property
     def complete(self) -> bool:

@@ -2,24 +2,36 @@ from fractions import Fraction as F
 
 import pytest
 
+from alphasched.adversary import gen_det_lb1, gen_det_lb2, gen_random_instance
 from alphasched.analysis import (
     BetaMatrix,
+    BorrowSweep,
+    TimePoint,
     build_borrow_graph,
     build_flow_network,
     check_beta_properties,
     check_branch_observations,
     check_clairvoyant_runs_block,
     check_local_bounds,
+    check_times,
     compute_segments,
     decompose_beta,
     max_flow_saturates,
     refine_flow,
+    split_network,
     verify_flow_feasible,
     verify_instance,
     verify_traces,
 )
 from alphasched.engine import simulate
-from alphasched.model import ExecutionSegment, Instance, Job, ScheduleTrace, UnknownJobError
+from alphasched.model import (
+    ExecutionSegment,
+    Instance,
+    Job,
+    ModelError,
+    ScheduleTrace,
+    UnknownJobError,
+)
 from alphasched.policies import PolicyKind
 from conftest import corpus_instance
 
@@ -29,6 +41,23 @@ def pair_traces(pair_instance):
     alg, _ = simulate(pair_instance, PolicyKind.ALPHA)
     opt, _ = simulate(pair_instance, PolicyKind.SRPT)
     return alg, opt
+
+
+def trace_pair(inst):
+    alg, _ = simulate(inst, PolicyKind.ALPHA)
+    opt, _ = simulate(alg.instance, PolicyKind.SRPT)
+    return alg, opt
+
+
+# the verifier's incremental paths are checked against the from-scratch
+# builders on these instances
+ORACLE_SEEDS = range(1, 61)
+LOWER_BOUND_INSTANCES = [
+    gen(alpha, k)[0]
+    for alpha in (F(1, 2), F(2, 3))
+    for gen, ks in ((gen_det_lb1, range(2, 5)), (gen_det_lb2, range(1, 5)))
+    for k in ks
+]
 
 
 class TestBorrowGraph:
@@ -99,6 +128,36 @@ class TestBorrowGraph:
         assert (1, 2, "C") not in graph.edges
 
 
+class TestBorrowSweep:
+    @pytest.mark.parametrize(
+        "inst",
+        [corpus_instance(seed) for seed in ORACLE_SEEDS] + LOWER_BOUND_INSTANCES,
+    )
+    def test_carried_graph_equals_rebuild(self, inst):
+        alg, opt = trace_pair(inst)
+        sweep = BorrowSweep(alg)
+        for t in check_times(alg, opt)[1]:
+            carried, rebuilt = sweep.at(t), build_borrow_graph(alg, t)
+            assert carried.vertices == rebuilt.vertices
+            assert carried.edges == rebuilt.edges
+            for j in rebuilt.vertices:
+                assert carried.reachable(j) == rebuilt.reachable(j)
+                assert carried.successors(j) == rebuilt.successors(j)
+
+    def test_graph_kept_while_nothing_changes(self, pair_traces):
+        alg, _ = pair_traces
+        sweep = BorrowSweep(alg)
+        first = sweep.at(F(1, 8))
+        assert sweep.at(F(1, 4)) is first  # no edge passes its threshold in between
+        assert sweep.at(F(5, 2)) is not first
+
+    def test_time_may_not_go_back(self, pair_traces):
+        sweep = BorrowSweep(pair_traces[0])
+        sweep.at(2)
+        with pytest.raises(ModelError):
+            sweep.at(1)
+
+
 class TestFlowNetwork:
     def test_pair_example_at_five_halves(self, pair_traces):
         alg, opt = pair_traces
@@ -160,6 +219,70 @@ class TestFlowNetwork:
             assert net.job_reachable(j) & set(net.demands) == graph.reachable(j) & set(
                 net.demands
             )
+
+
+class TestFlowOracles:
+    @pytest.mark.parametrize("seed", ORACLE_SEEDS)
+    def test_incremental_networks_equal_rebuilds(self, seed):
+        # base network as the verifier builds it (shared state and grid work)
+        # and its midpoint split, against independent builds from the traces
+        alg, opt = trace_pair(corpus_instance(seed))
+        work_by_time: dict = {}
+        for t in check_times(alg, opt)[0]:
+            point = TimePoint.at(alg, opt, t)
+            net = build_flow_network(alg, opt, t, point=point, work_by_time=work_by_time)
+            assert net == build_flow_network(alg, opt, t)
+            tps = net.time_points
+            mids = [(a + b) / 2 for a, b in zip(tps, tps[1:])]
+            refined = build_flow_network(alg, opt, t, extra_points=mids)
+            split = split_network(net, alg)
+            assert split.time_points == refined.time_points
+            assert split.jobs == refined.jobs
+            assert split.supplies == refined.supplies
+            assert split.demands == refined.demands
+            assert split.infinite == refined.infinite
+            assert split.arcs == refined.arcs
+            _, flow = max_flow_saturates(net)
+            assert refine_flow(net, flow, alg, opt, t)[0] == split
+
+    @pytest.mark.parametrize("seed", ORACLE_SEEDS)
+    def test_max_flow_value_matches_networkx(self, seed):
+        nx = pytest.importorskip("networkx")
+        alg, opt = trace_pair(corpus_instance(seed))
+        for t in check_times(alg, opt)[0]:
+            net = build_flow_network(alg, opt, t)
+            # a demand job only absorbs: its flow leaves to the sink alone
+            graph = nx.DiGraph()
+            graph.add_nodes_from([("source",), ("sink",)])
+            for (u, v), cap in net.arcs.items():
+                if not (u[0] == "job" and u[1] in net.demands and v != ("sink",)):
+                    graph.add_edge(u, v, capacity=cap)
+            saturated, flow = max_flow_saturates(net)
+            assert flow.value == nx.maximum_flow_value(graph, ("source",), ("sink",))
+            assert saturated
+            assert verify_flow_feasible(net, flow) == []
+
+    def test_max_flow_reads_arcs_edited_after_the_build(self, pair_traces):
+        alg, opt = pair_traces
+        net = build_flow_network(alg, opt, F(5, 2))
+        assert max_flow_saturates(net)[1].value == F(1, 2)
+        for arc in list(net.arcs):
+            if arc[0] == ("source",):
+                net.arcs[arc] = F(1, 3)
+        assert max_flow_saturates(net)[1].value == F(1, 3)
+
+    def test_job_totals_sum_over_intervals(self, pair_traces):
+        alg, opt = pair_traces
+        net = build_flow_network(alg, opt, F(5, 2))
+        _, flow = max_flow_saturates(net)
+        assert flow.job_totals() == {(1, 2): F(1, 2)}
+
+    def test_refine_rejects_a_network_of_another_time(self, pair_traces):
+        alg, opt = pair_traces
+        net = build_flow_network(alg, opt, F(5, 2))
+        _, flow = max_flow_saturates(net)
+        with pytest.raises(ModelError):
+            refine_flow(net, flow, alg, opt, F(3))
 
 
 class TestBetaMatrix:
@@ -255,6 +378,27 @@ class TestVerify:
     @pytest.mark.parametrize("seed", [1, 2, 3, 10, 11, 12])
     def test_corpus_instances_pass(self, seed):
         report = verify_instance(corpus_instance(seed))
+        assert report.ok, report.first_failure
+
+    @pytest.mark.parametrize(
+        "n, alpha",
+        [(8, F(3, 5)), (10, F(1, 2)), (12, F(2, 5)), (14, F(2, 3)), (16, F(3, 4))],
+    )
+    def test_larger_instances_pass(self, n, alpha):
+        # beyond the corpus's n <= 6; 3/5 and 2/5 sit off the integer
+        # 1/(1 - alpha) grid, where the counting bounds are extrapolated
+        inst = gen_random_instance(n, max_p=8, density=0.8, seed=n, alpha=alpha)
+        report = verify_instance(inst)
+        assert report.ok, report.first_failure
+        assert len(report.time_checks) > 4 * n
+        alg, opt = trace_pair(inst)
+        assert check_local_bounds(alg, opt, 0).extrapolated == (alpha in (F(3, 5), F(2, 5)))
+
+    @pytest.mark.parametrize("gen", [gen_det_lb1, gen_det_lb2])
+    @pytest.mark.parametrize("alpha", [F(1, 2), F(2, 3)])
+    def test_lower_bound_families_pass(self, gen, alpha):
+        inst, _ = gen(alpha, 4)
+        report = verify_instance(inst)
         assert report.ok, report.first_failure
 
     def test_adaptive_instance_passes(self):

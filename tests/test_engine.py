@@ -24,7 +24,7 @@ from alphasched.model import (
     ScheduleTrace,
     Trigger,
 )
-from alphasched.policies import PolicyKind, setf_decide
+from alphasched.policies import PolicyKind, RateDecision, setf_decide
 
 DATA = Path(__file__).parent / "data"
 
@@ -237,6 +237,26 @@ class TestGuards:
         state._event_cap = 1
         with pytest.raises(EngineError, match="runaway event loop"):
             state.run()
+
+    def test_emission_overshoot_is_an_engine_error(self, worked_example):
+        # job 1 (p = 4) holds progress past alpha * p = 2 without having
+        # signalled: the event machinery skipped its emission
+        state = SimState(worked_example, PolicyKind.ALPHA)
+        state.apply_instant_events()
+        state.progress[1] = F(3)
+        with pytest.raises(EngineError, match="passed its signal point"):
+            state.apply_instant_events()
+
+    def test_crossed_threshold_while_sharing_is_an_engine_error(self, worked_example):
+        # job 2 signalled with 1/2 left, job 1 shared at progress 1: the fused
+        # rule's threshold alpha / (1 - alpha) * 1/2 lies below the level
+        state = SimState(worked_example, PolicyKind.ALPHA)
+        state.apply_instant_events()
+        state.progress.update({1: F(1), 2: F(3, 2)})
+        state.emitted.add(2)
+        state.decision = RateDecision(((1, F(1)),), "setf")
+        with pytest.raises(EngineError, match="threshold already crossed"):
+            state.next_event()
 
     def test_feasibility_of_traces(self, worked_example):
         from alphasched.analysis import check_feasibility

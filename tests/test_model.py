@@ -271,6 +271,22 @@ class TestTraceProperties:
         area = sum(count * (hi - lo) for (lo, hi), count in trace.alive_steps())
         assert total == area
 
+    @settings(max_examples=40, deadline=None)
+    @given(integer_instances(), st.sampled_from(list(PolicyKind)))
+    def test_work_at_integrates_the_segments(self, inst, kind):
+        # the lazily indexed profile against a direct sum over the segments
+        trace, _ = simulate(inst, kind)
+        points = trace.event_times()
+        samples = sorted(set(points) | {(a + b) / 2 for a, b in zip(points, points[1:])})
+        for t in samples:
+            direct = {job.id: F(0) for job in inst.jobs}
+            for seg in trace.segments:
+                if seg.start < t:
+                    for j, r in seg.rates:
+                        direct[j] += r * (min(seg.end, t) - seg.start)
+            assert trace.work_at(t) == direct
+            assert all(trace.elapsed_work(j, t) == y for j, y in direct.items())
+
     @settings(max_examples=25, deadline=None)
     @given(integer_instances())
     def test_partition_covers_released(self, inst):
