@@ -138,27 +138,24 @@ def randomized_params(alpha: Fraction) -> tuple[int, int]:
     return k, t
 
 
-def gen_rand_lb(alpha: Fraction, seed: int) -> tuple[Instance, int]:
-    """k jobs at time 0 with p = y + 1, y geometric on {1, 2, ...} with mean 2
-    (success probability 1/2); also returns the measurement time."""
-    k, t = randomized_params(alpha)
-    rng = random.Random(seed)
-    procs = []
-    for _ in range(k):
-        y = 1
-        while rng.random() < 0.5:
-            y += 1
-        procs.append(y + 1)
-    jobs = tuple(Job(i + 1, Fraction(0), Fraction(p)) for i, p in enumerate(procs))
-    return Instance(jobs, Fraction(alpha)), t
-
-
 def sample_geometric_proc(rng: random.Random) -> int:
-    """One draw of p = y + 1 with y geometric (mean 2); exposed for statistics."""
+    """One draw of p = y + 1 with y geometric on {1, 2, ...} with mean 2
+    (success probability 1/2)."""
     y = 1
     while rng.random() < 0.5:
         y += 1
     return y + 1
+
+
+def gen_rand_lb(alpha: Fraction, seed: int) -> tuple[Instance, int]:
+    """k jobs at time 0 with geometric processing times (see
+    sample_geometric_proc); also returns the measurement time."""
+    k, t = randomized_params(alpha)
+    rng = random.Random(seed)
+    jobs = tuple(
+        Job(i + 1, Fraction(0), Fraction(sample_geometric_proc(rng))) for i in range(k)
+    )
+    return Instance(jobs, Fraction(alpha)), t
 
 
 def append_dos_tail(instance: Instance, t: Fraction, m: int) -> Instance:

@@ -1080,9 +1080,9 @@ def check_reachability_closure(
     return violations
 
 
-def check_feasibility(trace: ScheduleTrace, non_idling: bool = True) -> list[str]:
-    """Unit speed, only alive jobs rated, and (for the built-in policies)
-    full speed whenever something is alive."""
+def check_feasibility(trace: ScheduleTrace) -> list[str]:
+    """Unit speed, only alive jobs rated, and full speed whenever something
+    is alive (the built-in policies never idle)."""
     violations = []
     for seg in trace.segments:
         mid = (seg.start + seg.end) / 2
@@ -1092,7 +1092,7 @@ def check_feasibility(trace: ScheduleTrace, non_idling: bool = True) -> list[str
                 violations.append(f"job {j} rated while not alive at {format_rat(mid)}")
         if seg.total_rate > 1:
             violations.append(f"total rate {seg.total_rate} > 1 at {format_rat(mid)}")
-        if non_idling and alive and seg.total_rate != 1:
+        if alive and seg.total_rate != 1:
             violations.append(
                 f"idle capacity at {format_rat(mid)} with alive jobs {sorted(alive)}"
             )
@@ -1101,7 +1101,7 @@ def check_feasibility(trace: ScheduleTrace, non_idling: bool = True) -> list[str
     for lo, hi in spans + [(trace.makespan, trace.makespan)]:
         if lo > prev_end:
             mid = (prev_end + lo) / 2
-            if non_idling and trace.alive_at(mid):
+            if trace.alive_at(mid):
                 violations.append(
                     f"machine idle on [{format_rat(prev_end)}, {format_rat(lo)}] "
                     f"with alive jobs"
@@ -1148,7 +1148,6 @@ def verify_traces(
     *,
     flow_checks: bool = True,
     refinement: bool = True,
-    branch_checks: bool = True,
 ) -> VerificationReport:
     """Run the full structural battery on an (algorithm, optimum) trace pair."""
     events, dense = check_times(alg_trace, opt_trace)
@@ -1238,10 +1237,9 @@ def verify_traces(
         "feasibility_alg": feasibility[0],
         "feasibility_opt": feasibility[1],
         "catch_up": catch_up.violations,
+        "branch_observations": check_branch_observations(alg_trace),
+        "clairvoyant_runs_block": check_clairvoyant_runs_block(alg_trace),
     }
-    if branch_checks:
-        trace_checks["branch_observations"] = check_branch_observations(alg_trace)
-        trace_checks["clairvoyant_runs_block"] = check_clairvoyant_runs_block(alg_trace)
 
     ok = first_failure is None and all(not v for v in trace_checks.values())
     if ok is False and first_failure is None:
@@ -1267,8 +1265,9 @@ def verify_instance(
 ) -> VerificationReport:
     """Simulate the fused policy and SRPT on an instance and verify the pair.
 
-    The optimum side always runs on the realized instance (adversary commits
-    resolved), since SRPT needs full knowledge.
+    A given alg_trace (one read from a file, say) takes the place of the
+    fused policy's run.  The optimum side always runs on the realized
+    instance (adversary commits resolved), since SRPT needs full knowledge.
     """
     if alg_trace is None:
         alg_trace, _ = simulate(instance, PolicyKind.ALPHA)

@@ -12,12 +12,11 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from pathlib import Path
 
 from . import adversary
-from .analysis import verify_instance, verify_traces
+from .analysis import check_times, verify_instance
 from .engine import EngineError, simulate
 from .metrics import (
     FLAT_CSV_HEADER,
@@ -106,14 +105,10 @@ def cmd_simulate(args) -> int:
 
 def cmd_compare(args) -> int:
     inst = _load_instance_arg(args)
-    traces = {}
-    for name, kind in POLICY_NAMES.items():
-        if kind is PolicyKind.ALPHA:
-            trace, _ = simulate(inst, kind)
-        else:
-            base = traces["alpha"].instance if "alpha" in traces else inst
-            trace, _ = simulate(base, kind)
-        traces[name] = trace
+    alg, _ = simulate(inst, PolicyKind.ALPHA)
+    traces = {"alpha": alg}
+    for name in ("srpt", "setf"):
+        traces[name], _ = simulate(alg.instance, POLICY_NAMES[name])
     reports = {name: build_report(tr) for name, tr in traces.items()}
     opt = reports["srpt"]
     instance_id = Path(args.instance).stem
@@ -143,6 +138,7 @@ def cmd_compare(args) -> int:
 def cmd_verify(args) -> int:
     inst = _load_instance_arg(args)
     out = Path(args.out) if args.out else None
+    alg_trace = None
     if args.trace_override:
         override_path = Path(args.trace_override)
         if not override_path.exists():
@@ -151,19 +147,12 @@ def cmd_verify(args) -> int:
         if not inst.resolved:
             raise ModelError("trace override requires a resolved instance")
         alg_trace = ScheduleTrace.from_csv_rows(inst, rows)
-        opt_trace, _ = simulate(inst, PolicyKind.SRPT)
-        report = verify_traces(
-            alg_trace,
-            opt_trace,
-            flow_checks=not args.no_flow_checks,
-            refinement=not args.no_refinement,
-        )
-    else:
-        report = verify_instance(
-            inst,
-            flow_checks=not args.no_flow_checks,
-            refinement=not args.no_refinement,
-        )
+    report = verify_instance(
+        inst,
+        flow_checks=not args.no_flow_checks,
+        refinement=not args.no_refinement,
+        alg_trace=alg_trace,
+    )
     if out is not None:
         _write_json(out / "report.json", report.to_json())
     if report.ok:
@@ -299,11 +288,7 @@ def _sweep_one(inst: Instance, alpha: Fraction):
     opt, _ = simulate(inst, PolicyKind.SRPT)
     flow_ratio = ratio(build_report(alg), build_report(opt))
     worst = Fraction(0)
-    points = sorted(set(alg.event_times()) | set(opt.event_times()))
-    samples = list(points)
-    for a, b in zip(points, points[1:]):
-        samples.append((a + b) / 2)
-    for t in samples:
+    for t in check_times(alg, opt)[1]:
         alive = len(alg.alive_at(t))
         opt_alive = len(opt.alive_at(t))
         if opt_alive:
@@ -334,8 +319,7 @@ def cmd_sweep(args) -> int:
     rows = [",".join(header)]
     if instances:
         for alpha in grid:
-            with ThreadPoolExecutor(max_workers=args.workers) as pool:
-                results = list(pool.map(lambda inst: _sweep_one(inst, alpha), instances))
+            results = [_sweep_one(inst, alpha) for inst in instances]
             worst_alive = max(r[0] for r in results)
             worst_flow = max(r[1] for r in results)
             row = [format_rat(alpha), format_rat(worst_alive), format_rat(worst_flow)]
@@ -394,7 +378,6 @@ def build_parser() -> argparse.ArgumentParser:
     swp.add_argument("--max-jobs", type=int, default=6)
     swp.add_argument("--max-p", type=int, default=8)
     swp.add_argument("--density", type=float, default=0.8)
-    swp.add_argument("--workers", type=int, default=4)
     swp.add_argument("--out", required=True)
     swp.add_argument("--float", action="store_true")
     swp.set_defaults(func=cmd_sweep)

@@ -18,17 +18,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 from .model import ExecutionSegment, Instance, ScheduleTrace
-from .policies import (
-    PolicyKind,
-    PolicyView,
-    RateDecision,
-    ViewJob,
-    decide,
-    is_omniscient,
-)
+from .policies import PolicyKind, PolicyView, RateDecision, ViewJob, decide
 
 
 class EngineError(Exception):
@@ -76,34 +69,23 @@ class EventLog:
         return rows
 
 
-Policy = Union[PolicyKind, object]
-
-
-def _policy_decide(policy: Policy, view: PolicyView) -> RateDecision:
-    if isinstance(policy, PolicyKind):
-        return decide(policy, view)
-    return policy.decide(view)
-
-
-def _policy_omniscient(policy: Policy) -> bool:
-    if isinstance(policy, PolicyKind):
-        return is_omniscient(policy)
-    return bool(getattr(policy, "omniscient", False))
-
-
-def _policy_merge_pool(policy: Policy) -> str:
-    """Which alive jobs can join an evenly-shared set: "all" or "unsignalled"."""
-    if isinstance(policy, PolicyKind):
-        return "unsignalled" if policy is PolicyKind.ALPHA else "all"
-    return getattr(policy, "merge_pool", "all")
-
-
 class SimState:
-    """Mutable simulation state; drives one deterministic run."""
+    """Mutable simulation state; drives one deterministic run.
 
-    def __init__(self, instance: Instance, policy: Policy, horizon: Optional[Fraction] = None):
+    A policy is a ``PolicyKind`` or any object with ``decide(view)``; both
+    may carry ``omniscient`` (default False) and ``merge_pool`` ("all", the
+    default, or "unsignalled": which alive jobs can join an evenly-shared
+    set).  They are read once, here.
+    """
+
+    def __init__(self, instance: Instance, policy, horizon: Optional[Fraction] = None):
         self.instance = instance
         self.policy = policy
+        self.builtin = isinstance(policy, PolicyKind)
+        # built-in decisions go through policies.decide, looked up per call
+        self.decide = (lambda view: decide(policy, view)) if self.builtin else policy.decide
+        self.omniscient = bool(getattr(policy, "omniscient", False))
+        self.merge_pool = getattr(policy, "merge_pool", "all")
         self.horizon = None if horizon is None else Fraction(horizon)
         self.alpha = instance.alpha
         self.now = Fraction(0)
@@ -132,17 +114,13 @@ class SimState:
     def alive(self) -> list[int]:
         return sorted(self._alive)
 
-    def _is_emitted(self, job_id: int) -> bool:
-        return job_id in self.emitted
-
     def build_view(self) -> PolicyView:
-        omniscient = _policy_omniscient(self.policy)
         entries = []
         for j in self.alive():
             p = self.proc[j]
-            emitted = self._is_emitted(j)
+            emitted = j in self.emitted
             remaining = None
-            if omniscient:
+            if self.omniscient:
                 if p is None:
                     raise EngineError(
                         f"job {j}: omniscient policy requires a committed processing time"
@@ -160,7 +138,7 @@ class SimState:
                     signal_time=self.signal.get(j),
                 )
             )
-        return PolicyView(now=self.now, alpha=self.alpha, omniscient=omniscient, jobs=tuple(entries))
+        return PolicyView(now=self.now, alpha=self.alpha, omniscient=self.omniscient, jobs=tuple(entries))
 
     # -- event machinery -------------------------------------------------------
 
@@ -248,7 +226,7 @@ class SimState:
         self.log.append(self.now, "adversary-commit", sorted(commits))
 
     def make_decision(self) -> RateDecision:
-        decision = _policy_decide(self.policy, self.build_view())
+        decision = self.decide(self.build_view())
         alive = set(self.alive())
         total = Fraction(0)
         for j, r in decision.rates:
@@ -259,7 +237,7 @@ class SimState:
             total += r
         if total > 1:
             raise EngineError("policy rates exceed unit speed")
-        if isinstance(self.policy, PolicyKind) and alive and not decision.rates:
+        if self.builtin and alive and not decision.rates:
             raise EngineError("built-in policy idled with alive jobs")
         branch = decision.branch
         if branch in ("srpt", "setf") and self._last_branch in ("srpt", "setf") and branch != self._last_branch:
@@ -297,20 +275,15 @@ class SimState:
             if len(levels) == 1 and len(shares) == 1:
                 level = next(iter(levels))
                 rho = next(iter(shares))
-                pool_kind = _policy_merge_pool(self.policy)
                 pool = [
                     j
                     for j in self.alive()
-                    if j not in rates and (pool_kind == "all" or j not in self.emitted)
+                    if j not in rates and (self.merge_pool == "all" or j not in self.emitted)
                 ]
                 above = [self.progress[j] for j in pool if self.progress[j] > level]
                 if above:
                     offer("merge", self.now + (min(above) - level) / rho)
-                if (
-                    isinstance(self.policy, PolicyKind)
-                    and self.policy is PolicyKind.ALPHA
-                    and 0 < self.alpha < 1
-                ):
+                if self.policy is PolicyKind.ALPHA and 0 < self.alpha < 1:
                     rem = [
                         self.proc[j] - self.progress[j]
                         for j in self.alive()
@@ -389,13 +362,13 @@ class SimState:
 
 
 def simulate(
-    instance: Instance, policy: Policy, horizon: Optional[Fraction] = None
+    instance: Instance, policy, horizon: Optional[Fraction] = None
 ) -> tuple[ScheduleTrace, EventLog]:
     """Run a policy over an instance and return the trace and event log."""
     return SimState(instance, policy, horizon=horizon).run()
 
 
-def replay_check(trace: ScheduleTrace, instance: Instance, policy: Policy) -> bool:
+def replay_check(trace: ScheduleTrace, instance: Instance, policy) -> bool:
     """Re-simulate and compare against the canonical form of a given trace."""
     fresh, _ = simulate(instance, policy, horizon=trace.horizon)
     return fresh.canonical_bytes() == trace.canonical_bytes()

@@ -308,12 +308,6 @@ class ExecutionSegment:
         if sum((r for _, r in rates), Fraction(0)) > 1:
             raise ModelError("segment rates exceed unit speed")
 
-    def rate(self, job_id: int) -> Fraction:
-        for j, r in self.rates:
-            if j == job_id:
-                return r
-        return Fraction(0)
-
     @property
     def total_rate(self) -> Fraction:
         return sum((r for _, r in self.rates), Fraction(0))
@@ -482,10 +476,6 @@ class ScheduleTrace:
     def remaining(self, job_id: int, t: Fraction) -> Fraction:
         """Remaining processing time at t; zero once completed."""
         return self.instance.proc_of(job_id) - self.elapsed_work(job_id, t)
-
-    def completion(self, job_id: int) -> Optional[Fraction]:
-        self.instance.job(job_id)
-        return self.completions.get(job_id)
 
     def alive_at(self, t: Fraction) -> frozenset[int]:
         t = Fraction(t)

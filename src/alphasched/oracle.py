@@ -9,6 +9,8 @@ code with the paths they validate.
 
 from __future__ import annotations
 
+import heapq
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -100,10 +102,12 @@ def quantum_simulate(
 def brute_force_min_total_flow(instance: Instance) -> int:
     """Exhaustive preemptive optimum for integer instances.
 
-    Explores every non-idling unit-step schedule via memoized search over
-    (time, multiset of remaining work of released unfinished jobs); the cost
-    of a step is the number of alive jobs during it.  Exact for integer
-    releases and processing times, where unit-grid preemption loses nothing.
+    Explores every non-idling unit-step schedule by dynamic programming over
+    time layers; a state is (time, multiset of remaining work of released
+    unfinished jobs) and the cost of a step is the number of alive jobs
+    during it.  Layers are expanded in time order, so each state's least
+    accrued flow is final before it is expanded.  Exact for integer releases
+    and processing times, where unit-grid preemption loses nothing.
     """
     if not instance.resolved:
         raise ModelError("brute force requires a resolved instance")
@@ -116,50 +120,37 @@ def brute_force_min_total_flow(instance: Instance) -> int:
     if not releases:
         return 0
     release_times = sorted(releases)
-    memo: dict[tuple[int, tuple[int, ...]], int] = {}
+    layers: dict[int, dict[tuple[int, ...], int]] = {}
+    pending: list[int] = []  # heap of the times of unexpanded layers
 
-    def arrivals_at(t: int) -> tuple[int, ...]:
-        return tuple(releases.get(t, ()))
+    def reach(t: int, rems: list[int], cost: int) -> None:
+        layer = layers.get(t)
+        if layer is None:
+            layer = layers[t] = {}
+            heapq.heappush(pending, t)
+        key = tuple(sorted(rems))
+        if key not in layer or cost < layer[key]:
+            layer[key] = cost
 
-    def next_release_after(t: int) -> Optional[int]:
-        for rt in release_times:
-            if rt > t:
-                return rt
-        return None
-
-    def best(t: int, rems: tuple[int, ...]) -> int:
-        if not rems:
-            nxt = next_release_after(t)
-            if nxt is None:
-                return 0
-            return best(nxt, tuple(sorted(releases[nxt])))
-        key = (t, rems)
-        cached = memo.get(key)
-        if cached is not None:
-            return cached
-        cost = len(rems)
-        incoming = arrivals_at(t + 1)
-        options = []
-        seen = set()
-        for idx, value in enumerate(rems):
-            if value in seen:
+    best: Optional[int] = None
+    reach(release_times[0], releases[release_times[0]], 0)
+    while pending:
+        t = heapq.heappop(pending)
+        incoming = releases.get(t + 1, [])
+        for rems, cost in layers.pop(t).items():
+            if not rems:
+                idx = bisect_right(release_times, t)
+                if idx == len(release_times):
+                    best = cost if best is None else min(best, cost)
+                else:
+                    nxt = release_times[idx]
+                    reach(nxt, releases[nxt], cost)
                 continue
-            seen.add(value)
-            nxt = list(rems[:idx] + rems[idx + 1 :])
-            if value > 1:
-                nxt.append(value - 1)
-            nxt.extend(incoming)
-            options.append(best(t + 1, tuple(sorted(nxt))))
-        result = cost + min(options)
-        memo[key] = result
-        return result
-
-    first = release_times[0]
-    import sys
-
-    old_limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(max(old_limit, 10000))
-    try:
-        return best(first, tuple(sorted(releases[first])))
-    finally:
-        sys.setrecursionlimit(old_limit)
+            for idx, value in enumerate(rems):
+                if idx and rems[idx - 1] == value:
+                    continue
+                nxt = list(rems[:idx] + rems[idx + 1 :])
+                if value > 1:
+                    nxt.append(value - 1)
+                reach(t + 1, nxt + incoming, cost + len(rems))
+    return best

@@ -23,10 +23,15 @@ class PolicyKind(Enum):
     SRPT = "srpt"
     SETF = "setf"
 
+    @property
+    def omniscient(self) -> bool:
+        """Only SRPT sees remaining times regardless of signals."""
+        return self is PolicyKind.SRPT
 
-def is_omniscient(kind: PolicyKind) -> bool:
-    """Only SRPT sees remaining times regardless of signals."""
-    return kind is PolicyKind.SRPT
+    @property
+    def merge_pool(self) -> str:
+        """Only the fused rule keeps signalled jobs out of the shared set."""
+        return "unsignalled" if self is PolicyKind.ALPHA else "all"
 
 
 @dataclass(frozen=True)
@@ -51,12 +56,6 @@ class PolicyView:
 class RateDecision:
     rates: tuple[tuple[int, Fraction], ...]  # sorted by job id, positive entries
     branch: str  # "srpt" | "setf" | "idle"
-
-    def rate(self, job_id: int) -> Fraction:
-        for j, r in self.rates:
-            if j == job_id:
-                return r
-        return Fraction(0)
 
     @property
     def rated_ids(self) -> tuple[int, ...]:

@@ -115,6 +115,10 @@ class TestRandomizedBound:
         assert len(inst.jobs) == 16 and t == 24
         assert all(j.release == 0 and j.proc.denominator == 1 and j.proc >= 2 for j in inst.jobs)
 
+    def test_draws_are_pinned(self):
+        inst, _ = gen_rand_lb(F(7, 8), 0)
+        assert [j.proc for j in inst.jobs] == [2, 2, 4, 3, 4, 2, 2, 3, 2, 3, 2, 2, 2, 3, 2, 2]
+
     def test_mean_processing_time_is_three(self):
         rng = random.Random(12345)
         n = 100_000

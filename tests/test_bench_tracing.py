@@ -1,0 +1,63 @@
+"""The benchmark's tracer must keep finding the names it wraps.
+
+bench/tracing.py replaces package callables by name for its traced run; a
+rename in the package would otherwise only show in the benchmark's own smoke
+run.  This installs the tracer on the imported modules, runs one simulation
+through it and checks that uninstalling puts every original back.
+"""
+
+import importlib.util
+from fractions import Fraction as F
+from pathlib import Path
+from types import SimpleNamespace
+
+from alphasched import adversary, analysis, engine, metrics, model, oracle, policies, rational
+from alphasched.model import Instance, Job
+from alphasched.policies import PolicyKind
+
+TRACING = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
+
+
+def load_tracing():
+    spec = importlib.util.spec_from_file_location("bench_tracing", TRACING)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def namespaces(pkg):
+    """Every module and class whose attributes the tracer may replace."""
+    classes = [
+        engine.SimState,
+        engine.EventLog,
+        model.ScheduleTrace,
+        metrics.MetricsReport,
+        analysis.FlowNetwork,
+        analysis.VerificationReport,
+    ]
+    return list(vars(pkg).values()) + classes
+
+
+def test_install_and_uninstall_restore_every_original():
+    pkg = SimpleNamespace(
+        adversary=adversary, analysis=analysis, engine=engine, metrics=metrics,
+        model=model, oracle=oracle, policies=policies, rational=rational,
+    )
+    before = [dict(vars(ns)) for ns in namespaces(pkg)]
+    tracer = load_tracing().Tracer()
+    tracer.install(pkg)
+    try:
+        # p = 4 and p = 2 at alpha 1/2: share, then run the signalled short job
+        inst = Instance((Job(1, 0, 4), Job(2, 0, 2)), F(1, 2))
+        engine.simulate(inst, PolicyKind.ALPHA)
+    finally:
+        tracer.uninstall()
+    after = [dict(vars(ns)) for ns in namespaces(pkg)]
+    for old, new in zip(before, after):
+        assert old.keys() == new.keys()
+        assert all(old[k] is new[k] for k in old)
+    decisions = tracer.calls["policies.decide"]
+    assert decisions > 0 and tracer.calls["engine.build_view"] == decisions
+    assert tracer.counts["policies.decisions_setf"] > 0
+    assert tracer.counts["policies.decisions_srpt"] > 0
+    assert tracer.calls["engine.simulate_alpha"] == 1

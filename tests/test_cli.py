@@ -257,14 +257,29 @@ class TestSweepCommand:
                 "2",
                 "--out",
                 str(out),
-                "--workers",
-                "2",
             ]
         )
         assert code == 0
         rows = read(out / "sweep.csv").splitlines()
         assert rows[0] == "alpha,max_alive_ratio,max_flow_ratio"
         assert rows[1].startswith("0/1,") and rows[1].endswith(",1/1")
+
+    def test_pinned_rows(self, tmp_path):
+        """The worst ratios over 150 fuzz instances, as recorded before the
+        sweep sampled through analysis.check_times."""
+        out = tmp_path / "sweep"
+        argv = ["sweep", "--grid", "1/2,2/3,3/4", "--fuzz", "150", "--seed", "1"]
+        assert main(argv + ["--out", str(out)]) == 0
+        assert read(out / "sweep.csv").splitlines() == [
+            "alpha,max_alive_ratio,max_flow_ratio",
+            "1/2,2/1,139/99",
+            "2/3,3/1,164/105",
+            "3/4,4/1,229/140",
+        ]
+
+    def test_workers_flag_is_gone(self, tmp_path):
+        argv = ["sweep", "--grid", "1/2", "--fuzz", "2", "--workers", "2"]
+        assert main(argv + ["--out", str(tmp_path / "sweep")]) == 2
 
     def test_alive_ratio_maxima_respect_bound(self, tmp_path):
         from alphasched.rational import parse_rat

@@ -25,6 +25,7 @@ from alphasched.model import (
     Trigger,
 )
 from alphasched.policies import PolicyKind, RateDecision, setf_decide
+from conftest import corpus_instance
 
 DATA = Path(__file__).parent / "data"
 
@@ -135,6 +136,26 @@ class TestDeterminismAndReplay:
         trace, log = simulate(inst, PolicyKind.ALPHA)
         assert trace.canonical_dict() == golden["trace"]
         assert log.csv_rows() == golden["events"]
+
+
+class TestPolicyProtocol:
+    class BareSetf:
+        """A custom policy with nothing but decide: the protocol defaults
+        (not omniscient, merge pool "all") make it the built-in SETF."""
+
+        decide = staticmethod(setf_decide)
+
+    @pytest.mark.parametrize("seed", range(60))
+    def test_custom_setf_equals_builtin(self, seed):
+        inst = corpus_instance(seed)
+        custom, custom_log = simulate(inst, self.BareSetf())
+        builtin, builtin_log = simulate(inst, PolicyKind.SETF)
+        assert custom.canonical_bytes() == builtin.canonical_bytes()
+        assert custom_log.csv_rows() == builtin_log.csv_rows()
+
+    def test_builtin_attributes(self):
+        assert [k.omniscient for k in PolicyKind] == [False, True, False]
+        assert [k.merge_pool for k in PolicyKind] == ["unsignalled", "all", "all"]
 
 
 class TestInformationHiding:

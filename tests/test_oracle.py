@@ -1,3 +1,4 @@
+import sys
 from fractions import Fraction as F
 
 import pytest
@@ -62,3 +63,9 @@ class TestBruteForceOptimum:
         inst = Instance((Job(1, 0, F(3, 2)),), F(1, 2))
         with pytest.raises(ModelError):
             brute_force_min_total_flow(inst)
+
+    def test_long_job_leaves_recursion_limit_alone(self):
+        limit = sys.getrecursionlimit()
+        inst = Instance((Job(1, 0, 12000),), F(1, 2))
+        assert brute_force_min_total_flow(inst) == 12000
+        assert sys.getrecursionlimit() == limit
