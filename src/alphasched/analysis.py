@@ -18,8 +18,9 @@ Every check returns a list of violation strings; empty means pass.  A single
 violation carries the exact rationals involved so it can be replayed.
 
 ``verify_traces`` sweeps the check times in increasing order: each time's
-state is computed once (``TimePoint``), the borrow graph is carried forward
-(``BorrowSweep``) and the refined network is split from the base one.
+state is computed once (``TimePoint``) and is the only input every per-time
+check reads, the borrow graph is carried forward (``BorrowSweep``) and the
+refined network is split from the base one.  Every check runs every time.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ from .rational import format_rat
 @dataclass(frozen=True)
 class TimePoint:
     """Both schedules' state at one check time, computed once and read by
-    every check made at that time."""
+    every check made at that time; the only way a check gets that state."""
 
     t: Fraction
     work: dict[int, Fraction]  # the algorithm's elapsed work y_j(t), every job
@@ -53,19 +54,11 @@ class TimePoint:
 
     @classmethod
     def at(cls, alg_trace: ScheduleTrace, opt_trace: ScheduleTrace, t: Fraction) -> "TimePoint":
+        if alg_trace.instance.ids != opt_trace.instance.ids:
+            raise ModelError("traces must share one instance")
         t = Fraction(t)
         work = alg_trace.work_at(t)
         return cls(t, work, alg_trace.partition(t, work), opt_trace.alive_at(t))
-
-
-def _state_of(
-    trace: ScheduleTrace, t: Fraction, point: Optional[TimePoint]
-) -> tuple[dict[int, Fraction], Partition]:
-    """(elapsed work, partition) of the algorithm's trace at t, from the point if given."""
-    if point is not None:
-        return point.work, point.part
-    work = trace.work_at(t)
-    return work, trace.partition(t, work)
 
 
 # --------------------------------------------------------------------------
@@ -292,14 +285,11 @@ class FlowNetwork:
 
 def build_flow_network(
     alg_trace: ScheduleTrace,
-    opt_trace: ScheduleTrace,
-    t: Fraction,
+    point: TimePoint,
+    work_by_time: dict[Fraction, dict[int, Fraction]],
     extra_points: Iterable[Fraction] = (),
-    *,
-    point: Optional[TimePoint] = None,
-    work_by_time: Optional[dict[Fraction, dict[int, Fraction]]] = None,
 ) -> FlowNetwork:
-    """Interval network at time t.
+    """Interval network at the point's time t.
 
     Discretization: 0, t, releases and algorithm completions up to t, plus any
     extra points.  Per job i and interval a dummy vertex caps the flow through
@@ -309,17 +299,11 @@ def build_flow_network(
     the received work of jobs in O(t).  Jobs released after t are omitted:
     they have empty lifetimes and zero capacity everywhere.
 
-    ``point`` is the state at t if the caller holds it.  ``work_by_time``
-    maps time points to ``alg_trace.work_at``; the build reads its grid from
-    it and adds what is missing, so networks built at successive times of one
-    trace evaluate each grid point once.
+    ``work_by_time`` maps time points to ``alg_trace.work_at``; the build
+    reads its grid from it and adds what is missing, so networks built at
+    successive times of one trace evaluate each grid point once.
     """
-    t = Fraction(t)
-    if alg_trace.instance.ids != opt_trace.instance.ids:
-        raise ModelError("traces must share one instance")
-    if point is None:
-        point = TimePoint.at(alg_trace, opt_trace, t)
-    work_by_time = {} if work_by_time is None else work_by_time
+    t = point.t
     work_by_time[t] = point.work
     points = {Fraction(0), t}
     jobs = [job for job in alg_trace.instance.jobs if job.release <= t]
@@ -630,18 +614,10 @@ def decompose_beta(result: FlowResult, net: FlowNetwork) -> BetaMatrix:
 
 
 def check_beta_properties(
-    beta: BetaMatrix,
-    graph: BorrowGraph,
-    alg_trace: ScheduleTrace,
-    opt_trace: ScheduleTrace,
-    t: Fraction,
-    *,
-    point: Optional[TimePoint] = None,
+    beta: BetaMatrix, graph: BorrowGraph, instance: Instance, point: TimePoint
 ) -> list[str]:
     """Borrowing matrix properties: support inside reachability, rows equal to
     remaining work, columns bounded by received work."""
-    if point is None:
-        point = TimePoint.at(alg_trace, opt_trace, t)
     violations = []
     sources = sorted(point.part.alive - point.opt_alive)
     sinks = sorted(point.opt_alive)
@@ -660,7 +636,7 @@ def check_beta_properties(
         cols[i] = cols.get(i, Fraction(0)) + v
     for j in sources:
         rs = rows.get(j, Fraction(0))
-        expected = alg_trace.instance.proc_of(j) - point.work[j]
+        expected = instance.proc_of(j) - point.work[j]
         if rs != expected:
             violations.append(
                 f"row sum of {j} is {format_rat(rs)}, expected {format_rat(expected)}"
@@ -733,44 +709,22 @@ class Segment:
 @dataclass
 class SegmentPartition:
     segments: tuple[Segment, ...]  # ordered by strictly growing dominated sets
-    truncated: dict[int, Fraction]
-    beyond: dict[int, frozenset[int]]  # per job: reachable optimum jobs ahead of it
     violations: list[str] = field(default_factory=list)
 
 
-def compute_segments(
-    alg_trace: ScheduleTrace,
-    opt_trace: ScheduleTrace,
-    t: Fraction,
-    graph: Optional[BorrowGraph] = None,
-    *,
-    point: Optional[TimePoint] = None,
-) -> SegmentPartition:
+def compute_segments(instance: Instance, point: TimePoint) -> SegmentPartition:
     """Group the algorithm's unsignalled alive jobs outside O(t) by the set of
     optimum jobs whose truncated progress they meet or exceed."""
-    t = Fraction(t)
-    alpha = alg_trace.instance.alpha
-    if point is None:
-        point = TimePoint.at(alg_trace, opt_trace, t)
     part, opt_alive = point.part, point.opt_alive
-    if graph is None:
-        graph = build_borrow_graph(alg_trace, t)
-
-    def truncated(j: int) -> Fraction:
-        p = alg_trace.instance.proc_of(j)
-        return min(point.work[j], alpha * p)
-
     candidates = sorted(part.nonclairvoyant - opt_alive)
-    tvals = {j: truncated(j) for j in set(candidates) | set(opt_alive)}
+    tvals = {
+        j: min(point.work[j], instance.alpha * instance.proc_of(j))
+        for j in set(candidates) | set(opt_alive)
+    }
     groups: dict[frozenset[int], list[int]] = {}
-    beyond: dict[int, frozenset[int]] = {}
     for j in candidates:
         dominated = frozenset(i for i in opt_alive if tvals[j] >= tvals[i])
         groups.setdefault(dominated, []).append(j)
-        reach = graph.reachable(j)
-        beyond[j] = frozenset(
-            i for i in opt_alive if tvals[j] < tvals[i] and i in reach
-        )
     ordered = sorted(groups.items(), key=lambda kv: len(kv[0]))
     violations = []
     for (d1, _), (d2, _) in zip(ordered, ordered[1:]):
@@ -785,9 +739,7 @@ def compute_segments(
     segments = tuple(
         Segment(jobs=frozenset(js), dominated=dom) for dom, js in ordered
     )
-    return SegmentPartition(
-        segments=segments, truncated=tvals, beyond=beyond, violations=violations
-    )
+    return SegmentPartition(segments=segments, violations=violations)
 
 
 # --------------------------------------------------------------------------
@@ -803,27 +755,18 @@ class LocalBoundsResult:
     violations: list[str]
 
 
-def check_local_bounds(
-    alg_trace: ScheduleTrace,
-    opt_trace: ScheduleTrace,
-    t: Fraction,
-    *,
-    point: Optional[TimePoint] = None,
-) -> LocalBoundsResult:
+def check_local_bounds(alpha: Fraction, point: TimePoint) -> LocalBoundsResult:
     """Pointwise alive-count bounds of the algorithm against the optimum.
 
     Stated for alpha with integer 1/(1-alpha); other alphas are checked
     against the bound with the factor rounded up and flagged as extrapolation.
     """
-    t = Fraction(t)
-    alpha = alg_trace.instance.alpha
+    t = point.t
     if alpha == 1:
         raise ModelError("counting bounds are undefined at alpha = 1")
     factor = 1 / (1 - alpha)
     extrapolated = factor.denominator != 1
     c = Fraction(ceil(factor))
-    if point is None:
-        point = TimePoint.at(alg_trace, opt_trace, t)
     part, opt_alive = point.part, point.opt_alive
     counts = {
         "alive": len(part.alive),
@@ -1013,19 +956,16 @@ def check_catch_up(trace: ScheduleTrace, times: Sequence[Fraction]) -> list[str]
     catch_up = CatchUp(trace)
     for t in times:
         t = Fraction(t)
-        work, part = _state_of(trace, t, None)
-        catch_up.observe(t, work, part)
+        work = trace.work_at(t)
+        catch_up.observe(t, work, trace.partition(t, work))
     return catch_up.violations
 
 
-def check_direct_borrow_order(
-    trace: ScheduleTrace, graph: BorrowGraph, t: Fraction, *, point: Optional[TimePoint] = None
-) -> list[str]:
+def check_direct_borrow_order(graph: BorrowGraph, point: TimePoint) -> list[str]:
     """An unsignalled borrow edge (j -> i) between two currently unsignalled
     jobs implies j has at least i's progress."""
-    t = Fraction(t)
-    work, part = _state_of(trace, t, point)
-    fresh = part.nonclairvoyant
+    t, work = point.t, point.work
+    fresh = point.part.nonclairvoyant
     found = []
     for (j, i, tag) in graph.edges:
         if tag == "N" and j in fresh and i in fresh and work[j] < work[i]:
@@ -1038,12 +978,11 @@ def check_direct_borrow_order(
 
 
 def check_reachability_closure(
-    trace: ScheduleTrace, graph: BorrowGraph, t: Fraction, *, point: Optional[TimePoint] = None
+    trace: ScheduleTrace, graph: BorrowGraph, point: TimePoint
 ) -> list[str]:
     """The lifetime of a reachability set is one interval; every job executed
     inside it belongs to the set; for alive jobs the interval ends at t."""
-    t = Fraction(t)
-    alive = point.part.alive if point is not None else trace.alive_at(t)
+    t, alive = point.t, point.part.alive
     busy = {j: trace.busy_intervals(j) for j in graph.vertices}
     # vertices often share their reachability set: look at each set once
     seen: dict[frozenset[int], tuple[list, list[int]]] = {}
@@ -1142,16 +1081,10 @@ class VerificationReport:
         }
 
 
-def verify_traces(
-    alg_trace: ScheduleTrace,
-    opt_trace: ScheduleTrace,
-    *,
-    flow_checks: bool = True,
-    refinement: bool = True,
-) -> VerificationReport:
+def verify_traces(alg_trace: ScheduleTrace, opt_trace: ScheduleTrace) -> VerificationReport:
     """Run the full structural battery on an (algorithm, optimum) trace pair."""
     events, dense = check_times(alg_trace, opt_trace)
-    alpha = alg_trace.instance.alpha
+    instance = alg_trace.instance
     time_checks = []
     first_failure = None
 
@@ -1166,19 +1099,17 @@ def verify_traces(
         point = TimePoint.at(alg_trace, opt_trace, t)
         catch_up.observe(t, point.work, point.part)
         graph = borrow.at(t)
-        violations += check_direct_borrow_order(alg_trace, graph, t, point=point)
-        violations += check_reachability_closure(alg_trace, graph, t, point=point)
-        if alpha != 1:
-            lb = check_local_bounds(alg_trace, opt_trace, t, point=point)
+        violations += check_direct_borrow_order(graph, point)
+        violations += check_reachability_closure(alg_trace, graph, point)
+        if instance.alpha != 1:
+            lb = check_local_bounds(instance.alpha, point)
             entry["counts"] = lb.counts
             violations += lb.violations
-        seg_part = compute_segments(alg_trace, opt_trace, t, graph=graph, point=point)
+        seg_part = compute_segments(instance, point)
         entry["segments"] = len(seg_part.segments)
         violations += seg_part.violations
-        if flow_checks and t in event_set:
-            net = build_flow_network(
-                alg_trace, opt_trace, t, point=point, work_by_time=work_by_time
-            )
+        if t in event_set:
+            net = build_flow_network(alg_trace, point, work_by_time)
             saturated, flow = max_flow_saturates(net)
             entry["supply"] = format_rat(net.total_supply)
             entry["max_flow"] = format_rat(flow.value)
@@ -1204,29 +1135,24 @@ def verify_traces(
                         f"path decomposition discarded cycle flow "
                         f"{format_rat(beta.discarded_cycle_flow)}"
                     )
-                violations += check_beta_properties(
-                    beta, graph, alg_trace, opt_trace, t, point=point
-                )
-                if refinement:
-                    refined_net, refined_flow = refine_flow(
-                        net, flow, alg_trace, opt_trace, t
+                violations += check_beta_properties(beta, graph, instance, point)
+                refined_net, refined_flow = refine_flow(net, flow, alg_trace, opt_trace, t)
+                violations += verify_flow_feasible(refined_net, refined_flow)
+                direct, refined_direct = flow.job_totals(), refined_flow.job_totals()
+                for j in net.supplies:
+                    for i in net.demands:
+                        a = direct.get((j, i), Fraction(0))
+                        b = refined_direct.get((j, i), Fraction(0))
+                        if a != b:
+                            violations.append(
+                                f"refinement changed direct flow ({j},{i}): "
+                                f"{format_rat(a)} -> {format_rat(b)}"
+                            )
+                refined_beta = decompose_beta(refined_flow, refined_net)
+                if refined_beta.values != beta.values:
+                    violations.append(
+                        f"refinement changed the borrowing matrix at t={format_rat(t)}"
                     )
-                    violations += verify_flow_feasible(refined_net, refined_flow)
-                    direct, refined_direct = flow.job_totals(), refined_flow.job_totals()
-                    for j in net.supplies:
-                        for i in net.demands:
-                            a = direct.get((j, i), Fraction(0))
-                            b = refined_direct.get((j, i), Fraction(0))
-                            if a != b:
-                                violations.append(
-                                    f"refinement changed direct flow ({j},{i}): "
-                                    f"{format_rat(a)} -> {format_rat(b)}"
-                                )
-                    refined_beta = decompose_beta(refined_flow, refined_net)
-                    if refined_beta.values != beta.values:
-                        violations.append(
-                            f"refinement changed the borrowing matrix at t={format_rat(t)}"
-                        )
         if violations:
             entry["violations"] = violations
             if first_failure is None:
@@ -1248,7 +1174,7 @@ def verify_traces(
                 first_failure = {"check": name, "violations": v}
                 break
     return VerificationReport(
-        instance=alg_trace.instance,
+        instance=instance,
         ok=ok,
         time_checks=time_checks,
         trace_checks=trace_checks,
@@ -1257,11 +1183,7 @@ def verify_traces(
 
 
 def verify_instance(
-    instance: Instance,
-    *,
-    flow_checks: bool = True,
-    refinement: bool = True,
-    alg_trace: Optional[ScheduleTrace] = None,
+    instance: Instance, *, alg_trace: Optional[ScheduleTrace] = None
 ) -> VerificationReport:
     """Simulate the fused policy and SRPT on an instance and verify the pair.
 
@@ -1272,9 +1194,4 @@ def verify_instance(
     if alg_trace is None:
         alg_trace, _ = simulate(instance, PolicyKind.ALPHA)
     opt_trace, _ = simulate(alg_trace.instance, PolicyKind.SRPT)
-    return verify_traces(
-        alg_trace,
-        opt_trace,
-        flow_checks=flow_checks,
-        refinement=refinement,
-    )
+    return verify_traces(alg_trace, opt_trace)

@@ -4,7 +4,9 @@ Commands: simulate | compare | verify | lowerbound | sweep.  All numeric
 output is exact "num/den" text; --float adds decimal columns for plotting.
 Outputs are byte-deterministic for fixed inputs and seeds.
 
-Exit codes: 0 pass, 1 verification failure, 2 usage or I/O error.
+Exit codes: 0 pass, 1 verification failure, 2 bad input: a usage error, an
+unreadable or malformed input file, or an instance the model or the engine
+rejects.  Any other exception is a bug and surfaces with its traceback.
 """
 
 from __future__ import annotations
@@ -55,13 +57,23 @@ def _write_json(path: Path, obj) -> None:
     _write_text(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
 
+def rational(text: str) -> Fraction:
+    """argparse type of a "num/den" option."""
+    try:
+        return parse_rat(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
+def rational_list(text: str) -> list[Fraction]:
+    """argparse type of a comma-separated list of "num/den" values."""
+    return [rational(item) for item in text.split(",") if item.strip()]
+
+
 def _load_instance_arg(args) -> Instance:
-    path = Path(args.instance)
-    if not path.exists():
-        raise FileNotFoundError(f"instance not found: {path}")
-    inst = load_instance(path)
-    if getattr(args, "alpha", None):
-        inst = inst.with_alpha(parse_rat(args.alpha))
+    inst = load_instance(args.instance)
+    if args.alpha is not None:
+        inst = inst.with_alpha(args.alpha)
     return inst
 
 
@@ -81,8 +93,7 @@ def _quantum_entry(inst: Instance, kind: PolicyKind, fluid_flow: Fraction) -> di
 def cmd_simulate(args) -> int:
     inst = _load_instance_arg(args)
     kind = POLICY_NAMES[args.policy]
-    horizon = parse_rat(args.horizon) if args.horizon else None
-    trace, log = simulate(inst, kind, horizon=horizon)
+    trace, log = simulate(inst, kind, horizon=args.horizon)
     report = build_report(trace)
     out = Path(args.out)
     _write_text(out / "trace.csv", "\n".join(trace.csv_rows()) + "\n")
@@ -140,19 +151,14 @@ def cmd_verify(args) -> int:
     out = Path(args.out) if args.out else None
     alg_trace = None
     if args.trace_override:
-        override_path = Path(args.trace_override)
-        if not override_path.exists():
-            raise FileNotFoundError(f"trace override not found: {override_path}")
-        rows = override_path.read_text(encoding="utf-8").splitlines()
+        try:
+            rows = Path(args.trace_override).read_text(encoding="utf-8").splitlines()
+        except (OSError, ValueError) as exc:
+            raise ModelError(f"cannot read trace override {args.trace_override}: {exc}") from None
         if not inst.resolved:
             raise ModelError("trace override requires a resolved instance")
         alg_trace = ScheduleTrace.from_csv_rows(inst, rows)
-    report = verify_instance(
-        inst,
-        flow_checks=not args.no_flow_checks,
-        refinement=not args.no_refinement,
-        alg_trace=alg_trace,
-    )
+    report = verify_instance(inst, alg_trace=alg_trace)
     if out is not None:
         _write_json(out / "report.json", report.to_json())
     if report.ok:
@@ -170,7 +176,7 @@ def cmd_verify(args) -> int:
 
 
 def _lowerbound_deterministic(args, which: str, out: Path | None) -> int:
-    alpha = parse_rat(args.alpha)
+    alpha = args.alpha
     k = args.k
     if which == "lb1":
         inst, t = adversary.gen_det_lb1(alpha, k)
@@ -212,7 +218,7 @@ def _lowerbound_deterministic(args, which: str, out: Path | None) -> int:
 
 
 def _lowerbound_randomized(args, which: str, out: Path | None) -> int:
-    alpha = parse_rat(args.alpha)
+    alpha = args.alpha
     if which == "rand32":
         inst, t = adversary.gen_rand32(alpha, args.k, args.seed)
         alg, _ = simulate(inst, PolicyKind.ALPHA)
@@ -234,6 +240,8 @@ def _lowerbound_randomized(args, which: str, out: Path | None) -> int:
             _write_json(out / "lowerbound.json", result)
         return 0
     k, t = adversary.randomized_params(alpha)
+    if args.seeds < 1:
+        raise ModelError("--seeds must be at least 1")
     bound = 1 / (1 - alpha)
     totals = {"alg": 0, "opt": 0, "alg_cond": 0, "opt_cond": 0, "n_cond": 0}
     for seed in range(args.seed, args.seed + args.seeds):
@@ -297,7 +305,7 @@ def _sweep_one(inst: Instance, alpha: Fraction):
 
 
 def cmd_sweep(args) -> int:
-    grid = [parse_rat(text) for text in args.grid.split(",") if text.strip()]
+    grid = args.grid
     if not grid:
         raise ModelError("empty alpha grid")
     for alpha in grid:
@@ -307,6 +315,10 @@ def cmd_sweep(args) -> int:
             raise ModelError(
                 f"grid alpha {format_rat(alpha)} has non-integer 1/(1-alpha)"
             )
+    if args.max_jobs < 1:
+        raise ModelError("--max-jobs must be at least 1")
+    if not 0 <= args.density <= 1:
+        raise ModelError("--density must lie in [0, 1]")
     instances = [
         adversary.gen_random_instance(
             1 + (args.seed + i) % args.max_jobs, args.max_p, args.density, args.seed + i
@@ -337,8 +349,8 @@ def build_parser() -> argparse.ArgumentParser:
     sim = sub.add_parser("simulate", help="run one policy over an instance")
     sim.add_argument("--instance", required=True)
     sim.add_argument("--policy", choices=sorted(POLICY_NAMES), default="alpha")
-    sim.add_argument("--alpha", help="override the instance alpha (num/den)")
-    sim.add_argument("--horizon", help="stop the run at this time (num/den)")
+    sim.add_argument("--alpha", type=rational, help="override the instance alpha (num/den)")
+    sim.add_argument("--horizon", type=rational, help="stop the run at this time (num/den)")
     sim.add_argument("--out", required=True)
     sim.add_argument("--quantum-oracle", action="store_true")
     sim.add_argument("--float", action="store_true")
@@ -346,7 +358,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     cmp_ = sub.add_parser("compare", help="run all three policies and compare flows")
     cmp_.add_argument("--instance", required=True)
-    cmp_.add_argument("--alpha")
+    cmp_.add_argument("--alpha", type=rational)
     cmp_.add_argument("--out", required=True)
     cmp_.add_argument("--quantum-oracle", action="store_true")
     cmp_.add_argument("--float", action="store_true")
@@ -354,16 +366,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     ver = sub.add_parser("verify", help="machine-check the structural analysis")
     ver.add_argument("--instance", required=True)
-    ver.add_argument("--alpha")
+    ver.add_argument("--alpha", type=rational)
     ver.add_argument("--out")
     ver.add_argument("--trace-override", help="verify this trace CSV instead of simulating")
-    ver.add_argument("--no-flow-checks", action="store_true")
-    ver.add_argument("--no-refinement", action="store_true")
     ver.set_defaults(func=cmd_verify)
 
     low = sub.add_parser("lowerbound", help="reproduce the adversarial constructions")
     low.add_argument("--which", choices=["lb1", "lb2", "rand", "rand32"], required=True)
-    low.add_argument("--alpha", required=True)
+    low.add_argument("--alpha", type=rational, required=True)
     low.add_argument("--k", type=int, default=5)
     low.add_argument("--seed", type=int, default=0)
     low.add_argument("--seeds", type=int, default=500, help="sample count for rand")
@@ -372,7 +382,9 @@ def build_parser() -> argparse.ArgumentParser:
     low.set_defaults(func=cmd_lowerbound)
 
     swp = sub.add_parser("sweep", help="alpha grid over a fuzz corpus")
-    swp.add_argument("--grid", required=True, help="comma-separated alphas (num/den)")
+    swp.add_argument(
+        "--grid", type=rational_list, required=True, help="comma-separated alphas (num/den)"
+    )
     swp.add_argument("--fuzz", type=int, default=50)
     swp.add_argument("--seed", type=int, default=1)
     swp.add_argument("--max-jobs", type=int, default=6)
@@ -392,11 +404,8 @@ def main(argv=None) -> int:
         return USAGE_ERROR if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except FileNotFoundError as exc:
+    except (ModelError, EngineError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
-    except (ModelError, EngineError, ValueError, KeyError, TypeError) as exc:
-        print(f"error: {exc!r}", file=sys.stderr)
         return USAGE_ERROR
 
 

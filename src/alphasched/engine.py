@@ -93,7 +93,6 @@ class SimState:
         self.proc: dict[int, Optional[Fraction]] = {
             j.id: (j.proc if j.committed else None) for j in instance.jobs
         }
-        self.released: set[int] = set()
         self._alive: set[int] = set()
         self.completed: dict[int, Fraction] = {}
         self.emitted: set[int] = set()
@@ -199,7 +198,6 @@ class SimState:
             while self._arr_ptr < len(self._arrivals) and self._arrivals[self._arr_ptr].release == self.now:
                 job = self._arrivals[self._arr_ptr]
                 self._arr_ptr += 1
-                self.released.add(job.id)
                 self._alive.add(job.id)
                 arrived.append(job.id)
             if arrived:

@@ -160,6 +160,11 @@ class Instance:
         keys = [(j.release, j.id) for j in self.jobs]
         if keys != sorted(keys):
             raise ModelError("jobs must be sorted by (release, id)")
+        if self.adversary is not None:
+            for trigger in self.adversary.triggers:
+                unknown = sorted(set(trigger.rule.jobs) - set(ids))
+                if unknown:
+                    raise UnknownJobError(f"trigger {trigger.id!r} commits unknown jobs {unknown}")
         for job in self.jobs:
             if not job.committed:
                 if self.adversary is None:
@@ -230,13 +235,38 @@ def _rule_to_json(rule: CommitRule) -> dict:
     }
 
 
-def _rule_from_json(obj: dict) -> CommitRule:
-    kind = obj.get("kind")
+def _field(obj, key: str, where: str, kind: type = object):
+    """obj[key] of a parsed JSON object, which must be of the given type; a
+    ModelError names the field otherwise."""
+    if not isinstance(obj, dict):
+        raise ModelError(f"{where}: expected a JSON object")
+    if key not in obj:
+        raise ModelError(f"{where}: missing field {key!r}")
+    value = obj[key]
+    if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
+        raise ModelError(f"{where}.{key}: expected {kind.__name__}, got {type(value).__name__}")
+    return value
+
+
+def _rat_field(obj, key: str, where: str) -> Fraction:
+    try:
+        return parse_rat(_field(obj, key, where))
+    except ValueError as exc:
+        raise ModelError(f"{where}.{key}: {exc}") from None
+
+
+def _rule_from_json(obj, where: str) -> CommitRule:
+    kind = _field(obj, "kind", where)
+    jobs = _field(obj, "jobs", where, list)
+    if not all(isinstance(j, int) and not isinstance(j, bool) for j in jobs):
+        raise ModelError(f"{where}.jobs: expected a list of job ids")
     if kind == "progress-scaled":
-        return ProgressScaledRule(tuple(obj["jobs"]), parse_rat(obj["scale"]), parse_rat(obj["offset"]))
+        scale, offset = _rat_field(obj, "scale", where), _rat_field(obj, "offset", where)
+        return ProgressScaledRule(tuple(jobs), scale, offset)
     if kind == "rank-pair":
-        return RankPairRule(tuple(obj["jobs"]), parse_rat(obj["high"]), parse_rat(obj["low"]))
-    raise ModelError(f"unknown commit rule kind {kind!r}")
+        high, low = _rat_field(obj, "high", where), _rat_field(obj, "low", where)
+        return RankPairRule(tuple(jobs), high, low)
+    raise ModelError(f"{where}: unknown commit rule kind {kind!r}")
 
 
 def instance_to_json(instance: Instance) -> dict:
@@ -255,28 +285,43 @@ def instance_to_json(instance: Instance) -> dict:
     return obj
 
 
-def instance_from_json(obj: dict) -> Instance:
+def instance_from_json(obj) -> Instance:
+    """The instance of a parsed JSON object; a missing field or a value of the
+    wrong type raises a ModelError that names it."""
     jobs = []
-    for rec in obj["jobs"]:
-        proc = rec["proc"]
-        if isinstance(proc, dict):
-            proc = Deferred(str(proc["deferred"]))
+    for k, rec in enumerate(_field(obj, "jobs", "instance", list)):
+        where = f"jobs[{k}]"
+        if isinstance(_field(rec, "proc", where), dict):
+            proc = Deferred(_field(rec["proc"], "deferred", f"{where}.proc", str))
         else:
-            proc = parse_rat(proc)
-        jobs.append(Job(int(rec["id"]), parse_rat(rec["release"]), proc))
+            proc = _rat_field(rec, "proc", where)
+        jobs.append(Job(_field(rec, "id", where, int), _rat_field(rec, "release", where), proc))
     adversary = None
     if obj.get("adversary"):
-        triggers = tuple(
-            Trigger(str(rec["id"]), parse_rat(rec["fire_at"]), _rule_from_json(rec["rule"]))
-            for rec in obj["adversary"]["triggers"]
-        )
-        adversary = AdversaryScript(triggers)
-    return Instance(tuple(jobs), parse_rat(obj["alpha"]), adversary)
+        triggers = []
+        script = _field(obj, "adversary", "instance", dict)
+        for k, rec in enumerate(_field(script, "triggers", "adversary", list)):
+            where = f"adversary.triggers[{k}]"
+            triggers.append(Trigger(
+                _field(rec, "id", where, str),
+                _rat_field(rec, "fire_at", where),
+                _rule_from_json(_field(rec, "rule", where), f"{where}.rule"),
+            ))
+        adversary = AdversaryScript(tuple(triggers))
+    return Instance(tuple(jobs), _rat_field(obj, "alpha", "instance"), adversary)
 
 
 def load_instance(path) -> Instance:
-    with open(path, "r", encoding="utf-8") as fh:
-        return instance_from_json(json.load(fh))
+    """The instance in a JSON file; an unreadable file or invalid JSON raises
+    a ModelError."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            obj = json.load(fh)
+    except OSError as exc:
+        raise ModelError(f"cannot read instance {path}: {exc.strerror or exc}") from None
+    except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
+        raise ModelError(f"invalid JSON in {path}: {exc}") from None
+    return instance_from_json(obj)
 
 
 def save_instance(instance: Instance, path) -> None:
@@ -649,9 +694,11 @@ class ScheduleTrace:
         body = [r for r in rows[1:] if r.strip()]
         spans: dict[tuple[Fraction, Fraction], list[tuple[int, Fraction]]] = {}
         for row in body:
-            start, end, job_id, rate = row.split(",")
-            spans.setdefault((parse_rat(start), parse_rat(end)), []).append(
-                (int(job_id), parse_rat(rate))
-            )
+            try:
+                start, end, job_id, rate = row.split(",")
+                span, entry = (parse_rat(start), parse_rat(end)), (int(job_id), parse_rat(rate))
+            except ValueError as exc:
+                raise ModelError(f"bad trace row {row!r}: {exc}") from None
+            spans.setdefault(span, []).append(entry)
         segments = [ExecutionSegment(lo, hi, tuple(rates)) for (lo, hi), rates in sorted(spans.items())]
         return ScheduleTrace(instance, segments, horizon=horizon)

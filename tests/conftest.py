@@ -3,9 +3,18 @@ from __future__ import annotations
 from fractions import Fraction
 
 import pytest
+from hypothesis import strategies as st
 
 from alphasched.adversary import gen_random_instance
-from alphasched.model import Instance, Job
+from alphasched.model import (
+    AdversaryScript,
+    Deferred,
+    Instance,
+    Job,
+    ProgressScaledRule,
+    RankPairRule,
+    Trigger,
+)
 
 CORPUS_ALPHAS = (Fraction(1, 2), Fraction(2, 3), Fraction(3, 4))
 CORPUS_SIZE = 500
@@ -37,3 +46,36 @@ def worked_example() -> Instance:
     """p=4 and p=2 released together at alpha=1/2: share, run the signalled
     short job, then finish the long one."""
     return Instance((Job(1, 0, 4), Job(2, 0, 2)), Fraction(1, 2))
+
+
+@st.composite
+def json_instances(draw) -> Instance:
+    """Valid instances of every JSON shape: committed jobs with rational
+    releases and processing times, and deferred jobs committed by
+    progress-scaled and rank-pair triggers."""
+    positive = st.builds(Fraction, st.integers(1, 40), st.integers(1, 6))
+    nonnegative = st.builds(Fraction, st.integers(0, 40), st.integers(1, 6))
+    entries = [(draw(nonnegative), draw(positive)) for _ in range(draw(st.integers(0, 4)))]
+    rules = []
+    for k in range(draw(st.integers(0, 2))):
+        kind = draw(st.sampled_from([ProgressScaledRule, RankPairRule]))
+        size = 2 if kind is RankPairRule else draw(st.integers(1, 3))
+        entries += [(draw(nonnegative), Deferred(f"t{k}")) for _ in range(size)]
+        rules.append(kind)
+    entries.sort(key=lambda e: e[0])
+    ids = sorted(draw(st.sets(st.integers(1, 99), min_size=len(entries), max_size=len(entries))))
+    jobs = tuple(Job(i, release, proc) for i, (release, proc) in zip(ids, entries))
+    triggers = []
+    fire_at = Fraction(0)
+    for k, kind in enumerate(rules):
+        fire_at += draw(positive)
+        ruled = tuple(job.id for job in jobs if job.proc == Deferred(f"t{k}"))
+        if kind is RankPairRule:
+            rule = RankPairRule(ruled, draw(positive), draw(positive))
+        else:
+            offset = draw(st.builds(Fraction, st.integers(-5, 20), st.integers(1, 6)))
+            rule = ProgressScaledRule(ruled, draw(positive), offset)
+        triggers.append(Trigger(f"t{k}", fire_at, rule))
+    den = draw(st.integers(1, 6))
+    alpha = Fraction(draw(st.integers(0, den)), den)
+    return Instance(jobs, alpha, AdversaryScript(tuple(triggers)) if triggers else None)

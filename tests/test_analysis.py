@@ -2,7 +2,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from alphasched.adversary import gen_det_lb1, gen_det_lb2, gen_random_instance
+from alphasched.adversary import append_dos_tail, gen_det_lb1, gen_det_lb2, gen_random_instance
 from alphasched.analysis import (
     BetaMatrix,
     BorrowSweep,
@@ -161,7 +161,7 @@ class TestBorrowSweep:
 class TestFlowNetwork:
     def test_pair_example_at_five_halves(self, pair_traces):
         alg, opt = pair_traces
-        net = build_flow_network(alg, opt, F(5, 2))
+        net = build_flow_network(alg, TimePoint.at(alg, opt, F(5, 2)), {})
         assert net.supplies == {1: F(1, 2)}
         assert net.demands == {2: F(1)}
         chain_caps = [
@@ -176,7 +176,7 @@ class TestFlowNetwork:
 
     def test_zero_time_network_is_empty(self, pair_traces):
         alg, opt = pair_traces
-        net = build_flow_network(alg, opt, 0)
+        net = build_flow_network(alg, TimePoint.at(alg, opt, 0), {})
         assert not net.supplies and not net.demands
         saturated, flow = max_flow_saturates(net)
         assert saturated and flow.value == 0
@@ -184,12 +184,12 @@ class TestFlowNetwork:
     def test_no_surplus_means_zero_supply(self, pair_traces):
         alg, opt = pair_traces
         # at t=7/2 the fused policy finished job 1; only job 2 is alive in both
-        net = build_flow_network(alg, opt, F(7, 2))
+        net = build_flow_network(alg, TimePoint.at(alg, opt, F(7, 2)), {})
         assert net.total_supply == 0
 
     def test_starved_network_fails_saturation(self, pair_traces):
         alg, opt = pair_traces
-        net = build_flow_network(alg, opt, F(5, 2))
+        net = build_flow_network(alg, TimePoint.at(alg, opt, F(5, 2)), {})
         for (u, v) in list(net.arcs):
             if v == ("job", 2) and u[0] == "dummy":
                 net.arcs[(u, v)] = F(1, 8)  # below the 1/2 supply
@@ -198,7 +198,7 @@ class TestFlowNetwork:
 
     def test_feasibility_audit_catches_overflow(self, pair_traces):
         alg, opt = pair_traces
-        net = build_flow_network(alg, opt, F(5, 2))
+        net = build_flow_network(alg, TimePoint.at(alg, opt, F(5, 2)), {})
         _, flow = max_flow_saturates(net)
         doctored = dict(flow.flow)
         for (u, v), f in list(doctored.items()):
@@ -213,7 +213,7 @@ class TestFlowNetwork:
     def test_reachability_matches_borrow_graph(self, pair_traces):
         alg, opt = pair_traces
         t = F(5, 2)
-        net = build_flow_network(alg, opt, t)
+        net = build_flow_network(alg, TimePoint.at(alg, opt, t), {})
         graph = build_borrow_graph(alg, t)
         for j in net.supplies:
             assert net.job_reachable(j) & set(net.demands) == graph.reachable(j) & set(
@@ -230,11 +230,11 @@ class TestFlowOracles:
         work_by_time: dict = {}
         for t in check_times(alg, opt)[0]:
             point = TimePoint.at(alg, opt, t)
-            net = build_flow_network(alg, opt, t, point=point, work_by_time=work_by_time)
-            assert net == build_flow_network(alg, opt, t)
+            net = build_flow_network(alg, point, work_by_time)
+            assert net == build_flow_network(alg, TimePoint.at(alg, opt, t), {})
             tps = net.time_points
             mids = [(a + b) / 2 for a, b in zip(tps, tps[1:])]
-            refined = build_flow_network(alg, opt, t, extra_points=mids)
+            refined = build_flow_network(alg, TimePoint.at(alg, opt, t), {}, extra_points=mids)
             split = split_network(net, alg)
             assert split.time_points == refined.time_points
             assert split.jobs == refined.jobs
@@ -250,7 +250,7 @@ class TestFlowOracles:
         nx = pytest.importorskip("networkx")
         alg, opt = trace_pair(corpus_instance(seed))
         for t in check_times(alg, opt)[0]:
-            net = build_flow_network(alg, opt, t)
+            net = build_flow_network(alg, TimePoint.at(alg, opt, t), {})
             # a demand job only absorbs: its flow leaves to the sink alone
             graph = nx.DiGraph()
             graph.add_nodes_from([("source",), ("sink",)])
@@ -264,7 +264,7 @@ class TestFlowOracles:
 
     def test_max_flow_reads_arcs_edited_after_the_build(self, pair_traces):
         alg, opt = pair_traces
-        net = build_flow_network(alg, opt, F(5, 2))
+        net = build_flow_network(alg, TimePoint.at(alg, opt, F(5, 2)), {})
         assert max_flow_saturates(net)[1].value == F(1, 2)
         for arc in list(net.arcs):
             if arc[0] == ("source",):
@@ -273,13 +273,13 @@ class TestFlowOracles:
 
     def test_job_totals_sum_over_intervals(self, pair_traces):
         alg, opt = pair_traces
-        net = build_flow_network(alg, opt, F(5, 2))
+        net = build_flow_network(alg, TimePoint.at(alg, opt, F(5, 2)), {})
         _, flow = max_flow_saturates(net)
         assert flow.job_totals() == {(1, 2): F(1, 2)}
 
     def test_refine_rejects_a_network_of_another_time(self, pair_traces):
         alg, opt = pair_traces
-        net = build_flow_network(alg, opt, F(5, 2))
+        net = build_flow_network(alg, TimePoint.at(alg, opt, F(5, 2)), {})
         _, flow = max_flow_saturates(net)
         with pytest.raises(ModelError):
             refine_flow(net, flow, alg, opt, F(3))
@@ -289,17 +289,17 @@ class TestBetaMatrix:
     def test_pair_unique_path(self, pair_traces):
         alg, opt = pair_traces
         t = F(5, 2)
-        net = build_flow_network(alg, opt, t)
+        net = build_flow_network(alg, TimePoint.at(alg, opt, t), {})
         _, flow = max_flow_saturates(net)
         beta = decompose_beta(flow, net)
         assert beta.values == {(1, 2): F(1, 2)}
         assert beta.discarded_cycle_flow == 0
         graph = build_borrow_graph(alg, t)
-        assert check_beta_properties(beta, graph, alg, opt, t) == []
+        assert check_beta_properties(beta, graph, alg.instance, TimePoint.at(alg, opt, t)) == []
 
     def test_zero_flow_all_zero(self, pair_traces):
         alg, opt = pair_traces
-        net = build_flow_network(alg, opt, 0)
+        net = build_flow_network(alg, TimePoint.at(alg, opt, 0), {})
         _, flow = max_flow_saturates(net)
         beta = decompose_beta(flow, net)
         assert beta.values == {}
@@ -309,14 +309,14 @@ class TestBetaMatrix:
         t = F(5, 2)
         graph = build_borrow_graph(alg, t)
         bumped = BetaMatrix(values={(1, 2): F(3, 2)})
-        violations = check_beta_properties(bumped, graph, alg, opt, t)
+        violations = check_beta_properties(bumped, graph, alg.instance, TimePoint.at(alg, opt, t))
         assert any("column sum" in v for v in violations)
         assert any("row sum" in v for v in violations)
 
     def test_refinement_preserves_beta(self, pair_traces):
         alg, opt = pair_traces
         t = F(5, 2)
-        net = build_flow_network(alg, opt, t)
+        net = build_flow_network(alg, TimePoint.at(alg, opt, t), {})
         _, flow = max_flow_saturates(net)
         beta = decompose_beta(flow, net)
         refined_net, refined_flow = refine_flow(net, flow, alg, opt, t)
@@ -329,7 +329,7 @@ class TestBetaMatrix:
 class TestSegments:
     def test_no_candidates_no_segments(self, pair_traces):
         alg, opt = pair_traces
-        part = compute_segments(alg, opt, F(1, 4))
+        part = compute_segments(alg.instance, TimePoint.at(alg, opt, F(1, 4)))
         # both jobs alive in the optimum as well: nothing to partition
         assert part.segments == ()
 
@@ -337,7 +337,7 @@ class TestSegments:
         inst = Instance((Job(1, 0, 4), Job(2, 0, 4), Job(3, 0, 4)), F(1, 2))
         alg, _ = simulate(inst, PolicyKind.ALPHA)
         opt, _ = simulate(inst, PolicyKind.SRPT)
-        part = compute_segments(alg, opt, F(3))
+        part = compute_segments(alg.instance, TimePoint.at(alg, opt, F(3)))
         assert len(part.segments) <= len(opt.alive_at(F(3))) + 1
         assert part.violations == []
 
@@ -347,7 +347,7 @@ class TestSegments:
         alg, _ = simulate(inst, PolicyKind.ALPHA)
         opt, _ = simulate(inst, PolicyKind.SRPT)
         for t in alg.event_times():
-            part = compute_segments(alg, opt, t)
+            part = compute_segments(alg.instance, TimePoint.at(alg, opt, t))
             assert part.violations == []
             assert len(part.segments) <= len(opt.alive_at(t)) + 1
 
@@ -355,14 +355,14 @@ class TestSegments:
 class TestLocalBounds:
     def test_pair_at_five_halves(self, pair_traces):
         alg, opt = pair_traces
-        res = check_local_bounds(alg, opt, F(5, 2))
+        res = check_local_bounds(alg.instance.alpha, TimePoint.at(alg, opt, F(5, 2)))
         assert res.violations == []
         assert res.counts["alive_minus_opt"] == 1
         assert res.bounds["alive_minus_opt"] == 7
 
     def test_vacuous_when_optimum_idle(self, pair_traces):
         alg, opt = pair_traces
-        res = check_local_bounds(alg, opt, F(100))
+        res = check_local_bounds(alg.instance.alpha, TimePoint.at(alg, opt, F(100)))
         assert res.violations == []
         assert res.counts["alive"] == 0
 
@@ -370,7 +370,7 @@ class TestLocalBounds:
         inst = Instance((Job(1, 0, 2),), F(1, 3))
         alg, _ = simulate(inst, PolicyKind.ALPHA)
         opt, _ = simulate(inst, PolicyKind.SRPT)
-        res = check_local_bounds(alg, opt, 1)
+        res = check_local_bounds(alg.instance.alpha, TimePoint.at(alg, opt, 1))
         assert res.extrapolated
 
 
@@ -392,7 +392,8 @@ class TestVerify:
         assert report.ok, report.first_failure
         assert len(report.time_checks) > 4 * n
         alg, opt = trace_pair(inst)
-        assert check_local_bounds(alg, opt, 0).extrapolated == (alpha in (F(3, 5), F(2, 5)))
+        bounds = check_local_bounds(alg.instance.alpha, TimePoint.at(alg, opt, 0))
+        assert bounds.extrapolated == (alpha in (F(3, 5), F(2, 5)))
 
     @pytest.mark.parametrize("gen", [gen_det_lb1, gen_det_lb2])
     @pytest.mark.parametrize("alpha", [F(1, 2), F(2, 3)])
@@ -400,6 +401,33 @@ class TestVerify:
         inst, _ = gen(alpha, 4)
         report = verify_instance(inst)
         assert report.ok, report.first_failure
+
+    @pytest.mark.parametrize("m", [4, 8])
+    @pytest.mark.parametrize("k", [3, 4])
+    @pytest.mark.parametrize("alpha", [F(1, 2), F(2, 3)])
+    @pytest.mark.parametrize("gen", [gen_det_lb1, gen_det_lb2])
+    def test_lower_bound_families_with_dos_tails_pass(self, gen, alpha, k, m):
+        inst, t = gen(alpha, k)
+        report = verify_instance(append_dos_tail(inst, t, m))
+        assert report.ok, report.first_failure
+
+    def test_random_n24_passes(self):
+        report = verify_instance(gen_random_instance(24, 8, 0.8, 24))
+        assert report.ok, report.first_failure
+        assert len(report.time_checks) > 4 * 24
+
+    def test_traces_of_two_instances_rejected(self, pair_traces):
+        alg, _ = pair_traces
+        other, _ = simulate(Instance((Job(1, 0, 2), Job(3, 0, 2)), F(1, 2)), PolicyKind.SRPT)
+        with pytest.raises(ModelError, match="share one instance"):
+            verify_traces(alg, other)
+        with pytest.raises(ModelError, match="share one instance"):
+            TimePoint.at(alg, other, 1)
+
+    def test_no_switch_turns_a_check_off(self, pair_instance):
+        for switch in ("flow_checks", "refinement"):
+            with pytest.raises(TypeError):
+                verify_instance(pair_instance, **{switch: False})
 
     def test_adaptive_instance_passes(self):
         from alphasched.adversary import gen_det_lb1

@@ -1,11 +1,17 @@
+import io
 import json
+import tempfile
+from contextlib import redirect_stderr
 from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from alphasched import cli
 from alphasched.cli import main
-from alphasched.model import Instance, Job, save_instance
+from alphasched.model import Instance, Job, instance_to_json, save_instance
+from conftest import json_instances
 
 
 @pytest.fixture
@@ -53,6 +59,25 @@ class TestSimulateCommand:
         bad.write_text("not json", encoding="utf-8")
         assert main(["simulate", "--instance", str(bad), "--out", str(tmp_path)]) == 2
 
+    def test_internal_error_is_not_bad_input(self, tmp_path, pair_path, monkeypatch):
+        def broken(trace):
+            raise KeyError("internal")
+
+        monkeypatch.setattr(cli, "build_report", broken)
+        with pytest.raises(KeyError):
+            main(["simulate", "--instance", str(pair_path), "--out", str(tmp_path / "out")])
+
+    @pytest.mark.parametrize("option", [["--alpha", "x"], ["--alpha", "1/0"], ["--horizon", "1.5"]])
+    def test_bad_rational_option_exits_2(self, tmp_path, pair_path, option):
+        argv = ["simulate", "--instance", str(pair_path), "--out", str(tmp_path / "out")]
+        assert main(argv + option) == 2
+
+    def test_alpha_zero_override_applies(self, tmp_path, pair_path):
+        out = tmp_path / "cmp"
+        argv = ["compare", "--instance", str(pair_path), "--alpha", "0", "--out", str(out)]
+        assert main(argv) == 0
+        assert read(out / "compare.csv").splitlines()[1].split(",")[2] == "0/1"
+
     def test_byte_identical_reruns(self, tmp_path, pair_path):
         outs = []
         for name in ("a", "b"):
@@ -90,6 +115,62 @@ class TestSimulateCommand:
         assert code == 0
         entry = json.loads(read(out / "metrics.json"))["quantum_check"]
         assert entry["ok"] is True
+
+
+RATIONAL_FIELDS = {"alpha", "release", "proc", "fire_at", "scale", "offset", "high", "low"}
+
+
+def required_fields(obj, path=()):
+    """Paths of the fields an instance JSON object cannot do without: all but
+    the optional top-level "adversary"."""
+    if isinstance(obj, dict):
+        for key, value in obj.items():
+            if path or key != "adversary":
+                yield path + (key,)
+            yield from required_fields(value, path + (key,))
+    elif isinstance(obj, list):
+        for k, value in enumerate(obj):
+            yield from required_fields(value, path + (k,))
+
+
+@st.composite
+def malformed_instances(draw):
+    """The JSON of a valid instance with one required field dropped, given a
+    wrong type, or, for a rational, given a zero denominator or a float."""
+    obj = instance_to_json(draw(json_instances()))
+    path = draw(st.sampled_from(list(required_fields(obj))))
+    parent = obj
+    for key in path[:-1]:
+        parent = parent[key]
+    key = path[-1]
+    edits = ["drop", "wrong type"]
+    if key in RATIONAL_FIELDS and isinstance(parent[key], str):
+        edits += ["zero denominator", "float"]
+    edit = draw(st.sampled_from(edits))
+    if edit == "drop":
+        del parent[key]
+    elif edit == "wrong type":
+        parent[key] = draw(st.sampled_from([[[]], True]))
+    elif edit == "zero denominator":
+        parent[key] = "1/0"
+    else:
+        parent[key] = 0.5
+    return obj
+
+
+class TestMalformedInstances:
+    @settings(max_examples=80, deadline=None)
+    @given(malformed_instances())
+    def test_exit_2_with_a_one_line_message(self, obj):
+        stderr = io.StringIO()
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "bad.json"
+            path.write_text(json.dumps(obj), encoding="utf-8")
+            with redirect_stderr(stderr):
+                code = main(["simulate", "--instance", str(path), "--out", str(Path(tmp) / "out")])
+        assert code == 2
+        message = stderr.getvalue()
+        assert message.startswith("error: ") and message.count("\n") == 1
 
 
 class TestCompareCommand:
@@ -163,6 +244,17 @@ class TestVerifyCommand:
             ]
         )
         assert code2 == 1
+
+    @pytest.mark.parametrize("flag", ["--no-flow-checks", "--no-refinement"])
+    def test_switches_are_gone(self, pair_path, flag):
+        assert main(["verify", "--instance", str(pair_path), flag]) == 2
+
+    def test_unreadable_trace_override_exits_2(self, tmp_path, pair_path):
+        argv = ["verify", "--instance", str(pair_path), "--trace-override"]
+        assert main(argv + [str(tmp_path / "none.csv")]) == 2
+        bad = tmp_path / "bad.csv"
+        bad.write_text("start,end,job_id,rate\n0/1,1/1,x,1/1\n", encoding="utf-8")
+        assert main(argv + [str(bad)]) == 2
 
 
 class TestLowerboundCommand:
@@ -239,6 +331,9 @@ class TestLowerboundCommand:
         result = json.loads(read(out / "lowerbound.json"))
         assert result["delta_opt"] <= 3
 
+    def test_no_seeds_exits_2(self):
+        assert main(["lowerbound", "--which", "rand", "--alpha", "7/8", "--seeds", "0"]) == 2
+
     def test_bad_alpha_range_exits_2(self):
         assert main(["lowerbound", "--which", "rand", "--alpha", "1/4", "--seeds", "1"]) == 2
 
@@ -303,6 +398,13 @@ class TestSweepCommand:
             alpha, alive_ratio, _ = row.split(",")
             alpha, alive_ratio = parse_rat(alpha), parse_rat(alive_ratio)
             assert alive_ratio <= 4 + 2 / (1 - alpha)
+
+    @pytest.mark.parametrize(
+        "option", [["--grid", "1/2,x"], ["--max-jobs", "0"], ["--density", "nan"]]
+    )
+    def test_bad_input_exits_2(self, tmp_path, option):
+        argv = ["sweep", "--grid", "1/2", "--fuzz", "2", "--out", str(tmp_path)]
+        assert main(argv + option) == 2
 
     def test_non_integer_factor_rejected(self, tmp_path):
         assert (

@@ -1,3 +1,5 @@
+import json
+import re
 from fractions import Fraction as F
 
 import pytest
@@ -5,18 +7,22 @@ from hypothesis import given, settings, strategies as st
 
 from alphasched.engine import simulate
 from alphasched.model import (
+    AdversaryScript,
     Deferred,
     ExecutionSegment,
     Instance,
     Job,
     ModelError,
+    ProgressScaledRule,
     ScheduleTrace,
+    Trigger,
     UnknownJobError,
     instance_from_json,
     instance_to_json,
 )
 from alphasched.policies import PolicyKind
 from alphasched.rational import format_rat, parse_rat
+from conftest import json_instances
 
 
 def run(instance, kind=PolicyKind.SETF):
@@ -63,6 +69,39 @@ class TestInstanceValidation:
     def test_json_round_trip(self, pair_instance):
         blob = instance_to_json(pair_instance)
         assert instance_from_json(blob) == pair_instance
+
+    @settings(max_examples=80, deadline=None)
+    @given(json_instances())
+    def test_json_round_trip_bytes(self, inst):
+        text = json.dumps(instance_to_json(inst), sort_keys=True)
+        back = instance_from_json(json.loads(text))
+        assert back == inst
+        assert json.dumps(instance_to_json(back), sort_keys=True) == text
+
+    @pytest.mark.parametrize(
+        "obj, field",
+        [
+            ([], "instance: expected a JSON object"),
+            ({"alpha": "1/2"}, "missing field 'jobs'"),
+            ({"alpha": "1/2", "jobs": [{"id": "1", "release": 0, "proc": 1}]}, "jobs[0].id"),
+            ({"alpha": "1/2", "jobs": [{"id": 1, "release": 0.5, "proc": 1}]}, "jobs[0].release"),
+            ({"alpha": "1/0", "jobs": []}, "instance.alpha"),
+            (
+                {"alpha": "1/2", "jobs": [], "adversary": {"triggers": [{"id": "a", "fire_at": 1}]}},
+                "adversary.triggers[0]: missing field 'rule'",
+            ),
+        ],
+    )
+    def test_json_errors_name_the_field(self, obj, field):
+        with pytest.raises(ModelError, match=re.escape(field)):
+            instance_from_json(obj)
+
+    def test_rule_of_an_unknown_job_rejected(self):
+        rule = ProgressScaledRule((1, 7), 2, 0)
+        with pytest.raises(UnknownJobError):
+            Instance(
+                (Job(1, 0, Deferred("a")),), F(1, 2), AdversaryScript((Trigger("a", 1, rule),))
+            )
 
     def test_json_integer_shorthand(self):
         inst = instance_from_json(
