@@ -111,6 +111,8 @@ def gen_rand32(alpha: Fraction, k: int, seed: int) -> tuple[Instance, Fraction]:
     alpha = Fraction(alpha)
     if not (0 < alpha < 1):
         raise ModelError("phase bound needs 0 < alpha < 1")
+    if k < 1:
+        raise ModelError("k must be at least 1")
     lam = (4 + alpha) / alpha
     rng = random.Random(seed)
     jobs = []

@@ -19,8 +19,9 @@ violation carries the exact rationals involved so it can be replayed.
 
 ``verify_traces`` sweeps the check times in increasing order: each time's
 state is computed once (``TimePoint``) and is the only input every per-time
-check reads, the borrow graph is carried forward (``BorrowSweep``) and the
-refined network is split from the base one.  Every check runs every time.
+check reads, the borrow graph is carried forward (``BorrowSweep``), and the
+base and refined flow networks come from one builder that shares its grid
+columns across times.  Every check runs every time.
 """
 
 from __future__ import annotations
@@ -367,54 +368,6 @@ def build_flow_network(
     )
 
 
-def split_network(net: FlowNetwork, alg_trace: ScheduleTrace) -> FlowNetwork:
-    """The network of the same time with every interval split at its midpoint.
-
-    Lifetimes run between grid points, so each half lies inside exactly the
-    lifetimes that hold the whole interval and the job-to-dummy arcs copy
-    over.  Only the work on each half of an interval that received work is
-    read from the trace.  Equal, arc for arc, to ``build_flow_network`` with
-    the midpoints as extra points.
-    """
-    tps = net.time_points
-    mids = [(a + b) / 2 for a, b in zip(tps, tps[1:])]
-    halves = {
-        ("dummy", i, l): (("dummy", i, 2 * l), ("dummy", i, 2 * l + 1))
-        for i in net.jobs
-        for l in range(len(mids))
-    }
-    arcs: dict[tuple[Vertex, Vertex], Fraction] = {}
-    for (u, v), cap in net.arcs.items():
-        if v[0] == "dummy":
-            for half in halves[v]:
-                arcs[(u, half)] = cap
-    for i in net.jobs:
-        vertex = ("job", i)
-        before = Fraction(0)  # work of i up to the interval's left end
-        for l, mid in enumerate(mids):
-            dummy = ("dummy", i, l)
-            left, right = halves[dummy]
-            cap = net.arcs[(dummy, vertex)]
-            early = alg_trace.elapsed_work(i, mid) - before if cap else cap
-            arcs[(left, vertex)] = early
-            arcs[(right, vertex)] = cap - early
-            before += cap
-    for (u, v), cap in net.arcs.items():
-        if u == SOURCE or v == SINK:
-            arcs[(u, v)] = cap
-    points = [tps[0]]
-    for mid, b in zip(mids, tps[1:]):
-        points += [mid, b]
-    return FlowNetwork(
-        time_points=tuple(points),
-        jobs=net.jobs,
-        arcs=arcs,
-        supplies=dict(net.supplies),
-        demands=dict(net.demands),
-        infinite=net.infinite,
-    )
-
-
 @dataclass
 class FlowResult:
     value: Fraction
@@ -652,17 +605,22 @@ def check_beta_properties(
 
 
 def refine_flow(
-    net: FlowNetwork, result: FlowResult, alg_trace: ScheduleTrace, opt_trace: ScheduleTrace, t: Fraction
+    net: FlowNetwork,
+    result: FlowResult,
+    alg_trace: ScheduleTrace,
+    point: TimePoint,
+    work_by_time: dict[Fraction, dict[int, Fraction]],
 ) -> tuple[FlowNetwork, FlowResult]:
-    """Split every discretization interval at its midpoint (``split_network``)
-    and carry the flow over; job-to-job amounts are preserved arc by arc.
+    """Build the network of the point's time with every discretization
+    interval split at its midpoint, and carry the flow over; job-to-job
+    amounts are preserved arc by arc.
 
-    ``net`` must be the network of this trace pair at time t."""
-    if alg_trace.instance.ids != opt_trace.instance.ids:
-        raise ModelError("traces must share one instance")
-    if net.time_points[-1] != t:
-        raise ModelError(f"network is not the one at t={format_rat(Fraction(t))}")
-    refined = split_network(net, alg_trace)
+    ``net`` must be the network of this trace at the point's time."""
+    if net.time_points[-1] != point.t:
+        raise ModelError(f"network is not the one at t={format_rat(point.t)}")
+    tps = net.time_points
+    mids = [(a + b) / 2 for a, b in zip(tps, tps[1:])]
+    refined = build_flow_network(alg_trace, point, work_by_time, extra_points=mids)
     new_flow: dict[tuple[Vertex, Vertex], Fraction] = {}
     for (u, v), f in result.flow.items():
         if u == SOURCE or v == SINK:
@@ -1136,7 +1094,7 @@ def verify_traces(alg_trace: ScheduleTrace, opt_trace: ScheduleTrace) -> Verific
                         f"{format_rat(beta.discarded_cycle_flow)}"
                     )
                 violations += check_beta_properties(beta, graph, instance, point)
-                refined_net, refined_flow = refine_flow(net, flow, alg_trace, opt_trace, t)
+                refined_net, refined_flow = refine_flow(net, flow, alg_trace, point, work_by_time)
                 violations += verify_flow_feasible(refined_net, refined_flow)
                 direct, refined_direct = flow.job_totals(), refined_flow.job_totals()
                 for j in net.supplies:

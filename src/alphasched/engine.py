@@ -94,9 +94,7 @@ class SimState:
             j.id: (j.proc if j.committed else None) for j in instance.jobs
         }
         self._alive: set[int] = set()
-        self.completed: dict[int, Fraction] = {}
-        self.emitted: set[int] = set()
-        self.signal: dict[int, Fraction] = {}
+        self.signal: dict[int, Fraction] = {}  # emission time of each emitted job
         self._arrivals = sorted(instance.jobs, key=lambda j: (j.release, j.id))
         self._arr_ptr = 0
         self._triggers = list(instance.adversary.triggers) if instance.adversary else []
@@ -117,7 +115,7 @@ class SimState:
         entries = []
         for j in self.alive():
             p = self.proc[j]
-            emitted = j in self.emitted
+            emitted = j in self.signal
             remaining = None
             if self.omniscient:
                 if p is None:
@@ -167,7 +165,6 @@ class SimState:
             ]
             if done:
                 for j in done:
-                    self.completed[j] = self.now
                     self._alive.discard(j)
                 self.log.append(self.now, "completion", done)
                 changed = True
@@ -175,7 +172,7 @@ class SimState:
                 j
                 for j in self.alive()
                 if self.proc[j] is not None
-                and j not in self.emitted
+                and j not in self.signal
                 and self.progress[j] >= self.alpha * self.proc[j]
             ]
             if emits:
@@ -185,7 +182,6 @@ class SimState:
                             f"job {j} passed its signal point unobserved: progress "
                             f"{self.progress[j]} > alpha * p = {self.alpha * self.proc[j]}"
                         )
-                    self.emitted.add(j)
                     self.signal[j] = self.now
                 self.log.append(self.now, "emission", emits)
                 changed = True
@@ -263,7 +259,7 @@ class SimState:
             if p is None:
                 continue
             offer("completion", self.now + (p - self.progress[j]) / r)
-            if j not in self.emitted:
+            if j not in self.signal:
                 target = self.alpha * p
                 if self.progress[j] < target:
                     offer("emission", self.now + (target - self.progress[j]) / r)
@@ -276,7 +272,7 @@ class SimState:
                 pool = [
                     j
                     for j in self.alive()
-                    if j not in rates and (self.merge_pool == "all" or j not in self.emitted)
+                    if j not in rates and (self.merge_pool == "all" or j not in self.signal)
                 ]
                 above = [self.progress[j] for j in pool if self.progress[j] > level]
                 if above:
@@ -285,7 +281,7 @@ class SimState:
                     rem = [
                         self.proc[j] - self.progress[j]
                         for j in self.alive()
-                        if j in self.emitted
+                        if j in self.signal
                     ]
                     if rem:
                         cross = self.now + (

@@ -387,6 +387,9 @@ def _merge_adjacent(segments: Sequence[ExecutionSegment]) -> tuple[ExecutionSegm
     return tuple(merged)
 
 
+TRACE_CSV_HEADER = "start,end,job_id,rate"
+
+
 class ScheduleTrace:
     """Canonical schedule record over a fully resolved instance.
 
@@ -683,7 +686,7 @@ class ScheduleTrace:
         return json.dumps(self.canonical_dict(), sort_keys=True, separators=(",", ":")).encode()
 
     def csv_rows(self) -> list[str]:
-        rows = ["start,end,job_id,rate"]
+        rows = [TRACE_CSV_HEADER]
         for seg in self.segments:
             for j, r in seg.rates:
                 rows.append(f"{format_rat(seg.start)},{format_rat(seg.end)},{j},{format_rat(r)}")
@@ -691,6 +694,8 @@ class ScheduleTrace:
 
     @staticmethod
     def from_csv_rows(instance: Instance, rows: Sequence[str], horizon: Optional[Fraction] = None) -> "ScheduleTrace":
+        if not rows or rows[0].strip() != TRACE_CSV_HEADER:
+            raise ModelError(f"trace CSV must start with the header {TRACE_CSV_HEADER!r}")
         body = [r for r in rows[1:] if r.strip()]
         spans: dict[tuple[Fraction, Fraction], list[tuple[int, Fraction]]] = {}
         for row in body:

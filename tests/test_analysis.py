@@ -18,7 +18,6 @@ from alphasched.analysis import (
     decompose_beta,
     max_flow_saturates,
     refine_flow,
-    split_network,
     verify_flow_feasible,
     verify_instance,
     verify_traces,
@@ -224,8 +223,8 @@ class TestFlowNetwork:
 class TestFlowOracles:
     @pytest.mark.parametrize("seed", ORACLE_SEEDS)
     def test_incremental_networks_equal_rebuilds(self, seed):
-        # base network as the verifier builds it (shared state and grid work)
-        # and its midpoint split, against independent builds from the traces
+        # base and refined networks as the verifier builds them (shared state
+        # and grid work), against independent builds from the traces
         alg, opt = trace_pair(corpus_instance(seed))
         work_by_time: dict = {}
         for t in check_times(alg, opt)[0]:
@@ -235,15 +234,14 @@ class TestFlowOracles:
             tps = net.time_points
             mids = [(a + b) / 2 for a, b in zip(tps, tps[1:])]
             refined = build_flow_network(alg, TimePoint.at(alg, opt, t), {}, extra_points=mids)
-            split = split_network(net, alg)
-            assert split.time_points == refined.time_points
-            assert split.jobs == refined.jobs
-            assert split.supplies == refined.supplies
-            assert split.demands == refined.demands
-            assert split.infinite == refined.infinite
-            assert split.arcs == refined.arcs
             _, flow = max_flow_saturates(net)
-            assert refine_flow(net, flow, alg, opt, t)[0] == split
+            shared = refine_flow(net, flow, alg, point, work_by_time)[0]
+            assert shared.time_points == refined.time_points
+            assert shared.jobs == refined.jobs
+            assert shared.supplies == refined.supplies
+            assert shared.demands == refined.demands
+            assert shared.infinite == refined.infinite
+            assert shared.arcs == refined.arcs
 
     @pytest.mark.parametrize("seed", ORACLE_SEEDS)
     def test_max_flow_value_matches_networkx(self, seed):
@@ -282,7 +280,7 @@ class TestFlowOracles:
         net = build_flow_network(alg, TimePoint.at(alg, opt, F(5, 2)), {})
         _, flow = max_flow_saturates(net)
         with pytest.raises(ModelError):
-            refine_flow(net, flow, alg, opt, F(3))
+            refine_flow(net, flow, alg, TimePoint.at(alg, opt, F(3)), {})
 
 
 class TestBetaMatrix:
@@ -319,7 +317,7 @@ class TestBetaMatrix:
         net = build_flow_network(alg, TimePoint.at(alg, opt, t), {})
         _, flow = max_flow_saturates(net)
         beta = decompose_beta(flow, net)
-        refined_net, refined_flow = refine_flow(net, flow, alg, opt, t)
+        refined_net, refined_flow = refine_flow(net, flow, alg, TimePoint.at(alg, opt, t), {})
         assert len(refined_net.time_points) == 2 * len(net.time_points) - 1
         assert verify_flow_feasible(refined_net, refined_flow) == []
         assert refined_flow.value == flow.value

@@ -255,6 +255,13 @@ class TestVerifyCommand:
         bad = tmp_path / "bad.csv"
         bad.write_text("start,end,job_id,rate\n0/1,1/1,x,1/1\n", encoding="utf-8")
         assert main(argv + [str(bad)]) == 2
+        # the SRPT trace of the pair without its header line, and an empty file
+        headless = tmp_path / "headless.csv"
+        headless.write_text("0/1,2/1,1,1/1\n2/1,4/1,2,1/1\n", encoding="utf-8")
+        assert main(argv + [str(headless)]) == 2
+        empty = tmp_path / "empty.csv"
+        empty.write_text("", encoding="utf-8")
+        assert main(argv + [str(empty)]) == 2
 
 
 class TestLowerboundCommand:
@@ -330,6 +337,9 @@ class TestLowerboundCommand:
         assert code == 0
         result = json.loads(read(out / "lowerbound.json"))
         assert result["delta_opt"] <= 3
+
+    def test_rand32_without_phases_exits_2(self):
+        assert main(["lowerbound", "--which", "rand32", "--alpha", "1/2", "--k", "0"]) == 2
 
     def test_no_seeds_exits_2(self):
         assert main(["lowerbound", "--which", "rand", "--alpha", "7/8", "--seeds", "0"]) == 2

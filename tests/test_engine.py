@@ -103,7 +103,6 @@ class TestNextEvent:
         state = SimState(inst, PolicyKind.ALPHA)
         state.apply_instant_events()
         state.progress[1] = F(2)
-        state.emitted.add(1)
         state.signal[1] = F(0)
         state.make_decision()
         assert state.decision.branch == "setf"
@@ -274,7 +273,7 @@ class TestGuards:
         state = SimState(worked_example, PolicyKind.ALPHA)
         state.apply_instant_events()
         state.progress.update({1: F(1), 2: F(3, 2)})
-        state.emitted.add(2)
+        state.signal[2] = F(0)
         state.decision = RateDecision(((1, F(1)),), "setf")
         with pytest.raises(EngineError, match="threshold already crossed"):
             state.next_event()
