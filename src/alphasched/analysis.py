@@ -103,11 +103,6 @@ class BorrowGraph:
         return reach
 
 
-def _lifetime_end(trace: ScheduleTrace, j: int, t: Fraction) -> Fraction:
-    done = trace.completions.get(j)
-    return t if done is None else min(done, t)
-
-
 def build_borrow_graph(trace: ScheduleTrace, t: Fraction) -> BorrowGraph:
     """Edges (j, i, tag): job i receives work of positive measure inside j's
     lifetime [r_j, min(C_j, t)]; the tag records whether i was before (N) or
@@ -118,19 +113,18 @@ def build_borrow_graph(trace: ScheduleTrace, t: Fraction) -> BorrowGraph:
     t = Fraction(t)
     jobs = [job for job in trace.instance.jobs if job.release <= t]
     ids = [job.id for job in jobs]
-    busy = {j: trace.busy_intervals(j) for j in ids}
     signals = trace.emissions
     edges = set()
     for j in ids:
         lo = trace.instance.job(j).release
-        hi = _lifetime_end(trace, j, t)
+        hi = trace.lifetime_end(j, t)
         if hi <= lo:
             continue
         for i in ids:
             if i == j:
                 continue
             s_i = signals.get(i)
-            for a, b in busy[i]:
+            for a, b in trace.busy_intervals(i):
                 if a >= hi:
                     break
                 ov_lo, ov_hi = max(a, lo), min(b, hi)
@@ -340,7 +334,7 @@ def build_flow_network(
     # index ranges, and list per interval the jobs whose lifetime holds it
     index = {p: k for k, p in enumerate(tps)}
     spans = [
-        (job.id, index[job.release], index[_lifetime_end(alg_trace, job.id, t)]) for job in jobs
+        (job.id, index[job.release], index[alg_trace.lifetime_end(job.id, t)]) for job in jobs
     ]
     holders = [[("job", j) for j, lo, hi in spans if lo <= l < hi] for l in range(len(tps) - 1)]
 
@@ -941,7 +935,6 @@ def check_reachability_closure(
     """The lifetime of a reachability set is one interval; every job executed
     inside it belongs to the set; for alive jobs the interval ends at t."""
     t, alive = point.t, point.part.alive
-    busy = {j: trace.busy_intervals(j) for j in graph.vertices}
     # vertices often share their reachability set: look at each set once
     seen: dict[frozenset[int], tuple[list, list[int]]] = {}
     violations = []
@@ -955,7 +948,8 @@ def check_reachability_closure(
                 outsiders = [
                     i
                     for i in graph.vertices
-                    if i not in reach and any(max(a, lo) < min(b, hi) for a, b in busy[i])
+                    if i not in reach
+                    and any(max(a, lo) < min(b, hi) for a, b in trace.busy_intervals(i))
                 ]
             seen[reach] = (intervals, outsiders)
         intervals, outsiders = seen[reach]

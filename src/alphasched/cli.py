@@ -315,6 +315,8 @@ def cmd_sweep(args) -> int:
             raise ModelError(
                 f"grid alpha {format_rat(alpha)} has non-integer 1/(1-alpha)"
             )
+    if args.fuzz < 0:
+        raise ModelError("--fuzz must be nonnegative")
     if args.max_jobs < 1:
         raise ModelError("--max-jobs must be at least 1")
     if not 0 <= args.density <= 1:

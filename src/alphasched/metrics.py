@@ -54,15 +54,10 @@ def integrate_curve(
 
 
 def total_flow_time(trace: ScheduleTrace) -> Fraction:
-    """Sum of completion minus release; for incomplete traces, flow accrued up
-    to the horizon (no completion is ever fabricated)."""
-    if trace.complete:
-        return sum(
-            (trace.completions[j.id] - j.release for j in trace.instance.jobs),
-            Fraction(0),
-        )
-    curve = alive_count_curve(trace)
-    return integrate_curve(curve, Fraction(0), trace.makespan)
+    """Integral of |A(t)| over [0, makespan]: the sum of completion minus
+    release for complete traces (the trace enforces this identity), the flow
+    accrued up to the horizon otherwise (no completion is ever fabricated)."""
+    return integrate_curve(alive_count_curve(trace), Fraction(0), trace.makespan)
 
 
 def build_report(trace: ScheduleTrace) -> MetricsReport:

@@ -10,7 +10,7 @@ tolerance anywhere.
 from __future__ import annotations
 
 import json
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
@@ -154,15 +154,16 @@ class Instance:
         object.__setattr__(self, "alpha", Fraction(self.alpha))
         if not (0 <= self.alpha <= 1):
             raise ModelError(f"alpha must lie in [0,1], got {self.alpha}")
-        ids = [j.id for j in self.jobs]
-        if len(set(ids)) != len(ids):
+        by_id = {j.id: j for j in self.jobs}
+        if len(by_id) != len(self.jobs):
             raise ModelError("duplicate job ids")
+        object.__setattr__(self, "_by_id", by_id)
         keys = [(j.release, j.id) for j in self.jobs]
         if keys != sorted(keys):
             raise ModelError("jobs must be sorted by (release, id)")
         if self.adversary is not None:
             for trigger in self.adversary.triggers:
-                unknown = sorted(set(trigger.rule.jobs) - set(ids))
+                unknown = sorted(set(trigger.rule.jobs) - by_id.keys())
                 if unknown:
                     raise UnknownJobError(f"trigger {trigger.id!r} commits unknown jobs {unknown}")
         for job in self.jobs:
@@ -176,12 +177,8 @@ class Instance:
                     )
 
     def job(self, job_id: int) -> Job:
-        by_id = getattr(self, "_by_id", None)
-        if by_id is None:
-            by_id = {j.id: j for j in self.jobs}
-            object.__setattr__(self, "_by_id", by_id)
         try:
-            return by_id[job_id]
+            return self._by_id[job_id]
         except KeyError:
             raise UnknownJobError(f"unknown job id {job_id}") from None
 
@@ -395,17 +392,14 @@ class ScheduleTrace:
 
     Completion and signal times are derived from the segments at construction
     time, and the representation is validated: segments are ordered and
-    disjoint, rated jobs are released and unfinished, per-job work never
-    exceeds the processing time, and the total-flow identity
+    disjoint, rated jobs are known and released, per-job work never exceeds
+    the processing time, and the total-flow identity
     sum_j (C_j - r_j) = integral |A(t)| dt holds exactly for complete traces.
 
-    The indices behind ``elapsed_work``, ``segment_at`` and ``busy_intervals``
-    are built on first use, so constructing a trace pays for none of them.
+    One pass over the merged segments runs these checks and builds every
+    index the queries read: per job its work profile, busy intervals and
+    signal point alpha * p_j, and the segment starts.
     """
-
-    _slopes: Optional[dict[int, list[Fraction]]] = None
-    _starts: Optional[list[Fraction]] = None
-    _busy: Optional[dict[int, tuple[Interval, ...]]] = None
 
     def __init__(self, instance: Instance, segments: Sequence[ExecutionSegment], horizon: Optional[Fraction] = None):
         if not instance.resolved:
@@ -413,53 +407,55 @@ class ScheduleTrace:
         self.instance = instance
         self.horizon = None if horizon is None else Fraction(horizon)
         self.segments = _merge_adjacent(sorted(segments, key=lambda s: s.start))
-        for a, b in zip(self.segments, self.segments[1:]):
-            if a.end > b.start:
-                raise ModelError(f"overlapping segments at {b.start}")
-        known = set(instance.ids)
-        for seg in self.segments:
-            for j, _ in seg.rates:
-                if j not in known:
-                    raise UnknownJobError(f"segment rates unknown job {j}")
+        self._starts = [seg.start for seg in self.segments]
 
-        self._profiles: dict[int, tuple[list[Fraction], list[Fraction]]] = {}
-        for job in instance.jobs:
-            self._profiles[job.id] = ([job.release], [Fraction(0)])
+        # per job: profile breakpoints, cumulative work at each and the rate
+        # on each piece between them (0 on gaps); busy intervals; alpha * p_j
+        self._profiles: dict[int, tuple[list[Fraction], list[Fraction], list[Fraction]]] = {
+            job.id: ([job.release], [Fraction(0)], []) for job in instance.jobs
+        }
+        busy: dict[int, list[Interval]] = {job.id: [] for job in instance.jobs}
+        self._signal_work = {job.id: instance.alpha * job.proc for job in instance.jobs}
+        last = Fraction(0)
         for seg in self.segments:
+            if last > seg.start:
+                raise ModelError(f"overlapping segments at {seg.start}")
+            last = seg.end
             for j, r in seg.rates:
-                times, cums = self._profiles[j]
+                if j not in busy:
+                    raise UnknownJobError(f"segment rates unknown job {j}")
+                times, cums, rates = self._profiles[j]
                 if seg.start < times[0]:
                     raise ModelError(f"job {j} rated before release")
                 if seg.start > times[-1]:
                     times.append(seg.start)
                     cums.append(cums[-1])
+                    rates.append(Fraction(0))
                 times.append(seg.end)
                 cums.append(cums[-1] + r * seg.length)
+                rates.append(r)
+                spans = busy[j]
+                if spans and spans[-1][1] == seg.start:
+                    spans[-1] = (spans[-1][0], seg.end)
+                else:
+                    spans.append((seg.start, seg.end))
+        self._busy = {j: tuple(spans) for j, spans in busy.items()}
+        # a job rated at or after C_j would get more than p_j, so this check
+        # also rules out work after completion
         for job in instance.jobs:
             if self._profiles[job.id][1][-1] > job.proc:
                 raise ModelError(f"job {job.id} receives more work than its processing time")
 
         self.completions: dict[int, Fraction] = {}
         self.emissions: dict[int, Fraction] = {}
-        alpha = instance.alpha
         for job in instance.jobs:
             done = self._crossing_time(job.id, job.proc)
             if done is not None:
                 self.completions[job.id] = done
-            if alpha == 0:
-                self.emissions[job.id] = job.release
-            else:
-                hit = self._crossing_time(job.id, alpha * job.proc)
-                if hit is not None:
-                    self.emissions[job.id] = hit
+            hit = self._crossing_time(job.id, self._signal_work[job.id])
+            if hit is not None:
+                self.emissions[job.id] = hit
 
-        for seg in self.segments:
-            for j, _ in seg.rates:
-                done = self.completions.get(j)
-                if done is not None and done <= seg.start:
-                    raise ModelError(f"job {j} rated after completion")
-
-        last = self.segments[-1].end if self.segments else Fraction(0)
         self.makespan = self.horizon if self.horizon is not None else last
         if self.makespan < last:
             raise ModelError("horizon precedes the last segment")
@@ -469,41 +465,26 @@ class ScheduleTrace:
 
     def _crossing_time(self, job_id: int, target: Fraction) -> Optional[Fraction]:
         """Earliest time the cumulative work of a job reaches target, if ever."""
-        times, cums = self._profiles[job_id]
-        if target == 0:
-            return times[0]
-        if cums[-1] < target:
+        times, cums, rates = self._profiles[job_id]
+        k = bisect_left(cums, target)
+        if k == len(cums):
             return None
-        lo = 0
-        while cums[lo] < target:
-            lo += 1
-        if cums[lo] == target:
-            return times[lo]
-        rate = (cums[lo] - cums[lo - 1]) / (times[lo] - times[lo - 1])
-        return times[lo - 1] + (target - cums[lo - 1]) / rate
-
-    def _slope_index(self) -> dict[int, list[Fraction]]:
-        """Per job, the work rate on each piece of its profile; built on first use."""
-        if self._slopes is None:
-            self._slopes = {
-                j: [(c1 - c0) / (t1 - t0)
-                    for t0, t1, c0, c1 in zip(times, times[1:], cums, cums[1:])]
-                for j, (times, cums) in self._profiles.items()
-            }
-        return self._slopes
+        if cums[k] == target:
+            return times[k]
+        return times[k - 1] + (target - cums[k - 1]) / rates[k - 1]
 
     def _work(self, job_id: int, t: Fraction) -> Fraction:
         """``elapsed_work`` without the argument checks."""
-        times, cums = self._profiles[job_id]
+        times, cums, rates = self._profiles[job_id]
         if t <= times[0]:
             return Fraction(0)
         idx = bisect_right(times, t) - 1
-        if idx >= len(times) - 1:
+        if idx >= len(rates):
             return cums[-1]
-        slope = self._slope_index()[job_id][idx]
-        if not slope:
+        rate = rates[idx]
+        if not rate:
             return cums[idx]
-        return cums[idx] + slope * (t - times[idx])
+        return cums[idx] + rate * (t - times[idx])
 
     def elapsed_work(self, job_id: int, t: Fraction) -> Fraction:
         """Total processing received by the job up to time t."""
@@ -547,7 +528,6 @@ class ScheduleTrace:
         t = Fraction(t)
         if work is None:
             work = self.work_at(t)
-        alpha = self.instance.alpha
         alive, nonclair, clair, finished = set(), set(), set(), set()
         for job in self.instance.jobs:
             if job.release > t:
@@ -557,7 +537,7 @@ class ScheduleTrace:
                 finished.add(job.id)
                 continue
             alive.add(job.id)
-            if work[job.id] <= alpha * job.proc:
+            if work[job.id] <= self._signal_work[job.id]:
                 nonclair.add(job.id)
             else:
                 clair.add(job.id)
@@ -572,11 +552,9 @@ class ScheduleTrace:
         t = Fraction(t)
         spans = []
         for j in ids:
-            job = self.instance.job(j)
-            hi = self.completions.get(j)
-            hi = t if hi is None else min(hi, t)
-            if job.release <= hi:
-                spans.append((job.release, hi))
+            lo, hi = self.instance.job(j).release, self.lifetime_end(j, t)
+            if lo <= hi:
+                spans.append((lo, hi))
         spans.sort()
         merged: list[list[Fraction]] = []
         for lo, hi in spans:
@@ -585,6 +563,11 @@ class ScheduleTrace:
             else:
                 merged.append([lo, hi])
         return [(lo, hi) for lo, hi in merged]
+
+    def lifetime_end(self, job_id: int, t: Fraction) -> Fraction:
+        """End min(C_j, t) of the job's lifetime at time t."""
+        done = self.completions.get(job_id)
+        return t if done is None else min(done, t)
 
     def interval_work(self, job_id: int, interval: Interval) -> Fraction:
         lo, hi = Fraction(interval[0]), Fraction(interval[1])
@@ -595,28 +578,17 @@ class ScheduleTrace:
     def segment_at(self, t: Fraction) -> Optional[ExecutionSegment]:
         """The segment in force on [t, t + eps), if any (right-limit view)."""
         t = Fraction(t)
-        if self._starts is None:
-            self._starts = [seg.start for seg in self.segments]
         idx = bisect_right(self._starts, t) - 1
         if idx >= 0 and self.segments[idx].end > t:
             return self.segments[idx]
         return None
 
-    def busy_intervals(self, job_id: int) -> list[Interval]:
+    def busy_intervals(self, job_id: int) -> tuple[Interval, ...]:
         """Maximal intervals on which the job receives positive rate."""
-        if job_id not in self._profiles:
-            raise UnknownJobError(f"unknown job id {job_id}")
-        if self._busy is None:
-            busy: dict[int, list[list[Fraction]]] = {j: [] for j in self._profiles}
-            for seg in self.segments:
-                for j, _ in seg.rates:
-                    out = busy[j]
-                    if out and out[-1][1] == seg.start:
-                        out[-1][1] = seg.end
-                    else:
-                        out.append([seg.start, seg.end])
-            self._busy = {j: tuple((lo, hi) for lo, hi in out) for j, out in busy.items()}
-        return list(self._busy[job_id])
+        try:
+            return self._busy[job_id]
+        except KeyError:
+            raise UnknownJobError(f"unknown job id {job_id}") from None
 
     @property
     def complete(self) -> bool:

@@ -26,11 +26,33 @@ from conftest import CORPUS_SIZE, corpus_instance, small_instance
 # any change to a report's bytes (ROADMAP aim 2) changes these digests
 CORPUS_REPORTS_SHA256 = "4663bd5a8c84ab540c94b0a31b69a623552c7dc499615c80a052646c555de9f7"
 LOWER_BOUND_REPORTS_SHA256 = "c3f211f672f9f1b662585977f2ee67f4f61eb7589df13ce7ba4e8554bddc292e"
+# sha256 over the trace.csv, events.csv and metrics.json bytes that simulate
+# writes for the fused rule, then SRPT and SETF on its realized instance
+CORPUS_SIMULATE_SHA256 = "cafbf85335c4b2cf95ad1e3675413a063a74f0ca669547ba7ef2c152d189930f"
+LOWER_BOUND_SIMULATE_SHA256 = "8101e8152d01c63a5beef9e5e97b26b0e096eda7f74265fcb5e1d6a987ee3465"
 
 
 def report_bytes(report) -> bytes:
     """report.json exactly as `alphasched verify --out` writes it."""
     return (json.dumps(report.to_json(), indent=2, sort_keys=True) + "\n").encode("utf-8")
+
+
+def simulate_output_bytes(trace, log) -> bytes:
+    """trace.csv, events.csv and metrics.json, in that order, exactly as
+    `alphasched simulate --out` writes them."""
+    files = (
+        "\n".join(trace.csv_rows()) + "\n",
+        "\n".join(log.csv_rows()) + "\n",
+        json.dumps(build_report(trace).to_json(), indent=2, sort_keys=True) + "\n",
+    )
+    return b"".join(text.encode("utf-8") for text in files)
+
+
+def simulate_runs(inst):
+    """(trace, log) of the fused rule on inst, then of SRPT and SETF on its
+    realized instance."""
+    alg = simulate(inst, PolicyKind.ALPHA)
+    return [alg] + [simulate(alg[0].instance, kind) for kind in (PolicyKind.SRPT, PolicyKind.SETF)]
 
 
 def announce(number: int, ok: bool, detail: str) -> None:
@@ -47,12 +69,15 @@ def corpus_results():
     summaries = []
     identity_failures = 0
     reports_digest = hashlib.sha256()
+    outputs_digest = hashlib.sha256()
     for seed in range(1, CORPUS_SIZE + 1):
         inst = corpus_instance(seed)
-        alg, _ = simulate(inst, PolicyKind.ALPHA)
+        runs = simulate_runs(inst)
+        for run in runs:
+            outputs_digest.update(simulate_output_bytes(*run))
+        (alg, _), (opt, _) = runs[:2]
         report = verify_instance(inst, alg_trace=alg)
         reports_digest.update(report_bytes(report))
-        opt, _ = simulate(alg.instance, PolicyKind.SRPT)
         for trace in (alg, opt):
             flows = sum(
                 (trace.completions[j.id] - j.release for j in trace.instance.jobs),
@@ -95,6 +120,7 @@ def corpus_results():
         "summaries": summaries,
         "identity_failures": identity_failures,
         "reports_sha256": reports_digest.hexdigest(),
+        "simulate_sha256": outputs_digest.hexdigest(),
         "elapsed": elapsed,
     }
 
@@ -228,6 +254,22 @@ def test_lower_bound_reports_byte_identical():
     assert digest.hexdigest() == LOWER_BOUND_REPORTS_SHA256
 
 
+def test_corpus_simulate_outputs_byte_identical(corpus_results):
+    assert corpus_results["simulate_sha256"] == CORPUS_SIMULATE_SHA256
+
+
+def test_lower_bound_simulate_outputs_byte_identical():
+    digest = hashlib.sha256()
+    for gen in (gen_det_lb1, gen_det_lb2):
+        for alpha in (F(1, 2), F(2, 3), F(3, 4)):
+            for k in range(2, 6):
+                inst, t = gen(alpha, k)
+                for variant in (inst, append_dos_tail(inst, t, 50)):
+                    for run in simulate_runs(variant):
+                        digest.update(simulate_output_bytes(*run))
+    assert digest.hexdigest() == LOWER_BOUND_SIMULATE_SHA256
+
+
 def test_criterion_07_deterministic_bound_one():
     inst, t = gen_det_lb1(F(1, 2), 20)
     alg, _ = simulate(inst, PolicyKind.ALPHA)
@@ -333,6 +375,7 @@ def test_criterion_11a_byte_determinism(tmp_path):
             )
         if blobs[0] != blobs[1]:
             announce(11, False, f"seed {seed}: repeated runs differ")
+        assert b"".join(blobs[0]) == simulate_output_bytes(*simulate(inst, PolicyKind.ALPHA))
     announce(11, True, "repeated simulate runs are byte-identical (part a)")
 
 

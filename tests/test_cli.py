@@ -410,7 +410,8 @@ class TestSweepCommand:
             assert alive_ratio <= 4 + 2 / (1 - alpha)
 
     @pytest.mark.parametrize(
-        "option", [["--grid", "1/2,x"], ["--max-jobs", "0"], ["--density", "nan"]]
+        "option",
+        [["--grid", "1/2,x"], ["--max-jobs", "0"], ["--density", "nan"], ["--fuzz", "-1"]],
     )
     def test_bad_input_exits_2(self, tmp_path, option):
         argv = ["sweep", "--grid", "1/2", "--fuzz", "2", "--out", str(tmp_path)]

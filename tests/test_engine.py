@@ -67,6 +67,15 @@ class TestSimulateBasics:
             (F(6), "completion"),
         ]
 
+    def test_merge_row_lists_signalled_jobs(self):
+        # the merge row names every unrated job at the shared level; job 1
+        # signalled at 4 and still joins, then switches mode in the same instant
+        trace, log = simulate(corpus_instance(51), PolicyKind.ALPHA)
+        assert trace.emissions[1] == 4
+        rows = log.csv_rows()
+        at = rows.index("11/2,merge,1;2")
+        assert rows[at + 1] == "11/2,mode-switch,1"
+
     def test_horizon_truncates(self, pair_instance):
         trace, _ = simulate(pair_instance, PolicyKind.SETF, horizon=F(3))
         assert trace.makespan == 3

@@ -243,6 +243,16 @@ class TestTraceValidation:
         with pytest.raises(ModelError):
             ScheduleTrace(inst, [ExecutionSegment(0, 1, ((1, F(1)),))])
 
+    def test_rated_after_completion_rejected(self, pair_instance):
+        # any rate at or after C_j gives the job more than p_j, so the
+        # over-work check is the one that rejects it
+        segs = [
+            ExecutionSegment(0, 2, ((1, F(1)),)),
+            ExecutionSegment(3, 4, ((1, F(1)),)),
+        ]
+        with pytest.raises(ModelError, match="more work"):
+            ScheduleTrace(pair_instance, segs)
+
     def test_adjacent_equal_segments_merge(self, pair_instance):
         segs = [
             ExecutionSegment(0, 1, ((1, F(1)),)),
