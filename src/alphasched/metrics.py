@@ -64,11 +64,12 @@ def build_report(trace: ScheduleTrace) -> MetricsReport:
     per_job = {
         j: c - trace.instance.job(j).release for j, c in sorted(trace.completions.items())
     }
+    curve = alive_count_curve(trace)
     return MetricsReport(
-        total_flow=total_flow_time(trace),
+        total_flow=integrate_curve(curve, Fraction(0), trace.makespan),
         per_job_flow=per_job,
         makespan=trace.makespan,
-        delta_curve=alive_count_curve(trace),
+        delta_curve=curve,
         complete=trace.complete,
     )
 

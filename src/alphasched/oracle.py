@@ -4,15 +4,19 @@ Deliberately separate from the engine and the policy module: the quantum
 simulator re-states the scheduling rules as a stepped loop that hands out
 work in chunks of at most one quantum, and the brute-force optimum explores
 every preemptive unit-step schedule of an integer instance.  Neither shares
-code with the paths they validate.
+code with the paths they validate.  The stepped loop counts time and work as
+Python ints in units of 1/D, where D is the lcm of the denominators of the
+quantum, the releases and the processing times, so it is exact: nothing is
+rounded and no float enters.
 """
 
 from __future__ import annotations
 
 import heapq
-from bisect import bisect_right
+from bisect import bisect_right, insort
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Optional
 
 from .model import Instance, ModelError
@@ -34,69 +38,85 @@ def quantum_simulate(
     Even sharing is realized as round-robin over the least-progressed set (the
     lowest id goes first and thereby rotates), so elapsed work stays within one
     quantum of the fluid trajectory.
+
+    Time and work are ints in units of 1/D (see the module docstring).  For
+    alpha = a/b, job j has emitted once progress_j * b >= a * p_j, and the
+    fused rule runs a signalled job when lhs * a <= (b - a) * min_progress,
+    with lhs the least remaining work of a signalled job and min_progress the
+    least progress of an unsignalled one: (1 - alpha) / alpha * min_progress
+    cleared of fractions.
     """
     if not instance.resolved:
         raise ModelError("quantum oracle requires a resolved instance")
     quantum = Fraction(quantum)
     if quantum <= 0:
         raise ModelError("quantum must be positive")
-    alpha = instance.alpha
-    jobs = {j.id: j for j in instance.jobs}
-    proc = {j.id: j.proc for j in instance.jobs}
-    progress = {j.id: Fraction(0) for j in instance.jobs}
-    signal: dict[int, Fraction] = {}
-    completions: dict[int, Fraction] = {}
-    arrivals = sorted(instance.jobs, key=lambda j: (j.release, j.id))
-    now = Fraction(0)
+    scale = lcm(
+        quantum.denominator,
+        *(j.release.denominator for j in instance.jobs),
+        *(j.proc.denominator for j in instance.jobs),
+    )
+    step_cap = int(quantum * scale)
+    a, b = instance.alpha.numerator, instance.alpha.denominator
+    proc = {j.id: int(j.proc * scale) for j in instance.jobs}
+    progress = dict.fromkeys(proc, 0)
+    left = dict(proc)  # proc - progress
+    signal: dict[int, int] = {}  # scaled time at which an alive job was first seen emitted
+    completions: dict[int, int] = {}
+    arrivals = sorted((int(j.release * scale), j.id) for j in instance.jobs)
+    if kind is PolicyKind.SETF or (kind is PolicyKind.ALPHA and a == b):
+        rule = "setf"
+    elif kind is PolicyKind.SRPT or (kind is PolicyKind.ALPHA and a == 0):
+        rule = "srpt"
+    else:
+        rule = "fused"
+    # alive stays sorted by id, so min() keeps the first of equal keys: the
+    # lowest id, as in every tie-break below
+    alive: list[int] = []
+    arrived = 0  # arrivals[:arrived] have release <= now
+    now = 0
 
-    def emitted(j: int) -> bool:
-        return progress[j] >= alpha * proc[j]
-
-    while len(completions) < len(jobs):
-        alive = [
-            j
-            for j in jobs
-            if jobs[j].release <= now and j not in completions
-        ]
-        future = [j.release for j in arrivals if j.release > now]
+    while alive or arrived < len(arrivals):
+        while arrived < len(arrivals) and arrivals[arrived][0] <= now:
+            insort(alive, arrivals[arrived][1])
+            arrived += 1
         if not alive:
-            now = min(future)
+            now = arrivals[arrived][0]
             continue
-        for j in alive:
-            if emitted(j) and j not in signal:
-                signal[j] = now
-        if kind is PolicyKind.SETF or (kind is PolicyKind.ALPHA and alpha == 1):
-            pick = min(alive, key=lambda j: (progress[j], j))
-        elif kind is PolicyKind.SRPT or (kind is PolicyKind.ALPHA and alpha == 0):
-            pick = min(alive, key=lambda j: (proc[j] - progress[j], j))
+        if rule == "setf":
+            pick = min(alive, key=progress.__getitem__)
+        elif rule == "srpt":
+            pick = min(alive, key=left.__getitem__)
         else:
-            signalled = [j for j in alive if emitted(j)]
-            fresh = [j for j in alive if not emitted(j)]
-            run_signalled = False
-            if signalled:
-                if not fresh:
-                    run_signalled = True
-                else:
-                    lhs = min(proc[j] - progress[j] for j in signalled)
-                    rhs = (1 - alpha) / alpha * min(progress[j] for j in fresh)
-                    run_signalled = lhs <= rhs
-            if run_signalled:
-                pick = min(
-                    signalled,
-                    key=lambda j: (proc[j] - progress[j], -signal.get(j, jobs[j].release), j),
-                )
+            signalled = [j for j in alive if j in signal]
+            fresh = [j for j in alive if j not in signal]
+            if signalled and (
+                not fresh
+                or min(map(left.__getitem__, signalled)) * a
+                <= (b - a) * min(map(progress.__getitem__, fresh))
+            ):
+                pick = min(signalled, key=lambda j: (left[j], -signal[j]))
             else:
-                pick = min(fresh, key=lambda j: (progress[j], j))
-        step = min(quantum, proc[pick] - progress[pick])
-        if future:
-            step = min(step, min(future) - now)
+                pick = min(fresh, key=progress.__getitem__)
+        step = left[pick]
+        if step > step_cap:
+            step = step_cap
+        if arrived < len(arrivals) and arrivals[arrived][0] - now < step:
+            step = arrivals[arrived][0] - now
         progress[pick] += step
+        left[pick] -= step
         now += step
-        if progress[pick] == proc[pick]:
+        if not left[pick]:
             completions[pick] = now
+            alive.remove(pick)
+        elif pick not in signal and progress[pick] * b >= a * proc[pick]:
+            signal[pick] = now
 
-    total = sum((completions[j.id] - j.release for j in instance.jobs), Fraction(0))
-    return OracleRun(completions=completions, total_flow=total)
+    total = sum(completions[j] for j in proc) - sum(r for r, _ in arrivals)
+    return OracleRun(
+        completions={j: Fraction(c, scale) for j, c in completions.items()},
+        total_flow=Fraction(total, scale),
+    )
 
 
 def brute_force_min_total_flow(instance: Instance) -> int:
