@@ -12,15 +12,35 @@ Information hiding is enforced when the policy view is built: a view for a
 non-omniscient policy carries no remaining time for a job that has not yet
 emitted its signal, and a job with an uncommitted processing time never
 counts as emitted.
+
+Per-event cost.  Only a job rated in the segment just run, or one that
+arrived or was committed at this instant, can have new progress or a new
+processing time, so only such a job can complete or emit; the state calls
+these jobs changed.  Completions and emissions are tested on changed jobs
+only, against alpha * p computed once when p is committed.  Each alive job
+keeps one immutable view entry, rebuilt only when the job changed.  The
+alive jobs that the decision does not rate sit in three rankings
+(unsignalled and signalled jobs by progress, signalled jobs by remaining
+work), from which the next-event search reads the shared set's merge level
+and the fused rule's least signalled remaining time; a job is re-ranked when
+it changes while unrated and when a decision adds it to or drops it from
+the rated set, in O(log n) comparisons plus a list shift.  With c changed
+jobs, d jobs entering or leaving the rated set and n alive jobs, an event
+costs O((c + d) log n) exact operations, plus one O(n) tuple of cached
+entries for the view and the decision's own single pass over it.
+Consecutive events under equal rates extend one open segment, so one
+``ExecutionSegment`` is built per maximal constant-rate run.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import itemgetter
 from typing import Optional, Sequence
 
-from .model import ExecutionSegment, Instance, ScheduleTrace
+from .model import ExecutionSegment, Instance, ModelError, ScheduleTrace
 from .policies import PolicyKind, PolicyView, RateDecision, ViewJob, decide
 
 
@@ -69,6 +89,44 @@ class EventLog:
         return rows
 
 
+_key = itemgetter(0)
+
+
+class _Ranking:
+    """Jobs ordered by an exact key, lowest id first among equal keys; a
+    job's key is replaced in O(log n) comparisons plus one list shift."""
+
+    __slots__ = ("items", "keys")
+
+    def __init__(self):
+        self.items: list[tuple[Fraction, int]] = []
+        self.keys: dict[int, Fraction] = {}
+
+    def put(self, job: int, key: Optional[Fraction]) -> None:
+        """Give the job a new key; None takes it out."""
+        old = self.keys.get(job)
+        if old == key:
+            return
+        if old is not None:
+            del self.items[bisect_left(self.items, (old, job))]
+            del self.keys[job]
+        if key is not None:
+            insort(self.items, (key, job))
+            self.keys[job] = key
+
+    def least(self) -> Optional[Fraction]:
+        return self.items[0][0] if self.items else None
+
+    def least_above(self, level: Fraction) -> Optional[Fraction]:
+        k = bisect_right(self.items, level, key=_key)
+        return self.items[k][0] if k < len(self.items) else None
+
+    def at(self, level: Fraction) -> list[int]:
+        lo = bisect_left(self.items, level, key=_key)
+        hi = bisect_right(self.items, level, lo, key=_key)
+        return [j for _, j in self.items[lo:hi]]
+
+
 class SimState:
     """Mutable simulation state; drives one deterministic run.
 
@@ -76,6 +134,13 @@ class SimState:
     may carry ``omniscient`` (default False) and ``merge_pool`` ("all", the
     default, or "unsignalled": which alive jobs can join an evenly-shared
     set).  They are read once, here.
+
+    ``progress``, ``proc`` and ``signal`` are the state itself.  The view
+    entries and the rankings are derived from them; they trail them for the
+    jobs in ``_changed`` until the next view or next-event search refreshes
+    them.  The rankings hold exactly the alive jobs that the current
+    decision does not rate, so a decision that keeps its rated set leaves
+    them untouched.
     """
 
     def __init__(self, instance: Instance, policy, horizon: Optional[Fraction] = None):
@@ -88,13 +153,30 @@ class SimState:
         self.merge_pool = getattr(policy, "merge_pool", "all")
         self.horizon = None if horizon is None else Fraction(horizon)
         self.alpha = instance.alpha
+        # alpha / (1 - alpha): the fused rule leaves sharing once the least
+        # signalled remaining time is at most 1/factor times the shared level
+        self._crossing_factor = (
+            self.alpha / (1 - self.alpha)
+            if policy is PolicyKind.ALPHA and 0 < self.alpha < 1
+            else None
+        )
         self.now = Fraction(0)
         self.progress: dict[int, Fraction] = {j.id: Fraction(0) for j in instance.jobs}
         self.proc: dict[int, Optional[Fraction]] = {
             j.id: (j.proc if j.committed else None) for j in instance.jobs
         }
-        self._alive: set[int] = set()
+        self._signal_work = {j.id: self.alpha * j.proc for j in instance.jobs if j.committed}
         self.signal: dict[int, Fraction] = {}  # emission time of each emitted job
+        self._alive: list[int] = []  # sorted ids
+        self._changed: set[int] = set()  # alive jobs whose entry and rankings trail
+        # one view entry per alive job; an arrival gets its entry when the
+        # changed jobs are next refreshed
+        self._entries: dict[int, ViewJob] = {}
+        # alive jobs the decision does not rate: unsignalled and signalled
+        # ones by progress, signalled ones by remaining work
+        self._unsignalled = _Ranking()
+        self._signalled = _Ranking()
+        self._remaining = _Ranking()
         self._arrivals = sorted(instance.jobs, key=lambda j: (j.release, j.id))
         self._arr_ptr = 0
         self._triggers = list(instance.adversary.triggers) if instance.adversary else []
@@ -103,18 +185,32 @@ class SimState:
         self._last_branch: Optional[str] = None
         self.log = EventLog()
         self._segments: list[ExecutionSegment] = []
+        self._run: Optional[list] = None  # open segment: [start, end, rates]
         self._event_count = 0
         self._event_cap = EVENT_CAP_FACTOR * max(1, len(instance.jobs)) ** 2
 
-    # -- state queries -------------------------------------------------------
+    # -- view entries and rankings ---------------------------------------------
 
-    def alive(self) -> list[int]:
-        return sorted(self._alive)
+    def _rank(self, j: int) -> None:
+        """Rank a job by its view entry, which must be current."""
+        entry = self._entries[j]
+        emitted = entry.emitted
+        self._unsignalled.put(j, None if emitted else entry.elapsed)
+        self._signalled.put(j, entry.elapsed if emitted else None)
+        self._remaining.put(j, entry.remaining if emitted else None)
 
-    def build_view(self) -> PolicyView:
-        entries = []
-        for j in self.alive():
-            p = self.proc[j]
+    def _unrank(self, j: int) -> None:
+        for ranking in (self._unsignalled, self._signalled, self._remaining):
+            ranking.put(j, None)
+
+    def _refresh(self) -> None:
+        """Rebuild the view entry of every changed job, and rank the changed
+        jobs the decision does not rate."""
+        if not self._changed:
+            return
+        rated = set(self.decision.rated_ids)
+        for j in sorted(self._changed):
+            p, y = self.proc[j], self.progress[j]
             emitted = j in self.signal
             remaining = None
             if self.omniscient:
@@ -122,65 +218,71 @@ class SimState:
                     raise EngineError(
                         f"job {j}: omniscient policy requires a committed processing time"
                     )
-                remaining = p - self.progress[j]
+                remaining = p - y
             elif emitted:
-                remaining = p - self.progress[j]
-            entries.append(
-                ViewJob(
-                    job_id=j,
-                    release=self.instance.job(j).release,
-                    elapsed=self.progress[j],
-                    emitted=emitted,
-                    remaining=remaining,
-                    signal_time=self.signal.get(j),
-                )
+                remaining = p - y
+            self._entries[j] = ViewJob(
+                job_id=j,
+                release=self.instance.job(j).release,
+                elapsed=y,
+                emitted=emitted,
+                remaining=remaining,
+                signal_time=self.signal.get(j),
             )
-        return PolicyView(now=self.now, alpha=self.alpha, omniscient=self.omniscient, jobs=tuple(entries))
+            if j not in rated:
+                self._rank(j)
+        self._changed.clear()
+
+    def build_view(self) -> PolicyView:
+        self._refresh()
+        entries = self._entries
+        jobs = tuple([entries[j] for j in self._alive])
+        return PolicyView(now=self.now, alpha=self.alpha, omniscient=self.omniscient, jobs=jobs)
 
     # -- event machinery -------------------------------------------------------
 
     def apply_instant_events(self, expected_kinds: Sequence[str] = ()) -> None:
         """Apply all state changes due exactly at the current time, in the
         fixed order, repeating until stable (a commitment can release a signal
-        in the same instant)."""
+        in the same instant).  Only changed jobs can complete or emit."""
         merge_entry = None
         if "merge" in expected_kinds:
-            rates = dict(self.decision.rates)
+            rates = self.decision.rates
             if rates:
-                level = min(self.progress[j] for j in rates)
-                joiners = [
-                    j
-                    for j in self.alive()
-                    if j not in rates and self.progress[j] == level
-                ]
+                level = min(self.progress[j] for j, _ in rates)
+                # only rated jobs moved since the rankings were refreshed
+                joiners = self._unsignalled.at(level) + self._signalled.at(level)
                 if joiners:
                     merge_entry = joiners
         changed = True
         while changed:
             changed = False
-            done = [
+            done = sorted(
                 j
-                for j in self.alive()
+                for j in self._changed
                 if self.proc[j] is not None and self.progress[j] == self.proc[j]
-            ]
+            )
             if done:
                 for j in done:
-                    self._alive.discard(j)
+                    del self._alive[bisect_left(self._alive, j)]
+                    self._changed.discard(j)
+                    del self._entries[j]
+                    self._unrank(j)
                 self.log.append(self.now, "completion", done)
                 changed = True
-            emits = [
+            emits = sorted(
                 j
-                for j in self.alive()
+                for j in self._changed
                 if self.proc[j] is not None
                 and j not in self.signal
-                and self.progress[j] >= self.alpha * self.proc[j]
-            ]
+                and self.progress[j] >= self._signal_work[j]
+            )
             if emits:
                 for j in emits:
-                    if self.progress[j] != self.alpha * self.proc[j]:
+                    if self.progress[j] != self._signal_work[j]:
                         raise EngineError(
                             f"job {j} passed its signal point unobserved: progress "
-                            f"{self.progress[j]} > alpha * p = {self.alpha * self.proc[j]}"
+                            f"{self.progress[j]} > alpha * p = {self._signal_work[j]}"
                         )
                     self.signal[j] = self.now
                 self.log.append(self.now, "emission", emits)
@@ -194,7 +296,8 @@ class SimState:
             while self._arr_ptr < len(self._arrivals) and self._arrivals[self._arr_ptr].release == self.now:
                 job = self._arrivals[self._arr_ptr]
                 self._arr_ptr += 1
-                self._alive.add(job.id)
+                insort(self._alive, job.id)
+                self._changed.add(job.id)
                 arrived.append(job.id)
             if arrived:
                 self.log.append(self.now, "arrival", arrived)
@@ -211,104 +314,124 @@ class SimState:
         for j, p in sorted(commits.items()):
             if p <= 0:
                 raise CommitmentError(f"trigger {trigger.id!r} commits nonpositive time for job {j}")
-            if self.progress[j] > self.alpha * p:
+            work = self.alpha * p
+            if self.progress[j] > work:
                 raise CommitmentError(
                     f"inconsistent commitment: job {j} already has progress "
                     f"{self.progress[j]} > alpha * {p}"
                 )
             self.proc[j] = p
+            self._signal_work[j] = work
+            if j in self._entries:
+                self._changed.add(j)
         self.log.append(self.now, "adversary-commit", sorted(commits))
 
     def make_decision(self) -> RateDecision:
         decision = self.decide(self.build_view())
-        alive = set(self.alive())
         total = Fraction(0)
         for j, r in decision.rates:
-            if j not in alive:
+            if j not in self._entries:
                 raise EngineError(f"policy rated job {j} which is not alive")
             if r <= 0:
                 raise EngineError(f"policy rated job {j} at nonpositive rate")
             total += r
         if total > 1:
             raise EngineError("policy rates exceed unit speed")
-        if self.builtin and alive and not decision.rates:
+        # segments are built when a constant-rate run closes, so the one
+        # segment check a valid decision can still fail is made here
+        if len({j for j, _ in decision.rates}) != len(decision.rates):
+            raise ModelError("duplicate job in segment rates")
+        if self.builtin and self._alive and not decision.rates:
             raise EngineError("built-in policy idled with alive jobs")
         branch = decision.branch
         if branch in ("srpt", "setf") and self._last_branch in ("srpt", "setf") and branch != self._last_branch:
             self.log.append(self.now, "mode-switch", decision.rated_ids)
         if branch in ("srpt", "setf"):
             self._last_branch = branch
+        old, new = set(self.decision.rated_ids), set(decision.rated_ids)
+        for j in old - new:
+            if j in self._entries:
+                self._rank(j)
+        for j in new - old:
+            self._unrank(j)
         self.decision = decision
         return decision
 
     def next_event(self) -> Optional[tuple[Fraction, tuple[str, ...]]]:
-        """Exact earliest future event and every kind tied at that instant."""
+        """Exact earliest future event and every kind tied at that instant.
+
+        Candidates are compared as waits from now; adding now to the least
+        wait gives the same exact time as taking the least sum."""
+        self._refresh()
+        now = self.now
         cand: dict[str, Fraction] = {}
 
-        def offer(kind: str, time: Fraction) -> None:
-            if kind not in cand or time < cand[kind]:
-                cand[kind] = time
+        def offer(kind: str, wait: Fraction) -> None:
+            if kind not in cand or wait < cand[kind]:
+                cand[kind] = wait
 
         if self._arr_ptr < len(self._arrivals):
-            offer("arrival", self._arrivals[self._arr_ptr].release)
+            offer("arrival", self._arrivals[self._arr_ptr].release - now)
         if self._trg_ptr < len(self._triggers):
-            offer("adversary-commit", self._triggers[self._trg_ptr].fire_at)
-        rates = dict(self.decision.rates)
-        for j, r in rates.items():
+            offer("adversary-commit", self._triggers[self._trg_ptr].fire_at - now)
+        rates = self.decision.rates
+        for j, r in rates:
             p = self.proc[j]
             if p is None:
                 continue
-            offer("completion", self.now + (p - self.progress[j]) / r)
+            y = self.progress[j]
+            offer("completion", (p - y) / r)
             if j not in self.signal:
-                target = self.alpha * p
-                if self.progress[j] < target:
-                    offer("emission", self.now + (target - self.progress[j]) / r)
+                target = self._signal_work[j]
+                if y < target:
+                    offer("emission", (target - y) / r)
         if self.decision.branch == "setf" and rates:
-            levels = {self.progress[j] for j in rates}
-            shares = {r for r in rates.values()}
-            if len(levels) == 1 and len(shares) == 1:
-                level = next(iter(levels))
-                rho = next(iter(shares))
-                pool = [
-                    j
-                    for j in self.alive()
-                    if j not in rates and (self.merge_pool == "all" or j not in self.signal)
-                ]
-                above = [self.progress[j] for j in pool if self.progress[j] > level]
+            level, rho = self.progress[rates[0][0]], rates[0][1]
+            if all(self.progress[j] == level and r == rho for j, r in rates[1:]):
+                pool = [self._unsignalled]
+                if self.merge_pool == "all":
+                    pool.append(self._signalled)
+                above = [x for x in (ranking.least_above(level) for ranking in pool) if x is not None]
                 if above:
-                    offer("merge", self.now + (min(above) - level) / rho)
-                if self.policy is PolicyKind.ALPHA and 0 < self.alpha < 1:
-                    rem = [
-                        self.proc[j] - self.progress[j]
-                        for j in self.alive()
-                        if j in self.signal
-                    ]
-                    if rem:
-                        cross = self.now + (
-                            self.alpha / (1 - self.alpha) * min(rem) - level
-                        ) / rho
-                        if cross <= self.now:
-                            raise EngineError(
-                                f"fused-rule threshold already crossed at {cross} "
-                                f"while sharing at {self.now}"
-                            )
-                        offer("mode-switch", cross)
+                    offer("merge", (min(above) - level) / rho)
+                least = self._remaining.least()
+                if self._crossing_factor is not None and least is not None:
+                    wait = (self._crossing_factor * least - level) / rho
+                    if wait <= 0:
+                        raise EngineError(
+                            f"fused-rule threshold already crossed at {now + wait} "
+                            f"while sharing at {now}"
+                        )
+                    offer("mode-switch", wait)
         if not cand:
             return None
-        best = min(cand.values())
-        kinds = tuple(k for k in EVENT_ORDER if cand.get(k) == best)
-        return best, kinds
+        wait = min(cand.values())
+        kinds = tuple(k for k in EVENT_ORDER if k in cand and cand[k] == wait)
+        return now + wait, kinds
 
     # -- main loop ----------------------------------------------------------------
 
     def _advance(self, until: Fraction) -> None:
         if until == self.now:
             return
-        if self.decision.rates:
-            self._segments.append(ExecutionSegment(self.now, until, self.decision.rates))
-            for j, r in self.decision.rates:
-                self.progress[j] += r * (until - self.now)
+        rates = self.decision.rates
+        if rates:
+            run = self._run
+            if run is not None and run[1] == self.now and run[2] == rates:
+                run[1] = until
+            else:
+                self._close_run()
+                self._run = [self.now, until, rates]
+            span = until - self.now
+            for j, r in rates:
+                self.progress[j] += r * span
+                self._changed.add(j)
         self.now = until
+
+    def _close_run(self) -> None:
+        if self._run is not None:
+            self._segments.append(ExecutionSegment(*self._run))
+            self._run = None
 
     def run(self) -> tuple[ScheduleTrace, EventLog]:
         self.apply_instant_events()
@@ -318,8 +441,8 @@ class SimState:
             self.make_decision()
             nxt = self.next_event()
             if nxt is None:
-                if self.alive():
-                    unresolved = [j for j in self.alive() if self.proc[j] is None]
+                if self._alive:
+                    unresolved = [j for j in self._alive if self.proc[j] is None]
                     if unresolved:
                         raise EngineError(
                             f"unresolved deferred processing time for jobs {unresolved}"
@@ -337,6 +460,7 @@ class SimState:
                     f"runaway event loop: more than {self._event_cap} events"
                 )
             self.apply_instant_events(kinds)
+        self._close_run()
         if self.horizon is not None:
             unresolved = [j for j in self.progress if self.proc[j] is None]
             if unresolved:

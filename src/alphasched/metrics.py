@@ -29,7 +29,8 @@ class MetricsReport:
 
 
 def alive_count_curve(trace: ScheduleTrace) -> tuple[tuple[Fraction, int], ...]:
-    """Breakpoints (t, |alive on [t, next)|) at releases and completions."""
+    """Breakpoints (t, |alive on [t, next)|) at releases and completions,
+    read from the step function the trace built."""
     curve = [(lo, count) for (lo, _), count in trace.alive_steps()]
     curve.append((trace.makespan, 0))
     return tuple(curve)

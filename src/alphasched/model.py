@@ -398,7 +398,8 @@ class ScheduleTrace:
 
     One pass over the merged segments runs these checks and builds every
     index the queries read: per job its work profile, busy intervals and
-    signal point alpha * p_j, and the segment starts.
+    signal point alpha * p_j, and the segment starts.  The alive-count step
+    function is built once, for the flow-time identity and for the metrics.
     """
 
     def __init__(self, instance: Instance, segments: Sequence[ExecutionSegment], horizon: Optional[Fraction] = None):
@@ -459,6 +460,7 @@ class ScheduleTrace:
         self.makespan = self.horizon if self.horizon is not None else last
         if self.makespan < last:
             raise ModelError("horizon precedes the last segment")
+        self._alive_steps = self._sweep_alive_counts()
         self._check_flow_identity()
 
     # -- derived quantities ------------------------------------------------
@@ -612,6 +614,9 @@ class ScheduleTrace:
     def alive_steps(self) -> list[tuple[tuple[Fraction, Fraction], int]]:
         """Constant-count spans ((lo, hi), |alive|) sweeping releases against
         completions; unfinished jobs stay alive through the horizon."""
+        return list(self._alive_steps)
+
+    def _sweep_alive_counts(self) -> tuple[tuple[tuple[Fraction, Fraction], int], ...]:
         deltas: dict[Fraction, int] = {}
         for job in self.instance.jobs:
             if job.release > self.makespan:
@@ -626,7 +631,7 @@ class ScheduleTrace:
         for lo, hi in zip(points, points[1:]):
             count += deltas.get(lo, 0)
             steps.append(((lo, hi), count))
-        return steps
+        return tuple(steps)
 
     def _check_flow_identity(self) -> None:
         if not self.complete:
@@ -634,7 +639,7 @@ class ScheduleTrace:
         total = sum(
             (self.completions[j.id] - j.release for j in self.instance.jobs), Fraction(0)
         )
-        area = sum((count * (hi - lo) for (lo, hi), count in self.alive_steps()), Fraction(0))
+        area = sum((count * (hi - lo) for (lo, hi), count in self._alive_steps), Fraction(0))
         if total != area:
             raise ModelError(
                 f"flow-time identity violated: sum flows {total} != alive area {area}"

@@ -88,37 +88,44 @@ def srpt_decide(view: PolicyView) -> RateDecision:
     return RateDecision(((best.job_id, Fraction(1)),), "srpt")
 
 
-def _threshold_holds(view: PolicyView) -> bool:
-    """min remaining over signalled <= (1-alpha)/alpha * min progress over
-    unsignalled, with min over an empty set read as +infinity."""
-    signalled = [j for j in view.jobs if j.emitted]
-    if not signalled:
-        return False
-    fresh = [j for j in view.jobs if not j.emitted]
-    if not fresh:
-        return True
-    factor = (1 - view.alpha) / view.alpha
-    lhs = min(j.remaining for j in signalled)
-    rhs = factor * min(j.elapsed for j in fresh)
-    return lhs <= rhs
-
-
 def alpha_clairvoyant_decide(view: PolicyView) -> RateDecision:
-    """The fused rule; endpoints delegate to the pure policies."""
+    """The fused rule; endpoints delegate to the pure policies.
+
+    One pass over the view finds the signalled job of least remaining time
+    (a later signal, then the lower id, breaks ties) and the unsignalled
+    jobs of least progress.  The threshold holds when the former's remaining
+    time is at most (1-alpha)/alpha times the latter's progress, with the
+    minimum over an empty set read as +infinity: then that job runs alone,
+    otherwise the least-progressed unsignalled jobs share the machine.
+    """
     if not view.jobs:
         return IDLE
     if view.alpha == 0:
         return srpt_decide(view)
     if view.alpha == 1:
         return setf_decide(view)
-    if _threshold_holds(view):
-        signalled = [j for j in view.jobs if j.emitted]
-        # least remaining first, latest signal wins remaining ties, then id
-        best = min(signalled, key=lambda j: (j.remaining, -j.signal_time, j.job_id))
+    best = None
+    least = None
+    share: list[int] = []
+    for j in view.jobs:
+        if j.emitted:
+            if (
+                best is None
+                or j.remaining < best.remaining
+                or (
+                    j.remaining == best.remaining
+                    and (-j.signal_time, j.job_id) < (-best.signal_time, best.job_id)
+                )
+            ):
+                best = j
+        elif least is None or j.elapsed < least:
+            least = j.elapsed
+            share = [j.job_id]
+        elif j.elapsed == least:
+            share.append(j.job_id)
+    if best is not None and (least is None or best.remaining <= (1 - view.alpha) / view.alpha * least):
         return RateDecision(((best.job_id, Fraction(1)),), "srpt")
-    fresh = [j for j in view.jobs if not j.emitted]
-    least = min(j.elapsed for j in fresh)
-    share = sorted(j.job_id for j in fresh if j.elapsed == least)
+    share.sort()
     rate = Fraction(1, len(share))
     return RateDecision(tuple((j, rate) for j in share), "setf")
 

@@ -11,7 +11,13 @@ from fractions import Fraction as F
 
 import pytest
 
-from alphasched.adversary import append_dos_tail, gen_det_lb1, gen_det_lb2, gen_rand_lb
+from alphasched.adversary import (
+    append_dos_tail,
+    gen_det_lb1,
+    gen_det_lb2,
+    gen_rand_lb,
+    gen_random_instance,
+)
 from alphasched.analysis import verify_instance
 from alphasched.cli import main as cli_main
 from alphasched.engine import simulate
@@ -30,6 +36,7 @@ LOWER_BOUND_REPORTS_SHA256 = "c3f211f672f9f1b662585977f2ee67f4f61eb7589df13ce7ba
 # writes for the fused rule, then SRPT and SETF on its realized instance
 CORPUS_SIMULATE_SHA256 = "cafbf85335c4b2cf95ad1e3675413a063a74f0ca669547ba7ef2c152d189930f"
 LOWER_BOUND_SIMULATE_SHA256 = "8101e8152d01c63a5beef9e5e97b26b0e096eda7f74265fcb5e1d6a987ee3465"
+MIDSIZE_SIMULATE_SHA256 = "7a220b32e8a9929bf6af689bf4f3c7c050b778d4d03958c1f7020f46e946bd3f"
 
 
 def report_bytes(report) -> bytes:
@@ -268,6 +275,18 @@ def test_lower_bound_simulate_outputs_byte_identical():
                     for run in simulate_runs(variant):
                         digest.update(simulate_output_bytes(*run))
     assert digest.hexdigest() == LOWER_BOUND_SIMULATE_SHA256
+
+
+def test_midsize_simulate_outputs_byte_identical():
+    # n well beyond the corpus's 6: many jobs alive, signalled and sharing
+    # at once, so incremental engine state has room to go stale
+    digest = hashlib.sha256()
+    for n in (40, 80, 120):
+        for alpha in (F(0), F(1, 3), F(1, 2), F(3, 4), F(1)):
+            inst = gen_random_instance(n, 8, 0.8, seed=n, alpha=alpha)
+            for run in simulate_runs(inst):
+                digest.update(simulate_output_bytes(*run))
+    assert digest.hexdigest() == MIDSIZE_SIMULATE_SHA256
 
 
 def test_criterion_07_deterministic_bound_one():

@@ -2,8 +2,10 @@
 
 bench/tracing.py replaces package callables by name for its traced run; a
 rename in the package would otherwise only show in the benchmark's own smoke
-run.  This installs the tracer on the imported modules, runs one simulation
-through it and checks that uninstalling puts every original back.
+run.  These tests install the tracer on the imported modules, run
+simulations through it and check that uninstalling puts every original back,
+and that the engine still builds one view and makes one decision per event
+step.
 """
 
 import importlib.util
@@ -38,11 +40,15 @@ def namespaces(pkg):
     return list(vars(pkg).values()) + classes
 
 
-def test_install_and_uninstall_restore_every_original():
-    pkg = SimpleNamespace(
+def package():
+    return SimpleNamespace(
         adversary=adversary, analysis=analysis, engine=engine, metrics=metrics,
         model=model, oracle=oracle, policies=policies, rational=rational,
     )
+
+
+def test_install_and_uninstall_restore_every_original():
+    pkg = package()
     before = [dict(vars(ns)) for ns in namespaces(pkg)]
     tracer = load_tracing().Tracer()
     tracer.install(pkg)
@@ -61,3 +67,26 @@ def test_install_and_uninstall_restore_every_original():
     assert tracer.counts["policies.decisions_setf"] > 0
     assert tracer.counts["policies.decisions_srpt"] > 0
     assert tracer.calls["engine.simulate_alpha"] == 1
+
+
+def test_lower_bound_counts_are_pinned():
+    # the fused rule on lb2 (alpha 1/2, k 3) with a DoS tail of 20 unit jobs,
+    # then SRPT on the realized instance.  An engine that decides more or
+    # less often than once per event step, or a tracer that no longer finds
+    # its names, moves these counts; the two decisions beyond srpt + setf
+    # are the idle ones that end each run
+    inst, t = adversary.gen_det_lb2(F(1, 2), 3)
+    inst = adversary.append_dos_tail(inst, t, 20)
+    tracer = load_tracing().Tracer()
+    tracer.install(package())
+    try:
+        trace, _ = engine.simulate(inst, PolicyKind.ALPHA)
+        engine.simulate(trace.instance, PolicyKind.SRPT)
+    finally:
+        tracer.uninstall()
+    counts = {name: value for name, (value, _) in tracer.layer_metrics().items()}
+    assert counts["engine.events"] == 200
+    assert counts["engine.build_view_calls"] == 111
+    assert counts["policies.decisions_srpt"] == 80
+    assert counts["policies.decisions_setf"] == 29
+    assert tracer.counts["policies.decisions_idle"] == 2

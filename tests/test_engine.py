@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from alphasched.adversary import gen_det_lb2
+from alphasched.adversary import append_dos_tail, gen_det_lb1, gen_det_lb2
 from alphasched.engine import (
     CommitmentError,
     EngineError,
@@ -20,11 +20,20 @@ from alphasched.model import (
     ExecutionSegment,
     Instance,
     Job,
+    ModelError,
     ProgressScaledRule,
     ScheduleTrace,
     Trigger,
 )
-from alphasched.policies import PolicyKind, RateDecision, setf_decide
+from alphasched.policies import (
+    PolicyKind,
+    PolicyView,
+    RateDecision,
+    ViewJob,
+    alpha_clairvoyant_decide,
+    setf_decide,
+    srpt_decide,
+)
 from conftest import corpus_instance
 
 DATA = Path(__file__).parent / "data"
@@ -287,9 +296,116 @@ class TestGuards:
         with pytest.raises(EngineError, match="threshold already crossed"):
             state.next_event()
 
+    def test_duplicate_rates_rejected_before_any_progress(self, worked_example):
+        # a decision rating job 1 twice at 1/2 passes the per-rate checks; it
+        # must fail as the segment it would build does, before it runs
+        twice = RateDecision(((1, F(1, 2)), (1, F(1, 2))), "setf")
+        state = SimState(worked_example, CustomPolicy(lambda view: twice, "all"))
+        state.apply_instant_events()
+        with pytest.raises(ModelError, match="duplicate job in segment rates"):
+            state.make_decision()
+        assert state.progress[1] == 0
+
     def test_feasibility_of_traces(self, worked_example):
         from alphasched.analysis import check_feasibility
 
         for kind in PolicyKind:
             trace, _ = simulate(worked_example, kind)
             assert check_feasibility(trace) == []
+
+
+def full_view(state):
+    """The policy view rebuilt from scratch out of the state's progress,
+    processing times and signals: alive means released and not finished, and
+    emitted means committed with progress at least alpha * p, since every
+    emission due is applied before a view is built."""
+    entries = []
+    for job in sorted(state.instance.jobs, key=lambda job: job.id):
+        j, p = job.id, state.proc[job.id]
+        if job.release > state.now or (p is not None and state.progress[j] == p):
+            continue
+        emitted = p is not None and state.progress[j] >= state.alpha * p
+        visible = state.omniscient or emitted
+        entries.append(ViewJob(
+            job_id=j,
+            release=job.release,
+            elapsed=state.progress[j],
+            emitted=emitted,
+            remaining=p - state.progress[j] if visible else None,
+            signal_time=state.signal.get(j),
+        ))
+    return PolicyView(state.now, state.alpha, state.omniscient, tuple(entries))
+
+
+class CustomPolicy:
+    def __init__(self, decide, merge_pool, omniscient=False):
+        self.decide = decide
+        self.merge_pool = merge_pool
+        self.omniscient = omniscient
+
+
+def exact_commit_lb1(alpha, k):
+    """gen_det_lb1 with p = y / alpha: every commitment lands exactly on the
+    signal point alpha * p, so each committed job emits in the same instant."""
+    inst, t = gen_det_lb1(alpha, k)
+    ids = tuple(j.id for j in inst.jobs)
+    rule = ProgressScaledRule(ids, 1 / alpha, 0)
+    return Instance(inst.jobs, alpha, AdversaryScript((Trigger("commit", t, rule),))), t
+
+
+def waiting_commit_instance(alpha):
+    """Job 1 runs alone until job 2 arrives at 1 and takes the machine; at
+    3/2 job 1, unrated, is committed exactly at its signal point and emits
+    while it waits."""
+    rule = ProgressScaledRule((1,), 1 / alpha, 0)
+    script = AdversaryScript((Trigger("c", F(3, 2), rule),))
+    return Instance((Job(1, 0, Deferred("c")), Job(2, 1, 10)), alpha, script)
+
+
+def deferred_runs(inst):
+    """The fused rule and SETF on a deferred instance, SRPT on its
+    realization."""
+    yield inst, PolicyKind.ALPHA
+    yield inst, PolicyKind.SETF
+    yield simulate(inst, PolicyKind.ALPHA)[0].instance, PolicyKind.SRPT
+
+
+def view_reference_runs():
+    """(instance, policy) pairs whose every view is checked against full_view."""
+    for seed in range(1, 101):
+        for kind in PolicyKind:
+            yield corpus_instance(seed), kind
+    for alpha in (F(1, 2), F(2, 3), F(3, 4)):
+        for gen in (gen_det_lb1, gen_det_lb2, exact_commit_lb1):
+            for k in (2, 3):
+                inst, t = gen(alpha, k)
+                yield from deferred_runs(append_dos_tail(inst, t, 10))
+        yield from deferred_runs(waiting_commit_instance(alpha))
+    policies = [CustomPolicy(alpha_clairvoyant_decide, pool) for pool in ("all", "unsignalled")]
+    policies += [CustomPolicy(setf_decide, "unsignalled"), CustomPolicy(srpt_decide, "all", True)]
+    for seed in range(1, 31):
+        for policy in policies:
+            yield corpus_instance(seed), policy
+    inst, t = gen_det_lb2(F(1, 2), 3)
+    for policy in policies[:3]:
+        yield append_dos_tail(inst, t, 10), policy
+
+
+class TestViewReference:
+    def test_every_view_equals_a_full_rebuild(self, monkeypatch):
+        original = SimState.build_view
+        calls = []
+
+        def checked(state):
+            view = original(state)
+            assert view == full_view(state), f"view at {state.now} differs from a full rebuild"
+            calls.append(state.now)
+            return view
+
+        monkeypatch.setattr(SimState, "build_view", checked)
+        runs = 0
+        for inst, policy in view_reference_runs():
+            simulate(inst, policy)
+            runs += 1
+        assert runs == 300 + 54 + 9 + 30 * 4 + 3
+        assert len(calls) > 10 * runs
