@@ -6,7 +6,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .model import ModelError, ScheduleTrace, UnresolvedProcError
+from .model import ModelError, ScheduleTrace
 from .rational import format_rat
 
 
@@ -28,14 +28,6 @@ class MetricsReport:
         }
 
 
-def alive_count_curve(trace: ScheduleTrace) -> tuple[tuple[Fraction, int], ...]:
-    """Breakpoints (t, |alive on [t, next)|) at releases and completions,
-    read from the step function the trace built."""
-    curve = [(lo, count) for (lo, _), count in trace.alive_steps()]
-    curve.append((trace.makespan, 0))
-    return tuple(curve)
-
-
 def integrate_curve(
     curve: tuple[tuple[Fraction, int], ...], lo: Fraction, hi: Fraction
 ) -> Fraction:
@@ -54,23 +46,15 @@ def integrate_curve(
     return total
 
 
-def total_flow_time(trace: ScheduleTrace) -> Fraction:
-    """Integral of |A(t)| over [0, makespan]: the sum of completion minus
-    release for complete traces (the trace enforces this identity), the flow
-    accrued up to the horizon otherwise (no completion is ever fabricated)."""
-    return integrate_curve(alive_count_curve(trace), Fraction(0), trace.makespan)
-
-
 def build_report(trace: ScheduleTrace) -> MetricsReport:
     per_job = {
         j: c - trace.instance.job(j).release for j, c in sorted(trace.completions.items())
     }
-    curve = alive_count_curve(trace)
     return MetricsReport(
-        total_flow=integrate_curve(curve, Fraction(0), trace.makespan),
+        total_flow=trace.total_flow,
         per_job_flow=per_job,
         makespan=trace.makespan,
-        delta_curve=curve,
+        delta_curve=trace.alive_curve,
         complete=trace.complete,
     )
 
@@ -83,13 +67,7 @@ def delta(trace: ScheduleTrace, t: Fraction, min_remaining: Optional[Fraction] =
     if min_remaining is None:
         return len(alive)
     threshold = Fraction(min_remaining)
-    count = 0
-    for j in alive:
-        if not trace.instance.job(j).committed:
-            raise UnresolvedProcError(f"job {j} unresolved; cannot filter by remaining work")
-        if trace.remaining(j, t) >= threshold:
-            count += 1
-    return count
+    return sum(1 for j in alive if trace.remaining(j, t) >= threshold)
 
 
 def ratio(alg_report: MetricsReport, opt_report: MetricsReport) -> Fraction:

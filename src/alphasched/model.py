@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 from bisect import bisect_left, bisect_right
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
@@ -58,6 +59,15 @@ class Job:
         return not isinstance(self.proc, Deferred)
 
 
+def _distinct_jobs(jobs) -> tuple[int, ...]:
+    """The job ids of a commit rule; a job named twice would receive two
+    commitments of which only one survives, so it raises a ModelError."""
+    jobs = tuple(jobs)
+    if len(set(jobs)) != len(jobs):
+        raise ModelError(f"commit rule names a job twice: {list(jobs)}")
+    return jobs
+
+
 @dataclass(frozen=True)
 class ProgressScaledRule:
     """Commit p = scale * observed_progress + offset for each listed job.
@@ -73,7 +83,7 @@ class ProgressScaledRule:
     kind = "progress-scaled"
 
     def __post_init__(self):
-        object.__setattr__(self, "jobs", tuple(self.jobs))
+        object.__setattr__(self, "jobs", _distinct_jobs(self.jobs))
         object.__setattr__(self, "scale", Fraction(self.scale))
         object.__setattr__(self, "offset", Fraction(self.offset))
 
@@ -95,7 +105,7 @@ class RankPairRule:
     kind = "rank-pair"
 
     def __post_init__(self):
-        object.__setattr__(self, "jobs", tuple(self.jobs))
+        object.__setattr__(self, "jobs", _distinct_jobs(self.jobs))
         object.__setattr__(self, "high", Fraction(self.high))
         object.__setattr__(self, "low", Fraction(self.low))
         if len(self.jobs) != 2:
@@ -398,8 +408,10 @@ class ScheduleTrace:
 
     One pass over the merged segments runs these checks and builds every
     index the queries read: per job its work profile, busy intervals and
-    signal point alpha * p_j, and the segment starts.  The alive-count step
-    function is built once, for the flow-time identity and for the metrics.
+    signal point alpha * p_j, and the segment starts.  It also builds
+    ``alive_curve``, the breakpoints (t, |alive on [t, next)|) at 0, releases
+    and completions closed by (makespan, 0), and ``total_flow``, its area over
+    [0, makespan]: the flow accrued up to the horizon.
     """
 
     def __init__(self, instance: Instance, segments: Sequence[ExecutionSegment], horizon: Optional[Fraction] = None):
@@ -460,8 +472,22 @@ class ScheduleTrace:
         self.makespan = self.horizon if self.horizon is not None else last
         if self.makespan < last:
             raise ModelError("horizon precedes the last segment")
-        self._alive_steps = self._sweep_alive_counts()
-        self._check_flow_identity()
+        # alive count: +1 at each release, -1 at each completion; an
+        # unfinished job stays alive through the horizon
+        deltas = Counter(job.release for job in instance.jobs if job.release <= self.makespan)
+        deltas.subtract(self.completions.values())
+        points = sorted(deltas.keys() | {Fraction(0), self.makespan})
+        curve, area, count = [], Fraction(0), 0
+        for lo, hi in zip(points, points[1:]):
+            count += deltas[lo]
+            curve.append((lo, count))
+            area += count * (hi - lo)
+        self.alive_curve = tuple(curve) + ((self.makespan, 0),)
+        self.total_flow = area
+        if self.complete:
+            total = sum((self.completions[j.id] - j.release for j in instance.jobs), Fraction(0))
+            if total != area:
+                raise ModelError(f"flow-time identity violated: sum flows {total} != alive area {area}")
 
     # -- derived quantities ------------------------------------------------
 
@@ -608,42 +634,6 @@ class ScheduleTrace:
         points.update(self.completions.values())
         points.update(s for s in self.emissions.values() if s <= self.makespan)
         return sorted(points)
-
-    # -- invariants ----------------------------------------------------------
-
-    def alive_steps(self) -> list[tuple[tuple[Fraction, Fraction], int]]:
-        """Constant-count spans ((lo, hi), |alive|) sweeping releases against
-        completions; unfinished jobs stay alive through the horizon."""
-        return list(self._alive_steps)
-
-    def _sweep_alive_counts(self) -> tuple[tuple[tuple[Fraction, Fraction], int], ...]:
-        deltas: dict[Fraction, int] = {}
-        for job in self.instance.jobs:
-            if job.release > self.makespan:
-                continue
-            deltas[job.release] = deltas.get(job.release, 0) + 1
-            end = self.completions.get(job.id)
-            if end is not None:
-                deltas[end] = deltas.get(end, 0) - 1
-        points = sorted(set(deltas) | {Fraction(0), self.makespan})
-        steps = []
-        count = 0
-        for lo, hi in zip(points, points[1:]):
-            count += deltas.get(lo, 0)
-            steps.append(((lo, hi), count))
-        return tuple(steps)
-
-    def _check_flow_identity(self) -> None:
-        if not self.complete:
-            return
-        total = sum(
-            (self.completions[j.id] - j.release for j in self.instance.jobs), Fraction(0)
-        )
-        area = sum((count * (hi - lo) for (lo, hi), count in self._alive_steps), Fraction(0))
-        if total != area:
-            raise ModelError(
-                f"flow-time identity violated: sum flows {total} != alive area {area}"
-            )
 
     # -- serialization ---------------------------------------------------------
 

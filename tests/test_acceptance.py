@@ -90,8 +90,9 @@ def corpus_results():
                 (trace.completions[j.id] - j.release for j in trace.instance.jobs),
                 F(0),
             )
+            curve = trace.alive_curve
             area = sum(
-                (count * (hi - lo) for (lo, hi), count in trace.alive_steps()), F(0)
+                (count * (hi - lo) for (lo, count), (hi, _) in zip(curve, curve[1:])), F(0)
             )
             if flows != area:
                 identity_failures += 1
@@ -362,7 +363,8 @@ def test_criterion_10_flow_time_identity(corpus_results):
         flows = sum(
             (trace.completions[j.id] - j.release for j in trace.instance.jobs), F(0)
         )
-        area = sum((c * (hi - lo) for (lo, hi), c in trace.alive_steps()), F(0))
+        curve = trace.alive_curve
+        area = sum((c * (hi - lo) for (lo, c), (hi, _) in zip(curve, curve[1:])), F(0))
         if flows != area:
             failures += 1
         lb_checked += 1

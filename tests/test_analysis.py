@@ -435,7 +435,8 @@ class TestVerify:
         assert report.ok, report.first_failure
 
     def test_corrupt_trace_fails(self, pair_instance):
-        # starve job 2 of its fair share: catch-up order breaks
+        # an even share through both signals: after t = 2 both jobs are
+        # clairvoyant, so a single-job branch would run one job alone
         segments = [
             ExecutionSegment(0, 2, ((1, F(1, 2)), (2, F(1, 2)))),
             ExecutionSegment(2, 4, ((1, F(1, 2)), (2, F(1, 2)))),
@@ -444,6 +445,33 @@ class TestVerify:
         opt, _ = simulate(pair_instance, PolicyKind.SRPT)
         report = verify_traces(bad, opt)
         assert not report.ok
+        assert report.first_failure == {
+            "check": "branch_observations",
+            "violations": ["single-job branch at 2/1 rated [1, 2]"],
+        }
+        assert report.trace_checks["clairvoyant_runs_block"]
+        assert report.trace_checks["catch_up"] == []
+
+    def test_starved_job_breaks_catch_up(self, pair_instance):
+        # starve job 2 of its fair share: job 1 runs alone on [0, 1), job 2
+        # on [1, 3), job 1 again on [3, 4)
+        segments = [
+            ExecutionSegment(0, 1, ((1, F(1)),)),
+            ExecutionSegment(1, 3, ((2, F(1)),)),
+            ExecutionSegment(3, 4, ((1, F(1)),)),
+        ]
+        bad = ScheduleTrace(pair_instance, segments)
+        opt, _ = simulate(pair_instance, PolicyKind.SRPT)
+        report = verify_traces(bad, opt)
+        assert not report.ok
+        assert report.trace_checks["catch_up"] == [
+            "catch-up violated at 1/1: y_2=0/1 < y_1=1/1 after 1 ran",
+            "catch-up violated at 3/2: y_2=1/2 < y_1=1/1 after 1 ran",
+        ]
+        assert report.first_failure == {
+            "t": "1/2",
+            "violations": ["borrow edge (2,1,N) at t=1/2 with y_2=0/1 < y_1=1/2"],
+        }
 
     def test_report_serializes(self, pair_instance):
         import json

@@ -58,6 +58,14 @@ class TestSimulateCommand:
         assert main(["simulate", "--instance", str(bad), "--out", str(tmp_path)]) == 2
         bad.write_text("not json", encoding="utf-8")
         assert main(["simulate", "--instance", str(bad), "--out", str(tmp_path)]) == 2
+        rule = {"kind": "rank-pair", "jobs": [1, 1], "high": "4", "low": "1"}
+        twice = {
+            "alpha": "1/2",
+            "jobs": [{"id": 1, "release": "0", "proc": {"deferred": "a"}}],
+            "adversary": {"triggers": [{"id": "a", "fire_at": "1/2", "rule": rule}]},
+        }
+        bad.write_text(json.dumps(twice), encoding="utf-8")
+        assert main(["simulate", "--instance", str(bad), "--out", str(tmp_path)]) == 2
 
     def test_internal_error_is_not_bad_input(self, tmp_path, pair_path, monkeypatch):
         def broken(trace):

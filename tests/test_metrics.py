@@ -3,14 +3,7 @@ from fractions import Fraction as F
 import pytest
 
 from alphasched.engine import simulate
-from alphasched.metrics import (
-    alive_count_curve,
-    build_report,
-    delta,
-    integrate_curve,
-    ratio,
-    total_flow_time,
-)
+from alphasched.metrics import build_report, delta, integrate_curve, ratio
 from alphasched.model import Instance, Job
 from alphasched.policies import PolicyKind
 from conftest import small_instance
@@ -19,17 +12,17 @@ from conftest import small_instance
 class TestTotalFlow:
     def test_single_job(self):
         trace, _ = simulate(Instance((Job(1, 0, 1),), F(1, 2)), PolicyKind.ALPHA)
-        assert total_flow_time(trace) == 1
+        assert build_report(trace).total_flow == 1
 
     def test_setf_vs_srpt_pair(self, pair_instance):
         setf, _ = simulate(pair_instance, PolicyKind.SETF)
         srpt, _ = simulate(pair_instance, PolicyKind.SRPT)
-        assert total_flow_time(setf) == 8
-        assert total_flow_time(srpt) == 6
+        assert build_report(setf).total_flow == 8
+        assert build_report(srpt).total_flow == 6
 
     def test_worked_example(self, worked_example):
         trace, _ = simulate(worked_example, PolicyKind.ALPHA)
-        assert total_flow_time(trace) == 9
+        assert build_report(trace).total_flow == 9
 
     def test_incomplete_run_reports_accrued_flow(self, pair_instance):
         trace, _ = simulate(pair_instance, PolicyKind.SETF, horizon=F(3))
@@ -88,11 +81,11 @@ class TestRatio:
 class TestCurve:
     def test_identity_on_curve(self, worked_example):
         trace, _ = simulate(worked_example, PolicyKind.ALPHA)
-        curve = alive_count_curve(trace)
-        assert integrate_curve(curve, 0, trace.makespan) == total_flow_time(trace)
+        curve = trace.alive_curve
+        assert integrate_curve(curve, 0, trace.makespan) == build_report(trace).total_flow
 
     def test_window_integral(self, pair_instance):
         trace, _ = simulate(pair_instance, PolicyKind.SRPT)
-        curve = alive_count_curve(trace)
+        curve = trace.alive_curve
         # two alive on [0,2), one on [2,4)
         assert integrate_curve(curve, 1, 3) == 3

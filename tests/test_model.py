@@ -14,6 +14,7 @@ from alphasched.model import (
     Job,
     ModelError,
     ProgressScaledRule,
+    RankPairRule,
     ScheduleTrace,
     Trigger,
     UnknownJobError,
@@ -102,6 +103,15 @@ class TestInstanceValidation:
             Instance(
                 (Job(1, 0, Deferred("a")),), F(1, 2), AdversaryScript((Trigger("a", 1, rule),))
             )
+
+    def test_rank_pair_rule_naming_a_job_twice_rejected(self):
+        # commit would return {1: low} and silently drop the long commitment
+        with pytest.raises(ModelError, match="names a job twice"):
+            RankPairRule((1, 1), 4, 1)
+
+    def test_progress_scaled_rule_naming_a_job_twice_rejected(self):
+        with pytest.raises(ModelError, match="names a job twice"):
+            ProgressScaledRule((1, 1, 2), 2, 0)
 
     def test_json_integer_shorthand(self):
         inst = instance_from_json(
@@ -317,7 +327,8 @@ class TestTraceProperties:
         # construction re-checks this; recompute both sides independently here
         trace, _ = simulate(inst, kind)
         total = sum(trace.completions[j.id] - j.release for j in inst.jobs)
-        area = sum(count * (hi - lo) for (lo, hi), count in trace.alive_steps())
+        curve = trace.alive_curve
+        area = sum(count * (hi - lo) for (lo, count), (hi, _) in zip(curve, curve[1:]))
         assert total == area
 
     @settings(max_examples=40, deadline=None)
