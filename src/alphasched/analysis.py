@@ -20,17 +20,19 @@ violation carries the exact rationals involved so it can be replayed.
 ``verify_traces`` sweeps the check times in increasing order: each time's
 state is computed once (``TimePoint``) and is the only input every per-time
 check reads, the borrow graph is carried forward (``BorrowSweep``), and the
-base and refined flow networks come from one builder that shares its grid
-columns across times.  Every check runs every time.
+base and refined flow networks come from one builder whose grid columns are
+``ScheduleTrace.work_at``, kept per time by the trace, not passed between
+builds.  Every check runs every time.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import ceil
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Mapping, Optional, Sequence
 
 from .engine import simulate
 from .model import Instance, ModelError, Partition, ScheduleTrace, UnknownJobError, instance_to_json
@@ -49,7 +51,7 @@ class TimePoint:
     every check made at that time; the only way a check gets that state."""
 
     t: Fraction
-    work: dict[int, Fraction]  # the algorithm's elapsed work y_j(t), every job
+    work: Mapping[int, Fraction]  # the algorithm's elapsed work y_j(t), every job
     part: Partition  # the algorithm's partition at t
     opt_alive: frozenset[int]  # the optimum's alive set O(t)
 
@@ -58,8 +60,7 @@ class TimePoint:
         if alg_trace.instance.ids != opt_trace.instance.ids:
             raise ModelError("traces must share one instance")
         t = Fraction(t)
-        work = alg_trace.work_at(t)
-        return cls(t, work, alg_trace.partition(t, work), opt_trace.alive_at(t))
+        return cls(t, alg_trace.work_at(t), alg_trace.partition(t), opt_trace.alive_at(t))
 
 
 # --------------------------------------------------------------------------
@@ -281,7 +282,6 @@ class FlowNetwork:
 def build_flow_network(
     alg_trace: ScheduleTrace,
     point: TimePoint,
-    work_by_time: dict[Fraction, dict[int, Fraction]],
     extra_points: Iterable[Fraction] = (),
 ) -> FlowNetwork:
     """Interval network at the point's time t.
@@ -294,12 +294,10 @@ def build_flow_network(
     the received work of jobs in O(t).  Jobs released after t are omitted:
     they have empty lifetimes and zero capacity everywhere.
 
-    ``work_by_time`` maps time points to ``alg_trace.work_at``; the build
-    reads its grid from it and adds what is missing, so networks built at
-    successive times of one trace evaluate each grid point once.
+    The grid columns are ``alg_trace.work_at``, computed once per time by the
+    trace, so networks built at successive times share them.
     """
     t = point.t
-    work_by_time[t] = point.work
     points = {Fraction(0), t}
     jobs = [job for job in alg_trace.instance.jobs if job.release <= t]
     for job in jobs:
@@ -324,12 +322,7 @@ def build_flow_network(
     demands = {i: work[i] for i in sorted(point.opt_alive) if work[i] > 0}
     infinite = sum(supplies.values(), Fraction(0)) + sum(demands.values(), Fraction(1))
 
-    columns = []
-    for p in tps:
-        column = work_by_time.get(p)
-        if column is None:
-            column = work_by_time[p] = alg_trace.work_at(p)
-        columns.append(column)
+    columns = [alg_trace.work_at(p) for p in tps]
     # lifetimes [r_j, min(C_j, t)] run between grid points: keep them as
     # index ranges, and list per interval the jobs whose lifetime holds it
     index = {p: k for k, p in enumerate(tps)}
@@ -603,7 +596,6 @@ def refine_flow(
     result: FlowResult,
     alg_trace: ScheduleTrace,
     point: TimePoint,
-    work_by_time: dict[Fraction, dict[int, Fraction]],
 ) -> tuple[FlowNetwork, FlowResult]:
     """Build the network of the point's time with every discretization
     interval split at its midpoint, and carry the flow over; job-to-job
@@ -614,7 +606,7 @@ def refine_flow(
         raise ModelError(f"network is not the one at t={format_rat(point.t)}")
     tps = net.time_points
     mids = [(a + b) / 2 for a, b in zip(tps, tps[1:])]
-    refined = build_flow_network(alg_trace, point, work_by_time, extra_points=mids)
+    refined = build_flow_network(alg_trace, point, extra_points=mids)
     new_flow: dict[tuple[Vertex, Vertex], Fraction] = {}
     for (u, v), f in result.flow.items():
         if u == SOURCE or v == SINK:
@@ -878,9 +870,8 @@ class CatchUp:
         self.trace = trace
         self.violations: list[str] = []
         self._dominated: set[tuple[int, int]] = set()  # (i, j): y_j must stay >= y_i
-        self._boundaries = {p for seg in trace.segments for p in (seg.start, seg.end)}
 
-    def observe(self, t: Fraction, work: dict[int, Fraction], part: Partition) -> None:
+    def observe(self, t: Fraction, work: Mapping[int, Fraction], part: Partition) -> None:
         fresh = part.nonclairvoyant
         for i, j in self._dominated:
             if i in fresh and j in fresh:
@@ -890,11 +881,9 @@ class CatchUp:
                         f"catch-up violated at {format_rat(t)}: y_{j}={format_rat(yj)} "
                         f"< y_{i}={format_rat(yi)} after {i} ran"
                     )
-        if t in self._boundaries:
-            return  # record processing only at interior sample points
-        seg = self.trace.segment_at(t)  # off the boundaries: start < t < end
-        if seg is None:
-            return
+        seg = self.trace.segment_at(t)
+        if seg is None or seg.start == t:
+            return  # record processing only strictly inside a segment
         for i, _ in seg.rates:
             if i in fresh:
                 for j in fresh:
@@ -908,8 +897,7 @@ def check_catch_up(trace: ScheduleTrace, times: Sequence[Fraction]) -> list[str]
     catch_up = CatchUp(trace)
     for t in times:
         t = Fraction(t)
-        work = trace.work_at(t)
-        catch_up.observe(t, work, trace.partition(t, work))
+        catch_up.observe(t, trace.work_at(t), trace.partition(t))
     return catch_up.violations
 
 
@@ -973,9 +961,12 @@ def check_reachability_closure(
 
 def check_feasibility(trace: ScheduleTrace) -> list[str]:
     """Unit speed, only alive jobs rated, and full speed whenever something
-    is alive (the built-in policies never idle)."""
+    is alive (the built-in policies never idle).  Nothing completes on a
+    stretch with no job rated, so its alive count only grows: it idles with
+    jobs alive iff the ``alive_curve`` count on its last piece is not 0."""
     violations = []
-    for seg in trace.segments:
+    busy = [seg for seg in trace.segments if seg.rates]
+    for seg in busy:
         mid = (seg.start + seg.end) / 2
         alive = trace.alive_at(mid)
         for j, _ in seg.rates:
@@ -987,16 +978,14 @@ def check_feasibility(trace: ScheduleTrace) -> list[str]:
             violations.append(
                 f"idle capacity at {format_rat(mid)} with alive jobs {sorted(alive)}"
             )
-    spans = [(seg.start, seg.end) for seg in trace.segments]
+    breaks = [p for p, _ in trace.alive_curve]
+    spans = [(seg.start, seg.end) for seg in busy]
     prev_end = Fraction(0)
     for lo, hi in spans + [(trace.makespan, trace.makespan)]:
-        if lo > prev_end:
-            mid = (prev_end + lo) / 2
-            if trace.alive_at(mid):
-                violations.append(
-                    f"machine idle on [{format_rat(prev_end)}, {format_rat(lo)}] "
-                    f"with alive jobs"
-                )
+        if lo > prev_end and trace.alive_curve[bisect_left(breaks, lo) - 1][1]:
+            violations.append(
+                f"machine idle on [{format_rat(prev_end)}, {format_rat(lo)}] with alive jobs"
+            )
         prev_end = max(prev_end, hi)
     return violations
 
@@ -1043,7 +1032,6 @@ def verify_traces(alg_trace: ScheduleTrace, opt_trace: ScheduleTrace) -> Verific
     feasibility = (check_feasibility(alg_trace), check_feasibility(opt_trace))
     catch_up = CatchUp(alg_trace)
     borrow = BorrowSweep(alg_trace)
-    work_by_time: dict[Fraction, dict[int, Fraction]] = {}  # shared by the flow networks
     event_set = set(events)
     for t in dense:
         entry: dict = {"t": format_rat(t)}
@@ -1061,7 +1049,7 @@ def verify_traces(alg_trace: ScheduleTrace, opt_trace: ScheduleTrace) -> Verific
         entry["segments"] = len(seg_part.segments)
         violations += seg_part.violations
         if t in event_set:
-            net = build_flow_network(alg_trace, point, work_by_time)
+            net = build_flow_network(alg_trace, point)
             saturated, flow = max_flow_saturates(net)
             entry["supply"] = format_rat(net.total_supply)
             entry["max_flow"] = format_rat(flow.value)
@@ -1088,7 +1076,7 @@ def verify_traces(alg_trace: ScheduleTrace, opt_trace: ScheduleTrace) -> Verific
                         f"{format_rat(beta.discarded_cycle_flow)}"
                     )
                 violations += check_beta_properties(beta, graph, instance, point)
-                refined_net, refined_flow = refine_flow(net, flow, alg_trace, point, work_by_time)
+                refined_net, refined_flow = refine_flow(net, flow, alg_trace, point)
                 violations += verify_flow_feasible(refined_net, refined_flow)
                 direct, refined_direct = flow.job_totals(), refined_flow.job_totals()
                 for j in net.supplies:

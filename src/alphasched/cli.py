@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Commands: simulate | compare | verify | lowerbound | sweep.  All numeric
-output is exact "num/den" text; --float adds decimal columns for plotting.
+output is exact "num/den" text; --float adds decimal columns for plotting,
+and lowerbound --dos-M always writes window_ratio_float.
 Outputs are byte-deterministic for fixed inputs and seeds.
 
 Exit codes: 0 pass, 1 verification failure, 2 bad input: a usage error, an
@@ -255,7 +256,8 @@ def _lowerbound_randomized(args, which: str, out: Path | None) -> int:
             totals["alg_cond"] += da
             totals["opt_cond"] += do
             totals["n_cond"] += 1
-    n = args.seeds
+    n, n_cond = args.seeds, totals["n_cond"]
+    mean_alg, mean_opt = Fraction(totals["alg"], n), Fraction(totals["opt"], n)
     result = {
         "which": "rand",
         "alpha": format_rat(alpha),
@@ -263,20 +265,20 @@ def _lowerbound_randomized(args, which: str, out: Path | None) -> int:
         "measure_time": t,
         "seeds": n,
         "first_seed": args.seed,
-        "mean_delta_alg_ge1": totals["alg"] / n,
-        "mean_delta_opt": totals["opt"] / n,
-        "conditioned_samples": totals["n_cond"],
+        "mean_delta_alg_ge1": format_rat(mean_alg),
+        "mean_delta_opt": format_rat(mean_opt),
+        "conditioned_samples": n_cond,
         "mean_delta_alg_ge1_conditioned": (
-            totals["alg_cond"] / totals["n_cond"] if totals["n_cond"] else None
+            format_rat(Fraction(totals["alg_cond"], n_cond)) if n_cond else None
         ),
         "mean_delta_opt_conditioned": (
-            totals["opt_cond"] / totals["n_cond"] if totals["n_cond"] else None
+            format_rat(Fraction(totals["opt_cond"], n_cond)) if n_cond else None
         ),
     }
     print(
         f"rand alpha={format_rat(alpha)} k={k} t={t} over {n} seeds: "
-        f"mean delta(t,1)={result['mean_delta_alg_ge1']:.3f} "
-        f"mean delta*(t)={result['mean_delta_opt']:.3f}"
+        f"mean delta(t,1)={float(mean_alg):.3f} "
+        f"mean delta*(t)={float(mean_opt):.3f}"
     )
     if out is not None:
         _write_json(out / "lowerbound.json", result)

@@ -15,6 +15,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
+from types import MappingProxyType
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
 from .rational import format_rat, parse_rat
@@ -421,6 +422,7 @@ class ScheduleTrace:
         self.horizon = None if horizon is None else Fraction(horizon)
         self.segments = _merge_adjacent(sorted(segments, key=lambda s: s.start))
         self._starts = [seg.start for seg in self.segments]
+        self._columns: dict[Fraction, Mapping[int, Fraction]] = {}  # work_at, filled on demand
 
         # per job: profile breakpoints, cumulative work at each and the rate
         # on each piece between them (0 on gaps); busy intervals; alpha * p_j
@@ -523,12 +525,16 @@ class ScheduleTrace:
             raise UnknownJobError(f"unknown job id {job_id}")
         return self._work(job_id, t)
 
-    def work_at(self, t: Fraction) -> dict[int, Fraction]:
-        """Elapsed work of every job of the instance at time t."""
+    def work_at(self, t: Fraction) -> Mapping[int, Fraction]:
+        """Elapsed work of every job of the instance at time t, read-only;
+        each time's column is computed once and kept for every later caller."""
         t = Fraction(t)
         if t < 0:
             raise ModelError("time must be nonnegative")
-        return {j: self._work(j, t) for j in self._profiles}
+        column = self._columns.get(t)
+        if column is None:
+            column = self._columns[t] = MappingProxyType({j: self._work(j, t) for j in self._profiles})
+        return column
 
     def remaining(self, job_id: int, t: Fraction) -> Fraction:
         """Remaining processing time at t; zero once completed."""
@@ -545,17 +551,15 @@ class ScheduleTrace:
                 out.add(job.id)
         return frozenset(out)
 
-    def partition(self, t: Fraction, work: Optional[Mapping[int, Fraction]] = None) -> Partition:
+    def partition(self, t: Fraction) -> Partition:
         """Alive/nonclairvoyant/clairvoyant/finished split at time t.
 
         A job sits on the nonclairvoyant side while its elapsed work is at
         most alpha * p (boundary inclusive); strictly beyond it counts as
-        clairvoyant.  ``work`` may pass in ``work_at(t)`` when the caller
-        already holds it.
+        clairvoyant.
         """
         t = Fraction(t)
-        if work is None:
-            work = self.work_at(t)
+        work = self.work_at(t)
         alive, nonclair, clair, finished = set(), set(), set(), set()
         for job in self.instance.jobs:
             if job.release > t:

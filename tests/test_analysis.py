@@ -11,7 +11,9 @@ from alphasched.analysis import (
     build_flow_network,
     check_beta_properties,
     check_branch_observations,
+    check_catch_up,
     check_clairvoyant_runs_block,
+    check_feasibility,
     check_local_bounds,
     check_times,
     compute_segments,
@@ -160,7 +162,7 @@ class TestBorrowSweep:
 class TestFlowNetwork:
     def test_pair_example_at_five_halves(self, pair_traces):
         alg, opt = pair_traces
-        net = build_flow_network(alg, TimePoint.at(alg, opt, F(5, 2)), {})
+        net = build_flow_network(alg, TimePoint.at(alg, opt, F(5, 2)))
         assert net.supplies == {1: F(1, 2)}
         assert net.demands == {2: F(1)}
         chain_caps = [
@@ -175,7 +177,7 @@ class TestFlowNetwork:
 
     def test_zero_time_network_is_empty(self, pair_traces):
         alg, opt = pair_traces
-        net = build_flow_network(alg, TimePoint.at(alg, opt, 0), {})
+        net = build_flow_network(alg, TimePoint.at(alg, opt, 0))
         assert not net.supplies and not net.demands
         saturated, flow = max_flow_saturates(net)
         assert saturated and flow.value == 0
@@ -183,12 +185,12 @@ class TestFlowNetwork:
     def test_no_surplus_means_zero_supply(self, pair_traces):
         alg, opt = pair_traces
         # at t=7/2 the fused policy finished job 1; only job 2 is alive in both
-        net = build_flow_network(alg, TimePoint.at(alg, opt, F(7, 2)), {})
+        net = build_flow_network(alg, TimePoint.at(alg, opt, F(7, 2)))
         assert net.total_supply == 0
 
     def test_starved_network_fails_saturation(self, pair_traces):
         alg, opt = pair_traces
-        net = build_flow_network(alg, TimePoint.at(alg, opt, F(5, 2)), {})
+        net = build_flow_network(alg, TimePoint.at(alg, opt, F(5, 2)))
         for (u, v) in list(net.arcs):
             if v == ("job", 2) and u[0] == "dummy":
                 net.arcs[(u, v)] = F(1, 8)  # below the 1/2 supply
@@ -197,7 +199,7 @@ class TestFlowNetwork:
 
     def test_feasibility_audit_catches_overflow(self, pair_traces):
         alg, opt = pair_traces
-        net = build_flow_network(alg, TimePoint.at(alg, opt, F(5, 2)), {})
+        net = build_flow_network(alg, TimePoint.at(alg, opt, F(5, 2)))
         _, flow = max_flow_saturates(net)
         doctored = dict(flow.flow)
         for (u, v), f in list(doctored.items()):
@@ -212,7 +214,7 @@ class TestFlowNetwork:
     def test_reachability_matches_borrow_graph(self, pair_traces):
         alg, opt = pair_traces
         t = F(5, 2)
-        net = build_flow_network(alg, TimePoint.at(alg, opt, t), {})
+        net = build_flow_network(alg, TimePoint.at(alg, opt, t))
         graph = build_borrow_graph(alg, t)
         for j in net.supplies:
             assert net.job_reachable(j) & set(net.demands) == graph.reachable(j) & set(
@@ -223,19 +225,21 @@ class TestFlowNetwork:
 class TestFlowOracles:
     @pytest.mark.parametrize("seed", ORACLE_SEEDS)
     def test_incremental_networks_equal_rebuilds(self, seed):
-        # base and refined networks as the verifier builds them (shared state
-        # and grid work), against independent builds from the traces
+        # base and refined networks as the verifier builds them (one trace
+        # whose work columns are kept across times), against builds on a
+        # fresh trace of the same schedule, whose columns are computed anew
         alg, opt = trace_pair(corpus_instance(seed))
-        work_by_time: dict = {}
         for t in check_times(alg, opt)[0]:
             point = TimePoint.at(alg, opt, t)
-            net = build_flow_network(alg, point, work_by_time)
-            assert net == build_flow_network(alg, TimePoint.at(alg, opt, t), {})
+            net = build_flow_network(alg, point)
+            fresh = ScheduleTrace(alg.instance, alg.segments)
+            assert net == build_flow_network(fresh, TimePoint.at(fresh, opt, t))
             tps = net.time_points
             mids = [(a + b) / 2 for a, b in zip(tps, tps[1:])]
-            refined = build_flow_network(alg, TimePoint.at(alg, opt, t), {}, extra_points=mids)
+            fresh = ScheduleTrace(alg.instance, alg.segments)
+            refined = build_flow_network(fresh, TimePoint.at(fresh, opt, t), extra_points=mids)
             _, flow = max_flow_saturates(net)
-            shared = refine_flow(net, flow, alg, point, work_by_time)[0]
+            shared = refine_flow(net, flow, alg, point)[0]
             assert shared.time_points == refined.time_points
             assert shared.jobs == refined.jobs
             assert shared.supplies == refined.supplies
@@ -248,7 +252,7 @@ class TestFlowOracles:
         nx = pytest.importorskip("networkx")
         alg, opt = trace_pair(corpus_instance(seed))
         for t in check_times(alg, opt)[0]:
-            net = build_flow_network(alg, TimePoint.at(alg, opt, t), {})
+            net = build_flow_network(alg, TimePoint.at(alg, opt, t))
             # a demand job only absorbs: its flow leaves to the sink alone
             graph = nx.DiGraph()
             graph.add_nodes_from([("source",), ("sink",)])
@@ -262,7 +266,7 @@ class TestFlowOracles:
 
     def test_max_flow_reads_arcs_edited_after_the_build(self, pair_traces):
         alg, opt = pair_traces
-        net = build_flow_network(alg, TimePoint.at(alg, opt, F(5, 2)), {})
+        net = build_flow_network(alg, TimePoint.at(alg, opt, F(5, 2)))
         assert max_flow_saturates(net)[1].value == F(1, 2)
         for arc in list(net.arcs):
             if arc[0] == ("source",):
@@ -271,23 +275,23 @@ class TestFlowOracles:
 
     def test_job_totals_sum_over_intervals(self, pair_traces):
         alg, opt = pair_traces
-        net = build_flow_network(alg, TimePoint.at(alg, opt, F(5, 2)), {})
+        net = build_flow_network(alg, TimePoint.at(alg, opt, F(5, 2)))
         _, flow = max_flow_saturates(net)
         assert flow.job_totals() == {(1, 2): F(1, 2)}
 
     def test_refine_rejects_a_network_of_another_time(self, pair_traces):
         alg, opt = pair_traces
-        net = build_flow_network(alg, TimePoint.at(alg, opt, F(5, 2)), {})
+        net = build_flow_network(alg, TimePoint.at(alg, opt, F(5, 2)))
         _, flow = max_flow_saturates(net)
         with pytest.raises(ModelError):
-            refine_flow(net, flow, alg, TimePoint.at(alg, opt, F(3)), {})
+            refine_flow(net, flow, alg, TimePoint.at(alg, opt, F(3)))
 
 
 class TestBetaMatrix:
     def test_pair_unique_path(self, pair_traces):
         alg, opt = pair_traces
         t = F(5, 2)
-        net = build_flow_network(alg, TimePoint.at(alg, opt, t), {})
+        net = build_flow_network(alg, TimePoint.at(alg, opt, t))
         _, flow = max_flow_saturates(net)
         beta = decompose_beta(flow, net)
         assert beta.values == {(1, 2): F(1, 2)}
@@ -297,7 +301,7 @@ class TestBetaMatrix:
 
     def test_zero_flow_all_zero(self, pair_traces):
         alg, opt = pair_traces
-        net = build_flow_network(alg, TimePoint.at(alg, opt, 0), {})
+        net = build_flow_network(alg, TimePoint.at(alg, opt, 0))
         _, flow = max_flow_saturates(net)
         beta = decompose_beta(flow, net)
         assert beta.values == {}
@@ -314,10 +318,10 @@ class TestBetaMatrix:
     def test_refinement_preserves_beta(self, pair_traces):
         alg, opt = pair_traces
         t = F(5, 2)
-        net = build_flow_network(alg, TimePoint.at(alg, opt, t), {})
+        net = build_flow_network(alg, TimePoint.at(alg, opt, t))
         _, flow = max_flow_saturates(net)
         beta = decompose_beta(flow, net)
-        refined_net, refined_flow = refine_flow(net, flow, alg, TimePoint.at(alg, opt, t), {})
+        refined_net, refined_flow = refine_flow(net, flow, alg, TimePoint.at(alg, opt, t))
         assert len(refined_net.time_points) == 2 * len(net.time_points) - 1
         assert verify_flow_feasible(refined_net, refined_flow) == []
         assert refined_flow.value == flow.value
@@ -472,6 +476,7 @@ class TestVerify:
             "t": "1/2",
             "violations": ["borrow edge (2,1,N) at t=1/2 with y_2=0/1 < y_1=1/2"],
         }
+        assert check_catch_up(bad, check_times(bad, opt)[1]) == report.trace_checks["catch_up"]
 
     def test_report_serializes(self, pair_instance):
         import json
@@ -500,3 +505,24 @@ class TestTraceObservations:
         ]
         bad = ScheduleTrace(pair_instance, segments)
         assert check_clairvoyant_runs_block(bad)
+
+    def test_idle_gap_before_a_late_release_detected(self):
+        # the machine idles on [1, 4), with job 2 alive from 3 on: only the
+        # second half of the gap idles with an alive job
+        inst = Instance((Job(1, 0, 1), Job(2, 3, 1)), F(1, 2))
+        segments = [ExecutionSegment(0, 1, ((1, F(1)),)), ExecutionSegment(4, 5, ((2, F(1)),))]
+        bad = ScheduleTrace(inst, segments)
+        expected = ["machine idle on [1/1, 4/1] with alive jobs"]
+        assert check_feasibility(bad) == expected
+        opt, _ = simulate(inst, PolicyKind.SRPT)
+        assert verify_traces(bad, opt).trace_checks["feasibility_alg"] == expected
+
+    def test_segment_without_rates_idles(self):
+        inst = Instance((Job(1, 0, 1), Job(2, 3, 1)), F(1, 2))
+        segments = [
+            ExecutionSegment(0, 1, ((1, F(1)),)),
+            ExecutionSegment(1, 4, ()),
+            ExecutionSegment(4, 5, ((2, F(1)),)),
+        ]
+        bad = ScheduleTrace(inst, segments)
+        assert check_feasibility(bad) == ["machine idle on [1/1, 4/1] with alive jobs"]

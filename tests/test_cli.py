@@ -124,6 +124,14 @@ class TestSimulateCommand:
         entry = json.loads(read(out / "metrics.json"))["quantum_check"]
         assert entry["ok"] is True
 
+    def test_float_columns(self, tmp_path, pair_path):
+        out = tmp_path / "out"
+        assert main(["simulate", "--instance", str(pair_path), "--float", "--out", str(out)]) == 0
+        metrics = json.loads(read(out / "metrics.json"))
+        assert metrics["total_flow_float"] == 7.0
+        assert metrics["makespan_float"] == 4.0
+        assert metrics["total_flow"] == "7/1" and metrics["makespan"] == "4/1"
+
 
 RATIONAL_FIELDS = {"alpha", "release", "proc", "fire_at", "scale", "offset", "high", "low"}
 
@@ -192,6 +200,17 @@ class TestCompareCommand:
         assert table["srpt"][4] == "1/1"
         assert table["setf"][4] == "4/3"
         assert table["alpha"][3] == "7/1"
+
+
+    def test_float_columns(self, tmp_path, pair_path):
+        out = tmp_path / "cmp"
+        assert main(["compare", "--instance", str(pair_path), "--float", "--out", str(out)]) == 0
+        assert read(out / "compare.csv").splitlines() == [
+            "instance_id,policy,alpha,total_flow,ratio,total_flow_float,ratio_float",
+            "pair,alpha,1/2,7/1,7/6,7.000000,1.166667",
+            "pair,srpt,1/2,6/1,1/1,6.000000,1.000000",
+            "pair,setf,1/2,8/1,4/3,8.000000,1.333333",
+        ]
 
 
 class TestVerifyCommand:
@@ -323,7 +342,29 @@ class TestLowerboundCommand:
         assert code == 0
         result = json.loads(read(out / "lowerbound.json"))
         assert result["k"] == 16 and result["measure_time"] == 24
-        assert result["mean_delta_alg_ge1"] > result["mean_delta_opt"]
+        assert F(result["mean_delta_alg_ge1"]) > F(result["mean_delta_opt"])
+
+    def test_rand_means_are_exact(self, tmp_path, capsys):
+        out = tmp_path / "lb"
+        argv = ["lowerbound", "--which", "rand", "--alpha", "7/8", "--seeds", "5"]
+        assert main(argv + ["--out", str(out)]) == 0
+        assert "mean delta(t,1)=7.200 mean delta*(t)=5.400" in capsys.readouterr().out
+        result = json.loads(read(out / "lowerbound.json"))
+        assert result["conditioned_samples"] == 3
+        assert result["mean_delta_alg_ge1"] == "36/5"
+        assert result["mean_delta_opt"] == "27/5"
+        assert result["mean_delta_alg_ge1_conditioned"] == "22/3"
+        assert result["mean_delta_opt_conditioned"] == "16/3"
+
+    def test_rand_means_without_conditioned_samples(self, tmp_path):
+        # seeds 1 and 2 each draw a processing time above 1/(1 - alpha)
+        out = tmp_path / "lb"
+        argv = ["lowerbound", "--which", "rand", "--alpha", "7/8", "--seed", "1", "--seeds", "2"]
+        assert main(argv + ["--out", str(out)]) == 0
+        result = json.loads(read(out / "lowerbound.json"))
+        assert result["conditioned_samples"] == 0
+        assert result["mean_delta_alg_ge1_conditioned"] is None
+        assert result["mean_delta_opt_conditioned"] is None
 
     def test_rand32(self, tmp_path):
         out = tmp_path / "lb"
@@ -388,6 +429,16 @@ class TestSweepCommand:
             "1/2,2/1,139/99",
             "2/3,3/1,164/105",
             "3/4,4/1,229/140",
+        ]
+
+    def test_float_columns_and_max_p(self, tmp_path):
+        out = tmp_path / "sweep"
+        argv = ["sweep", "--grid", "1/2,2/3", "--fuzz", "5", "--float", "--max-p", "2"]
+        assert main(argv + ["--out", str(out)]) == 0
+        assert read(out / "sweep.csv").splitlines() == [
+            "alpha,max_alive_ratio,max_flow_ratio,max_alive_ratio_float,max_flow_ratio_float",
+            "1/2,2/1,53/40,2.000000,1.325000",
+            "2/3,3/1,43/30,3.000000,1.433333",
         ]
 
     def test_workers_flag_is_gone(self, tmp_path):

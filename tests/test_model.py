@@ -147,6 +147,26 @@ class TestElapsedWork:
             assert trace.elapsed_work(job.id, trace.completions[job.id]) == job.proc
 
 
+class TestWorkAt:
+    def test_column_computed_once_per_time(self, pair_instance):
+        trace = run(pair_instance)
+        column = trace.work_at(3)
+        assert column == {1: F(3, 2), 2: F(3, 2)}
+        assert trace.work_at(F(6, 2)) is column
+
+    def test_column_is_read_only(self, pair_instance):
+        trace = run(pair_instance)
+        with pytest.raises(TypeError):
+            trace.work_at(3)[1] = F(0)
+        assert trace.work_at(3)[1] == F(3, 2)
+
+    def test_negative_time_rejected(self, pair_instance):
+        trace = run(pair_instance)
+        for _ in range(2):  # a rejected time is not kept either
+            with pytest.raises(ModelError, match="nonnegative"):
+                trace.work_at(-1)
+
+
 class TestRemaining:
     def test_subtraction(self):
         trace = run(Instance((Job(1, 0, 5),), F(1, 2)))

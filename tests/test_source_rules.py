@@ -1,9 +1,11 @@
 """Static rules over the package source.
 
 Every invariant is an exact check that stays on in every run mode, so no
-bare ``assert`` guards one; and no code changes interpreter-wide state: no
+bare ``assert`` guards one; no code changes interpreter-wide state: no
 ``global`` statement, no ``sys.set*`` or ``gc.*`` call, and no call to the
-module-level ``random`` functions (a seeded ``random.Random(...)`` is fine).
+module-level ``random`` functions (a seeded ``random.Random(...)`` is fine);
+and floats stay out of the computation: ``float(...)`` is called only in
+``cli.py``, where reports are formatted.
 """
 
 import ast
@@ -12,15 +14,24 @@ from pathlib import Path
 import pytest
 
 SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "alphasched").glob("*.py"))
+FLOAT_MODULES = {"cli.py"}
 
 
-def violations(tree: ast.AST) -> list[str]:
+def violations(tree: ast.AST, filename: str = "") -> list[str]:
+    """Rule breaks in the parsed source of the module file ``filename``."""
     found = []
     for node in ast.walk(tree):
         if isinstance(node, ast.Assert):
             found.append(f"line {node.lineno}: assert statement")
         elif isinstance(node, ast.Global):
             found.append(f"line {node.lineno}: global statement")
+        elif (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Name)
+            and node.func.id == "float"
+            and filename not in FLOAT_MODULES
+        ):
+            found.append(f"line {node.lineno}: float call")
         elif (
             isinstance(node, ast.Call)
             and isinstance(node.func, ast.Attribute)
@@ -42,7 +53,7 @@ def test_sources_found():
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_source_rules(path):
-    assert violations(ast.parse(path.read_text(encoding="utf-8"), str(path))) == []
+    assert violations(ast.parse(path.read_text(encoding="utf-8"), str(path)), path.name) == []
 
 
 @pytest.mark.parametrize(
@@ -54,10 +65,21 @@ def test_source_rules(path):
         "import gc\ngc.disable()",
         "import random\nrandom.seed(1)",
         "import random\nx = random.choice([1, 2])",
+        "x = float(y)",
     ],
 )
 def test_rules_catch(snippet):
     assert len(violations(ast.parse(snippet))) == 1
+
+
+def test_float_call_in_the_model_caught():
+    model = next(p for p in SOURCES if p.name == "model.py")
+    source = model.read_text(encoding="utf-8") + "\nHALF = float(1) / 2\n"
+    assert [v.split(": ", 1)[1] for v in violations(ast.parse(source), model.name)] == ["float call"]
+
+
+def test_float_call_allowed_in_the_cli():
+    assert violations(ast.parse("x = float(y)"), "cli.py") == []
 
 
 def test_seeded_generator_allowed():
