@@ -5,7 +5,8 @@ module machine-checks, with exact rational arithmetic:
 
 * the borrow graph over lifetimes and its reachability closure properties,
 * the interval flow network, whose maximum flow must use the entire surplus
-  of the algorithm's unfinished-and-not-optimal jobs,
+  of the algorithm's unfinished-and-not-optimal jobs (a flow below it comes
+  with a minimum cut of the same capacity),
 * the work-borrowing matrix obtained by path-decomposing a saturating flow
   (zero off reachability, rows summing to remaining work, columns bounded by
   received work), and its stability under refining the time discretization,
@@ -287,12 +288,14 @@ def build_flow_network(
     """Interval network at the point's time t.
 
     Discretization: 0, t, releases and algorithm completions up to t, plus any
-    extra points.  Per job i and interval a dummy vertex caps the flow through
-    i at the work i received there; a job j connects to a dummy iff the whole
-    interval lies inside j's lifetime.  Supplies are the remaining work of the
-    algorithm's alive jobs outside the optimum's alive set O(t); demands are
-    the received work of jobs in O(t).  Jobs released after t are omitted:
-    they have empty lifetimes and zero capacity everywhere.
+    extra points.  Per job i and interval in which i received work, a dummy
+    vertex caps the flow through i at that work; a job j connects to a dummy
+    iff the whole interval lies inside j's lifetime.  An interval that gave i
+    no work has no dummy: its out-arc would have capacity 0, so no feasible
+    flow could enter it.  Every arc therefore has positive capacity.
+    Supplies are the remaining work of the algorithm's alive jobs outside the
+    optimum's alive set O(t); demands are the received work of jobs in O(t).
+    Jobs released after t are omitted: they received no work up to t.
 
     The grid columns are ``alg_trace.work_at``, computed once per time by the
     trace, so networks built at successive times share them.
@@ -336,8 +339,11 @@ def build_flow_network(
         i = job.id
         vertex = ("job", i)
         for l in range(len(tps) - 1):
+            received = columns[l + 1][i] - columns[l][i]
+            if not received:
+                continue
             dummy = ("dummy", i, l)
-            arcs[(dummy, vertex)] = columns[l + 1][i] - columns[l][i]
+            arcs[(dummy, vertex)] = received
             for holder in holders[l]:
                 if holder != vertex:
                     arcs[(holder, dummy)] = infinite
@@ -359,6 +365,9 @@ def build_flow_network(
 class FlowResult:
     value: Fraction
     flow: dict[tuple[Vertex, Vertex], Fraction]
+    # below supply only: the vertices reachable from the source in the final
+    # residual graph, the source side of a minimum cut (``check_min_cut``)
+    cut: Optional[frozenset[Vertex]] = None
 
     def job_totals(self) -> dict[tuple[int, int], Fraction]:
         """Flow from each job j into the dummies of each job i, summed over
@@ -377,9 +386,13 @@ def max_flow_saturates(net: FlowNetwork) -> tuple[bool, FlowResult]:
     Vertices are numbered in ``_vkey`` order and arcs enter the residual graph
     sorted by their numbered ends, so the augmenting paths, and with them the
     witness flow, depend on the network alone.  The residual capacities are
-    kept in one array, the reverse of arc e at e ^ 1.  Demand vertices are
-    never used as inner nodes of an augmenting path, so the witness flow has
-    no outgoing flow at any demand vertex.
+    kept in one array, the reverse of arc e at e ^ 1.  The network solved has
+    no arc from a demand vertex other than to the sink, so the witness flow
+    has no outgoing flow at any demand vertex; a path may still pass a demand
+    vertex backwards, cancelling flow that entered it.
+
+    Below supply, the result carries the source side of the final residual
+    graph, whose cut capacity ``check_min_cut`` compares with the value.
     """
     arcs = [(u, v, cap) for (u, v), cap in net.arcs.items() if cap > 0]
     vertices = sorted({u for u, _, _ in arcs} | {v for _, v, _ in arcs} | {SOURCE, SINK}, key=_vkey)
@@ -400,7 +413,7 @@ def max_flow_saturates(net: FlowNetwork) -> tuple[bool, FlowResult]:
     for i in net.demands:
         d = number.get(("job", i))
         if d is not None:
-            out[d] = [e for e in out[d] if heads[e] == sink]
+            out[d] = [e for e in out[d] if e % 2 or heads[e] == sink]
     is_open = [True, False] * len(arcs)  # residual[e] > 0, kept in step
 
     value = Fraction(0)
@@ -435,7 +448,41 @@ def max_flow_saturates(net: FlowNetwork) -> tuple[bool, FlowResult]:
         for e in edge_ids:
             if e % 2 == 0 and is_open[e ^ 1]:
                 net_flow[(vertices[a], vertices[heads[e]])] = residual[e ^ 1]
-    return value == net.total_supply, FlowResult(value=value, flow=net_flow)
+    if value == net.total_supply:
+        return True, FlowResult(value=value, flow=net_flow)
+    cut = frozenset(v for v, e in zip(vertices, parent) if e >= 0)
+    return False, FlowResult(value=value, flow=net_flow, cut=cut)
+
+
+def check_min_cut(net: FlowNetwork, result: FlowResult) -> list[str]:
+    """Certificate that a flow below supply is maximum: the source side of
+    its cut holds the source and not the sink, the flow leaving the source is
+    the value, and the cut's capacity equals it (Ford and Fulkerson).  Arcs
+    from a demand vertex to anything but the sink are not part of the network
+    ``max_flow_saturates`` solves, and count for nothing."""
+    side = result.cut
+    violations = []
+    if SOURCE not in side or SINK in side:
+        violations.append("min cut witness does not separate the source from the sink")
+    sent = sum((f for (u, _), f in result.flow.items() if u == SOURCE), Fraction(0))
+    if sent != result.value:
+        violations.append(
+            f"flow leaving the source is {format_rat(sent)}, not the value {format_rat(result.value)}"
+        )
+    capacity = sum(
+        (
+            cap
+            for (u, v), cap in net.arcs.items()
+            if cap > 0 and u in side and v not in side
+            and not (u[0] == "job" and u[1] in net.demands and v != SINK)
+        ),
+        Fraction(0),
+    )
+    if capacity != result.value:
+        violations.append(
+            f"min cut capacity {format_rat(capacity)} is not the max flow {format_rat(result.value)}"
+        )
+    return violations
 
 
 def verify_flow_feasible(net: FlowNetwork, result: FlowResult) -> list[str]:
@@ -599,7 +646,9 @@ def refine_flow(
 ) -> tuple[FlowNetwork, FlowResult]:
     """Build the network of the point's time with every discretization
     interval split at its midpoint, and carry the flow over; job-to-job
-    amounts are preserved arc by arc.
+    amounts are preserved arc by arc.  The flow into a dummy fills its first
+    half up to the work received there, and the rest goes to the second
+    half; a half that received no work has no dummy and takes nothing.
 
     ``net`` must be the network of this trace at the point's time."""
     if net.time_points[-1] != point.t:
@@ -618,8 +667,7 @@ def refine_flow(
     for (i, l), entries in inflows.items():
         sub1 = ("dummy", i, 2 * l)
         sub2 = ("dummy", i, 2 * l + 1)
-        cap1 = refined.arcs[(sub1, ("job", i))]
-        room1 = cap1
+        room1 = refined.arcs.get((sub1, ("job", i)), _ZERO)
         total1 = Fraction(0)
         total2 = Fraction(0)
         for u, f in entries:
@@ -1054,10 +1102,13 @@ def verify_traces(alg_trace: ScheduleTrace, opt_trace: ScheduleTrace) -> Verific
             entry["supply"] = format_rat(net.total_supply)
             entry["max_flow"] = format_rat(flow.value)
             if not saturated:
+                witness = sorted(v[1] for v in flow.cut if v[0] == "job")
                 violations.append(
                     f"max flow {format_rat(flow.value)} below supply "
-                    f"{format_rat(net.total_supply)} at t={format_rat(t)}"
+                    f"{format_rat(net.total_supply)} at t={format_rat(t)}: "
+                    f"min cut source side holds jobs {witness}"
                 )
+                violations += check_min_cut(net, flow)
             violations += verify_flow_feasible(net, flow)
             net_reach = net.reach_sets(net.supplies)
             for j in net.supplies:

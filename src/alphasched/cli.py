@@ -262,7 +262,7 @@ def _lowerbound_randomized(args, which: str, out: Path | None) -> int:
         "which": "rand",
         "alpha": format_rat(alpha),
         "k": k,
-        "measure_time": t,
+        "measure_time": format_rat(t),
         "seeds": n,
         "first_seed": args.seed,
         "mean_delta_alg_ge1": format_rat(mean_alg),

@@ -4,8 +4,12 @@ import pytest
 
 from alphasched.adversary import append_dos_tail, gen_det_lb1, gen_det_lb2, gen_random_instance
 from alphasched.analysis import (
+    SINK,
+    SOURCE,
     BetaMatrix,
     BorrowSweep,
+    FlowNetwork,
+    FlowResult,
     TimePoint,
     build_borrow_graph,
     build_flow_network,
@@ -15,6 +19,7 @@ from alphasched.analysis import (
     check_clairvoyant_runs_block,
     check_feasibility,
     check_local_bounds,
+    check_min_cut,
     check_times,
     compute_segments,
     decompose_beta,
@@ -35,6 +40,7 @@ from alphasched.model import (
 )
 from alphasched.policies import PolicyKind
 from conftest import corpus_instance
+from flow_reference import build_flow_network_with_dead_dummies
 
 
 @pytest.fixture
@@ -196,6 +202,71 @@ class TestFlowNetwork:
                 net.arcs[(u, v)] = F(1, 8)  # below the 1/2 supply
         saturated, flow = max_flow_saturates(net)
         assert not saturated and flow.value == F(1, 8)
+        # the cut runs between job 2's dummy and job 2, not at the source
+        assert flow.cut == {SOURCE, ("job", 1), ("dummy", 2, 0)}
+        assert check_min_cut(net, flow) == []
+
+    def test_min_cut_certificate_rejects_a_wrong_witness(self, pair_traces):
+        alg, opt = pair_traces
+        net = build_flow_network(alg, TimePoint.at(alg, opt, F(5, 2)))
+        net.arcs[(("dummy", 2, 0), ("job", 2))] = F(1, 8)
+        _, flow = max_flow_saturates(net)
+        at_source = FlowResult(flow.value, flow.flow, cut=frozenset({SOURCE}))
+        assert check_min_cut(net, at_source) == ["min cut capacity 1/2 is not the max flow 1/8"]
+        overstated = FlowResult(F(1, 2), flow.flow, cut=flow.cut)
+        assert check_min_cut(net, overstated) == [
+            "flow leaving the source is 1/8, not the value 1/2",
+            "min cut capacity 1/8 is not the max flow 1/2",
+        ]
+        whole = FlowResult(flow.value, flow.flow, cut=frozenset({SOURCE, SINK}))
+        assert "min cut witness does not separate the source from the sink" in check_min_cut(net, whole)
+
+    def test_min_cut_inside_the_network(self):
+        # supplies 1 (2) and 3 (1); job 1 reaches demand job 2, whose sink
+        # arc (1) is the bottleneck, and job 3 reaches demand job 4 through
+        # a dummy of capacity 1/2; job 2's onward arc is not in the network
+        inf = F(10)
+        arcs = {
+            (SOURCE, ("job", 1)): F(2),
+            (SOURCE, ("job", 3)): F(1),
+            (("job", 1), ("dummy", 2, 0)): inf,
+            (("job", 2), ("dummy", 1, 0)): inf,
+            (("job", 3), ("dummy", 4, 0)): inf,
+            (("dummy", 1, 0), ("job", 1)): F(1),
+            (("dummy", 2, 0), ("job", 2)): F(2),
+            (("dummy", 4, 0), ("job", 4)): F(1, 2),
+            (("job", 2), SINK): F(1),
+            (("job", 4), SINK): F(1),
+        }
+        net = FlowNetwork((F(0), F(1)), (1, 2, 3, 4), arcs, {1: F(2), 3: F(1)}, {2: F(1), 4: F(1)}, inf)
+        saturated, flow = max_flow_saturates(net)
+        assert not saturated and flow.value == F(3, 2)
+        assert flow.cut == {SOURCE, ("job", 1), ("dummy", 2, 0), ("job", 2), ("job", 3), ("dummy", 4, 0)}
+        assert check_min_cut(net, flow) == []
+        assert verify_flow_feasible(net, flow) == []
+
+    def test_max_flow_passes_a_demand_vertex_backwards(self):
+        # the first path fills demand job 3 from supply 1; supply 2 reaches
+        # only job 3, so the second path must enter job 3 and cancel 1's
+        # flow into it, which then goes to job 4: the max flow is 2
+        inf = F(10)
+        arcs = {
+            (SOURCE, ("job", 1)): F(1),
+            (SOURCE, ("job", 2)): F(1),
+            (("job", 1), ("dummy", 3, 0)): inf,
+            (("job", 1), ("dummy", 4, 0)): inf,
+            (("job", 2), ("dummy", 3, 1)): inf,
+            (("dummy", 3, 0), ("job", 3)): F(1),
+            (("dummy", 3, 1), ("job", 3)): F(1),
+            (("dummy", 4, 0), ("job", 4)): F(1),
+            (("job", 3), SINK): F(1),
+            (("job", 4), SINK): F(1),
+        }
+        net = FlowNetwork((F(0), F(1), F(2)), (1, 2, 3, 4), arcs, {1: F(1), 2: F(1)}, {3: F(1), 4: F(1)}, inf)
+        saturated, flow = max_flow_saturates(net)
+        assert saturated and flow.value == 2 and flow.cut is None
+        assert verify_flow_feasible(net, flow) == []
+        assert flow.job_totals() == {(1, 4): 1, (2, 3): 1}
 
     def test_feasibility_audit_catches_overflow(self, pair_traces):
         alg, opt = pair_traces
@@ -279,12 +350,74 @@ class TestFlowOracles:
         _, flow = max_flow_saturates(net)
         assert flow.job_totals() == {(1, 2): F(1, 2)}
 
+    def test_refinement_carries_flow_past_a_half_without_work(self):
+        # job 2 runs only in the second half of the base interval [0, 2],
+        # which carries job 1's borrowed flow: the refined network has no
+        # dummy for job 2 on [0, 1], and all of it goes to [1, 2]
+        inst = Instance((Job(1, 0, 2), Job(2, 0, 3)), F(1, 2))
+        segments = [
+            ExecutionSegment(0, 1, ((1, F(1)),)),
+            ExecutionSegment(1, 2, ((2, F(1)),)),
+            ExecutionSegment(2, 3, ((1, F(1)),)),
+            ExecutionSegment(3, 5, ((2, F(1)),)),
+        ]
+        alg = ScheduleTrace(inst, segments)
+        opt, _ = simulate(inst, PolicyKind.SRPT)
+        point = TimePoint.at(alg, opt, 2)
+        net = build_flow_network(alg, point)
+        assert net.time_points == (0, 2)
+        saturated, flow = max_flow_saturates(net)
+        assert saturated and flow.flow[(("job", 1), ("dummy", 2, 0))] == 1
+        refined, carried = refine_flow(net, flow, alg, point)
+        assert refined.time_points == (0, 1, 2)
+        assert (("dummy", 2, 0), ("job", 2)) not in refined.arcs
+        assert carried.flow == {
+            (SOURCE, ("job", 1)): 1,
+            (("job", 2), SINK): 1,
+            (("job", 1), ("dummy", 2, 1)): 1,
+            (("dummy", 2, 1), ("job", 2)): 1,
+        }
+        assert verify_flow_feasible(refined, carried) == []
+        assert decompose_beta(carried, refined).values == {(1, 2): 1}
+
     def test_refine_rejects_a_network_of_another_time(self, pair_traces):
         alg, opt = pair_traces
         net = build_flow_network(alg, TimePoint.at(alg, opt, F(5, 2)))
         _, flow = max_flow_saturates(net)
         with pytest.raises(ModelError):
             refine_flow(net, flow, alg, TimePoint.at(alg, opt, F(3)))
+
+
+class TestDeadDummies:
+    """The builder omits every dummy whose interval gave its job no work;
+    the reference builder in ``flow_reference`` keeps them."""
+
+    @pytest.mark.parametrize("seed", ORACLE_SEEDS)
+    def test_omitting_dead_dummies_changes_nothing(self, seed):
+        nx = pytest.importorskip("networkx")
+        alg, opt = trace_pair(corpus_instance(seed))
+        for t in check_times(alg, opt)[0]:
+            point = TimePoint.at(alg, opt, t)
+            net = build_flow_network(alg, point)
+            full = build_flow_network_with_dead_dummies(alg, point)
+            assert all(cap > 0 for cap in net.arcs.values())
+            assert {arc: full.arcs[arc] for arc in net.arcs} == net.arcs
+            dead = {u for (u, v), cap in full.arcs.items() if u[0] == "dummy" and cap == 0}
+            assert {arc for arc in full.arcs if arc not in net.arcs} == {
+                (u, v) for u, v in full.arcs if u in dead or v in dead
+            }
+            result = max_flow_saturates(net)
+            assert result == max_flow_saturates(full)
+            assert net.reach_sets(net.jobs) == full.reach_sets(full.jobs)
+            saturated, flow = result
+            assert saturated
+            refined, _ = refine_flow(net, flow, alg, point)
+            graph = nx.DiGraph()
+            graph.add_nodes_from([SOURCE, SINK])
+            for (u, v), cap in refined.arcs.items():
+                if not (u[0] == "job" and u[1] in refined.demands and v != SINK):
+                    graph.add_edge(u, v, capacity=cap)
+            assert nx.maximum_flow_value(graph, SOURCE, SINK) == flow.value
 
 
 class TestBetaMatrix:
@@ -417,6 +550,34 @@ class TestVerify:
         report = verify_instance(gen_random_instance(24, 8, 0.8, 24))
         assert report.ok, report.first_failure
         assert len(report.time_checks) > 4 * 24
+
+    def test_random_n32_passes(self):
+        report = verify_instance(gen_random_instance(32, 8, 0.8, 32))
+        assert report.ok, report.first_failure
+        assert len(report.time_checks) > 4 * 32
+
+    def test_max_flow_below_supply_names_the_cut(self, pair_instance, monkeypatch):
+        # starve job 2's dummies in the base network at the event time 2:
+        # the report names the jobs on the source side of the min cut
+        import alphasched.analysis as analysis
+
+        build = analysis.build_flow_network
+
+        def starved(alg_trace, point, extra_points=()):
+            net = build(alg_trace, point, extra_points)
+            if point.t == 2 and not extra_points:
+                for (u, v) in list(net.arcs):
+                    if v == ("job", 2) and u[0] == "dummy":
+                        net.arcs[(u, v)] = F(1, 8)
+            return net
+
+        monkeypatch.setattr(analysis, "build_flow_network", starved)
+        report = verify_instance(pair_instance)
+        assert not report.ok
+        assert report.first_failure == {
+            "t": "2/1",
+            "violations": ["max flow 1/8 below supply 1/1 at t=2/1: min cut source side holds jobs [1]"],
+        }
 
     def test_traces_of_two_instances_rejected(self, pair_traces):
         alg, _ = pair_traces
