@@ -1083,19 +1083,19 @@ def verify_traces(alg_trace: ScheduleTrace, opt_trace: ScheduleTrace) -> Verific
     event_set = set(events)
     for t in dense:
         entry: dict = {"t": format_rat(t)}
-        violations: list[str] = []
+        found: dict[str, list[str]] = {}  # violations by check, in the order the checks ran
         point = TimePoint.at(alg_trace, opt_trace, t)
         catch_up.observe(t, point.work, point.part)
         graph = borrow.at(t)
-        violations += check_direct_borrow_order(graph, point)
-        violations += check_reachability_closure(alg_trace, graph, point)
+        found["direct_borrow_order"] = check_direct_borrow_order(graph, point)
+        found["reachability_closure"] = check_reachability_closure(alg_trace, graph, point)
         if instance.alpha != 1:
             lb = check_local_bounds(instance.alpha, point)
             entry["counts"] = lb.counts
-            violations += lb.violations
+            found["local_bounds"] = lb.violations
         seg_part = compute_segments(instance, point)
         entry["segments"] = len(seg_part.segments)
-        violations += seg_part.violations
+        found["segments"] = seg_part.violations
         if t in event_set:
             net = build_flow_network(alg_trace, point)
             saturated, flow = max_flow_saturates(net)
@@ -1103,51 +1103,52 @@ def verify_traces(alg_trace: ScheduleTrace, opt_trace: ScheduleTrace) -> Verific
             entry["max_flow"] = format_rat(flow.value)
             if not saturated:
                 witness = sorted(v[1] for v in flow.cut if v[0] == "job")
-                violations.append(
+                found["max_flow"] = [
                     f"max flow {format_rat(flow.value)} below supply "
                     f"{format_rat(net.total_supply)} at t={format_rat(t)}: "
                     f"min cut source side holds jobs {witness}"
-                )
-                violations += check_min_cut(net, flow)
-            violations += verify_flow_feasible(net, flow)
+                ]
+                found["min_cut"] = check_min_cut(net, flow)
+            found["flow_feasible"] = verify_flow_feasible(net, flow)
             net_reach = net.reach_sets(net.supplies)
             for j in net.supplies:
                 graph_reach = graph.reachable(j)
                 for i in net.demands:
                     if (i in net_reach[j]) != (i in graph_reach):
-                        violations.append(
+                        found.setdefault("flow_reachability", []).append(
                             f"positive-capacity reachability and borrow reachability "
                             f"disagree for ({j},{i}) at t={format_rat(t)}"
                         )
             if saturated:
                 beta = decompose_beta(flow, net)
                 if beta.discarded_cycle_flow != 0:
-                    violations.append(
+                    found["path_decomposition"] = [
                         f"path decomposition discarded cycle flow "
                         f"{format_rat(beta.discarded_cycle_flow)}"
-                    )
-                violations += check_beta_properties(beta, graph, instance, point)
+                    ]
+                found["beta_properties"] = check_beta_properties(beta, graph, instance, point)
                 refined_net, refined_flow = refine_flow(net, flow, alg_trace, point)
-                violations += verify_flow_feasible(refined_net, refined_flow)
+                found["refined_flow_feasible"] = verify_flow_feasible(refined_net, refined_flow)
                 direct, refined_direct = flow.job_totals(), refined_flow.job_totals()
                 for j in net.supplies:
                     for i in net.demands:
                         a = direct.get((j, i), Fraction(0))
                         b = refined_direct.get((j, i), Fraction(0))
                         if a != b:
-                            violations.append(
+                            found.setdefault("refinement_direct_flow", []).append(
                                 f"refinement changed direct flow ({j},{i}): "
                                 f"{format_rat(a)} -> {format_rat(b)}"
                             )
                 refined_beta = decompose_beta(refined_flow, refined_net)
                 if refined_beta.values != beta.values:
-                    violations.append(
+                    found["refinement_beta"] = [
                         f"refinement changed the borrowing matrix at t={format_rat(t)}"
-                    )
-        if violations:
-            entry["violations"] = violations
+                    ]
+        failed = [check for check, v in found.items() if v]
+        if failed:
+            entry["violations"] = violations = [line for check in failed for line in found[check]]
             if first_failure is None:
-                first_failure = {"t": format_rat(t), "violations": violations}
+                first_failure = {"t": format_rat(t), "check": failed[0], "violations": violations}
         time_checks.append(entry)
 
     trace_checks = {

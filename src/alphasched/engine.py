@@ -20,20 +20,22 @@ these jobs changed.  Completions and emissions are tested on changed jobs
 only, against alpha * p computed once when p is committed.  Each alive job
 keeps one immutable view entry, rebuilt only when the job changed.  The
 alive jobs that the decision does not rate sit in three rankings
-(unsignalled and signalled jobs by progress, signalled jobs by remaining
-work), from which the next-event search reads the shared set's merge level
-and the fused rule's least signalled remaining time; a job is re-ranked when
-it changes while unrated and when a decision adds it to or drops it from
-the rated set, in O(log n) comparisons plus a list shift.  With c changed
-jobs, d jobs entering or leaving the rated set and n alive jobs, an event
-costs O((c + d) log n) exact operations, plus one O(n) tuple of cached
-entries for the view and the decision's own single pass over it.
+(unsignalled and signalled jobs by progress, and by remaining work the
+signalled jobs in the fused rule's order, or for an omniscient view every job
+in SRPT's).  From their fronts the next-event search reads the merge level
+and the threshold, and a view its minima, with the k rated jobs; a job is
+re-ranked when it changes while unrated and when it enters or leaves the
+rated set, in O(log n) comparisons plus a list shift.  With c changed jobs,
+d jobs entering or leaving the rated set and n alive jobs, an event costs
+O((c + d) log n) exact operations and a fused-rule or SRPT decision
+O(k + log n); a view lists every alive job only if a policy reads it.
 Consecutive events under equal rates extend one open segment, so one
 ``ExecutionSegment`` is built per maximal constant-rate run.
 """
 
 from __future__ import annotations
 
+import weakref
 from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
 from fractions import Fraction
@@ -99,13 +101,13 @@ class _Ranking:
     __slots__ = ("items", "keys")
 
     def __init__(self):
-        self.items: list[tuple[Fraction, int]] = []
-        self.keys: dict[int, Fraction] = {}
+        self.items: list[tuple] = []  # (key, job)
+        self.keys: dict = {}
 
-    def put(self, job: int, key: Optional[Fraction]) -> None:
+    def put(self, job: int, key) -> None:
         """Give the job a new key; None takes it out."""
         old = self.keys.get(job)
-        if old == key:
+        if old is key or (old is not None and key is not None and old == key):
             return
         if old is not None:
             del self.items[bisect_left(self.items, (old, job))]
@@ -114,7 +116,7 @@ class _Ranking:
             insort(self.items, (key, job))
             self.keys[job] = key
 
-    def least(self) -> Optional[Fraction]:
+    def least(self):
         return self.items[0][0] if self.items else None
 
     def least_above(self, level: Fraction) -> Optional[Fraction]:
@@ -140,7 +142,8 @@ class SimState:
     jobs in ``_changed`` until the next view or next-event search refreshes
     them.  The rankings hold exactly the alive jobs that the current
     decision does not rate, so a decision that keeps its rated set leaves
-    them untouched.
+    them untouched.  A view reads the live state until its decision
+    returns; one the policy still holds then is detached with its jobs.
     """
 
     def __init__(self, instance: Instance, policy, horizon: Optional[Fraction] = None):
@@ -173,7 +176,8 @@ class SimState:
         # changed jobs are next refreshed
         self._entries: dict[int, ViewJob] = {}
         # alive jobs the decision does not rate: unsignalled and signalled
-        # ones by progress, signalled ones by remaining work
+        # ones by progress, and by remaining work every job in SRPT's order
+        # if the view is omniscient, else signalled ones in the fused rule's
         self._unsignalled = _Ranking()
         self._signalled = _Ranking()
         self._remaining = _Ranking()
@@ -197,7 +201,10 @@ class SimState:
         emitted = entry.emitted
         self._unsignalled.put(j, None if emitted else entry.elapsed)
         self._signalled.put(j, entry.elapsed if emitted else None)
-        self._remaining.put(j, entry.remaining if emitted else None)
+        if self.omniscient:
+            self._remaining.put(j, entry.remaining)
+        else:
+            self._remaining.put(j, (entry.remaining, -entry.signal_time) if emitted else None)
 
     def _unrank(self, j: int) -> None:
         for ranking in (self._unsignalled, self._signalled, self._remaining):
@@ -235,9 +242,23 @@ class SimState:
 
     def build_view(self) -> PolicyView:
         self._refresh()
+        return PolicyView(self.now, self.alpha, self.omniscient, source=self)
+
+    def view_jobs(self) -> tuple[ViewJob, ...]:
         entries = self._entries
-        jobs = tuple([entries[j] for j in self._alive])
-        return PolicyView(now=self.now, alpha=self.alpha, omniscient=self.omniscient, jobs=jobs)
+        return tuple([entries[j] for j in self._alive])
+
+    def view_candidates(self) -> tuple[ViewJob, ...]:
+        """The rated alive jobs and the first job of each ranking, in id
+        order.  Every other alive job is ranked behind these."""
+        entries = self._entries
+        ids = {j for j, _ in self.decision.rates if j in entries}
+        ids.update(r.items[0][1] for r in (self._unsignalled, self._remaining) if r.items)
+        return tuple([entries[j] for j in sorted(ids)])
+
+    def view_unsignalled_at(self, level: Fraction) -> list[int]:
+        """The unrated unsignalled jobs at this progress."""
+        return self._unsignalled.at(level)
 
     # -- event machinery -------------------------------------------------------
 
@@ -327,7 +348,11 @@ class SimState:
         self.log.append(self.now, "adversary-commit", sorted(commits))
 
     def make_decision(self) -> RateDecision:
-        decision = self.decide(self.build_view())
+        view = self.build_view()
+        decision, kept = self.decide(view), weakref.ref(view)
+        del view
+        if kept() is not None:  # the policy kept its view: fix its jobs now
+            kept().detach()
         total = Fraction(0)
         for j, r in decision.rates:
             if j not in self._entries:
@@ -396,7 +421,7 @@ class SimState:
                     offer("merge", (min(above) - level) / rho)
                 least = self._remaining.least()
                 if self._crossing_factor is not None and least is not None:
-                    wait = (self._crossing_factor * least - level) / rho
+                    wait = (self._crossing_factor * least[0] - level) / rho
                     if wait <= 0:
                         raise EngineError(
                             f"fused-rule threshold already crossed at {now + wait} "

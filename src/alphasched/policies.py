@@ -44,12 +44,71 @@ class ViewJob:
     signal_time: Optional[Fraction]
 
 
-@dataclass(frozen=True)
 class PolicyView:
-    now: Fraction
-    alpha: Fraction
-    omniscient: bool
-    jobs: tuple[ViewJob, ...]
+    """The alive jobs at one decision, in id order, and the minima the
+    built-in rules read.  A hand-built view scans ``jobs`` for the minima;
+    an engine view (``source``) scans its few candidates and builds ``jobs``
+    when read, or when ``detach`` lets go of the moving source.
+    """
+
+    __slots__ = ("now", "alpha", "omniscient", "_jobs", "_candidates", "_source", "__weakref__")
+
+    def __init__(self, now: Fraction, alpha: Fraction, omniscient: bool,
+                 jobs: Optional[tuple[ViewJob, ...]] = None, source=None):
+        self.now, self.alpha, self.omniscient = now, alpha, omniscient
+        self._jobs, self._candidates, self._source = jobs, None, source
+
+    @property
+    def jobs(self) -> tuple[ViewJob, ...]:
+        if self._jobs is None:
+            self._jobs = self._source.view_jobs()
+        return self._jobs
+
+    def detach(self) -> None:
+        self.jobs
+        self._candidates = self._source = None
+
+    def candidates(self) -> tuple[ViewJob, ...]:
+        """A subsequence of jobs holding each minimum below that reads it."""
+        if self._candidates is None:
+            self._candidates = self.jobs if self._source is None else self._source.view_candidates()
+        return self._candidates
+
+    @property
+    def least_unsignalled(self) -> Optional[Fraction]:
+        """The least progress of an unsignalled job."""
+        return min((j.elapsed for j in self.candidates() if not j.emitted), default=None)
+
+    def unsignalled_at(self, level: Fraction) -> tuple[int, ...]:
+        """The unsignalled jobs at this progress, in id order."""
+        ids = {j.job_id for j in self.candidates() if not j.emitted and j.elapsed == level}
+        if self._source is not None:
+            ids.update(self._source.view_unsignalled_at(level))
+        return tuple(sorted(ids))
+
+    @property
+    def best_signalled(self) -> Optional[ViewJob]:
+        """The signalled job of least remaining time; a later signal, then
+        the lower id, breaks ties.  An omniscient engine view ranks for
+        SRPT, so this scans its jobs."""
+        signalled = [j for j in (self.jobs if self.omniscient else self.candidates()) if j.emitted]
+        return min(signalled, key=lambda j: (j.remaining, -j.signal_time, j.job_id), default=None)
+
+    @property
+    def shortest(self) -> Optional[ViewJob]:
+        """The job of least remaining time, the lower id first among ties.
+        Only an omniscient view's candidates are ranked for it."""
+        pool = self.candidates() if self.omniscient else self.jobs
+        for j in pool:
+            if j.remaining is None:
+                raise UnresolvedProcError(
+                    f"job {j.job_id}: remaining time unavailable to an SRPT decision"
+                )
+        return min(pool, key=lambda j: (j.remaining, j.job_id), default=None)
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, PolicyView) and (self.now, self.alpha, self.omniscient, self.jobs) == (
+            other.now, other.alpha, other.omniscient, other.jobs)
 
 
 @dataclass(frozen=True)
@@ -77,55 +136,30 @@ def setf_decide(view: PolicyView) -> RateDecision:
 
 def srpt_decide(view: PolicyView) -> RateDecision:
     """Run the alive job with the least remaining work; ties go to the lowest id."""
-    if not view.jobs:
-        return IDLE
-    for j in view.jobs:
-        if j.remaining is None:
-            raise UnresolvedProcError(
-                f"job {j.job_id}: remaining time unavailable to an SRPT decision"
-            )
-    best = min(view.jobs, key=lambda j: (j.remaining, j.job_id))
-    return RateDecision(((best.job_id, Fraction(1)),), "srpt")
+    best = view.shortest
+    return IDLE if best is None else RateDecision(((best.job_id, Fraction(1)),), "srpt")
 
 
 def alpha_clairvoyant_decide(view: PolicyView) -> RateDecision:
     """The fused rule; endpoints delegate to the pure policies.
 
-    One pass over the view finds the signalled job of least remaining time
-    (a later signal, then the lower id, breaks ties) and the unsignalled
-    jobs of least progress.  The threshold holds when the former's remaining
-    time is at most (1-alpha)/alpha times the latter's progress, with the
-    minimum over an empty set read as +infinity: then that job runs alone,
-    otherwise the least-progressed unsignalled jobs share the machine.
+    It reads two minima of the view: the signalled job of least remaining
+    time, and the least progress of an unsignalled job.  The threshold holds
+    when the former's remaining time is at most (1-alpha)/alpha times the
+    latter, with the minimum over an empty set read as +infinity: then that
+    job runs alone, otherwise the unsignalled jobs at the least progress
+    share the machine.
     """
-    if not view.jobs:
-        return IDLE
     if view.alpha == 0:
         return srpt_decide(view)
     if view.alpha == 1:
         return setf_decide(view)
-    best = None
-    least = None
-    share: list[int] = []
-    for j in view.jobs:
-        if j.emitted:
-            if (
-                best is None
-                or j.remaining < best.remaining
-                or (
-                    j.remaining == best.remaining
-                    and (-j.signal_time, j.job_id) < (-best.signal_time, best.job_id)
-                )
-            ):
-                best = j
-        elif least is None or j.elapsed < least:
-            least = j.elapsed
-            share = [j.job_id]
-        elif j.elapsed == least:
-            share.append(j.job_id)
+    best, least = view.best_signalled, view.least_unsignalled
     if best is not None and (least is None or best.remaining <= (1 - view.alpha) / view.alpha * least):
         return RateDecision(((best.job_id, Fraction(1)),), "srpt")
-    share.sort()
+    if least is None:
+        return IDLE
+    share = view.unsignalled_at(least)
     rate = Fraction(1, len(share))
     return RateDecision(tuple((j, rate) for j in share), "setf")
 

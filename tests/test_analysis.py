@@ -576,6 +576,7 @@ class TestVerify:
         assert not report.ok
         assert report.first_failure == {
             "t": "2/1",
+            "check": "max_flow",
             "violations": ["max flow 1/8 below supply 1/1 at t=2/1: min cut source side holds jobs [1]"],
         }
 
@@ -635,6 +636,7 @@ class TestVerify:
         ]
         assert report.first_failure == {
             "t": "1/2",
+            "check": "direct_borrow_order",
             "violations": ["borrow edge (2,1,N) at t=1/2 with y_2=0/1 < y_1=1/2"],
         }
         assert check_catch_up(bad, check_times(bad, opt)[1]) == report.trace_checks["catch_up"]

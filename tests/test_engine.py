@@ -24,6 +24,7 @@ from alphasched.model import (
     ProgressScaledRule,
     ScheduleTrace,
     Trigger,
+    UnresolvedProcError,
 )
 from alphasched.policies import (
     PolicyKind,
@@ -391,14 +392,27 @@ def view_reference_runs():
         yield append_dos_tail(inst, t, 10), policy
 
 
+def minima(view):
+    """The minima the built-in rules decide from; SRPT's only on an
+    omniscient view, the one kind whose candidates carry it."""
+    least = view.least_unsignalled
+    found = (least, least is not None and view.unsignalled_at(least), view.best_signalled)
+    return found + (view.shortest,) if view.omniscient else found
+
+
 class TestViewReference:
     def test_every_view_equals_a_full_rebuild(self, monkeypatch):
         original = SimState.build_view
         calls = []
+        sizes = [0, 0]  # candidates read, jobs in view
 
         def checked(state):
             view = original(state)
             assert view == full_view(state), f"view at {state.now} differs from a full rebuild"
+            # the engine's minima against one scan of the rebuilt view
+            assert minima(view) == minima(full_view(state)), f"minima at {state.now}"
+            sizes[0] += len(view.candidates())
+            sizes[1] += len(view.jobs)
             calls.append(state.now)
             return view
 
@@ -409,3 +423,65 @@ class TestViewReference:
             runs += 1
         assert runs == 300 + 54 + 9 + 30 * 4 + 3
         assert len(calls) > 10 * runs
+        # the engine's candidates are its rankings' fronts, not every job
+        assert sizes[0] < sizes[1]
+
+    def test_stored_views_keep_their_decision_time_jobs(self, monkeypatch):
+        # the policy reads only the minima and keeps every view; read after
+        # the run, each view still shows the jobs of its own decision
+        original = SimState.build_view
+        rebuilt = []
+
+        def recorded(state):
+            rebuilt.append(full_view(state))
+            return original(state)
+
+        class Keeper:
+            merge_pool = "unsignalled"
+
+            def __init__(self):
+                self.views = []
+
+            def decide(self, view):
+                self.views.append(view)
+                return alpha_clairvoyant_decide(view)
+
+        monkeypatch.setattr(SimState, "build_view", recorded)
+        inst, t = gen_det_lb2(F(1, 2), 3)
+        keeper = Keeper()
+        simulate(append_dos_tail(inst, t, 10), keeper)
+        assert len(keeper.views) == len(rebuilt) > 20
+        for view, reference in zip(keeper.views, rebuilt):
+            assert view == reference, f"view at {view.now} changed after its decision"
+            assert minima(view) == minima(reference)
+
+
+class TestTieBreaksThroughSimulate:
+    """Ties pinned through the engine, not only through hand-built views:
+    jobs 1 and 2 signal together at 1, and job 3 signals at 3/2 with the
+    same remaining time, so the latest signal keeps the machine in a
+    three-way tie, then the lower id goes first."""
+
+    INSTANCE = Instance((Job(1, 0, 1), Job(2, 0, 1), Job(3, 1, 1)), F(1, 2))
+
+    def test_fused_rule(self):
+        trace, _ = simulate(self.INSTANCE, PolicyKind.ALPHA)
+        assert trace.segments == (
+            ExecutionSegment(0, 1, ((1, F(1, 2)), (2, F(1, 2)))),
+            ExecutionSegment(1, 2, ((3, F(1)),)),
+            ExecutionSegment(2, F(5, 2), ((1, F(1)),)),
+            ExecutionSegment(F(5, 2), 3, ((2, F(1)),)),
+        )
+
+    def test_srpt(self):
+        trace, _ = simulate(self.INSTANCE, PolicyKind.SRPT)
+        assert trace.segments == tuple(ExecutionSegment(j - 1, j, ((j, F(1)),)) for j in (1, 2, 3))
+
+    def test_alpha_zero_needs_every_remaining_time(self):
+        # at alpha = 0 the fused rule is SRPT over a view that hides job 1's
+        # remaining time until its commitment at 2
+        script = AdversaryScript((Trigger("c", 2, ProgressScaledRule((1,), 2, 1)),))
+        inst = Instance((Job(1, 0, Deferred("c")), Job(2, 0, 3)), 0, script)
+        with pytest.raises(UnresolvedProcError) as err:
+            simulate(inst, PolicyKind.ALPHA)
+        assert str(err.value) == "job 1: remaining time unavailable to an SRPT decision"

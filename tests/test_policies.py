@@ -148,6 +148,35 @@ class TestFusedRule:
         assert dec.rates == ((1, F(1)),)
 
 
+class TestViewMinima:
+    """A hand-built view finds its minima by one scan of its jobs: the
+    reference the engine's ranked views are tested against."""
+
+    JOBS = [
+        (4, 0, 2, False, None, None),
+        (3, 0, 5, True, 1, 2),
+        (1, 0, 2, False, None, None),
+        (2, 0, 7, True, 1, 3),
+    ]
+
+    def test_minima(self):
+        v = view(6, F(1, 2), self.JOBS)
+        assert v.least_unsignalled == 2
+        assert v.unsignalled_at(F(2)) == (1, 4)
+        assert v.best_signalled.job_id == 2  # remaining tie: the later signal
+        with pytest.raises(UnresolvedProcError, match="job 4: remaining time unavailable"):
+            v.shortest
+
+    def test_empty_view(self):
+        v = view(0, F(1, 2), [])
+        assert (v.least_unsignalled, v.unsignalled_at(F(0)), v.best_signalled, v.shortest) == (
+            None, (), None, None)
+
+    def test_views_compare_by_content(self):
+        assert view(6, F(1, 2), self.JOBS) == view(6, F(1, 2), self.JOBS)
+        assert view(6, F(1, 2), self.JOBS) != view(6, F(1, 2), self.JOBS[:3])
+
+
 class TestEndpointReductions:
     @pytest.mark.parametrize("seed", range(12))
     def test_alpha_zero_matches_srpt(self, seed):
