@@ -73,6 +73,22 @@ def gen_det_lb1(alpha: Fraction, k: int) -> tuple[Instance, Fraction]:
     return Instance(jobs, alpha, script), measure
 
 
+def _phases(alpha: Fraction, k: int):
+    """(phase, start, length, a, b) for phases k down to 1 of the phase
+    construction: phase i lasts lambda**i, lambda = (4 + alpha) / alpha,
+    and releases jobs a and b at its start.  The last phase ends at the
+    measurement time."""
+    if k < 1:
+        raise ModelError("k must be at least 1")
+    lam = (4 + alpha) / alpha
+    start = Fraction(0)
+    for phase in range(k, 0, -1):
+        length = lam**phase
+        a = 2 * (k - phase) + 1
+        yield phase, start, length, a, a + 1
+        start += length
+
+
 def gen_det_lb2(alpha: Fraction, k: int) -> tuple[Instance, Fraction]:
     """k phases of geometrically shrinking length lambda**i, two deferred jobs
     per phase; at alpha * lambda**i into the phase the job with more observed
@@ -80,29 +96,12 @@ def gen_det_lb2(alpha: Fraction, k: int) -> tuple[Instance, Fraction]:
     alpha = Fraction(alpha)
     if not (0 < alpha < 1):
         raise ModelError("deterministic bound needs 0 < alpha < 1")
-    if k < 1:
-        raise ModelError("k must be at least 1")
-    lam = (4 + alpha) / alpha
-    jobs = []
-    triggers = []
-    start = Fraction(0)
-    next_id = 1
-    for phase in range(k, 0, -1):
-        length = lam**phase
-        a, b = next_id, next_id + 1
-        next_id += 2
-        jobs.append(Job(a, start, Deferred(f"phase-{phase}")))
-        jobs.append(Job(b, start, Deferred(f"phase-{phase}")))
-        triggers.append(
-            Trigger(
-                f"phase-{phase}",
-                start + alpha * length,
-                RankPairRule((a, b), 2 * length, length),
-            )
-        )
-        start += length
-    script = AdversaryScript(tuple(triggers))
-    return Instance(tuple(jobs), alpha, script), start
+    jobs, triggers = [], []
+    for phase, start, length, a, b in _phases(alpha, k):
+        name = f"phase-{phase}"
+        jobs += [Job(a, start, Deferred(name)), Job(b, start, Deferred(name))]
+        triggers.append(Trigger(name, start + alpha * length, RankPairRule((a, b), 2 * length, length)))
+    return Instance(tuple(jobs), alpha, AdversaryScript(tuple(triggers))), start + length
 
 
 def gen_rand32(alpha: Fraction, k: int, seed: int) -> tuple[Instance, Fraction]:
@@ -111,22 +110,13 @@ def gen_rand32(alpha: Fraction, k: int, seed: int) -> tuple[Instance, Fraction]:
     alpha = Fraction(alpha)
     if not (0 < alpha < 1):
         raise ModelError("phase bound needs 0 < alpha < 1")
-    if k < 1:
-        raise ModelError("k must be at least 1")
-    lam = (4 + alpha) / alpha
     rng = random.Random(seed)
     jobs = []
-    start = Fraction(0)
-    next_id = 1
-    for phase in range(k, 0, -1):
-        length = lam**phase
-        a, b = next_id, next_id + 1
-        next_id += 2
+    for _, start, length, a, b in _phases(alpha, k):
         long_first = rng.random() < 0.5
-        jobs.append(Job(a, start, 2 * length if long_first else length))
-        jobs.append(Job(b, start, length if long_first else 2 * length))
-        start += length
-    return Instance(tuple(jobs), alpha), start
+        jobs += [Job(a, start, 2 * length if long_first else length),
+                 Job(b, start, length if long_first else 2 * length)]
+    return Instance(tuple(jobs), alpha), start + length
 
 
 def randomized_params(alpha: Fraction) -> tuple[int, int]:

@@ -23,7 +23,9 @@ state is computed once (``TimePoint``) and is the only input every per-time
 check reads, the borrow graph is carried forward (``BorrowSweep``), and the
 base and refined flow networks come from one builder whose grid columns are
 ``ScheduleTrace.work_at``, kept per time by the trace, not passed between
-builds.  Every check runs every time.
+builds.  Every check runs every time.  Catch-up is a trace check: it reads
+the same check times again, and the trace's kept ``work_at`` columns and
+``partition`` splits, so no time's state is computed twice.
 """
 
 from __future__ import annotations
@@ -58,7 +60,7 @@ class TimePoint:
 
     @classmethod
     def at(cls, alg_trace: ScheduleTrace, opt_trace: ScheduleTrace, t: Fraction) -> "TimePoint":
-        if alg_trace.instance.ids != opt_trace.instance.ids:
+        if alg_trace.instance.jobs != opt_trace.instance.jobs:
             raise ModelError("traces must share one instance")
         t = Fraction(t)
         return cls(t, alg_trace.work_at(t), alg_trace.partition(t), opt_trace.alive_at(t))
@@ -911,42 +913,28 @@ def check_clairvoyant_runs_block(trace: ScheduleTrace) -> list[str]:
     return violations
 
 
-class CatchUp:
-    """The catch-up check fed one check time at a time, in increasing order."""
-
-    def __init__(self, trace: ScheduleTrace):
-        self.trace = trace
-        self.violations: list[str] = []
-        self._dominated: set[tuple[int, int]] = set()  # (i, j): y_j must stay >= y_i
-
-    def observe(self, t: Fraction, work: Mapping[int, Fraction], part: Partition) -> None:
-        fresh = part.nonclairvoyant
-        for i, j in self._dominated:
-            if i in fresh and j in fresh:
-                yi, yj = work[i], work[j]
-                if yj < yi:
-                    self.violations.append(
-                        f"catch-up violated at {format_rat(t)}: y_{j}={format_rat(yj)} "
-                        f"< y_{i}={format_rat(yi)} after {i} ran"
-                    )
-        seg = self.trace.segment_at(t)
-        if seg is None or seg.start == t:
-            return  # record processing only strictly inside a segment
-        for i, _ in seg.rates:
-            if i in fresh:
-                for j in fresh:
-                    if j != i:
-                        self._dominated.add((i, j))
-
-
 def check_catch_up(trace: ScheduleTrace, times: Sequence[Fraction]) -> list[str]:
     """If an unsignalled job i is processed while j is also unsignalled, then
-    j stays at least as progressed as i for as long as both stay unsignalled."""
-    catch_up = CatchUp(trace)
+    j stays at least as progressed as i for as long as both stay unsignalled.
+    The times must be given in increasing order."""
+    violations = []
+    dominated: set[tuple[int, int]] = set()  # (i, j): y_j must stay >= y_i
     for t in times:
         t = Fraction(t)
-        catch_up.observe(t, trace.work_at(t), trace.partition(t))
-    return catch_up.violations
+        work, fresh = trace.work_at(t), trace.partition(t).nonclairvoyant
+        for i, j in dominated:
+            if i in fresh and j in fresh and work[j] < work[i]:
+                violations.append(
+                    f"catch-up violated at {format_rat(t)}: y_{j}={format_rat(work[j])} "
+                    f"< y_{i}={format_rat(work[i])} after {i} ran"
+                )
+        seg = trace.segment_at(t)
+        if seg is None or seg.start == t:
+            continue  # record processing only strictly inside a segment
+        for i, _ in seg.rates:
+            if i in fresh:
+                dominated.update((i, j) for j in fresh if j != i)
+    return violations
 
 
 def check_direct_borrow_order(graph: BorrowGraph, point: TimePoint) -> list[str]:
@@ -1078,14 +1066,12 @@ def verify_traces(alg_trace: ScheduleTrace, opt_trace: ScheduleTrace) -> Verific
     first_failure = None
 
     feasibility = (check_feasibility(alg_trace), check_feasibility(opt_trace))
-    catch_up = CatchUp(alg_trace)
     borrow = BorrowSweep(alg_trace)
     event_set = set(events)
     for t in dense:
         entry: dict = {"t": format_rat(t)}
         found: dict[str, list[str]] = {}  # violations by check, in the order the checks ran
         point = TimePoint.at(alg_trace, opt_trace, t)
-        catch_up.observe(t, point.work, point.part)
         graph = borrow.at(t)
         found["direct_borrow_order"] = check_direct_borrow_order(graph, point)
         found["reachability_closure"] = check_reachability_closure(alg_trace, graph, point)
@@ -1154,7 +1140,7 @@ def verify_traces(alg_trace: ScheduleTrace, opt_trace: ScheduleTrace) -> Verific
     trace_checks = {
         "feasibility_alg": feasibility[0],
         "feasibility_opt": feasibility[1],
-        "catch_up": catch_up.violations,
+        "catch_up": check_catch_up(alg_trace, dense),
         "branch_observations": check_branch_observations(alg_trace),
         "clairvoyant_runs_block": check_clairvoyant_runs_block(alg_trace),
     }

@@ -28,14 +28,14 @@ re-ranked when it changes while unrated and when it enters or leaves the
 rated set, in O(log n) comparisons plus a list shift.  With c changed jobs,
 d jobs entering or leaving the rated set and n alive jobs, an event costs
 O((c + d) log n) exact operations and a fused-rule or SRPT decision
-O(k + log n); a view lists every alive job only if a policy reads it.
+O(k + log n); a built-in rule's view lists every alive job only if the rule
+reads them, and any other policy's view is a snapshot of them all.
 Consecutive events under equal rates extend one open segment, so one
 ``ExecutionSegment`` is built per maximal constant-rate run.
 """
 
 from __future__ import annotations
 
-import weakref
 from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
 from fractions import Fraction
@@ -66,27 +66,14 @@ class Event:
     jobs: tuple[int, ...]
 
 
-class EventLog:
-    def __init__(self, events: Optional[list[Event]] = None):
-        self.events: list[Event] = events or []
-
-    def append(self, time: Fraction, kind: str, jobs) -> None:
-        self.events.append(Event(time, kind, tuple(sorted(jobs))))
-
-    def __iter__(self):
-        return iter(self.events)
-
-    def __len__(self):
-        return len(self.events)
-
-    def __eq__(self, other):
-        return isinstance(other, EventLog) and self.events == other.events
+class EventLog(list):
+    """The events of one run, in the order they happened."""
 
     def csv_rows(self) -> list[str]:
         from .rational import format_rat
 
         rows = ["time,kind,job_ids"]
-        for ev in self.events:
+        for ev in self:
             rows.append(f"{format_rat(ev.time)},{ev.kind},{';'.join(map(str, ev.jobs))}")
         return rows
 
@@ -142,8 +129,8 @@ class SimState:
     jobs in ``_changed`` until the next view or next-event search refreshes
     them.  The rankings hold exactly the alive jobs that the current
     decision does not rate, so a decision that keeps its rated set leaves
-    them untouched.  A view reads the live state until its decision
-    returns; one the policy still holds then is detached with its jobs.
+    them untouched.  A built-in rule keeps no view, so its view reads the
+    live state; any other policy may keep its view, so it gets a snapshot.
     """
 
     def __init__(self, instance: Instance, policy, horizon: Optional[Fraction] = None):
@@ -242,7 +229,9 @@ class SimState:
 
     def build_view(self) -> PolicyView:
         self._refresh()
-        return PolicyView(self.now, self.alpha, self.omniscient, source=self)
+        if self.builtin:
+            return PolicyView(self.now, self.alpha, self.omniscient, source=self)
+        return PolicyView(self.now, self.alpha, self.omniscient, jobs=self.view_jobs())
 
     def view_jobs(self) -> tuple[ViewJob, ...]:
         entries = self._entries
@@ -261,6 +250,9 @@ class SimState:
         return self._unsignalled.at(level)
 
     # -- event machinery -------------------------------------------------------
+
+    def _log(self, kind: str, jobs) -> None:
+        self.log.append(Event(self.now, kind, tuple(sorted(jobs))))
 
     def apply_instant_events(self, expected_kinds: Sequence[str] = ()) -> None:
         """Apply all state changes due exactly at the current time, in the
@@ -289,7 +281,7 @@ class SimState:
                     self._changed.discard(j)
                     del self._entries[j]
                     self._unrank(j)
-                self.log.append(self.now, "completion", done)
+                self._log("completion", done)
                 changed = True
             emits = sorted(
                 j
@@ -306,7 +298,7 @@ class SimState:
                             f"{self.progress[j]} > alpha * p = {self._signal_work[j]}"
                         )
                     self.signal[j] = self.now
-                self.log.append(self.now, "emission", emits)
+                self._log("emission", emits)
                 changed = True
             while self._trg_ptr < len(self._triggers) and self._triggers[self._trg_ptr].fire_at == self.now:
                 trigger = self._triggers[self._trg_ptr]
@@ -321,10 +313,10 @@ class SimState:
                 self._changed.add(job.id)
                 arrived.append(job.id)
             if arrived:
-                self.log.append(self.now, "arrival", arrived)
+                self._log("arrival", arrived)
                 changed = True
         if merge_entry is not None:
-            self.log.append(self.now, "merge", merge_entry)
+            self._log("merge", merge_entry)
 
     def _apply_trigger(self, trigger) -> None:
         for j in trigger.rule.jobs:
@@ -345,14 +337,10 @@ class SimState:
             self._signal_work[j] = work
             if j in self._entries:
                 self._changed.add(j)
-        self.log.append(self.now, "adversary-commit", sorted(commits))
+        self._log("adversary-commit", commits)
 
     def make_decision(self) -> RateDecision:
-        view = self.build_view()
-        decision, kept = self.decide(view), weakref.ref(view)
-        del view
-        if kept() is not None:  # the policy kept its view: fix its jobs now
-            kept().detach()
+        decision = self.decide(self.build_view())
         total = Fraction(0)
         for j, r in decision.rates:
             if j not in self._entries:
@@ -370,7 +358,7 @@ class SimState:
             raise EngineError("built-in policy idled with alive jobs")
         branch = decision.branch
         if branch in ("srpt", "setf") and self._last_branch in ("srpt", "setf") and branch != self._last_branch:
-            self.log.append(self.now, "mode-switch", decision.rated_ids)
+            self._log("mode-switch", decision.rated_ids)
         if branch in ("srpt", "setf"):
             self._last_branch = branch
         old, new = set(self.decision.rated_ids), set(decision.rated_ids)
@@ -515,17 +503,3 @@ def replay_check(trace: ScheduleTrace, instance: Instance, policy) -> bool:
     """Re-simulate and compare against the canonical form of a given trace."""
     fresh, _ = simulate(instance, policy, horizon=trace.horizon)
     return fresh.canonical_bytes() == trace.canonical_bytes()
-
-
-def first_divergence(a: ScheduleTrace, b: ScheduleTrace) -> Optional[str]:
-    """Human-readable description of the first segment-level mismatch."""
-    for idx, (sa, sb) in enumerate(zip(a.segments, b.segments)):
-        if sa != sb:
-            return f"segment {idx}: {sa} != {sb}"
-    if len(a.segments) != len(b.segments):
-        return f"segment count {len(a.segments)} != {len(b.segments)}"
-    if a.completions != b.completions:
-        return "completion times differ"
-    if a.emissions != b.emissions:
-        return "signal times differ"
-    return None

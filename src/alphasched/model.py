@@ -194,10 +194,6 @@ class Instance:
             raise UnknownJobError(f"unknown job id {job_id}") from None
 
     @property
-    def ids(self) -> tuple[int, ...]:
-        return tuple(j.id for j in self.jobs)
-
-    @property
     def resolved(self) -> bool:
         return all(j.committed for j in self.jobs)
 
@@ -305,7 +301,7 @@ def instance_from_json(obj) -> Instance:
             proc = _rat_field(rec, "proc", where)
         jobs.append(Job(_field(rec, "id", where, int), _rat_field(rec, "release", where), proc))
     adversary = None
-    if obj.get("adversary"):
+    if obj.get("adversary") is not None:
         triggers = []
         script = _field(obj, "adversary", "instance", dict)
         for k, rec in enumerate(_field(script, "triggers", "adversary", list)):
@@ -423,6 +419,7 @@ class ScheduleTrace:
         self.segments = _merge_adjacent(sorted(segments, key=lambda s: s.start))
         self._starts = [seg.start for seg in self.segments]
         self._columns: dict[Fraction, Mapping[int, Fraction]] = {}  # work_at, filled on demand
+        self._partitions: dict[Fraction, Partition] = {}  # partition, filled on demand
 
         # per job: profile breakpoints, cumulative work at each and the rate
         # on each piece between them (0 on gaps); busy intervals; alpha * p_j
@@ -556,9 +553,12 @@ class ScheduleTrace:
 
         A job sits on the nonclairvoyant side while its elapsed work is at
         most alpha * p (boundary inclusive); strictly beyond it counts as
-        clairvoyant.
+        clairvoyant.  Each time's partition is computed once and kept.
         """
         t = Fraction(t)
+        part = self._partitions.get(t)
+        if part is not None:
+            return part
         work = self.work_at(t)
         alive, nonclair, clair, finished = set(), set(), set(), set()
         for job in self.instance.jobs:
@@ -573,7 +573,8 @@ class ScheduleTrace:
                 nonclair.add(job.id)
             else:
                 clair.add(job.id)
-        return Partition(alive, nonclair, clair, finished)
+        part = self._partitions[t] = Partition(alive, nonclair, clair, finished)
+        return part
 
     def lifetime(self, job_ids: Iterable[int], t: Fraction) -> list[Interval]:
         """Union of per-job intervals [release, min(completion, t)], merged to

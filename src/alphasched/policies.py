@@ -46,12 +46,13 @@ class ViewJob:
 
 class PolicyView:
     """The alive jobs at one decision, in id order, and the minima the
-    built-in rules read.  A hand-built view scans ``jobs`` for the minima;
-    an engine view (``source``) scans its few candidates and builds ``jobs``
-    when read, or when ``detach`` lets go of the moving source.
+    built-in rules read.  A view given its ``jobs`` scans them for the
+    minima.  A live engine view (``source``), which only a built-in rule
+    gets because it keeps no view, scans its few candidates and builds
+    ``jobs`` only when read.
     """
 
-    __slots__ = ("now", "alpha", "omniscient", "_jobs", "_candidates", "_source", "__weakref__")
+    __slots__ = ("now", "alpha", "omniscient", "_jobs", "_candidates", "_source")
 
     def __init__(self, now: Fraction, alpha: Fraction, omniscient: bool,
                  jobs: Optional[tuple[ViewJob, ...]] = None, source=None):
@@ -63,10 +64,6 @@ class PolicyView:
         if self._jobs is None:
             self._jobs = self._source.view_jobs()
         return self._jobs
-
-    def detach(self) -> None:
-        self.jobs
-        self._candidates = self._source = None
 
     def candidates(self) -> tuple[ViewJob, ...]:
         """A subsequence of jobs holding each minimum below that reads it."""

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 from fractions import Fraction as F
 
@@ -15,8 +17,9 @@ from alphasched.adversary import (
 )
 from alphasched.engine import simulate
 from alphasched.metrics import delta
-from alphasched.model import ModelError
+from alphasched.model import ModelError, instance_to_json
 from alphasched.policies import PolicyKind
+from alphasched.rational import format_rat
 
 
 class TestDeterministicBound1:
@@ -143,6 +146,25 @@ class TestRand32:
             by_release.setdefault(job.release, []).append(job.proc)
         for procs in by_release.values():
             assert max(procs) == 2 * min(procs)
+
+
+@pytest.mark.parametrize(
+    "make, digest, t",
+    [
+        (lambda: gen_rand32(F(1, 2), 3, 5), "370e3631a20b176b", "819/1"),
+        (lambda: gen_rand32(F(2, 3), 4, 7), "304e69845fc3fc48", "2800/1"),
+        (lambda: gen_rand32(F(3, 4), 2, 0), "e2e04c6526264ce5", "418/9"),
+        (lambda: gen_det_lb2(F(2, 3), 4), "5af810cb66289f27", "2800/1"),
+        (lambda: gen_det_lb2(F(3, 4), 5), "0d0747270f0771dc", "2940079/243"),
+    ],
+)
+def test_phase_generators_pinned(make, digest, t):
+    # the sha256 prefix of the instance JSON and the measurement time of
+    # both phase constructions, so a change to their shared phase loop
+    # shows as a byte change
+    inst, measure = make()
+    blob = json.dumps(instance_to_json(inst), sort_keys=True).encode()
+    assert (hashlib.sha256(blob).hexdigest()[:16], format_rat(measure)) == (digest, t)
 
 
 class TestDosTail:

@@ -587,6 +587,11 @@ class TestVerify:
             verify_traces(alg, other)
         with pytest.raises(ModelError, match="share one instance"):
             TimePoint.at(alg, other, 1)
+        # the same ids with other releases and processing times
+        a = Instance((Job(1, 0, 2), Job(2, 0, 3)), F(1, 2))
+        b = Instance((Job(1, 0, 5), Job(2, 1, 1)), F(1, 2))
+        with pytest.raises(ModelError, match="share one instance"):
+            verify_traces(simulate(a, PolicyKind.ALPHA)[0], simulate(b, PolicyKind.SRPT)[0])
 
     def test_no_switch_turns_a_check_off(self, pair_instance):
         for switch in ("flow_checks", "refinement"):

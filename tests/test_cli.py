@@ -152,21 +152,27 @@ def required_fields(obj, path=()):
 @st.composite
 def malformed_instances(draw):
     """The JSON of a valid instance with one required field dropped, given a
-    wrong type, or, for a rational, given a zero denominator or a float."""
+    wrong type, or, for a rational, given a zero denominator or a float; or
+    with a top-level "adversary" of a falsy wrong type (only null means no
+    adversary)."""
     obj = instance_to_json(draw(json_instances()))
-    path = draw(st.sampled_from(list(required_fields(obj))))
+    path = draw(st.sampled_from(list(required_fields(obj)) + [("adversary",)]))
     parent = obj
     for key in path[:-1]:
         parent = parent[key]
     key = path[-1]
     edits = ["drop", "wrong type"]
-    if key in RATIONAL_FIELDS and isinstance(parent[key], str):
+    if path == ("adversary",):
+        edits = ["falsy wrong type"]
+    elif key in RATIONAL_FIELDS and isinstance(parent[key], str):
         edits += ["zero denominator", "float"]
     edit = draw(st.sampled_from(edits))
     if edit == "drop":
         del parent[key]
     elif edit == "wrong type":
         parent[key] = draw(st.sampled_from([[[]], True]))
+    elif edit == "falsy wrong type":
+        parent[key] = draw(st.sampled_from([False, 0, "", []]))
     elif edit == "zero denominator":
         parent[key] = "1/0"
     else:

@@ -9,7 +9,6 @@ from alphasched.engine import (
     CommitmentError,
     EngineError,
     SimState,
-    first_divergence,
     replay_check,
     simulate,
 )
@@ -146,7 +145,6 @@ class TestDeterminismAndReplay:
             [ExecutionSegment(0, 4, ((1, F(1, 2)), (2, F(1, 4))))],
         )
         assert not replay_check(tampered, pair_instance, PolicyKind.SETF)
-        assert first_divergence(tampered, trace) is not None
 
     def test_golden_adaptive_phase_instance(self):
         golden = json.loads((DATA / "golden_lb2_a12_k3.json").read_text())

@@ -91,7 +91,9 @@ class TestInstanceValidation:
                 {"alpha": "1/2", "jobs": [], "adversary": {"triggers": [{"id": "a", "fire_at": 1}]}},
                 "adversary.triggers[0]: missing field 'rule'",
             ),
-        ],
+        ]
+        # only null means no adversary; a falsy value of another shape is an error
+        + [({"alpha": "1/2", "jobs": [], "adversary": v}, "adversary") for v in (False, 0, "", [], {})],
     )
     def test_json_errors_name_the_field(self, obj, field):
         with pytest.raises(ModelError, match=re.escape(field)):

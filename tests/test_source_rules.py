@@ -5,7 +5,8 @@ bare ``assert`` guards one; no code changes interpreter-wide state: no
 ``global`` statement, no ``sys.set*`` or ``gc.*`` call, and no call to the
 module-level ``random`` functions (a seeded ``random.Random(...)`` is fine);
 and floats stay out of the computation: ``float(...)`` is called only in
-``cli.py``, where reports are formatted.
+``cli.py``, where reports are formatted.  Every imported name is used,
+except in ``__init__.py``, whose imports are the package's re-exports.
 """
 
 import ast
@@ -15,6 +16,7 @@ import pytest
 
 SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "alphasched").glob("*.py"))
 FLOAT_MODULES = {"cli.py"}
+REEXPORT_MODULES = {"__init__.py"}
 
 
 def violations(tree: ast.AST, filename: str = "") -> list[str]:
@@ -44,7 +46,25 @@ def violations(tree: ast.AST, filename: str = "") -> list[str]:
                 or (module == "random" and name != "Random")
             ):
                 found.append(f"line {node.lineno}: call to {module}.{name}")
+    if filename not in REEXPORT_MODULES:
+        found += unused_imports(tree)
     return found
+
+
+def unused_imports(tree: ast.AST) -> list[str]:
+    """Imported names that no name in the module reads; an attribute chain
+    reads the name it starts from."""
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                imported.setdefault(alias.asname or alias.name.split(".")[0], node.lineno)
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [
+        f"line {line}: unused import {name}" for name, line in imported.items() if name not in used
+    ]
 
 
 def test_sources_found():
@@ -66,6 +86,7 @@ def test_source_rules(path):
         "import random\nrandom.seed(1)",
         "import random\nx = random.choice([1, 2])",
         "x = float(y)",
+        "import weakref\nfrom typing import Mapping, Optional\nx: Optional[Mapping] = None",
     ],
 )
 def test_rules_catch(snippet):
