@@ -11,12 +11,14 @@ module machine-checks, with exact rational arithmetic:
   (zero off reachability, rows summing to remaining work, columns bounded by
   received work), and its stability under refining the time discretization,
 * the progress-segment partition (at most |O|+1 segments, strictly nested
-  dominated sets), and
+  dominated sets; a lemma check that holds for every input), and
 * the pointwise counting bounds relating the algorithm's alive sets to the
   optimum's.
 
-Every check returns a list of violation strings; empty means pass.  A single
-violation carries the exact rationals involved so it can be replayed.
+Every check returns a list of violation strings; empty means pass.  Two
+return a report value beside it: ``check_local_bounds`` the alive counts and
+``compute_segments`` the segment count.  A single violation carries the
+exact rationals involved so it can be replayed.
 
 ``verify_traces`` sweeps the check times in increasing order: each time's
 state is computed once (``TimePoint``) and is the only input every per-time
@@ -694,46 +696,39 @@ def refine_flow(
 # --------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Segment:
-    jobs: frozenset[int]
-    dominated: frozenset[int]  # jobs of the optimum with no more truncated progress
-
-
-@dataclass
-class SegmentPartition:
-    segments: tuple[Segment, ...]  # ordered by strictly growing dominated sets
-    violations: list[str] = field(default_factory=list)
-
-
-def compute_segments(instance: Instance, point: TimePoint) -> SegmentPartition:
+def compute_segments(instance: Instance, point: TimePoint) -> tuple[int, list[str]]:
     """Group the algorithm's unsignalled alive jobs outside O(t) by the set of
-    optimum jobs whose truncated progress they meet or exceed."""
+    optimum jobs whose truncated progress they meet or exceed; the number of
+    groups (segments) and the violations.
+
+    A lemma check, which no input can make fire: with truncated progress
+    u_j = min(y_j, alpha * p_j), job j's dominated set is {i in O(t) : u_i <=
+    u_j}, a down-set of the one total preorder of O(t) by u.  Two such sets
+    are equal or strictly nested, and there are at most |O(t)| + 1 of them
+    (one per threshold position), whatever the trace.  The dominated sets
+    are kept in first-seen order, so a report would list any failure in a
+    fixed order.
+    """
     part, opt_alive = point.part, point.opt_alive
     candidates = sorted(part.nonclairvoyant - opt_alive)
     tvals = {
         j: min(point.work[j], instance.alpha * instance.proc_of(j))
         for j in set(candidates) | set(opt_alive)
     }
-    groups: dict[frozenset[int], list[int]] = {}
-    for j in candidates:
-        dominated = frozenset(i for i in opt_alive if tvals[j] >= tvals[i])
-        groups.setdefault(dominated, []).append(j)
-    ordered = sorted(groups.items(), key=lambda kv: len(kv[0]))
-    violations = []
-    for (d1, _), (d2, _) in zip(ordered, ordered[1:]):
-        if not (d1 < d2):
-            violations.append(
-                f"dominated sets not strictly nested: {sorted(d1)} vs {sorted(d2)}"
-            )
+    dominated = dict.fromkeys(
+        frozenset(i for i in opt_alive if tvals[j] >= tvals[i]) for j in candidates
+    )
+    ordered = sorted(dominated, key=len)
+    violations = [
+        f"dominated sets not strictly nested: {sorted(d1)} vs {sorted(d2)}"
+        for d1, d2 in zip(ordered, ordered[1:])
+        if not d1 < d2
+    ]
     if len(ordered) > len(opt_alive) + 1:
         violations.append(
             f"segment count {len(ordered)} exceeds |O|+1 = {len(opt_alive) + 1}"
         )
-    segments = tuple(
-        Segment(jobs=frozenset(js), dominated=dom) for dom, js in ordered
-    )
-    return SegmentPartition(segments=segments, violations=violations)
+    return len(ordered), violations
 
 
 # --------------------------------------------------------------------------
@@ -741,26 +736,20 @@ def compute_segments(instance: Instance, point: TimePoint) -> SegmentPartition:
 # --------------------------------------------------------------------------
 
 
-@dataclass
-class LocalBoundsResult:
-    counts: dict[str, int]
-    bounds: dict[str, Fraction]
-    extrapolated: bool
-    violations: list[str]
+def check_local_bounds(alpha: Fraction, point: TimePoint) -> tuple[dict[str, int], list[str]]:
+    """Pointwise alive-count bounds of the algorithm against the optimum:
+    the counts the report writes, and the violations.
 
-
-def check_local_bounds(alpha: Fraction, point: TimePoint) -> LocalBoundsResult:
-    """Pointwise alive-count bounds of the algorithm against the optimum.
-
-    Stated for alpha with integer 1/(1-alpha); other alphas are checked
-    against the bound with the factor rounded up and flagged as extrapolation.
+    With c = 1/(1-alpha) and O = O(t): |A - O| <= (3+2c)|O|,
+    |unsignalled - O| <= (2+c)|O|, |signalled - O| <= (1+c)|O| and
+    |A| <= (4+2c)|O|, and nothing is alive while the optimum idles.  Stated
+    for alpha with integer 1/(1-alpha); at other alphas c is rounded up, and
+    nothing in the report says so.
     """
     t = point.t
     if alpha == 1:
         raise ModelError("counting bounds are undefined at alpha = 1")
-    factor = 1 / (1 - alpha)
-    extrapolated = factor.denominator != 1
-    c = Fraction(ceil(factor))
+    c = ceil(1 / (1 - alpha))
     part, opt_alive = point.part, point.opt_alive
     counts = {
         "alive": len(part.alive),
@@ -769,35 +758,28 @@ def check_local_bounds(alpha: Fraction, point: TimePoint) -> LocalBoundsResult:
         "signalled_minus_opt": len(part.clairvoyant - opt_alive),
         "opt_alive": len(opt_alive),
     }
-    bounds = {
-        "alive_minus_opt": (3 + 2 * c) * len(opt_alive),
-        "unsignalled_minus_opt": (2 + c) * len(opt_alive),
-        "signalled_minus_opt": (1 + c) * len(opt_alive),
-        "alive": (4 + 2 * c) * len(opt_alive),
-    }
-    violations = []
-    for key, bound in bounds.items():
-        if counts[key] > bound:
-            violations.append(
-                f"|{key}| = {counts[key]} exceeds {format_rat(bound)} at t={format_rat(t)}"
-            )
+    o = len(opt_alive)
+    bounds = (
+        ("alive_minus_opt", (3 + 2 * c) * o),
+        ("unsignalled_minus_opt", (2 + c) * o),
+        ("signalled_minus_opt", (1 + c) * o),
+        ("alive", (4 + 2 * c) * o),
+    )
+    violations = [
+        f"|{key}| = {counts[key]} exceeds {format_rat(bound)} at t={format_rat(t)}"
+        for key, bound in bounds
+        if counts[key] > bound
+    ]
     if not opt_alive and part.alive:
         violations.append(
             f"optimum idle but algorithm has {sorted(part.alive)} alive at t={format_rat(t)}"
         )
-    return LocalBoundsResult(
-        counts=counts, bounds=bounds, extrapolated=extrapolated, violations=violations
-    )
+    return counts, violations
 
 
 # --------------------------------------------------------------------------
 # trace-level invariants
 # --------------------------------------------------------------------------
-
-
-def _signalled_at(trace: ScheduleTrace, j: int, t: Fraction) -> bool:
-    s = trace.emissions.get(j)
-    return s is not None and s <= t
 
 
 def check_branch_observations(trace: ScheduleTrace) -> list[str]:
@@ -820,7 +802,7 @@ def check_branch_observations(trace: ScheduleTrace) -> list[str]:
         if not alive:
             violations.append(f"segment at {format_rat(t)} rates dead jobs")
             continue
-        signalled = {j for j in alive if _signalled_at(trace, j, t)}
+        signalled = {j for j in alive if j in trace.emissions and trace.emissions[j] <= t}
         fresh = alive - signalled
         work = trace.work_at(t)
         remaining = {j: trace.instance.proc_of(j) - work[j] for j in alive}
@@ -1076,12 +1058,8 @@ def verify_traces(alg_trace: ScheduleTrace, opt_trace: ScheduleTrace) -> Verific
         found["direct_borrow_order"] = check_direct_borrow_order(graph, point)
         found["reachability_closure"] = check_reachability_closure(alg_trace, graph, point)
         if instance.alpha != 1:
-            lb = check_local_bounds(instance.alpha, point)
-            entry["counts"] = lb.counts
-            found["local_bounds"] = lb.violations
-        seg_part = compute_segments(instance, point)
-        entry["segments"] = len(seg_part.segments)
-        found["segments"] = seg_part.violations
+            entry["counts"], found["local_bounds"] = check_local_bounds(instance.alpha, point)
+        entry["segments"], found["segments"] = compute_segments(instance, point)
         if t in event_set:
             net = build_flow_network(alg_trace, point)
             saturated, flow = max_flow_saturates(net)
@@ -1145,15 +1123,14 @@ def verify_traces(alg_trace: ScheduleTrace, opt_trace: ScheduleTrace) -> Verific
         "clairvoyant_runs_block": check_clairvoyant_runs_block(alg_trace),
     }
 
-    ok = first_failure is None and all(not v for v in trace_checks.values())
-    if ok is False and first_failure is None:
+    if first_failure is None:
         for name, v in trace_checks.items():
             if v:
                 first_failure = {"check": name, "violations": v}
                 break
     return VerificationReport(
         instance=instance,
-        ok=ok,
+        ok=first_failure is None,
         time_checks=time_checks,
         trace_checks=trace_checks,
         first_failure=first_failure,

@@ -44,8 +44,6 @@ from .rational import format_rat, parse_rat
 USAGE_ERROR = 2
 VERIFY_ERROR = 1
 
-POLICY_NAMES = {"alpha": PolicyKind.ALPHA, "srpt": PolicyKind.SRPT, "setf": PolicyKind.SETF}
-
 QUANTUM = Fraction(1, 64)
 
 
@@ -93,7 +91,7 @@ def _quantum_entry(inst: Instance, kind: PolicyKind, fluid_flow: Fraction) -> di
 
 def cmd_simulate(args) -> int:
     inst = _load_instance_arg(args)
-    kind = POLICY_NAMES[args.policy]
+    kind = PolicyKind(args.policy)
     trace, log = simulate(inst, kind, horizon=args.horizon)
     report = build_report(trace)
     out = Path(args.out)
@@ -120,7 +118,7 @@ def cmd_compare(args) -> int:
     alg, _ = simulate(inst, PolicyKind.ALPHA)
     traces = {"alpha": alg}
     for name in ("srpt", "setf"):
-        traces[name], _ = simulate(alg.instance, POLICY_NAMES[name])
+        traces[name], _ = simulate(alg.instance, PolicyKind(name))
     reports = {name: build_report(tr) for name, tr in traces.items()}
     opt = reports["srpt"]
     instance_id = Path(args.instance).stem
@@ -138,7 +136,7 @@ def cmd_compare(args) -> int:
             r = ratio(rep, opt)
             row += [f"{float(rep.total_flow):.6f}", f"{float(r):.6f}"]
         if args.quantum_oracle:
-            entry = _quantum_entry(traces[name].instance, POLICY_NAMES[name], rep.total_flow)
+            entry = _quantum_entry(traces[name].instance, PolicyKind(name), rep.total_flow)
             row += [entry["total_flow"], entry["gap"]]
             if not entry["ok"]:
                 code = VERIFY_ERROR
@@ -176,13 +174,18 @@ def cmd_verify(args) -> int:
     return VERIFY_ERROR
 
 
-def _lowerbound_deterministic(args, which: str, out: Path | None) -> int:
-    alpha = args.alpha
-    k = args.k
-    if which == "lb1":
-        inst, t = adversary.gen_det_lb1(alpha, k)
-    else:
-        inst, t = adversary.gen_det_lb2(alpha, k)
+# The phase families of ``lowerbound --which``, each args -> (instance,
+# measure time); ``rand`` is the Monte Carlo bound beside them.
+PHASE_FAMILIES = {
+    "lb1": lambda args: adversary.gen_det_lb1(args.alpha, args.k),
+    "lb2": lambda args: adversary.gen_det_lb2(args.alpha, args.k),
+    "rand32": lambda args: adversary.gen_rand32(args.alpha, args.k, args.seed),
+}
+
+
+def _lowerbound_phases(args, out: Path | None) -> int:
+    which, alpha = args.which, args.alpha
+    inst, t = PHASE_FAMILIES[which](args)
     if args.dos_m:
         inst = adversary.append_dos_tail(inst, t, args.dos_m)
     alg, _ = simulate(inst, PolicyKind.ALPHA)
@@ -190,12 +193,16 @@ def _lowerbound_deterministic(args, which: str, out: Path | None) -> int:
     result = {
         "which": which,
         "alpha": format_rat(alpha),
-        "k": k,
+        "k": args.k,
         "measure_time": format_rat(t),
         "delta_alg_ge1": delta(alg, t, 1),
         "delta_alg": delta(alg, t),
         "delta_opt": delta(opt, t),
     }
+    label = f"{which} alpha={format_rat(alpha)} k={args.k}"
+    if which == "rand32":
+        result["seed"] = args.seed
+        label += f" seed={args.seed}"
     if args.dos_m:
         ra, ro = build_report(alg), build_report(opt)
         hi = t + args.dos_m + 1
@@ -208,8 +215,7 @@ def _lowerbound_deterministic(args, which: str, out: Path | None) -> int:
         result["window_ratio_float"] = float(wa / wo)
         result["total_ratio"] = format_rat(ratio(ra, ro))
     print(
-        f"{which} alpha={format_rat(alpha)} k={k}: "
-        f"delta(t,1)={result['delta_alg_ge1']} delta*(t)={result['delta_opt']}"
+        f"{label}: delta(t,1)={result['delta_alg_ge1']} delta*(t)={result['delta_opt']}"
         + (f" window_ratio={result['window_ratio_float']:.4f}" if args.dos_m else "")
     )
     if out is not None:
@@ -218,28 +224,10 @@ def _lowerbound_deterministic(args, which: str, out: Path | None) -> int:
     return 0
 
 
-def _lowerbound_randomized(args, which: str, out: Path | None) -> int:
+def _lowerbound_rand(args, out: Path | None) -> int:
+    if args.dos_m:
+        raise ModelError("--dos-M applies to lb1, lb2 and rand32, not to rand")
     alpha = args.alpha
-    if which == "rand32":
-        inst, t = adversary.gen_rand32(alpha, args.k, args.seed)
-        alg, _ = simulate(inst, PolicyKind.ALPHA)
-        opt, _ = simulate(inst, PolicyKind.SRPT)
-        result = {
-            "which": which,
-            "alpha": format_rat(alpha),
-            "k": args.k,
-            "seed": args.seed,
-            "measure_time": format_rat(t),
-            "delta_alg_ge1": delta(alg, t, 1),
-            "delta_opt": delta(opt, t),
-        }
-        print(
-            f"rand32 alpha={format_rat(alpha)} k={args.k} seed={args.seed}: "
-            f"delta(t,1)={result['delta_alg_ge1']} delta*(t)={result['delta_opt']}"
-        )
-        if out is not None:
-            _write_json(out / "lowerbound.json", result)
-        return 0
     k, t = adversary.randomized_params(alpha)
     if args.seeds < 1:
         raise ModelError("--seeds must be at least 1")
@@ -287,9 +275,9 @@ def _lowerbound_randomized(args, which: str, out: Path | None) -> int:
 
 def cmd_lowerbound(args) -> int:
     out = Path(args.out) if args.out else None
-    if args.which in ("lb1", "lb2"):
-        return _lowerbound_deterministic(args, args.which, out)
-    return _lowerbound_randomized(args, args.which, out)
+    if args.which in PHASE_FAMILIES:
+        return _lowerbound_phases(args, out)
+    return _lowerbound_rand(args, out)
 
 
 def _sweep_one(inst: Instance, alpha: Fraction):
@@ -352,7 +340,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sim = sub.add_parser("simulate", help="run one policy over an instance")
     sim.add_argument("--instance", required=True)
-    sim.add_argument("--policy", choices=sorted(POLICY_NAMES), default="alpha")
+    sim.add_argument("--policy", choices=sorted(kind.value for kind in PolicyKind), default="alpha")
     sim.add_argument("--alpha", type=rational, help="override the instance alpha (num/den)")
     sim.add_argument("--horizon", type=rational, help="stop the run at this time (num/den)")
     sim.add_argument("--out", required=True)
@@ -376,7 +364,7 @@ def build_parser() -> argparse.ArgumentParser:
     ver.set_defaults(func=cmd_verify)
 
     low = sub.add_parser("lowerbound", help="reproduce the adversarial constructions")
-    low.add_argument("--which", choices=["lb1", "lb2", "rand", "rand32"], required=True)
+    low.add_argument("--which", choices=sorted([*PHASE_FAMILIES, "rand"]), required=True)
     low.add_argument("--alpha", type=rational, required=True)
     low.add_argument("--k", type=int, default=5)
     low.add_argument("--seed", type=int, default=0)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 from types import MappingProxyType
-from typing import Iterable, Mapping, Optional, Sequence, Union
+from typing import Iterable, Mapping, NamedTuple, Optional, Sequence, Union
 
 from .rational import format_rat, parse_rat
 
@@ -60,17 +60,24 @@ class Job:
         return not isinstance(self.proc, Deferred)
 
 
-def _distinct_jobs(jobs) -> tuple[int, ...]:
-    """The job ids of a commit rule; a job named twice would receive two
-    commitments of which only one survives, so it raises a ModelError."""
-    jobs = tuple(jobs)
-    if len(set(jobs)) != len(jobs):
-        raise ModelError(f"commit rule names a job twice: {list(jobs)}")
-    return jobs
+class _Rule:
+    """What the commit rules share: ``params`` names each rule's rational
+    fields once, for construction and for both JSON directions."""
+
+    params: tuple[str, ...]
+
+    def __post_init__(self):
+        # a job named twice would receive two commitments of which only one survives
+        jobs = tuple(self.jobs)
+        if len(set(jobs)) != len(jobs):
+            raise ModelError(f"commit rule names a job twice: {list(jobs)}")
+        object.__setattr__(self, "jobs", jobs)
+        for name in self.params:
+            object.__setattr__(self, name, Fraction(getattr(self, name)))
 
 
 @dataclass(frozen=True)
-class ProgressScaledRule:
+class ProgressScaledRule(_Rule):
     """Commit p = scale * observed_progress + offset for each listed job.
 
     Jobs are ranked by (observed progress, id) and assigned by rank, so equal
@@ -82,11 +89,7 @@ class ProgressScaledRule:
     offset: Fraction
 
     kind = "progress-scaled"
-
-    def __post_init__(self):
-        object.__setattr__(self, "jobs", _distinct_jobs(self.jobs))
-        object.__setattr__(self, "scale", Fraction(self.scale))
-        object.__setattr__(self, "offset", Fraction(self.offset))
+    params = ("scale", "offset")
 
     def commit(self, observed: Mapping[int, Fraction]) -> dict[int, Fraction]:
         ranked = sorted(self.jobs, key=lambda j: (observed[j], j))
@@ -95,7 +98,7 @@ class ProgressScaledRule:
 
 
 @dataclass(frozen=True)
-class RankPairRule:
+class RankPairRule(_Rule):
     """Commit the long processing time to whichever of two jobs has made more
     progress; on a tie the lower id takes the long one."""
 
@@ -104,11 +107,10 @@ class RankPairRule:
     low: Fraction
 
     kind = "rank-pair"
+    params = ("high", "low")
 
     def __post_init__(self):
-        object.__setattr__(self, "jobs", _distinct_jobs(self.jobs))
-        object.__setattr__(self, "high", Fraction(self.high))
-        object.__setattr__(self, "low", Fraction(self.low))
+        super().__post_init__()
         if len(self.jobs) != 2:
             raise ModelError("rank-pair rule needs exactly two jobs")
 
@@ -120,6 +122,7 @@ class RankPairRule:
 
 
 CommitRule = Union[ProgressScaledRule, RankPairRule]
+RULES = {cls.kind: cls for cls in (ProgressScaledRule, RankPairRule)}
 
 
 @dataclass(frozen=True)
@@ -224,19 +227,9 @@ class Instance:
 
 
 def _rule_to_json(rule: CommitRule) -> dict:
-    if isinstance(rule, ProgressScaledRule):
-        return {
-            "kind": rule.kind,
-            "jobs": list(rule.jobs),
-            "scale": format_rat(rule.scale),
-            "offset": format_rat(rule.offset),
-        }
-    return {
-        "kind": rule.kind,
-        "jobs": list(rule.jobs),
-        "high": format_rat(rule.high),
-        "low": format_rat(rule.low),
-    }
+    obj = {"kind": rule.kind, "jobs": list(rule.jobs)}
+    obj.update((name, format_rat(getattr(rule, name))) for name in rule.params)
+    return obj
 
 
 def _field(obj, key: str, where: str, kind: type = object):
@@ -264,13 +257,10 @@ def _rule_from_json(obj, where: str) -> CommitRule:
     jobs = _field(obj, "jobs", where, list)
     if not all(isinstance(j, int) and not isinstance(j, bool) for j in jobs):
         raise ModelError(f"{where}.jobs: expected a list of job ids")
-    if kind == "progress-scaled":
-        scale, offset = _rat_field(obj, "scale", where), _rat_field(obj, "offset", where)
-        return ProgressScaledRule(tuple(jobs), scale, offset)
-    if kind == "rank-pair":
-        high, low = _rat_field(obj, "high", where), _rat_field(obj, "low", where)
-        return RankPairRule(tuple(jobs), high, low)
-    raise ModelError(f"{where}: unknown commit rule kind {kind!r}")
+    cls = RULES.get(kind) if isinstance(kind, str) else None
+    if cls is None:
+        raise ModelError(f"{where}: unknown commit rule kind {kind!r}")
+    return cls(tuple(jobs), *(_rat_field(obj, name, where) for name in cls.params))
 
 
 def instance_to_json(instance: Instance) -> dict:
@@ -369,16 +359,13 @@ class ExecutionSegment:
 Interval = tuple[Fraction, Fraction]
 
 
-class Partition:
-    """Job partition at one instant: alive = nonclairvoyant + clairvoyant."""
+class Partition(NamedTuple):
+    """The algorithm's alive jobs at one instant, split by their signal:
+    alive = nonclairvoyant | clairvoyant, disjointly."""
 
-    __slots__ = ("alive", "nonclairvoyant", "clairvoyant", "finished")
-
-    def __init__(self, alive, nonclairvoyant, clairvoyant, finished):
-        self.alive = frozenset(alive)
-        self.nonclairvoyant = frozenset(nonclairvoyant)
-        self.clairvoyant = frozenset(clairvoyant)
-        self.finished = frozenset(finished)
+    alive: frozenset[int]
+    nonclairvoyant: frozenset[int]  # elapsed work at most alpha * p
+    clairvoyant: frozenset[int]  # elapsed work beyond alpha * p
 
 
 def _merge_adjacent(segments: Sequence[ExecutionSegment]) -> tuple[ExecutionSegment, ...]:
@@ -549,31 +536,17 @@ class ScheduleTrace:
         return frozenset(out)
 
     def partition(self, t: Fraction) -> Partition:
-        """Alive/nonclairvoyant/clairvoyant/finished split at time t.
-
-        A job sits on the nonclairvoyant side while its elapsed work is at
-        most alpha * p (boundary inclusive); strictly beyond it counts as
-        clairvoyant.  Each time's partition is computed once and kept.
+        """``alive_at(t)`` split by elapsed work: a job sits on the
+        nonclairvoyant side while ``work_at(t)`` is at most alpha * p
+        (boundary inclusive), and strictly beyond it counts as clairvoyant.
+        Each time's partition is computed once and kept.
         """
         t = Fraction(t)
         part = self._partitions.get(t)
-        if part is not None:
-            return part
-        work = self.work_at(t)
-        alive, nonclair, clair, finished = set(), set(), set(), set()
-        for job in self.instance.jobs:
-            if job.release > t:
-                continue
-            done = self.completions.get(job.id)
-            if done is not None and done <= t:
-                finished.add(job.id)
-                continue
-            alive.add(job.id)
-            if work[job.id] <= self._signal_work[job.id]:
-                nonclair.add(job.id)
-            else:
-                clair.add(job.id)
-        part = self._partitions[t] = Partition(alive, nonclair, clair, finished)
+        if part is None:
+            alive, work = self.alive_at(t), self.work_at(t)
+            nonclair = frozenset(j for j in alive if work[j] <= self._signal_work[j])
+            part = self._partitions[t] = Partition(alive, nonclair, alive - nonclair)
         return part
 
     def lifetime(self, job_ids: Iterable[int], t: Fraction) -> list[Interval]:

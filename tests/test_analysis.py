@@ -1,6 +1,7 @@
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from alphasched.adversary import append_dos_tail, gen_det_lb1, gen_det_lb2, gen_random_instance
 from alphasched.analysis import (
@@ -35,6 +36,7 @@ from alphasched.model import (
     Instance,
     Job,
     ModelError,
+    Partition,
     ScheduleTrace,
     UnknownJobError,
 )
@@ -54,6 +56,22 @@ def trace_pair(inst):
     alg, _ = simulate(inst, PolicyKind.ALPHA)
     opt, _ = simulate(alg.instance, PolicyKind.SRPT)
     return alg, opt
+
+
+@st.composite
+def arbitrary_time_points(draw):
+    """An instance and a time point whose work, partition and O(t) are drawn
+    apart from any schedule, so they may contradict one another; small
+    denominators make ties in truncated progress common."""
+    n = draw(st.integers(1, 8))
+    alpha = draw(st.sampled_from([F(0), F(1, 3), F(1, 2), F(2, 3), F(1)]))
+    procs = draw(st.lists(st.fractions(F(1, 4), 8, max_denominator=4), min_size=n, max_size=n))
+    work = draw(st.lists(st.fractions(0, 8, max_denominator=4), min_size=n, max_size=n))
+    inst = Instance(tuple(Job(j, 0, p) for j, p in enumerate(procs)), alpha)
+    subsets = st.frozensets(st.integers(0, n - 1))
+    fresh, signalled, opt_alive = draw(subsets), draw(subsets), draw(subsets)
+    part = Partition(fresh | signalled, fresh, signalled)
+    return inst, TimePoint(F(1), dict(enumerate(work)), part, opt_alive)
 
 
 # the verifier's incremental paths are checked against the from-scratch
@@ -464,17 +482,17 @@ class TestBetaMatrix:
 class TestSegments:
     def test_no_candidates_no_segments(self, pair_traces):
         alg, opt = pair_traces
-        part = compute_segments(alg.instance, TimePoint.at(alg, opt, F(1, 4)))
+        count, violations = compute_segments(alg.instance, TimePoint.at(alg, opt, F(1, 4)))
         # both jobs alive in the optimum as well: nothing to partition
-        assert part.segments == ()
+        assert (count, violations) == (0, [])
 
     def test_single_segment_when_all_dominate_alike(self):
         inst = Instance((Job(1, 0, 4), Job(2, 0, 4), Job(3, 0, 4)), F(1, 2))
         alg, _ = simulate(inst, PolicyKind.ALPHA)
         opt, _ = simulate(inst, PolicyKind.SRPT)
-        part = compute_segments(alg.instance, TimePoint.at(alg, opt, F(3)))
-        assert len(part.segments) <= len(opt.alive_at(F(3))) + 1
-        assert part.violations == []
+        count, violations = compute_segments(alg.instance, TimePoint.at(alg, opt, F(3)))
+        assert count <= len(opt.alive_at(F(3))) + 1
+        assert violations == []
 
     @pytest.mark.parametrize("seed", range(12))
     def test_corpus_segment_count_bound(self, seed):
@@ -482,31 +500,108 @@ class TestSegments:
         alg, _ = simulate(inst, PolicyKind.ALPHA)
         opt, _ = simulate(inst, PolicyKind.SRPT)
         for t in alg.event_times():
-            part = compute_segments(alg.instance, TimePoint.at(alg, opt, t))
-            assert part.violations == []
-            assert len(part.segments) <= len(opt.alive_at(t)) + 1
+            count, violations = compute_segments(alg.instance, TimePoint.at(alg, opt, t))
+            assert violations == []
+            assert count <= len(opt.alive_at(t)) + 1
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(arbitrary_time_points())
+    def test_lemma_holds_for_any_time_point(self, case):
+        # the dominated sets are down-sets of one total preorder, whatever the
+        # work, partition and O(t): the check cannot fire
+        inst, point = case
+        count, violations = compute_segments(inst, point)
+        assert violations == []
+        assert count <= len(point.opt_alive) + 1
+
+
+def bound_point(fresh: int, signalled: int, opt_job_alive: bool = False, opt_alive=(0,)) -> TimePoint:
+    """A hand-built time point at t = 1: O(t) = opt_alive, and the algorithm
+    has the given numbers of unsignalled and signalled alive jobs outside
+    it, plus optimum job 0 if opt_job_alive (on the unsignalled side)."""
+    unsignalled = set(range(1, 1 + fresh)) | ({0} if opt_job_alive else set())
+    clair = frozenset(range(100, 100 + signalled))
+    part = Partition(frozenset(unsignalled) | clair, frozenset(unsignalled), clair)
+    return TimePoint(F(1), {}, part, frozenset(opt_alive))
+
+
+# alpha and c = ceil(1/(1 - alpha)); at 1/3 the factor 3/2 is rounded up
+ALPHA_C = [(F(1, 2), 2), (F(2, 3), 3), (F(1, 3), 2)]
 
 
 class TestLocalBounds:
     def test_pair_at_five_halves(self, pair_traces):
         alg, opt = pair_traces
-        res = check_local_bounds(alg.instance.alpha, TimePoint.at(alg, opt, F(5, 2)))
-        assert res.violations == []
-        assert res.counts["alive_minus_opt"] == 1
-        assert res.bounds["alive_minus_opt"] == 7
+        counts, violations = check_local_bounds(alg.instance.alpha, TimePoint.at(alg, opt, F(5, 2)))
+        assert violations == []
+        assert counts["alive_minus_opt"] == 1
 
     def test_vacuous_when_optimum_idle(self, pair_traces):
         alg, opt = pair_traces
-        res = check_local_bounds(alg.instance.alpha, TimePoint.at(alg, opt, F(100)))
-        assert res.violations == []
-        assert res.counts["alive"] == 0
+        counts, violations = check_local_bounds(alg.instance.alpha, TimePoint.at(alg, opt, F(100)))
+        assert violations == []
+        assert counts["alive"] == 0
 
-    def test_extrapolation_flag(self):
-        inst = Instance((Job(1, 0, 2),), F(1, 3))
-        alg, _ = simulate(inst, PolicyKind.ALPHA)
-        opt, _ = simulate(inst, PolicyKind.SRPT)
-        res = check_local_bounds(alg.instance.alpha, TimePoint.at(alg, opt, 1))
-        assert res.extrapolated
+    def test_factor_rounded_up_off_the_integer_grid(self):
+        # 1/(1 - 1/3) = 3/2 counts as c = 2: 4 = 2 + c unsignalled jobs pass
+        alpha = F(1, 3)
+        assert check_local_bounds(alpha, bound_point(4, 0))[1] == []
+        assert check_local_bounds(alpha, bound_point(5, 0))[1] == [
+            "|unsignalled_minus_opt| = 5 exceeds 4/1 at t=1/1"
+        ]
+
+    def test_counts(self):
+        counts, _ = check_local_bounds(F(1, 2), bound_point(2, 3, opt_job_alive=True))
+        assert counts == {
+            "alive": 6,
+            "alive_minus_opt": 5,
+            "unsignalled_minus_opt": 2,
+            "signalled_minus_opt": 3,
+            "opt_alive": 1,
+        }
+
+    @pytest.mark.parametrize("alpha, c", ALPHA_C)
+    def test_unsignalled_bound_fires_one_past(self, alpha, c):
+        assert check_local_bounds(alpha, bound_point(2 + c, 0))[1] == []
+        assert check_local_bounds(alpha, bound_point(3 + c, 0))[1] == [
+            f"|unsignalled_minus_opt| = {3 + c} exceeds {2 + c}/1 at t=1/1"
+        ]
+
+    @pytest.mark.parametrize("alpha, c", ALPHA_C)
+    def test_signalled_bound_fires_one_past(self, alpha, c):
+        assert check_local_bounds(alpha, bound_point(0, 1 + c))[1] == []
+        assert check_local_bounds(alpha, bound_point(0, 2 + c))[1] == [
+            f"|signalled_minus_opt| = {2 + c} exceeds {1 + c}/1 at t=1/1"
+        ]
+
+    @pytest.mark.parametrize("alpha, c", ALPHA_C)
+    def test_alive_minus_opt_bound_fires_one_past(self, alpha, c):
+        # (3 + 2c) = (2 + c) + (1 + c): one past it, a side's bound fires too
+        assert check_local_bounds(alpha, bound_point(2 + c, 1 + c))[1] == []
+        assert check_local_bounds(alpha, bound_point(2 + c, 2 + c))[1] == [
+            f"|alive_minus_opt| = {4 + 2 * c} exceeds {3 + 2 * c}/1 at t=1/1",
+            f"|signalled_minus_opt| = {2 + c} exceeds {1 + c}/1 at t=1/1",
+        ]
+
+    @pytest.mark.parametrize("alpha, c", ALPHA_C)
+    def test_alive_bound_fires_one_past(self, alpha, c):
+        # with |O(t)| = 1 the optimum's job is the only alive job inside O(t)
+        assert check_local_bounds(alpha, bound_point(2 + c, 1 + c, opt_job_alive=True))[1] == []
+        assert check_local_bounds(alpha, bound_point(2 + c, 2 + c, opt_job_alive=True))[1] == [
+            f"|alive_minus_opt| = {4 + 2 * c} exceeds {3 + 2 * c}/1 at t=1/1",
+            f"|signalled_minus_opt| = {2 + c} exceeds {1 + c}/1 at t=1/1",
+            f"|alive| = {5 + 2 * c} exceeds {4 + 2 * c}/1 at t=1/1",
+        ]
+
+    @pytest.mark.parametrize("alpha, c", ALPHA_C)
+    def test_idle_optimum(self, alpha, c):
+        assert check_local_bounds(alpha, bound_point(0, 0, opt_alive=()))[1] == []
+        assert check_local_bounds(alpha, bound_point(1, 0, opt_alive=()))[1] == [
+            "|alive_minus_opt| = 1 exceeds 0/1 at t=1/1",
+            "|unsignalled_minus_opt| = 1 exceeds 0/1 at t=1/1",
+            "|alive| = 1 exceeds 0/1 at t=1/1",
+            "optimum idle but algorithm has [1] alive at t=1/1",
+        ]
 
 
 class TestVerify:
@@ -521,14 +616,11 @@ class TestVerify:
     )
     def test_larger_instances_pass(self, n, alpha):
         # beyond the corpus's n <= 6; 3/5 and 2/5 sit off the integer
-        # 1/(1 - alpha) grid, where the counting bounds are extrapolated
+        # 1/(1 - alpha) grid, where the counting bounds round c up
         inst = gen_random_instance(n, max_p=8, density=0.8, seed=n, alpha=alpha)
         report = verify_instance(inst)
         assert report.ok, report.first_failure
         assert len(report.time_checks) > 4 * n
-        alg, opt = trace_pair(inst)
-        bounds = check_local_bounds(alg.instance.alpha, TimePoint.at(alg, opt, 0))
-        assert bounds.extrapolated == (alpha in (F(3, 5), F(2, 5)))
 
     @pytest.mark.parametrize("gen", [gen_det_lb1, gen_det_lb2])
     @pytest.mark.parametrize("alpha", [F(1, 2), F(2, 3)])

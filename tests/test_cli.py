@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import tempfile
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from alphasched import cli
+from alphasched.adversary import gen_rand32
 from alphasched.cli import main
 from alphasched.model import Instance, Job, instance_to_json, save_instance
 from conftest import json_instances
@@ -297,6 +299,24 @@ class TestVerifyCommand:
         assert main(argv + [str(empty)]) == 2
 
 
+# (--which and options, sha256 prefix of lowerbound.json, of
+# realized-instance.json or None if not written, stdout).  The lb1, lb2 and
+# rand rows date from before lb1, lb2 and rand32 shared one path; rand32
+# then gained delta_alg and realized-instance.json, and its stdout stayed.
+LOWERBOUND_PINS = [
+    (["lb1", "--alpha", "1/2", "--k", "6"], "27128fc9443b1b16", "c9887353fc215d12",
+     "lb1 alpha=1/2 k=6: delta(t,1)=6 delta*(t)=4"),
+    (["lb2", "--alpha", "1/2", "--k", "2", "--dos-M", "50"], "b4f8533f6bda5838", "41b7d1c0cc61a98b",
+     "lb2 alpha=1/2 k=2: delta(t,1)=4 delta*(t)=2 window_ratio=1.6711"),
+    (["lb1", "--alpha", "2/3", "--k", "3", "--dos-M", "20"], "d0869d14901863ba", "303b01a14cbdb6b5",
+     "lb1 alpha=2/3 k=3: delta(t,1)=3 delta*(t)=2 window_ratio=1.9856"),
+    (["rand", "--alpha", "7/8", "--seeds", "5"], "8daed034eb330655", None,
+     "rand alpha=7/8 k=16 t=24 over 5 seeds: mean delta(t,1)=7.200 mean delta*(t)=5.400"),
+    (["rand32", "--alpha", "1/2", "--k", "3", "--seed", "5"], "3b68efbef20a50df", "74f87d5cbc30594e",
+     "rand32 alpha=1/2 k=3 seed=5: delta(t,1)=6 delta*(t)=3"),
+]
+
+
 class TestLowerboundCommand:
     def test_lb1(self, tmp_path, capsys):
         out = tmp_path / "lb"
@@ -392,6 +412,40 @@ class TestLowerboundCommand:
         assert code == 0
         result = json.loads(read(out / "lowerbound.json"))
         assert result["delta_opt"] <= 3
+
+    @pytest.mark.parametrize(
+        "which, lowerbound, realized, stdout", LOWERBOUND_PINS, ids=[" ".join(row[0]) for row in LOWERBOUND_PINS]
+    )
+    def test_pinned_bytes(self, tmp_path, capsys, which, lowerbound, realized, stdout):
+        out = tmp_path / "lb"
+        assert main(["lowerbound", "--which", *which, "--out", str(out)]) == 0
+        assert capsys.readouterr().out == stdout + "\n"
+
+        def digest(name):
+            return hashlib.sha256((out / name).read_bytes()).hexdigest()[:16]
+
+        assert digest("lowerbound.json") == lowerbound
+        if realized is None:
+            assert not (out / "realized-instance.json").exists()
+        else:
+            assert digest("realized-instance.json") == realized
+
+    def test_rand32_applies_the_dos_tail(self, tmp_path, capsys):
+        out = tmp_path / "lb"
+        argv = ["lowerbound", "--which", "rand32", "--alpha", "1/2", "--k", "2", "--seed", "5"]
+        assert main(argv + ["--dos-M", "50", "--out", str(out)]) == 0
+        assert "window_ratio=" in capsys.readouterr().out
+        result = json.loads(read(out / "lowerbound.json"))
+        assert result["dos_m"] == 50
+        assert {"window_flow_alg", "window_flow_opt", "window_ratio", "total_ratio"} <= result.keys()
+        realized = json.loads(read(out / "realized-instance.json"))
+        assert len(realized["jobs"]) == len(gen_rand32(F(1, 2), 2, 5)[0].jobs) + 50
+
+    def test_rand_rejects_dos_tail(self, tmp_path, capsys):
+        argv = ["lowerbound", "--which", "rand", "--alpha", "7/8", "--seeds", "2", "--dos-M", "50"]
+        assert main(argv + ["--out", str(tmp_path / "lb")]) == 2
+        assert "--dos-M" in capsys.readouterr().err
+        assert not (tmp_path / "lb").exists()
 
     def test_rand32_without_phases_exits_2(self):
         assert main(["lowerbound", "--which", "rand32", "--alpha", "1/2", "--k", "0"]) == 2

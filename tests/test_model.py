@@ -115,6 +115,23 @@ class TestInstanceValidation:
         with pytest.raises(ModelError, match="names a job twice"):
             ProgressScaledRule((1, 1, 2), 2, 0)
 
+    def test_rule_fields_normalised(self):
+        rule = ProgressScaledRule([1, 2], 2, "1/4")
+        assert rule.jobs == (1, 2)
+        assert (type(rule.scale), type(rule.offset)) == (F, F) and rule.offset == F(1, 4)
+
+    @pytest.mark.parametrize("kind", [["x"], {"a": 1}, 3, "nope"])
+    def test_unknown_rule_kind_is_bad_input(self, kind):
+        # a kind that is not a string is bad input, not a TypeError of a lookup
+        rule = {"kind": kind, "jobs": [1], "scale": "1", "offset": "0"}
+        obj = {
+            "alpha": "1/2",
+            "jobs": [{"id": 1, "release": "0", "proc": {"deferred": "a"}}],
+            "adversary": {"triggers": [{"id": "a", "fire_at": "1", "rule": rule}]},
+        }
+        with pytest.raises(ModelError, match=re.escape(f"unknown commit rule kind {kind!r}")):
+            instance_from_json(obj)
+
     def test_json_integer_shorthand(self):
         inst = instance_from_json(
             {"alpha": "1/2", "jobs": [{"id": 1, "release": 0, "proc": 3}]}
@@ -187,7 +204,7 @@ class TestPartition:
     def test_empty_before_first_release(self):
         trace = run(Instance((Job(1, 3, 1),), F(1, 2)))
         part = trace.partition(1)
-        assert not (part.alive | part.nonclairvoyant | part.clairvoyant | part.finished)
+        assert not (part.alive | part.nonclairvoyant | part.clairvoyant)
 
     def test_single_job_before_signal(self):
         trace = run(Instance((Job(1, 0, 2),), F(1, 2)))
@@ -212,7 +229,7 @@ class TestPartition:
             part = trace.partition(t)
             assert part.nonclairvoyant | part.clairvoyant == part.alive
             assert not part.nonclairvoyant & part.clairvoyant
-            assert not part.alive & part.finished
+            assert part.alive == trace.alive_at(t)
 
 
 class TestLifetime:
@@ -376,4 +393,5 @@ class TestTraceProperties:
         for t in trace.event_times():
             part = trace.partition(t)
             released = {j.id for j in inst.jobs if j.release <= t}
-            assert part.alive | part.finished == released
+            finished = {j for j, done in trace.completions.items() if done <= t}
+            assert part.alive == released - finished

@@ -6,7 +6,8 @@ bare ``assert`` guards one; no code changes interpreter-wide state: no
 module-level ``random`` functions (a seeded ``random.Random(...)`` is fine);
 and floats stay out of the computation: ``float(...)`` is called only in
 ``cli.py``, where reports are formatted.  Every imported name is used,
-except in ``__init__.py``, whose imports are the package's re-exports.
+except in ``__init__.py``, whose imports are the package's re-exports, and
+every module-level private name (``_name``) is read in its module.
 """
 
 import ast
@@ -48,7 +49,7 @@ def violations(tree: ast.AST, filename: str = "") -> list[str]:
                 found.append(f"line {node.lineno}: call to {module}.{name}")
     if filename not in REEXPORT_MODULES:
         found += unused_imports(tree)
-    return found
+    return found + unused_private_names(tree)
 
 
 def unused_imports(tree: ast.AST) -> list[str]:
@@ -65,6 +66,27 @@ def unused_imports(tree: ast.AST) -> list[str]:
     return [
         f"line {line}: unused import {name}" for name, line in imported.items() if name not in used
     ]
+
+
+def unused_private_names(tree: ast.Module) -> list[str]:
+    """Module-level private names (``_name``, bound by a function, a class
+    or an assignment) that no name in the module reads."""
+    bound = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+        else:
+            continue
+        for name in names:
+            if name.startswith("_") and not name.startswith("__"):
+                bound.setdefault(name, node.lineno)
+    read = {
+        node.id for node in ast.walk(tree) if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+    }
+    return [f"line {line}: unused private name {name}" for name, line in bound.items() if name not in read]
 
 
 def test_sources_found():
@@ -87,6 +109,7 @@ def test_source_rules(path):
         "import random\nx = random.choice([1, 2])",
         "x = float(y)",
         "import weakref\nfrom typing import Mapping, Optional\nx: Optional[Mapping] = None",
+        "def _helper():\n    return 1\n\n_LIMIT = 3\nx = _LIMIT",
     ],
 )
 def test_rules_catch(snippet):
@@ -97,6 +120,16 @@ def test_float_call_in_the_model_caught():
     model = next(p for p in SOURCES if p.name == "model.py")
     source = model.read_text(encoding="utf-8") + "\nHALF = float(1) / 2\n"
     assert [v.split(": ", 1)[1] for v in violations(ast.parse(source), model.name)] == ["float call"]
+
+
+def test_leftover_private_helper_caught():
+    analysis = next(p for p in SOURCES if p.name == "analysis.py")
+    source = analysis.read_text(encoding="utf-8") + (
+        "\n\ndef _signalled_at(trace, j, t):\n    return trace.emissions.get(j, t + 1) <= t\n"
+    )
+    assert [v.split(": ", 1)[1] for v in violations(ast.parse(source), analysis.name)] == [
+        "unused private name _signalled_at"
+    ]
 
 
 def test_float_call_allowed_in_the_cli():
