@@ -1,12 +1,15 @@
 """Structural verification of schedule pairs (algorithm vs. optimum).
 
-Given the algorithm's trace and an SRPT trace on the same instance, this
-module machine-checks, with exact rational arithmetic:
+Given the algorithm's trace and an SRPT trace on its realized instance (the
+pair ``simulate_pair`` gives), this module machine-checks, with exact
+rational arithmetic:
 
 * the borrow graph over lifetimes and its reachability closure properties,
 * the interval flow network, whose maximum flow must use the entire surplus
   of the algorithm's unfinished-and-not-optimal jobs (a flow below it comes
-  with a minimum cut of the same capacity),
+  with a minimum cut of the same capacity); both are taken over the one
+  network ``FlowNetwork.solved_arcs`` states, with vertices in their
+  tuples' own order,
 * the work-borrowing matrix obtained by path-decomposing a saturating flow
   (zero off reachability, rows summing to remaining work, columns bounded by
   received work), and its stability under refining the time discretization,
@@ -225,18 +228,6 @@ class BorrowSweep:
 # --------------------------------------------------------------------------
 
 Vertex = tuple
-
-
-def _vkey(v: Vertex):
-    if v[0] == "job":
-        return (0, v[1], 0)
-    if v[0] == "dummy":
-        return (1, v[1], v[2])
-    if v[0] == "source":
-        return (2, 0, 0)
-    return (3, 0, 0)
-
-
 _ZERO = Fraction(0)
 SOURCE: Vertex = ("source",)
 SINK: Vertex = ("sink",)
@@ -282,6 +273,15 @@ class FlowNetwork:
     def job_reachable(self, j: int) -> frozenset[int]:
         """Jobs reachable from j along positive-capacity arcs."""
         return self.reach_sets((j,))[j]
+
+    def solved_arcs(self) -> dict[tuple[Vertex, Vertex], Fraction]:
+        """The network the max flow solves: the arcs of positive capacity,
+        less every arc from a demand job to anything but the sink."""
+        return {
+            (u, v): cap
+            for (u, v), cap in self.arcs.items()
+            if cap > 0 and not (u[0] == "job" and u[1] in self.demands and v != SINK)
+        }
 
 
 def build_flow_network(
@@ -385,28 +385,29 @@ class FlowResult:
 
 
 def max_flow_saturates(net: FlowNetwork) -> tuple[bool, FlowResult]:
-    """Exact max flow, breadth-first augmentation in deterministic order.
+    """Exact max flow on ``net.solved_arcs()``, breadth-first augmentation in
+    deterministic order.
 
-    Vertices are numbered in ``_vkey`` order and arcs enter the residual graph
-    sorted by their numbered ends, so the augmenting paths, and with them the
-    witness flow, depend on the network alone.  The residual capacities are
-    kept in one array, the reverse of arc e at e ^ 1.  The network solved has
-    no arc from a demand vertex other than to the sink, so the witness flow
-    has no outgoing flow at any demand vertex; a path may still pass a demand
-    vertex backwards, cancelling flow that entered it.
+    Vertices are numbered in the vertex tuples' own order and arcs enter the
+    residual graph sorted by (tail, head), so the augmenting paths, and with
+    them the witness flow, depend on the network alone.  The residual
+    capacities are kept in one array: arc k of that order at 2k, its reverse
+    at 2k + 1, so the flow on arc k is the residual of 2k + 1.  The solved
+    network has no arc from a demand vertex other than to the sink, so the
+    witness flow has no outgoing flow at any demand vertex; a path may still
+    pass a demand vertex backwards, cancelling flow that entered it.
 
     Below supply, the result carries the source side of the final residual
     graph, whose cut capacity ``check_min_cut`` compares with the value.
     """
-    arcs = [(u, v, cap) for (u, v), cap in net.arcs.items() if cap > 0]
-    vertices = sorted({u for u, _, _ in arcs} | {v for _, v, _ in arcs} | {SOURCE, SINK}, key=_vkey)
+    arcs = sorted(net.solved_arcs().items())
+    vertices = sorted({end for arc, _ in arcs for end in arc} | {SOURCE, SINK})
     number = {v: k for k, v in enumerate(vertices)}
-    size = len(vertices)
     out: list[list[int]] = [[] for _ in vertices]  # residual arcs leaving each vertex
     heads: list[int] = []
     residual: list[Fraction] = []
-    for code, cap in sorted((number[u] * size + number[v], cap) for u, v, cap in arcs):
-        a, b = divmod(code, size)
+    for (u, v), cap in arcs:
+        a, b = number[u], number[v]
         out[a].append(len(heads))
         heads.append(b)
         residual.append(cap)
@@ -414,10 +415,6 @@ def max_flow_saturates(net: FlowNetwork) -> tuple[bool, FlowResult]:
         heads.append(a)
         residual.append(_ZERO)
     source, sink = number[SOURCE], number[SINK]
-    for i in net.demands:
-        d = number.get(("job", i))
-        if d is not None:
-            out[d] = [e for e in out[d] if e % 2 or heads[e] == sink]
     is_open = [True, False] * len(arcs)  # residual[e] > 0, kept in step
 
     value = Fraction(0)
@@ -447,23 +444,18 @@ def max_flow_saturates(net: FlowNetwork) -> tuple[bool, FlowResult]:
             is_open[e ^ 1] = True
         value += push
 
-    net_flow: dict[tuple[Vertex, Vertex], Fraction] = {}
-    for a, edge_ids in enumerate(out):
-        for e in edge_ids:
-            if e % 2 == 0 and is_open[e ^ 1]:
-                net_flow[(vertices[a], vertices[heads[e]])] = residual[e ^ 1]
+    flow = {arc: residual[2 * k + 1] for k, (arc, _) in enumerate(arcs) if is_open[2 * k + 1]}
     if value == net.total_supply:
-        return True, FlowResult(value=value, flow=net_flow)
+        return True, FlowResult(value=value, flow=flow)
     cut = frozenset(v for v, e in zip(vertices, parent) if e >= 0)
-    return False, FlowResult(value=value, flow=net_flow, cut=cut)
+    return False, FlowResult(value=value, flow=flow, cut=cut)
 
 
 def check_min_cut(net: FlowNetwork, result: FlowResult) -> list[str]:
     """Certificate that a flow below supply is maximum: the source side of
     its cut holds the source and not the sink, the flow leaving the source is
-    the value, and the cut's capacity equals it (Ford and Fulkerson).  Arcs
-    from a demand vertex to anything but the sink are not part of the network
-    ``max_flow_saturates`` solves, and count for nothing."""
+    the value, and the cut's capacity over ``net.solved_arcs()``, the network
+    ``max_flow_saturates`` solves, equals it (Ford and Fulkerson)."""
     side = result.cut
     violations = []
     if SOURCE not in side or SINK in side:
@@ -474,12 +466,7 @@ def check_min_cut(net: FlowNetwork, result: FlowResult) -> list[str]:
             f"flow leaving the source is {format_rat(sent)}, not the value {format_rat(result.value)}"
         )
     capacity = sum(
-        (
-            cap
-            for (u, v), cap in net.arcs.items()
-            if cap > 0 and u in side and v not in side
-            and not (u[0] == "job" and u[1] in net.demands and v != SINK)
-        ),
+        (cap for (u, v), cap in net.solved_arcs().items() if u in side and v not in side),
         Fraction(0),
     )
     if capacity != result.value:
@@ -550,13 +537,7 @@ def decompose_beta(result: FlowResult, net: FlowNetwork) -> BetaMatrix:
     discarded = Fraction(0)
 
     def next_hop(u: Vertex) -> Optional[Vertex]:
-        outs = fl.get(u)
-        if not outs:
-            return None
-        live = [v for v, f in outs.items() if f > 0]
-        if not live:
-            return None
-        return min(live, key=_vkey)
+        return min((v for v, f in fl.get(u, {}).items() if f > 0), default=None)
 
     for j in sorted(excess):
         while excess[j] > 0:
@@ -665,7 +646,7 @@ def refine_flow(
         if u == SOURCE or v == SINK:
             new_flow[(u, v)] = new_flow.get((u, v), Fraction(0)) + f
     inflows: dict[tuple[int, int], list[tuple[Vertex, Fraction]]] = {}
-    for (u, v), f in sorted(result.flow.items(), key=lambda kv: (_vkey(kv[0][0]), _vkey(kv[0][1]))):
+    for (u, v), f in sorted(result.flow.items()):
         if v[0] == "dummy":
             inflows.setdefault((v[1], v[2]), []).append((u, f))
     for (i, l), entries in inflows.items():
@@ -1137,16 +1118,21 @@ def verify_traces(alg_trace: ScheduleTrace, opt_trace: ScheduleTrace) -> Verific
     )
 
 
-def verify_instance(
-    instance: Instance, *, alg_trace: Optional[ScheduleTrace] = None
-) -> VerificationReport:
-    """Simulate the fused policy and SRPT on an instance and verify the pair.
-
-    A given alg_trace (one read from a file, say) takes the place of the
-    fused policy's run.  The optimum side always runs on the realized
-    instance (adversary commits resolved), since SRPT needs full knowledge.
-    """
+def simulate_pair(
+    instance: Instance, alg_trace: Optional[ScheduleTrace] = None
+) -> tuple[ScheduleTrace, ScheduleTrace]:
+    """The compared pair: the fused rule's trace on the instance (or the given
+    alg_trace, one read from a file, say) and SRPT's trace on that trace's
+    realized instance (adversary commits resolved), since SRPT needs full
+    knowledge."""
     if alg_trace is None:
         alg_trace, _ = simulate(instance, PolicyKind.ALPHA)
     opt_trace, _ = simulate(alg_trace.instance, PolicyKind.SRPT)
-    return verify_traces(alg_trace, opt_trace)
+    return alg_trace, opt_trace
+
+
+def verify_instance(
+    instance: Instance, *, alg_trace: Optional[ScheduleTrace] = None
+) -> VerificationReport:
+    """Verify the pair ``simulate_pair`` gives for the instance."""
+    return verify_traces(*simulate_pair(instance, alg_trace))

@@ -19,7 +19,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import adversary
-from .analysis import check_times, verify_instance
+from .analysis import check_times, simulate_pair, verify_instance
 from .engine import EngineError, simulate
 from .metrics import (
     FLAT_CSV_HEADER,
@@ -93,6 +93,8 @@ def cmd_simulate(args) -> int:
     inst = _load_instance_arg(args)
     kind = PolicyKind(args.policy)
     trace, log = simulate(inst, kind, horizon=args.horizon)
+    if args.quantum_oracle and not trace.complete:
+        raise ModelError("quantum cross-check needs a complete run")
     report = build_report(trace)
     out = Path(args.out)
     _write_text(out / "trace.csv", "\n".join(trace.csv_rows()) + "\n")
@@ -103,8 +105,6 @@ def cmd_simulate(args) -> int:
         metrics["makespan_float"] = float(report.makespan)
     code = 0
     if args.quantum_oracle:
-        if not trace.complete:
-            raise ModelError("quantum cross-check needs a complete run")
         entry = _quantum_entry(trace.instance, kind, report.total_flow)
         metrics["quantum_check"] = entry
         if not entry["ok"]:
@@ -115,10 +115,8 @@ def cmd_simulate(args) -> int:
 
 def cmd_compare(args) -> int:
     inst = _load_instance_arg(args)
-    alg, _ = simulate(inst, PolicyKind.ALPHA)
-    traces = {"alpha": alg}
-    for name in ("srpt", "setf"):
-        traces[name], _ = simulate(alg.instance, PolicyKind(name))
+    alg, srpt = simulate_pair(inst)
+    traces = {"alpha": alg, "srpt": srpt, "setf": simulate(alg.instance, PolicyKind.SETF)[0]}
     reports = {name: build_report(tr) for name, tr in traces.items()}
     opt = reports["srpt"]
     instance_id = Path(args.instance).stem
@@ -174,22 +172,27 @@ def cmd_verify(args) -> int:
     return VERIFY_ERROR
 
 
-# The phase families of ``lowerbound --which``, each args -> (instance,
-# measure time); ``rand`` is the Monte Carlo bound beside them.
-PHASE_FAMILIES = {
-    "lb1": lambda args: adversary.gen_det_lb1(args.alpha, args.k),
-    "lb2": lambda args: adversary.gen_det_lb2(args.alpha, args.k),
-    "rand32": lambda args: adversary.gen_rand32(args.alpha, args.k, args.seed),
+# The ``lowerbound`` options only some families read: dest -> (flag, default).
+FAMILY_OPTION_DEFAULTS = {
+    "k": ("--k", 5), "seed": ("--seed", 0), "seeds": ("--seeds", 500), "dos_m": ("--dos-M", 0),
+}
+# The families of ``lowerbound --which``: the options each reads (given one
+# it does not read, the command exits 2), and for a phase family args ->
+# (instance, measure time); ``rand`` is the Monte Carlo bound beside them.
+FAMILIES = {
+    "lb1": (("k", "dos_m"), lambda args: adversary.gen_det_lb1(args.alpha, args.k)),
+    "lb2": (("k", "dos_m"), lambda args: adversary.gen_det_lb2(args.alpha, args.k)),
+    "rand32": (("k", "seed", "dos_m"), lambda args: adversary.gen_rand32(args.alpha, args.k, args.seed)),
+    "rand": (("seed", "seeds"), None),
 }
 
 
-def _lowerbound_phases(args, out: Path | None) -> int:
+def _lowerbound_phases(args, generate, out: Path | None) -> int:
     which, alpha = args.which, args.alpha
-    inst, t = PHASE_FAMILIES[which](args)
+    inst, t = generate(args)
     if args.dos_m:
         inst = adversary.append_dos_tail(inst, t, args.dos_m)
-    alg, _ = simulate(inst, PolicyKind.ALPHA)
-    opt, _ = simulate(alg.instance, PolicyKind.SRPT)
+    alg, opt = simulate_pair(inst)
     result = {
         "which": which,
         "alpha": format_rat(alpha),
@@ -225,8 +228,6 @@ def _lowerbound_phases(args, out: Path | None) -> int:
 
 
 def _lowerbound_rand(args, out: Path | None) -> int:
-    if args.dos_m:
-        raise ModelError("--dos-M applies to lb1, lb2 and rand32, not to rand")
     alpha = args.alpha
     k, t = adversary.randomized_params(alpha)
     if args.seeds < 1:
@@ -235,8 +236,7 @@ def _lowerbound_rand(args, out: Path | None) -> int:
     totals = {"alg": 0, "opt": 0, "alg_cond": 0, "opt_cond": 0, "n_cond": 0}
     for seed in range(args.seed, args.seed + args.seeds):
         inst, _ = adversary.gen_rand_lb(alpha, seed)
-        alg, _ = simulate(inst, PolicyKind.ALPHA)
-        opt, _ = simulate(inst, PolicyKind.SRPT)
+        alg, opt = simulate_pair(inst)
         da, do = delta(alg, t, 1), delta(opt, t)
         totals["alg"] += da
         totals["opt"] += do
@@ -274,16 +274,21 @@ def _lowerbound_rand(args, out: Path | None) -> int:
 
 
 def cmd_lowerbound(args) -> int:
+    reads, generate = FAMILIES[args.which]
+    given = {dest for dest in FAMILY_OPTION_DEFAULTS if getattr(args, dest) is not None}
+    unread = sorted(FAMILY_OPTION_DEFAULTS[dest][0] for dest in given - set(reads))
+    if unread:
+        raise ModelError(f"--which {args.which} does not read {', '.join(unread)}")
+    for dest in FAMILY_OPTION_DEFAULTS.keys() - given:
+        setattr(args, dest, FAMILY_OPTION_DEFAULTS[dest][1])
     out = Path(args.out) if args.out else None
-    if args.which in PHASE_FAMILIES:
-        return _lowerbound_phases(args, out)
-    return _lowerbound_rand(args, out)
+    if generate is None:
+        return _lowerbound_rand(args, out)
+    return _lowerbound_phases(args, generate, out)
 
 
 def _sweep_one(inst: Instance, alpha: Fraction):
-    inst = inst.with_alpha(alpha)
-    alg, _ = simulate(inst, PolicyKind.ALPHA)
-    opt, _ = simulate(inst, PolicyKind.SRPT)
+    alg, opt = simulate_pair(inst.with_alpha(alpha))
     flow_ratio = ratio(build_report(alg), build_report(opt))
     worst = Fraction(0)
     for t in check_times(alg, opt)[1]:
@@ -364,12 +369,11 @@ def build_parser() -> argparse.ArgumentParser:
     ver.set_defaults(func=cmd_verify)
 
     low = sub.add_parser("lowerbound", help="reproduce the adversarial constructions")
-    low.add_argument("--which", choices=sorted([*PHASE_FAMILIES, "rand"]), required=True)
+    low.add_argument("--which", choices=sorted(FAMILIES), required=True)
     low.add_argument("--alpha", type=rational, required=True)
-    low.add_argument("--k", type=int, default=5)
-    low.add_argument("--seed", type=int, default=0)
-    low.add_argument("--seeds", type=int, default=500, help="sample count for rand")
-    low.add_argument("--dos-M", type=int, default=0, dest="dos_m")
+    for dest, (flag, default) in FAMILY_OPTION_DEFAULTS.items():
+        readers = ", ".join(which for which, (reads, _) in sorted(FAMILIES.items()) if dest in reads)
+        low.add_argument(flag, type=int, dest=dest, help=f"default {default}; read by {readers}")
     low.add_argument("--out")
     low.set_defaults(func=cmd_lowerbound)
 

@@ -1,3 +1,4 @@
+from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
@@ -8,6 +9,7 @@ from alphasched.analysis import (
     SINK,
     SOURCE,
     BetaMatrix,
+    BorrowGraph,
     BorrowSweep,
     FlowNetwork,
     FlowResult,
@@ -21,6 +23,7 @@ from alphasched.analysis import (
     check_feasibility,
     check_local_bounds,
     check_min_cut,
+    check_reachability_closure,
     check_times,
     compute_segments,
     decompose_beta,
@@ -72,6 +75,40 @@ def arbitrary_time_points(draw):
     fresh, signalled, opt_alive = draw(subsets), draw(subsets), draw(subsets)
     part = Partition(fresh | signalled, fresh, signalled)
     return inst, TimePoint(F(1), dict(enumerate(work)), part, opt_alive)
+
+
+@st.composite
+def verifier_networks(draw):
+    """Flow networks of up to 5 jobs in the verifier's vocabulary: dummies
+    whose out-arc has positive or zero capacity, holder arcs into them
+    (from demand jobs too), disjoint supply and demand jobs, and the arcs
+    inserted in a shuffled order."""
+    n = draw(st.integers(1, 5))
+    intervals = draw(st.integers(1, 3))
+    amounts = st.fractions(F(1, 2), 3, max_denominator=2)
+    roles = draw(st.lists(st.sampled_from(["supply", "demand", None]), min_size=n, max_size=n))
+    supplies = {j: draw(amounts) for j, role in enumerate(roles, 1) if role == "supply"}
+    demands = {i: draw(amounts) for i, role in enumerate(roles, 1) if role == "demand"}
+    infinite = sum(supplies.values(), F(0)) + sum(demands.values(), F(1))
+    arcs = {}
+    for i in range(1, n + 1):
+        for l in range(intervals):
+            if draw(st.booleans()):
+                arcs[(("dummy", i, l), ("job", i))] = draw(st.fractions(0, 3, max_denominator=2))
+                for j in range(1, n + 1):
+                    if j != i and draw(st.booleans()):
+                        arcs[(("job", j), ("dummy", i, l))] = infinite
+    arcs.update({(SOURCE, ("job", j)): s for j, s in supplies.items()})
+    arcs.update({(("job", i), SINK): d for i, d in demands.items()})
+    order = draw(st.permutations(sorted(arcs)))
+    return FlowNetwork(
+        tuple(F(k) for k in range(intervals + 1)),
+        tuple(range(1, n + 1)),
+        {arc: arcs[arc] for arc in order},
+        supplies,
+        demands,
+        infinite,
+    )
 
 
 # the verifier's incremental paths are checked against the from-scratch
@@ -151,6 +188,18 @@ class TestBorrowGraph:
         assert (2, 1, "C") in graph.edges
         assert (1, 2, "N") in graph.edges
         assert (1, 2, "C") not in graph.edges
+
+    def test_closure_names_a_job_run_outside_the_set(self, pair_traces):
+        # without its edges to job 2, job 1 reaches only itself, yet job 2
+        # ran inside job 1's lifetime [0, 5/2]
+        alg, opt = pair_traces
+        t = F(5, 2)
+        graph = build_borrow_graph(alg, t)
+        cut = BorrowGraph(graph.vertices, frozenset(e for e in graph.edges if e[:2] != (1, 2)))
+        assert check_reachability_closure(alg, graph, TimePoint.at(alg, opt, t)) == []
+        assert check_reachability_closure(alg, cut, TimePoint.at(alg, opt, t)) == [
+            "job 2 executed inside lifetime of reachability set of 1 but is not reachable (t=5/2)"
+        ]
 
 
 class TestBorrowSweep:
@@ -353,6 +402,26 @@ class TestFlowOracles:
             assert saturated
             assert verify_flow_feasible(net, flow) == []
 
+    @settings(max_examples=300, deadline=None, database=None, derandomize=True)
+    @given(verifier_networks())
+    def test_max_flow_on_random_networks(self, net):
+        nx = pytest.importorskip("networkx")
+        graph = nx.DiGraph()
+        graph.add_nodes_from([SOURCE, SINK])
+        for (u, v), cap in net.arcs.items():
+            if not (u[0] == "job" and u[1] in net.demands and v != SINK):
+                graph.add_edge(u, v, capacity=cap)
+        saturated, flow = max_flow_saturates(net)
+        assert flow.value == nx.maximum_flow_value(graph, SOURCE, SINK)
+        assert verify_flow_feasible(net, flow) == []
+        assert saturated == (flow.value == net.total_supply)
+        if not saturated:
+            assert check_min_cut(net, flow) == []
+        # the result depends on the network alone, not on the arcs' order
+        for order in (sorted(net.arcs), sorted(net.arcs, reverse=True)):
+            reordered = replace(net, arcs={arc: net.arcs[arc] for arc in order})
+            assert max_flow_saturates(reordered) == (saturated, flow)
+
     def test_max_flow_reads_arcs_edited_after_the_build(self, pair_traces):
         alg, opt = pair_traces
         net = build_flow_network(alg, TimePoint.at(alg, opt, F(5, 2)))
@@ -477,6 +546,54 @@ class TestBetaMatrix:
         assert verify_flow_feasible(refined_net, refined_flow) == []
         assert refined_flow.value == flow.value
         assert decompose_beta(refined_flow, refined_net).values == beta.values
+
+
+def job(i):
+    return ("job", i)
+
+
+def dummy(i, l=0):
+    return ("dummy", i, l)
+
+
+# a flow network's shape only; decompose_beta reads the flow alone
+BARE_NETWORK = FlowNetwork((F(0), F(1)), (), {}, {}, {}, F(1))
+
+
+class TestPathDecomposition:
+    def test_cycle_cancelled_before_the_path(self):
+        # job 1 sends 1 to demand job 3, and 1/2 around the cycle 1 -> 2 -> 1;
+        # the walk takes the smaller dummy (2, 0) first, meets job 1 again,
+        # cancels the cycle and then peels the path through (3, 0)
+        flow = {
+            (SOURCE, job(1)): F(1),
+            (job(1), dummy(2)): F(1, 2),
+            (dummy(2), job(2)): F(1, 2),
+            (job(2), dummy(1)): F(1, 2),
+            (dummy(1), job(1)): F(1, 2),
+            (job(1), dummy(3)): F(1),
+            (dummy(3), job(3)): F(1),
+            (job(3), SINK): F(1),
+        }
+        beta = decompose_beta(FlowResult(F(1), flow), BARE_NETWORK)
+        assert beta.values == {(1, 3): 1}
+        assert beta.discarded_cycle_flow == F(1, 2)
+
+    def test_stuck_walk_discards_its_flow(self):
+        # job 4's flow ends at job 5, which absorbs nothing: the walk stops
+        # there, and the flow left on both arcs is discarded
+        flow = {
+            (SOURCE, job(1)): F(1),
+            (job(1), dummy(3)): F(1),
+            (dummy(3), job(3)): F(1),
+            (job(3), SINK): F(1),
+            (SOURCE, job(4)): F(1),
+            (job(4), dummy(5)): F(1),
+            (dummy(5), job(5)): F(1),
+        }
+        beta = decompose_beta(FlowResult(F(2), flow), BARE_NETWORK)
+        assert beta.values == {(1, 3): 1}
+        assert beta.discarded_cycle_flow == 2
 
 
 class TestSegments:

@@ -1,6 +1,7 @@
 import hashlib
 import io
 import json
+import shlex
 import tempfile
 from contextlib import redirect_stderr
 from fractions import Fraction as F
@@ -125,6 +126,15 @@ class TestSimulateCommand:
         assert code == 0
         entry = json.loads(read(out / "metrics.json"))["quantum_check"]
         assert entry["ok"] is True
+
+    def test_quantum_check_of_a_cut_run_writes_nothing(self, tmp_path, capsys):
+        lb = tmp_path / "lb"
+        assert main(["lowerbound", "--which", "lb2", "--alpha", "1/2", "--k", "2", "--out", str(lb)]) == 0
+        out = tmp_path / "out"
+        argv = ["simulate", "--instance", str(lb / "realized-instance.json"), "--horizon", "3"]
+        assert main(argv + ["--quantum-oracle", "--out", str(out)]) == 2
+        assert "quantum cross-check needs a complete run" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_float_columns(self, tmp_path, pair_path):
         out = tmp_path / "out"
@@ -447,6 +457,21 @@ class TestLowerboundCommand:
         assert "--dos-M" in capsys.readouterr().err
         assert not (tmp_path / "lb").exists()
 
+    @pytest.mark.parametrize(
+        "argv, option",
+        [
+            (["rand", "--alpha", "7/8", "--seeds", "2", "--k", "3"], "--k"),
+            (["lb1", "--alpha", "1/2", "--k", "2", "--seeds", "7", "--seed", "9"], "--seeds"),
+            (["rand32", "--alpha", "1/2", "--k", "2", "--seeds", "7"], "--seeds"),
+            (["lb2", "--alpha", "1/2", "--seed", "3"], "--seed"),
+        ],
+    )
+    def test_option_the_family_does_not_read_exits_2(self, tmp_path, capsys, argv, option):
+        out = tmp_path / "lb"
+        assert main(["lowerbound", "--which", *argv, "--out", str(out)]) == 2
+        assert option in capsys.readouterr().err
+        assert not out.exists()
+
     def test_rand32_without_phases_exits_2(self):
         assert main(["lowerbound", "--which", "rand32", "--alpha", "1/2", "--k", "0"]) == 2
 
@@ -549,3 +574,15 @@ class TestSweepCommand:
         assert code == 0
         rows = read(out / "sweep.csv").splitlines()
         assert rows == ["alpha,max_alive_ratio,max_flow_ratio"]
+
+
+def test_readme_commands_run(tmp_path, monkeypatch, pair_instance):
+    # every command of README's "Command line" block, run where inst.json is
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Command line", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    commands = [shlex.split(line)[1:] for line in block.splitlines() if line.startswith("alphasched ")]
+    assert len(commands) == 5
+    save_instance(pair_instance, tmp_path / "inst.json")
+    monkeypatch.chdir(tmp_path)
+    for argv in commands:
+        assert main(argv) == 0, argv
