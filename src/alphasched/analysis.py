@@ -25,17 +25,18 @@ exact rationals involved so it can be replayed.
 
 ``verify_traces`` sweeps the check times in increasing order: each time's
 state is computed once (``TimePoint``) and is the only input every per-time
-check reads, the borrow graph is carried forward (``BorrowSweep``), and the
-base and refined flow networks come from one builder whose grid columns are
-``ScheduleTrace.work_at``, kept per time by the trace, not passed between
-builds.  Every check runs every time.  Catch-up is a trace check: it reads
-the same check times again, and the trace's kept ``work_at`` columns and
-``partition`` splits, so no time's state is computed twice.
+check reads, the borrow graph is carried forward (``BorrowSweep``), and so
+are the base and refined flow networks (``NetworkSweep``): an interval
+between two grid points is built once, and each event time adds only the
+open last interval, the supplies and the demands.  Every check runs every
+time.  Catch-up is a trace check: it reads the same check times again, and
+the trace's kept ``work_at`` columns and ``partition`` splits, so no time's
+state is computed twice.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -241,6 +242,9 @@ class FlowNetwork:
     supplies: dict[int, Fraction]
     demands: dict[int, Fraction]
     infinite: Fraction
+    # job-to-job steps (j, i): a positive-capacity arc from job j into a
+    # dummy of job i whose own out-arc has positive capacity
+    steps: frozenset[tuple[int, int]]
 
     @property
     def total_supply(self) -> Fraction:
@@ -248,15 +252,10 @@ class FlowNetwork:
 
     def reach_sets(self, sources: Iterable[int]) -> dict[int, frozenset[int]]:
         """Per source job, the jobs reachable from it along positive-capacity
-        arcs; the job-to-job step map is built once for all sources."""
-        open_dummies = {
-            u for (u, v), cap in self.arcs.items()
-            if u[0] == "dummy" and v == ("job", u[1]) and cap > 0
-        }
-        onward: dict[int, set[int]] = {}
-        for (u, v), cap in self.arcs.items():
-            if v in open_dummies and u[0] == "job" and cap > 0:
-                onward.setdefault(u[1], set()).add(v[1])
+        arcs, read from the network's job-to-job steps."""
+        onward: dict[int, list[int]] = {}
+        for j, i in self.steps:
+            onward.setdefault(j, []).append(i)
         out = {}
         for j in sources:
             seen = {j}
@@ -284,84 +283,161 @@ class FlowNetwork:
         }
 
 
-def build_flow_network(
-    alg_trace: ScheduleTrace,
-    point: TimePoint,
-    extra_points: Iterable[Fraction] = (),
-) -> FlowNetwork:
-    """Interval network at the point's time t.
+Arcs = dict[tuple[Vertex, Vertex], Fraction]
 
-    Discretization: 0, t, releases and algorithm completions up to t, plus any
-    extra points.  Per job i and interval in which i received work, a dummy
-    vertex caps the flow through i at that work; a job j connects to a dummy
-    iff the whole interval lies inside j's lifetime.  An interval that gave i
-    no work has no dummy: its out-arc would have capacity 0, so no feasible
-    flow could enter it.  Every arc therefore has positive capacity.
+
+@dataclass(frozen=True)
+class _Grid:
+    """A network at one time less its supplies and demands: the closed
+    intervals' arcs (the sweep's own map, kept while t stays) and the open
+    interval's."""
+
+    time_points: tuple[Fraction, ...]
+    jobs: tuple[int, ...]
+    steps: frozenset[tuple[int, int]]
+    closed_arcs: Arcs
+    open_arcs: Arcs
+
+
+class NetworkSweep:
+    """The interval flow networks of one trace at non-decreasing times, with
+    every closed interval built once.
+
+    The fixed grid is 0, the releases and the algorithm's completions.  At
+    time t the intervals run between the grid points up to t, and, when t is
+    not on the grid, one open interval runs from the last of them to t.  Job
+    j holds an interval [a, b] when it lies inside j's lifetime: r_j <= a and
+    b <= min(C_j, t).  For a closed interval (b <= t) that is r_j <= a and
+    b <= C_j, whatever t is, and the work each job received on it is fixed
+    too.  So a closed interval's arcs, in the base network (index l) and in
+    the refined one (halves 2l and 2l + 1, which have its holders), and its
+    job-to-job steps are built once, when t first reaches b; each time adds
+    only the open interval.  Holder arcs carry one capacity per instance,
+    ``infinite`` = total work plus 1.
+    """
+
+    def __init__(self, trace: ScheduleTrace):
+        self.trace = trace
+        jobs = trace.instance.jobs
+        self.infinite = sum((job.proc for job in jobs), Fraction(1))
+        self._releases = [job.release for job in jobs]  # jobs are sorted by release
+        self._grid = sorted({_ZERO, *self._releases, *trace.completions.values()})
+        self._closed = 0  # grid intervals built so far
+        self._arcs: Arcs = {}
+        self._refined_arcs: Arcs = {}
+        self._refined_points = [_ZERO]
+        self._steps: frozenset[tuple[int, int]] = frozenset()
+        self._t: Optional[Fraction] = None
+        self._now: Optional[tuple[_Grid, _Grid]] = None
+
+    def at(self, t: Fraction) -> tuple[_Grid, _Grid]:
+        """The base and the refined grid at time t."""
+        t = Fraction(t)
+        if self._t is not None and t < self._t:
+            raise ModelError(f"network sweep asked for t={format_rat(t)} after t={format_rat(self._t)}")
+        if t == self._t:
+            return self._now
+        self._t = t
+        grid = self._grid
+        while self._closed + 1 < len(grid) and grid[self._closed + 1] <= t:
+            l, a, b = self._closed, grid[self._closed], grid[self._closed + 1]
+            self._steps |= self._interval(l, a, b, self._arcs, self._refined_arcs)
+            self._refined_points += [(a + b) / 2, b]
+            self._closed += 1
+        points, refined_points = grid[: self._closed + 1], self._refined_points
+        arcs, refined_arcs, steps = {}, {}, self._steps
+        last = points[-1]
+        if t > last:
+            steps = steps | self._interval(self._closed, last, t, arcs, refined_arcs)
+            points = points + [t]
+            refined_points = refined_points + [(last + t) / 2, t]
+        jobs = tuple(job.id for job in self.trace.instance.jobs[: bisect_right(self._releases, t)])
+        self._now = (
+            _Grid(tuple(points), jobs, steps, self._arcs, arcs),
+            _Grid(tuple(refined_points), jobs, steps, self._refined_arcs, refined_arcs),
+        )
+        return self._now
+
+    def _interval(
+        self, l: int, a: Fraction, b: Fraction, arcs: Arcs, refined_arcs: Arcs
+    ) -> frozenset[tuple[int, int]]:
+        """Add the arcs of interval l = [a, b] and of its two halves to the
+        base and the refined arc maps; the interval's steps."""
+        trace, infinite = self.trace, self.infinite
+        at_a, at_mid, at_b = trace.work_at(a), trace.work_at((a + b) / 2), trace.work_at(b)
+        released = trace.instance.jobs[: bisect_right(self._releases, a)]
+        holders = [
+            job.id for job in released
+            if (done := trace.completions.get(job.id)) is None or done >= b
+        ]
+        steps = set()
+        for job in released:
+            i = job.id
+            if at_b[i] == at_a[i]:
+                continue
+            vertex = ("job", i)
+            others = [("job", j) for j in holders if j != i]
+            steps.update((holder[1], i) for holder in others)
+            for into, k, lo, hi in (
+                (arcs, l, at_a, at_b),
+                (refined_arcs, 2 * l, at_a, at_mid),
+                (refined_arcs, 2 * l + 1, at_mid, at_b),
+            ):
+                received = hi[i] - lo[i]
+                if received:
+                    dummy = ("dummy", i, k)
+                    into[(dummy, vertex)] = received
+                    for holder in others:
+                        into[(holder, dummy)] = infinite
+        return frozenset(steps)
+
+
+def build_flow_network(sweep: NetworkSweep, point: TimePoint, refined: bool = False) -> FlowNetwork:
+    """Interval network of the sweep's trace at the point's time t, on the
+    base grid or, refined, with every interval split at its midpoint.
+
+    Discretization: 0, t, releases and algorithm completions up to t (and
+    the midpoints).  Per job i and interval in which i received work, a
+    dummy vertex caps the flow through i at that work; a job j connects to a
+    dummy iff the whole interval lies inside j's lifetime.  An interval that
+    gave i no work has no dummy: its out-arc would have capacity 0, so no
+    feasible flow could enter it.  Every arc therefore has positive capacity.
     Supplies are the remaining work of the algorithm's alive jobs outside the
     optimum's alive set O(t); demands are the received work of jobs in O(t).
     Jobs released after t are omitted: they received no work up to t.
 
-    The grid columns are ``alg_trace.work_at``, computed once per time by the
-    trace, so networks built at successive times share them.
+    Holder arcs have capacity ``sweep.infinite``, total work plus 1, and
+    no augmenting path's bottleneck is one of them.  A dummy of job i passes
+    at most p_i, so a holder arc into it keeps a residual above the total
+    work less p_i.  A path from supply job j has a source arc of at most p_j,
+    and a sink arc of at most p_x for a demand job x, and x is not j.  If i
+    is not j, the source arc is smaller; if it is, the sink arc is.  So the
+    witness flow is the same for every value above the total work.
     """
-    t = point.t
-    points = {Fraction(0), t}
-    jobs = [job for job in alg_trace.instance.jobs if job.release <= t]
-    for job in jobs:
-        points.add(job.release)
-        done = alg_trace.completions.get(job.id)
-        if done is not None and done <= t:
-            points.add(done)
-    for p in extra_points:
-        p = Fraction(p)
-        if 0 <= p <= t:
-            points.add(p)
-    tps = tuple(sorted(points))
-
+    base, fine = sweep.at(point.t)
+    grid = fine if refined else base
     work = point.work
     # zero-valued entries are dropped: a job with no received work absorbs
     # nothing, and only positive demands forbid outgoing flow
     supplies = {}
     for j in sorted(point.part.alive - point.opt_alive):
-        rest = alg_trace.instance.proc_of(j) - work[j]
+        rest = sweep.trace.instance.proc_of(j) - work[j]
         if rest > 0:
             supplies[j] = rest
     demands = {i: work[i] for i in sorted(point.opt_alive) if work[i] > 0}
-    infinite = sum(supplies.values(), Fraction(0)) + sum(demands.values(), Fraction(1))
-
-    columns = [alg_trace.work_at(p) for p in tps]
-    # lifetimes [r_j, min(C_j, t)] run between grid points: keep them as
-    # index ranges, and list per interval the jobs whose lifetime holds it
-    index = {p: k for k, p in enumerate(tps)}
-    spans = [
-        (job.id, index[job.release], index[alg_trace.lifetime_end(job.id, t)]) for job in jobs
-    ]
-    holders = [[("job", j) for j, lo, hi in spans if lo <= l < hi] for l in range(len(tps) - 1)]
-
-    arcs: dict[tuple[Vertex, Vertex], Fraction] = {}
-    for job in jobs:
-        i = job.id
-        vertex = ("job", i)
-        for l in range(len(tps) - 1):
-            received = columns[l + 1][i] - columns[l][i]
-            if not received:
-                continue
-            dummy = ("dummy", i, l)
-            arcs[(dummy, vertex)] = received
-            for holder in holders[l]:
-                if holder != vertex:
-                    arcs[(holder, dummy)] = infinite
+    arcs = {**grid.closed_arcs, **grid.open_arcs}
     for j, s in supplies.items():
         arcs[(SOURCE, ("job", j))] = s
     for i, d in demands.items():
         arcs[(("job", i), SINK)] = d
     return FlowNetwork(
-        time_points=tps,
-        jobs=tuple(job.id for job in jobs),
+        time_points=grid.time_points,
+        jobs=grid.jobs,
         arcs=arcs,
         supplies=supplies,
         demands=demands,
-        infinite=infinite,
+        infinite=sweep.infinite,
+        steps=grid.steps,
     )
 
 
@@ -518,10 +594,14 @@ class BetaMatrix:
     discarded_cycle_flow: Fraction = Fraction(0)
 
 
-def decompose_beta(result: FlowResult, net: FlowNetwork) -> BetaMatrix:
+def decompose_beta(result: FlowResult) -> BetaMatrix:
     """Peel source-to-sink path flows, lexicographically smallest vertex
     sequence first; beta sums peeled amounts by path endpoints.  Any residual
-    cycle flow carries no supply and is discarded (logged in the result)."""
+    cycle flow carries no supply and is discarded (logged in the result).
+
+    Each walk steps to the smallest head still carrying flow.  Flows only
+    fall during the peeling, so a head once empty stays empty, and a pointer
+    per vertex moves forward over its sorted heads to find that one."""
     fl: dict[Vertex, dict[Vertex, Fraction]] = {}
     excess: dict[int, Fraction] = {}
     absorb: dict[int, Fraction] = {}
@@ -536,8 +616,18 @@ def decompose_beta(result: FlowResult, net: FlowNetwork) -> BetaMatrix:
     beta: dict[tuple[int, int], Fraction] = {}
     discarded = Fraction(0)
 
+    heads = {u: sorted(outs) for u, outs in fl.items()}
+    skipped = dict.fromkeys(fl, 0)  # per vertex, the leading heads known empty
+
     def next_hop(u: Vertex) -> Optional[Vertex]:
-        return min((v for v, f in fl.get(u, {}).items() if f > 0), default=None)
+        order = heads.get(u)
+        if order is None:
+            return None
+        outs, k = fl[u], skipped[u]
+        while k < len(order) and outs[order[k]] <= 0:
+            k += 1
+        skipped[u] = k
+        return order[k] if k < len(order) else None
 
     for j in sorted(excess):
         while excess[j] > 0:
@@ -626,7 +716,7 @@ def check_beta_properties(
 def refine_flow(
     net: FlowNetwork,
     result: FlowResult,
-    alg_trace: ScheduleTrace,
+    sweep: NetworkSweep,
     point: TimePoint,
 ) -> tuple[FlowNetwork, FlowResult]:
     """Build the network of the point's time with every discretization
@@ -635,12 +725,10 @@ def refine_flow(
     half up to the work received there, and the rest goes to the second
     half; a half that received no work has no dummy and takes nothing.
 
-    ``net`` must be the network of this trace at the point's time."""
+    ``net`` must be the sweep's base network at the point's time."""
     if net.time_points[-1] != point.t:
         raise ModelError(f"network is not the one at t={format_rat(point.t)}")
-    tps = net.time_points
-    mids = [(a + b) / 2 for a, b in zip(tps, tps[1:])]
-    refined = build_flow_network(alg_trace, point, extra_points=mids)
+    refined = build_flow_network(sweep, point, refined=True)
     new_flow: dict[tuple[Vertex, Vertex], Fraction] = {}
     for (u, v), f in result.flow.items():
         if u == SOURCE or v == SINK:
@@ -1030,6 +1118,7 @@ def verify_traces(alg_trace: ScheduleTrace, opt_trace: ScheduleTrace) -> Verific
 
     feasibility = (check_feasibility(alg_trace), check_feasibility(opt_trace))
     borrow = BorrowSweep(alg_trace)
+    networks = NetworkSweep(alg_trace)
     event_set = set(events)
     for t in dense:
         entry: dict = {"t": format_rat(t)}
@@ -1042,7 +1131,7 @@ def verify_traces(alg_trace: ScheduleTrace, opt_trace: ScheduleTrace) -> Verific
             entry["counts"], found["local_bounds"] = check_local_bounds(instance.alpha, point)
         entry["segments"], found["segments"] = compute_segments(instance, point)
         if t in event_set:
-            net = build_flow_network(alg_trace, point)
+            net = build_flow_network(networks, point)
             saturated, flow = max_flow_saturates(net)
             entry["supply"] = format_rat(net.total_supply)
             entry["max_flow"] = format_rat(flow.value)
@@ -1065,14 +1154,14 @@ def verify_traces(alg_trace: ScheduleTrace, opt_trace: ScheduleTrace) -> Verific
                             f"disagree for ({j},{i}) at t={format_rat(t)}"
                         )
             if saturated:
-                beta = decompose_beta(flow, net)
+                beta = decompose_beta(flow)
                 if beta.discarded_cycle_flow != 0:
                     found["path_decomposition"] = [
                         f"path decomposition discarded cycle flow "
                         f"{format_rat(beta.discarded_cycle_flow)}"
                     ]
                 found["beta_properties"] = check_beta_properties(beta, graph, instance, point)
-                refined_net, refined_flow = refine_flow(net, flow, alg_trace, point)
+                refined_net, refined_flow = refine_flow(net, flow, networks, point)
                 found["refined_flow_feasible"] = verify_flow_feasible(refined_net, refined_flow)
                 direct, refined_direct = flow.job_totals(), refined_flow.job_totals()
                 for j in net.supplies:
@@ -1084,7 +1173,7 @@ def verify_traces(alg_trace: ScheduleTrace, opt_trace: ScheduleTrace) -> Verific
                                 f"refinement changed direct flow ({j},{i}): "
                                 f"{format_rat(a)} -> {format_rat(b)}"
                             )
-                refined_beta = decompose_beta(refined_flow, refined_net)
+                refined_beta = decompose_beta(refined_flow)
                 if refined_beta.values != beta.values:
                     found["refinement_beta"] = [
                         f"refinement changed the borrowing matrix at t={format_rat(t)}"

@@ -1,10 +1,18 @@
-"""Reference flow-network builder with every dead dummy kept.
+"""Reference flow-network builders, each building one network from scratch.
 
-A dead dummy is a ("dummy", i, l) whose interval l gave job i no work.  The
-package's ``build_flow_network`` omits it, because its out-arc has capacity 0
-and no feasible flow can enter it.  This builder emits a dummy for every job
-and interval, as the verifier's first builder did, so the tests can check
-that the omission changes neither the max flow nor the reachability sets.
+``build_flow_network_from_scratch`` builds the network of one time as the
+package's ``NetworkSweep`` does, with nothing carried from an earlier time:
+the tests compare every swept base and refined network with it, arc for arc.
+
+``build_flow_network_with_dead_dummies`` also keeps every dead dummy, a
+("dummy", i, l) whose interval l gave job i no work.  The package omits it,
+because its out-arc has capacity 0 and no feasible flow can enter it.  This
+builder emits a dummy for every job and interval, as the verifier's first
+builder did, so the tests can check that the omission changes neither the
+max flow nor the reachability sets.
+
+Both give holder arcs the sweep's per-instance capacity, total work plus 1,
+and read the job-to-job steps off the arcs.
 """
 
 from __future__ import annotations
@@ -15,9 +23,18 @@ from alphasched.analysis import SINK, SOURCE, FlowNetwork, TimePoint
 from alphasched.model import ScheduleTrace
 
 
-def build_flow_network_with_dead_dummies(
-    alg_trace: ScheduleTrace, point: TimePoint, extra_points=()
-) -> FlowNetwork:
+def steps_of(arcs) -> frozenset:
+    """(j, i) for every positive-capacity arc from job j into a dummy of job
+    i whose own out-arc has positive capacity."""
+    open_dummies = {
+        u for (u, v), cap in arcs.items() if u[0] == "dummy" and v == ("job", u[1]) and cap > 0
+    }
+    return frozenset(
+        (u[1], v[1]) for (u, v), cap in arcs.items() if v in open_dummies and u[0] == "job" and cap > 0
+    )
+
+
+def _grid(alg_trace: ScheduleTrace, point: TimePoint, extra_points):
     t = point.t
     jobs = [job for job in alg_trace.instance.jobs if job.release <= t]
     points = {Fraction(0), t}
@@ -27,8 +44,10 @@ def build_flow_network_with_dead_dummies(
         if done is not None and done <= t:
             points.add(done)
     points.update(Fraction(p) for p in extra_points if 0 <= p <= t)
-    tps = tuple(sorted(points))
+    return jobs, tuple(sorted(points))
 
+
+def _network(alg_trace, point, jobs, tps, arcs, infinite) -> FlowNetwork:
     work = point.work
     supplies = {}
     for j in sorted(point.part.alive - point.opt_alive):
@@ -36,18 +55,6 @@ def build_flow_network_with_dead_dummies(
         if rest > 0:
             supplies[j] = rest
     demands = {i: work[i] for i in sorted(point.opt_alive) if work[i] > 0}
-    infinite = sum(supplies.values(), Fraction(0)) + sum(demands.values(), Fraction(1))
-
-    arcs = {}
-    for job in jobs:
-        i = job.id
-        for l, (a, b) in enumerate(zip(tps, tps[1:])):
-            dummy = ("dummy", i, l)
-            arcs[(dummy, ("job", i))] = alg_trace.elapsed_work(i, b) - alg_trace.elapsed_work(i, a)
-            for holder in jobs:
-                j = holder.id
-                if j != i and holder.release <= a and b <= alg_trace.lifetime_end(j, t):
-                    arcs[(("job", j), dummy)] = infinite
     for j, s in supplies.items():
         arcs[(SOURCE, ("job", j))] = s
     for i, d in demands.items():
@@ -59,4 +66,56 @@ def build_flow_network_with_dead_dummies(
         supplies=supplies,
         demands=demands,
         infinite=infinite,
+        steps=steps_of(arcs),
     )
+
+
+def infinite_of(alg_trace: ScheduleTrace) -> Fraction:
+    return sum((job.proc for job in alg_trace.instance.jobs), Fraction(1))
+
+
+def build_flow_network_from_scratch(
+    alg_trace: ScheduleTrace, point: TimePoint, extra_points=()
+) -> FlowNetwork:
+    t = point.t
+    jobs, tps = _grid(alg_trace, point, extra_points)
+    infinite = infinite_of(alg_trace)
+    columns = [alg_trace.work_at(p) for p in tps]
+    # lifetimes [r_j, min(C_j, t)] run between grid points: keep them as
+    # index ranges, and list per interval the jobs whose lifetime holds it
+    index = {p: k for k, p in enumerate(tps)}
+    spans = [(job.id, index[job.release], index[alg_trace.lifetime_end(job.id, t)]) for job in jobs]
+    holders = [[("job", j) for j, lo, hi in spans if lo <= l < hi] for l in range(len(tps) - 1)]
+    arcs = {}
+    for job in jobs:
+        i = job.id
+        vertex = ("job", i)
+        for l in range(len(tps) - 1):
+            received = columns[l + 1][i] - columns[l][i]
+            if not received:
+                continue
+            dummy = ("dummy", i, l)
+            arcs[(dummy, vertex)] = received
+            for holder in holders[l]:
+                if holder != vertex:
+                    arcs[(holder, dummy)] = infinite
+    return _network(alg_trace, point, jobs, tps, arcs, infinite)
+
+
+def build_flow_network_with_dead_dummies(
+    alg_trace: ScheduleTrace, point: TimePoint, extra_points=()
+) -> FlowNetwork:
+    t = point.t
+    jobs, tps = _grid(alg_trace, point, extra_points)
+    infinite = infinite_of(alg_trace)
+    arcs = {}
+    for job in jobs:
+        i = job.id
+        for l, (a, b) in enumerate(zip(tps, tps[1:])):
+            dummy = ("dummy", i, l)
+            arcs[(dummy, ("job", i))] = alg_trace.elapsed_work(i, b) - alg_trace.elapsed_work(i, a)
+            for holder in jobs:
+                j = holder.id
+                if j != i and holder.release <= a and b <= alg_trace.lifetime_end(j, t):
+                    arcs[(("job", j), dummy)] = infinite
+    return _network(alg_trace, point, jobs, tps, arcs, infinite)

@@ -1,3 +1,4 @@
+import hashlib
 from dataclasses import replace
 from fractions import Fraction as F
 
@@ -13,6 +14,7 @@ from alphasched.analysis import (
     BorrowSweep,
     FlowNetwork,
     FlowResult,
+    NetworkSweep,
     TimePoint,
     build_borrow_graph,
     build_flow_network,
@@ -44,8 +46,9 @@ from alphasched.model import (
     UnknownJobError,
 )
 from alphasched.policies import PolicyKind
+from alphasched.rational import format_rat
 from conftest import corpus_instance
-from flow_reference import build_flow_network_with_dead_dummies
+from flow_reference import build_flow_network_from_scratch, build_flow_network_with_dead_dummies, steps_of
 
 
 @pytest.fixture
@@ -108,6 +111,7 @@ def verifier_networks(draw):
         supplies,
         demands,
         infinite,
+        steps_of(arcs),
     )
 
 
@@ -235,7 +239,7 @@ class TestBorrowSweep:
 class TestFlowNetwork:
     def test_pair_example_at_five_halves(self, pair_traces):
         alg, opt = pair_traces
-        net = build_flow_network(alg, TimePoint.at(alg, opt, F(5, 2)))
+        net = build_flow_network(NetworkSweep(alg), TimePoint.at(alg, opt, F(5, 2)))
         assert net.supplies == {1: F(1, 2)}
         assert net.demands == {2: F(1)}
         chain_caps = [
@@ -250,7 +254,7 @@ class TestFlowNetwork:
 
     def test_zero_time_network_is_empty(self, pair_traces):
         alg, opt = pair_traces
-        net = build_flow_network(alg, TimePoint.at(alg, opt, 0))
+        net = build_flow_network(NetworkSweep(alg), TimePoint.at(alg, opt, 0))
         assert not net.supplies and not net.demands
         saturated, flow = max_flow_saturates(net)
         assert saturated and flow.value == 0
@@ -258,12 +262,12 @@ class TestFlowNetwork:
     def test_no_surplus_means_zero_supply(self, pair_traces):
         alg, opt = pair_traces
         # at t=7/2 the fused policy finished job 1; only job 2 is alive in both
-        net = build_flow_network(alg, TimePoint.at(alg, opt, F(7, 2)))
+        net = build_flow_network(NetworkSweep(alg), TimePoint.at(alg, opt, F(7, 2)))
         assert net.total_supply == 0
 
     def test_starved_network_fails_saturation(self, pair_traces):
         alg, opt = pair_traces
-        net = build_flow_network(alg, TimePoint.at(alg, opt, F(5, 2)))
+        net = build_flow_network(NetworkSweep(alg), TimePoint.at(alg, opt, F(5, 2)))
         for (u, v) in list(net.arcs):
             if v == ("job", 2) and u[0] == "dummy":
                 net.arcs[(u, v)] = F(1, 8)  # below the 1/2 supply
@@ -275,7 +279,7 @@ class TestFlowNetwork:
 
     def test_min_cut_certificate_rejects_a_wrong_witness(self, pair_traces):
         alg, opt = pair_traces
-        net = build_flow_network(alg, TimePoint.at(alg, opt, F(5, 2)))
+        net = build_flow_network(NetworkSweep(alg), TimePoint.at(alg, opt, F(5, 2)))
         net.arcs[(("dummy", 2, 0), ("job", 2))] = F(1, 8)
         _, flow = max_flow_saturates(net)
         at_source = FlowResult(flow.value, flow.flow, cut=frozenset({SOURCE}))
@@ -305,7 +309,9 @@ class TestFlowNetwork:
             (("job", 2), SINK): F(1),
             (("job", 4), SINK): F(1),
         }
-        net = FlowNetwork((F(0), F(1)), (1, 2, 3, 4), arcs, {1: F(2), 3: F(1)}, {2: F(1), 4: F(1)}, inf)
+        net = FlowNetwork(
+            (F(0), F(1)), (1, 2, 3, 4), arcs, {1: F(2), 3: F(1)}, {2: F(1), 4: F(1)}, inf, steps_of(arcs)
+        )
         saturated, flow = max_flow_saturates(net)
         assert not saturated and flow.value == F(3, 2)
         assert flow.cut == {SOURCE, ("job", 1), ("dummy", 2, 0), ("job", 2), ("job", 3), ("dummy", 4, 0)}
@@ -329,7 +335,9 @@ class TestFlowNetwork:
             (("job", 3), SINK): F(1),
             (("job", 4), SINK): F(1),
         }
-        net = FlowNetwork((F(0), F(1), F(2)), (1, 2, 3, 4), arcs, {1: F(1), 2: F(1)}, {3: F(1), 4: F(1)}, inf)
+        net = FlowNetwork(
+            (F(0), F(1), F(2)), (1, 2, 3, 4), arcs, {1: F(1), 2: F(1)}, {3: F(1), 4: F(1)}, inf, steps_of(arcs)
+        )
         saturated, flow = max_flow_saturates(net)
         assert saturated and flow.value == 2 and flow.cut is None
         assert verify_flow_feasible(net, flow) == []
@@ -337,7 +345,7 @@ class TestFlowNetwork:
 
     def test_feasibility_audit_catches_overflow(self, pair_traces):
         alg, opt = pair_traces
-        net = build_flow_network(alg, TimePoint.at(alg, opt, F(5, 2)))
+        net = build_flow_network(NetworkSweep(alg), TimePoint.at(alg, opt, F(5, 2)))
         _, flow = max_flow_saturates(net)
         doctored = dict(flow.flow)
         for (u, v), f in list(doctored.items()):
@@ -352,7 +360,7 @@ class TestFlowNetwork:
     def test_reachability_matches_borrow_graph(self, pair_traces):
         alg, opt = pair_traces
         t = F(5, 2)
-        net = build_flow_network(alg, TimePoint.at(alg, opt, t))
+        net = build_flow_network(NetworkSweep(alg), TimePoint.at(alg, opt, t))
         graph = build_borrow_graph(alg, t)
         for j in net.supplies:
             assert net.job_reachable(j) & set(net.demands) == graph.reachable(j) & set(
@@ -360,37 +368,94 @@ class TestFlowNetwork:
             )
 
 
+def assert_swept_networks_equal_rebuilds(inst):
+    """Base and refined networks as the verifier builds them (one sweep
+    carried across the event times), against the reference builder on a
+    fresh trace of the same schedule, whose work columns are computed anew."""
+    alg, opt = trace_pair(inst)
+    sweep = NetworkSweep(alg)
+    for t in check_times(alg, opt)[0]:
+        point = TimePoint.at(alg, opt, t)
+        net = build_flow_network(sweep, point)
+        fresh = ScheduleTrace(alg.instance, alg.segments)
+        assert net == build_flow_network_from_scratch(fresh, TimePoint.at(fresh, opt, t))
+        tps = net.time_points
+        mids = [(a + b) / 2 for a, b in zip(tps, tps[1:])]
+        fresh = ScheduleTrace(alg.instance, alg.segments)
+        refined = build_flow_network_from_scratch(fresh, TimePoint.at(fresh, opt, t), extra_points=mids)
+        _, flow = max_flow_saturates(net)
+        assert refine_flow(net, flow, sweep, point)[0] == refined
+
+
+def witness_lines(inst):
+    """Per event time: the base network's max flow and its borrowing matrix,
+    and the flow refinement carries over with that flow's matrix."""
+
+    def rats(values):
+        return ";".join(f"{key}={format_rat(v)}" for key, v in sorted(values.items()))
+
+    alg, opt = trace_pair(inst)
+    sweep = NetworkSweep(alg)
+    for t in check_times(alg, opt)[0]:
+        point = TimePoint.at(alg, opt, t)
+        net = build_flow_network(sweep, point)
+        saturated, flow = max_flow_saturates(net)
+        yield f"{format_rat(t)} {saturated} {format_rat(flow.value)} {rats(flow.flow)}"
+        if saturated:
+            beta = decompose_beta(flow)
+            yield f"beta {rats(beta.values)} {format_rat(beta.discarded_cycle_flow)}"
+            _, carried = refine_flow(net, flow, sweep, point)
+            refined_beta = decompose_beta(carried)
+            yield (
+                f"refined {rats(carried.flow)} {rats(refined_beta.values)} "
+                f"{format_rat(refined_beta.discarded_cycle_flow)}"
+            )
+
+
 class TestFlowOracles:
     @pytest.mark.parametrize("seed", ORACLE_SEEDS)
     def test_incremental_networks_equal_rebuilds(self, seed):
-        # base and refined networks as the verifier builds them (one trace
-        # whose work columns are kept across times), against builds on a
-        # fresh trace of the same schedule, whose columns are computed anew
-        alg, opt = trace_pair(corpus_instance(seed))
-        for t in check_times(alg, opt)[0]:
-            point = TimePoint.at(alg, opt, t)
-            net = build_flow_network(alg, point)
-            fresh = ScheduleTrace(alg.instance, alg.segments)
-            assert net == build_flow_network(fresh, TimePoint.at(fresh, opt, t))
-            tps = net.time_points
-            mids = [(a + b) / 2 for a, b in zip(tps, tps[1:])]
-            fresh = ScheduleTrace(alg.instance, alg.segments)
-            refined = build_flow_network(fresh, TimePoint.at(fresh, opt, t), extra_points=mids)
-            _, flow = max_flow_saturates(net)
-            shared = refine_flow(net, flow, alg, point)[0]
-            assert shared.time_points == refined.time_points
-            assert shared.jobs == refined.jobs
-            assert shared.supplies == refined.supplies
-            assert shared.demands == refined.demands
-            assert shared.infinite == refined.infinite
-            assert shared.arcs == refined.arcs
+        assert_swept_networks_equal_rebuilds(corpus_instance(seed))
+
+    @pytest.mark.parametrize("inst", LOWER_BOUND_INSTANCES)
+    def test_incremental_networks_equal_rebuilds_on_lower_bounds(self, inst):
+        assert_swept_networks_equal_rebuilds(inst)
+
+    def test_incremental_networks_equal_rebuilds_with_a_dos_tail(self):
+        inst, t = gen_det_lb2(F(1, 2), 3)
+        assert_swept_networks_equal_rebuilds(append_dos_tail(inst, t, 20))
+
+    def test_sweep_time_may_not_go_back(self, pair_traces):
+        alg, opt = pair_traces
+        sweep = NetworkSweep(alg)
+        build_flow_network(sweep, TimePoint.at(alg, opt, 2))
+        with pytest.raises(ModelError, match="network sweep asked for t=1/1 after t=2/1"):
+            build_flow_network(sweep, TimePoint.at(alg, opt, 1))
+
+    def test_witness_flows_and_betas_are_pinned(self):
+        # the sha256 of every witness flow and borrowing matrix the verifier
+        # computes at the event times of the oracle corpus and of batch
+        # instances n = 6..13 at alpha 1/2, recorded before the networks were
+        # carried across event times; report.json shows neither
+        instances = [corpus_instance(seed) for seed in ORACLE_SEEDS] + [
+            gen_random_instance(n, 8, 1.0, seed=n, alpha=F(1, 2)) for n in range(6, 14)
+        ]
+        digest = hashlib.sha256()
+        lines = 0
+        for inst in instances:
+            for line in witness_lines(inst):
+                digest.update(line.encode() + b"\n")
+                lines += 1
+        assert lines == 3522
+        assert digest.hexdigest() == "d70e86a9f792a751bdcdaf7b26eb9fb982a06e0333a45047bfeb6aa1b6eb9cd8"
 
     @pytest.mark.parametrize("seed", ORACLE_SEEDS)
     def test_max_flow_value_matches_networkx(self, seed):
         nx = pytest.importorskip("networkx")
         alg, opt = trace_pair(corpus_instance(seed))
+        sweep = NetworkSweep(alg)
         for t in check_times(alg, opt)[0]:
-            net = build_flow_network(alg, TimePoint.at(alg, opt, t))
+            net = build_flow_network(sweep, TimePoint.at(alg, opt, t))
             # a demand job only absorbs: its flow leaves to the sink alone
             graph = nx.DiGraph()
             graph.add_nodes_from([("source",), ("sink",)])
@@ -424,7 +489,7 @@ class TestFlowOracles:
 
     def test_max_flow_reads_arcs_edited_after_the_build(self, pair_traces):
         alg, opt = pair_traces
-        net = build_flow_network(alg, TimePoint.at(alg, opt, F(5, 2)))
+        net = build_flow_network(NetworkSweep(alg), TimePoint.at(alg, opt, F(5, 2)))
         assert max_flow_saturates(net)[1].value == F(1, 2)
         for arc in list(net.arcs):
             if arc[0] == ("source",):
@@ -433,7 +498,7 @@ class TestFlowOracles:
 
     def test_job_totals_sum_over_intervals(self, pair_traces):
         alg, opt = pair_traces
-        net = build_flow_network(alg, TimePoint.at(alg, opt, F(5, 2)))
+        net = build_flow_network(NetworkSweep(alg), TimePoint.at(alg, opt, F(5, 2)))
         _, flow = max_flow_saturates(net)
         assert flow.job_totals() == {(1, 2): F(1, 2)}
 
@@ -451,11 +516,12 @@ class TestFlowOracles:
         alg = ScheduleTrace(inst, segments)
         opt, _ = simulate(inst, PolicyKind.SRPT)
         point = TimePoint.at(alg, opt, 2)
-        net = build_flow_network(alg, point)
+        sweep = NetworkSweep(alg)
+        net = build_flow_network(sweep, point)
         assert net.time_points == (0, 2)
         saturated, flow = max_flow_saturates(net)
         assert saturated and flow.flow[(("job", 1), ("dummy", 2, 0))] == 1
-        refined, carried = refine_flow(net, flow, alg, point)
+        refined, carried = refine_flow(net, flow, sweep, point)
         assert refined.time_points == (0, 1, 2)
         assert (("dummy", 2, 0), ("job", 2)) not in refined.arcs
         assert carried.flow == {
@@ -465,14 +531,15 @@ class TestFlowOracles:
             (("dummy", 2, 1), ("job", 2)): 1,
         }
         assert verify_flow_feasible(refined, carried) == []
-        assert decompose_beta(carried, refined).values == {(1, 2): 1}
+        assert decompose_beta(carried).values == {(1, 2): 1}
 
     def test_refine_rejects_a_network_of_another_time(self, pair_traces):
         alg, opt = pair_traces
-        net = build_flow_network(alg, TimePoint.at(alg, opt, F(5, 2)))
+        sweep = NetworkSweep(alg)
+        net = build_flow_network(sweep, TimePoint.at(alg, opt, F(5, 2)))
         _, flow = max_flow_saturates(net)
         with pytest.raises(ModelError):
-            refine_flow(net, flow, alg, TimePoint.at(alg, opt, F(3)))
+            refine_flow(net, flow, sweep, TimePoint.at(alg, opt, F(3)))
 
 
 class TestDeadDummies:
@@ -483,9 +550,10 @@ class TestDeadDummies:
     def test_omitting_dead_dummies_changes_nothing(self, seed):
         nx = pytest.importorskip("networkx")
         alg, opt = trace_pair(corpus_instance(seed))
+        sweep = NetworkSweep(alg)
         for t in check_times(alg, opt)[0]:
             point = TimePoint.at(alg, opt, t)
-            net = build_flow_network(alg, point)
+            net = build_flow_network(sweep, point)
             full = build_flow_network_with_dead_dummies(alg, point)
             assert all(cap > 0 for cap in net.arcs.values())
             assert {arc: full.arcs[arc] for arc in net.arcs} == net.arcs
@@ -498,7 +566,7 @@ class TestDeadDummies:
             assert net.reach_sets(net.jobs) == full.reach_sets(full.jobs)
             saturated, flow = result
             assert saturated
-            refined, _ = refine_flow(net, flow, alg, point)
+            refined, _ = refine_flow(net, flow, sweep, point)
             graph = nx.DiGraph()
             graph.add_nodes_from([SOURCE, SINK])
             for (u, v), cap in refined.arcs.items():
@@ -511,9 +579,9 @@ class TestBetaMatrix:
     def test_pair_unique_path(self, pair_traces):
         alg, opt = pair_traces
         t = F(5, 2)
-        net = build_flow_network(alg, TimePoint.at(alg, opt, t))
+        net = build_flow_network(NetworkSweep(alg), TimePoint.at(alg, opt, t))
         _, flow = max_flow_saturates(net)
-        beta = decompose_beta(flow, net)
+        beta = decompose_beta(flow)
         assert beta.values == {(1, 2): F(1, 2)}
         assert beta.discarded_cycle_flow == 0
         graph = build_borrow_graph(alg, t)
@@ -521,9 +589,9 @@ class TestBetaMatrix:
 
     def test_zero_flow_all_zero(self, pair_traces):
         alg, opt = pair_traces
-        net = build_flow_network(alg, TimePoint.at(alg, opt, 0))
+        net = build_flow_network(NetworkSweep(alg), TimePoint.at(alg, opt, 0))
         _, flow = max_flow_saturates(net)
-        beta = decompose_beta(flow, net)
+        beta = decompose_beta(flow)
         assert beta.values == {}
 
     def test_bumped_column_fails(self, pair_traces):
@@ -538,14 +606,15 @@ class TestBetaMatrix:
     def test_refinement_preserves_beta(self, pair_traces):
         alg, opt = pair_traces
         t = F(5, 2)
-        net = build_flow_network(alg, TimePoint.at(alg, opt, t))
+        sweep = NetworkSweep(alg)
+        net = build_flow_network(sweep, TimePoint.at(alg, opt, t))
         _, flow = max_flow_saturates(net)
-        beta = decompose_beta(flow, net)
-        refined_net, refined_flow = refine_flow(net, flow, alg, TimePoint.at(alg, opt, t))
+        beta = decompose_beta(flow)
+        refined_net, refined_flow = refine_flow(net, flow, sweep, TimePoint.at(alg, opt, t))
         assert len(refined_net.time_points) == 2 * len(net.time_points) - 1
         assert verify_flow_feasible(refined_net, refined_flow) == []
         assert refined_flow.value == flow.value
-        assert decompose_beta(refined_flow, refined_net).values == beta.values
+        assert decompose_beta(refined_flow).values == beta.values
 
 
 def job(i):
@@ -555,9 +624,6 @@ def job(i):
 def dummy(i, l=0):
     return ("dummy", i, l)
 
-
-# a flow network's shape only; decompose_beta reads the flow alone
-BARE_NETWORK = FlowNetwork((F(0), F(1)), (), {}, {}, {}, F(1))
 
 
 class TestPathDecomposition:
@@ -575,7 +641,7 @@ class TestPathDecomposition:
             (dummy(3), job(3)): F(1),
             (job(3), SINK): F(1),
         }
-        beta = decompose_beta(FlowResult(F(1), flow), BARE_NETWORK)
+        beta = decompose_beta(FlowResult(F(1), flow))
         assert beta.values == {(1, 3): 1}
         assert beta.discarded_cycle_flow == F(1, 2)
 
@@ -591,7 +657,7 @@ class TestPathDecomposition:
             (job(4), dummy(5)): F(1),
             (dummy(5), job(5)): F(1),
         }
-        beta = decompose_beta(FlowResult(F(2), flow), BARE_NETWORK)
+        beta = decompose_beta(FlowResult(F(2), flow))
         assert beta.values == {(1, 3): 1}
         assert beta.discarded_cycle_flow == 2
 
@@ -772,9 +838,9 @@ class TestVerify:
 
         build = analysis.build_flow_network
 
-        def starved(alg_trace, point, extra_points=()):
-            net = build(alg_trace, point, extra_points)
-            if point.t == 2 and not extra_points:
+        def starved(sweep, point, refined=False):
+            net = build(sweep, point, refined)
+            if point.t == 2 and not refined:
                 for (u, v) in list(net.arcs):
                     if v == ("job", 2) and u[0] == "dummy":
                         net.arcs[(u, v)] = F(1, 8)

@@ -16,6 +16,7 @@ from types import SimpleNamespace
 from alphasched import adversary, analysis, engine, metrics, model, oracle, policies, rational
 from alphasched.model import Instance, Job
 from alphasched.policies import PolicyKind
+from flow_reference import build_flow_network_from_scratch
 
 TRACING = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
 
@@ -90,3 +91,30 @@ def test_lower_bound_counts_are_pinned():
     assert counts["policies.decisions_srpt"] == 80
     assert counts["policies.decisions_setf"] == 29
     assert tracer.counts["policies.decisions_idle"] == 2
+
+
+def test_traced_verifier_counts_every_network_it_builds():
+    # the verifier must build its base and refined networks through the
+    # wrapped build_flow_network: a path around it would read 0 builds and
+    # 0 arcs here and pass every other test.  The expected figures come from
+    # the reference builder at the same event times; an ok report means
+    # every max flow saturated, so every event time also built the refined one
+    inst = adversary.gen_random_instance(6, 8, 1.0, seed=6, alpha=F(1, 2))
+    tracer = load_tracing().Tracer()
+    tracer.install(package())
+    try:
+        report = analysis.verify_instance(inst)
+    finally:
+        tracer.uninstall()
+    assert report.ok
+    alg, opt = analysis.simulate_pair(inst)
+    events = analysis.check_times(alg, opt)[0]
+    arcs = 0
+    for t in events:
+        point = analysis.TimePoint.at(alg, opt, t)
+        net = build_flow_network_from_scratch(alg, point)
+        tps = net.time_points
+        refined = build_flow_network_from_scratch(alg, point, [(a + b) / 2 for a, b in zip(tps, tps[1:])])
+        arcs += len(net.arcs) + len(refined.arcs)
+    assert tracer.calls["analysis.flow_network_build"] == 2 * len(events)
+    assert tracer.counts["analysis.flow_network_arcs"] == arcs
