@@ -7,7 +7,11 @@ every preemptive unit-step schedule of an integer instance.  Neither shares
 code with the paths they validate.  The stepped loop counts time and work as
 Python ints in units of 1/D, where D is the lcm of the denominators of the
 quantum, the releases and the processing times, so it is exact: nothing is
-rounded and no float enters.
+rounded and no float enters.  Most of its steps repeat the decision before
+them, so it applies whole rounds of full quanta at once while no arrival,
+completion, signal, progress tie or fused-rule threshold can change that
+decision; the rounds are the steps the loop would take one by one, and the
+completions and total flow are those of the step-by-step loop.
 """
 
 from __future__ import annotations
@@ -45,7 +49,26 @@ def quantum_simulate(
     with lhs the least remaining work of a signalled job and min_progress the
     least progress of an unsignalled one: (1 - alpha) / alpha * min_progress
     cleared of fractions.
+
+    Each decision names its members: SRPT's pick or the fused rule's
+    signalled pick alone, or else the least-progressed jobs of the round-robin
+    pool (all alive jobs under SETF, the unsignalled ones in the fused rule's
+    sharing branch).  A round gives every member one full quantum, lowest id
+    first, and the loop applies in one go the largest k of rounds in which
+    the stepped loop would make exactly those steps: no job arrives before
+    the k-th round ends, no member completes or emits, each round starts
+    with the members strictly below the pool's next progress level, and in
+    the sharing branch the threshold is still false at the start of each
+    round (min_progress is the members' progress then, and lhs does not
+    move).  A lone pick stays the pick, since only its remaining work falls,
+    and that also keeps the threshold true for a signalled pick.  No step of
+    those rounds completes a job or records a signal, so only the final
+    progress matters.  When k is 0 the loop takes one step as above.  Signal
+    times are recorded only under the fused rule, the one rule that reads
+    them.
     """
+    if not isinstance(kind, PolicyKind):
+        raise ModelError(f"quantum oracle needs a PolicyKind, got {kind!r}")
     if not instance.resolved:
         raise ModelError("quantum oracle requires a resolved instance")
     quantum = Fraction(quantum)
@@ -61,7 +84,9 @@ def quantum_simulate(
     proc = {j.id: int(j.proc * scale) for j in instance.jobs}
     progress = dict.fromkeys(proc, 0)
     left = dict(proc)  # proc - progress
-    signal: dict[int, int] = {}  # scaled time at which an alive job was first seen emitted
+    # scaled time at which an alive job was first seen emitted; only the fused
+    # rule reads it, so only the fused rule records it
+    signal: dict[int, int] = {}
     completions: dict[int, int] = {}
     arrivals = sorted((int(j.release * scale), j.id) for j in instance.jobs)
     if kind is PolicyKind.SETF or (kind is PolicyKind.ALPHA and a == b):
@@ -83,21 +108,47 @@ def quantum_simulate(
         if not alive:
             now = arrivals[arrived][0]
             continue
+        pool = None  # the jobs whose least-progressed ones share round-robin
         if rule == "setf":
-            pick = min(alive, key=progress.__getitem__)
+            pool = alive
         elif rule == "srpt":
-            pick = min(alive, key=left.__getitem__)
+            members = [min(alive, key=left.__getitem__)]
         else:
             signalled = [j for j in alive if j in signal]
-            fresh = [j for j in alive if j not in signal]
-            if signalled and (
-                not fresh
-                or min(map(left.__getitem__, signalled)) * a
-                <= (b - a) * min(map(progress.__getitem__, fresh))
-            ):
-                pick = min(signalled, key=lambda j: (left[j], -signal[j]))
-            else:
-                pick = min(fresh, key=progress.__getitem__)
+            pool = [j for j in alive if j not in signal]
+            if signalled:
+                lhs = min(map(left.__getitem__, signalled))
+                if not pool or lhs * a <= (b - a) * min(map(progress.__getitem__, pool)):
+                    members = [min(signalled, key=lambda j: (left[j], -signal[j]))]
+                    pool = None
+        if pool is not None:
+            level = min(map(progress.__getitem__, pool))
+            members = [j for j in pool if progress[j] == level]
+
+        # rounds of one quantum per member that the stepped loop would take
+        # as they are (see the docstring): no member completes,
+        rounds = (min(map(left.__getitem__, members)) - 1) // step_cap
+        if arrived < len(arrivals):  # no job arrives before the last round ends,
+            rounds = min(rounds, (arrivals[arrived][0] - now) // (step_cap * len(members)))
+        if pool is not None:
+            if len(members) < len(pool):  # each round starts below the pool's next level,
+                above = min(progress[j] for j in pool if progress[j] > level)
+                rounds = min(rounds, (above - level - 1) // step_cap + 1)
+            if rule == "fused":  # no member emits,
+                least_proc = min(map(proc.__getitem__, members))
+                rounds = min(rounds, (a * least_proc - b * level - 1) // (b * step_cap))
+                if signalled:  # and each round starts with the threshold false
+                    lhs_room = a * lhs - (b - a) * level - 1
+                    rounds = min(rounds, lhs_room // ((b - a) * step_cap) + 1)
+        if rounds:
+            work = rounds * step_cap
+            for j in members:
+                progress[j] += work
+                left[j] -= work
+            now += work * len(members)
+            continue
+
+        pick = members[0]
         step = left[pick]
         if step > step_cap:
             step = step_cap
@@ -109,7 +160,7 @@ def quantum_simulate(
         if not left[pick]:
             completions[pick] = now
             alive.remove(pick)
-        elif pick not in signal and progress[pick] * b >= a * proc[pick]:
+        elif rule == "fused" and pick not in signal and progress[pick] * b >= a * proc[pick]:
             signal[pick] = now
 
     total = sum(completions[j] for j in proc) - sum(r for r, _ in arrivals)

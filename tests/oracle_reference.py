@@ -1,9 +1,14 @@
 """Test-only reference for `alphasched.oracle.quantum_simulate`.
 
 The stepped loop below is the oracle as it was before it moved to integer
-units: the same rules, tie-breaks and step order, in exact `Fraction`s.
-`test_oracle.py` checks that the integer oracle returns the same completions
-and total flow on every run it is given.
+units and to batched rounds: the same rules, tie-breaks and step order, in
+exact `Fraction`s, one step at a time.  The oracle applies whole rounds of
+full quanta (one per member of its decision's set, lowest id first) only
+where this loop would take those very steps: no arrival before a round
+ends, no completion, signal, tie with the next progress level or change of
+the fused rule's threshold inside them.  So `test_oracle.py` checks that the
+oracle returns the same completions and total flow on every run it is
+given.
 """
 
 from __future__ import annotations

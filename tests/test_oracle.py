@@ -2,6 +2,7 @@ import sys
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from alphasched.adversary import gen_det_lb1, gen_det_lb2
 from alphasched.engine import simulate
@@ -9,7 +10,7 @@ from alphasched.metrics import build_report
 from alphasched.model import Instance, Job, ModelError
 from alphasched.oracle import brute_force_min_total_flow, quantum_simulate
 from alphasched.policies import PolicyKind
-from conftest import corpus_instance, small_instance
+from conftest import CORPUS_SIZE, corpus_instance, small_instance
 from oracle_reference import reference_quantum_simulate
 
 
@@ -50,6 +51,25 @@ class TestQuantumSimulator:
     def test_rejects_non_positive_quantum(self, pair_instance, quantum):
         with pytest.raises(ModelError, match="quantum must be positive"):
             quantum_simulate(pair_instance, PolicyKind.SETF, quantum)
+
+    @pytest.mark.parametrize("kind", ["srpt", None], ids=["name", "none"])
+    def test_rejects_kind_that_is_not_a_policy(self, kind):
+        # it must not fall through to the fused rule, whose flow here is 13/2
+        inst = Instance((Job(1, 0, 4), Job(2, 0, 1)), F(1, 2))
+        assert quantum_simulate(inst, PolicyKind.SRPT).total_flow == 6
+        with pytest.raises(ModelError, match="PolicyKind"):
+            quantum_simulate(inst, kind)
+
+    def test_discretization_bound_at_fine_quantum_on_corpus(self):
+        # a step-by-step loop would take 1024 steps per unit of work here
+        quantum = F(1, 1024)
+        for seed in range(1, CORPUS_SIZE + 1):
+            inst = corpus_instance(seed)
+            bound = len(inst.jobs) ** 2 * quantum
+            for kind in PolicyKind:
+                fluid = build_report(simulate(inst, kind)[0]).total_flow
+                gap = abs(quantum_simulate(inst, kind, quantum).total_flow - fluid)
+                assert gap <= bound, f"seed {seed} {kind.value}: gap {gap} > {bound}"
 
 
 def assert_matches_reference(inst, kind, quantum, label):
@@ -100,6 +120,76 @@ class TestIntegerUnits:
             for kind in PolicyKind:
                 for quantum in (F(1, 4), F(1, 16)):
                     assert_matches_reference(relabelled, kind, quantum, f"relabelled seed {seed}")
+
+
+@st.composite
+def rational_instances(draw) -> Instance:
+    """Up to five jobs with rational releases and processing times.  Releases
+    come from a small set, so several jobs often arrive together, and ids are
+    shuffled against release order."""
+    n = draw(st.integers(1, 5))
+    times = [F(k, 2) for k in range(7)] + [F(1, 3), F(5, 3), F(7, 5)]
+    procs = st.builds(F, st.integers(1, 12), st.sampled_from([1, 2, 3, 5]))
+    entries = [(draw(st.sampled_from(times)), draw(procs)) for _ in range(n)]
+    ids = draw(st.permutations(range(1, n + 1)))
+    jobs = sorted(
+        (Job(i, r, p) for i, (r, p) in zip(ids, entries)), key=lambda j: (j.release, j.id)
+    )
+    alpha = draw(st.sampled_from([F(0), F(1, 3), F(1, 2), F(2, 3), F(3, 4), F(1)]))
+    return Instance(tuple(jobs), alpha)
+
+
+class TestBatchedRounds:
+    """The batched rounds against the step-by-step `Fraction` loop."""
+
+    @settings(max_examples=400, deadline=None, database=None, derandomize=True)
+    @given(
+        inst=rational_instances(),
+        kind=st.sampled_from(list(PolicyKind)),
+        q=st.sampled_from(["1/3", "2/7", "above"]),
+    )
+    def test_matches_reference_on_random_rational_instances(self, inst, kind, q):
+        quantum = max(j.proc for j in inst.jobs) + F(1, 2) if q == "above" else F(q)
+        assert_matches_reference(inst, kind, quantum, "random")
+
+    # each case sits at one limit of a batch of rounds, at quantum 1
+    @pytest.mark.parametrize(
+        "jobs, alpha, kind, completions",
+        [
+            pytest.param(
+                # two rounds of jobs 1 and 2 end at 4, exactly when job 3 arrives
+                ((1, 0, 4), (2, 0, 4), (3, 4, 2)), F(1, 2), PolicyKind.SETF, {3: 6, 1: 9, 2: 10},
+                id="arrival-at-end-of-round",
+            ),
+            pytest.param(
+                # job 3 arrives at 3, after job 1's step of the second round
+                ((1, 0, 4), (2, 0, 4), (3, 3, 2)), F(1, 2), PolicyKind.SETF, {3: 6, 1: 9, 2: 10},
+                id="arrival-mid-round",
+            ),
+            pytest.param(
+                # job 1 emits at 2 with 2 left; jobs 2 and 3 share two rounds
+                # and reach progress 2 at 6, where the threshold 2 <= 2 holds
+                ((1, 0, 4), (2, 2, 10), (3, 2, 10)), F(1, 2), PolicyKind.ALPHA, {1: 8, 3: 19, 2: 24},
+                id="threshold-at-round-boundary",
+            ),
+            pytest.param(
+                # job 2 emits at 4 on its quantum that ends the second round
+                ((1, 0, 6), (2, 0, 4)), F(1, 2), PolicyKind.ALPHA, {2: 6, 1: 10},
+                id="member-emits-on-last-quantum",
+            ),
+            pytest.param(
+                # jobs 2 and 3 catch up with job 1 at progress 2 after two rounds;
+                # at 6 the tie goes to job 1, the lowest id, which completes first
+                ((1, 0, 3), (2, 2, 4), (3, 2, 4)), F(1, 2), PolicyKind.SETF, {1: 7, 2: 10, 3: 11},
+                id="least-progressed-tied-with-next-level",
+            ),
+        ],
+    )
+    def test_limit_of_a_batch(self, jobs, alpha, kind, completions):
+        inst = Instance(tuple(Job(*j) for j in jobs), alpha)
+        run = quantum_simulate(inst, kind, F(1))
+        assert run.completions == completions
+        assert run.completions == reference_quantum_simulate(inst, kind, F(1)).completions
 
 
 class TestBruteForceOptimum:
