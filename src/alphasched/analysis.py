@@ -456,7 +456,7 @@ class FlowResult:
         for (u, v), f in self.flow.items():
             if u[0] == "job" and v[0] == "dummy":
                 key = (u[1], v[1])
-                totals[key] = totals.get(key, Fraction(0)) + f
+                totals[key] = totals.get(key, _ZERO) + f
         return totals
 
 
@@ -567,8 +567,8 @@ def verify_flow_feasible(net: FlowNetwork, result: FlowResult) -> list[str]:
             violations.append(
                 f"capacity violated on {u}->{v}: {format_rat(f)} > {format_rat(cap)}"
             )
-        balance[u] = balance.get(u, Fraction(0)) - f
-        balance[v] = balance.get(v, Fraction(0)) + f
+        balance[u] = balance.get(u, _ZERO) - f
+        balance[v] = balance.get(v, _ZERO) + f
         if u in outflow and v != SINK:
             outflow[u] += f
     for v, b in balance.items():
@@ -667,7 +667,7 @@ def decompose_beta(result: FlowResult) -> BetaMatrix:
             excess[j] -= gamma
             absorb[reached] -= gamma
             key = (j, reached)
-            beta[key] = beta.get(key, Fraction(0)) + gamma
+            beta[key] = beta.get(key, _ZERO) + gamma
     leftover = sum(
         (f for outs in fl.values() for f in outs.values() if f > 0), Fraction(0)
     )
@@ -694,17 +694,17 @@ def check_beta_properties(
             violations.append(f"beta({j},{i}) positive outside supply x demand")
         if v > 0 and i not in reach.get(j, frozenset()):
             violations.append(f"beta({j},{i}) positive but {i} unreachable from {j}")
-        rows[j] = rows.get(j, Fraction(0)) + v
-        cols[i] = cols.get(i, Fraction(0)) + v
+        rows[j] = rows.get(j, _ZERO) + v
+        cols[i] = cols.get(i, _ZERO) + v
     for j in sources:
-        rs = rows.get(j, Fraction(0))
+        rs = rows.get(j, _ZERO)
         expected = instance.proc_of(j) - point.work[j]
         if rs != expected:
             violations.append(
                 f"row sum of {j} is {format_rat(rs)}, expected {format_rat(expected)}"
             )
     for i in sinks:
-        cs = cols.get(i, Fraction(0))
+        cs = cols.get(i, _ZERO)
         bound = point.work[i]
         if cs > bound:
             violations.append(
@@ -732,7 +732,7 @@ def refine_flow(
     new_flow: dict[tuple[Vertex, Vertex], Fraction] = {}
     for (u, v), f in result.flow.items():
         if u == SOURCE or v == SINK:
-            new_flow[(u, v)] = new_flow.get((u, v), Fraction(0)) + f
+            new_flow[(u, v)] = new_flow.get((u, v), _ZERO) + f
     inflows: dict[tuple[int, int], list[tuple[Vertex, Fraction]]] = {}
     for (u, v), f in sorted(result.flow.items()):
         if v[0] == "dummy":
@@ -746,12 +746,12 @@ def refine_flow(
         for u, f in entries:
             take = min(room1, f)
             if take > 0:
-                new_flow[(u, sub1)] = new_flow.get((u, sub1), Fraction(0)) + take
+                new_flow[(u, sub1)] = new_flow.get((u, sub1), _ZERO) + take
                 room1 -= take
                 total1 += take
             rest = f - take
             if rest > 0:
-                new_flow[(u, sub2)] = new_flow.get((u, sub2), Fraction(0)) + rest
+                new_flow[(u, sub2)] = new_flow.get((u, sub2), _ZERO) + rest
                 total2 += rest
         if total1 > 0:
             new_flow[(sub1, ("job", i))] = total1
@@ -1085,10 +1085,10 @@ def check_feasibility(trace: ScheduleTrace) -> list[str]:
 def check_times(alg_trace: ScheduleTrace, opt_trace: ScheduleTrace) -> tuple[list[Fraction], list[Fraction]]:
     """(event times, event times plus midpoints), shared by both traces."""
     events = sorted(set(alg_trace.event_times()) | set(opt_trace.event_times()))
-    dense = list(events)
+    dense = events[:1]
     for a, b in zip(events, events[1:]):
-        dense.append((a + b) / 2)
-    return events, sorted(dense)
+        dense += ((a + b) / 2, b)
+    return events, dense
 
 
 @dataclass
@@ -1166,8 +1166,8 @@ def verify_traces(alg_trace: ScheduleTrace, opt_trace: ScheduleTrace) -> Verific
                 direct, refined_direct = flow.job_totals(), refined_flow.job_totals()
                 for j in net.supplies:
                     for i in net.demands:
-                        a = direct.get((j, i), Fraction(0))
-                        b = refined_direct.get((j, i), Fraction(0))
+                        a = direct.get((j, i), _ZERO)
+                        b = refined_direct.get((j, i), _ZERO)
                         if a != b:
                             found.setdefault("refinement_direct_flow", []).append(
                                 f"refinement changed direct flow ({j},{i}): "

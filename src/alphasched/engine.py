@@ -16,31 +16,35 @@ counts as emitted.
 Per-event cost.  Only a job rated in the segment just run, or one that
 arrived or was committed at this instant, can have new progress or a new
 processing time, so only such a job can complete or emit; the state calls
-these jobs changed.  Completions and emissions are tested on changed jobs
-only, against alpha * p computed once when p is committed.  Each alive job
-keeps one immutable view entry, rebuilt only when the job changed.  The
-alive jobs that the decision does not rate sit in three rankings
-(unsignalled and signalled jobs by progress, and by remaining work the
-signalled jobs in the fused rule's order, or for an omniscient view every job
-in SRPT's).  From their fronts the next-event search reads the merge level
-and the threshold, and a view its minima, with the k rated jobs; a job is
-re-ranked when it changes while unrated and when it enters or leaves the
-rated set, in O(log n) comparisons plus a list shift.  With c changed jobs,
-d jobs entering or leaving the rated set and n alive jobs, an event costs
-O((c + d) log n) exact operations and a fused-rule or SRPT decision
+these jobs changed.  Each changed job is tested for completion and emission
+once per instant, against alpha * p computed once when p is committed; a job
+that arrives, or that a commitment gives its p, is tested after the
+commitments and arrivals.  Each alive job keeps one immutable view entry,
+rebuilt only when the job changed.  The alive jobs that the decision does
+not rate sit in three rankings (unsignalled and signalled jobs by
+progress, and by remaining work the signalled jobs in the fused rule's
+order, or for an omniscient view every job in SRPT's).  A ranking holds one
+entry per distinct key with that key's jobs in id order, so an
+evenly-shared set is one progress level.  From their fronts the
+next-event search reads the merge level and the threshold, and a view its
+minima, with the k rated jobs; a job is re-ranked when it changes while
+unrated and when it enters or leaves the rated set, in O(log d) comparisons
+of a ranking's d distinct keys plus list shifts.  With c changed jobs, e
+jobs entering or leaving the rated set and n alive jobs, an event costs
+O((c + e) log n) exact operations and a fused-rule or SRPT decision
 O(k + log n); a built-in rule's view lists every alive job only if the rule
-reads them, and any other policy's view is a snapshot of them all.
-Consecutive events under equal rates extend one open segment, so one
-``ExecutionSegment`` is built per maximal constant-rate run.
+reads them, and any other policy's view is a snapshot of them all.  No
+exact value is built twice: one product per distinct rate advances the
+rated jobs, and the fused rule's two threshold factors are computed once per
+run.  Consecutive events under equal rates extend one open segment, so
+one ``ExecutionSegment`` is built per maximal constant-rate run.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right, insort
-from dataclasses import dataclass
 from fractions import Fraction
-from operator import itemgetter
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .model import ExecutionSegment, Instance, ModelError, ScheduleTrace
 from .policies import PolicyKind, PolicyView, RateDecision, ViewJob, decide
@@ -59,8 +63,7 @@ EVENT_ORDER = ("completion", "emission", "adversary-commit", "arrival", "merge",
 EVENT_CAP_FACTOR = 64
 
 
-@dataclass(frozen=True)
-class Event:
+class Event(NamedTuple):
     time: Fraction
     kind: str
     jobs: tuple[int, ...]
@@ -78,42 +81,55 @@ class EventLog(list):
         return rows
 
 
-_key = itemgetter(0)
-
-
 class _Ranking:
-    """Jobs ordered by an exact key, lowest id first among equal keys; a
-    job's key is replaced in O(log n) comparisons plus one list shift."""
+    """Jobs ordered by an exact key, lowest id first among equal keys.  It
+    holds one entry per distinct key, with that key's jobs in id order, so
+    with d distinct keys a job's key is replaced in O(log d) comparisons
+    plus list shifts, and jobs at one progress level form one entry."""
 
-    __slots__ = ("items", "keys")
+    __slots__ = ("keys", "groups", "key_of")
 
     def __init__(self):
-        self.items: list[tuple] = []  # (key, job)
-        self.keys: dict = {}
+        self.keys: list = []  # distinct keys, ascending
+        self.groups: list[list[int]] = []  # the jobs at each key, ascending
+        self.key_of: dict = {}
 
     def put(self, job: int, key) -> None:
         """Give the job a new key; None takes it out."""
-        old = self.keys.get(job)
+        old = self.key_of.get(job)
         if old is key or (old is not None and key is not None and old == key):
             return
+        keys, groups = self.keys, self.groups
         if old is not None:
-            del self.items[bisect_left(self.items, (old, job))]
-            del self.keys[job]
+            k = bisect_left(keys, old)
+            if len(groups[k]) == 1:
+                del keys[k], groups[k]
+            else:
+                groups[k].remove(job)
+            del self.key_of[job]
         if key is not None:
-            insort(self.items, (key, job))
-            self.keys[job] = key
+            k = bisect_left(keys, key)
+            if k < len(keys) and keys[k] == key:
+                insort(groups[k], job)
+            else:
+                keys.insert(k, key)
+                groups.insert(k, [job])
+            self.key_of[job] = key
 
     def least(self):
-        return self.items[0][0] if self.items else None
+        return self.keys[0] if self.keys else None
+
+    def first(self) -> Optional[int]:
+        """The lowest id at the least key."""
+        return self.groups[0][0] if self.groups else None
 
     def least_above(self, level: Fraction) -> Optional[Fraction]:
-        k = bisect_right(self.items, level, key=_key)
-        return self.items[k][0] if k < len(self.items) else None
+        k = bisect_right(self.keys, level)
+        return self.keys[k] if k < len(self.keys) else None
 
     def at(self, level: Fraction) -> list[int]:
-        lo = bisect_left(self.items, level, key=_key)
-        hi = bisect_right(self.items, level, lo, key=_key)
-        return [j for _, j in self.items[lo:hi]]
+        k = bisect_left(self.keys, level)
+        return list(self.groups[k]) if k < len(self.keys) and self.keys[k] == level else []
 
 
 class SimState:
@@ -143,13 +159,13 @@ class SimState:
         self.merge_pool = getattr(policy, "merge_pool", "all")
         self.horizon = None if horizon is None else Fraction(horizon)
         self.alpha = instance.alpha
-        # alpha / (1 - alpha): the fused rule leaves sharing once the least
-        # signalled remaining time is at most 1/factor times the shared level
-        self._crossing_factor = (
-            self.alpha / (1 - self.alpha)
-            if policy is PolicyKind.ALPHA and 0 < self.alpha < 1
-            else None
-        )
+        # the fused rule's (1 - alpha) / alpha, which its view reads, and
+        # alpha / (1 - alpha): it leaves sharing once the least signalled
+        # remaining time is at most the former times the shared level
+        self.threshold_factor = self._crossing_factor = None
+        if policy is PolicyKind.ALPHA and 0 < self.alpha < 1:
+            self.threshold_factor = (1 - self.alpha) / self.alpha
+            self._crossing_factor = self.alpha / (1 - self.alpha)
         self.now = Fraction(0)
         self.progress: dict[int, Fraction] = {j.id: Fraction(0) for j in instance.jobs}
         self.proc: dict[int, Optional[Fraction]] = {
@@ -173,6 +189,7 @@ class SimState:
         self._triggers = list(instance.adversary.triggers) if instance.adversary else []
         self._trg_ptr = 0
         self.decision: RateDecision = RateDecision((), "idle")
+        self._rated: set[int] = set()  # the decision's rated jobs
         self._last_branch: Optional[str] = None
         self.log = EventLog()
         self._segments: list[ExecutionSegment] = []
@@ -182,9 +199,8 @@ class SimState:
 
     # -- view entries and rankings ---------------------------------------------
 
-    def _rank(self, j: int) -> None:
+    def _rank(self, j: int, entry: ViewJob) -> None:
         """Rank a job by its view entry, which must be current."""
-        entry = self._entries[j]
         emitted = entry.emitted
         self._unsignalled.put(j, None if emitted else entry.elapsed)
         self._signalled.put(j, entry.elapsed if emitted else None)
@@ -202,10 +218,11 @@ class SimState:
         jobs the decision does not rate."""
         if not self._changed:
             return
-        rated = set(self.decision.rated_ids)
+        rated, job = self._rated, self.instance.job
         for j in sorted(self._changed):
             p, y = self.proc[j], self.progress[j]
-            emitted = j in self.signal
+            signal = self.signal.get(j)
+            emitted = signal is not None
             remaining = None
             if self.omniscient:
                 if p is None:
@@ -215,16 +232,9 @@ class SimState:
                 remaining = p - y
             elif emitted:
                 remaining = p - y
-            self._entries[j] = ViewJob(
-                job_id=j,
-                release=self.instance.job(j).release,
-                elapsed=y,
-                emitted=emitted,
-                remaining=remaining,
-                signal_time=self.signal.get(j),
-            )
+            entry = self._entries[j] = ViewJob(j, job(j).release, y, emitted, remaining, signal)
             if j not in rated:
-                self._rank(j)
+                self._rank(j, entry)
         self._changed.clear()
 
     def build_view(self) -> PolicyView:
@@ -241,8 +251,8 @@ class SimState:
         """The rated alive jobs and the first job of each ranking, in id
         order.  Every other alive job is ranked behind these."""
         entries = self._entries
-        ids = {j for j, _ in self.decision.rates if j in entries}
-        ids.update(r.items[0][1] for r in (self._unsignalled, self._remaining) if r.items)
+        ids = {j for j in self._rated if j in entries}
+        ids.update(j for j in (self._unsignalled.first(), self._remaining.first()) if j is not None)
         return tuple([entries[j] for j in sorted(ids)])
 
     def view_unsignalled_at(self, level: Fraction) -> list[int]:
@@ -256,8 +266,9 @@ class SimState:
 
     def apply_instant_events(self, expected_kinds: Sequence[str] = ()) -> None:
         """Apply all state changes due exactly at the current time, in the
-        fixed order, repeating until stable (a commitment can release a signal
-        in the same instant).  Only changed jobs can complete or emit."""
+        fixed order.  Only changed jobs can complete or emit, and each is
+        tested once: a job that arrives, or is given its processing time by
+        a commitment, is tested again after the commitments and arrivals."""
         merge_entry = None
         if "merge" in expected_kinds:
             rates = self.decision.rates
@@ -267,63 +278,63 @@ class SimState:
                 joiners = self._unsignalled.at(level) + self._signalled.at(level)
                 if joiners:
                     merge_entry = joiners
-        changed = True
-        while changed:
-            changed = False
-            done = sorted(
-                j
-                for j in self._changed
-                if self.proc[j] is not None and self.progress[j] == self.proc[j]
-            )
-            if done:
-                for j in done:
-                    del self._alive[bisect_left(self._alive, j)]
-                    self._changed.discard(j)
-                    del self._entries[j]
-                    self._unrank(j)
-                self._log("completion", done)
-                changed = True
-            emits = sorted(
-                j
-                for j in self._changed
-                if self.proc[j] is not None
-                and j not in self.signal
-                and self.progress[j] >= self._signal_work[j]
-            )
-            if emits:
-                for j in emits:
-                    if self.progress[j] != self._signal_work[j]:
-                        raise EngineError(
-                            f"job {j} passed its signal point unobserved: progress "
-                            f"{self.progress[j]} > alpha * p = {self._signal_work[j]}"
-                        )
-                    self.signal[j] = self.now
-                self._log("emission", emits)
-                changed = True
-            while self._trg_ptr < len(self._triggers) and self._triggers[self._trg_ptr].fire_at == self.now:
-                trigger = self._triggers[self._trg_ptr]
-                self._trg_ptr += 1
-                self._apply_trigger(trigger)
-                changed = True
-            arrived = []
-            while self._arr_ptr < len(self._arrivals) and self._arrivals[self._arr_ptr].release == self.now:
-                job = self._arrivals[self._arr_ptr]
-                self._arr_ptr += 1
-                insort(self._alive, job.id)
-                self._changed.add(job.id)
-                arrived.append(job.id)
-            if arrived:
-                self._log("arrival", arrived)
-                changed = True
+        self._complete_and_emit(self._changed)
+        retest = []
+        while self._trg_ptr < len(self._triggers) and self._triggers[self._trg_ptr].fire_at == self.now:
+            trigger = self._triggers[self._trg_ptr]
+            self._trg_ptr += 1
+            retest += self._apply_trigger(trigger)
+        arrived = []
+        while self._arr_ptr < len(self._arrivals) and self._arrivals[self._arr_ptr].release == self.now:
+            job = self._arrivals[self._arr_ptr]
+            self._arr_ptr += 1
+            insort(self._alive, job.id)
+            self._changed.add(job.id)
+            arrived.append(job.id)
+        if arrived:
+            self._log("arrival", arrived)
+        if retest or arrived:
+            self._complete_and_emit(retest + arrived)
         if merge_entry is not None:
             self._log("merge", merge_entry)
 
-    def _apply_trigger(self, trigger) -> None:
+    def _complete_and_emit(self, jobs) -> None:
+        """Complete, then signal, each of these alive jobs that is due now."""
+        done, emits = [], []
+        for j in sorted(jobs):
+            p = self.proc[j]
+            if p is None:
+                continue
+            y = self.progress[j]
+            if y == p:
+                done.append(j)
+            elif j not in self.signal and y >= self._signal_work[j]:
+                emits.append(j)
+        if done:
+            for j in done:
+                del self._alive[bisect_left(self._alive, j)]
+                self._changed.discard(j)
+                del self._entries[j]
+                self._unrank(j)
+            self._log("completion", done)
+        if emits:
+            for j in emits:
+                if self.progress[j] != self._signal_work[j]:
+                    raise EngineError(
+                        f"job {j} passed its signal point unobserved: progress "
+                        f"{self.progress[j]} > alpha * p = {self._signal_work[j]}"
+                    )
+                self.signal[j] = self.now
+            self._log("emission", emits)
+
+    def _apply_trigger(self, trigger) -> list[int]:
+        """Commit the trigger's jobs; return the alive ones."""
         for j in trigger.rule.jobs:
             if self.proc[j] is not None:
                 raise CommitmentError(f"trigger {trigger.id!r} re-commits job {j}")
         observed = {j: self.progress[j] for j in trigger.rule.jobs}
         commits = trigger.rule.commit(observed)
+        alive = []
         for j, p in sorted(commits.items()):
             if p <= 0:
                 raise CommitmentError(f"trigger {trigger.id!r} commits nonpositive time for job {j}")
@@ -337,7 +348,9 @@ class SimState:
             self._signal_work[j] = work
             if j in self._entries:
                 self._changed.add(j)
+                alive.append(j)
         self._log("adversary-commit", commits)
+        return alive
 
     def make_decision(self) -> RateDecision:
         decision = self.decide(self.build_view())
@@ -361,13 +374,14 @@ class SimState:
             self._log("mode-switch", decision.rated_ids)
         if branch in ("srpt", "setf"):
             self._last_branch = branch
-        old, new = set(self.decision.rated_ids), set(decision.rated_ids)
+        old, new = self._rated, set(decision.rated_ids)
+        entries = self._entries
         for j in old - new:
-            if j in self._entries:
-                self._rank(j)
+            if j in entries:
+                self._rank(j, entries[j])
         for j in new - old:
             self._unrank(j)
-        self.decision = decision
+        self.decision, self._rated = decision, new
         return decision
 
     def next_event(self) -> Optional[tuple[Fraction, tuple[str, ...]]]:
@@ -377,27 +391,31 @@ class SimState:
         wait gives the same exact time as taking the least sum."""
         self._refresh()
         now = self.now
-        cand: dict[str, Fraction] = {}
-
-        def offer(kind: str, wait: Fraction) -> None:
-            if kind not in cand or wait < cand[kind]:
-                cand[kind] = wait
-
+        waits: dict[str, Fraction] = {}  # least wait of each kind
         if self._arr_ptr < len(self._arrivals):
-            offer("arrival", self._arrivals[self._arr_ptr].release - now)
+            waits["arrival"] = self._arrivals[self._arr_ptr].release - now
         if self._trg_ptr < len(self._triggers):
-            offer("adversary-commit", self._triggers[self._trg_ptr].fire_at - now)
+            waits["adversary-commit"] = self._triggers[self._trg_ptr].fire_at - now
         rates = self.decision.rates
+        done = emit = None
         for j, r in rates:
             p = self.proc[j]
             if p is None:
                 continue
             y = self.progress[j]
-            offer("completion", (p - y) / r)
+            wait = (p - y) / r
+            if done is None or wait < done:
+                done = wait
             if j not in self.signal:
                 target = self._signal_work[j]
                 if y < target:
-                    offer("emission", (target - y) / r)
+                    wait = (target - y) / r
+                    if emit is None or wait < emit:
+                        emit = wait
+        if done is not None:
+            waits["completion"] = done
+        if emit is not None:
+            waits["emission"] = emit
         if self.decision.branch == "setf" and rates:
             level, rho = self.progress[rates[0][0]], rates[0][1]
             if all(self.progress[j] == level and r == rho for j, r in rates[1:]):
@@ -406,7 +424,7 @@ class SimState:
                     pool.append(self._signalled)
                 above = [x for x in (ranking.least_above(level) for ranking in pool) if x is not None]
                 if above:
-                    offer("merge", (min(above) - level) / rho)
+                    waits["merge"] = (min(above) - level) / rho
                 least = self._remaining.least()
                 if self._crossing_factor is not None and least is not None:
                     wait = (self._crossing_factor * least[0] - level) / rho
@@ -415,11 +433,11 @@ class SimState:
                             f"fused-rule threshold already crossed at {now + wait} "
                             f"while sharing at {now}"
                         )
-                    offer("mode-switch", wait)
-        if not cand:
+                    waits["mode-switch"] = wait
+        if not waits:
             return None
-        wait = min(cand.values())
-        kinds = tuple(k for k in EVENT_ORDER if k in cand and cand[k] == wait)
+        wait = min(waits.values())
+        kinds = tuple(k for k in EVENT_ORDER if k in waits and waits[k] == wait)
         return now + wait, kinds
 
     # -- main loop ----------------------------------------------------------------
@@ -436,9 +454,13 @@ class SimState:
                 self._close_run()
                 self._run = [self.now, until, rates]
             span = until - self.now
+            # shared rates are one object: one product per distinct rate
+            last = step = None
             for j, r in rates:
-                self.progress[j] += r * span
-                self._changed.add(j)
+                if r is not last:
+                    last, step = r, r * span
+                self.progress[j] += step
+            self._changed.update(self.decision.rated_ids)
         self.now = until
 
     def _close_run(self) -> None:

@@ -333,9 +333,14 @@ class ExecutionSegment:
     rates: tuple[tuple[int, Fraction], ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "start", Fraction(self.start))
-        object.__setattr__(self, "end", Fraction(self.end))
-        rates = tuple(sorted((int(j), Fraction(r)) for j, r in self.rates))
+        # a value that is already a Fraction is kept, not rebuilt
+        for name in ("start", "end"):
+            if not isinstance(getattr(self, name), Fraction):
+                object.__setattr__(self, name, Fraction(getattr(self, name)))
+        rates = tuple(sorted(
+            (j, r) if type(j) is int and isinstance(r, Fraction) else (int(j), Fraction(r))
+            for j, r in self.rates
+        ))
         object.__setattr__(self, "rates", rates)
         if self.start < 0 or self.start >= self.end:
             raise ModelError(f"bad segment bounds [{self.start}, {self.end}]")
@@ -420,6 +425,7 @@ class ScheduleTrace:
             if last > seg.start:
                 raise ModelError(f"overlapping segments at {seg.start}")
             last = seg.end
+            length = seg.end - seg.start
             for j, r in seg.rates:
                 if j not in busy:
                     raise UnknownJobError(f"segment rates unknown job {j}")
@@ -431,7 +437,7 @@ class ScheduleTrace:
                     cums.append(cums[-1])
                     rates.append(Fraction(0))
                 times.append(seg.end)
-                cums.append(cums[-1] + r * seg.length)
+                cums.append(cums[-1] + r * length)
                 rates.append(r)
                 spans = busy[j]
                 if spans and spans[-1][1] == seg.start:

@@ -10,10 +10,10 @@ tie-breaking, so the endpoint traces are bit-identical to the pure rules.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .model import UnresolvedProcError
 
@@ -34,8 +34,7 @@ class PolicyKind(Enum):
         return "unsignalled" if self is PolicyKind.ALPHA else "all"
 
 
-@dataclass(frozen=True)
-class ViewJob:
+class ViewJob(NamedTuple):
     job_id: int
     release: Fraction
     elapsed: Fraction
@@ -70,6 +69,13 @@ class PolicyView:
         if self._candidates is None:
             self._candidates = self.jobs if self._source is None else self._source.view_candidates()
         return self._candidates
+
+    @property
+    def threshold_factor(self) -> Fraction:
+        """(1 - alpha) / alpha, which a live engine view reads from its run."""
+        if self._source is not None:
+            return self._source.threshold_factor
+        return (1 - self.alpha) / self.alpha
 
     @property
     def least_unsignalled(self) -> Optional[Fraction]:
@@ -112,10 +118,10 @@ class PolicyView:
 class RateDecision:
     rates: tuple[tuple[int, Fraction], ...]  # sorted by job id, positive entries
     branch: str  # "srpt" | "setf" | "idle"
+    rated_ids: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
-    @property
-    def rated_ids(self) -> tuple[int, ...]:
-        return tuple(j for j, _ in self.rates)
+    def __post_init__(self):
+        object.__setattr__(self, "rated_ids", tuple([j for j, _ in self.rates]))
 
 
 IDLE = RateDecision(rates=(), branch="idle")
@@ -152,7 +158,7 @@ def alpha_clairvoyant_decide(view: PolicyView) -> RateDecision:
     if view.alpha == 1:
         return setf_decide(view)
     best, least = view.best_signalled, view.least_unsignalled
-    if best is not None and (least is None or best.remaining <= (1 - view.alpha) / view.alpha * least):
+    if best is not None and (least is None or best.remaining <= view.threshold_factor * least):
         return RateDecision(((best.job_id, Fraction(1)),), "srpt")
     if least is None:
         return IDLE

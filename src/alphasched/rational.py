@@ -29,5 +29,5 @@ def parse_rat(value) -> Fraction:
 
 def format_rat(value) -> str:
     """Canonical "num/den" form; whole numbers keep an explicit /1."""
-    f = Fraction(value)
+    f = value if isinstance(value, Fraction) else Fraction(value)
     return f"{f.numerator}/{f.denominator}"

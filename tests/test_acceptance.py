@@ -37,6 +37,7 @@ LOWER_BOUND_REPORTS_SHA256 = "c3f211f672f9f1b662585977f2ee67f4f61eb7589df13ce7ba
 CORPUS_SIMULATE_SHA256 = "cafbf85335c4b2cf95ad1e3675413a063a74f0ca669547ba7ef2c152d189930f"
 LOWER_BOUND_SIMULATE_SHA256 = "8101e8152d01c63a5beef9e5e97b26b0e096eda7f74265fcb5e1d6a987ee3465"
 MIDSIZE_SIMULATE_SHA256 = "7a220b32e8a9929bf6af689bf4f3c7c050b778d4d03958c1f7020f46e946bd3f"
+BENCHMARK_SHAPES_SIMULATE_SHA256 = "71f4e27a35fd045e3df70e7cb730b4838361bed59367f2abdde3c20e7da1fb54"
 
 
 def report_bytes(report) -> bytes:
@@ -288,6 +289,21 @@ def test_midsize_simulate_outputs_byte_identical():
             for run in simulate_runs(inst):
                 digest.update(simulate_output_bytes(*run))
     assert digest.hexdigest() == MIDSIZE_SIMULATE_SHA256
+
+
+def test_benchmark_shapes_simulate_outputs_byte_identical():
+    # the shapes the benchmark runs: shared sets of up to 152 jobs under the
+    # fused rule and 198 under SETF at n = 250, and a long DoS tail
+    digest = hashlib.sha256()
+    lb2, t = gen_det_lb2(F(1, 2), 5)
+    for inst in (
+        gen_random_instance(250, 8, 0.8, seed=1003, alpha=F(1, 2)),
+        gen_random_instance(200, 8, 0.8, seed=1001, alpha=F(2, 3)),
+        append_dos_tail(lb2, t, 300),
+    ):
+        for run in simulate_runs(inst):
+            digest.update(simulate_output_bytes(*run))
+    assert digest.hexdigest() == BENCHMARK_SHAPES_SIMULATE_SHA256
 
 
 def test_criterion_07_deterministic_bound_one():

@@ -3,12 +3,14 @@ from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from alphasched.adversary import append_dos_tail, gen_det_lb1, gen_det_lb2
 from alphasched.engine import (
     CommitmentError,
     EngineError,
     SimState,
+    _Ranking,
     replay_check,
     simulate,
 )
@@ -483,3 +485,36 @@ class TestTieBreaksThroughSimulate:
         with pytest.raises(UnresolvedProcError) as err:
             simulate(inst, PolicyKind.ALPHA)
         assert str(err.value) == "job 1: remaining time unavailable to an SRPT decision"
+
+
+# few distinct values, so keys tie often
+tied_rationals = st.builds(F, st.integers(0, 4), st.integers(1, 3))
+
+
+@st.composite
+def ranking_puts(draw):
+    """put(job, key | None) calls over one kind of key: rationals, or
+    pairs of them as the fused rule's remaining-time ranking uses."""
+    keys = draw(st.sampled_from([tied_rationals, st.tuples(tied_rationals, tied_rationals)]))
+    return draw(st.lists(st.tuples(st.integers(0, 7), st.none() | keys), max_size=60))
+
+
+class TestRanking:
+    @settings(max_examples=300, deadline=None, database=None, derandomize=True)
+    @given(ranking_puts())
+    def test_reads_match_a_sorted_list(self, puts):
+        ranking, keys = _Ranking(), {}
+        probes = {key for _, key in puts if key is not None}
+        for job, key in puts:
+            ranking.put(job, key)
+            if key is None:
+                keys.pop(job, None)
+            else:
+                keys[job] = key
+            reference = sorted((key, job) for job, key in keys.items())
+            front = reference[0] if reference else (None, None)
+            assert (ranking.least(), ranking.first()) == front
+            for level in probes:
+                above = [k for k, _ in reference if k > level]
+                assert ranking.least_above(level) == (above[0] if above else None)
+                assert ranking.at(level) == [j for k, j in reference if k == level]

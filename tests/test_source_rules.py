@@ -4,6 +4,8 @@ Every invariant is an exact check that stays on in every run mode, so no
 bare ``assert`` guards one; no code changes interpreter-wide state: no
 ``global`` statement, no ``sys.set*`` or ``gc.*`` call, and no call to the
 module-level ``random`` functions (a seeded ``random.Random(...)`` is fine);
+no ``Fraction(...)`` is built as the default of a ``.get(...)`` call, where
+it would be built afresh on every lookup;
 and floats stay out of the computation: ``float(...)`` is called only in
 ``cli.py``, where reports are formatted.  Every imported name is used,
 except in ``__init__.py``, whose imports are the package's re-exports, and
@@ -35,6 +37,16 @@ def violations(tree: ast.AST, filename: str = "") -> list[str]:
             and filename not in FLOAT_MODULES
         ):
             found.append(f"line {node.lineno}: float call")
+        elif (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "get"
+            and len(node.args) == 2
+            and isinstance(node.args[1], ast.Call)
+            and isinstance(node.args[1].func, ast.Name)
+            and node.args[1].func.id == "Fraction"
+        ):
+            found.append(f"line {node.lineno}: Fraction built as a get default")
         elif (
             isinstance(node, ast.Call)
             and isinstance(node.func, ast.Attribute)
@@ -108,6 +120,7 @@ def test_source_rules(path):
         "import random\nrandom.seed(1)",
         "import random\nx = random.choice([1, 2])",
         "x = float(y)",
+        "from fractions import Fraction\nx = totals.get(key, Fraction(0))",
         "import weakref\nfrom typing import Mapping, Optional\nx: Optional[Mapping] = None",
         "def _helper():\n    return 1\n\n_LIMIT = 3\nx = _LIMIT",
     ],
