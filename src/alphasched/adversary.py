@@ -23,6 +23,7 @@ from .model import (
     RankPairRule,
     Trigger,
 )
+from .rational import Rat
 
 
 def _floor_pow2(exponent: Fraction) -> int:
@@ -59,15 +60,15 @@ def gen_det_lb1(alpha: Fraction, k: int) -> tuple[Instance, Fraction]:
     policy (which shares evenly until the trigger), every job retains at
     least one unit of work at the measurement time sigma * k.
     """
-    alpha = Fraction(alpha)
+    alpha = Rat(alpha)
     if not (0 < alpha < 1):
         raise ModelError("deterministic bound needs 0 < alpha < 1")
     if k < 2:
         raise ModelError("k must be at least 2")
-    slack = (1 - alpha) / alpha + Fraction(1, k)
-    sigma = Fraction(1) if slack >= 1 else 1 / slack
+    slack = (1 - alpha) / alpha + Rat(1, k)
+    sigma = Rat(1) if slack >= 1 else 1 / slack
     measure = sigma * k
-    jobs = tuple(Job(i, Fraction(0), Deferred("commit")) for i in range(1, k + 1))
+    jobs = tuple(Job(i, Rat(0), Deferred("commit")) for i in range(1, k + 1))
     rule = ProgressScaledRule(tuple(range(1, k + 1)), 1 / alpha, sigma / k)
     script = AdversaryScript((Trigger("commit", measure, rule),))
     return Instance(jobs, alpha, script), measure
@@ -81,7 +82,7 @@ def _phases(alpha: Fraction, k: int):
     if k < 1:
         raise ModelError("k must be at least 1")
     lam = (4 + alpha) / alpha
-    start = Fraction(0)
+    start = Rat(0)
     for phase in range(k, 0, -1):
         length = lam**phase
         a = 2 * (k - phase) + 1
@@ -93,7 +94,7 @@ def gen_det_lb2(alpha: Fraction, k: int) -> tuple[Instance, Fraction]:
     """k phases of geometrically shrinking length lambda**i, two deferred jobs
     per phase; at alpha * lambda**i into the phase the job with more observed
     progress is committed to 2 * lambda**i and the other to lambda**i."""
-    alpha = Fraction(alpha)
+    alpha = Rat(alpha)
     if not (0 < alpha < 1):
         raise ModelError("deterministic bound needs 0 < alpha < 1")
     jobs, triggers = [], []
@@ -107,7 +108,7 @@ def gen_det_lb2(alpha: Fraction, k: int) -> tuple[Instance, Fraction]:
 def gen_rand32(alpha: Fraction, k: int, seed: int) -> tuple[Instance, Fraction]:
     """Oblivious variant of the phase construction: within each phase a fair
     coin decides which job carries the long processing time."""
-    alpha = Fraction(alpha)
+    alpha = Rat(alpha)
     if not (0 < alpha < 1):
         raise ModelError("phase bound needs 0 < alpha < 1")
     rng = random.Random(seed)
@@ -122,8 +123,8 @@ def gen_rand32(alpha: Fraction, k: int, seed: int) -> tuple[Instance, Fraction]:
 def randomized_params(alpha: Fraction) -> tuple[int, int]:
     """(k, t) for the randomized bound: k = floor(2 ** (1/(2-2 alpha))) jobs,
     measured at t = floor(3 (k - k**(3/4)))."""
-    alpha = Fraction(alpha)
-    if not (Fraction(1, 2) < alpha < 1):
+    alpha = Rat(alpha)
+    if not (Rat(1, 2) < alpha < 1):
         raise ModelError("randomized bound needs 1/2 < alpha < 1")
     k = _floor_pow2(1 / (2 - 2 * alpha))
     t = 3 * k - _ceil_root4(81 * k**3)
@@ -145,20 +146,20 @@ def gen_rand_lb(alpha: Fraction, seed: int) -> tuple[Instance, int]:
     k, t = randomized_params(alpha)
     rng = random.Random(seed)
     jobs = tuple(
-        Job(i + 1, Fraction(0), Fraction(sample_geometric_proc(rng))) for i in range(k)
+        Job(i + 1, Rat(0), Rat(sample_geometric_proc(rng))) for i in range(k)
     )
-    return Instance(jobs, Fraction(alpha)), t
+    return Instance(jobs, Rat(alpha)), t
 
 
 def append_dos_tail(instance: Instance, t: Fraction, m: int) -> Instance:
     """Append m unit jobs released at t+1, ..., t+m."""
-    t = Fraction(t)
+    t = Rat(t)
     if t < 0:
         raise ModelError("tail start must be nonnegative")
     if m < 1:
         raise ModelError("tail length must be at least 1")
     next_id = max((j.id for j in instance.jobs), default=0) + 1
-    tail = [Job(next_id + i, t + 1 + i, Fraction(1)) for i in range(m)]
+    tail = [Job(next_id + i, t + 1 + i, Rat(1)) for i in range(m)]
     jobs = tuple(sorted(list(instance.jobs) + tail, key=lambda j: (j.release, j.id)))
     return Instance(jobs, instance.alpha, instance.adversary)
 
@@ -168,7 +169,7 @@ def gen_random_instance(
     max_p: int,
     density: float,
     seed: int,
-    alpha: Fraction = Fraction(1, 2),
+    alpha: Fraction = Rat(1, 2),
 ) -> Instance:
     """n jobs with integer releases and processing times; density 1 packs all
     releases at 0, lower densities spread them over about n * max_p * (1 -
@@ -181,6 +182,6 @@ def gen_random_instance(
         (rng.randint(0, span), rng.randint(1, max_p)) for _ in range(n)
     )
     jobs = tuple(
-        Job(i + 1, Fraction(r), Fraction(p)) for i, (r, p) in enumerate(drawn)
+        Job(i + 1, Rat(r), Rat(p)) for i, (r, p) in enumerate(drawn)
     )
-    return Instance(jobs, Fraction(alpha))
+    return Instance(jobs, Rat(alpha))

@@ -46,7 +46,7 @@ from typing import Iterable, Mapping, Optional, Sequence
 from .engine import simulate
 from .model import Instance, ModelError, Partition, ScheduleTrace, UnknownJobError, instance_to_json
 from .policies import PolicyKind
-from .rational import format_rat
+from .rational import Rat, format_rat
 
 
 # --------------------------------------------------------------------------
@@ -68,7 +68,7 @@ class TimePoint:
     def at(cls, alg_trace: ScheduleTrace, opt_trace: ScheduleTrace, t: Fraction) -> "TimePoint":
         if alg_trace.instance.jobs != opt_trace.instance.jobs:
             raise ModelError("traces must share one instance")
-        t = Fraction(t)
+        t = Rat(t)
         return cls(t, alg_trace.work_at(t), alg_trace.partition(t), opt_trace.alive_at(t))
 
 
@@ -120,7 +120,7 @@ def build_borrow_graph(trace: ScheduleTrace, t: Fraction) -> BorrowGraph:
 
     Built from scratch; ``BorrowSweep`` gives the same graphs at increasing
     times without the rebuild."""
-    t = Fraction(t)
+    t = Rat(t)
     jobs = [job for job in trace.instance.jobs if job.release <= t]
     ids = [job.id for job in jobs]
     signals = trace.emissions
@@ -206,7 +206,7 @@ class BorrowSweep:
         self._ne = 0
 
     def at(self, t: Fraction) -> BorrowGraph:
-        t = Fraction(t)
+        t = Rat(t)
         if self._t is not None and t < self._t:
             raise ModelError(f"borrow sweep asked for t={format_rat(t)} after t={format_rat(self._t)}")
         self._t = t
@@ -229,7 +229,7 @@ class BorrowSweep:
 # --------------------------------------------------------------------------
 
 Vertex = tuple
-_ZERO = Fraction(0)
+_ZERO = Rat(0)
 SOURCE: Vertex = ("source",)
 SINK: Vertex = ("sink",)
 
@@ -248,7 +248,7 @@ class FlowNetwork:
 
     @property
     def total_supply(self) -> Fraction:
-        return sum(self.supplies.values(), Fraction(0))
+        return sum(self.supplies.values(), Rat(0))
 
     def reach_sets(self, sources: Iterable[int]) -> dict[int, frozenset[int]]:
         """Per source job, the jobs reachable from it along positive-capacity
@@ -319,7 +319,7 @@ class NetworkSweep:
     def __init__(self, trace: ScheduleTrace):
         self.trace = trace
         jobs = trace.instance.jobs
-        self.infinite = sum((job.proc for job in jobs), Fraction(1))
+        self.infinite = sum((job.proc for job in jobs), Rat(1))
         self._releases = [job.release for job in jobs]  # jobs are sorted by release
         self._grid = sorted({_ZERO, *self._releases, *trace.completions.values()})
         self._closed = 0  # grid intervals built so far
@@ -332,7 +332,7 @@ class NetworkSweep:
 
     def at(self, t: Fraction) -> tuple[_Grid, _Grid]:
         """The base and the refined grid at time t."""
-        t = Fraction(t)
+        t = Rat(t)
         if self._t is not None and t < self._t:
             raise ModelError(f"network sweep asked for t={format_rat(t)} after t={format_rat(self._t)}")
         if t == self._t:
@@ -493,7 +493,7 @@ def max_flow_saturates(net: FlowNetwork) -> tuple[bool, FlowResult]:
     source, sink = number[SOURCE], number[SINK]
     is_open = [True, False] * len(arcs)  # residual[e] > 0, kept in step
 
-    value = Fraction(0)
+    value = Rat(0)
     while True:
         parent = [-1] * len(vertices)
         parent[source] = len(heads)
@@ -536,14 +536,14 @@ def check_min_cut(net: FlowNetwork, result: FlowResult) -> list[str]:
     violations = []
     if SOURCE not in side or SINK in side:
         violations.append("min cut witness does not separate the source from the sink")
-    sent = sum((f for (u, _), f in result.flow.items() if u == SOURCE), Fraction(0))
+    sent = sum((f for (u, _), f in result.flow.items() if u == SOURCE), Rat(0))
     if sent != result.value:
         violations.append(
             f"flow leaving the source is {format_rat(sent)}, not the value {format_rat(result.value)}"
         )
     capacity = sum(
         (cap for (u, v), cap in net.solved_arcs().items() if u in side and v not in side),
-        Fraction(0),
+        Rat(0),
     )
     if capacity != result.value:
         violations.append(
@@ -556,7 +556,7 @@ def verify_flow_feasible(net: FlowNetwork, result: FlowResult) -> list[str]:
     """Capacity and conservation audit of a witness flow."""
     violations = []
     balance: dict[Vertex, Fraction] = {}
-    outflow = {("job", i): Fraction(0) for i in net.demands}  # other than to the sink
+    outflow = {("job", i): Rat(0) for i in net.demands}  # other than to the sink
     for (u, v), f in result.flow.items():
         if f < 0:
             violations.append(f"negative flow on {u}->{v}")
@@ -591,7 +591,7 @@ def verify_flow_feasible(net: FlowNetwork, result: FlowResult) -> list[str]:
 @dataclass
 class BetaMatrix:
     values: dict[tuple[int, int], Fraction]
-    discarded_cycle_flow: Fraction = Fraction(0)
+    discarded_cycle_flow: Fraction = Rat(0)
 
 
 def decompose_beta(result: FlowResult) -> BetaMatrix:
@@ -614,7 +614,7 @@ def decompose_beta(result: FlowResult) -> BetaMatrix:
             fl.setdefault(u, {})[v] = f
 
     beta: dict[tuple[int, int], Fraction] = {}
-    discarded = Fraction(0)
+    discarded = Rat(0)
 
     heads = {u: sorted(outs) for u, outs in fl.items()}
     skipped = dict.fromkeys(fl, 0)  # per vertex, the leading heads known empty
@@ -669,7 +669,7 @@ def decompose_beta(result: FlowResult) -> BetaMatrix:
             key = (j, reached)
             beta[key] = beta.get(key, _ZERO) + gamma
     leftover = sum(
-        (f for outs in fl.values() for f in outs.values() if f > 0), Fraction(0)
+        (f for outs in fl.values() for f in outs.values() if f > 0), Rat(0)
     )
     discarded += leftover
     return BetaMatrix(values=beta, discarded_cycle_flow=discarded)
@@ -741,8 +741,8 @@ def refine_flow(
         sub1 = ("dummy", i, 2 * l)
         sub2 = ("dummy", i, 2 * l + 1)
         room1 = refined.arcs.get((sub1, ("job", i)), _ZERO)
-        total1 = Fraction(0)
-        total2 = Fraction(0)
+        total1 = Rat(0)
+        total2 = Rat(0)
         for u, f in entries:
             take = min(room1, f)
             if take > 0:
@@ -971,7 +971,7 @@ def check_catch_up(trace: ScheduleTrace, times: Sequence[Fraction]) -> list[str]
     violations = []
     dominated: set[tuple[int, int]] = set()  # (i, j): y_j must stay >= y_i
     for t in times:
-        t = Fraction(t)
+        t = Rat(t)
         work, fresh = trace.work_at(t), trace.partition(t).nonclairvoyant
         for i, j in dominated:
             if i in fresh and j in fresh and work[j] < work[i]:
@@ -1067,7 +1067,7 @@ def check_feasibility(trace: ScheduleTrace) -> list[str]:
             )
     breaks = [p for p, _ in trace.alive_curve]
     spans = [(seg.start, seg.end) for seg in busy]
-    prev_end = Fraction(0)
+    prev_end = Rat(0)
     for lo, hi in spans + [(trace.makespan, trace.makespan)]:
         if lo > prev_end and trace.alive_curve[bisect_left(breaks, lo) - 1][1]:
             violations.append(

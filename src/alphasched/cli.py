@@ -39,12 +39,12 @@ from .model import (
 )
 from .oracle import quantum_simulate
 from .policies import PolicyKind
-from .rational import format_rat, parse_rat
+from .rational import Rat, format_rat, parse_rat
 
 USAGE_ERROR = 2
 VERIFY_ERROR = 1
 
-QUANTUM = Fraction(1, 64)
+QUANTUM = Rat(1, 64)
 
 
 def _write_text(path: Path, text: str) -> None:
@@ -79,7 +79,7 @@ def _load_instance_arg(args) -> Instance:
 def _quantum_entry(inst: Instance, kind: PolicyKind, fluid_flow: Fraction) -> dict:
     run = quantum_simulate(inst, kind, QUANTUM)
     gap = abs(run.total_flow - fluid_flow)
-    bound = Fraction(len(inst.jobs) ** 2, QUANTUM.denominator)
+    bound = Rat(len(inst.jobs) ** 2, QUANTUM.denominator)
     return {
         "quantum": format_rat(QUANTUM),
         "total_flow": format_rat(run.total_flow),
@@ -245,7 +245,7 @@ def _lowerbound_rand(args, out: Path | None) -> int:
             totals["opt_cond"] += do
             totals["n_cond"] += 1
     n, n_cond = args.seeds, totals["n_cond"]
-    mean_alg, mean_opt = Fraction(totals["alg"], n), Fraction(totals["opt"], n)
+    mean_alg, mean_opt = Rat(totals["alg"], n), Rat(totals["opt"], n)
     result = {
         "which": "rand",
         "alpha": format_rat(alpha),
@@ -257,10 +257,10 @@ def _lowerbound_rand(args, out: Path | None) -> int:
         "mean_delta_opt": format_rat(mean_opt),
         "conditioned_samples": n_cond,
         "mean_delta_alg_ge1_conditioned": (
-            format_rat(Fraction(totals["alg_cond"], n_cond)) if n_cond else None
+            format_rat(Rat(totals["alg_cond"], n_cond)) if n_cond else None
         ),
         "mean_delta_opt_conditioned": (
-            format_rat(Fraction(totals["opt_cond"], n_cond)) if n_cond else None
+            format_rat(Rat(totals["opt_cond"], n_cond)) if n_cond else None
         ),
     }
     print(
@@ -290,12 +290,12 @@ def cmd_lowerbound(args) -> int:
 def _sweep_one(inst: Instance, alpha: Fraction):
     alg, opt = simulate_pair(inst.with_alpha(alpha))
     flow_ratio = ratio(build_report(alg), build_report(opt))
-    worst = Fraction(0)
+    worst = Rat(0)
     for t in check_times(alg, opt)[1]:
         alive = len(alg.alive_at(t))
         opt_alive = len(opt.alive_at(t))
         if opt_alive:
-            worst = max(worst, Fraction(alive, opt_alive))
+            worst = max(worst, Rat(alive, opt_alive))
     return worst, flow_ratio
 
 

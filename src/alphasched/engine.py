@@ -48,6 +48,7 @@ from typing import NamedTuple, Optional, Sequence
 
 from .model import ExecutionSegment, Instance, ModelError, ScheduleTrace
 from .policies import PolicyKind, PolicyView, RateDecision, ViewJob, decide
+from .rational import Rat
 
 
 class EngineError(Exception):
@@ -157,7 +158,7 @@ class SimState:
         self.decide = (lambda view: decide(policy, view)) if self.builtin else policy.decide
         self.omniscient = bool(getattr(policy, "omniscient", False))
         self.merge_pool = getattr(policy, "merge_pool", "all")
-        self.horizon = None if horizon is None else Fraction(horizon)
+        self.horizon = None if horizon is None else Rat(horizon)
         self.alpha = instance.alpha
         # the fused rule's (1 - alpha) / alpha, which its view reads, and
         # alpha / (1 - alpha): it leaves sharing once the least signalled
@@ -166,8 +167,8 @@ class SimState:
         if policy is PolicyKind.ALPHA and 0 < self.alpha < 1:
             self.threshold_factor = (1 - self.alpha) / self.alpha
             self._crossing_factor = self.alpha / (1 - self.alpha)
-        self.now = Fraction(0)
-        self.progress: dict[int, Fraction] = {j.id: Fraction(0) for j in instance.jobs}
+        self.now = Rat(0)
+        self.progress: dict[int, Fraction] = {j.id: Rat(0) for j in instance.jobs}
         self.proc: dict[int, Optional[Fraction]] = {
             j.id: (j.proc if j.committed else None) for j in instance.jobs
         }
@@ -354,7 +355,7 @@ class SimState:
 
     def make_decision(self) -> RateDecision:
         decision = self.decide(self.build_view())
-        total = Fraction(0)
+        total = Rat(0)
         for j, r in decision.rates:
             if j not in self._entries:
                 raise EngineError(f"policy rated job {j} which is not alive")

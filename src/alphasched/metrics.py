@@ -7,7 +7,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .model import ModelError, ScheduleTrace
-from .rational import format_rat
+from .rational import Rat, format_rat
 
 
 @dataclass(frozen=True)
@@ -33,10 +33,10 @@ def integrate_curve(
 ) -> Fraction:
     """Exact integral of the step function over [lo, hi]; constant after the
     last breakpoint."""
-    lo, hi = Fraction(lo), Fraction(hi)
+    lo, hi = Rat(lo), Rat(hi)
     if hi < lo:
         raise ModelError("empty integration interval")
-    total = Fraction(0)
+    total = Rat(0)
     for idx, (t, n) in enumerate(curve):
         t_next = curve[idx + 1][0] if idx + 1 < len(curve) else None
         seg_lo = max(t, lo)
@@ -62,11 +62,11 @@ def build_report(trace: ScheduleTrace) -> MetricsReport:
 def delta(trace: ScheduleTrace, t: Fraction, min_remaining: Optional[Fraction] = None) -> int:
     """Number of alive jobs at t, optionally only those with at least the
     given remaining work."""
-    t = Fraction(t)
+    t = Rat(t)
     alive = trace.alive_at(t)
     if min_remaining is None:
         return len(alive)
-    threshold = Fraction(min_remaining)
+    threshold = Rat(min_remaining)
     return sum(1 for j in alive if trace.remaining(j, t) >= threshold)
 
 

@@ -18,7 +18,7 @@ from pathlib import Path
 from types import MappingProxyType
 from typing import Iterable, Mapping, NamedTuple, Optional, Sequence, Union
 
-from .rational import format_rat, parse_rat
+from .rational import Rat, format_rat, parse_rat
 
 
 class ModelError(Exception):
@@ -47,11 +47,11 @@ class Job:
     proc: Union[Fraction, Deferred]
 
     def __post_init__(self):
-        object.__setattr__(self, "release", Fraction(self.release))
+        object.__setattr__(self, "release", Rat(self.release))
         if self.release < 0:
             raise ModelError(f"job {self.id}: negative release {self.release}")
         if not isinstance(self.proc, Deferred):
-            object.__setattr__(self, "proc", Fraction(self.proc))
+            object.__setattr__(self, "proc", Rat(self.proc))
             if self.proc <= 0:
                 raise ModelError(f"job {self.id}: processing time must be positive")
 
@@ -73,7 +73,7 @@ class _Rule:
             raise ModelError(f"commit rule names a job twice: {list(jobs)}")
         object.__setattr__(self, "jobs", jobs)
         for name in self.params:
-            object.__setattr__(self, name, Fraction(getattr(self, name)))
+            object.__setattr__(self, name, Rat(getattr(self, name)))
 
 
 @dataclass(frozen=True)
@@ -132,7 +132,7 @@ class Trigger:
     rule: CommitRule
 
     def __post_init__(self):
-        object.__setattr__(self, "fire_at", Fraction(self.fire_at))
+        object.__setattr__(self, "fire_at", Rat(self.fire_at))
         if self.fire_at < 0:
             raise ModelError(f"trigger {self.id}: negative fire time")
 
@@ -165,7 +165,7 @@ class Instance:
 
     def __post_init__(self):
         object.__setattr__(self, "jobs", tuple(self.jobs))
-        object.__setattr__(self, "alpha", Fraction(self.alpha))
+        object.__setattr__(self, "alpha", Rat(self.alpha))
         if not (0 <= self.alpha <= 1):
             raise ModelError(f"alpha must lie in [0,1], got {self.alpha}")
         by_id = {j.id: j for j in self.jobs}
@@ -216,14 +216,14 @@ class Instance:
             if job.id in procs:
                 if job.committed:
                     raise ModelError(f"job {job.id} is already committed")
-                jobs.append(Job(job.id, job.release, Fraction(procs[job.id])))
+                jobs.append(Job(job.id, job.release, Rat(procs[job.id])))
             else:
                 jobs.append(job)
         adversary = None if all(j.committed for j in jobs) else self.adversary
         return Instance(tuple(jobs), self.alpha, adversary)
 
     def with_alpha(self, alpha: Fraction) -> "Instance":
-        return Instance(self.jobs, Fraction(alpha), self.adversary)
+        return Instance(self.jobs, Rat(alpha), self.adversary)
 
 
 def _rule_to_json(rule: CommitRule) -> dict:
@@ -336,9 +336,9 @@ class ExecutionSegment:
         # a value that is already a Fraction is kept, not rebuilt
         for name in ("start", "end"):
             if not isinstance(getattr(self, name), Fraction):
-                object.__setattr__(self, name, Fraction(getattr(self, name)))
+                object.__setattr__(self, name, Rat(getattr(self, name)))
         rates = tuple(sorted(
-            (j, r) if type(j) is int and isinstance(r, Fraction) else (int(j), Fraction(r))
+            (j, r) if type(j) is int and isinstance(r, Fraction) else (int(j), Rat(r))
             for j, r in self.rates
         ))
         object.__setattr__(self, "rates", rates)
@@ -349,12 +349,12 @@ class ExecutionSegment:
             raise ModelError("duplicate job in segment rates")
         if any(r <= 0 for _, r in rates):
             raise ModelError("segment rates must be positive")
-        if sum((r for _, r in rates), Fraction(0)) > 1:
+        if sum((r for _, r in rates), Rat(0)) > 1:
             raise ModelError("segment rates exceed unit speed")
 
     @property
     def total_rate(self) -> Fraction:
-        return sum((r for _, r in self.rates), Fraction(0))
+        return sum((r for _, r in self.rates), Rat(0))
 
     @property
     def length(self) -> Fraction:
@@ -407,7 +407,7 @@ class ScheduleTrace:
         if not instance.resolved:
             raise ModelError("schedule trace requires a fully resolved instance")
         self.instance = instance
-        self.horizon = None if horizon is None else Fraction(horizon)
+        self.horizon = None if horizon is None else Rat(horizon)
         self.segments = _merge_adjacent(sorted(segments, key=lambda s: s.start))
         self._starts = [seg.start for seg in self.segments]
         self._columns: dict[Fraction, Mapping[int, Fraction]] = {}  # work_at, filled on demand
@@ -416,11 +416,11 @@ class ScheduleTrace:
         # per job: profile breakpoints, cumulative work at each and the rate
         # on each piece between them (0 on gaps); busy intervals; alpha * p_j
         self._profiles: dict[int, tuple[list[Fraction], list[Fraction], list[Fraction]]] = {
-            job.id: ([job.release], [Fraction(0)], []) for job in instance.jobs
+            job.id: ([job.release], [Rat(0)], []) for job in instance.jobs
         }
         busy: dict[int, list[Interval]] = {job.id: [] for job in instance.jobs}
         self._signal_work = {job.id: instance.alpha * job.proc for job in instance.jobs}
-        last = Fraction(0)
+        last = Rat(0)
         for seg in self.segments:
             if last > seg.start:
                 raise ModelError(f"overlapping segments at {seg.start}")
@@ -435,7 +435,7 @@ class ScheduleTrace:
                 if seg.start > times[-1]:
                     times.append(seg.start)
                     cums.append(cums[-1])
-                    rates.append(Fraction(0))
+                    rates.append(Rat(0))
                 times.append(seg.end)
                 cums.append(cums[-1] + r * length)
                 rates.append(r)
@@ -445,18 +445,19 @@ class ScheduleTrace:
                 else:
                     spans.append((seg.start, seg.end))
         self._busy = {j: tuple(spans) for j, spans in busy.items()}
-        # a job rated at or after C_j would get more than p_j, so this check
-        # also rules out work after completion
-        for job in instance.jobs:
-            if self._profiles[job.id][1][-1] > job.proc:
-                raise ModelError(f"job {job.id} receives more work than its processing time")
 
         self.completions: dict[int, Fraction] = {}
         self.emissions: dict[int, Fraction] = {}
         for job in instance.jobs:
-            done = self._crossing_time(job.id, job.proc)
-            if done is not None:
-                self.completions[job.id] = done
+            times, cums, _ = self._profiles[job.id]
+            # a job rated at or after C_j would get more than p_j, so this
+            # check also rules out work after completion
+            if cums[-1] > job.proc:
+                raise ModelError(f"job {job.id} receives more work than its processing time")
+            # every rated piece adds positive work, so the first breakpoint
+            # at which the work reaches p_j is the last one
+            if cums[-1] == job.proc:
+                self.completions[job.id] = times[-1]
             hit = self._crossing_time(job.id, self._signal_work[job.id])
             if hit is not None:
                 self.emissions[job.id] = hit
@@ -468,8 +469,8 @@ class ScheduleTrace:
         # unfinished job stays alive through the horizon
         deltas = Counter(job.release for job in instance.jobs if job.release <= self.makespan)
         deltas.subtract(self.completions.values())
-        points = sorted(deltas.keys() | {Fraction(0), self.makespan})
-        curve, area, count = [], Fraction(0), 0
+        points = sorted(deltas.keys() | {Rat(0), self.makespan})
+        curve, area, count = [], Rat(0), 0
         for lo, hi in zip(points, points[1:]):
             count += deltas[lo]
             curve.append((lo, count))
@@ -477,7 +478,7 @@ class ScheduleTrace:
         self.alive_curve = tuple(curve) + ((self.makespan, 0),)
         self.total_flow = area
         if self.complete:
-            total = sum((self.completions[j.id] - j.release for j in instance.jobs), Fraction(0))
+            total = sum((self.completions[j.id] - j.release for j in instance.jobs), Rat(0))
             if total != area:
                 raise ModelError(f"flow-time identity violated: sum flows {total} != alive area {area}")
 
@@ -497,7 +498,7 @@ class ScheduleTrace:
         """``elapsed_work`` without the argument checks."""
         times, cums, rates = self._profiles[job_id]
         if t <= times[0]:
-            return Fraction(0)
+            return Rat(0)
         idx = bisect_right(times, t) - 1
         if idx >= len(rates):
             return cums[-1]
@@ -508,7 +509,7 @@ class ScheduleTrace:
 
     def elapsed_work(self, job_id: int, t: Fraction) -> Fraction:
         """Total processing received by the job up to time t."""
-        t = Fraction(t)
+        t = Rat(t)
         if t < 0:
             raise ModelError("time must be nonnegative")
         if job_id not in self._profiles:
@@ -518,7 +519,7 @@ class ScheduleTrace:
     def work_at(self, t: Fraction) -> Mapping[int, Fraction]:
         """Elapsed work of every job of the instance at time t, read-only;
         each time's column is computed once and kept for every later caller."""
-        t = Fraction(t)
+        t = Rat(t)
         if t < 0:
             raise ModelError("time must be nonnegative")
         column = self._columns.get(t)
@@ -531,7 +532,7 @@ class ScheduleTrace:
         return self.instance.proc_of(job_id) - self.elapsed_work(job_id, t)
 
     def alive_at(self, t: Fraction) -> frozenset[int]:
-        t = Fraction(t)
+        t = Rat(t)
         out = set()
         for job in self.instance.jobs:
             if job.release > t:
@@ -547,7 +548,7 @@ class ScheduleTrace:
         (boundary inclusive), and strictly beyond it counts as clairvoyant.
         Each time's partition is computed once and kept.
         """
-        t = Fraction(t)
+        t = Rat(t)
         part = self._partitions.get(t)
         if part is None:
             alive, work = self.alive_at(t), self.work_at(t)
@@ -561,7 +562,7 @@ class ScheduleTrace:
         ids = sorted(set(job_ids))
         if not ids:
             raise ModelError("lifetime of an empty job set")
-        t = Fraction(t)
+        t = Rat(t)
         spans = []
         for j in ids:
             lo, hi = self.instance.job(j).release, self.lifetime_end(j, t)
@@ -582,14 +583,14 @@ class ScheduleTrace:
         return t if done is None else min(done, t)
 
     def interval_work(self, job_id: int, interval: Interval) -> Fraction:
-        lo, hi = Fraction(interval[0]), Fraction(interval[1])
+        lo, hi = Rat(interval[0]), Rat(interval[1])
         if lo < 0 or hi < lo:
             raise ModelError(f"bad interval [{lo}, {hi}]")
         return self.elapsed_work(job_id, hi) - self.elapsed_work(job_id, lo)
 
     def segment_at(self, t: Fraction) -> Optional[ExecutionSegment]:
         """The segment in force on [t, t + eps), if any (right-limit view)."""
-        t = Fraction(t)
+        t = Rat(t)
         idx = bisect_right(self._starts, t) - 1
         if idx >= 0 and self.segments[idx].end > t:
             return self.segments[idx]
@@ -608,7 +609,7 @@ class ScheduleTrace:
 
     def event_times(self) -> list[Fraction]:
         """Sorted distinct times at which any derived quantity can change."""
-        points = {Fraction(0), self.makespan}
+        points = {Rat(0), self.makespan}
         for seg in self.segments:
             points.add(seg.start)
             points.add(seg.end)

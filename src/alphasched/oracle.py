@@ -25,6 +25,7 @@ from typing import Optional
 
 from .model import Instance, ModelError
 from .policies import PolicyKind
+from .rational import Rat
 
 
 @dataclass
@@ -34,7 +35,7 @@ class OracleRun:
 
 
 def quantum_simulate(
-    instance: Instance, kind: PolicyKind, quantum: Fraction = Fraction(1, 64)
+    instance: Instance, kind: PolicyKind, quantum: Fraction = Rat(1, 64)
 ) -> OracleRun:
     """Stepped scheduler: at each step one job receives min(quantum, remaining,
     time to next arrival) units of work.
@@ -71,7 +72,7 @@ def quantum_simulate(
         raise ModelError(f"quantum oracle needs a PolicyKind, got {kind!r}")
     if not instance.resolved:
         raise ModelError("quantum oracle requires a resolved instance")
-    quantum = Fraction(quantum)
+    quantum = Rat(quantum)
     if quantum <= 0:
         raise ModelError("quantum must be positive")
     scale = lcm(
@@ -165,8 +166,8 @@ def quantum_simulate(
 
     total = sum(completions[j] for j in proc) - sum(r for r, _ in arrivals)
     return OracleRun(
-        completions={j: Fraction(c, scale) for j, c in completions.items()},
-        total_flow=Fraction(total, scale),
+        completions={j: Rat(c, scale) for j, c in completions.items()},
+        total_flow=Rat(total, scale),
     )
 
 

@@ -16,6 +16,7 @@ from fractions import Fraction
 from typing import NamedTuple, Optional
 
 from .model import UnresolvedProcError
+from .rational import Rat
 
 
 class PolicyKind(Enum):
@@ -133,14 +134,14 @@ def setf_decide(view: PolicyView) -> RateDecision:
         return IDLE
     least = min(j.elapsed for j in view.jobs)
     share = sorted(j.job_id for j in view.jobs if j.elapsed == least)
-    rate = Fraction(1, len(share))
+    rate = Rat(1, len(share))
     return RateDecision(tuple((j, rate) for j in share), "setf")
 
 
 def srpt_decide(view: PolicyView) -> RateDecision:
     """Run the alive job with the least remaining work; ties go to the lowest id."""
     best = view.shortest
-    return IDLE if best is None else RateDecision(((best.job_id, Fraction(1)),), "srpt")
+    return IDLE if best is None else RateDecision(((best.job_id, Rat(1)),), "srpt")
 
 
 def alpha_clairvoyant_decide(view: PolicyView) -> RateDecision:
@@ -159,11 +160,11 @@ def alpha_clairvoyant_decide(view: PolicyView) -> RateDecision:
         return setf_decide(view)
     best, least = view.best_signalled, view.least_unsignalled
     if best is not None and (least is None or best.remaining <= view.threshold_factor * least):
-        return RateDecision(((best.job_id, Fraction(1)),), "srpt")
+        return RateDecision(((best.job_id, Rat(1)),), "srpt")
     if least is None:
         return IDLE
     share = view.unsignalled_at(least)
-    rate = Fraction(1, len(share))
+    rate = Rat(1, len(share))
     return RateDecision(tuple((j, rate) for j in share), "setf")
 
 

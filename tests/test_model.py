@@ -1,5 +1,7 @@
 import json
+import operator
 import re
+from decimal import Decimal
 from fractions import Fraction as F
 
 import pytest
@@ -22,7 +24,7 @@ from alphasched.model import (
     instance_to_json,
 )
 from alphasched.policies import PolicyKind
-from alphasched.rational import format_rat, parse_rat
+from alphasched.rational import Rat, format_rat, parse_rat
 from conftest import json_instances
 
 
@@ -31,11 +33,63 @@ def run(instance, kind=PolicyKind.SETF):
     return trace
 
 
+# small and wider-than-64-bit integers, zero and negatives included
+_INTS = st.one_of(st.integers(-12, 12), st.integers(-(2**100), 2**100))
+_PAIRS = st.tuples(_INTS, st.one_of(st.integers(1, 12), st.integers(1, 2**100)))
+_OPERANDS = st.one_of(_PAIRS.map(lambda p: Rat(*p)), _PAIRS.map(lambda p: F(*p)), _INTS)
+_ARITHMETIC = (operator.add, operator.sub, operator.mul, operator.truediv)
+_COMPARISONS = (operator.eq, operator.lt, operator.le, operator.gt, operator.ge)
+
+
+def _same_value(got, want):
+    return (got.numerator, got.denominator, hash(got), str(got)) == (
+        want.numerator, want.denominator, hash(want), str(want)
+    )
+
+
 class TestRational:
     def test_parse_forms(self):
         assert parse_rat("3/4") == F(3, 4)
         assert parse_rat("5") == F(5)
         assert parse_rat(7) == F(7)
+        assert all(type(parse_rat(v)) is Rat for v in ("3/4", " -6/4 ", "5", 7))
+        assert parse_rat(F(3, 4)) == F(3, 4) and isinstance(parse_rat(F(3, 4)), F)
+
+    @settings(max_examples=400, deadline=None, database=None, derandomize=True)
+    @given(_PAIRS, _OPERANDS)
+    def test_rat_matches_fraction(self, pair, other):
+        x = Rat(*pair)
+        assert type(x) is Rat and _same_value(x, F(*pair))
+        for a, b in ((x, other), (other, x)):
+            fa, fb = F(a), F(b)
+            for op in _ARITHMETIC:
+                if op is operator.truediv and fb == 0:
+                    for operands in ((a, b), (fa, fb)):
+                        with pytest.raises(ZeroDivisionError):
+                            op(*operands)
+                    continue
+                got = op(a, b)
+                assert type(got) is Rat and _same_value(got, op(fa, fb))
+            for op in _COMPARISONS:
+                assert op(a, b) is op(fa, fb)
+        for op in (operator.neg, abs):
+            assert type(op(x)) is Rat and _same_value(op(x), op(F(*pair)))
+        assert x in {F(*pair)} and F(*pair) in {x}
+
+    def test_rat_construction(self):
+        assert _same_value(Rat(6, -4), F(-3, 2)) and type(Rat(6, -4)) is Rat
+        third = Rat(1, 3)
+        assert Rat(third) is third and type(Rat(F(1, 3))) is Rat and type(Rat(3)) is Rat
+        assert _same_value(Rat("2/6"), F(1, 3))
+        for make in (F, Rat):
+            with pytest.raises(ZeroDivisionError):
+                make(1, 0)
+
+    def test_rat_defers_other_operand_types(self):
+        assert Rat(1, 2) < 0.75
+        assert Rat(1, 2) + 0.5 == 1.0 and type(Rat(1, 2) + 0.5) is float
+        assert Rat(1, 2) == Decimal("0.5")
+        assert repr(Rat(1, 2)) == "Rat(1, 2)"
 
     def test_format_always_carries_denominator(self):
         assert format_rat(F(8)) == "8/1"
@@ -118,7 +172,7 @@ class TestInstanceValidation:
     def test_rule_fields_normalised(self):
         rule = ProgressScaledRule([1, 2], 2, "1/4")
         assert rule.jobs == (1, 2)
-        assert (type(rule.scale), type(rule.offset)) == (F, F) and rule.offset == F(1, 4)
+        assert (type(rule.scale), type(rule.offset)) == (Rat, Rat) and rule.offset == F(1, 4)
 
     @pytest.mark.parametrize("kind", [["x"], {"a": 1}, 3, "nope"])
     def test_unknown_rule_kind_is_bad_input(self, kind):

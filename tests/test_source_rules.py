@@ -4,8 +4,11 @@ Every invariant is an exact check that stays on in every run mode, so no
 bare ``assert`` guards one; no code changes interpreter-wide state: no
 ``global`` statement, no ``sys.set*`` or ``gc.*`` call, and no call to the
 module-level ``random`` functions (a seeded ``random.Random(...)`` is fine);
-no ``Fraction(...)`` is built as the default of a ``.get(...)`` call, where
-it would be built afresh on every lookup;
+no rational (``Fraction(...)`` or ``Rat(...)``) is built as the default of
+a ``.get(...)`` call, where it would be built afresh on every lookup; no
+``Fraction(...)`` is called outside ``rational.py``, so every rational the
+package builds is a ``rational.Rat``, whose integer fast paths a plain
+``Fraction`` would leave on any path it reaches;
 and floats stay out of the computation: ``float(...)`` is called only in
 ``cli.py``, where reports are formatted.  Every imported name is used,
 except in ``__init__.py``, whose imports are the package's re-exports, and
@@ -19,12 +22,14 @@ import pytest
 
 SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "alphasched").glob("*.py"))
 FLOAT_MODULES = {"cli.py"}
+FRACTION_MODULES = {"rational.py"}
 REEXPORT_MODULES = {"__init__.py"}
 
 
 def violations(tree: ast.AST, filename: str = "") -> list[str]:
     """Rule breaks in the parsed source of the module file ``filename``."""
     found = []
+    named = set()  # get defaults already named, so a Fraction default is named once
     for node in ast.walk(tree):
         if isinstance(node, ast.Assert):
             found.append(f"line {node.lineno}: assert statement")
@@ -44,9 +49,18 @@ def violations(tree: ast.AST, filename: str = "") -> list[str]:
             and len(node.args) == 2
             and isinstance(node.args[1], ast.Call)
             and isinstance(node.args[1].func, ast.Name)
-            and node.args[1].func.id == "Fraction"
+            and node.args[1].func.id in ("Fraction", "Rat")
         ):
-            found.append(f"line {node.lineno}: Fraction built as a get default")
+            found.append(f"line {node.lineno}: {node.args[1].func.id} built as a get default")
+            named.add(node.args[1])
+        elif (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Name)
+            and node.func.id == "Fraction"
+            and filename not in FRACTION_MODULES
+            and node not in named
+        ):
+            found.append(f"line {node.lineno}: Fraction call")
         elif (
             isinstance(node, ast.Call)
             and isinstance(node.func, ast.Attribute)
@@ -121,6 +135,8 @@ def test_source_rules(path):
         "import random\nx = random.choice([1, 2])",
         "x = float(y)",
         "from fractions import Fraction\nx = totals.get(key, Fraction(0))",
+        "from fractions import Fraction\nx = Fraction(1, 2)",
+        "from alphasched.rational import Rat\nx = totals.get(key, Rat(0))",
         "import weakref\nfrom typing import Mapping, Optional\nx: Optional[Mapping] = None",
         "def _helper():\n    return 1\n\n_LIMIT = 3\nx = _LIMIT",
     ],
@@ -147,6 +163,10 @@ def test_leftover_private_helper_caught():
 
 def test_float_call_allowed_in_the_cli():
     assert violations(ast.parse("x = float(y)"), "cli.py") == []
+
+
+def test_fraction_call_allowed_in_the_rational_module():
+    assert violations(ast.parse("from fractions import Fraction\nx = Fraction(1, 2)"), "rational.py") == []
 
 
 def test_seeded_generator_allowed():
