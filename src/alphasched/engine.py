@@ -1,19 +1,23 @@
 """Deterministic event-driven fluid simulator.
 
 The machine runs at unit speed; a policy decision fixes constant rates until
-the next event.  Events are the exact rational instants at which anything the
-policy could react to changes: arrivals, signal emissions, completions,
-progress-level merges of the evenly-shared set, threshold crossings of the
-fused rule, and scripted adversary commitments.  Simultaneous happenings are
-applied in a fixed order (completions, emissions, commitments, arrivals,
-merges, then re-decision), which makes runs reproducible event for event.
+the next stop.  The log records events at exact rational instants: arrivals,
+signal emissions, completions, progress-level merges of the evenly-shared
+set, threshold crossings of the fused rule, and scripted adversary
+commitments.  A run stops, and the policy decides again, where anything it
+could react to changes: at every event, except that SRPT and SETF do not
+stop at emissions, since neither reads a signal (SRPT sees every p, SETF
+reads only progress).  Their emissions between stops are logged in passing,
+at their exact times.  Simultaneous happenings are applied in a fixed order
+(completions, emissions, commitments, arrivals, merges, then re-decision),
+which makes runs reproducible event for event.
 
 Information hiding is enforced when the policy view is built: a view for a
 non-omniscient policy carries no remaining time for a job that has not yet
 emitted its signal, and a job with an uncommitted processing time never
 counts as emitted.
 
-Per-event cost.  Only a job rated in the segment just run, or one that
+Per-stop cost.  Only a job rated in the segment just run, or one that
 arrived or was committed at this instant, can have new progress or a new
 processing time, so only such a job can complete or emit; the state calls
 these jobs changed.  Each changed job is tested for completion and emission
@@ -30,13 +34,13 @@ next-event search reads the merge level and the threshold, and a view its
 minima, with the k rated jobs; a job is re-ranked when it changes while
 unrated and when it enters or leaves the rated set, in O(log d) comparisons
 of a ranking's d distinct keys plus list shifts.  With c changed jobs, e
-jobs entering or leaving the rated set and n alive jobs, an event costs
+jobs entering or leaving the rated set and n alive jobs, a stop costs
 O((c + e) log n) exact operations and a fused-rule or SRPT decision
 O(k + log n); a built-in rule's view lists every alive job only if the rule
 reads them, and any other policy's view is a snapshot of them all.  No
 exact value is built twice: one product per distinct rate advances the
 rated jobs, and the fused rule's two threshold factors are computed once per
-run.  Consecutive events under equal rates extend one open segment, so
+run.  Consecutive stops under equal rates extend one open segment, so
 one ``ExecutionSegment`` is built per maximal constant-rate run.
 """
 
@@ -44,6 +48,8 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right, insort
 from fractions import Fraction
+from itertools import groupby
+from operator import itemgetter
 from typing import NamedTuple, Optional, Sequence
 
 from .model import ExecutionSegment, Instance, ModelError, ScheduleTrace
@@ -139,7 +145,10 @@ class SimState:
     A policy is a ``PolicyKind`` or any object with ``decide(view)``; both
     may carry ``omniscient`` (default False) and ``merge_pool`` ("all", the
     default, or "unsignalled": which alive jobs can join an evenly-shared
-    set).  They are read once, here.
+    set).  They are read once, here, with a ``PolicyKind``'s
+    ``reads_signals``: a rule that reads no signal does not stop at
+    emissions.  Any other policy may read ``emitted`` or ``signal_time``, so
+    it stops at every emission.
 
     ``progress``, ``proc`` and ``signal`` are the state itself.  The view
     entries and the rankings are derived from them; they trail them for the
@@ -158,7 +167,10 @@ class SimState:
         self.decide = (lambda view: decide(policy, view)) if self.builtin else policy.decide
         self.omniscient = bool(getattr(policy, "omniscient", False))
         self.merge_pool = getattr(policy, "merge_pool", "all")
+        self.stops_at_emissions = not self.builtin or policy.reads_signals
         self.horizon = None if horizon is None else Rat(horizon)
+        if self.horizon is not None and self.horizon < 0:
+            raise ModelError(f"horizon {self.horizon} is negative")
         self.alpha = instance.alpha
         # the fused rule's (1 - alpha) / alpha, which its view reads, and
         # alpha / (1 - alpha): it leaves sharing once the least signalled
@@ -407,7 +419,7 @@ class SimState:
             wait = (p - y) / r
             if done is None or wait < done:
                 done = wait
-            if j not in self.signal:
+            if self.stops_at_emissions and j not in self.signal:
                 target = self._signal_work[j]
                 if y < target:
                     wait = (target - y) / r
@@ -461,8 +473,27 @@ class SimState:
                 if r is not last:
                     last, step = r, r * span
                 self.progress[j] += step
+            if not self.stops_at_emissions:
+                self._emit_in_passing(until)
             self._changed.update(self.decision.rated_ids)
         self.now = until
+
+    def _emit_in_passing(self, until: Fraction) -> None:
+        """Log each rated job's emission strictly between now and the stop
+        at until, at its exact time.  One at the stop is due there, after
+        its completions; one at or before now was missed, which the stop's
+        overshoot check reports."""
+        passed = []
+        for j, r in self.decision.rates:
+            target = self._signal_work.get(j)
+            if target is not None and j not in self.signal and target < self.progress[j]:
+                t = until - (self.progress[j] - target) / r
+                if t > self.now:
+                    passed.append((t, j))
+        for t, group in groupby(sorted(passed), key=itemgetter(0)):
+            jobs = tuple(j for _, j in group)
+            self.signal.update(dict.fromkeys(jobs, t))
+            self.log.append(Event(t, "emission", jobs))
 
     def _close_run(self) -> None:
         if self._run is not None:
@@ -488,12 +519,15 @@ class SimState:
             t2, kinds = nxt
             if self.horizon is not None and t2 > self.horizon:
                 self._advance(self.horizon)
+                # the one happening that can be due at the cut: an emission
+                # of a rule that does not stop for it
+                self._complete_and_emit(self._changed)
                 break
             self._advance(t2)
             self._event_count += 1
             if self._event_count > self._event_cap:
                 raise EngineError(
-                    f"runaway event loop: more than {self._event_cap} events"
+                    f"runaway event loop: more than {self._event_cap} stops"
                 )
             self.apply_instant_events(kinds)
         self._close_run()

@@ -34,6 +34,12 @@ class PolicyKind(Enum):
         """Only the fused rule keeps signalled jobs out of the shared set."""
         return "unsignalled" if self is PolicyKind.ALPHA else "all"
 
+    @property
+    def reads_signals(self) -> bool:
+        """Only the fused rule reacts to a signal: SRPT sees every p and
+        SETF reads only progress."""
+        return self is PolicyKind.ALPHA
+
 
 class ViewJob(NamedTuple):
     job_id: int

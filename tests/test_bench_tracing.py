@@ -73,9 +73,10 @@ def test_install_and_uninstall_restore_every_original():
 def test_lower_bound_counts_are_pinned():
     # the fused rule on lb2 (alpha 1/2, k 3) with a DoS tail of 20 unit jobs,
     # then SRPT on the realized instance.  An engine that decides more or
-    # less often than once per event step, or a tracer that no longer finds
-    # its names, moves these counts; the two decisions beyond srpt + setf
-    # are the idle ones that end each run
+    # less often than once per stop (SRPT and SETF do not stop at
+    # emissions), or a tracer that no longer finds its names, moves these
+    # counts; the two decisions beyond srpt + setf are the idle ones that
+    # end each run
     inst, t = adversary.gen_det_lb2(F(1, 2), 3)
     inst = adversary.append_dos_tail(inst, t, 20)
     tracer = load_tracing().Tracer()
@@ -87,8 +88,8 @@ def test_lower_bound_counts_are_pinned():
         tracer.uninstall()
     counts = {name: value for name, (value, _) in tracer.layer_metrics().items()}
     assert counts["engine.events"] == 200
-    assert counts["engine.build_view_calls"] == 111
-    assert counts["policies.decisions_srpt"] == 80
+    assert counts["engine.build_view_calls"] == 85
+    assert counts["policies.decisions_srpt"] == 54
     assert counts["policies.decisions_setf"] == 29
     assert tracer.counts["policies.decisions_idle"] == 2
 

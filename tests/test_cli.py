@@ -83,6 +83,13 @@ class TestSimulateCommand:
         argv = ["simulate", "--instance", str(pair_path), "--out", str(tmp_path / "out")]
         assert main(argv + option) == 2
 
+    def test_negative_horizon_exits_2(self, tmp_path, pair_path, capsys):
+        out = tmp_path / "out"
+        argv = ["simulate", "--instance", str(pair_path), "--out", str(out), "--horizon", "-1"]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == "error: horizon -1 is negative\n"
+        assert not out.exists()
+
     def test_alpha_zero_override_applies(self, tmp_path, pair_path):
         out = tmp_path / "cmp"
         argv = ["compare", "--instance", str(pair_path), "--alpha", "0", "--out", str(out)]

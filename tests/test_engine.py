@@ -36,7 +36,7 @@ from alphasched.policies import (
     setf_decide,
     srpt_decide,
 )
-from conftest import corpus_instance
+from conftest import CORPUS_SIZE, corpus_instance, json_instances
 
 DATA = Path(__file__).parent / "data"
 
@@ -92,6 +92,12 @@ class TestSimulateBasics:
         assert trace.makespan == 3
         assert not trace.complete
         assert trace.elapsed_work(1, 3) == F(3, 2)
+
+    def test_negative_horizon_rejected_before_any_work(self, pair_instance):
+        with pytest.raises(ModelError, match=r"^horizon -1 is negative$"):
+            SimState(pair_instance, PolicyKind.SETF, horizon=-1)
+        trace, _ = simulate(pair_instance, PolicyKind.SETF, horizon=0)
+        assert trace.makespan == 0 and trace.segments == ()
 
 
 class TestNextEvent:
@@ -286,6 +292,21 @@ class TestGuards:
         with pytest.raises(EngineError, match="passed its signal point"):
             state.apply_instant_events()
 
+    def test_emission_overshoot_between_stops_is_an_engine_error(self):
+        # SRPT logs an emission in passing only if it falls inside the
+        # segment; job 1 (p = 4) already holds progress past alpha * p = 2,
+        # so the arrival of job 2 at 1/2 reports it
+        inst = Instance((Job(1, 0, 4), Job(2, F(1, 2), 10)), F(1, 2))
+        state = SimState(inst, PolicyKind.SRPT)
+        state.apply_instant_events()
+        state.make_decision()
+        state.progress[1] = F(3)
+        time, kinds = state.next_event()
+        state._advance(time)
+        assert [e.kind for e in state.log] == ["arrival"]
+        with pytest.raises(EngineError, match="passed its signal point"):
+            state.apply_instant_events(kinds)
+
     def test_crossed_threshold_while_sharing_is_an_engine_error(self, worked_example):
         # job 2 signalled with 1/2 left, job 1 shared at progress 1: the fused
         # rule's threshold alpha / (1 - alpha) * 1/2 lies below the level
@@ -313,6 +334,133 @@ class TestGuards:
         for kind in PolicyKind:
             trace, _ = simulate(worked_example, kind)
             assert check_feasibility(trace) == []
+
+
+def logged_emissions(log):
+    """Each emitted job's time from the log's emission rows, checking that
+    the log runs in time order and that one row holds an instant's
+    emissions, in id order."""
+    times = [e.time for e in log]
+    assert times == sorted(times)
+    rows = [e for e in log if e.kind == "emission"]
+    assert len({e.time for e in rows}) == len(rows)
+    found = {}
+    for e in rows:
+        assert list(e.jobs) == sorted(e.jobs) and not found.keys() & set(e.jobs)
+        found.update(dict.fromkeys(e.jobs, e.time))
+    return found
+
+
+def assert_emissions_match(trace, log):
+    """The emission rows equal the trace's emissions, which it derives from
+    its segments alone.  At alpha = 1 a signal coincides with completion,
+    and the log has no emission rows."""
+    logged = logged_emissions(log)
+    if trace.instance.alpha == 1:
+        assert logged == {}
+    else:
+        assert logged == trace.emissions
+
+
+class TestEmissionsInPassing:
+    """SRPT and SETF read no signal, so they do not stop at emissions: each
+    one before a stop is logged in passing, at its exact time."""
+
+    def test_corpus(self):
+        for seed in range(1, CORPUS_SIZE + 1):
+            inst = simulate(corpus_instance(seed), PolicyKind.ALPHA)[0].instance
+            for kind in (PolicyKind.SRPT, PolicyKind.SETF):
+                assert_emissions_match(*simulate(inst, kind))
+
+    @pytest.mark.parametrize("alpha", [F(1, 2), F(2, 3), F(3, 4)])
+    def test_lower_bound_families(self, alpha):
+        for gen in (gen_det_lb1, gen_det_lb2):
+            for k in range(2, 6):
+                inst, t = gen(alpha, k)
+                for live in (inst, append_dos_tail(inst, t, 50)):
+                    # SETF on the live instance, so triggers commit mid-run
+                    trace, log = simulate(live, PolicyKind.SETF)
+                    assert any(e.kind == "adversary-commit" for e in log)
+                    assert_emissions_match(trace, log)
+                    assert_emissions_match(*simulate(trace.instance, PolicyKind.SRPT))
+
+    def test_alpha_one_logs_no_emission(self, pair_instance):
+        inst = Instance(pair_instance.jobs, F(1))
+        for kind in (PolicyKind.SRPT, PolicyKind.SETF):
+            trace, log = simulate(inst, kind)
+            assert trace.emissions == trace.completions
+            assert_emissions_match(trace, log)
+
+    @settings(max_examples=300, deadline=None, database=None, derandomize=True)
+    @given(json_instances())
+    def test_json_instances_under_setf(self, inst):
+        try:
+            run = simulate(inst, PolicyKind.SETF)
+        except CommitmentError:
+            return  # the script contradicts the schedule: no trace to compare
+        assert_emissions_match(*run)
+
+    def test_horizon_cuts(self):
+        # cuts at every event and emission time and at their midpoints; a
+        # cut at an emission between stops must log that emission itself
+        cut_at_passing_emission = 0
+        for seed in range(1, 41):
+            inst = corpus_instance(seed)
+            for kind in (PolicyKind.SRPT, PolicyKind.SETF):
+                trace, log = simulate(inst, kind)
+                times = sorted({e.time for e in log} | set(trace.emissions.values()))
+                stops = {e.time for e in log if e.kind != "emission"}
+                cut_at_passing_emission += len(set(trace.emissions.values()) - stops)
+                cuts = set(times) | {(a + b) / 2 for a, b in zip(times, times[1:])}
+                for horizon in sorted(cuts):
+                    assert_emissions_match(*simulate(inst, kind, horizon=horizon))
+        assert cut_at_passing_emission > 0
+
+
+class TestSignalReadingScope:
+    def test_only_the_fused_rule_reads_signals(self):
+        assert [k.reads_signals for k in PolicyKind] == [True, False, False]
+
+    def test_custom_srpt_still_stops_at_each_emission(self, monkeypatch):
+        # a custom policy may read emitted, so it decides at every emission
+        # and sees the flag flip there; the built-in SRPT is not asked then,
+        # and both runs write the same bytes
+        views = []
+
+        def watched(view):
+            views.append((view.now, {j.job_id: j.emitted for j in view.jobs}))
+            return srpt_decide(view)
+
+        original = SimState.build_view
+        asked = []
+
+        def recorded(state):
+            asked.append(state.now)
+            return original(state)
+
+        monkeypatch.setattr(SimState, "build_view", recorded)
+        custom = CustomPolicy(watched, "all", omniscient=True)
+        skipped = 0
+        for seed in range(1, 61):
+            inst = corpus_instance(seed)
+            views.clear()
+            trace, log = simulate(inst, custom)
+            times = [t for t, _ in views]
+            emissions = [(e.time, e.jobs) for e in log if e.kind == "emission"]
+            for t, jobs in emissions:
+                k = times.index(t)
+                for j in jobs:
+                    assert views[k][1][j] is True and views[k - 1][1][j] is False
+            stops = {e.time for e in log if e.kind != "emission"}
+            emission_only = {t for t, _ in emissions} - stops
+            asked.clear()
+            builtin_trace, builtin_log = simulate(inst, PolicyKind.SRPT)
+            assert not emission_only & set(asked)
+            assert len(asked) == len(times) - len(emission_only)
+            assert builtin_trace.csv_rows() == trace.csv_rows()
+            assert builtin_log.csv_rows() == log.csv_rows()
+            skipped += len(emission_only)
+        assert skipped > 0
 
 
 def full_view(state):
