@@ -18,7 +18,7 @@ from pathlib import Path
 from types import MappingProxyType
 from typing import Iterable, Mapping, NamedTuple, Optional, Sequence, Union
 
-from .rational import Rat, format_rat, parse_rat
+from .rational import Rat, format_rat, parse_int, parse_rat
 
 
 class ModelError(Exception):
@@ -333,12 +333,14 @@ class ExecutionSegment:
     rates: tuple[tuple[int, Fraction], ...]
 
     def __post_init__(self):
-        # a value that is already a Fraction is kept, not rebuilt
+        # a value that is already a Fraction is kept, not rebuilt; the type
+        # test comes first, because isinstance on Fraction goes through ABCMeta
         for name in ("start", "end"):
-            if not isinstance(getattr(self, name), Fraction):
-                object.__setattr__(self, name, Rat(getattr(self, name)))
+            value = getattr(self, name)
+            if type(value) is not Rat and not isinstance(value, Fraction):
+                object.__setattr__(self, name, Rat(value))
         rates = tuple(sorted(
-            (j, r) if type(j) is int and isinstance(r, Fraction) else (int(j), Rat(r))
+            (j, r) if type(j) is int and (type(r) is Rat or isinstance(r, Fraction)) else (int(j), Rat(r))
             for j, r in self.rates
         ))
         object.__setattr__(self, "rates", rates)
@@ -653,7 +655,7 @@ class ScheduleTrace:
         for row in body:
             try:
                 start, end, job_id, rate = row.split(",")
-                span, entry = (parse_rat(start), parse_rat(end)), (int(job_id), parse_rat(rate))
+                span, entry = (parse_rat(start), parse_rat(end)), (parse_int(job_id), parse_rat(rate))
             except ValueError as exc:
                 raise ModelError(f"bad trace row {row!r}: {exc}") from None
             spans.setdefault(span, []).append(entry)

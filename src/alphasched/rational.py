@@ -10,116 +10,49 @@ from plain ``Fraction``s. Only ``repr`` differs: ``Rat(1, 2)``.
 
 What it buys is speed. ``Rat`` overrides the operators the package uses:
 construction, ``+ - * /`` and their reflected forms, unary ``-``, ``abs``,
-``==``, ``<``, ``<=``, ``>`` and ``>=``. When the other operand is a ``Rat``,
-a plain ``Fraction`` or an ``int``, each override works directly on the two
-integer slots with the gcd steps of CPython's ``fractions`` module, and so
-skips the ``numbers``-ABC dispatch of every ``Fraction`` operation. Any other
-operand type (a float, a ``Decimal``, another ``Rational``) goes to the
-inherited ``Fraction`` method unchanged. Python tries a subclass's reflected
-method first, so ``Fraction op Rat`` takes the fast path too and yields a
-``Rat``. ``fractions.Fraction`` itself is never changed.
+``==``, ``<``, ``<=``, ``>``, ``>=`` and ``hash``. When the other operand is
+a ``Rat``, a plain ``Fraction`` or an ``int``, each override works directly
+on the two integer slots with the gcd steps of CPython's ``fractions``
+module, and so skips the ``numbers``-ABC dispatch of every ``Fraction``
+operation. Any other operand type (a float, a ``Decimal``, another
+``Rational``) goes to the inherited ``Fraction`` method unchanged. Python
+tries a subclass's reflected method first, so ``Fraction op Rat`` takes the
+fast path too and yields a ``Rat``. ``fractions.Fraction`` itself is never
+changed.
+
+Each override runs in one Python frame: it reads the slots, reduces and
+builds its result in its own body, with no helper call on the fast path.
+Three shortcuts save integer work, and each is exact because both operands
+are in normal form:
+
+- ``Rat ± int`` needs no gcd: gcd(n ± b·d, d) = gcd(n, d) = 1.
+- ``==`` compares the two slots, since a value has one normal form.
+- ``hash`` of an integral value is ``hash(n)``; any other value uses the
+  formula of CPython's ``Fraction.__hash__`` (the "Hashing of numeric
+  types" rule of the language reference): ``hash(|n|)`` times the inverse
+  of d modulo ``sys.hash_info.modulus``, or ``sys.hash_info.inf`` when d
+  has no inverse, signed as n.
 
 The overrides read and write ``Fraction``'s ``_numerator`` and
 ``_denominator`` slots, a CPython implementation detail present in 3.10 to
-3.13 (``pyproject.toml`` requires 3.10 or later). Results are built with
+3.13 (``pyproject.toml`` requires 3.10 or later). This module is the only
+one that touches them, which a source rule checks. Results are built with
 ``object.__new__`` and those two slots, because ``Fraction``'s private
 constructor shortcuts differ between versions.
 """
 
 from __future__ import annotations
 
-import operator
+import re
+import sys
 from fractions import Fraction
 from math import gcd
 
 _new = object.__new__
-
-
-def _rat(n: int, d: int) -> Rat:
-    """The ``Rat`` n/d, for coprime n and d > 0."""
-    r = _new(Rat)
-    r._numerator = n
-    r._denominator = d
-    return r
-
-
-# The kernels take each operand as its (numerator, denominator) pair in
-# normal form and reduce as CPython's fractions._add, _mul and _div do, so
-# each result is in normal form as it is built.
-
-
-def _sum(na: int, da: int, nb: int, db: int) -> Rat:
-    g = gcd(da, db)
-    if g == 1:
-        return _rat(na * db + da * nb, da * db)
-    s = da // g
-    t = na * (db // g) + nb * s
-    g2 = gcd(t, g)
-    if g2 == 1:
-        return _rat(t, s * db)
-    return _rat(t // g2, s * (db // g2))
-
-
-def _difference(na: int, da: int, nb: int, db: int) -> Rat:
-    return _sum(na, da, -nb, db)
-
-
-def _product(na: int, da: int, nb: int, db: int) -> Rat:
-    g1 = gcd(na, db)
-    if g1 > 1:
-        na //= g1
-        db //= g1
-    g2 = gcd(nb, da)
-    if g2 > 1:
-        nb //= g2
-        da //= g2
-    return _rat(na * nb, db * da)
-
-
-def _quotient(na: int, da: int, nb: int, db: int) -> Rat:
-    if nb == 0:
-        raise ZeroDivisionError(f"Fraction({na}, 0)")
-    if nb < 0:
-        nb, db = -nb, -db
-    return _product(na, da, db, nb)
-
-
-def _arithmetic(kernel, name: str):
-    """The forward and reflected methods of one binary operator."""
-    forward, reflected = getattr(Fraction, f"__{name}__"), getattr(Fraction, f"__r{name}__")
-
-    def method(a, b):
-        t = type(b)
-        if t is Rat or t is Fraction:
-            return kernel(a._numerator, a._denominator, b._numerator, b._denominator)
-        if t is int:
-            return kernel(a._numerator, a._denominator, b, 1)
-        return forward(a, b)
-
-    def rmethod(b, a):  # a op b, where b is the Rat
-        t = type(a)
-        if t is Fraction:
-            return kernel(a._numerator, a._denominator, b._numerator, b._denominator)
-        if t is int:
-            return kernel(a, 1, b._numerator, b._denominator)
-        return reflected(b, a)
-
-    return method, rmethod
-
-
-def _comparison(op):
-    """One rich comparison by cross-multiplication; ``op`` is ``operator.lt`` etc."""
-    inherited = getattr(Fraction, f"__{op.__name__}__")
-
-    def method(a, b):
-        t = type(b)
-        if t is Rat or t is Fraction:
-            return op(a._numerator * b._denominator, b._numerator * a._denominator)
-        if t is int:
-            return op(a._numerator, b * a._denominator)
-        return inherited(a, b)
-
-    return method
+_MODULUS = sys.hash_info.modulus
+_HASH_INF = sys.hash_info.inf
+_INTEGER = re.compile(r"-?[0-9]+")
+_RATIONAL = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
 
 
 class Rat(Fraction):
@@ -133,58 +66,298 @@ class Rat(Fraction):
             if t is Rat:
                 return numerator
             if t is int:
-                return _rat(numerator, 1)
-            if t is Fraction:
-                return _rat(numerator._numerator, numerator._denominator)
+                n, d = numerator, 1
+            elif t is Fraction:
+                n, d = numerator._numerator, numerator._denominator
+            else:
+                return Fraction.__new__(cls, numerator)
         elif type(numerator) is int and type(denominator) is int:
             if denominator == 0:
                 raise ZeroDivisionError(f"Fraction({numerator}, 0)")
             g = gcd(numerator, denominator)
             if denominator < 0:
                 g = -g
-            return _rat(numerator // g, denominator // g)
-        return Fraction.__new__(cls, numerator, denominator)
+            n, d = numerator // g, denominator // g
+        else:
+            return Fraction.__new__(cls, numerator, denominator)
+        r = _new(Rat)
+        r._numerator = n
+        r._denominator = d
+        return r
 
-    __add__, __radd__ = _arithmetic(_sum, "add")
-    __sub__, __rsub__ = _arithmetic(_difference, "sub")
-    __mul__, __rmul__ = _arithmetic(_product, "mul")
-    __truediv__, __rtruediv__ = _arithmetic(_quotient, "truediv")
-    __eq__ = _comparison(operator.eq)
-    __lt__ = _comparison(operator.lt)
-    __le__ = _comparison(operator.le)
-    __gt__ = _comparison(operator.gt)
-    __ge__ = _comparison(operator.ge)
-    # defining __eq__ drops the inherited hash; an equal Fraction or int must stay one dict key
-    __hash__ = Fraction.__hash__
+    # Each sum and difference of two fractions reduces as CPython's
+    # fractions._add does: only the common factor g of the denominators can
+    # divide the new numerator.
+
+    def __add__(a, b):
+        t = type(b)
+        if t is int:
+            d = a._denominator
+            n = a._numerator + b * d
+        elif t is Rat or t is Fraction:
+            na, da, nb, db = a._numerator, a._denominator, b._numerator, b._denominator
+            g = gcd(da, db)
+            if g == 1:
+                n, d = na * db + nb * da, da * db
+            else:
+                s = da // g
+                n = na * (db // g) + nb * s
+                g = gcd(n, g)
+                n, d = n // g, s * (db // g)
+        else:
+            return Fraction.__add__(a, b)
+        r = _new(Rat)
+        r._numerator = n
+        r._denominator = d
+        return r
+
+    def __radd__(b, a):  # a + b, where b is the Rat
+        t = type(a)
+        if t is int:
+            d = b._denominator
+            n = a * d + b._numerator
+        elif t is Fraction:
+            na, da, nb, db = a._numerator, a._denominator, b._numerator, b._denominator
+            g = gcd(da, db)
+            if g == 1:
+                n, d = na * db + nb * da, da * db
+            else:
+                s = da // g
+                n = na * (db // g) + nb * s
+                g = gcd(n, g)
+                n, d = n // g, s * (db // g)
+        else:
+            return Fraction.__radd__(b, a)
+        r = _new(Rat)
+        r._numerator = n
+        r._denominator = d
+        return r
+
+    def __sub__(a, b):
+        t = type(b)
+        if t is int:
+            d = a._denominator
+            n = a._numerator - b * d
+        elif t is Rat or t is Fraction:
+            na, da, nb, db = a._numerator, a._denominator, b._numerator, b._denominator
+            g = gcd(da, db)
+            if g == 1:
+                n, d = na * db - nb * da, da * db
+            else:
+                s = da // g
+                n = na * (db // g) - nb * s
+                g = gcd(n, g)
+                n, d = n // g, s * (db // g)
+        else:
+            return Fraction.__sub__(a, b)
+        r = _new(Rat)
+        r._numerator = n
+        r._denominator = d
+        return r
+
+    def __rsub__(b, a):  # a - b, where b is the Rat
+        t = type(a)
+        if t is int:
+            d = b._denominator
+            n = a * d - b._numerator
+        elif t is Fraction:
+            na, da, nb, db = a._numerator, a._denominator, b._numerator, b._denominator
+            g = gcd(da, db)
+            if g == 1:
+                n, d = na * db - nb * da, da * db
+            else:
+                s = da // g
+                n = na * (db // g) - nb * s
+                g = gcd(n, g)
+                n, d = n // g, s * (db // g)
+        else:
+            return Fraction.__rsub__(b, a)
+        r = _new(Rat)
+        r._numerator = n
+        r._denominator = d
+        return r
+
+    # Products and quotients cancel each numerator against the other
+    # operand's denominator first, as CPython's fractions._mul and _div do,
+    # so the result is in normal form as it is built.
+
+    def __mul__(a, b):
+        t = type(b)
+        if t is int:
+            d = a._denominator
+            g = gcd(b, d)
+            n, d = a._numerator * (b // g), d // g
+        elif t is Rat or t is Fraction:
+            na, da, nb, db = a._numerator, a._denominator, b._numerator, b._denominator
+            g1, g2 = gcd(na, db), gcd(nb, da)
+            n, d = (na // g1) * (nb // g2), (da // g2) * (db // g1)
+        else:
+            return Fraction.__mul__(a, b)
+        r = _new(Rat)
+        r._numerator = n
+        r._denominator = d
+        return r
+
+    def __rmul__(b, a):  # a * b, where b is the Rat
+        t = type(a)
+        if t is int:
+            d = b._denominator
+            g = gcd(a, d)
+            n, d = (a // g) * b._numerator, d // g
+        elif t is Fraction:
+            na, da, nb, db = a._numerator, a._denominator, b._numerator, b._denominator
+            g1, g2 = gcd(na, db), gcd(nb, da)
+            n, d = (na // g1) * (nb // g2), (da // g2) * (db // g1)
+        else:
+            return Fraction.__rmul__(b, a)
+        r = _new(Rat)
+        r._numerator = n
+        r._denominator = d
+        return r
+
+    def __truediv__(a, b):
+        t = type(b)
+        if t is int:
+            nb, db = b, 1
+        elif t is Rat or t is Fraction:
+            nb, db = b._numerator, b._denominator
+        else:
+            return Fraction.__truediv__(a, b)
+        if nb == 0:
+            raise ZeroDivisionError(f"Fraction({a._numerator}, 0)")
+        na, da = a._numerator, a._denominator
+        g1, g2 = gcd(na, nb), gcd(db, da)
+        n, d = (na // g1) * (db // g2), (nb // g1) * (da // g2)
+        if d < 0:
+            n, d = -n, -d
+        r = _new(Rat)
+        r._numerator = n
+        r._denominator = d
+        return r
+
+    def __rtruediv__(b, a):  # a / b, where b is the Rat
+        t = type(a)
+        if t is int:
+            na, da = a, 1
+        elif t is Fraction:
+            na, da = a._numerator, a._denominator
+        else:
+            return Fraction.__rtruediv__(b, a)
+        nb, db = b._numerator, b._denominator
+        if nb == 0:
+            raise ZeroDivisionError(f"Fraction({na}, 0)")
+        g1, g2 = gcd(na, nb), gcd(db, da)
+        n, d = (na // g1) * (db // g2), (nb // g1) * (da // g2)
+        if d < 0:
+            n, d = -n, -d
+        r = _new(Rat)
+        r._numerator = n
+        r._denominator = d
+        return r
+
+    def __eq__(a, b):
+        t = type(b)
+        if t is Rat or t is Fraction:
+            return a._numerator == b._numerator and a._denominator == b._denominator
+        if t is int:
+            return a._denominator == 1 and a._numerator == b
+        return Fraction.__eq__(a, b)
+
+    # Orderings cross-multiply; denominators are positive.
+
+    def __lt__(a, b):
+        t = type(b)
+        if t is Rat or t is Fraction:
+            return a._numerator * b._denominator < b._numerator * a._denominator
+        if t is int:
+            return a._numerator < b * a._denominator
+        return Fraction.__lt__(a, b)
+
+    def __le__(a, b):
+        t = type(b)
+        if t is Rat or t is Fraction:
+            return a._numerator * b._denominator <= b._numerator * a._denominator
+        if t is int:
+            return a._numerator <= b * a._denominator
+        return Fraction.__le__(a, b)
+
+    def __gt__(a, b):
+        t = type(b)
+        if t is Rat or t is Fraction:
+            return a._numerator * b._denominator > b._numerator * a._denominator
+        if t is int:
+            return a._numerator > b * a._denominator
+        return Fraction.__gt__(a, b)
+
+    def __ge__(a, b):
+        t = type(b)
+        if t is Rat or t is Fraction:
+            return a._numerator * b._denominator >= b._numerator * a._denominator
+        if t is int:
+            return a._numerator >= b * a._denominator
+        return Fraction.__ge__(a, b)
+
+    def __hash__(a):
+        # an equal Fraction, int, float or Decimal must hash alike
+        n, d = a._numerator, a._denominator
+        if d == 1:
+            return hash(n)
+        try:
+            dinv = pow(d, -1, _MODULUS)
+        except ValueError:  # d is a multiple of the modulus
+            h = _HASH_INF
+        else:
+            h = hash(hash(abs(n)) * dinv)
+        h = h if n >= 0 else -h
+        return -2 if h == -1 else h
 
     def __neg__(a):
-        return _rat(-a._numerator, a._denominator)
+        r = _new(Rat)
+        r._numerator = -a._numerator
+        r._denominator = a._denominator
+        return r
 
     def __abs__(a):
-        return _rat(abs(a._numerator), a._denominator)
+        r = _new(Rat)
+        r._numerator = abs(a._numerator)
+        r._denominator = a._denominator
+        return r
+
+
+def parse_int(text: str) -> int:
+    """Parse an integer from text: an optional "-" and ASCII digits, with
+    whitespace around them."""
+    if not _INTEGER.fullmatch(text.strip()):
+        raise ValueError(f"not an integer: {text!r}")
+    return int(text)
 
 
 def parse_rat(value) -> Fraction:
     """Parse an exact rational from an int, a Fraction, "n" or "n/d" text.
 
-    Floats are rejected: the file formats are decimal-free by design.
+    Text is an optional "-" and ASCII digits, optionally followed by "/"
+    and ASCII digits, with whitespace around the whole value. Floats are
+    rejected: the file formats are decimal-free by design.
     """
     if isinstance(value, bool):
         raise ValueError(f"not a rational: {value!r}")
     if isinstance(value, (int, Fraction)):
         return Rat(value)
     if isinstance(value, str):
-        text = value.strip()
-        if "/" in text:
-            num, den = text.split("/", 1)
-            if int(den) == 0:
-                raise ValueError(f"zero denominator: {value!r}")
-            return Rat(int(num), int(den))
-        return Rat(int(text))
+        match = _RATIONAL.fullmatch(value.strip())
+        if match is None:
+            raise ValueError(f"not a rational: {value!r}")
+        num, den = match.groups()
+        if den is None:
+            return Rat(int(num))
+        if int(den) == 0:
+            raise ValueError(f"zero denominator: {value!r}")
+        return Rat(int(num), int(den))
     raise ValueError(f"not a rational: {value!r}")
 
 
 def format_rat(value) -> str:
     """Canonical "num/den" form; whole numbers keep an explicit /1."""
-    f = value if isinstance(value, Fraction) else Rat(value)
-    return f"{f.numerator}/{f.denominator}"
+    if type(value) is not Rat and not isinstance(value, Fraction):
+        value = Rat(value)
+    return f"{value._numerator}/{value._denominator}"

@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 from alphasched import cli
 from alphasched.adversary import gen_rand32
 from alphasched.cli import main
-from alphasched.model import Instance, Job, instance_to_json, save_instance
+from alphasched.model import TRACE_CSV_HEADER, Instance, Job, instance_to_json, save_instance
 from conftest import json_instances
 
 
@@ -212,6 +212,57 @@ class TestMalformedInstances:
         assert code == 2
         message = stderr.getvalue()
         assert message.startswith("error: ") and message.count("\n") == 1
+
+
+# text that int() accepts and the "num/den" wire format does not define: a
+# digit separator, a non-ASCII digit, whitespace around "/", an explicit "+"
+NOT_WIRE_TEXT = ["1_000", "٣", " 3 / 4 ", "+3"]
+
+
+class TestWireFormat:
+    @pytest.fixture
+    def one_job(self, tmp_path) -> Path:
+        path = tmp_path / "one.json"
+        save_instance(Instance((Job(1, 0, 2),), F(1, 2)), path)
+        return path
+
+    @pytest.mark.parametrize("text", NOT_WIRE_TEXT)
+    def test_proc_exits_2(self, tmp_path, capsys, text):
+        path = tmp_path / "bad.json"
+        obj = {"alpha": "1/2", "jobs": [{"id": 1, "release": "0", "proc": text}]}
+        path.write_text(json.dumps(obj), encoding="utf-8")
+        assert main(["verify", "--instance", str(path)]) == 2
+        assert capsys.readouterr().err == f"error: jobs[0].proc: not a rational: {text!r}\n"
+
+    @pytest.mark.parametrize("text", NOT_WIRE_TEXT)
+    @pytest.mark.parametrize("option", ["--alpha", "--horizon"])
+    def test_rational_option_exits_2(self, tmp_path, capsys, one_job, option, text):
+        argv = ["simulate", "--instance", str(one_job), "--out", str(tmp_path / "out")]
+        assert main(argv + [option, text]) == 2
+        assert f"argument {option}: not a rational: {text!r}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("text", NOT_WIRE_TEXT)
+    def test_grid_exits_2(self, tmp_path, capsys, text):
+        argv = ["sweep", "--grid", f"1/2,{text}", "--fuzz", "1", "--out", str(tmp_path)]
+        assert main(argv) == 2
+        assert f"argument --grid: not a rational: {text!r}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text", NOT_WIRE_TEXT)
+    @pytest.mark.parametrize("column", range(4))
+    def test_trace_field_exits_2(self, tmp_path, capsys, one_job, column, text):
+        trace = tmp_path / "trace.csv"
+        argv = ["verify", "--instance", str(one_job), "--trace-override", str(trace)]
+        fields = ["0/1", "2/1", "1", "1/1"]
+        trace.write_text(f"{TRACE_CSV_HEADER}\n{','.join(fields)}\n", encoding="utf-8")
+        assert main(argv) == 0
+        fields[column] = text
+        row = ",".join(fields)
+        trace.write_text(f"{TRACE_CSV_HEADER}\n{row}\n", encoding="utf-8")
+        capsys.readouterr()
+        assert main(argv) == 2
+        kind = "an integer" if column == 2 else "a rational"
+        assert capsys.readouterr().err == f"error: bad trace row {row!r}: not {kind}: {text!r}\n"
 
 
 class TestCompareCommand:

@@ -1,6 +1,9 @@
+import copy
 import json
 import operator
+import pickle
 import re
+import sys
 from decimal import Decimal
 from fractions import Fraction as F
 
@@ -75,6 +78,62 @@ class TestRational:
         for op in (operator.neg, abs):
             assert type(op(x)) is Rat and _same_value(op(x), op(F(*pair)))
         assert x in {F(*pair)} and F(*pair) in {x}
+
+    def test_hash_matches_fraction(self):
+        modulus = sys.hash_info.modulus
+        values = [(0, 1), (1, 1), (-1, 1), (-2, 1), (7, 1), (-(2**70), 1), (2**61 - 1, 1)]
+        values += [(1, 3), (-1, 3), (-5, 7), (2**70 + 1, 2**65), (1, modulus), (-3, modulus)]
+        values += [(1, 2 * modulus), (-7, modulus**2)]
+        for pair in values:
+            assert hash(Rat(*pair)) == hash(F(*pair)), pair
+        assert hash(Rat(1, modulus)) == sys.hash_info.inf
+        assert hash(Rat(-1, 1)) == hash(F(-1)) == -2
+
+    def test_int_operands_above_64_bits_keep_normal_form(self):
+        big = 2**64 + 3
+        for x in (Rat(5, 6), Rat(-(2**70) - 1, 2**66), Rat(big, 2**65)):
+            for b in (big, -big, 2**100):
+                for got, want in (
+                    (x + b, F(x) + b), (x - b, F(x) - b), (b + x, b + F(x)), (b - x, b - F(x))
+                ):
+                    assert type(got) is Rat and _same_value(got, want)
+
+    def test_eq_against_float_and_decimal(self):
+        for x in (Rat(1, 2), Rat(-3, 4), Rat(2), Rat(1, 3), Rat(0)):
+            for other in (0.5, -0.75, 2.0, 1 / 3, 0.0, Decimal("0.5"), Decimal("2"), Decimal("-0.75")):
+                assert (x == other) is (F(x) == other)
+                assert (other == x) is (other == F(x))
+                assert (x != other) is (F(x) != other)
+
+    def test_division_sign_and_zero(self):
+        for x in (Rat(3, 4), Rat(-3, 4), Rat(0), Rat(5)):
+            for divisor in (Rat(-2, 3), -2, Rat(2, 3), 2, F(-2, 3)):
+                assert _same_value(x / divisor, F(x) / F(divisor))
+                if x != 0:
+                    assert _same_value(divisor / x, F(divisor) / F(x))
+            for zero in (Rat(0), 0, F(0)):
+                with pytest.raises(ZeroDivisionError):
+                    x / zero
+        with pytest.raises(ZeroDivisionError):
+            1 / Rat(0)
+        with pytest.raises(ZeroDivisionError):
+            F(1, 2) / Rat(0)
+
+    @settings(max_examples=200, deadline=None, database=None, derandomize=True)
+    @given(_OPERANDS)
+    def test_format_matches_fraction(self, x):
+        assert format_rat(x) == f"{F(x).numerator}/{F(x).denominator}"
+
+    def test_pickle_and_copy_keep_the_type(self):
+        for x in (Rat(-3, 4), Rat(2**70 + 1, 3), Rat(0)):
+            for got in (pickle.loads(pickle.dumps(x)), copy.copy(x), copy.deepcopy(x)):
+                assert type(got) is Rat and _same_value(got, x)
+
+    def test_private_slots_are_fractions(self):
+        # the CPython detail rational.py builds on: Fraction keeps its value
+        # in these two slots, and Rat adds none
+        assert {"_numerator", "_denominator"} <= set(F.__slots__)
+        assert Rat.__slots__ == ()
 
     def test_rat_construction(self):
         assert _same_value(Rat(6, -4), F(-3, 2)) and type(Rat(6, -4)) is Rat

@@ -8,7 +8,9 @@ no rational (``Fraction(...)`` or ``Rat(...)``) is built as the default of
 a ``.get(...)`` call, where it would be built afresh on every lookup; no
 ``Fraction(...)`` is called outside ``rational.py``, so every rational the
 package builds is a ``rational.Rat``, whose integer fast paths a plain
-``Fraction`` would leave on any path it reaches;
+``Fraction`` would leave on any path it reaches; no ``._numerator`` or
+``._denominator`` attribute is read or written outside ``rational.py``, so
+the CPython detail that ``Rat`` builds on stays in one module;
 and floats stay out of the computation: ``float(...)`` is called only in
 ``cli.py``, where reports are formatted.  Every imported name is used,
 except in ``__init__.py``, whose imports are the package's re-exports, and
@@ -23,6 +25,7 @@ import pytest
 SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "alphasched").glob("*.py"))
 FLOAT_MODULES = {"cli.py"}
 FRACTION_MODULES = {"rational.py"}
+FRACTION_SLOTS = {"_numerator", "_denominator"}
 REEXPORT_MODULES = {"__init__.py"}
 
 
@@ -61,6 +64,12 @@ def violations(tree: ast.AST, filename: str = "") -> list[str]:
             and node not in named
         ):
             found.append(f"line {node.lineno}: Fraction call")
+        elif (
+            isinstance(node, ast.Attribute)
+            and node.attr in FRACTION_SLOTS
+            and filename not in FRACTION_MODULES
+        ):
+            found.append(f"line {node.lineno}: Fraction slot {node.attr}")
         elif (
             isinstance(node, ast.Call)
             and isinstance(node.func, ast.Attribute)
@@ -136,6 +145,8 @@ def test_source_rules(path):
         "x = float(y)",
         "from fractions import Fraction\nx = totals.get(key, Fraction(0))",
         "from fractions import Fraction\nx = Fraction(1, 2)",
+        "x = y.numerator + y._denominator",
+        "y._numerator = 1",
         "from alphasched.rational import Rat\nx = totals.get(key, Rat(0))",
         "import weakref\nfrom typing import Mapping, Optional\nx: Optional[Mapping] = None",
         "def _helper():\n    return 1\n\n_LIMIT = 3\nx = _LIMIT",
@@ -167,6 +178,10 @@ def test_float_call_allowed_in_the_cli():
 
 def test_fraction_call_allowed_in_the_rational_module():
     assert violations(ast.parse("from fractions import Fraction\nx = Fraction(1, 2)"), "rational.py") == []
+
+
+def test_fraction_slots_allowed_in_the_rational_module():
+    assert violations(ast.parse("r._numerator = a._numerator\nd = a._denominator"), "rational.py") == []
 
 
 def test_seeded_generator_allowed():
