@@ -23,15 +23,10 @@ return a report value beside it: ``check_local_bounds`` the alive counts and
 ``compute_segments`` the segment count.  A single violation carries the
 exact rationals involved so it can be replayed.
 
-``verify_traces`` sweeps the check times in increasing order: each time's
-state is computed once (``TimePoint``) and is the only input every per-time
-check reads, the borrow graph is carried forward (``BorrowSweep``), and so
-are the base and refined flow networks (``NetworkSweep``): an interval
-between two grid points is built once, and each event time adds only the
-open last interval, the supplies and the demands.  Every check runs every
-time.  Catch-up is a trace check: it reads the same check times again, and
-the trace's kept ``work_at`` columns and ``partition`` splits, so no time's
-state is computed twice.
+``checks_at`` lists the per-time checks in run order under their report
+names, and ``verify_traces`` runs it at each check time, then the trace
+checks.  A time's state (``TimePoint``), borrow graph (``BorrowSweep``) and
+flow networks (``NetworkSweep``) are each computed once.
 """
 
 from __future__ import annotations
@@ -41,7 +36,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import ceil
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 from .engine import simulate
 from .model import Instance, ModelError, Partition, ScheduleTrace, UnknownJobError, instance_to_json
@@ -527,6 +522,15 @@ def max_flow_saturates(net: FlowNetwork) -> tuple[bool, FlowResult]:
     return False, FlowResult(value=value, flow=flow, cut=cut)
 
 
+def check_max_flow(net: FlowNetwork, result: FlowResult, t: Fraction) -> list[str]:
+    """The max flow uses the whole supply; below it, name the min cut's source-side jobs."""
+    if result.value == net.total_supply:
+        return []
+    witness = sorted(v[1] for v in result.cut if v[0] == "job")
+    return [f"max flow {format_rat(result.value)} below supply {format_rat(net.total_supply)} "
+            f"at t={format_rat(t)}: min cut source side holds jobs {witness}"]
+
+
 def check_min_cut(net: FlowNetwork, result: FlowResult) -> list[str]:
     """Certificate that a flow below supply is maximum: the source side of
     its cut holds the source and not the sink, the flow leaving the source is
@@ -581,6 +585,17 @@ def verify_flow_feasible(net: FlowNetwork, result: FlowResult) -> list[str]:
         if out != 0:
             violations.append(f"demand job {i} has outgoing flow {format_rat(out)}")
     return violations
+
+
+def check_flow_reachability(net: FlowNetwork, graph: BorrowGraph, t: Fraction) -> list[str]:
+    """Positive-capacity reachability agrees with borrow reachability on (supply, demand) pairs."""
+    return [
+        f"positive-capacity reachability and borrow reachability "
+        f"disagree for ({j},{i}) at t={format_rat(t)}"
+        for j, reach in net.reach_sets(net.supplies).items()
+        for i in net.demands
+        if (i in reach) != (i in graph.reachable(j))
+    ]
 
 
 # --------------------------------------------------------------------------
@@ -675,6 +690,13 @@ def decompose_beta(result: FlowResult) -> BetaMatrix:
     return BetaMatrix(values=beta, discarded_cycle_flow=discarded)
 
 
+def check_path_decomposition(beta: BetaMatrix) -> list[str]:
+    """A saturating flow peels into source-to-sink paths with no cycle flow."""
+    if beta.discarded_cycle_flow == 0:
+        return []
+    return [f"path decomposition discarded cycle flow {format_rat(beta.discarded_cycle_flow)}"]
+
+
 def check_beta_properties(
     beta: BetaMatrix, graph: BorrowGraph, instance: Instance, point: TimePoint
 ) -> list[str]:
@@ -758,6 +780,24 @@ def refine_flow(
         if total2 > 0:
             new_flow[(sub2, ("job", i))] = total2
     return refined, FlowResult(value=result.value, flow=new_flow)
+
+
+def check_refinement_direct_flow(net: FlowNetwork, result: FlowResult, refined: FlowResult) -> list[str]:
+    """Refinement keeps each (supply, demand) pair's direct job-to-job flow."""
+    direct, refined_direct = result.job_totals(), refined.job_totals()
+    return [
+        f"refinement changed direct flow ({j},{i}): {format_rat(a)} -> {format_rat(b)}"
+        for j in net.supplies
+        for i in net.demands
+        if (a := direct.get((j, i), _ZERO)) != (b := refined_direct.get((j, i), _ZERO))
+    ]
+
+
+def check_refinement_beta(beta: BetaMatrix, refined: BetaMatrix, t: Fraction) -> list[str]:
+    """Refinement keeps the borrowing matrix."""
+    if refined.values == beta.values:
+        return []
+    return [f"refinement changed the borrowing matrix at t={format_rat(t)}"]
 
 
 # --------------------------------------------------------------------------
@@ -1109,101 +1149,71 @@ class VerificationReport:
         }
 
 
-def verify_traces(alg_trace: ScheduleTrace, opt_trace: ScheduleTrace) -> VerificationReport:
-    """Run the full structural battery on an (algorithm, optimum) trace pair."""
-    events, dense = check_times(alg_trace, opt_trace)
-    instance = alg_trace.instance
-    time_checks = []
-    first_failure = None
+def checks_at(
+    alg_trace: ScheduleTrace, point: TimePoint, graph: BorrowGraph, networks: NetworkSweep,
+    event: bool, entry: dict,
+) -> Iterator[tuple[str, list[str]]]:
+    """The per-time checks in run order: (report name, violations) each, with
+    the report values written into ``entry``.  The flow checks run at event
+    times, and those reading beta or the refined flow on a saturating flow."""
+    instance, t = alg_trace.instance, point.t
+    yield "direct_borrow_order", check_direct_borrow_order(graph, point)
+    yield "reachability_closure", check_reachability_closure(alg_trace, graph, point)
+    if instance.alpha != 1:
+        entry["counts"], violations = check_local_bounds(instance.alpha, point)
+        yield "local_bounds", violations
+    entry["segments"], violations = compute_segments(instance, point)
+    yield "segments", violations
+    if not event:
+        return
+    net = build_flow_network(networks, point)
+    saturated, flow = max_flow_saturates(net)
+    entry["supply"], entry["max_flow"] = format_rat(net.total_supply), format_rat(flow.value)
+    yield "max_flow", check_max_flow(net, flow, t)
+    if not saturated:
+        yield "min_cut", check_min_cut(net, flow)
+    yield "flow_feasible", verify_flow_feasible(net, flow)
+    yield "flow_reachability", check_flow_reachability(net, graph, t)
+    if not saturated:
+        return
+    beta = decompose_beta(flow)
+    yield "path_decomposition", check_path_decomposition(beta)
+    yield "beta_properties", check_beta_properties(beta, graph, instance, point)
+    refined_net, refined_flow = refine_flow(net, flow, networks, point)
+    yield "refined_flow_feasible", verify_flow_feasible(refined_net, refined_flow)
+    yield "refinement_direct_flow", check_refinement_direct_flow(net, flow, refined_flow)
+    yield "refinement_beta", check_refinement_beta(beta, decompose_beta(refined_flow), t)
 
-    feasibility = (check_feasibility(alg_trace), check_feasibility(opt_trace))
-    borrow = BorrowSweep(alg_trace)
-    networks = NetworkSweep(alg_trace)
-    event_set = set(events)
+
+def verify_traces(alg_trace: ScheduleTrace, opt_trace: ScheduleTrace) -> VerificationReport:
+    """Run ``checks_at`` at every check time in increasing order, then the
+    trace checks; the first failure is the first of them to fail."""
+    events, dense = check_times(alg_trace, opt_trace)
+    borrow, networks, event_set = BorrowSweep(alg_trace), NetworkSweep(alg_trace), set(events)
+    time_checks, failures = [], []
     for t in dense:
         entry: dict = {"t": format_rat(t)}
-        found: dict[str, list[str]] = {}  # violations by check, in the order the checks ran
         point = TimePoint.at(alg_trace, opt_trace, t)
-        graph = borrow.at(t)
-        found["direct_borrow_order"] = check_direct_borrow_order(graph, point)
-        found["reachability_closure"] = check_reachability_closure(alg_trace, graph, point)
-        if instance.alpha != 1:
-            entry["counts"], found["local_bounds"] = check_local_bounds(instance.alpha, point)
-        entry["segments"], found["segments"] = compute_segments(instance, point)
-        if t in event_set:
-            net = build_flow_network(networks, point)
-            saturated, flow = max_flow_saturates(net)
-            entry["supply"] = format_rat(net.total_supply)
-            entry["max_flow"] = format_rat(flow.value)
-            if not saturated:
-                witness = sorted(v[1] for v in flow.cut if v[0] == "job")
-                found["max_flow"] = [
-                    f"max flow {format_rat(flow.value)} below supply "
-                    f"{format_rat(net.total_supply)} at t={format_rat(t)}: "
-                    f"min cut source side holds jobs {witness}"
-                ]
-                found["min_cut"] = check_min_cut(net, flow)
-            found["flow_feasible"] = verify_flow_feasible(net, flow)
-            net_reach = net.reach_sets(net.supplies)
-            for j in net.supplies:
-                graph_reach = graph.reachable(j)
-                for i in net.demands:
-                    if (i in net_reach[j]) != (i in graph_reach):
-                        found.setdefault("flow_reachability", []).append(
-                            f"positive-capacity reachability and borrow reachability "
-                            f"disagree for ({j},{i}) at t={format_rat(t)}"
-                        )
-            if saturated:
-                beta = decompose_beta(flow)
-                if beta.discarded_cycle_flow != 0:
-                    found["path_decomposition"] = [
-                        f"path decomposition discarded cycle flow "
-                        f"{format_rat(beta.discarded_cycle_flow)}"
-                    ]
-                found["beta_properties"] = check_beta_properties(beta, graph, instance, point)
-                refined_net, refined_flow = refine_flow(net, flow, networks, point)
-                found["refined_flow_feasible"] = verify_flow_feasible(refined_net, refined_flow)
-                direct, refined_direct = flow.job_totals(), refined_flow.job_totals()
-                for j in net.supplies:
-                    for i in net.demands:
-                        a = direct.get((j, i), _ZERO)
-                        b = refined_direct.get((j, i), _ZERO)
-                        if a != b:
-                            found.setdefault("refinement_direct_flow", []).append(
-                                f"refinement changed direct flow ({j},{i}): "
-                                f"{format_rat(a)} -> {format_rat(b)}"
-                            )
-                refined_beta = decompose_beta(refined_flow)
-                if refined_beta.values != beta.values:
-                    found["refinement_beta"] = [
-                        f"refinement changed the borrowing matrix at t={format_rat(t)}"
-                    ]
-        failed = [check for check, v in found.items() if v]
+        checks = checks_at(alg_trace, point, borrow.at(t), networks, t in event_set, entry)
+        failed = [(check, violations) for check, violations in checks if violations]
         if failed:
-            entry["violations"] = violations = [line for check in failed for line in found[check]]
-            if first_failure is None:
-                first_failure = {"t": format_rat(t), "check": failed[0], "violations": violations}
+            entry["violations"] = [line for _, violations in failed for line in violations]
+            failures.append({"t": entry["t"], "check": failed[0][0], "violations": entry["violations"]})
         time_checks.append(entry)
-
     trace_checks = {
-        "feasibility_alg": feasibility[0],
-        "feasibility_opt": feasibility[1],
+        "feasibility_alg": check_feasibility(alg_trace),
+        "feasibility_opt": check_feasibility(opt_trace),
         "catch_up": check_catch_up(alg_trace, dense),
         "branch_observations": check_branch_observations(alg_trace),
         "clairvoyant_runs_block": check_clairvoyant_runs_block(alg_trace),
     }
-
-    if first_failure is None:
-        for name, v in trace_checks.items():
-            if v:
-                first_failure = {"check": name, "violations": v}
-                break
+    failures += [{"check": check, "violations": v} for check, v in trace_checks.items() if v]
     return VerificationReport(
-        instance=instance,
-        ok=first_failure is None,
+        instance=alg_trace.instance,
+        ok=not failures,
         time_checks=time_checks,
         trace_checks=trace_checks,
-        first_failure=first_failure,
+        first_failure=failures[0] if failures else None,
     )
 
 

@@ -39,7 +39,7 @@ from .model import (
 )
 from .oracle import quantum_simulate
 from .policies import PolicyKind
-from .rational import Rat, format_rat, parse_rat
+from .rational import Rat, format_rat, parse_int, parse_rat
 
 USAGE_ERROR = 2
 VERIFY_ERROR = 1
@@ -60,6 +60,14 @@ def rational(text: str) -> Fraction:
     """argparse type of a "num/den" option."""
     try:
         return parse_rat(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
+def integer(text: str) -> int:
+    """argparse type of an integer option: ASCII digits, as in the files."""
+    try:
+        return parse_int(text)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
@@ -373,7 +381,7 @@ def build_parser() -> argparse.ArgumentParser:
     low.add_argument("--alpha", type=rational, required=True)
     for dest, (flag, default) in FAMILY_OPTION_DEFAULTS.items():
         readers = ", ".join(which for which, (reads, _) in sorted(FAMILIES.items()) if dest in reads)
-        low.add_argument(flag, type=int, dest=dest, help=f"default {default}; read by {readers}")
+        low.add_argument(flag, type=integer, dest=dest, help=f"default {default}; read by {readers}")
     low.add_argument("--out")
     low.set_defaults(func=cmd_lowerbound)
 
@@ -381,10 +389,10 @@ def build_parser() -> argparse.ArgumentParser:
     swp.add_argument(
         "--grid", type=rational_list, required=True, help="comma-separated alphas (num/den)"
     )
-    swp.add_argument("--fuzz", type=int, default=50)
-    swp.add_argument("--seed", type=int, default=1)
-    swp.add_argument("--max-jobs", type=int, default=6)
-    swp.add_argument("--max-p", type=int, default=8)
+    swp.add_argument("--fuzz", type=integer, default=50)
+    swp.add_argument("--seed", type=integer, default=1)
+    swp.add_argument("--max-jobs", type=integer, default=6)
+    swp.add_argument("--max-p", type=integer, default=8)
     swp.add_argument("--density", type=float, default=0.8)
     swp.add_argument("--out", required=True)
     swp.add_argument("--float", action="store_true")

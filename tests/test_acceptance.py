@@ -7,6 +7,7 @@ rational arithmetic unless the criterion itself states a different tolerance.
 import hashlib
 import json
 import time
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
@@ -18,11 +19,11 @@ from alphasched.adversary import (
     gen_rand_lb,
     gen_random_instance,
 )
-from alphasched.analysis import verify_instance
+from alphasched.analysis import simulate_pair, verify_instance, verify_traces
 from alphasched.cli import main as cli_main
 from alphasched.engine import simulate
 from alphasched.metrics import build_report, delta, integrate_curve
-from alphasched.model import save_instance
+from alphasched.model import ModelError, ScheduleTrace, save_instance
 from alphasched.oracle import brute_force_min_total_flow, quantum_simulate
 from alphasched.policies import PolicyKind
 from conftest import CORPUS_SIZE, corpus_instance, small_instance
@@ -32,6 +33,9 @@ from conftest import CORPUS_SIZE, corpus_instance, small_instance
 # any change to a report's bytes (ROADMAP aim 2) changes these digests
 CORPUS_REPORTS_SHA256 = "4663bd5a8c84ab540c94b0a31b69a623552c7dc499615c80a052646c555de9f7"
 LOWER_BOUND_REPORTS_SHA256 = "c3f211f672f9f1b662585977f2ee67f4f61eb7589df13ce7ba4e8554bddc292e"
+# the same over failing reports of edited corpus traces: it pins which checks
+# fire, their order within a time and the first failure
+FAILING_REPORTS_SHA256 = "eafc3407b2a4c3ab7529077ac63168f1e32730fe253ca8dfa51712d9d6fad11b"
 # sha256 over the trace.csv, events.csv and metrics.json bytes that simulate
 # writes for the fused rule, then SRPT and SETF on its realized instance
 CORPUS_SIMULATE_SHA256 = "cafbf85335c4b2cf95ad1e3675413a063a74f0ca669547ba7ef2c152d189930f"
@@ -261,6 +265,48 @@ def test_lower_bound_reports_byte_identical():
             for k in range(2, 6):
                 digest.update(report_bytes(verify_instance(gen(alpha, k)[0])))
     assert digest.hexdigest() == LOWER_BOUND_REPORTS_SHA256
+
+
+def trace_edits(rows):
+    """(kind, edited rows, cut) for every single-row edit of a trace CSV:
+    swap the job ids of two adjacent rows, drop a row, halve a row's rate.
+    A cut edit removes work, so its trace keeps the original makespan."""
+    for k in range(1, len(rows) - 1):
+        a, b = rows[k].split(","), rows[k + 1].split(",")
+        a[2], b[2] = b[2], a[2]
+        yield "swap", rows[:k] + [",".join(a), ",".join(b)] + rows[k + 2:], False
+    for k in range(1, len(rows)):
+        yield "drop", rows[:k] + rows[k + 1:], True
+    for k in range(1, len(rows)):
+        start, end, job, rate = rows[k].split(",")
+        yield "halve", rows[:k] + [f"{start},{end},{job},{F(rate) / 2}"] + rows[k + 1:], True
+
+
+def test_failing_reports_byte_identical():
+    # per corpus seed and edit kind, the first edited trace of the fused rule
+    # that parses, differs from the rule's and fails verification
+    digest = hashlib.sha256()
+    first = Counter()
+    for seed in range(1, 201):
+        alg, opt = simulate_pair(corpus_instance(seed))
+        rows = alg.csv_rows()
+        done = set()
+        for kind, edited, cut in trace_edits(rows):
+            if kind in done:
+                continue
+            try:
+                trace = ScheduleTrace.from_csv_rows(alg.instance, edited, alg.makespan if cut else None)
+            except ModelError:
+                continue
+            if trace.csv_rows() == rows:
+                continue
+            report = verify_traces(trace, opt)
+            if not report.ok:
+                done.add(kind)
+                first[report.first_failure["check"]] += 1
+                digest.update(report_bytes(report))
+    assert first == {"direct_borrow_order": 347, "max_flow": 72, "local_bounds": 37, "branch_observations": 16}
+    assert digest.hexdigest() == FAILING_REPORTS_SHA256
 
 
 def test_corpus_simulate_outputs_byte_identical(corpus_results):

@@ -5,6 +5,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from alphasched import analysis
 from alphasched.adversary import append_dos_tail, gen_det_lb1, gen_det_lb2, gen_random_instance
 from alphasched.analysis import (
     SINK,
@@ -23,10 +24,16 @@ from alphasched.analysis import (
     check_catch_up,
     check_clairvoyant_runs_block,
     check_feasibility,
+    check_flow_reachability,
     check_local_bounds,
+    check_max_flow,
     check_min_cut,
+    check_path_decomposition,
     check_reachability_closure,
+    check_refinement_beta,
+    check_refinement_direct_flow,
     check_times,
+    checks_at,
     compute_segments,
     decompose_beta,
     max_flow_saturates,
@@ -661,6 +668,22 @@ class TestPathDecomposition:
         assert beta.values == {(1, 3): 1}
         assert beta.discarded_cycle_flow == 2
 
+    def test_walk_restarts_where_every_head_is_empty(self):
+        # job 1's only outgoing flow is a cycle back to it, below its supply:
+        # cancelling the cycle empties job 1's one head, and the restarted
+        # walk must stop there.  A flow that conserves never leaves a walk at
+        # a vertex with no flow out, so only such an input reaches this
+        flow = {
+            (SOURCE, job(1)): F(1),
+            (job(1), dummy(2)): F(1, 2),
+            (dummy(2), job(2)): F(1, 2),
+            (job(2), dummy(1)): F(1, 2),
+            (dummy(1), job(1)): F(1, 2),
+        }
+        beta = decompose_beta(FlowResult(F(1), flow))
+        assert beta.values == {}
+        assert beta.discarded_cycle_flow == F(1, 2)
+
 
 class TestSegments:
     def test_no_candidates_no_segments(self, pair_traces):
@@ -969,3 +992,192 @@ class TestTraceObservations:
         ]
         bad = ScheduleTrace(inst, segments)
         assert check_feasibility(bad) == ["machine idle on [1/1, 4/1] with alive jobs"]
+
+
+# the report names of the per-time checks in run order, and of the trace
+# checks, which run after every time
+TIME_CHECKS = [
+    "direct_borrow_order",
+    "reachability_closure",
+    "local_bounds",
+    "segments",
+    "max_flow",
+    "min_cut",
+    "flow_feasible",
+    "flow_reachability",
+    "path_decomposition",
+    "beta_properties",
+    "refined_flow_feasible",
+    "refinement_direct_flow",
+    "refinement_beta",
+]
+TRACE_CHECKS = ["feasibility_alg", "feasibility_opt", "catch_up", "branch_observations", "clairvoyant_runs_block"]
+
+
+def push(flow, walk, amount):
+    """Add amount to the flow on every arc of the vertex walk."""
+    for arc in zip(walk, walk[1:]):
+        flow[arc] = flow.get(arc, 0) + amount
+
+
+class TestNamedChecks:
+    def test_checks_run_in_one_order(self, pair_traces, monkeypatch):
+        alg, opt = pair_traces
+
+        def names(t, event):
+            point = TimePoint.at(alg, opt, t)
+            graph = build_borrow_graph(alg, t)
+            return [name for name, _ in checks_at(alg, point, graph, NetworkSweep(alg), event, {})]
+
+        assert names(F(5, 2), False) == TIME_CHECKS[:4]
+        assert names(F(2), True) == [name for name in TIME_CHECKS if name != "min_cut"]
+        # below supply: the cut certificate, and no check that reads beta
+        build = analysis.build_flow_network
+
+        def starved(sweep, point, refined=False):
+            net = build(sweep, point, refined)
+            net.arcs[(dummy(2), job(2))] = F(1, 8)
+            return net
+
+        monkeypatch.setattr(analysis, "build_flow_network", starved)
+        assert names(F(2), True) == TIME_CHECKS[: TIME_CHECKS.index("flow_reachability") + 1]
+        assert list(verify_traces(alg, opt).trace_checks) == TRACE_CHECKS
+
+    def test_max_flow_names_the_source_side(self, pair_traces):
+        alg, opt = pair_traces
+        net = build_flow_network(NetworkSweep(alg), TimePoint.at(alg, opt, F(5, 2)))
+        _, flow = max_flow_saturates(net)
+        assert check_max_flow(net, flow, F(5, 2)) == []
+        net.arcs[(dummy(2), job(2))] = F(1, 8)
+        _, flow = max_flow_saturates(net)
+        assert check_max_flow(net, flow, F(5, 2)) == [
+            "max flow 1/8 below supply 1/2 at t=5/2: min cut source side holds jobs [1]"
+        ]
+
+    def test_flow_reachability_compares_steps_with_borrow_edges(self):
+        # supply job 1 reaches demand job 2 in the network, and demand job 3
+        # not at all
+        arcs = {
+            (SOURCE, job(1)): F(1),
+            (job(1), dummy(2)): F(3),
+            (dummy(2), job(2)): F(1),
+            (job(2), SINK): F(1),
+            (job(3), SINK): F(1),
+        }
+        net = FlowNetwork((F(0), F(1)), (1, 2, 3), arcs, {1: F(1)}, {2: F(1), 3: F(1)}, F(3), steps_of(arcs))
+        same = BorrowGraph((1, 2, 3), frozenset({(1, 2, "N")}))
+        assert check_flow_reachability(net, same, F(1)) == []
+        crossed = BorrowGraph((1, 2, 3), frozenset({(1, 3, "C")}))
+        assert check_flow_reachability(net, crossed, F(1)) == [
+            "positive-capacity reachability and borrow reachability disagree for (1,2) at t=1/1",
+            "positive-capacity reachability and borrow reachability disagree for (1,3) at t=1/1",
+        ]
+
+    def test_path_decomposition_rejects_cycle_flow(self):
+        assert check_path_decomposition(BetaMatrix({(1, 2): F(1)})) == []
+        assert check_path_decomposition(BetaMatrix({(1, 2): F(1)}, F(1, 3))) == [
+            "path decomposition discarded cycle flow 1/3"
+        ]
+
+    def test_refinement_direct_flow_compares_job_totals(self):
+        net = FlowNetwork((F(0), F(1)), (1, 2, 3), {}, {1: F(1)}, {2: F(1), 3: F(1)}, F(3), frozenset())
+        flow = FlowResult(F(1), {(job(1), dummy(2)): F(1)})
+        halves = FlowResult(F(1), {(job(1), dummy(2, 0)): F(1, 2), (job(1), dummy(2, 1)): F(1, 2)})
+        assert check_refinement_direct_flow(net, flow, halves) == []
+        moved = FlowResult(F(1), {(job(1), dummy(2, 0)): F(1, 2), (job(1), dummy(3, 1)): F(1, 2)})
+        assert check_refinement_direct_flow(net, flow, moved) == [
+            "refinement changed direct flow (1,2): 1/1 -> 1/2",
+            "refinement changed direct flow (1,3): 0/1 -> 1/2",
+        ]
+
+    def test_refinement_beta_compares_the_matrices(self):
+        beta = BetaMatrix({(1, 2): F(1)})
+        assert check_refinement_beta(beta, BetaMatrix({(1, 2): F(1)}), F(5, 2)) == []
+        split = BetaMatrix({(1, 2): F(1, 2), (1, 3): F(1, 2)})
+        assert check_refinement_beta(beta, split, F(5, 2)) == [
+            "refinement changed the borrowing matrix at t=5/2"
+        ]
+
+    def test_network_without_steps_trips_flow_reachability(self, pair_instance, monkeypatch):
+        # the network still routes job 1's surplus to demand job 2, but its
+        # steps no longer say that job 1 reaches job 2
+        build = analysis.build_flow_network
+        monkeypatch.setattr(
+            analysis,
+            "build_flow_network",
+            lambda sweep, point, refined=False: replace(build(sweep, point, refined), steps=frozenset()),
+        )
+        assert verify_instance(pair_instance).first_failure == {
+            "t": "2/1",
+            "check": "flow_reachability",
+            "violations": [
+                "positive-capacity reachability and borrow reachability disagree for (1,2) at t=2/1"
+            ],
+        }
+
+    def test_cycle_in_the_witness_flow_trips_path_decomposition(self, monkeypatch):
+        # corpus seed 1 at t = 5: the cycle through jobs 1 and 2, neither a
+        # demand job, fits in the capacities, so the flow stays feasible
+        solve = analysis.max_flow_saturates
+
+        def with_cycle(net):
+            saturated, flow = solve(net)
+            if net.time_points[-1] == 5:
+                push(flow.flow, [job(1), dummy(2, 2), job(2), dummy(1, 3), job(1)], F(1, 3))
+            return saturated, flow
+
+        monkeypatch.setattr(analysis, "max_flow_saturates", with_cycle)
+        assert verify_instance(corpus_instance(1)).first_failure == {
+            "t": "5/1",
+            "check": "path_decomposition",
+            "violations": ["path decomposition discarded cycle flow 1/3"],
+        }
+
+    @pytest.mark.parametrize(
+        "inst, t, walk, amount, check, first",
+        [
+            # half of job 1's flow into job 2's first refined dummy goes missing
+            (
+                Instance((Job(1, 0, 2), Job(2, 0, 2)), F(1, 2)),
+                2,
+                [job(1), dummy(2, 0)],
+                F(1, 2),
+                "refined_flow_feasible",
+                "conservation violated at ('job', 1): net 1/2",
+            ),
+            # a whole source-to-sink path of the direct flow (1, 2) goes missing
+            (
+                Instance((Job(1, 0, 2), Job(2, 0, 2)), F(1, 2)),
+                2,
+                [SOURCE, job(1), dummy(2, 0), job(2), SINK],
+                F(1, 2),
+                "refinement_direct_flow",
+                "refinement changed direct flow (1,2): 1/1 -> 1/2",
+            ),
+            # corpus seed 4 at t = 8: a path from supply job 4 through job 2,
+            # neither supply nor demand, to demand job 3 goes missing, so no
+            # (supply, demand) direct flow moves but beta(4, 3) does
+            (
+                corpus_instance(4),
+                8,
+                [SOURCE, job(4), dummy(2, 5), job(2), dummy(3, 3), job(3), SINK],
+                F(1, 2),
+                "refinement_beta",
+                "refinement changed the borrowing matrix at t=8/1",
+            ),
+        ],
+    )
+    def test_refinement_that_loses_flow_trips_a_refinement_check(
+        self, monkeypatch, inst, t, walk, amount, check, first
+    ):
+        refine = analysis.refine_flow
+
+        def lossy(net, flow, sweep, point):
+            refined, carried = refine(net, flow, sweep, point)
+            if point.t == t:
+                push(carried.flow, walk, -amount)
+            return refined, carried
+
+        monkeypatch.setattr(analysis, "refine_flow", lossy)
+        failure = verify_instance(inst).first_failure
+        assert (failure["t"], failure["check"], failure["violations"][0]) == (format_rat(F(t)), check, first)

@@ -249,6 +249,23 @@ class TestWireFormat:
         assert f"argument --grid: not a rational: {text!r}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("text", NOT_WIRE_TEXT)
+    @pytest.mark.parametrize(
+        "argv, option",
+        [(["sweep", "--grid", "1/2"], option) for option in ("--fuzz", "--seed", "--max-jobs", "--max-p")]
+        + [
+            (["lowerbound", "--which", "lb2", "--alpha", "1/2"], "--k"),
+            (["lowerbound", "--which", "lb2", "--alpha", "1/2"], "--dos-M"),
+            (["lowerbound", "--which", "rand32", "--alpha", "1/2"], "--seed"),
+            (["lowerbound", "--which", "rand", "--alpha", "7/8"], "--seeds"),
+        ],
+    )
+    def test_integer_option_exits_2(self, tmp_path, capsys, argv, option, text):
+        out = tmp_path / "out"
+        assert main(argv + [option, text, "--out", str(out)]) == 2
+        assert f"argument {option}: not an integer: {text!r}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("text", NOT_WIRE_TEXT)
     @pytest.mark.parametrize("column", range(4))
     def test_trace_field_exits_2(self, tmp_path, capsys, one_job, column, text):
         trace = tmp_path / "trace.csv"
