@@ -72,75 +72,48 @@ class TimePoint:
 # --------------------------------------------------------------------------
 
 
+def _closure(succ: Mapping[int, Iterable[int]], j: int) -> frozenset[int]:
+    """j and every vertex reachable from it along ``succ``."""
+    seen = {j}
+    stack = [j]
+    while stack:
+        for v in succ.get(stack.pop(), ()):
+            if v not in seen:
+                seen.add(v)
+                stack.append(v)
+    return frozenset(seen)
+
+
 @dataclass(frozen=True)
 class BorrowGraph:
     vertices: tuple[int, ...]
     edges: frozenset[tuple[int, int, str]]  # (j, i, "N"|"C"): i ran inside j's lifetime
-    _succ: dict[int, list[int]] = field(init=False, repr=False, compare=False)
+    _succ: dict[int, set[int]] = field(init=False, repr=False, compare=False)
     _reach: dict[int, frozenset[int]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         succ: dict[int, set[int]] = {}
         for j, i, _ in self.edges:
             succ.setdefault(j, set()).add(i)
-        object.__setattr__(self, "_succ", {j: sorted(s) for j, s in succ.items()})
+        object.__setattr__(self, "_succ", succ)
         object.__setattr__(self, "_reach", {})
-
-    def successors(self, j: int) -> list[int]:
-        return list(self._succ.get(j, ()))
 
     def reachable(self, j: int) -> frozenset[int]:
         """Vertices reachable from j, j included; memoised per graph."""
         reach = self._reach.get(j)
-        if reach is not None:
-            return reach
-        if j not in self.vertices:
-            raise UnknownJobError(f"job {j} not in borrow graph")
-        seen = {j}
-        stack = [j]
-        while stack:
-            u = stack.pop()
-            for v in self._succ.get(u, ()):
-                if v not in seen:
-                    seen.add(v)
-                    stack.append(v)
-        reach = self._reach[j] = frozenset(seen)
+        if reach is None:
+            if j not in self.vertices:
+                raise UnknownJobError(f"job {j} not in borrow graph")
+            reach = self._reach[j] = _closure(self._succ, j)
         return reach
 
 
 def build_borrow_graph(trace: ScheduleTrace, t: Fraction) -> BorrowGraph:
     """Edges (j, i, tag): job i receives work of positive measure inside j's
     lifetime [r_j, min(C_j, t)]; the tag records whether i was before (N) or
-    after (C) its signal on that stretch.
-
-    Built from scratch; ``BorrowSweep`` gives the same graphs at increasing
-    times without the rebuild."""
-    t = Rat(t)
-    jobs = [job for job in trace.instance.jobs if job.release <= t]
-    ids = [job.id for job in jobs]
-    signals = trace.emissions
-    edges = set()
-    for j in ids:
-        lo = trace.instance.job(j).release
-        hi = trace.lifetime_end(j, t)
-        if hi <= lo:
-            continue
-        for i in ids:
-            if i == j:
-                continue
-            s_i = signals.get(i)
-            for a, b in trace.busy_intervals(i):
-                if a >= hi:
-                    break
-                ov_lo, ov_hi = max(a, lo), min(b, hi)
-                if ov_lo >= ov_hi:
-                    continue
-                pre_signal_hi = ov_hi if s_i is None else min(ov_hi, s_i)
-                if ov_lo < pre_signal_hi:
-                    edges.add((j, i, "N"))
-                if s_i is not None and max(ov_lo, s_i) < ov_hi:
-                    edges.add((j, i, "C"))
-    return BorrowGraph(tuple(ids), frozenset(edges))
+    after (C) its signal on that stretch.  The graph at one time, as
+    ``BorrowSweep`` reads it off ``borrow_thresholds``."""
+    return BorrowSweep(trace).at(t)
 
 
 def _first_overlap(
@@ -251,18 +224,7 @@ class FlowNetwork:
         onward: dict[int, list[int]] = {}
         for j, i in self.steps:
             onward.setdefault(j, []).append(i)
-        out = {}
-        for j in sources:
-            seen = {j}
-            stack = [j]
-            while stack:
-                u = stack.pop()
-                for w in onward.get(u, ()):
-                    if w not in seen:
-                        seen.add(w)
-                        stack.append(w)
-            out[j] = frozenset(seen)
-        return out
+        return {j: _closure(onward, j) for j in sources}
 
     def job_reachable(self, j: int) -> frozenset[int]:
         """Jobs reachable from j along positive-capacity arcs."""
@@ -898,6 +860,9 @@ def check_branch_observations(trace: ScheduleTrace) -> list[str]:
 
     Rates are read as right limits, so instants strictly inside a merged
     segment (an emission that did not change the decision) are covered too.
+    A rated job is alive on its whole segment (``check_feasibility``), so
+    "rates dead jobs" is a lemma check.  At alpha = 1 a job signals at its
+    completion, so no alive job is signalled.
     """
     alpha = trace.instance.alpha
     violations = []
@@ -915,17 +880,11 @@ def check_branch_observations(trace: ScheduleTrace) -> list[str]:
         fresh = alive - signalled
         work = trace.work_at(t)
         remaining = {j: trace.instance.proc_of(j) - work[j] for j in alive}
-        if signalled:
-            if not fresh:
-                srpt_side = True
-            elif alpha == 1:
-                srpt_side = False
-            else:
-                lhs = min(remaining[j] for j in signalled)
-                rhs = (1 - alpha) / alpha * min(work[j] for j in fresh)
-                srpt_side = lhs <= rhs
-        else:
-            srpt_side = False
+        srpt_side = bool(signalled)
+        if signalled and fresh:
+            lhs = min(remaining[j] for j in signalled)
+            rhs = (1 - alpha) / alpha * min(work[j] for j in fresh)
+            srpt_side = lhs <= rhs
         rated = [j for j, _ in seg.rates]
         if srpt_side:
             if len(rated) != 1:
@@ -1088,9 +1047,13 @@ def check_reachability_closure(
 
 def check_feasibility(trace: ScheduleTrace) -> list[str]:
     """Unit speed, only alive jobs rated, and full speed whenever something
-    is alive (the built-in policies never idle).  Nothing completes on a
-    stretch with no job rated, so its alive count only grows: it idles with
-    jobs alive iff the ``alive_curve`` count on its last piece is not 0."""
+    is alive (the built-in policies never idle).  The first two are lemma
+    checks: ``ExecutionSegment`` rejects rates above unit speed, and
+    ``ScheduleTrace`` a job rated before its release or beyond its
+    processing time, so a rated job is alive on its segment.  Nothing
+    completes on a stretch with no job rated, so its alive count only
+    grows: it idles with jobs alive iff the ``alive_curve`` count on its
+    last piece is not 0."""
     violations = []
     busy = [seg for seg in trace.segments if seg.rates]
     for seg in busy:

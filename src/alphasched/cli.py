@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -45,6 +46,7 @@ USAGE_ERROR = 2
 VERIFY_ERROR = 1
 
 QUANTUM = Rat(1, 64)
+_DECIMAL = re.compile(r"-?(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)")
 
 
 def _write_text(path: Path, text: str) -> None:
@@ -70,6 +72,14 @@ def integer(text: str) -> int:
         return parse_int(text)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
+
+
+def decimal(text: str) -> float:
+    """argparse type of a decimal option: ASCII digits with an optional "-"
+    and decimal point, read as a float."""
+    if not _DECIMAL.fullmatch(text.strip()):
+        raise argparse.ArgumentTypeError(f"not a decimal: {text!r}")
+    return float(text)
 
 
 def rational_list(text: str) -> list[Fraction]:
@@ -393,7 +403,7 @@ def build_parser() -> argparse.ArgumentParser:
     swp.add_argument("--seed", type=integer, default=1)
     swp.add_argument("--max-jobs", type=integer, default=6)
     swp.add_argument("--max-p", type=integer, default=8)
-    swp.add_argument("--density", type=float, default=0.8)
+    swp.add_argument("--density", type=decimal, default=0.8)
     swp.add_argument("--out", required=True)
     swp.add_argument("--float", action="store_true")
     swp.set_defaults(func=cmd_sweep)

@@ -324,6 +324,13 @@ def save_instance(instance: Instance, path) -> None:
     )
 
 
+def _rate_entry(j, r) -> tuple[int, Fraction]:
+    """(j, Rat(r)) for a rate entry off the fast path; j must be an int."""
+    if type(j) is not int:
+        raise ModelError(f"segment job id {j!r} is not an int")
+    return j, Rat(r)
+
+
 @dataclass(frozen=True)
 class ExecutionSegment:
     """Constant rate assignment on [start, end); rates are positive and sum to at most 1."""
@@ -340,7 +347,7 @@ class ExecutionSegment:
             if type(value) is not Rat and not isinstance(value, Fraction):
                 object.__setattr__(self, name, Rat(value))
         rates = tuple(sorted(
-            (j, r) if type(j) is int and (type(r) is Rat or isinstance(r, Fraction)) else (int(j), Rat(r))
+            (j, r) if type(j) is int and (type(r) is Rat or isinstance(r, Fraction)) else _rate_entry(j, r)
             for j, r in self.rates
         ))
         object.__setattr__(self, "rates", rates)
@@ -357,10 +364,6 @@ class ExecutionSegment:
     @property
     def total_rate(self) -> Fraction:
         return sum((r for _, r in self.rates), Rat(0))
-
-    @property
-    def length(self) -> Fraction:
-        return self.end - self.start
 
 
 Interval = tuple[Fraction, Fraction]
@@ -480,6 +483,8 @@ class ScheduleTrace:
         self.alive_curve = tuple(curve) + ((self.makespan, 0),)
         self.total_flow = area
         if self.complete:
+            # a lemma check: the curve counts each job on [r_j, C_j), so its
+            # area is sum_j (C_j - r_j) on every trace accepted above
             total = sum((self.completions[j.id] - j.release for j in instance.jobs), Rat(0))
             if total != area:
                 raise ModelError(f"flow-time identity violated: sum flows {total} != alive area {area}")

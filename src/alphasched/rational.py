@@ -33,6 +33,11 @@ are in normal form:
   of d modulo ``sys.hash_info.modulus``, or ``sys.hash_info.inf`` when d
   has no inverse, signed as n.
 
+Construction is exact too: ``Rat(x)`` takes an ``int``, any ``Fraction`` or
+"num/den" text as ``parse_rat`` reads it, and ``Rat(n, d)`` two ``int``s.
+Anything else, a float, a bool or text such as "0.1", raises ``TypeError``
+or ``ValueError``.
+
 The overrides read and write ``Fraction``'s ``_numerator`` and
 ``_denominator`` slots, a CPython implementation detail present in 3.10 to
 3.13 (``pyproject.toml`` requires 3.10 or later). This module is the only
@@ -69,8 +74,12 @@ class Rat(Fraction):
                 n, d = numerator, 1
             elif t is Fraction:
                 n, d = numerator._numerator, numerator._denominator
+            elif isinstance(numerator, Fraction):
+                n, d = numerator.numerator, numerator.denominator
+            elif isinstance(numerator, str):
+                return parse_rat(numerator)
             else:
-                return Fraction.__new__(cls, numerator)
+                raise TypeError(f"not an exact rational: {numerator!r}")
         elif type(numerator) is int and type(denominator) is int:
             if denominator == 0:
                 raise ZeroDivisionError(f"Fraction({numerator}, 0)")
@@ -79,7 +88,7 @@ class Rat(Fraction):
                 g = -g
             n, d = numerator // g, denominator // g
         else:
-            return Fraction.__new__(cls, numerator, denominator)
+            raise TypeError(f"not a ratio of two ints: {numerator!r}, {denominator!r}")
         r = _new(Rat)
         r._numerator = n
         r._denominator = d

@@ -1,4 +1,10 @@
-"""Reference flow-network builders, each building one network from scratch.
+"""Reference builders of the verifier's graphs, each building one graph from
+scratch.
+
+``build_borrow_graph_from_scratch`` states the borrow-edge rule directly:
+it scans every pair of jobs released by t for work of positive measure
+inside a lifetime.  The package reads the same edges off
+``borrow_thresholds``, and the tests compare every swept graph with it.
 
 ``build_flow_network_from_scratch`` builds the network of one time as the
 package's ``NetworkSweep`` does, with nothing carried from an earlier time:
@@ -11,16 +17,47 @@ builder emits a dummy for every job and interval, as the verifier's first
 builder did, so the tests can check that the omission changes neither the
 max flow nor the reachability sets.
 
-Both give holder arcs the sweep's per-instance capacity, total work plus 1,
-and read the job-to-job steps off the arcs.
+Both network builders give holder arcs the sweep's per-instance capacity,
+total work plus 1, and read the job-to-job steps off the arcs.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from alphasched.analysis import SINK, SOURCE, FlowNetwork, TimePoint
+from alphasched.analysis import SINK, SOURCE, BorrowGraph, FlowNetwork, TimePoint
 from alphasched.model import ScheduleTrace
+
+
+def build_borrow_graph_from_scratch(trace: ScheduleTrace, t) -> BorrowGraph:
+    """Edges (j, i, tag): job i receives work of positive measure inside j's
+    lifetime [r_j, min(C_j, t)]; the tag records whether i was before (N) or
+    after (C) its signal on that stretch."""
+    t = Fraction(t)
+    ids = [job.id for job in trace.instance.jobs if job.release <= t]
+    signals = trace.emissions
+    edges = set()
+    for j in ids:
+        lo = trace.instance.job(j).release
+        hi = trace.lifetime_end(j, t)
+        if hi <= lo:
+            continue
+        for i in ids:
+            if i == j:
+                continue
+            s_i = signals.get(i)
+            for a, b in trace.busy_intervals(i):
+                if a >= hi:
+                    break
+                ov_lo, ov_hi = max(a, lo), min(b, hi)
+                if ov_lo >= ov_hi:
+                    continue
+                pre_signal_hi = ov_hi if s_i is None else min(ov_hi, s_i)
+                if ov_lo < pre_signal_hi:
+                    edges.add((j, i, "N"))
+                if s_i is not None and max(ov_lo, s_i) < ov_hi:
+                    edges.add((j, i, "C"))
+    return BorrowGraph(tuple(ids), frozenset(edges))
 
 
 def steps_of(arcs) -> frozenset:

@@ -190,6 +190,10 @@ class TestDosTail:
         new = [j for j in tailed.jobs if j.id > 2]
         assert [(j.release, j.proc) for j in new] == [(11, 1), (12, 1), (13, 1)]
 
+    def test_tail_before_zero_rejected(self, pair_instance):
+        with pytest.raises(ModelError, match="^tail start must be nonnegative$"):
+            append_dos_tail(pair_instance, -1, 2)
+
     def test_tail_only(self):
         from alphasched.model import Instance
 

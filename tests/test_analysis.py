@@ -55,7 +55,12 @@ from alphasched.model import (
 from alphasched.policies import PolicyKind
 from alphasched.rational import format_rat
 from conftest import corpus_instance
-from flow_reference import build_flow_network_from_scratch, build_flow_network_with_dead_dummies, steps_of
+from flow_reference import (
+    build_borrow_graph_from_scratch,
+    build_flow_network_from_scratch,
+    build_flow_network_with_dead_dummies,
+    steps_of,
+)
 
 
 @pytest.fixture
@@ -182,7 +187,7 @@ class TestBorrowGraph:
             path = [start]
             seen = {start}
             while True:
-                nxt = [v for v in graph.successors(path[-1]) if v not in seen]
+                nxt = sorted(i for j, i, _ in graph.edges if j == path[-1] and i not in seen)
                 if not nxt:
                     break
                 path.append(nxt[0])
@@ -222,12 +227,11 @@ class TestBorrowSweep:
         alg, opt = trace_pair(inst)
         sweep = BorrowSweep(alg)
         for t in check_times(alg, opt)[1]:
-            carried, rebuilt = sweep.at(t), build_borrow_graph(alg, t)
+            carried, rebuilt = sweep.at(t), build_borrow_graph_from_scratch(alg, t)
             assert carried.vertices == rebuilt.vertices
             assert carried.edges == rebuilt.edges
             for j in rebuilt.vertices:
                 assert carried.reachable(j) == rebuilt.reachable(j)
-                assert carried.successors(j) == rebuilt.successors(j)
 
     def test_graph_kept_while_nothing_changes(self, pair_traces):
         alg, _ = pair_traces
@@ -1181,3 +1185,105 @@ class TestNamedChecks:
         monkeypatch.setattr(analysis, "refine_flow", lossy)
         failure = verify_instance(inst).first_failure
         assert (failure["t"], failure["check"], failure["violations"][0]) == (format_rat(F(t)), check, first)
+
+
+class TestEveryViolationFires:
+    """Violations no verifier run on a simulated pair produces, made to fire
+    on hand-built inputs with their exact messages."""
+
+    def flow_network(self, extra=()):
+        # supply job 1 reaches demand job 2 through one dummy
+        arcs = {
+            (SOURCE, job(1)): F(1),
+            (job(1), dummy(2)): F(3),
+            (dummy(2), job(2)): F(2),
+            (job(2), SINK): F(1),
+            **dict(extra),
+        }
+        return FlowNetwork((F(0), F(1)), (1, 2), arcs, {1: F(1)}, {2: F(1)}, F(3), steps_of(arcs))
+
+    def test_flow_audit_names_a_negative_flow(self):
+        flow = {}
+        push(flow, [SOURCE, job(1), dummy(2), job(2), SINK], F(-1))
+        assert verify_flow_feasible(self.flow_network(), FlowResult(F(-1), flow)) == [
+            "negative flow on ('source',)->('job', 1)",
+            "negative flow on ('job', 1)->('dummy', 2, 0)",
+            "negative flow on ('dummy', 2, 0)->('job', 2)",
+            "negative flow on ('job', 2)->('sink',)",
+        ]
+
+    def test_flow_audit_names_a_missing_arc(self):
+        flow = {}
+        push(flow, [SOURCE, job(1), job(2), SINK], F(1))
+        assert verify_flow_feasible(self.flow_network(), FlowResult(F(1), flow)) == [
+            "flow on missing arc ('job', 1)->('job', 2)"
+        ]
+
+    def test_flow_audit_names_outflow_at_a_demand_job(self):
+        # half a unit circles from demand job 2 back through job 1
+        net = self.flow_network({(job(2), dummy(1)): F(3), (dummy(1), job(1)): F(1)})
+        flow = {}
+        push(flow, [SOURCE, job(1), dummy(2), job(2), SINK], F(1))
+        push(flow, [job(2), dummy(1), job(1), dummy(2), job(2)], F(1, 2))
+        assert verify_flow_feasible(net, FlowResult(F(1), flow)) == ["demand job 2 has outgoing flow 1/2"]
+
+    @pytest.mark.parametrize(
+        "values, cut, expected",
+        [
+            ({(1, 2): F(1, 2), (2, 1): F(-1)}, False, ["beta(2,1) negative"]),
+            ({(1, 2): F(1, 4), (1, 1): F(1, 4)}, False, ["beta(1,1) positive outside supply x demand"]),
+            ({(1, 2): F(1, 2)}, True, ["beta(1,2) positive but 2 unreachable from 1"]),
+        ],
+    )
+    def test_beta_properties_name_each_entry(self, pair_traces, values, cut, expected):
+        # at 5/2 job 1 is the one supply and job 2 the one demand
+        alg, opt = pair_traces
+        t = F(5, 2)
+        graph = build_borrow_graph(alg, t)
+        if cut:
+            graph = BorrowGraph(graph.vertices, frozenset(e for e in graph.edges if e[:2] != (1, 2)))
+        point = TimePoint.at(alg, opt, t)
+        assert check_beta_properties(BetaMatrix(values), graph, alg.instance, point) == expected
+
+    @pytest.fixture
+    def apart(self):
+        # job 1 lives on [0, 1] and job 2 on [2, 3]
+        inst = Instance((Job(1, 0, 1), Job(2, 2, 1)), F(1, 2))
+        return trace_pair(inst)
+
+    def test_closure_names_a_lifetime_of_two_intervals(self, apart):
+        alg, opt = apart
+        graph = BorrowGraph((1, 2), frozenset({(1, 2, "N")}))
+        assert check_reachability_closure(alg, graph, TimePoint.at(alg, opt, 3)) == [
+            "lifetime of reachability set of 1 at t=3/1 is 2 intervals"
+        ]
+
+    def test_closure_names_a_lifetime_that_ends_before_t(self, apart):
+        # a time point that calls job 1 alive at 3/2, after its completion at 1
+        alg, _ = apart
+        t = F(3, 2)
+        ones = frozenset({1})
+        point = TimePoint(t, alg.work_at(t), Partition(ones, ones, frozenset()), frozenset())
+        assert check_reachability_closure(alg, build_borrow_graph(alg, t), point) == [
+            "alive job 1: reachability lifetime ends at 1/1, not t"
+        ]
+
+    def test_blocking_names_a_signalled_job_that_completes_late(self):
+        # a feasible trace, not the fused rule's: job 1 runs past its signal
+        # at 1, then job 2 runs and completes at 5/2, before job 1 at 3
+        inst = Instance((Job(1, 0, 2), Job(2, 0, 1)), F(1, 2))
+        segments = [
+            ExecutionSegment(0, F(3, 2), ((1, F(1)),)),
+            ExecutionSegment(F(3, 2), F(5, 2), ((2, F(1)),)),
+            ExecutionSegment(F(5, 2), 3, ((1, F(1)),)),
+        ]
+        trace = ScheduleTrace(inst, segments)
+        assert check_feasibility(trace) == []
+        assert check_clairvoyant_runs_block(trace) == [
+            "job 1 ran signalled at 1/1 but completes after job 2",
+            "job 2 received work during [1/1, 3/1] while signalled job 1 was pending",
+        ]
+
+    def test_local_bounds_undefined_at_alpha_one(self):
+        with pytest.raises(ModelError, match=r"^counting bounds are undefined at alpha = 1$"):
+            check_local_bounds(F(1), bound_point(1, 0))

@@ -4,6 +4,7 @@ import json
 import shlex
 import tempfile
 from contextlib import redirect_stderr
+from dataclasses import replace
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -14,6 +15,7 @@ from alphasched import cli
 from alphasched.adversary import gen_rand32
 from alphasched.cli import main
 from alphasched.model import TRACE_CSV_HEADER, Instance, Job, instance_to_json, save_instance
+from alphasched.oracle import quantum_simulate
 from conftest import json_instances
 
 
@@ -280,6 +282,167 @@ class TestWireFormat:
         assert main(argv) == 2
         kind = "an integer" if column == 2 else "a rational"
         assert capsys.readouterr().err == f"error: bad trace row {row!r}: not {kind}: {text!r}\n"
+
+
+    @pytest.mark.parametrize("text", ["٠.٨", "0.8_0", "+0.8", "1e-1"])
+    def test_density_exits_2(self, tmp_path, capsys, text):
+        out = tmp_path / "sweep"
+        argv = ["sweep", "--grid", "1/2", "--fuzz", "2", "--density", text, "--out", str(out)]
+        assert main(argv) == 2
+        assert f"argument --density: not a decimal: {text!r}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_density_reads_ascii_decimals(self, tmp_path):
+        rows = []
+        for text in ("0.8", " .8 ", "0.80"):
+            out = tmp_path / str(len(rows))
+            assert main(["sweep", "--grid", "1/2", "--fuzz", "5", "--density", text, "--out", str(out)]) == 0
+            rows.append(read(out / "sweep.csv"))
+        assert main(["sweep", "--grid", "1/2", "--fuzz", "5", "--out", str(tmp_path / "default")]) == 0
+        assert rows == [read(tmp_path / "default" / "sweep.csv")] * 3
+
+
+def job_json(i, proc="1", release="0"):
+    return {"id": i, "release": release, "proc": proc}
+
+
+def trigger_json(name, fire_at, jobs, kind="progress-scaled"):
+    params = {"high": "2", "low": "1"} if kind == "rank-pair" else {"scale": "1", "offset": "1"}
+    return {"id": name, "fire_at": fire_at, "rule": {"kind": kind, "jobs": jobs, **params}}
+
+
+def deferred(name):
+    return {"deferred": name}
+
+
+class TestBadInputMessages:
+    """Bad input that reaches a model, engine or generator guard exits 2 with
+    that guard's message, and writes nothing."""
+
+    def exits_2(self, tmp_path, capsys, argv, message):
+        out = tmp_path / "out"
+        assert main(argv + ["--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "jobs, triggers, message",
+        [
+            ([job_json(1, release="-1")], None, "job 1: negative release -1"),
+            (
+                [job_json(i, deferred("a")) for i in (1, 2, 3)],
+                [trigger_json("a", "1", [1, 2, 3], "rank-pair")],
+                "rank-pair rule needs exactly two jobs",
+            ),
+            ([job_json(1, deferred("a"))], [trigger_json("a", "-1", [1])], "trigger a: negative fire time"),
+            (
+                [job_json(1, deferred("a")), job_json(2, deferred("b"))],
+                [trigger_json("a", "1", [1]), trigger_json("b", "1", [2])],
+                "trigger fire times must be strictly increasing",
+            ),
+            (
+                [job_json(1, deferred("a")), job_json(2, deferred("a"))],
+                [trigger_json("a", "1", [1]), trigger_json("a", "2", [2])],
+                "duplicate trigger ids",
+            ),
+            ([job_json(1, deferred("b"))], [trigger_json("a", "1", [1])], "unknown trigger 'b'"),
+            (
+                [job_json(1), job_json(2, deferred("a"))],
+                [trigger_json("a", "1", [1])],
+                "job 2 defers to trigger 'a' which does not commit it",
+            ),
+            (
+                [job_json(1, deferred("a"))],
+                [trigger_json("a", "1", ["x"])],
+                "adversary.triggers[0].rule.jobs: expected a list of job ids",
+            ),
+            # job 1 is committed in the file, so the trigger commits it again
+            ([job_json(1, "2")], [trigger_json("a", "1/2", [1])], "trigger 'a' re-commits job 1"),
+        ],
+    )
+    def test_instance_guards(self, tmp_path, capsys, jobs, triggers, message):
+        obj = {"alpha": "1/2", "jobs": jobs}
+        if triggers is not None:
+            obj["adversary"] = {"triggers": triggers}
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(obj), encoding="utf-8")
+        self.exits_2(tmp_path, capsys, ["simulate", "--instance", str(path)], message)
+
+    def test_compare_without_jobs(self, tmp_path, capsys):
+        path = tmp_path / "empty.json"
+        path.write_text(json.dumps({"alpha": "1/2", "jobs": []}), encoding="utf-8")
+        self.exits_2(tmp_path, capsys, ["compare", "--instance", str(path)], "optimal total flow is zero")
+
+    @pytest.mark.parametrize(
+        "rows, message",
+        [
+            (["1/1,1/1,1,1/1"], "bad segment bounds [1, 1]"),
+            (["0/1,1/1,1,0/1"], "segment rates must be positive"),
+            (["0/1,1/1,1,1/1", "0/1,1/1,2,1/1"], "segment rates exceed unit speed"),
+            (["0/1,1/1,9,1/1"], "segment rates unknown job 9"),
+        ],
+    )
+    def test_trace_override_guards(self, tmp_path, capsys, pair_path, rows, message):
+        trace = tmp_path / "trace.csv"
+        trace.write_text("\n".join([TRACE_CSV_HEADER, *rows]) + "\n", encoding="utf-8")
+        argv = ["verify", "--instance", str(pair_path), "--trace-override", str(trace)]
+        self.exits_2(tmp_path, capsys, argv, message)
+
+    def test_trace_override_of_a_deferred_instance(self, tmp_path, capsys):
+        path = tmp_path / "deferred.json"
+        obj = {
+            "alpha": "1/2",
+            "jobs": [job_json(1, deferred("a"))],
+            "adversary": {"triggers": [trigger_json("a", "1", [1])]},
+        }
+        path.write_text(json.dumps(obj), encoding="utf-8")
+        trace = tmp_path / "trace.csv"
+        trace.write_text(f"{TRACE_CSV_HEADER}\n0/1,1/1,1,1/1\n", encoding="utf-8")
+        argv = ["verify", "--instance", str(path), "--trace-override", str(trace)]
+        self.exits_2(tmp_path, capsys, argv, "trace override requires a resolved instance")
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["sweep", "--grid", ","], "empty alpha grid"),
+            (["sweep", "--grid", "1/1"], "grid alpha 1/1 outside [0, 1)"),
+            (["sweep", "--grid", "1/2", "--fuzz", "1", "--max-p", "0"], "need n >= 1 and max_p >= 1"),
+            (["sweep", "--grid", "1/2", "--density", "-0.5"], "--density must lie in [0, 1]"),
+            (["sweep", "--grid", "1/2", "--density", "1.5"], "--density must lie in [0, 1]"),
+            (["lowerbound", "--which", "lb2", "--alpha", "1"], "deterministic bound needs 0 < alpha < 1"),
+            (["lowerbound", "--which", "rand32", "--alpha", "1"], "phase bound needs 0 < alpha < 1"),
+            (["lowerbound", "--which", "lb2", "--alpha", "1/2", "--dos-M", "-1"], "tail length must be at least 1"),
+        ],
+    )
+    def test_option_guards(self, tmp_path, capsys, argv, message):
+        self.exits_2(tmp_path, capsys, argv, message)
+
+
+class TestQuantumFailure:
+    """A total flow off the quantum oracle's by more than n^2/64 exits 1, with
+    the outputs written."""
+
+    @pytest.fixture(autouse=True)
+    def off_by_one(self, monkeypatch):
+        def shifted(inst, kind, quantum):
+            run = quantum_simulate(inst, kind, quantum)
+            return replace(run, total_flow=run.total_flow + 1)
+
+        monkeypatch.setattr(cli, "quantum_simulate", shifted)
+
+    def test_simulate_exits_1(self, tmp_path, pair_path):
+        out = tmp_path / "out"
+        assert main(["simulate", "--instance", str(pair_path), "--quantum-oracle", "--out", str(out)]) == 1
+        assert json.loads(read(out / "metrics.json"))["quantum_check"] == {
+            "quantum": "1/64", "total_flow": "8/1", "gap": "1/1", "bound": "1/16", "ok": False,
+        }
+
+    def test_compare_exits_1(self, tmp_path, pair_path):
+        out = tmp_path / "cmp"
+        assert main(["compare", "--instance", str(pair_path), "--quantum-oracle", "--out", str(out)]) == 1
+        assert [row.split(",")[-1] for row in read(out / "compare.csv").splitlines()] == [
+            "quantum_gap", "1/1", "1/1", "63/64",
+        ]
 
 
 class TestCompareCommand:

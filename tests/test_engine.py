@@ -5,6 +5,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from alphasched import engine
 from alphasched.adversary import append_dos_tail, gen_det_lb1, gen_det_lb2
 from alphasched.engine import (
     CommitmentError,
@@ -327,6 +328,35 @@ class TestGuards:
         with pytest.raises(ModelError, match="duplicate job in segment rates"):
             state.make_decision()
         assert state.progress[1] == 0
+
+    @pytest.mark.parametrize(
+        "rates, message",
+        [
+            (((9, F(1)),), "policy rated job 9 which is not alive"),
+            (((1, F(0)),), "policy rated job 1 at nonpositive rate"),
+            (((1, F(1)), (2, F(1, 2))), "policy rates exceed unit speed"),
+            ((), "simulation stalled with alive jobs"),
+        ],
+    )
+    def test_custom_decision_guards(self, worked_example, rates, message):
+        policy = CustomPolicy(lambda view: RateDecision(rates, "custom"), "all")
+        with pytest.raises(EngineError, match=f"^{message}$"):
+            simulate(worked_example, policy)
+
+    def test_builtin_policy_may_not_idle(self, worked_example, monkeypatch):
+        monkeypatch.setattr(engine, "decide", lambda kind, view: RateDecision((), "idle"))
+        with pytest.raises(EngineError, match="^built-in policy idled with alive jobs$"):
+            simulate(worked_example, PolicyKind.ALPHA)
+
+    def test_trigger_that_commits_nothing_stalls_the_run(self):
+        class Withholding(ProgressScaledRule):
+            def commit(self, observed):
+                return {}
+
+        script = AdversaryScript((Trigger("c", 1, Withholding((1,), 2, 1)),))
+        inst = Instance((Job(1, 0, Deferred("c")),), F(1, 2), script)
+        with pytest.raises(EngineError, match=r"^unresolved deferred processing time for jobs \[1\]$"):
+            simulate(inst, PolicyKind.ALPHA)
 
     def test_feasibility_of_traces(self, worked_example):
         from alphasched.analysis import check_feasibility

@@ -4,7 +4,7 @@ import pytest
 
 from alphasched.engine import simulate
 from alphasched.metrics import build_report, delta, integrate_curve, ratio
-from alphasched.model import Instance, Job
+from alphasched.model import Instance, Job, ModelError
 from alphasched.policies import PolicyKind
 from conftest import small_instance
 
@@ -83,6 +83,11 @@ class TestCurve:
         trace, _ = simulate(worked_example, PolicyKind.ALPHA)
         curve = trace.alive_curve
         assert integrate_curve(curve, 0, trace.makespan) == build_report(trace).total_flow
+
+    def test_reversed_window_rejected(self, pair_instance):
+        trace, _ = simulate(pair_instance, PolicyKind.SRPT)
+        with pytest.raises(ModelError, match="^empty integration interval$"):
+            integrate_curve(trace.alive_curve, 3, 1)
 
     def test_window_integral(self, pair_instance):
         trace, _ = simulate(pair_instance, PolicyKind.SRPT)

@@ -23,6 +23,7 @@ from alphasched.model import (
     ScheduleTrace,
     Trigger,
     UnknownJobError,
+    UnresolvedProcError,
     instance_from_json,
     instance_to_json,
 )
@@ -158,6 +159,37 @@ class TestRational:
         with pytest.raises(ValueError):
             parse_rat(0.5)
 
+    @pytest.mark.parametrize("value", [0.1, True, Decimal("0.5"), None])
+    def test_rat_takes_only_exact_types(self, value):
+        with pytest.raises(TypeError, match=re.escape(f"not an exact rational: {value!r}")):
+            Rat(value)
+
+    @pytest.mark.parametrize("text", [" ٣ ", "1e3", "0.5", "1_000", "+3"])
+    def test_rat_reads_text_in_the_wire_format_only(self, text):
+        assert Rat(" -2/6 ") == F(-1, 3) and type(Rat("5")) is Rat
+        with pytest.raises(ValueError, match=re.escape(f"not a rational: {text!r}")):
+            Rat(text)
+
+    def test_rat_reads_any_fraction_subclass(self):
+        class Half(F):
+            pass
+
+        assert (type(Rat(Half(2, 4))), Rat(Half(2, 4))) == (Rat, F(1, 2))
+
+    @pytest.mark.parametrize("pair", [(True, 2), (1.0, 2), (1, 2.0), (F(1, 2), 3)])
+    def test_rat_ratio_of_two_ints_only(self, pair):
+        with pytest.raises(TypeError, match="not a ratio of two ints"):
+            Rat(*pair)
+
+    def test_model_takes_no_inexact_values(self, pair_instance):
+        for value in (0.1, True):
+            with pytest.raises(TypeError):
+                Job(1, value, 2)
+        with pytest.raises(ValueError):
+            Job(1, " ٣ ", 2)
+        with pytest.raises(TypeError):
+            simulate(pair_instance, PolicyKind.ALPHA, horizon=0.3)
+
 
 class TestInstanceValidation:
     def test_duplicate_ids_rejected(self):
@@ -250,6 +282,48 @@ class TestInstanceValidation:
             {"alpha": "1/2", "jobs": [{"id": 1, "release": 0, "proc": 3}]}
         )
         assert inst.jobs[0].proc == 3
+
+
+class TestGuards:
+    """The model's guards on values that reach it through the Python API."""
+
+    @pytest.fixture
+    def deferred_instance(self):
+        script = AdversaryScript((Trigger("c", 5, ProgressScaledRule((2,), 2, 1)),))
+        return Instance((Job(1, 0, 1), Job(2, 0, Deferred("c"))), F(1, 2), script)
+
+    def test_unknown_job_id(self, pair_instance):
+        with pytest.raises(UnknownJobError, match=r"^unknown job id 9$"):
+            pair_instance.job(9)
+
+    def test_unresolved_processing_time(self, deferred_instance):
+        with pytest.raises(UnresolvedProcError, match=r"^job 2 has an unresolved processing time$"):
+            deferred_instance.proc_of(2)
+
+    def test_committed_job_not_committed_again(self, deferred_instance):
+        with pytest.raises(ModelError, match=r"^job 1 is already committed$"):
+            deferred_instance.with_committed({1: 3, 2: 3})
+
+    @pytest.mark.parametrize("job_id", [2.7, True, "2"])
+    def test_segment_job_id_must_be_an_int(self, job_id):
+        with pytest.raises(ModelError, match=re.escape(f"segment job id {job_id!r} is not an int")):
+            ExecutionSegment(0, 1, ((job_id, F(1, 2)),))
+
+    def test_horizon_before_the_last_segment(self, pair_instance):
+        with pytest.raises(ModelError, match=r"^horizon precedes the last segment$"):
+            ScheduleTrace(pair_instance, [ExecutionSegment(0, 2, ((1, F(1)),))], horizon=1)
+
+    @pytest.mark.parametrize(
+        "query, error, message",
+        [
+            (lambda trace: trace.elapsed_work(1, -1), ModelError, "time must be nonnegative"),
+            (lambda trace: trace.interval_work(1, (2, 1)), ModelError, "bad interval [2, 1]"),
+            (lambda trace: trace.busy_intervals(9), UnknownJobError, "unknown job id 9"),
+        ],
+    )
+    def test_trace_queries(self, pair_instance, query, error, message):
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            query(run(pair_instance))
 
 
 class TestElapsedWork:

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from alphasched.adversary import gen_det_lb1, gen_det_lb2
 from alphasched.engine import simulate
 from alphasched.metrics import build_report
-from alphasched.model import Instance, Job, ModelError
+from alphasched.model import AdversaryScript, Deferred, Instance, Job, ModelError, ProgressScaledRule, Trigger
 from alphasched.oracle import brute_force_min_total_flow, quantum_simulate
 from alphasched.policies import PolicyKind
 from conftest import CORPUS_SIZE, corpus_instance, small_instance
@@ -209,6 +209,12 @@ class TestBruteForceOptimum:
     def test_rejects_fractional_input(self):
         inst = Instance((Job(1, 0, F(3, 2)),), F(1, 2))
         with pytest.raises(ModelError):
+            brute_force_min_total_flow(inst)
+
+    def test_rejects_a_deferred_instance(self):
+        script = AdversaryScript((Trigger("c", 1, ProgressScaledRule((1,), 2, 1)),))
+        inst = Instance((Job(1, 0, Deferred("c")),), F(1, 2), script)
+        with pytest.raises(ModelError, match="^brute force requires a resolved instance$"):
             brute_force_min_total_flow(inst)
 
     def test_long_job_leaves_recursion_limit_alone(self):

@@ -15,6 +15,13 @@ and floats stay out of the computation: ``float(...)`` is called only in
 ``cli.py``, where reports are formatted.  Every imported name is used,
 except in ``__init__.py``, whose imports are the package's re-exports, and
 every module-level private name (``_name``) is read in its module.
+
+Every function and class the package defines is read somewhere: a method
+through an attribute, a module-level function or class through a name or an
+attribute.  Reads count in the package and in ``bench/``, and so do string
+constants in ``bench/`` (the tracer patches names by string) and the
+re-exports of ``__init__.py``.  Dunder methods, which Python calls itself,
+are exempt, and so is each name in ``UNREAD_ALLOWED``, with its reason.
 """
 
 import ast
@@ -22,11 +29,16 @@ from pathlib import Path
 
 import pytest
 
-SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "alphasched").glob("*.py"))
+ROOT = Path(__file__).resolve().parents[1]
+SOURCES = sorted((ROOT / "src" / "alphasched").glob("*.py"))
+BENCH_SOURCES = sorted((ROOT / "bench").glob("*.py"))
 FLOAT_MODULES = {"cli.py"}
 FRACTION_MODULES = {"rational.py"}
 FRACTION_SLOTS = {"_numerator", "_denominator"}
 REEXPORT_MODULES = {"__init__.py"}
+UNREAD_ALLOWED = {
+    "brute_force_min_total_flow": "the documented optimum oracle that tier-1 checks SRPT against",
+}
 
 
 def violations(tree: ast.AST, filename: str = "") -> list[str]:
@@ -124,6 +136,48 @@ def unused_private_names(tree: ast.Module) -> list[str]:
     return [f"line {line}: unused private name {name}" for name, line in bound.items() if name not in read]
 
 
+def unread_definitions(modules: dict[str, ast.Module], bench: list[ast.Module]) -> list[str]:
+    """Functions and classes that ``modules`` (file name -> tree) define and
+    nothing reads, as "file:line: kind name"."""
+    names, attributes, exported = set(), set(), set()
+    for tree in [*modules.values(), *bench]:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                attributes.add(node.attr)
+    strings = {
+        node.value for tree in bench for node in ast.walk(tree)
+        if isinstance(node, ast.Constant) and isinstance(node.value, str)
+    }
+    for filename in REEXPORT_MODULES & modules.keys():
+        exported |= {
+            alias.asname or alias.name
+            for node in ast.walk(modules[filename]) if isinstance(node, ast.ImportFrom)
+            for alias in node.names
+        }
+    functions = (ast.FunctionDef, ast.AsyncFunctionDef)
+    read, read_as_method = names | attributes | strings | exported, attributes | strings
+    found = []
+    for filename, tree in sorted(modules.items()):
+        for node in tree.body:
+            if not isinstance(node, (*functions, ast.ClassDef)):
+                continue
+            kind = "class" if isinstance(node, ast.ClassDef) else "function"
+            if node.name not in read:
+                found.append(f"{filename}:{node.lineno}: {kind} {node.name}")
+            methods = [m for m in node.body if isinstance(m, functions)] if kind == "class" else []
+            for member in methods:
+                dunder = member.name.startswith("__") and member.name.endswith("__")
+                if not dunder and member.name not in read_as_method:
+                    found.append(f"{filename}:{member.lineno}: method {node.name}.{member.name}")
+    return found
+
+
+def parsed(paths) -> dict[str, ast.Module]:
+    return {path.name: ast.parse(path.read_text(encoding="utf-8"), str(path)) for path in paths}
+
+
 def test_sources_found():
     assert {"model.py", "engine.py", "analysis.py"} <= {p.name for p in SOURCES}
 
@@ -169,6 +223,24 @@ def test_leftover_private_helper_caught():
     )
     assert [v.split(": ", 1)[1] for v in violations(ast.parse(source), analysis.name)] == [
         "unused private name _signalled_at"
+    ]
+
+
+def test_every_definition_is_read():
+    unread = unread_definitions(parsed(SOURCES), list(parsed(BENCH_SOURCES).values()))
+    assert [line for line in unread if line.rsplit(" ", 1)[1] not in UNREAD_ALLOWED] == []
+
+
+def test_leftover_method_caught():
+    modules = parsed(SOURCES)
+    graph = next(
+        node for node in modules["analysis.py"].body
+        if isinstance(node, ast.ClassDef) and node.name == "BorrowGraph"
+    )
+    graph.body += ast.parse("def successors(self, j):\n    return sorted(self._succ.get(j, ()))").body
+    unread = unread_definitions(modules, list(parsed(BENCH_SOURCES).values()))
+    assert [line.split(": ", 1)[1] for line in unread if "BorrowGraph" in line] == [
+        "method BorrowGraph.successors"
     ]
 
 
