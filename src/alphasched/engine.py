@@ -36,8 +36,7 @@ unrated and when it enters or leaves the rated set, in O(log d) comparisons
 of a ranking's d distinct keys plus list shifts.  With c changed jobs, e
 jobs entering or leaving the rated set and n alive jobs, a stop costs
 O((c + e) log n) exact operations and a fused-rule or SRPT decision
-O(k + log n); a built-in rule's view lists every alive job only if the rule
-reads them, and any other policy's view is a snapshot of them all.  No
+O(k + log n); a view lists every alive job only if the rule reads them.  No
 exact value is built twice: one product per distinct rate advances the
 rated jobs, and the fused rule's two threshold factors are computed once per
 run.  Consecutive stops under equal rates extend one open segment, so
@@ -140,34 +139,25 @@ class _Ranking:
 
 
 class SimState:
-    """Mutable simulation state; drives one deterministic run.
-
-    A policy is a ``PolicyKind`` or any object with ``decide(view)``; both
-    may carry ``omniscient`` (default False) and ``merge_pool`` ("all", the
-    default, or "unsignalled": which alive jobs can join an evenly-shared
-    set).  They are read once, here, with a ``PolicyKind``'s
-    ``reads_signals``: a rule that reads no signal does not stop at
-    emissions.  Any other policy may read ``emitted`` or ``signal_time``, so
-    it stops at every emission.
+    """Mutable simulation state; drives one deterministic run of one of the
+    three rules, a ``PolicyKind``.  A rule that reads no signal does not
+    stop at emissions.
 
     ``progress``, ``proc`` and ``signal`` are the state itself.  The view
     entries and the rankings are derived from them; they trail them for the
     jobs in ``_changed`` until the next view or next-event search refreshes
     them.  The rankings hold exactly the alive jobs that the current
     decision does not rate, so a decision that keeps its rated set leaves
-    them untouched.  A built-in rule keeps no view, so its view reads the
-    live state; any other policy may keep its view, so it gets a snapshot.
+    them untouched.  A rule keeps no view, so its view reads the live state.
     """
 
-    def __init__(self, instance: Instance, policy, horizon: Optional[Fraction] = None):
+    def __init__(self, instance: Instance, policy: PolicyKind, horizon: Optional[Fraction] = None):
+        if not isinstance(policy, PolicyKind):
+            raise ModelError(f"simulation needs a PolicyKind, got {policy!r}")
         self.instance = instance
         self.policy = policy
-        self.builtin = isinstance(policy, PolicyKind)
-        # built-in decisions go through policies.decide, looked up per call
-        self.decide = (lambda view: decide(policy, view)) if self.builtin else policy.decide
-        self.omniscient = bool(getattr(policy, "omniscient", False))
-        self.merge_pool = getattr(policy, "merge_pool", "all")
-        self.stops_at_emissions = not self.builtin or policy.reads_signals
+        self.omniscient = policy.omniscient
+        self.stops_at_emissions = policy.reads_signals
         self.horizon = None if horizon is None else Rat(horizon)
         if self.horizon is not None and self.horizon < 0:
             raise ModelError(f"horizon {self.horizon} is negative")
@@ -252,9 +242,7 @@ class SimState:
 
     def build_view(self) -> PolicyView:
         self._refresh()
-        if self.builtin:
-            return PolicyView(self.now, self.alpha, self.omniscient, source=self)
-        return PolicyView(self.now, self.alpha, self.omniscient, jobs=self.view_jobs())
+        return PolicyView(self.now, self.alpha, self.omniscient, source=self)
 
     def view_jobs(self) -> tuple[ViewJob, ...]:
         entries = self._entries
@@ -366,7 +354,8 @@ class SimState:
         return alive
 
     def make_decision(self) -> RateDecision:
-        decision = self.decide(self.build_view())
+        # the module global, looked up per call so that a tracer can wrap it
+        decision = decide(self.policy, self.build_view())
         total = Rat(0)
         for j, r in decision.rates:
             if j not in self._entries:
@@ -380,7 +369,7 @@ class SimState:
         # segment check a valid decision can still fail is made here
         if len({j for j, _ in decision.rates}) != len(decision.rates):
             raise ModelError("duplicate job in segment rates")
-        if self.builtin and self._alive and not decision.rates:
+        if self._alive and not decision.rates:
             raise EngineError("built-in policy idled with alive jobs")
         branch = decision.branch
         if branch in ("srpt", "setf") and self._last_branch in ("srpt", "setf") and branch != self._last_branch:
@@ -432,8 +421,10 @@ class SimState:
         if self.decision.branch == "setf" and rates:
             level, rho = self.progress[rates[0][0]], rates[0][1]
             if all(self.progress[j] == level and r == rho for j, r in rates[1:]):
+                # SETF shares among all alive jobs, the fused rule among
+                # the unsignalled ones only
                 pool = [self._unsignalled]
-                if self.merge_pool == "all":
+                if self.policy is PolicyKind.SETF:
                     pool.append(self._signalled)
                 above = [x for x in (ranking.least_above(level) for ranking in pool) if x is not None]
                 if above:
@@ -514,6 +505,9 @@ class SimState:
                         raise EngineError(
                             f"unresolved deferred processing time for jobs {unresolved}"
                         )
+                    # lemma check: alive jobs get a nonempty decision (the
+                    # idle guard), and a rated job with a committed p has a
+                    # completion wait, so a run cannot get here
                     raise EngineError("simulation stalled with alive jobs")
                 break
             t2, kinds = nxt
@@ -550,13 +544,14 @@ class SimState:
 
 
 def simulate(
-    instance: Instance, policy, horizon: Optional[Fraction] = None
+    instance: Instance, policy: PolicyKind, horizon: Optional[Fraction] = None
 ) -> tuple[ScheduleTrace, EventLog]:
-    """Run a policy over an instance and return the trace and event log."""
+    """Run one of the three rules over an instance and return the trace and
+    event log."""
     return SimState(instance, policy, horizon=horizon).run()
 
 
-def replay_check(trace: ScheduleTrace, instance: Instance, policy) -> bool:
+def replay_check(trace: ScheduleTrace, instance: Instance, policy: PolicyKind) -> bool:
     """Re-simulate and compare against the canonical form of a given trace."""
     fresh, _ = simulate(instance, policy, horizon=trace.horizon)
     return fresh.canonical_bytes() == trace.canonical_bytes()

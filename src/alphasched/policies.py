@@ -30,11 +30,6 @@ class PolicyKind(Enum):
         return self is PolicyKind.SRPT
 
     @property
-    def merge_pool(self) -> str:
-        """Only the fused rule keeps signalled jobs out of the shared set."""
-        return "unsignalled" if self is PolicyKind.ALPHA else "all"
-
-    @property
     def reads_signals(self) -> bool:
         """Only the fused rule reacts to a signal: SRPT sees every p and
         SETF reads only progress."""
@@ -52,9 +47,8 @@ class ViewJob(NamedTuple):
 
 class PolicyView:
     """The alive jobs at one decision, in id order, and the minima the
-    built-in rules read.  A view given its ``jobs`` scans them for the
-    minima.  A live engine view (``source``), which only a built-in rule
-    gets because it keeps no view, scans its few candidates and builds
+    rules read.  A view given its ``jobs`` scans them for the minima.  A
+    live engine view (``source``) scans its few candidates and builds
     ``jobs`` only when read.
     """
 

@@ -49,10 +49,17 @@ def worked_example() -> Instance:
 
 
 @st.composite
-def json_instances(draw) -> Instance:
+def json_instances(draw, agreeing=True) -> Instance:
     """Valid instances of every JSON shape: committed jobs with rational
     releases and processing times, and deferred jobs committed by
-    progress-scaled and rank-pair triggers."""
+    progress-scaled and rank-pair triggers.
+
+    An agreeing script commits every job at or beyond its progress at the
+    trigger, which is at most the fire time: alpha > 0, a progress-scaled
+    rule has scale >= 1/alpha and a positive offset (a job that has not
+    run observes 0), and a rank-pair rule's times are at least
+    fire_at/alpha.  Otherwise scales, offsets and times are arbitrary, and
+    a script may contradict the schedule."""
     positive = st.builds(Fraction, st.integers(1, 40), st.integers(1, 6))
     nonnegative = st.builds(Fraction, st.integers(0, 40), st.integers(1, 6))
     entries = [(draw(nonnegative), draw(positive)) for _ in range(draw(st.integers(0, 4)))]
@@ -65,17 +72,22 @@ def json_instances(draw) -> Instance:
     entries.sort(key=lambda e: e[0])
     ids = sorted(draw(st.sets(st.integers(1, 99), min_size=len(entries), max_size=len(entries))))
     jobs = tuple(Job(i, release, proc) for i, (release, proc) in zip(ids, entries))
+    den = draw(st.integers(1, 6))
+    alpha = Fraction(draw(st.integers(1 if agreeing and rules else 0, den)), den)
     triggers = []
     fire_at = Fraction(0)
     for k, kind in enumerate(rules):
         fire_at += draw(positive)
         ruled = tuple(job.id for job in jobs if job.proc == Deferred(f"t{k}"))
-        if kind is RankPairRule:
+        if kind is RankPairRule and agreeing:
+            least = fire_at / alpha
+            rule = RankPairRule(ruled, least + draw(nonnegative), least + draw(nonnegative))
+        elif kind is RankPairRule:
             rule = RankPairRule(ruled, draw(positive), draw(positive))
+        elif agreeing:
+            rule = ProgressScaledRule(ruled, 1 / alpha + draw(nonnegative), draw(positive))
         else:
             offset = draw(st.builds(Fraction, st.integers(-5, 20), st.integers(1, 6)))
             rule = ProgressScaledRule(ruled, draw(positive), offset)
         triggers.append(Trigger(f"t{k}", fire_at, rule))
-    den = draw(st.integers(1, 6))
-    alpha = Fraction(draw(st.integers(0, den)), den)
     return Instance(jobs, alpha, AdversaryScript(tuple(triggers)) if triggers else None)

@@ -6,6 +6,7 @@ from fractions import Fraction as F
 import pytest
 
 from alphasched.adversary import (
+    _floor_pow2,
     append_dos_tail,
     gen_det_lb1,
     gen_det_lb2,
@@ -97,6 +98,20 @@ class TestDeterministicBound2:
         a, _ = gen_det_lb2(F(2, 3), 3)
         b, _ = gen_det_lb2(F(2, 3), 3)
         assert a == b
+
+
+class TestFloorPow2:
+    @pytest.mark.parametrize("exponent", [F(0), F(-1, 2)])
+    def test_exponent_must_be_positive(self, exponent):
+        # 2 ** num is a float for a negative num, so the guard stays
+        with pytest.raises(ModelError, match="^exponent must be positive$"):
+            _floor_pow2(exponent)
+
+    def test_largest_integer_root(self):
+        for p in range(1, 9):
+            for q in range(1, 9):
+                c = _floor_pow2(F(p, q))
+                assert c**q <= 2**p < (c + 1) ** q, (p, q)
 
 
 class TestRandomizedBound:

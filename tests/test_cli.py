@@ -176,7 +176,7 @@ def malformed_instances(draw):
     wrong type, or, for a rational, given a zero denominator or a float; or
     with a top-level "adversary" of a falsy wrong type (only null means no
     adversary)."""
-    obj = instance_to_json(draw(json_instances()))
+    obj = instance_to_json(draw(json_instances(agreeing=False)))
     path = draw(st.sampled_from(list(required_fields(obj)) + [("adversary",)]))
     parent = obj
     for key in path[:-1]:

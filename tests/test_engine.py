@@ -1,11 +1,12 @@
 import json
+import re
 from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from alphasched import engine
+from alphasched import engine, policies
 from alphasched.adversary import append_dos_tail, gen_det_lb1, gen_det_lb2
 from alphasched.engine import (
     CommitmentError,
@@ -33,9 +34,7 @@ from alphasched.policies import (
     PolicyView,
     RateDecision,
     ViewJob,
-    alpha_clairvoyant_decide,
     setf_decide,
-    srpt_decide,
 )
 from conftest import CORPUS_SIZE, corpus_instance, json_instances
 
@@ -93,6 +92,15 @@ class TestSimulateBasics:
         assert trace.makespan == 3
         assert not trace.complete
         assert trace.elapsed_work(1, 3) == F(3, 2)
+
+    @pytest.mark.parametrize("policy", ["setf", setf_decide, None])
+    def test_policy_must_be_a_policy_kind(self, pair_instance, policy):
+        trace, _ = simulate(pair_instance, PolicyKind.SETF)
+        message = rf"^simulation needs a PolicyKind, got {re.escape(repr(policy))}$"
+        with pytest.raises(ModelError, match=message):
+            simulate(pair_instance, policy)
+        with pytest.raises(ModelError, match=message):
+            replay_check(trace, pair_instance, policy)
 
     def test_negative_horizon_rejected_before_any_work(self, pair_instance):
         with pytest.raises(ModelError, match=r"^horizon -1 is negative$"):
@@ -163,47 +171,61 @@ class TestDeterminismAndReplay:
         assert log.csv_rows() == golden["events"]
 
 
-class TestPolicyProtocol:
-    class BareSetf:
-        """A custom policy with nothing but decide: the protocol defaults
-        (not omniscient, merge pool "all") make it the built-in SETF."""
+@pytest.fixture
+def decided_views(monkeypatch):
+    """Spy on the engine's decisions: each view's time and jobs, read
+    inside the decision, in the order the engine asked."""
+    seen = []
 
-        decide = staticmethod(setf_decide)
+    def spy(kind, view):
+        seen.append((view.now, view.jobs))
+        return policies.decide(kind, view)
+
+    monkeypatch.setattr(engine, "decide", spy)
+    return seen
+
+
+def run_stopping_at_emissions(inst, kind):
+    """A run of a rule that reads no signal, made to stop and decide again
+    at every emission as a signal-reading rule does."""
+    state = SimState(inst, kind)
+    state.stops_at_emissions = True
+    return state.run()
+
+
+class TestPolicyProtocol:
+    """The engine's contract with a rule: it asks ``decide(kind, view)``
+    through its module global, and reads the kind's ``omniscient`` and
+    ``reads_signals`` once per run."""
 
     @pytest.mark.parametrize("seed", range(60))
-    def test_custom_setf_equals_builtin(self, seed):
+    def test_custom_setf_equals_builtin(self, seed, decided_views):
+        # SETF stopping at every emission, each decision also seen by the
+        # spy, writes the bytes of SETF logging its emissions in passing
         inst = corpus_instance(seed)
-        custom, custom_log = simulate(inst, self.BareSetf())
+        custom, custom_log = run_stopping_at_emissions(inst, PolicyKind.SETF)
+        custom_stops = len(decided_views)
+        decided_views.clear()
         builtin, builtin_log = simulate(inst, PolicyKind.SETF)
         assert custom.canonical_bytes() == builtin.canonical_bytes()
         assert custom_log.csv_rows() == builtin_log.csv_rows()
+        emissions = {e.time for e in custom_log if e.kind == "emission"}
+        emission_only = emissions - {e.time for e in custom_log if e.kind != "emission"}
+        assert custom_stops == len(decided_views) + len(emission_only)
 
     def test_builtin_attributes(self):
         assert [k.omniscient for k in PolicyKind] == [False, True, False]
-        assert [k.merge_pool for k in PolicyKind] == ["unsignalled", "all", "all"]
 
 
 class TestInformationHiding:
-    class SpyPolicy:
-        omniscient = False
-        merge_pool = "all"
-
-        def __init__(self, instance):
-            self.instance = instance
-            self.views = []
-
-        def decide(self, view):
-            self.views.append(view)
-            return setf_decide(view)
-
-    def test_unsignalled_jobs_hide_remaining(self, worked_example):
-        spy = self.SpyPolicy(worked_example)
-        simulate(worked_example, spy)
-        assert spy.views
-        for view in spy.views:
-            for entry in view.jobs:
-                p = self.instance_proc(worked_example, entry.job_id)
-                if entry.elapsed < view.alpha * p:
+    def test_unsignalled_jobs_hide_remaining(self, worked_example, decided_views):
+        for kind in (PolicyKind.ALPHA, PolicyKind.SETF):
+            simulate(worked_example, kind)
+        assert decided_views
+        for _, jobs in decided_views:
+            for entry in jobs:
+                p = worked_example.job(entry.job_id).proc
+                if entry.elapsed < worked_example.alpha * p:
                     assert not entry.emitted
                     assert entry.remaining is None
                     assert entry.signal_time is None
@@ -211,20 +233,17 @@ class TestInformationHiding:
                     assert entry.emitted
                     assert entry.remaining == p - entry.elapsed
 
-    @staticmethod
-    def instance_proc(instance, job_id):
-        return instance.job(job_id).proc
-
-    def test_deferred_jobs_never_signalled(self):
+    def test_deferred_jobs_never_signalled(self, decided_views):
         script = AdversaryScript(
             (Trigger("c", F(2), ProgressScaledRule((1,), 2, 1)),)
         )
         inst = Instance((Job(1, 0, Deferred("c")),), F(1, 2), script)
-        spy = self.SpyPolicy(inst)
-        simulate(inst, spy)
-        for view in spy.views:
-            for entry in view.jobs:
-                if view.now < 2:
+        for kind in (PolicyKind.ALPHA, PolicyKind.SETF):
+            simulate(inst, kind)
+        assert any(now < 2 for now, _ in decided_views)
+        for now, jobs in decided_views:
+            for entry in jobs:
+                if now < 2:
                     assert not entry.emitted and entry.remaining is None
 
 
@@ -319,11 +338,12 @@ class TestGuards:
         with pytest.raises(EngineError, match="threshold already crossed"):
             state.next_event()
 
-    def test_duplicate_rates_rejected_before_any_progress(self, worked_example):
+    def test_duplicate_rates_rejected_before_any_progress(self, worked_example, monkeypatch):
         # a decision rating job 1 twice at 1/2 passes the per-rate checks; it
         # must fail as the segment it would build does, before it runs
         twice = RateDecision(((1, F(1, 2)), (1, F(1, 2))), "setf")
-        state = SimState(worked_example, CustomPolicy(lambda view: twice, "all"))
+        monkeypatch.setattr(engine, "decide", lambda kind, view: twice)
+        state = SimState(worked_example, PolicyKind.SETF)
         state.apply_instant_events()
         with pytest.raises(ModelError, match="duplicate job in segment rates"):
             state.make_decision()
@@ -335,17 +355,23 @@ class TestGuards:
             (((9, F(1)),), "policy rated job 9 which is not alive"),
             (((1, F(0)),), "policy rated job 1 at nonpositive rate"),
             (((1, F(1)), (2, F(1, 2))), "policy rates exceed unit speed"),
-            ((), "simulation stalled with alive jobs"),
         ],
     )
-    def test_custom_decision_guards(self, worked_example, rates, message):
-        policy = CustomPolicy(lambda view: RateDecision(rates, "custom"), "all")
+    def test_custom_decision_guards(self, worked_example, monkeypatch, rates, message):
+        monkeypatch.setattr(engine, "decide", lambda kind, view: RateDecision(rates, "custom"))
         with pytest.raises(EngineError, match=f"^{message}$"):
-            simulate(worked_example, policy)
+            simulate(worked_example, PolicyKind.ALPHA)
 
     def test_builtin_policy_may_not_idle(self, worked_example, monkeypatch):
         monkeypatch.setattr(engine, "decide", lambda kind, view: RateDecision((), "idle"))
         with pytest.raises(EngineError, match="^built-in policy idled with alive jobs$"):
+            simulate(worked_example, PolicyKind.ALPHA)
+
+    def test_stall_is_a_lemma_check(self, worked_example, monkeypatch):
+        # a valid decision always has a next event; with none found, the run
+        # reports the broken lemma instead of ending with jobs alive
+        monkeypatch.setattr(SimState, "next_event", lambda state: None)
+        with pytest.raises(EngineError, match="^simulation stalled with alive jobs$"):
             simulate(worked_example, PolicyKind.ALPHA)
 
     def test_trigger_that_commits_nothing_stalls_the_run(self):
@@ -424,6 +450,11 @@ class TestEmissionsInPassing:
     @settings(max_examples=300, deadline=None, database=None, derandomize=True)
     @given(json_instances())
     def test_json_instances_under_setf(self, inst):
+        assert_emissions_match(*simulate(inst, PolicyKind.SETF))
+
+    @settings(max_examples=300, deadline=None, database=None, derandomize=True)
+    @given(json_instances(agreeing=False))
+    def test_any_script_under_setf(self, inst):
         try:
             run = simulate(inst, PolicyKind.SETF)
         except CommitmentError:
@@ -451,40 +482,27 @@ class TestSignalReadingScope:
     def test_only_the_fused_rule_reads_signals(self):
         assert [k.reads_signals for k in PolicyKind] == [True, False, False]
 
-    def test_custom_srpt_still_stops_at_each_emission(self, monkeypatch):
-        # a custom policy may read emitted, so it decides at every emission
-        # and sees the flag flip there; the built-in SRPT is not asked then,
-        # and both runs write the same bytes
-        views = []
-
-        def watched(view):
-            views.append((view.now, {j.job_id: j.emitted for j in view.jobs}))
-            return srpt_decide(view)
-
-        original = SimState.build_view
-        asked = []
-
-        def recorded(state):
-            asked.append(state.now)
-            return original(state)
-
-        monkeypatch.setattr(SimState, "build_view", recorded)
-        custom = CustomPolicy(watched, "all", omniscient=True)
+    def test_custom_srpt_still_stops_at_each_emission(self, decided_views):
+        # SRPT made to stop at every emission, as a signal-reading rule
+        # does, decides there and sees the flag flip; SRPT itself is not
+        # asked then, and both runs write the same bytes
         skipped = 0
         for seed in range(1, 61):
             inst = corpus_instance(seed)
-            views.clear()
-            trace, log = simulate(inst, custom)
-            times = [t for t, _ in views]
+            decided_views.clear()
+            trace, log = run_stopping_at_emissions(inst, PolicyKind.SRPT)
+            times = [now for now, _ in decided_views]
+            flags = [{j.job_id: j.emitted for j in jobs} for _, jobs in decided_views]
             emissions = [(e.time, e.jobs) for e in log if e.kind == "emission"]
             for t, jobs in emissions:
                 k = times.index(t)
                 for j in jobs:
-                    assert views[k][1][j] is True and views[k - 1][1][j] is False
+                    assert flags[k][j] is True and flags[k - 1][j] is False
             stops = {e.time for e in log if e.kind != "emission"}
             emission_only = {t for t, _ in emissions} - stops
-            asked.clear()
+            decided_views.clear()
             builtin_trace, builtin_log = simulate(inst, PolicyKind.SRPT)
+            asked = [now for now, _ in decided_views]
             assert not emission_only & set(asked)
             assert len(asked) == len(times) - len(emission_only)
             assert builtin_trace.csv_rows() == trace.csv_rows()
@@ -514,13 +532,6 @@ def full_view(state):
             signal_time=state.signal.get(j),
         ))
     return PolicyView(state.now, state.alpha, state.omniscient, tuple(entries))
-
-
-class CustomPolicy:
-    def __init__(self, decide, merge_pool, omniscient=False):
-        self.decide = decide
-        self.merge_pool = merge_pool
-        self.omniscient = omniscient
 
 
 def exact_commit_lb1(alpha, k):
@@ -560,18 +571,10 @@ def view_reference_runs():
                 inst, t = gen(alpha, k)
                 yield from deferred_runs(append_dos_tail(inst, t, 10))
         yield from deferred_runs(waiting_commit_instance(alpha))
-    policies = [CustomPolicy(alpha_clairvoyant_decide, pool) for pool in ("all", "unsignalled")]
-    policies += [CustomPolicy(setf_decide, "unsignalled"), CustomPolicy(srpt_decide, "all", True)]
-    for seed in range(1, 31):
-        for policy in policies:
-            yield corpus_instance(seed), policy
-    inst, t = gen_det_lb2(F(1, 2), 3)
-    for policy in policies[:3]:
-        yield append_dos_tail(inst, t, 10), policy
 
 
 def minima(view):
-    """The minima the built-in rules decide from; SRPT's only on an
+    """The minima the rules decide from; SRPT's only on an
     omniscient view, the one kind whose candidates carry it."""
     least = view.least_unsignalled
     found = (least, least is not None and view.unsignalled_at(least), view.best_signalled)
@@ -599,39 +602,10 @@ class TestViewReference:
         for inst, policy in view_reference_runs():
             simulate(inst, policy)
             runs += 1
-        assert runs == 300 + 54 + 9 + 30 * 4 + 3
+        assert runs == 300 + 54 + 9
         assert len(calls) > 10 * runs
         # the engine's candidates are its rankings' fronts, not every job
         assert sizes[0] < sizes[1]
-
-    def test_stored_views_keep_their_decision_time_jobs(self, monkeypatch):
-        # the policy reads only the minima and keeps every view; read after
-        # the run, each view still shows the jobs of its own decision
-        original = SimState.build_view
-        rebuilt = []
-
-        def recorded(state):
-            rebuilt.append(full_view(state))
-            return original(state)
-
-        class Keeper:
-            merge_pool = "unsignalled"
-
-            def __init__(self):
-                self.views = []
-
-            def decide(self, view):
-                self.views.append(view)
-                return alpha_clairvoyant_decide(view)
-
-        monkeypatch.setattr(SimState, "build_view", recorded)
-        inst, t = gen_det_lb2(F(1, 2), 3)
-        keeper = Keeper()
-        simulate(append_dos_tail(inst, t, 10), keeper)
-        assert len(keeper.views) == len(rebuilt) > 20
-        for view, reference in zip(keeper.views, rebuilt):
-            assert view == reference, f"view at {view.now} changed after its decision"
-            assert minima(view) == minima(reference)
 
 
 class TestTieBreaksThroughSimulate:
