@@ -355,23 +355,21 @@ class TestGuards:
             (((9, F(1)),), "policy rated job 9 which is not alive"),
             (((1, F(0)),), "policy rated job 1 at nonpositive rate"),
             (((1, F(1)), (2, F(1, 2))), "policy rates exceed unit speed"),
+            (((1, F(1)),), "simulation stalled with alive jobs"),
         ],
     )
     def test_custom_decision_guards(self, worked_example, monkeypatch, rates, message):
+        # the guards reject a bad decision before the next event is sought; a
+        # valid decision always has a next event, so with none found the run
+        # reports the broken lemma instead of ending with jobs alive
         monkeypatch.setattr(engine, "decide", lambda kind, view: RateDecision(rates, "custom"))
+        monkeypatch.setattr(SimState, "next_event", lambda state: None)
         with pytest.raises(EngineError, match=f"^{message}$"):
             simulate(worked_example, PolicyKind.ALPHA)
 
     def test_builtin_policy_may_not_idle(self, worked_example, monkeypatch):
         monkeypatch.setattr(engine, "decide", lambda kind, view: RateDecision((), "idle"))
         with pytest.raises(EngineError, match="^built-in policy idled with alive jobs$"):
-            simulate(worked_example, PolicyKind.ALPHA)
-
-    def test_stall_is_a_lemma_check(self, worked_example, monkeypatch):
-        # a valid decision always has a next event; with none found, the run
-        # reports the broken lemma instead of ending with jobs alive
-        monkeypatch.setattr(SimState, "next_event", lambda state: None)
-        with pytest.raises(EngineError, match="^simulation stalled with alive jobs$"):
             simulate(worked_example, PolicyKind.ALPHA)
 
     def test_trigger_that_commits_nothing_stalls_the_run(self):
