@@ -378,6 +378,24 @@ class Partition(NamedTuple):
     clairvoyant: frozenset[int]  # elapsed work beyond alpha * p
 
 
+@dataclass(frozen=True)
+class TimePoint:
+    """Both schedules' state at one check time, computed once and read by
+    every check made at that time; the only way a check gets that state."""
+
+    t: Fraction
+    work: Mapping[int, Fraction]  # the algorithm's elapsed work y_j(t), every job
+    part: Partition  # the algorithm's partition at t
+    opt_alive: frozenset[int]  # the optimum's alive set O(t)
+
+    @classmethod
+    def at(cls, alg_trace: ScheduleTrace, opt_trace: ScheduleTrace, t: Fraction) -> "TimePoint":
+        if alg_trace.instance.jobs != opt_trace.instance.jobs:
+            raise ModelError("traces must share one instance")
+        t = Rat(t)
+        return cls(t, alg_trace.work_at(t), alg_trace.partition(t), opt_trace.alive_at(t))
+
+
 def _merge_adjacent(segments: Sequence[ExecutionSegment]) -> tuple[ExecutionSegment, ...]:
     merged: list[ExecutionSegment] = []
     for seg in segments:

@@ -19,14 +19,22 @@ max flow nor the reachability sets.
 
 Both network builders give holder arcs the sweep's per-instance capacity,
 total work plus 1, and read the job-to-job steps off the arcs.
+
+``max_flow_depth_first`` is a second exact max flow with the contract of
+``flow.max_flow_saturates`` and a different witness: depth-first
+augmentation over the arcs in a seeded order.  Its witness often carries a
+cycle, which ``path_decomposition`` reports; ``without_cycles`` cancels
+them.  The tests run the verifier with each solver and compare the reports.
 """
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 
-from alphasched.analysis import SINK, SOURCE, BorrowGraph, FlowNetwork, TimePoint
-from alphasched.model import ScheduleTrace
+from alphasched.borrow import BorrowGraph
+from alphasched.flow import SINK, SOURCE, FlowNetwork, FlowResult
+from alphasched.model import ScheduleTrace, TimePoint
 
 
 def build_borrow_graph_from_scratch(trace: ScheduleTrace, t) -> BorrowGraph:
@@ -84,7 +92,7 @@ def _grid(alg_trace: ScheduleTrace, point: TimePoint, extra_points):
     return jobs, tuple(sorted(points))
 
 
-def _network(alg_trace, point, jobs, tps, arcs, infinite) -> FlowNetwork:
+def _network(alg_trace, point, tps, arcs) -> FlowNetwork:
     work = point.work
     supplies = {}
     for j in sorted(point.part.alive - point.opt_alive):
@@ -98,11 +106,9 @@ def _network(alg_trace, point, jobs, tps, arcs, infinite) -> FlowNetwork:
         arcs[(("job", i), SINK)] = d
     return FlowNetwork(
         time_points=tps,
-        jobs=tuple(job.id for job in jobs),
         arcs=arcs,
         supplies=supplies,
         demands=demands,
-        infinite=infinite,
         steps=steps_of(arcs),
     )
 
@@ -136,7 +142,7 @@ def build_flow_network_from_scratch(
             for holder in holders[l]:
                 if holder != vertex:
                     arcs[(holder, dummy)] = infinite
-    return _network(alg_trace, point, jobs, tps, arcs, infinite)
+    return _network(alg_trace, point, tps, arcs)
 
 
 def build_flow_network_with_dead_dummies(
@@ -155,4 +161,93 @@ def build_flow_network_with_dead_dummies(
                 j = holder.id
                 if j != i and holder.release <= a and b <= alg_trace.lifetime_end(j, t):
                     arcs[(("job", j), dummy)] = infinite
-    return _network(alg_trace, point, jobs, tps, arcs, infinite)
+    return _network(alg_trace, point, tps, arcs)
+
+
+def max_flow_depth_first(net: FlowNetwork, seed: int) -> tuple[bool, FlowResult]:
+    """Exact max flow on ``net.solved_arcs()``: depth-first search for each
+    augmenting path, over the arcs in an order shuffled by ``seed``.  As in
+    ``max_flow_saturates``, the flow lists every arc that carries some, in
+    sorted order, and below supply the result carries the vertices reachable
+    from the source in the final residual graph."""
+    arcs = sorted(net.solved_arcs().items())
+    random.Random(seed).shuffle(arcs)
+    out = {SOURCE: [], SINK: []}  # residual arcs leaving each vertex
+    heads, residual = [], []
+    for (u, v), cap in arcs:
+        out.setdefault(u, []).append(len(heads))
+        heads.append(v)
+        residual.append(cap)
+        out.setdefault(v, []).append(len(heads))
+        heads.append(u)
+        residual.append(Fraction(0))
+    value = Fraction(0)
+    while True:
+        parent = {}  # vertex -> residual arc it was reached by
+        stack = [(SOURCE, None)]
+        while stack and SINK not in parent:
+            u, e = stack.pop()
+            if u in parent:
+                continue
+            parent[u] = e
+            stack += [(heads[f], f) for f in out[u] if residual[f] > 0 and heads[f] not in parent]
+        if SINK not in parent:
+            break
+        path = []
+        w = SINK
+        while parent[w] is not None:
+            path.append(parent[w])
+            w = heads[parent[w] ^ 1]
+        push = min(residual[e] for e in path)
+        for e in path:
+            residual[e] -= push
+            residual[e ^ 1] += push
+        value += push
+    flow = dict(sorted((arc, residual[2 * k + 1]) for k, (arc, _) in enumerate(arcs)))
+    flow = {arc: f for arc, f in flow.items() if f > 0}
+    if value == net.total_supply:
+        return True, FlowResult(value=value, flow=flow)
+    return False, FlowResult(value=value, flow=flow, cut=frozenset(parent))
+
+
+def without_cycles(result: FlowResult) -> FlowResult:
+    """The flow less every cycle it carries, found depth-first and cancelled
+    by its least arc flow; the value, the cut and the flow on every source
+    and sink arc stay."""
+    flow = dict(result.flow)
+    while True:
+        onward = {}
+        for u, v in flow:
+            onward.setdefault(u, []).append(v)
+        cycle = _cycle(onward)
+        if cycle is None:
+            return FlowResult(value=result.value, flow=flow, cut=result.cut)
+        arcs = list(zip(cycle, cycle[1:]))
+        gamma = min(flow[arc] for arc in arcs)
+        for arc in arcs:
+            flow[arc] -= gamma
+            if not flow[arc]:
+                del flow[arc]
+
+
+def _cycle(onward):
+    """A closed walk u, ..., u along ``onward`` visiting no vertex twice
+    but u, or None."""
+    done, index, path = set(), {}, []
+
+    def visit(u):
+        index[u] = len(path)
+        path.append(u)
+        for v in sorted(onward.get(u, ())):
+            if v in index:
+                return path[index[v]:] + [v]
+            if v not in done and (found := visit(v)):
+                return found
+        del index[path.pop()]
+        done.add(u)
+        return None
+
+    for root in sorted(onward):
+        if root not in done and (found := visit(root)):
+            return found
+    return None

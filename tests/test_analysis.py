@@ -8,17 +8,7 @@ from hypothesis import given, settings, strategies as st
 from alphasched import analysis
 from alphasched.adversary import append_dos_tail, gen_det_lb1, gen_det_lb2, gen_random_instance
 from alphasched.analysis import (
-    SINK,
-    SOURCE,
-    BetaMatrix,
-    BorrowGraph,
-    BorrowSweep,
-    FlowNetwork,
-    FlowResult,
-    NetworkSweep,
-    TimePoint,
     build_borrow_graph,
-    build_flow_network,
     check_beta_properties,
     check_branch_observations,
     check_catch_up,
@@ -35,14 +25,25 @@ from alphasched.analysis import (
     check_times,
     checks_at,
     compute_segments,
-    decompose_beta,
-    max_flow_saturates,
-    refine_flow,
+    simulate_pair,
     verify_flow_feasible,
     verify_instance,
     verify_traces,
 )
+from alphasched.borrow import BorrowGraph, BorrowSweep
 from alphasched.engine import simulate
+from alphasched.flow import (
+    SINK,
+    SOURCE,
+    BetaMatrix,
+    FlowNetwork,
+    FlowResult,
+    NetworkSweep,
+    build_flow_network,
+    decompose_beta,
+    max_flow_saturates,
+    refine_flow,
+)
 from alphasched.model import (
     ExecutionSegment,
     Instance,
@@ -50,6 +51,7 @@ from alphasched.model import (
     ModelError,
     Partition,
     ScheduleTrace,
+    TimePoint,
     UnknownJobError,
 )
 from alphasched.policies import PolicyKind
@@ -59,8 +61,11 @@ from flow_reference import (
     build_borrow_graph_from_scratch,
     build_flow_network_from_scratch,
     build_flow_network_with_dead_dummies,
+    max_flow_depth_first,
     steps_of,
+    without_cycles,
 )
+from test_acceptance import report_bytes, trace_edits
 
 
 @pytest.fixture
@@ -118,11 +123,9 @@ def verifier_networks(draw):
     order = draw(st.permutations(sorted(arcs)))
     return FlowNetwork(
         tuple(F(k) for k in range(intervals + 1)),
-        tuple(range(1, n + 1)),
         {arc: arcs[arc] for arc in order},
         supplies,
         demands,
-        infinite,
         steps_of(arcs),
     )
 
@@ -243,7 +246,7 @@ class TestBorrowSweep:
     def test_time_may_not_go_back(self, pair_traces):
         sweep = BorrowSweep(pair_traces[0])
         sweep.at(2)
-        with pytest.raises(ModelError):
+        with pytest.raises(ValueError):
             sweep.at(1)
 
 
@@ -321,7 +324,7 @@ class TestFlowNetwork:
             (("job", 4), SINK): F(1),
         }
         net = FlowNetwork(
-            (F(0), F(1)), (1, 2, 3, 4), arcs, {1: F(2), 3: F(1)}, {2: F(1), 4: F(1)}, inf, steps_of(arcs)
+            (F(0), F(1)), arcs, {1: F(2), 3: F(1)}, {2: F(1), 4: F(1)}, steps_of(arcs)
         )
         saturated, flow = max_flow_saturates(net)
         assert not saturated and flow.value == F(3, 2)
@@ -347,7 +350,7 @@ class TestFlowNetwork:
             (("job", 4), SINK): F(1),
         }
         net = FlowNetwork(
-            (F(0), F(1), F(2)), (1, 2, 3, 4), arcs, {1: F(1), 2: F(1)}, {3: F(1), 4: F(1)}, inf, steps_of(arcs)
+            (F(0), F(1), F(2)), arcs, {1: F(1), 2: F(1)}, {3: F(1), 4: F(1)}, steps_of(arcs)
         )
         saturated, flow = max_flow_saturates(net)
         assert saturated and flow.value == 2 and flow.cut is None
@@ -394,8 +397,7 @@ def assert_swept_networks_equal_rebuilds(inst):
         mids = [(a + b) / 2 for a, b in zip(tps, tps[1:])]
         fresh = ScheduleTrace(alg.instance, alg.segments)
         refined = build_flow_network_from_scratch(fresh, TimePoint.at(fresh, opt, t), extra_points=mids)
-        _, flow = max_flow_saturates(net)
-        assert refine_flow(net, flow, sweep, point)[0] == refined
+        assert build_flow_network(sweep, point, refined=True) == refined
 
 
 def witness_lines(inst):
@@ -415,7 +417,7 @@ def witness_lines(inst):
         if saturated:
             beta = decompose_beta(flow)
             yield f"beta {rats(beta.values)} {format_rat(beta.discarded_cycle_flow)}"
-            _, carried = refine_flow(net, flow, sweep, point)
+            carried = refine_flow(net, flow, build_flow_network(sweep, point, refined=True))
             refined_beta = decompose_beta(carried)
             yield (
                 f"refined {rats(carried.flow)} {rats(refined_beta.values)} "
@@ -440,7 +442,7 @@ class TestFlowOracles:
         alg, opt = pair_traces
         sweep = NetworkSweep(alg)
         build_flow_network(sweep, TimePoint.at(alg, opt, 2))
-        with pytest.raises(ModelError, match="network sweep asked for t=1/1 after t=2/1"):
+        with pytest.raises(ValueError, match="network sweep asked for t=1/1 after t=2/1"):
             build_flow_network(sweep, TimePoint.at(alg, opt, 1))
 
     def test_witness_flows_and_betas_are_pinned(self):
@@ -532,7 +534,8 @@ class TestFlowOracles:
         assert net.time_points == (0, 2)
         saturated, flow = max_flow_saturates(net)
         assert saturated and flow.flow[(("job", 1), ("dummy", 2, 0))] == 1
-        refined, carried = refine_flow(net, flow, sweep, point)
+        refined = build_flow_network(sweep, point, refined=True)
+        carried = refine_flow(net, flow, refined)
         assert refined.time_points == (0, 1, 2)
         assert (("dummy", 2, 0), ("job", 2)) not in refined.arcs
         assert carried.flow == {
@@ -549,8 +552,107 @@ class TestFlowOracles:
         sweep = NetworkSweep(alg)
         net = build_flow_network(sweep, TimePoint.at(alg, opt, F(5, 2)))
         _, flow = max_flow_saturates(net)
-        with pytest.raises(ModelError):
-            refine_flow(net, flow, sweep, TimePoint.at(alg, opt, F(3)))
+        with pytest.raises(ValueError):
+            refine_flow(net, flow, build_flow_network(sweep, TimePoint.at(alg, opt, F(3)), refined=True))
+
+
+# the pools the second solver is drawn over, each a list of keys: corpus
+# seeds; lower-bound families; batch instances (n, seed, alpha); and per
+# corpus seed and edit kind the edited traces that
+# test_failing_reports_byte_identical verifies
+SOLVER_POOLS = {
+    "corpus": list(range(1, 501)),
+    "lower_bounds": [
+        (gen, alpha, k)
+        for gen in (gen_det_lb1, gen_det_lb2)
+        for alpha in (F(1, 2), F(2, 3), F(3, 4))
+        for k in (2, 3)
+    ],
+    "batch": [
+        (n, seed, alpha)
+        for seed in range(1, 11)
+        for alpha in (F(1, 2), F(2, 3), F(3, 4))
+        for n in range(1, 17)
+    ],
+    "failing": [(seed, kind) for seed in range(1, 201) for kind in ("swap", "drop", "halve")],
+}
+
+
+def edited_traces(seed, kind):
+    """The edits of one kind of the fused rule's trace on corpus seed
+    ``seed`` that parse and differ from it, in edit order, each with the
+    optimum's trace."""
+    alg, opt = simulate_pair(corpus_instance(seed))
+    rows = alg.csv_rows()
+    for edit, edited, cut in trace_edits(rows):
+        if edit != kind:
+            continue
+        try:
+            trace = ScheduleTrace.from_csv_rows(alg.instance, edited, alg.makespan if cut else None)
+        except ModelError:
+            continue
+        if trace.csv_rows() != rows:
+            yield trace, opt
+
+
+def depth_first_without_cycles(seed):
+    """The depth-first max flow shuffled by ``seed``, its cycles cancelled:
+    ``path_decomposition`` reports a witness's cycle flow, so it is the one
+    check whose verdict depends on which maximum flow is found."""
+
+    def solve(net):
+        saturated, result = max_flow_depth_first(net, seed)
+        return saturated, without_cycles(result)
+
+    return solve
+
+
+def assert_solvers_agree(pool, key, seed):
+    """Verify the pool's traces with the package's max flow and with the
+    depth-first one shuffled by ``seed``, cycles cancelled; the reports must
+    be the same bytes.  An edited trace is verified up to the first that
+    fails, as test_failing_reports_byte_identical does."""
+    if pool == "failing":
+        pairs = edited_traces(*key)
+    elif pool == "corpus":
+        pairs = [simulate_pair(corpus_instance(key))]
+    elif pool == "lower_bounds":
+        gen, alpha, k = key
+        pairs = [simulate_pair(gen(alpha, k)[0])]
+    else:
+        n, inst_seed, alpha = key
+        pairs = [simulate_pair(gen_random_instance(n, 8, 1.0, inst_seed, alpha))]
+    for alg, opt in pairs:
+        report = verify_traces(alg, opt)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(analysis, "max_flow_saturates", depth_first_without_cycles(seed))
+            assert report_bytes(verify_traces(alg, opt)) == report_bytes(report)
+        if not report.ok:
+            return
+
+
+class TestSecondSolver:
+    @settings(max_examples=100, deadline=None, database=None, derandomize=True)
+    @given(verifier_networks(), st.integers(0, 2**32 - 1))
+    def test_depth_first_max_flow_on_random_networks(self, net, seed):
+        # another maximum flow, with the same value and least minimum cut
+        saturated, flow = max_flow_saturates(net)
+        other_saturated, other = max_flow_depth_first(net, seed)
+        assert (other_saturated, other.value, other.cut) == (saturated, flow.value, flow.cut)
+        assert verify_flow_feasible(net, other) == []
+        acyclic = without_cycles(other)
+        assert verify_flow_feasible(net, acyclic) == []
+        assert decompose_beta(acyclic).discarded_cycle_flow == 0
+
+    @settings(max_examples=100, deadline=None, database=None, derandomize=True)
+    @given(
+        st.sampled_from(sorted(SOLVER_POOLS)).flatmap(
+            lambda pool: st.tuples(st.just(pool), st.sampled_from(SOLVER_POOLS[pool]))
+        ),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_reports_do_not_depend_on_the_max_flow_found(self, case, seed):
+        assert_solvers_agree(*case, seed)
 
 
 class TestDeadDummies:
@@ -574,10 +676,11 @@ class TestDeadDummies:
             }
             result = max_flow_saturates(net)
             assert result == max_flow_saturates(full)
-            assert net.reach_sets(net.jobs) == full.reach_sets(full.jobs)
+            ids = [job.id for job in alg.instance.jobs]
+            assert net.reach_sets(ids) == full.reach_sets(ids)
             saturated, flow = result
             assert saturated
-            refined, _ = refine_flow(net, flow, sweep, point)
+            refined = build_flow_network(sweep, point, refined=True)
             graph = nx.DiGraph()
             graph.add_nodes_from([SOURCE, SINK])
             for (u, v), cap in refined.arcs.items():
@@ -621,7 +724,8 @@ class TestBetaMatrix:
         net = build_flow_network(sweep, TimePoint.at(alg, opt, t))
         _, flow = max_flow_saturates(net)
         beta = decompose_beta(flow)
-        refined_net, refined_flow = refine_flow(net, flow, sweep, TimePoint.at(alg, opt, t))
+        refined_net = build_flow_network(sweep, TimePoint.at(alg, opt, t), refined=True)
+        refined_flow = refine_flow(net, flow, refined_net)
         assert len(refined_net.time_points) == 2 * len(net.time_points) - 1
         assert verify_flow_feasible(refined_net, refined_flow) == []
         assert refined_flow.value == flow.value
@@ -1068,7 +1172,7 @@ class TestNamedChecks:
             (job(2), SINK): F(1),
             (job(3), SINK): F(1),
         }
-        net = FlowNetwork((F(0), F(1)), (1, 2, 3), arcs, {1: F(1)}, {2: F(1), 3: F(1)}, F(3), steps_of(arcs))
+        net = FlowNetwork((F(0), F(1)), arcs, {1: F(1)}, {2: F(1), 3: F(1)}, steps_of(arcs))
         same = BorrowGraph((1, 2, 3), frozenset({(1, 2, "N")}))
         assert check_flow_reachability(net, same, F(1)) == []
         crossed = BorrowGraph((1, 2, 3), frozenset({(1, 3, "C")}))
@@ -1084,7 +1188,7 @@ class TestNamedChecks:
         ]
 
     def test_refinement_direct_flow_compares_job_totals(self):
-        net = FlowNetwork((F(0), F(1)), (1, 2, 3), {}, {1: F(1)}, {2: F(1), 3: F(1)}, F(3), frozenset())
+        net = FlowNetwork((F(0), F(1)), {}, {1: F(1)}, {2: F(1), 3: F(1)}, frozenset())
         flow = FlowResult(F(1), {(job(1), dummy(2)): F(1)})
         halves = FlowResult(F(1), {(job(1), dummy(2, 0)): F(1, 2), (job(1), dummy(2, 1)): F(1, 2)})
         assert check_refinement_direct_flow(net, flow, halves) == []
@@ -1176,11 +1280,11 @@ class TestNamedChecks:
     ):
         refine = analysis.refine_flow
 
-        def lossy(net, flow, sweep, point):
-            refined, carried = refine(net, flow, sweep, point)
-            if point.t == t:
+        def lossy(net, flow, refined):
+            carried = refine(net, flow, refined)
+            if net.time_points[-1] == t:
                 push(carried.flow, walk, -amount)
-            return refined, carried
+            return carried
 
         monkeypatch.setattr(analysis, "refine_flow", lossy)
         failure = verify_instance(inst).first_failure
@@ -1200,7 +1304,7 @@ class TestEveryViolationFires:
             (job(2), SINK): F(1),
             **dict(extra),
         }
-        return FlowNetwork((F(0), F(1)), (1, 2), arcs, {1: F(1)}, {2: F(1)}, F(3), steps_of(arcs))
+        return FlowNetwork((F(0), F(1)), arcs, {1: F(1)}, {2: F(1)}, steps_of(arcs))
 
     def test_flow_audit_names_a_negative_flow(self):
         flow = {}

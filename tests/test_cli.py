@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from alphasched import cli
+from alphasched import analysis, cli
 from alphasched.adversary import gen_rand32
 from alphasched.cli import main
 from alphasched.model import TRACE_CSV_HEADER, Instance, Job, instance_to_json, save_instance
@@ -545,6 +545,19 @@ class TestVerifyCommand:
         empty = tmp_path / "empty.csv"
         empty.write_text("", encoding="utf-8")
         assert main(argv + [str(empty)]) == 2
+
+    def test_time_sweep_run_backwards_is_not_bad_input(self, pair_path, monkeypatch):
+        # only a caller inside the package can ask a sweep for an earlier
+        # time: the fault surfaces with its traceback instead of exit 2
+        times = analysis.check_times
+
+        def reversed_dense(alg, opt):
+            events, dense = times(alg, opt)
+            return events, dense[::-1]
+
+        monkeypatch.setattr(analysis, "check_times", reversed_dense)
+        with pytest.raises(ValueError, match=r"^borrow sweep asked for t=7/2 after t=4/1$"):
+            main(["verify", "--instance", str(pair_path)])
 
 
 # (--which and options, sha256 prefix of lowerbound.json, of

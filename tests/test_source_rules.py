@@ -14,7 +14,9 @@ the CPython detail that ``Rat`` builds on stays in one module;
 and floats stay out of the computation: ``float(...)`` is called only in
 ``cli.py``, where reports are formatted.  Every imported name is used,
 except in ``__init__.py``, whose imports are the package's re-exports, and
-every module-level private name (``_name``) is read in its module.
+every module-level private name (``_name``) is read in its module.  The
+verifier's layers import one way: ``borrow.py`` imports neither ``flow`` nor
+``analysis``, and ``flow.py`` does not import ``analysis``.
 
 Every function and class the package defines is read somewhere: a method
 through an attribute, a module-level function or class through a name or an
@@ -38,6 +40,14 @@ FRACTION_SLOTS = {"_numerator", "_denominator"}
 REEXPORT_MODULES = {"__init__.py"}
 UNREAD_ALLOWED = {
     "brute_force_min_total_flow": "the documented optimum oracle that tier-1 checks SRPT against",
+}
+# per verifier layer, the package modules of the layers above it
+UPPER_LAYERS = {"borrow.py": {"flow", "analysis"}, "flow.py": {"analysis"}}
+# snippets that break a rule only inside one module, with that module
+SNIPPET_MODULES = {
+    "from .flow import SINK\nx = SINK": "borrow.py",
+    "from alphasched import analysis\nx = analysis": "borrow.py",
+    "from . import analysis\nx = analysis": "flow.py",
 }
 
 
@@ -96,7 +106,25 @@ def violations(tree: ast.AST, filename: str = "") -> list[str]:
                 found.append(f"line {node.lineno}: call to {module}.{name}")
     if filename not in REEXPORT_MODULES:
         found += unused_imports(tree)
-    return found + unused_private_names(tree)
+    return found + unused_private_names(tree) + upward_imports(tree, filename)
+
+
+def upward_imports(tree: ast.AST, filename: str) -> list[str]:
+    """Imports of a package module from a layer above ``filename``'s."""
+    upper = UPPER_LAYERS.get(filename, set())
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = [f"{node.module}.{alias.name}" if node.module else alias.name for alias in node.names]
+        else:
+            continue
+        for name in names:
+            module = name.removeprefix("alphasched.").split(".")[0]
+            if module in upper:
+                found.append(f"line {node.lineno}: {filename} imports {module}")
+    return found
 
 
 def unused_imports(tree: ast.AST) -> list[str]:
@@ -204,10 +232,11 @@ def test_source_rules(path):
         "from alphasched.rational import Rat\nx = totals.get(key, Rat(0))",
         "import weakref\nfrom typing import Mapping, Optional\nx: Optional[Mapping] = None",
         "def _helper():\n    return 1\n\n_LIMIT = 3\nx = _LIMIT",
+        *SNIPPET_MODULES,
     ],
 )
 def test_rules_catch(snippet):
-    assert len(violations(ast.parse(snippet))) == 1
+    assert len(violations(ast.parse(snippet), SNIPPET_MODULES.get(snippet, ""))) == 1
 
 
 def test_float_call_in_the_model_caught():
@@ -234,7 +263,7 @@ def test_every_definition_is_read():
 def test_leftover_method_caught():
     modules = parsed(SOURCES)
     graph = next(
-        node for node in modules["analysis.py"].body
+        node for node in modules["borrow.py"].body
         if isinstance(node, ast.ClassDef) and node.name == "BorrowGraph"
     )
     graph.body += ast.parse("def successors(self, j):\n    return sorted(self._succ.get(j, ()))").body
