@@ -187,8 +187,7 @@ class SimState:
         self._unsignalled = _Ranking()
         self._signalled = _Ranking()
         self._remaining = _Ranking()
-        self._arrivals = sorted(instance.jobs, key=lambda j: (j.release, j.id))
-        self._arr_ptr = 0
+        self._arr_ptr = 0  # next arrival in instance.jobs, sorted by (release, id)
         self._triggers = list(instance.adversary.triggers) if instance.adversary else []
         self._trg_ptr = 0
         self.decision: RateDecision = RateDecision((), "idle")
@@ -221,7 +220,7 @@ class SimState:
         jobs the decision does not rate."""
         if not self._changed:
             return
-        rated, job = self._rated, self.instance.job
+        rated = self._rated
         for j in sorted(self._changed):
             p, y = self.proc[j], self.progress[j]
             signal = self.signal.get(j)
@@ -235,7 +234,7 @@ class SimState:
                 remaining = p - y
             elif emitted:
                 remaining = p - y
-            entry = self._entries[j] = ViewJob(j, job(j).release, y, emitted, remaining, signal)
+            entry = self._entries[j] = ViewJob(j, y, emitted, remaining, signal)
             if j not in rated:
                 self._rank(j, entry)
         self._changed.clear()
@@ -286,8 +285,9 @@ class SimState:
             self._trg_ptr += 1
             retest += self._apply_trigger(trigger)
         arrived = []
-        while self._arr_ptr < len(self._arrivals) and self._arrivals[self._arr_ptr].release == self.now:
-            job = self._arrivals[self._arr_ptr]
+        jobs = self.instance.jobs
+        while self._arr_ptr < len(jobs) and jobs[self._arr_ptr].release == self.now:
+            job = jobs[self._arr_ptr]
             self._arr_ptr += 1
             insort(self._alive, job.id)
             self._changed.add(job.id)
@@ -394,8 +394,8 @@ class SimState:
         self._refresh()
         now = self.now
         waits: dict[str, Fraction] = {}  # least wait of each kind
-        if self._arr_ptr < len(self._arrivals):
-            waits["arrival"] = self._arrivals[self._arr_ptr].release - now
+        if self._arr_ptr < len(self.instance.jobs):
+            waits["arrival"] = self.instance.jobs[self._arr_ptr].release - now
         if self._trg_ptr < len(self._triggers):
             waits["adversary-commit"] = self._triggers[self._trg_ptr].fire_at - now
         rates = self.decision.rates

@@ -34,18 +34,17 @@ at most the work its job received there, so ``refined_flow_feasible`` and
 ``refinement_direct_flow`` hold for every feasible flow.
 
 ``path_decomposition`` is witness-dependent: a maximum flow may carry a
-cycle job -> dummy -> job -> ... -> job, which the peeling discards and the
-check reports.  The breadth-first witness has carried none on any tested
-input, but nothing guarantees that, and the tests' depth-first solver often
-returns one; another solver must return a flow without a cycle.  On such
-a flow the other checks hold for every maximum flow.  Each walk of the
-peeling steps from a job to the least job it still sends flow to, and a
-dummy's out-arc carries all its inflow, so it never binds alone: the peeled
-paths depend on the job-to-job totals only, which refinement keeps, so
-``refinement_beta`` holds.  The peeled rows are the supplies, the columns
-are at most the demands, and every path runs along positive-capacity arcs,
-so ``beta_properties`` holds wherever ``flow_reachability`` does; where that
-fails, which pairs it names depends on the witness.
+cycle of job-to-job amounts j -> ... -> j, which the peeling discards and
+the check reports.  The breadth-first witness has carried none on any
+tested input, but nothing guarantees that, and the tests' depth-first
+solver often returns one; another solver must return a flow without a
+cycle.  On such a flow the other checks hold for every maximum flow.  Beta
+reads only the source, sink and job-to-job amounts, and ``refine_flow``
+keeps all three, so ``refinement_beta`` holds.  The peeled rows are the
+supplies, the columns are at most the demands, and every path runs along
+positive-capacity arcs, so ``beta_properties`` holds wherever
+``flow_reachability`` does; where that fails, which pairs it names depends
+on the witness.
 """
 
 from __future__ import annotations
@@ -245,8 +244,9 @@ class FlowResult:
     cut: Optional[frozenset[Vertex]] = None
 
     def job_totals(self) -> dict[tuple[int, int], Fraction]:
-        """Flow from each job j into the dummies of each job i, summed over
-        the intervals, keyed (j, i)."""
+        """The job-level flow: from each job j into the dummies of each job
+        i, summed over the intervals, keyed (j, i).  Beta is peeled from it
+        and ``refinement_direct_flow`` compares it."""
         totals: dict[tuple[int, int], Fraction] = {}
         for (u, v), f in self.flow.items():
             if u[0] == "job" and v[0] == "dummy":
@@ -329,14 +329,12 @@ class BetaMatrix:
 
 
 def decompose_beta(result: FlowResult) -> BetaMatrix:
-    """Peel source-to-sink path flows, lexicographically smallest vertex
-    sequence first; beta sums peeled amounts by path endpoints.  Any residual
-    cycle flow carries no supply and is discarded (logged in the result).
-
-    Each walk steps to the smallest head still carrying flow.  Flows only
-    fall during the peeling, so a head once empty stays empty, and a pointer
-    per vertex moves forward over its sorted heads to find that one."""
-    fl: dict[Vertex, dict[Vertex, Fraction]] = {}
+    """Peel source-to-sink path flows off the job-level flow, least job
+    sequence first; beta sums peeled amounts by path endpoints.  Excess comes
+    from the source arcs, absorption from the sink arcs, and the job-to-job
+    amounts from ``result.job_totals()``.  Cycle flow carries no supply: it
+    is cancelled, and any flow left once no walk reaches a sink is counted
+    with it, once per job-to-job amount (logged in the result)."""
     excess: dict[int, Fraction] = {}
     absorb: dict[int, Fraction] = {}
     for (u, v), f in result.flow.items():
@@ -344,68 +342,45 @@ def decompose_beta(result: FlowResult) -> BetaMatrix:
             excess[v[1]] = f
         elif v == SINK:
             absorb[u[1]] = f
-        else:
-            fl.setdefault(u, {})[v] = f
+    fl: dict[int, dict[int, Fraction]] = {}
+    for (j, i), f in result.job_totals().items():
+        fl.setdefault(j, {})[i] = f
 
     beta: dict[tuple[int, int], Fraction] = {}
     discarded = Rat(0)
-
-    heads = {u: sorted(outs) for u, outs in fl.items()}
-    skipped = dict.fromkeys(fl, 0)  # per vertex, the leading heads known empty
-
-    def next_hop(u: Vertex) -> Optional[Vertex]:
-        order = heads.get(u)
-        if order is None:
-            return None
-        outs, k = fl[u], skipped[u]
-        while k < len(order) and outs[order[k]] <= 0:
-            k += 1
-        skipped[u] = k
-        return order[k] if k < len(order) else None
-
     for j in sorted(excess):
         while excess[j] > 0:
-            path = [("job", j)]
-            on_path = {("job", j): 0}
+            path, on_path = [j], {j: 0}
             reached: Optional[int] = None
             while True:
                 u = path[-1]
-                if u[0] == "job" and u[1] in absorb and absorb[u[1]] > 0 and len(path) > 1:
-                    reached = u[1]
+                if absorb.get(u, _ZERO) > 0 and len(path) > 1:
+                    reached = u
                     break
-                v = next_hop(u)
+                v = min((i for i, f in fl.get(u, {}).items() if f > 0), default=None)
                 if v is None:
                     break
                 if v in on_path:
                     # cancel the cycle and restart the walk
-                    start = on_path[v]
-                    cycle = path[start:] + [v]
+                    cycle = path[on_path[v]:] + [v]
                     gamma = min(fl[a][b] for a, b in zip(cycle, cycle[1:]))
                     for a, b in zip(cycle, cycle[1:]):
                         fl[a][b] -= gamma
                     discarded += gamma
-                    path = [("job", j)]
-                    on_path = {("job", j): 0}
+                    path, on_path = [j], {j: 0}
                     continue
                 on_path[v] = len(path)
                 path.append(v)
             if reached is None:
                 # no usable outgoing flow: leftover is cycle flow around j
                 break
-            gamma = min(
-                [excess[j], absorb[reached]]
-                + [fl[a][b] for a, b in zip(path, path[1:])]
-            )
+            gamma = min([excess[j], absorb[reached]] + [fl[a][b] for a, b in zip(path, path[1:])])
             for a, b in zip(path, path[1:]):
                 fl[a][b] -= gamma
             excess[j] -= gamma
             absorb[reached] -= gamma
-            key = (j, reached)
-            beta[key] = beta.get(key, _ZERO) + gamma
-    leftover = sum(
-        (f for outs in fl.values() for f in outs.values() if f > 0), Rat(0)
-    )
-    discarded += leftover
+            beta[(j, reached)] = beta.get((j, reached), _ZERO) + gamma
+    discarded += sum((f for outs in fl.values() for f in outs.values() if f > 0), Rat(0))
     return BetaMatrix(values=beta, discarded_cycle_flow=discarded)
 
 

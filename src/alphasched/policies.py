@@ -38,7 +38,6 @@ class PolicyKind(Enum):
 
 class ViewJob(NamedTuple):
     job_id: int
-    release: Fraction
     elapsed: Fraction
     emitted: bool
     remaining: Optional[Fraction]  # None unless emitted or the view is omniscient

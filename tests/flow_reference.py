@@ -25,6 +25,10 @@ total work plus 1, and read the job-to-job steps off the arcs.
 augmentation over the arcs in a seeded order.  Its witness often carries a
 cycle, which ``path_decomposition`` reports; ``without_cycles`` cancels
 them.  The tests run the verifier with each solver and compare the reports.
+
+``decompose_beta_by_vertex`` peels beta off the vertex-level flow, walking
+through every dummy, as the package did before it peeled the job-level
+flow; the tests compare the two on the witnesses of both solvers.
 """
 
 from __future__ import annotations
@@ -33,7 +37,7 @@ import random
 from fractions import Fraction
 
 from alphasched.borrow import BorrowGraph
-from alphasched.flow import SINK, SOURCE, FlowNetwork, FlowResult
+from alphasched.flow import SINK, SOURCE, BetaMatrix, FlowNetwork, FlowResult
 from alphasched.model import ScheduleTrace, TimePoint
 
 
@@ -251,3 +255,78 @@ def _cycle(onward):
         if root not in done and (found := visit(root)):
             return found
     return None
+
+
+def decompose_beta_by_vertex(result: FlowResult) -> BetaMatrix:
+    """``flow.decompose_beta`` on the vertex-level flow: the walks pass
+    every dummy, and a pointer per vertex moves forward over its sorted
+    heads to the least one still carrying flow.  Flow left after the peeling
+    counts on every arc it is left on."""
+    fl, excess, absorb = {}, {}, {}
+    for (u, v), f in result.flow.items():
+        if u == SOURCE:
+            excess[v[1]] = f
+        elif v == SINK:
+            absorb[u[1]] = f
+        else:
+            fl.setdefault(u, {})[v] = f
+
+    beta = {}
+    discarded = Fraction(0)
+    heads = {u: sorted(outs) for u, outs in fl.items()}
+    skipped = dict.fromkeys(fl, 0)  # per vertex, the leading heads known empty
+
+    def next_hop(u):
+        order = heads.get(u)
+        if order is None:
+            return None
+        outs, k = fl[u], skipped[u]
+        while k < len(order) and outs[order[k]] <= 0:
+            k += 1
+        skipped[u] = k
+        return order[k] if k < len(order) else None
+
+    for j in sorted(excess):
+        while excess[j] > 0:
+            path = [("job", j)]
+            on_path = {("job", j): 0}
+            reached = None
+            while True:
+                u = path[-1]
+                if u[0] == "job" and u[1] in absorb and absorb[u[1]] > 0 and len(path) > 1:
+                    reached = u[1]
+                    break
+                v = next_hop(u)
+                if v is None:
+                    break
+                if v in on_path:
+                    # cancel the cycle and restart the walk
+                    start = on_path[v]
+                    cycle = path[start:] + [v]
+                    gamma = min(fl[a][b] for a, b in zip(cycle, cycle[1:]))
+                    for a, b in zip(cycle, cycle[1:]):
+                        fl[a][b] -= gamma
+                    discarded += gamma
+                    path = [("job", j)]
+                    on_path = {("job", j): 0}
+                    continue
+                on_path[v] = len(path)
+                path.append(v)
+            if reached is None:
+                # no usable outgoing flow: leftover is cycle flow around j
+                break
+            gamma = min(
+                [excess[j], absorb[reached]]
+                + [fl[a][b] for a, b in zip(path, path[1:])]
+            )
+            for a, b in zip(path, path[1:]):
+                fl[a][b] -= gamma
+            excess[j] -= gamma
+            absorb[reached] -= gamma
+            key = (j, reached)
+            beta[key] = beta.get(key, Fraction(0)) + gamma
+    leftover = sum(
+        (f for outs in fl.values() for f in outs.values() if f > 0), Fraction(0)
+    )
+    discarded += leftover
+    return BetaMatrix(values=beta, discarded_cycle_flow=discarded)

@@ -61,6 +61,7 @@ from flow_reference import (
     build_borrow_graph_from_scratch,
     build_flow_network_from_scratch,
     build_flow_network_with_dead_dummies,
+    decompose_beta_by_vertex,
     max_flow_depth_first,
     steps_of,
     without_cycles,
@@ -762,7 +763,7 @@ class TestPathDecomposition:
 
     def test_stuck_walk_discards_its_flow(self):
         # job 4's flow ends at job 5, which absorbs nothing: the walk stops
-        # there, and the flow left on both arcs is discarded
+        # there, and the job-to-job amount left is discarded
         flow = {
             (SOURCE, job(1)): F(1),
             (job(1), dummy(3)): F(1),
@@ -774,7 +775,7 @@ class TestPathDecomposition:
         }
         beta = decompose_beta(FlowResult(F(2), flow))
         assert beta.values == {(1, 3): 1}
-        assert beta.discarded_cycle_flow == 2
+        assert beta.discarded_cycle_flow == 1
 
     def test_walk_restarts_where_every_head_is_empty(self):
         # job 1's only outgoing flow is a cycle back to it, below its supply:
@@ -791,6 +792,50 @@ class TestPathDecomposition:
         beta = decompose_beta(FlowResult(F(1), flow))
         assert beta.values == {}
         assert beta.discarded_cycle_flow == F(1, 2)
+
+
+    def test_isolated_cycle_counts_once_per_job_to_job_amount(self):
+        # no walk reaches the cycle 4 -> 5 -> 4, so all of it is left over:
+        # 1/2 on each of its two job-to-job amounts, where the vertex-level
+        # peeling counted 1/2 on each of its four arcs
+        flow = {
+            (SOURCE, job(1)): F(1),
+            (job(1), dummy(3)): F(1),
+            (dummy(3), job(3)): F(1),
+            (job(3), SINK): F(1),
+            (job(4), dummy(5)): F(1, 2),
+            (dummy(5), job(5)): F(1, 2),
+            (job(5), dummy(4)): F(1, 2),
+            (dummy(4), job(4)): F(1, 2),
+        }
+        beta = decompose_beta(FlowResult(F(1), flow))
+        assert beta.values == {(1, 3): 1}
+        assert beta.discarded_cycle_flow == 1
+        assert decompose_beta_by_vertex(FlowResult(F(1), flow)).discarded_cycle_flow == 2
+
+    @settings(max_examples=100, deadline=None, database=None, derandomize=True)
+    @given(verifier_networks(), st.integers(0, 2**32 - 1))
+    def test_job_level_peeling_matches_the_vertex_level_one(self, net, seed):
+        assert_peelings_agree(net, seed)
+
+    def test_job_level_peeling_matches_on_corpus_witnesses(self):
+        # random networks seldom admit a cycle; 24 of these 937 depth-first
+        # witnesses carry one
+        for seed in ORACLE_SEEDS:
+            alg, opt = trace_pair(corpus_instance(seed))
+            sweep = NetworkSweep(alg)
+            for t in check_times(alg, opt)[0]:
+                assert_peelings_agree(build_flow_network(sweep, TimePoint.at(alg, opt, t)), seed)
+
+
+def assert_peelings_agree(net, seed):
+    """The same beta and the same ``path_decomposition`` verdict from the
+    job-level and the vertex-level peeling, on the witnesses of both
+    solvers; the depth-first one may carry cycles."""
+    for _, flow in (max_flow_saturates(net), max_flow_depth_first(net, seed)):
+        beta, reference = decompose_beta(flow), decompose_beta_by_vertex(flow)
+        assert beta.values == reference.values
+        assert (beta.discarded_cycle_flow == 0) == (reference.discarded_cycle_flow == 0)
 
 
 class TestSegments:

@@ -523,7 +523,6 @@ def full_view(state):
         visible = state.omniscient or emitted
         entries.append(ViewJob(
             job_id=j,
-            release=job.release,
             elapsed=state.progress[j],
             emitted=emitted,
             remaining=p - state.progress[j] if visible else None,

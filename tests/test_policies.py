@@ -20,24 +20,23 @@ def view(now, alpha, entries, omniscient=False):
     jobs = tuple(
         ViewJob(
             job_id=j,
-            release=F(rel),
             elapsed=F(y),
             emitted=emitted,
             remaining=None if rem is None else F(rem),
             signal_time=None if sig is None else F(sig),
         )
-        for (j, rel, y, emitted, rem, sig) in entries
+        for (j, y, emitted, rem, sig) in entries
     )
     return PolicyView(now=F(now), alpha=F(alpha), omniscient=omniscient, jobs=jobs)
 
 
 class TestSetf:
     def test_pair_shares_evenly(self):
-        dec = setf_decide(view(0, 1, [(1, 0, 0, False, None, None), (2, 0, 0, False, None, None)]))
+        dec = setf_decide(view(0, 1, [(1, 0, False, None, None), (2, 0, False, None, None)]))
         assert dec.rates == ((1, F(1, 2)), (2, F(1, 2)))
 
     def test_fresh_arrival_runs_alone(self):
-        dec = setf_decide(view(3, 1, [(1, 0, 2, False, None, None), (2, 3, 0, False, None, None)]))
+        dec = setf_decide(view(3, 1, [(1, 2, False, None, None), (2, 0, False, None, None)]))
         assert dec.rates == ((2, F(1)),)
 
     def test_three_jobs_two_minima(self):
@@ -46,9 +45,9 @@ class TestSetf:
                 9,
                 1,
                 [
-                    (1, 0, 1, False, None, None),
-                    (2, 0, 1, False, None, None),
-                    (3, 0, 4, False, None, None),
+                    (1, 1, False, None, None),
+                    (2, 1, False, None, None),
+                    (3, 4, False, None, None),
                 ],
             )
         )
@@ -66,18 +65,18 @@ class TestSrpt:
         assert build_report(trace).total_flow == 5
 
     def test_single_job(self):
-        dec = srpt_decide(view(0, 0, [(1, 0, 0, True, 4, 0)], omniscient=True))
+        dec = srpt_decide(view(0, 0, [(1, 0, True, 4, 0)], omniscient=True))
         assert dec.rates == ((1, F(1)),)
 
     def test_equal_remaining_lowest_id(self):
         dec = srpt_decide(
-            view(0, 0, [(2, 0, 0, True, 3, 0), (1, 0, 0, True, 3, 0)], omniscient=True)
+            view(0, 0, [(2, 0, True, 3, 0), (1, 0, True, 3, 0)], omniscient=True)
         )
         assert dec.rates == ((1, F(1)),)
 
     def test_missing_remaining_errors(self):
         with pytest.raises(UnresolvedProcError):
-            srpt_decide(view(0, 0, [(1, 0, 0, False, None, None)]))
+            srpt_decide(view(0, 0, [(1, 0, False, None, None)]))
 
 
 class TestFusedRule:
@@ -93,7 +92,7 @@ class TestFusedRule:
         assert report.total_flow == 9
 
     def test_empty_signalled_side_forces_sharing(self):
-        dec = alpha_clairvoyant_decide(view(0, F(1, 2), [(1, 0, 0, False, None, None)]))
+        dec = alpha_clairvoyant_decide(view(0, F(1, 2), [(1, 0, False, None, None)]))
         assert dec.branch == "setf"
         assert dec.rates == ((1, F(1)),)
 
@@ -103,7 +102,7 @@ class TestFusedRule:
             view(
                 4,
                 F(1, 2),
-                [(1, 0, 6, True, 5, 3), (2, 4, 0, False, None, None)],
+                [(1, 6, True, 5, 3), (2, 0, False, None, None)],
             )
         )
         assert dec.branch == "setf"
@@ -115,7 +114,7 @@ class TestFusedRule:
             view(
                 2,
                 F(1, 2),
-                [(1, 0, 1, False, None, None), (2, 0, 1, True, 1, 2)],
+                [(1, 1, False, None, None), (2, 1, True, 1, 2)],
             )
         )
         assert dec.branch == "srpt"
@@ -127,8 +126,8 @@ class TestFusedRule:
                 5,
                 F(1, 2),
                 [
-                    (1, 0, 3, True, 1, 2),
-                    (2, 0, 3, True, 1, 4),
+                    (1, 3, True, 1, 2),
+                    (2, 3, True, 1, 4),
                 ],
             )
         )
@@ -140,8 +139,8 @@ class TestFusedRule:
                 5,
                 F(1, 2),
                 [
-                    (2, 0, 3, True, 1, 4),
-                    (1, 0, 3, True, 1, 4),
+                    (2, 3, True, 1, 4),
+                    (1, 3, True, 1, 4),
                 ],
             )
         )
@@ -153,10 +152,10 @@ class TestViewMinima:
     reference the engine's ranked views are tested against."""
 
     JOBS = [
-        (4, 0, 2, False, None, None),
-        (3, 0, 5, True, 1, 2),
-        (1, 0, 2, False, None, None),
-        (2, 0, 7, True, 1, 3),
+        (4, 2, False, None, None),
+        (3, 5, True, 1, 2),
+        (1, 2, False, None, None),
+        (2, 7, True, 1, 3),
     ]
 
     def test_minima(self):
