@@ -25,9 +25,10 @@ once per instant, against alpha * p computed once when p is committed; a job
 that arrives, or that a commitment gives its p, is tested after the
 commitments and arrivals.  Each alive job keeps one immutable view entry,
 rebuilt only when the job changed.  The alive jobs that the decision does
-not rate sit in three rankings (unsignalled and signalled jobs by
-progress, and by remaining work the signalled jobs in the fused rule's
-order, or for an omniscient view every job in SRPT's).  A ranking holds one
+not rate sit in rankings of what the rule reads: by progress, unsignalled
+and signalled jobs (all unsignalled if the rule reads no signal); by
+remaining work, signalled jobs in the fused rule's order, or every job in
+SRPT's under SRPT and the fused rule at alpha = 0.  A ranking holds one
 entry per distinct key with that key's jobs in id order, so an
 evenly-shared set is one progress level.  From their fronts the
 next-event search reads the merge level and the threshold, and a view its
@@ -157,7 +158,8 @@ class SimState:
         self.instance = instance
         self.policy = policy
         self.omniscient = policy.omniscient
-        self.stops_at_emissions = policy.reads_signals
+        # stopping at emissions can be switched on alone; ranking follows the rule
+        self.stops_at_emissions = self._reads_signals = policy.reads_signals
         self.horizon = None if horizon is None else Rat(horizon)
         if self.horizon is not None and self.horizon < 0:
             raise ModelError(f"horizon {self.horizon} is negative")
@@ -182,8 +184,11 @@ class SimState:
         # changed jobs are next refreshed
         self._entries: dict[int, ViewJob] = {}
         # alive jobs the decision does not rate: unsignalled and signalled
-        # ones by progress, and by remaining work every job in SRPT's order
-        # if the view is omniscient, else signalled ones in the fused rule's
+        # ones by progress, every job unsignalled if the rule reads no
+        # signal, and by remaining work the signalled ones in the fused
+        # rule's order, or every job in SRPT's where the rule is SRPT, as
+        # the fused rule is at alpha = 0, where every committed job signals
+        self._srpt_order = policy is PolicyKind.SRPT or (policy is PolicyKind.ALPHA and self.alpha == 0)
         self._unsignalled = _Ranking()
         self._signalled = _Ranking()
         self._remaining = _Ranking()
@@ -203,13 +208,13 @@ class SimState:
 
     def _rank(self, j: int, entry: ViewJob) -> None:
         """Rank a job by its view entry, which must be current."""
-        emitted = entry.emitted
-        self._unsignalled.put(j, None if emitted else entry.elapsed)
-        self._signalled.put(j, entry.elapsed if emitted else None)
-        if self.omniscient:
+        signalled = entry.emitted and self._reads_signals
+        self._unsignalled.put(j, None if signalled else entry.elapsed)
+        self._signalled.put(j, entry.elapsed if signalled else None)
+        if self._srpt_order:
             self._remaining.put(j, entry.remaining)
         else:
-            self._remaining.put(j, (entry.remaining, -entry.signal_time) if emitted else None)
+            self._remaining.put(j, (entry.remaining, -entry.signal_time) if signalled else None)
 
     def _unrank(self, j: int) -> None:
         for ranking in (self._unsignalled, self._signalled, self._remaining):
@@ -241,7 +246,7 @@ class SimState:
 
     def build_view(self) -> PolicyView:
         self._refresh()
-        return PolicyView(self.now, self.alpha, self.omniscient, source=self)
+        return PolicyView(self.now, self.alpha, source=self)
 
     def view_jobs(self) -> tuple[ViewJob, ...]:
         entries = self._entries
@@ -422,13 +427,10 @@ class SimState:
             level, rho = self.progress[rates[0][0]], rates[0][1]
             if all(self.progress[j] == level and r == rho for j, r in rates[1:]):
                 # SETF shares among all alive jobs, the fused rule among
-                # the unsignalled ones only
-                pool = [self._unsignalled]
-                if self.policy is PolicyKind.SETF:
-                    pool.append(self._signalled)
-                above = [x for x in (ranking.least_above(level) for ranking in pool) if x is not None]
-                if above:
-                    waits["merge"] = (min(above) - level) / rho
+                # the unsignalled ones only: those _unsignalled holds
+                above = self._unsignalled.least_above(level)
+                if above is not None:
+                    waits["merge"] = (above - level) / rho
                 least = self._remaining.least()
                 if self._crossing_factor is not None and least is not None:
                     wait = (self._crossing_factor * least[0] - level) / rho

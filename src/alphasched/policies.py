@@ -40,22 +40,22 @@ class ViewJob(NamedTuple):
     job_id: int
     elapsed: Fraction
     emitted: bool
-    remaining: Optional[Fraction]  # None unless emitted or the view is omniscient
+    remaining: Optional[Fraction]  # None unless emitted or the rule is omniscient
     signal_time: Optional[Fraction]
 
 
 class PolicyView:
     """The alive jobs at one decision, in id order, and the minima the
     rules read.  A view given its ``jobs`` scans them for the minima.  A
-    live engine view (``source``) scans its few candidates and builds
-    ``jobs`` only when read.
+    live engine view (``source``) scans its few candidates, which hold the
+    minima its run's rule reads, and builds ``jobs`` only when read.
     """
 
-    __slots__ = ("now", "alpha", "omniscient", "_jobs", "_candidates", "_source")
+    __slots__ = ("now", "alpha", "_jobs", "_candidates", "_source")
 
-    def __init__(self, now: Fraction, alpha: Fraction, omniscient: bool,
+    def __init__(self, now: Fraction, alpha: Fraction,
                  jobs: Optional[tuple[ViewJob, ...]] = None, source=None):
-        self.now, self.alpha, self.omniscient = now, alpha, omniscient
+        self.now, self.alpha = now, alpha
         self._jobs, self._candidates, self._source = jobs, None, source
 
     @property
@@ -65,7 +65,7 @@ class PolicyView:
         return self._jobs
 
     def candidates(self) -> tuple[ViewJob, ...]:
-        """A subsequence of jobs holding each minimum below that reads it."""
+        """A subsequence of jobs holding each minimum below that its rule reads."""
         if self._candidates is None:
             self._candidates = self.jobs if self._source is None else self._source.view_candidates()
         return self._candidates
@@ -92,16 +92,14 @@ class PolicyView:
     @property
     def best_signalled(self) -> Optional[ViewJob]:
         """The signalled job of least remaining time; a later signal, then
-        the lower id, breaks ties.  An omniscient engine view ranks for
-        SRPT, so this scans its jobs."""
-        signalled = [j for j in (self.jobs if self.omniscient else self.candidates()) if j.emitted]
+        the lower id, breaks ties."""
+        signalled = [j for j in self.candidates() if j.emitted]
         return min(signalled, key=lambda j: (j.remaining, -j.signal_time, j.job_id), default=None)
 
     @property
     def shortest(self) -> Optional[ViewJob]:
-        """The job of least remaining time, the lower id first among ties.
-        Only an omniscient view's candidates are ranked for it."""
-        pool = self.candidates() if self.omniscient else self.jobs
+        """The job of least remaining time, the lower id first among ties."""
+        pool = self.candidates()
         for j in pool:
             if j.remaining is None:
                 raise UnresolvedProcError(
@@ -110,8 +108,8 @@ class PolicyView:
         return min(pool, key=lambda j: (j.remaining, j.job_id), default=None)
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, PolicyView) and (self.now, self.alpha, self.omniscient, self.jobs) == (
-            other.now, other.alpha, other.omniscient, other.jobs)
+        return isinstance(other, PolicyView) and (self.now, self.alpha, self.jobs) == (
+            other.now, other.alpha, other.jobs)
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,6 @@
 import json
 import re
+from collections import Counter
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -528,7 +529,7 @@ def full_view(state):
             remaining=p - state.progress[j] if visible else None,
             signal_time=state.signal.get(j),
         ))
-    return PolicyView(state.now, state.alpha, state.omniscient, tuple(entries))
+    return PolicyView(state.now, state.alpha, tuple(entries))
 
 
 def exact_commit_lb1(alpha, k):
@@ -562,6 +563,9 @@ def view_reference_runs():
     for seed in range(1, 101):
         for kind in PolicyKind:
             yield corpus_instance(seed), kind
+        # the fused rule at its endpoints, where it decides as SRPT and SETF
+        for alpha in (F(0), F(1)):
+            yield corpus_instance(seed).with_alpha(alpha), PolicyKind.ALPHA
     for alpha in (F(1, 2), F(2, 3), F(3, 4)):
         for gen in (gen_det_lb1, gen_det_lb2, exact_commit_lb1):
             for k in (2, 3):
@@ -570,12 +574,18 @@ def view_reference_runs():
         yield from deferred_runs(waiting_commit_instance(alpha))
 
 
-def minima(view):
-    """The minima the rules decide from; SRPT's only on an
-    omniscient view, the one kind whose candidates carry it."""
+def minima(view, policy):
+    """The minima the run's rule decides from: SRPT's, none for SETF, which
+    scans every job, and the fused rule's two; at alpha = 0 and 1 the
+    fused rule decides as SRPT and SETF."""
+    if policy is PolicyKind.ALPHA and view.alpha in (0, 1):
+        policy = PolicyKind.SRPT if view.alpha == 0 else PolicyKind.SETF
+    if policy is PolicyKind.SRPT:
+        return (view.shortest,)
+    if policy is PolicyKind.SETF:
+        return ()
     least = view.least_unsignalled
-    found = (least, least is not None and view.unsignalled_at(least), view.best_signalled)
-    return found + (view.shortest,) if view.omniscient else found
+    return (least, least is not None and view.unsignalled_at(least), view.best_signalled)
 
 
 class TestViewReference:
@@ -588,7 +598,8 @@ class TestViewReference:
             view = original(state)
             assert view == full_view(state), f"view at {state.now} differs from a full rebuild"
             # the engine's minima against one scan of the rebuilt view
-            assert minima(view) == minima(full_view(state)), f"minima at {state.now}"
+            reference = minima(full_view(state), state.policy)
+            assert minima(view, state.policy) == reference, f"minima at {state.now}"
             sizes[0] += len(view.candidates())
             sizes[1] += len(view.jobs)
             calls.append(state.now)
@@ -599,10 +610,40 @@ class TestViewReference:
         for inst, policy in view_reference_runs():
             simulate(inst, policy)
             runs += 1
-        assert runs == 300 + 54 + 9
+        assert runs == 300 + 200 + 54 + 9
         assert len(calls) > 10 * runs
         # the engine's candidates are its rankings' fronts, not every job
         assert sizes[0] < sizes[1]
+
+
+class TestRankingsFollowTheRule:
+    def test_no_rule_keys_a_ranking_it_does_not_read(self, monkeypatch):
+        # SETF scans its jobs and merges on _unsignalled, which holds every
+        # unrated job; SRPT reads _remaining only
+        keyed = set()  # the rankings of the current run given a key
+        original = _Ranking.put
+
+        def spy(ranking, job, key):
+            if key is not None:
+                keyed.add(id(ranking))
+            original(ranking, job, key)
+
+        monkeypatch.setattr(_Ranking, "put", spy)
+        unread = {PolicyKind.SETF: ("_signalled", "_remaining"), PolicyKind.SRPT: ("_signalled",)}
+        read = {PolicyKind.SETF: "_unsignalled", PolicyKind.SRPT: "_remaining"}
+        used = Counter()
+        for inst, policy in view_reference_runs():
+            keyed.clear()
+            state = SimState(inst, policy)
+            state.run()
+            for name in unread.get(policy, ()):
+                assert id(getattr(state, name)) not in keyed, f"{policy.name} keyed {name}"
+            for name in ("_unsignalled", "_signalled", "_remaining"):
+                used[policy, name] += id(getattr(state, name)) in keyed
+        # the spy sees the rankings each rule does read, and the fused
+        # rule's signalled one
+        assert all(used[policy, name] > 0 for policy, name in read.items())
+        assert used[PolicyKind.ALPHA, "_signalled"] > 0
 
 
 class TestTieBreaksThroughSimulate:

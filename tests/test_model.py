@@ -80,6 +80,25 @@ class TestRational:
             assert type(op(x)) is Rat and _same_value(op(x), op(F(*pair)))
         assert x in {F(*pair)} and F(*pair) in {x}
 
+    @pytest.mark.parametrize("op", _ARITHMETIC + _COMPARISONS[1:])
+    @pytest.mark.parametrize("other", [0.5, 0.75, 2 + 1j], ids=["float", "equal-float", "complex"])
+    def test_fallbacks_match_fraction(self, op, other):
+        # an operand Rat has no fast path for goes to Fraction's own method;
+        # an equal float tells <= from <, and an unequal one a - b from b - a
+        x, fx = Rat(3, 4), F(3, 4)
+        for operands, reference in (((x, other), (fx, other)), ((other, x), (other, fx))):
+            try:
+                want = op(*reference)
+            except TypeError:
+                with pytest.raises(TypeError):
+                    op(*operands)
+                continue
+            got = op(*operands)
+            assert type(got) is type(want) and got == want
+        for operands in ((x, "3/4"), ("3/4", x)):
+            with pytest.raises(TypeError):
+                op(*operands)
+
     def test_hash_matches_fraction(self):
         modulus = sys.hash_info.modulus
         values = [(0, 1), (1, 1), (-1, 1), (-2, 1), (7, 1), (-(2**70), 1), (2**61 - 1, 1)]
@@ -256,6 +275,13 @@ class TestInstanceValidation:
         with pytest.raises(ModelError, match="names a job twice"):
             RankPairRule((1, 1), 4, 1)
 
+    @pytest.mark.parametrize("progress", [(1, 3), (2, 2), (3, 1)])
+    def test_rank_pair_rule_gives_the_further_job_the_long_time(self, progress):
+        # on a tie the lower id counts as further
+        rule = RankPairRule((1, 2), 5, 3)
+        further = 2 if progress[1] > progress[0] else 1
+        assert rule.commit(dict(zip((1, 2), map(F, progress)))) == {further: 5, 3 - further: 3}
+
     def test_progress_scaled_rule_naming_a_job_twice_rejected(self):
         with pytest.raises(ModelError, match="names a job twice"):
             ProgressScaledRule((1, 1, 2), 2, 0)
@@ -303,6 +329,11 @@ class TestGuards:
     def test_committed_job_not_committed_again(self, deferred_instance):
         with pytest.raises(ModelError, match=r"^job 1 is already committed$"):
             deferred_instance.with_committed({1: 3, 2: 3})
+
+    @pytest.mark.parametrize("rate, value", [(1, F(1)), ("1/2", F(1, 2))])
+    def test_segment_rate_converted_to_rat(self, rate, value):
+        segment = ExecutionSegment(0, 1, ((1, rate),))
+        assert segment.rates == ((1, value),) and type(segment.rates[0][1]) is Rat
 
     @pytest.mark.parametrize("job_id", [2.7, True, "2"])
     def test_segment_job_id_must_be_an_int(self, job_id):

@@ -196,6 +196,9 @@ class TestBruteForceOptimum:
     def test_matches_srpt_on_pair(self, pair_instance):
         assert brute_force_min_total_flow(pair_instance) == 6
 
+    def test_no_jobs_no_flow(self):
+        assert brute_force_min_total_flow(Instance((), F(1, 2))) == 0
+
     def test_idle_gap_handled(self):
         inst = Instance((Job(1, 0, 1), Job(2, 7, 2)), F(1, 2))
         assert brute_force_min_total_flow(inst) == 3

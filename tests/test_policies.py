@@ -16,7 +16,7 @@ from alphasched.policies import (
 from conftest import small_instance
 
 
-def view(now, alpha, entries, omniscient=False):
+def view(now, alpha, entries):
     jobs = tuple(
         ViewJob(
             job_id=j,
@@ -27,7 +27,7 @@ def view(now, alpha, entries, omniscient=False):
         )
         for (j, y, emitted, rem, sig) in entries
     )
-    return PolicyView(now=F(now), alpha=F(alpha), omniscient=omniscient, jobs=jobs)
+    return PolicyView(now=F(now), alpha=F(alpha), jobs=jobs)
 
 
 class TestSetf:
@@ -65,13 +65,11 @@ class TestSrpt:
         assert build_report(trace).total_flow == 5
 
     def test_single_job(self):
-        dec = srpt_decide(view(0, 0, [(1, 0, True, 4, 0)], omniscient=True))
+        dec = srpt_decide(view(0, 0, [(1, 0, True, 4, 0)]))
         assert dec.rates == ((1, F(1)),)
 
     def test_equal_remaining_lowest_id(self):
-        dec = srpt_decide(
-            view(0, 0, [(2, 0, True, 3, 0), (1, 0, True, 3, 0)], omniscient=True)
-        )
+        dec = srpt_decide(view(0, 0, [(2, 0, True, 3, 0), (1, 0, True, 3, 0)]))
         assert dec.rates == ((1, F(1)),)
 
     def test_missing_remaining_errors(self):
