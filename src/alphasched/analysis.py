@@ -80,8 +80,12 @@ def check_max_flow(net: FlowNetwork, result: FlowResult, t: Fraction) -> list[st
 def check_min_cut(net: FlowNetwork, result: FlowResult) -> list[str]:
     """Certificate that a flow below supply is maximum: the source side of
     its cut holds the source and not the sink, the flow leaving the source is
-    the value, and the cut's capacity over ``net.solved_arcs()``, the network
-    ``max_flow_saturates`` solves, equals it (Ford and Fulkerson)."""
+    the value, and the cut's capacity over ``net.solved_arcs()`` equals it
+    (Ford and Fulkerson).  ``max_flow_saturates`` solves a residual index
+    with one hub per interval, but it maps its flow back to the network's
+    own arcs and takes the cut from that flow's residual graph on
+    ``net.solved_arcs()``, so this certifies the paper's network, not the
+    index."""
     side = result.cut
     violations = []
     if SOURCE not in side or SINK in side:

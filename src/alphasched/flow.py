@@ -14,45 +14,80 @@ in O(t).  The max flow and the min cut are taken over one network,
 ``FlowNetwork.solved_arcs``.
 
 Holder arcs have one capacity per instance, ``NetworkSweep.infinite`` =
-total work plus 1, and no augmenting path's bottleneck is one of them.  A
-dummy of job i passes at most p_i, so a holder arc into it keeps a residual
-above the total work less p_i.  A path from supply job j has a source arc of
-at most p_j, and a sink arc of at most p_x for a demand job x, and x is not
-j.  If i is not j, the source arc is smaller; if it is, the sink arc is.  So
-the witness flow is the same for every value above the total work.
+total work plus 1, and no augmenting path's bottleneck is one of them.  Each
+augmenting path is simple and pushes at most what its source arc has left,
+so no arc ever carries more than the value, and the value plus a push is at
+most the total supply.  An arc of capacity above the total supply therefore
+keeps a forward residual above every push, and the witness flow is the same
+for every such capacity.
+
+The solver works on a residual index (``ResidualIndex``) in which each
+interval's holder -> dummy layer is one hub: holder -> ("hub", l) ->
+dummy (i, l), both arcs at the least holder arc's capacity (``infinite`` in
+the sweep's networks).  ``index_arcs`` builds it from arcs in index order,
+(interval, tail, head) with the source and sink arcs last; ``NetworkSweep``
+calls it once per closed interval, and the solver adds the open interval
+and the source and sink arcs to a copy.  A layer gets a hub only where it
+is complete, every holder j having an arc into every dummy (i, l) of the
+layer but its own, and where every holder arc exceeds the total supply;
+elsewhere the index keeps the direct arcs.  A dummy with no positive
+out-arc gets no arc in the index: no flow can leave it.
+
+The hub is equivalent.  Routing each amount on j -> (i, l) through the hub
+turns a flow on the network into one on the index, and the three steps
+below turn a flow on the index back into one on the network; both keep
+every source and sink arc.  No holder arc and no hub arc can bind, since
+each carries at most the value, which is at most the total supply: the
+argument above holds for the hub's arcs as it does for the holder arcs.  So
+the two have the same maximum value, and the solver's maximum flow on the
+index maps to a maximum flow on the network.
+
+1. Cancel every own-dummy cycle j -> hub_l -> (j, l) -> j, by the lesser of
+   j's flow into the hub and the hub's flow into (j, l).  The hub is the
+   only arc into (j, l), and the arc to j the only one out, so afterwards
+   no job both sends flow into a hub and takes flow from it.
+2. Split each hub's inflow over its outflow, holders and dummies each in
+   vertex order.  The two sums are equal, and by step 1 every pair the
+   split makes is a holder j and a dummy (i, l) with i not j, which the
+   complete layer joins by an arc.  No amount exceeds the total supply.
+3. Cancel any cycle left among the jobs and dummies, each by its least arc
+   flow.  A cancellation keeps the value, the source and sink arcs and
+   feasibility, and empties at least one arc, so this ends with a witness
+   that carries no cycle.
 
 Which maximum flow the solver finds changes one verdict only.  Every
 maximum flow has the same value, and the vertices reachable from the source
 in its residual graph are the same set, the source side of the least
 minimum cut (Ford and Fulkerson 1962; Picard and Queyranne 1980).  So
 ``max_flow`` and ``min_cut`` read the same value and cut from every maximum
-flow.  ``flow_feasible`` holds for every flow on the solved network, a
-subnetwork of ``FlowNetwork.arcs`` with no arc out of a demand job but to
-the sink.  ``flow_reachability`` reads no flow.  ``refine_flow`` splits each
-job-to-dummy amount between the halves' dummies, and a half's dummy takes
-at most the work its job received there, so ``refined_flow_feasible`` and
-``refinement_direct_flow`` hold for every feasible flow.
+flow; the solver takes the cut as the source side of the mapped flow's
+residual graph on ``FlowNetwork.solved_arcs``.  ``flow_feasible`` holds for
+every flow on the solved network, a subnetwork of ``FlowNetwork.arcs`` with
+no arc out of a demand job but to the sink.  ``flow_reachability`` reads no
+flow.  ``refine_flow`` splits each job-to-dummy amount between the halves'
+dummies, and a half's dummy takes at most the work its job received there,
+so ``refined_flow_feasible`` and ``refinement_direct_flow`` hold for every
+feasible flow.
 
 ``path_decomposition`` is witness-dependent: a maximum flow may carry a
 cycle of job-to-job amounts j -> ... -> j, which the peeling discards and
-the check reports.  The breadth-first witness has carried none on any
-tested input, but nothing guarantees that, and the tests' depth-first
-solver often returns one; another solver must return a flow without a
-cycle.  On such a flow the other checks hold for every maximum flow.  Beta
-reads only the source, sink and job-to-job amounts, and ``refine_flow``
-keeps all three, so ``refinement_beta`` holds.  The peeled rows are the
-supplies, the columns are at most the demands, and every path runs along
-positive-capacity arcs, so ``beta_properties`` holds wherever
-``flow_reachability`` does; where that fails, which pairs it names depends
-on the witness.
+the check reports; the tests' depth-first solver often returns one.  Step 3
+rules that out for this solver's witness.  On a flow without a cycle the
+other checks hold for every maximum flow.  Beta reads only the source, sink
+and job-to-job amounts, and ``refine_flow`` keeps all three, so
+``refinement_beta`` holds.  The peeled rows are the supplies, the columns
+are at most the demands, and every path runs along positive-capacity arcs,
+so ``beta_properties`` holds wherever ``flow_reachability`` does; where that
+fails, which pairs it names depends on the witness.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import compress, groupby, islice
 from typing import Iterable, Optional
 
 from .borrow import closure
@@ -64,16 +99,132 @@ _ZERO = Rat(0)
 SOURCE: Vertex = ("source",)
 SINK: Vertex = ("sink",)
 
+Arc = tuple[Vertex, Vertex]
+Arcs = dict[Arc, Fraction]
+
+
+@dataclass(frozen=True)
+class ResidualIndex:
+    """A residual graph at zero flow, as the solver reads it: vertex numbers,
+    and per arc k in index order its head at 2k and its tail at 2k + 1 of
+    ``heads``, its capacity at 2k and 0 at 2k + 1 of ``residual``, and per
+    vertex the residual arcs leaving it, in index order.  Never edited:
+    ``index_arcs`` extends a copy, and the solver pushes flow on a copy."""
+
+    vertices: list[Vertex]
+    number: dict[Vertex, int]
+    heads: list[int]
+    residual: list[Fraction]
+    out: list[list[int]]
+
+
+_EMPTY_INDEX = ResidualIndex([SOURCE, SINK], {SOURCE: 0, SINK: 1}, [], [], [[], []])
+
+
+Layer = tuple[Optional[int], list[tuple[Arc, Fraction]]]
+
+
+def _interval_of(item: tuple[Arc, Fraction]) -> Optional[int]:
+    """The interval of an arc into or out of a dummy; None for the others."""
+    (u, v), _ = item
+    if v[0] == "dummy":
+        return v[2]
+    if u[0] == "dummy":
+        return u[2]
+    return None
+
+
+def _index_layers(arcs: Iterable[tuple[Arc, Fraction]]) -> list[Layer]:
+    """Positive-capacity arcs grouped in index order: per interval l, in
+    increasing l, (l, its arcs by (tail, head)), then (None, the arcs of no
+    interval by (tail, head))."""
+
+    def order(item: tuple[Arc, Fraction]) -> tuple:
+        l = _interval_of(item)
+        return (l is None, l or 0, item[0])
+
+    ordered = sorted(arcs, key=order)
+    return [(l, list(group)) for l, group in groupby(ordered, key=_interval_of)]
+
+
+def _layer_arcs(l: int, arcs: list[tuple[Arc, Fraction]], bound: Fraction) -> list[tuple[Arc, Fraction]]:
+    """Interval l's arcs, by (tail, head), as the index holds them.  The
+    holder -> dummy layer goes through one hub where it is complete (the
+    holder arcs are exactly those from each holder job into each dummy but
+    its own, and each dummy's one out-arc goes to its job) and every holder
+    arc exceeds ``bound``; otherwise the arcs stay, less those into a dummy
+    with no out-arc."""
+    n = 0
+    while n < len(arcs) and arcs[n][0][0][0] == "dummy":
+        n += 1
+    own = arcs[:n]
+    dummies = [u for (u, _), _ in own]
+    live = set(dummies)
+    holder_arcs = [item for item in arcs[n:] if item[0][1] in live]
+    holders = sorted({u for (u, _), _ in holder_arcs})
+    if (
+        holder_arcs
+        and all(v == ("job", u[1]) for (u, v), _ in own)
+        and all(h[0] == "job" for h in holders)
+        and [arc for arc, _ in holder_arcs] == [(h, d) for h in holders for d in dummies if h[1] != d[1]]
+        and (cap := min(cap for _, cap in holder_arcs)) > bound
+    ):
+        hub = ("hub", l)
+        return own + [((hub, d), cap) for d in dummies] + [((h, hub), cap) for h in holders]
+    live = {u for (u, _), _ in arcs if u[0] == "dummy"}
+    return [item for item in arcs if item[0][1][0] != "dummy" or item[0][1] in live]
+
+
+def index_arcs(index: ResidualIndex, layers: Iterable[Layer], bound: Fraction) -> ResidualIndex:
+    """``index`` extended by ``layers``, positive-capacity arcs grouped in
+    index order as ``_index_layers`` groups them, each interval's arcs as
+    ``_layer_arcs`` holds them; ``bound`` is at least the total supply of every
+    network the index is solved for."""
+    vertices, number = list(index.vertices), dict(index.number)
+    heads, residual, out = list(index.heads), list(index.residual), list(index.out)
+    new: dict[int, list[int]] = {}  # per vertex, its residual arcs added here
+
+    def vertex(v: Vertex) -> int:
+        k = number.get(v)
+        if k is None:
+            k = number[v] = len(vertices)
+            vertices.append(v)
+            out.append([])
+        return k
+
+    for l, arcs in layers:
+        for (u, v), cap in arcs if l is None else _layer_arcs(l, arcs, bound):
+            a, b = vertex(u), vertex(v)
+            new.setdefault(a, []).append(len(heads))
+            new.setdefault(b, []).append(len(heads) + 1)
+            heads += (b, a)
+            residual += (cap, _ZERO)
+    for k, added in new.items():
+        out[k] = out[k] + added
+    return ResidualIndex(vertices, number, heads, residual, out)
+
+
+@dataclass(frozen=True)
+class _Prebuilt:
+    """A base network's share of the sweep's work: the index of its closed
+    intervals, its other arcs in index order, and its arcs as built, so that
+    an arc edited after the build is seen."""
+
+    index: ResidualIndex
+    rest: list[Layer]
+    arcs: Arcs
+
 
 @dataclass
 class FlowNetwork:
     time_points: tuple[Fraction, ...]
-    arcs: dict[tuple[Vertex, Vertex], Fraction]
+    arcs: Arcs
     supplies: dict[int, Fraction]
     demands: dict[int, Fraction]
     # job-to-job steps (j, i): a positive-capacity arc from job j into a
     # dummy of job i whose own out-arc has positive capacity
     steps: frozenset[tuple[int, int]]
+    _prebuilt: Optional[_Prebuilt] = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def total_supply(self) -> Fraction:
@@ -91,7 +242,7 @@ class FlowNetwork:
         """Jobs reachable from j along positive-capacity arcs."""
         return self.reach_sets((j,))[j]
 
-    def solved_arcs(self) -> dict[tuple[Vertex, Vertex], Fraction]:
+    def solved_arcs(self) -> Arcs:
         """The network the max flow solves: the arcs of positive capacity,
         less every arc from a demand job to anything but the sink."""
         return {
@@ -101,19 +252,17 @@ class FlowNetwork:
         }
 
 
-Arcs = dict[tuple[Vertex, Vertex], Fraction]
-
-
 @dataclass(frozen=True)
 class _Grid:
     """A network at one time less its supplies and demands: the closed
     intervals' arcs (the sweep's own map, kept while t stays) and the open
-    interval's."""
+    interval's, and on the base grid the closed intervals' residual index."""
 
     time_points: tuple[Fraction, ...]
     steps: frozenset[tuple[int, int]]
     closed_arcs: Arcs
     open_arcs: Arcs
+    index: Optional[ResidualIndex]
 
 
 class NetworkSweep:
@@ -129,7 +278,8 @@ class NetworkSweep:
     too.  So a closed interval's arcs, in the base network (index l) and in
     the refined one (halves 2l and 2l + 1, which have its holders), and its
     job-to-job steps are built once, when t first reaches b; each time adds
-    only the open interval.
+    only the open interval.  The base arcs of each closed interval enter the
+    solver's residual index then too (``index_arcs``).
     """
 
     def __init__(self, trace: ScheduleTrace):
@@ -140,6 +290,7 @@ class NetworkSweep:
         self._grid = sorted({_ZERO, *self._releases, *trace.completions.values()})
         self._closed = 0  # grid intervals built so far
         self._arcs: Arcs = {}
+        self._index = _EMPTY_INDEX
         self._refined_arcs: Arcs = {}
         self._refined_points = [_ZERO]
         self._steps: frozenset[tuple[int, int]] = frozenset()
@@ -157,7 +308,11 @@ class NetworkSweep:
         grid = self._grid
         while self._closed + 1 < len(grid) and grid[self._closed + 1] <= t:
             l, a, b = self._closed, grid[self._closed], grid[self._closed + 1]
-            self._steps |= self._interval(l, a, b, self._arcs, self._refined_arcs)
+            arcs: Arcs = {}
+            self._steps |= self._interval(l, a, b, arcs, self._refined_arcs)
+            self._arcs.update(arcs)
+            # no supply exceeds the total work, infinite - 1
+            self._index = index_arcs(self._index, [(l, list(arcs.items()))], self.infinite - 1)
             self._refined_points += [(a + b) / 2, b]
             self._closed += 1
         points, refined_points = grid[: self._closed + 1], self._refined_points
@@ -168,8 +323,8 @@ class NetworkSweep:
             points = points + [t]
             refined_points = refined_points + [(last + t) / 2, t]
         self._now = (
-            _Grid(tuple(points), steps, self._arcs, arcs),
-            _Grid(tuple(refined_points), steps, self._refined_arcs, refined_arcs),
+            _Grid(tuple(points), steps, self._arcs, arcs, self._index),
+            _Grid(tuple(refined_points), steps, self._refined_arcs, refined_arcs, None),
         )
         return self._now
 
@@ -177,39 +332,40 @@ class NetworkSweep:
         self, l: int, a: Fraction, b: Fraction, arcs: Arcs, refined_arcs: Arcs
     ) -> frozenset[tuple[int, int]]:
         """Add the arcs of interval l = [a, b] and of its two halves to the
-        base and the refined arc maps; the interval's steps."""
+        base and the refined arc maps, each interval's in index order; the
+        interval's steps."""
         trace, infinite = self.trace, self.infinite
         at_a, at_mid, at_b = trace.work_at(a), trace.work_at((a + b) / 2), trace.work_at(b)
-        released = trace.instance.jobs[: bisect_right(self._releases, a)]
+        released = sorted(job.id for job in trace.instance.jobs[: bisect_right(self._releases, a)])
         holders = [
-            job.id for job in released
-            if (done := trace.completions.get(job.id)) is None or done >= b
+            ("job", j) for j in released
+            if (done := trace.completions.get(j)) is None or done >= b
         ]
-        steps = set()
-        for job in released:
-            i = job.id
-            if at_b[i] == at_a[i]:
-                continue
-            vertex = ("job", i)
-            others = [("job", j) for j in holders if j != i]
-            steps.update((holder[1], i) for holder in others)
-            for into, k, lo, hi in (
-                (arcs, l, at_a, at_b),
-                (refined_arcs, 2 * l, at_a, at_mid),
-                (refined_arcs, 2 * l + 1, at_mid, at_b),
-            ):
+        worked = [i for i in released if at_b[i] != at_a[i]]
+        for into, k, lo, hi in (
+            (arcs, l, at_a, at_b),
+            (refined_arcs, 2 * l, at_a, at_mid),
+            (refined_arcs, 2 * l + 1, at_mid, at_b),
+        ):
+            dummies = []
+            for i in worked:
                 received = hi[i] - lo[i]
                 if received:
                     dummy = ("dummy", i, k)
-                    into[(dummy, vertex)] = received
-                    for holder in others:
+                    into[(dummy, ("job", i))] = received
+                    dummies.append(dummy)
+            for holder in holders:
+                for dummy in dummies:
+                    if dummy[1] != holder[1]:
                         into[(holder, dummy)] = infinite
-        return frozenset(steps)
+        return frozenset((holder[1], i) for holder in holders for i in worked if i != holder[1])
 
 
 def build_flow_network(sweep: NetworkSweep, point: TimePoint, refined: bool = False) -> FlowNetwork:
     """Interval network of the sweep's trace at the point's time t, on the
-    base grid or, refined, with every interval split at its midpoint."""
+    base grid or, refined, with every interval split at its midpoint.  A
+    base network carries the sweep's residual index of its closed
+    intervals."""
     base, fine = sweep.at(point.t)
     grid = fine if refined else base
     work = point.work
@@ -221,26 +377,30 @@ def build_flow_network(sweep: NetworkSweep, point: TimePoint, refined: bool = Fa
         if rest > 0:
             supplies[j] = rest
     demands = {i: work[i] for i in sorted(point.opt_alive) if work[i] > 0}
-    arcs = {**grid.closed_arcs, **grid.open_arcs}
-    for j, s in supplies.items():
-        arcs[(SOURCE, ("job", j))] = s
-    for i, d in demands.items():
-        arcs[(("job", i), SINK)] = d
-    return FlowNetwork(
+    # the sink and the source arcs, in index order
+    terminal = [((("job", i), SINK), d) for i, d in demands.items()]
+    terminal += [((SOURCE, ("job", j)), s) for j, s in supplies.items()]
+    arcs = {**grid.closed_arcs, **grid.open_arcs, **dict(terminal)}
+    net = FlowNetwork(
         time_points=grid.time_points,
         arcs=arcs,
         supplies=supplies,
         demands=demands,
         steps=grid.steps,
     )
+    if grid.index is not None:
+        layers = [(len(grid.time_points) - 2, list(grid.open_arcs.items()))] if grid.open_arcs else []
+        net._prebuilt = _Prebuilt(grid.index, layers + [(None, terminal)], dict(arcs))
+    return net
 
 
 @dataclass
 class FlowResult:
     value: Fraction
     flow: dict[tuple[Vertex, Vertex], Fraction]
-    # below supply only: the vertices reachable from the source in the final
-    # residual graph, the source side of a minimum cut (``check_min_cut``)
+    # below supply only: the vertices reachable from the source in the
+    # flow's residual graph, the source side of a minimum cut
+    # (``check_min_cut``)
     cut: Optional[frozenset[Vertex]] = None
 
     def job_totals(self) -> dict[tuple[int, int], Fraction]:
@@ -255,50 +415,60 @@ class FlowResult:
         return totals
 
 
+def residual_index(net: FlowNetwork) -> ResidualIndex:
+    """The residual graph ``max_flow_saturates`` solves for ``net``: the
+    sweep's index of the closed intervals plus the open interval's and the
+    source and sink arcs while ``net.arcs`` is as built, and otherwise an
+    index of the network's own positive-capacity arcs.  Both go through
+    ``index_arcs`` in index order, so the index depends on the network
+    alone."""
+    built = net._prebuilt
+    if built is not None and net.arcs == built.arcs:
+        return index_arcs(built.index, built.rest, net.total_supply)
+    positive = ((arc, cap) for arc, cap in net.arcs.items() if cap > 0)
+    return index_arcs(_EMPTY_INDEX, _index_layers(positive), net.total_supply)
+
+
 def max_flow_saturates(net: FlowNetwork) -> tuple[bool, FlowResult]:
-    """Exact max flow on ``net.solved_arcs()``, breadth-first augmentation in
-    deterministic order.
+    """Exact max flow on ``net.solved_arcs()``, by breadth-first
+    augmentation on ``residual_index(net)``, its witness mapped back to the
+    network's arcs without a cycle (the module docstring's three steps).
 
-    Vertices are numbered in the vertex tuples' own order and arcs enter the
-    residual graph sorted by (tail, head), so the augmenting paths, and with
-    them the witness flow, depend on the network alone.  The residual
-    capacities are kept in one array: arc k of that order at 2k, its reverse
-    at 2k + 1, so the flow on arc k is the residual of 2k + 1.  The solved
-    network has no arc from a demand vertex other than to the sink, so the
-    witness flow has no outgoing flow at any demand vertex; a path may still
-    pass a demand vertex backwards, cancelling flow that entered it.
+    The arcs out of each vertex are tried in index order, so the augmenting
+    paths, and with them the witness flow, depend on the network alone.
+    The residual capacities are kept in one array: arc k of that order at
+    2k, its reverse at 2k + 1, so the flow on arc k is the residual of
+    2k + 1.  Every arc out of a demand job but to the sink is closed, as
+    ``solved_arcs`` leaves it out, so the witness has no outgoing flow at
+    any demand vertex; a path may still pass a demand vertex backwards,
+    cancelling flow that entered it.  A network with no supply has the zero
+    flow.
 
-    Below supply, the result carries the source side of the final residual
-    graph, whose cut capacity ``check_min_cut`` compares with the value.
+    Below supply, the result carries the source side of the mapped flow's
+    residual graph on ``net.solved_arcs()``, whose cut capacity
+    ``check_min_cut`` compares with the value.
     """
-    arcs = sorted(net.solved_arcs().items())
-    vertices = sorted({end for arc, _ in arcs for end in arc} | {SOURCE, SINK})
-    number = {v: k for k, v in enumerate(vertices)}
-    out: list[list[int]] = [[] for _ in vertices]  # residual arcs leaving each vertex
-    heads: list[int] = []
-    residual: list[Fraction] = []
-    for (u, v), cap in arcs:
-        a, b = number[u], number[v]
-        out[a].append(len(heads))
-        heads.append(b)
-        residual.append(cap)
-        out[b].append(len(heads))
-        heads.append(a)
-        residual.append(_ZERO)
+    if not net.supplies:
+        return True, FlowResult(value=Rat(0), flow={})
+    index = residual_index(net)
+    number, out, heads, residual = index.number, index.out, index.heads, list(index.residual)
     source, sink = number[SOURCE], number[SINK]
-    is_open = [True, False] * len(arcs)  # residual[e] > 0, kept in step
+    is_open = [True, False] * (len(heads) // 2)  # residual[e] > 0, kept in step
+    for vertex in (("job", i) for i in net.demands if ("job", i) in number):
+        for e in out[number[vertex]]:
+            if not e & 1 and heads[e] != sink:  # a forward arc, not to the sink
+                is_open[e] = False
 
     value = Rat(0)
     while True:
-        parent = [-1] * len(vertices)
+        parent = [-1] * len(out)
         parent[source] = len(heads)
         queue = deque([source])
         while queue and parent[sink] < 0:
-            u = queue.popleft()
-            for e in out[u]:
-                if is_open[e] and parent[heads[e]] < 0:
-                    parent[heads[e]] = e
-                    queue.append(heads[e])
+            for e in out[queue.popleft()]:
+                if is_open[e] and parent[v := heads[e]] < 0:
+                    parent[v] = e
+                    queue.append(v)
         if parent[sink] < 0:
             break
         path = []
@@ -307,7 +477,7 @@ def max_flow_saturates(net: FlowNetwork) -> tuple[bool, FlowResult]:
             e = parent[w]
             path.append(e)
             w = heads[e ^ 1]
-        push = min(residual[e] for e in path)
+        push = min(map(residual.__getitem__, path))
         for e in path:
             residual[e] -= push
             residual[e ^ 1] += push
@@ -315,11 +485,109 @@ def max_flow_saturates(net: FlowNetwork) -> tuple[bool, FlowResult]:
             is_open[e ^ 1] = True
         value += push
 
-    flow = {arc: residual[2 * k + 1] for k, (arc, _) in enumerate(arcs) if is_open[2 * k + 1]}
+    vertices = index.vertices
+    flow = network_flow({
+        (vertices[heads[e]], vertices[heads[e - 1]]): residual[e]
+        for e in compress(range(1, len(heads), 2), islice(is_open, 1, None, 2))
+    })
     if value == net.total_supply:
         return True, FlowResult(value=value, flow=flow)
-    cut = frozenset(v for v, e in zip(vertices, parent) if e >= 0)
-    return False, FlowResult(value=value, flow=flow, cut=cut)
+    return False, FlowResult(value=value, flow=flow, cut=_source_side(net, flow))
+
+
+def network_flow(index_flow: Arcs) -> Arcs:
+    """A flow on a residual index's arcs as a flow on the network's own
+    arcs, by the module docstring's three steps: each hub's flow split over
+    job -> dummy arcs and every cycle cancelled; the arcs sorted."""
+    flow: Arcs = {}
+    into: dict[Vertex, dict[Vertex, Fraction]] = {}  # per hub, the flow from each holder
+    onto: dict[Vertex, dict[Vertex, Fraction]] = {}  # per hub, the flow to each dummy
+    for (u, v), f in index_flow.items():
+        if v[0] == "hub":
+            into.setdefault(v, {})[u] = f
+        elif u[0] == "hub":
+            onto.setdefault(u, {})[v] = f
+        else:
+            flow[(u, v)] = f
+    for hub, dummies in onto.items():
+        holders = into[hub]
+        for dummy, f in dummies.items():
+            own = ("job", dummy[1])
+            if own in holders:
+                # step 1: cancel the cycle own -> hub -> dummy -> own
+                gamma = min(f, holders[own])
+                holders[own] -= gamma
+                dummies[dummy] -= gamma
+                _add(flow, (dummy, own), -gamma)
+        # step 2: the holders' inflows split over the dummies' outflows
+        targets = [[dummy, f] for dummy, f in sorted(dummies.items()) if f > 0]
+        k = 0
+        for holder, f in sorted(holders.items()):
+            while f > 0:
+                take = min(f, targets[k][1])
+                flow[(holder, targets[k][0])] = take
+                f -= take
+                targets[k][1] -= take
+                if not targets[k][1]:
+                    k += 1
+    # step 3: cancel every cycle left
+    while (cycle := _cycle(flow)) is not None:
+        arcs = list(zip(cycle, cycle[1:]))
+        gamma = min(flow[arc] for arc in arcs)
+        for arc in arcs:
+            _add(flow, arc, -gamma)
+    return dict(sorted(flow.items()))
+
+
+def _add(flow: Arcs, arc: Arc, amount: Fraction) -> None:
+    """Add ``amount`` to the flow on ``arc``, dropping the arc at zero."""
+    total = flow.get(arc, _ZERO) + amount
+    if total:
+        flow[arc] = total
+    else:
+        del flow[arc]
+
+
+def _cycle(flow: Arcs) -> Optional[list[Vertex]]:
+    """A closed walk u, ..., u along arcs carrying flow, visiting no vertex
+    twice but u, found depth-first in the flow's order; None if the flow
+    has no cycle."""
+    onward: dict[Vertex, list[Vertex]] = {}
+    for u, v in flow:
+        onward.setdefault(u, []).append(v)
+    on_path: dict[Vertex, bool] = {}  # True while on the walk, False once done
+    for root in onward:
+        if root in on_path:
+            continue
+        walk, branches = [root], [iter(onward[root])]
+        on_path[root] = True
+        while walk:
+            for v in branches[-1]:
+                state = on_path.get(v)
+                if state:
+                    return walk[walk.index(v):] + [v]
+                if state is None:
+                    on_path[v] = True
+                    walk.append(v)
+                    branches.append(iter(onward.get(v, ())))
+                    break
+            else:
+                on_path[walk.pop()] = False
+                branches.pop()
+    return None
+
+
+def _source_side(net: FlowNetwork, flow: Arcs) -> frozenset[Vertex]:
+    """The vertices reachable from the source in the residual graph of
+    ``flow`` on ``net.solved_arcs()``."""
+    onward: dict[Vertex, list[Vertex]] = {}
+    for (u, v), cap in net.solved_arcs().items():
+        f = flow.get((u, v), _ZERO)
+        if f < cap:
+            onward.setdefault(u, []).append(v)
+        if f > 0:
+            onward.setdefault(v, []).append(u)
+    return closure(onward, SOURCE)
 
 
 @dataclass

@@ -42,7 +42,9 @@ from alphasched.flow import (
     build_flow_network,
     decompose_beta,
     max_flow_saturates,
+    network_flow,
     refine_flow,
+    residual_index,
 )
 from alphasched.model import (
     ExecutionSegment,
@@ -428,7 +430,11 @@ def assert_swept_networks_equal_rebuilds(inst):
         point = TimePoint.at(alg, opt, t)
         net = build_flow_network(sweep, point)
         fresh = ScheduleTrace(alg.instance, alg.segments)
-        assert net == build_flow_network_from_scratch(fresh, TimePoint.at(fresh, opt, t))
+        scratch = build_flow_network_from_scratch(fresh, TimePoint.at(fresh, opt, t))
+        assert net == scratch
+        # the sweep's residual index and the one built from the network's
+        # own arcs give the same witness
+        assert max_flow_saturates(net) == max_flow_saturates(scratch)
         tps = net.time_points
         mids = [(a + b) / 2 for a, b in zip(tps, tps[1:])]
         fresh = ScheduleTrace(alg.instance, alg.segments)
@@ -484,8 +490,9 @@ class TestFlowOracles:
     def test_witness_flows_and_betas_are_pinned(self):
         # the sha256 of every witness flow and borrowing matrix the verifier
         # computes at the event times of the oracle corpus and of batch
-        # instances n = 6..13 at alpha 1/2, recorded before the networks were
-        # carried across event times; report.json shows neither
+        # instances n = 6..13 at alpha 1/2, recorded when the max flow moved
+        # to a residual index with one hub per interval (the witness is any
+        # maximum flow without a cycle); report.json shows neither
         instances = [corpus_instance(seed) for seed in ORACLE_SEEDS] + [
             gen_random_instance(n, 8, 1.0, seed=n, alpha=F(1, 2)) for n in range(6, 14)
         ]
@@ -496,7 +503,7 @@ class TestFlowOracles:
                 digest.update(line.encode() + b"\n")
                 lines += 1
         assert lines == 3522
-        assert digest.hexdigest() == "d70e86a9f792a751bdcdaf7b26eb9fb982a06e0333a45047bfeb6aa1b6eb9cd8"
+        assert digest.hexdigest() == "14ca24a31bf10b8e570c112903f0c3431baca4e32bd3d99b4dd42053d506aa5a"
 
     @pytest.mark.parametrize("seed", ORACLE_SEEDS)
     def test_max_flow_value_matches_networkx(self, seed):
@@ -535,6 +542,31 @@ class TestFlowOracles:
         for order in (sorted(net.arcs), sorted(net.arcs, reverse=True)):
             reordered = replace(net, arcs={arc: net.arcs[arc] for arc in order})
             assert max_flow_saturates(reordered) == (saturated, flow)
+
+    @settings(max_examples=300, deadline=None, database=None, derandomize=True)
+    @given(verifier_networks())
+    def test_witness_carries_no_cycle_on_random_networks(self, net):
+        saturated, flow = max_flow_saturates(net)
+        assert without_cycles(flow) == flow
+        if saturated:
+            assert decompose_beta(flow).discarded_cycle_flow == 0
+
+    def test_witness_carries_no_cycle_on_corpus_networks(self):
+        for seed in ORACLE_SEEDS:
+            alg, opt = trace_pair(corpus_instance(seed))
+            sweep = NetworkSweep(alg)
+            for t in check_times(alg, opt)[0]:
+                saturated, flow = max_flow_saturates(build_flow_network(sweep, TimePoint.at(alg, opt, t)))
+                assert without_cycles(flow) == flow
+                if saturated:
+                    assert decompose_beta(flow).discarded_cycle_flow == 0
+
+    def test_max_flow_reads_arcs_replaced_after_the_build(self, pair_traces):
+        alg, opt = pair_traces
+        net = build_flow_network(NetworkSweep(alg), TimePoint.at(alg, opt, F(5, 2)))
+        starved = replace(net, arcs={**net.arcs, (dummy(2), job(2)): F(1, 8)})
+        assert max_flow_saturates(starved)[1].value == F(1, 8)
+        assert max_flow_saturates(net)[1].value == F(1, 2)
 
     def test_max_flow_reads_arcs_edited_after_the_build(self, pair_traces):
         alg, opt = pair_traces
@@ -731,6 +763,141 @@ class TestDeadDummies:
                 if not (u[0] == "job" and u[1] in refined.demands and v != SINK):
                     graph.add_edge(u, v, capacity=cap)
             assert nx.maximum_flow_value(graph, SOURCE, SINK) == flow.value
+
+
+class TestHubs:
+    """The residual index puts one hub per interval only where the holder
+    layer is complete and no holder arc can bind; elsewhere it keeps the
+    network's direct holder arcs."""
+
+    def test_incomplete_layer_keeps_its_direct_arcs(self):
+        # supplies 1 and 2, demands 3 and 4; in interval 0 job 1 feeds
+        # dummies 2 and 4 and job 2 feeds dummies 1 and 3.  Through a hub,
+        # the first path would run 1 -> hub -> (3, 0), an arc the network
+        # does not have
+        inf = F(10)
+        arcs = {
+            (SOURCE, job(1)): F(1),
+            (SOURCE, job(2)): F(1),
+            (job(1), dummy(2)): inf,
+            (job(1), dummy(4)): inf,
+            (job(2), dummy(1)): inf,
+            (job(2), dummy(3)): inf,
+            **{(dummy(i), job(i)): F(1) for i in range(1, 5)},
+            (job(3), SINK): F(1),
+            (job(4), SINK): F(1),
+        }
+        net = FlowNetwork((F(0), F(1)), arcs, {1: F(1), 2: F(1)}, {3: F(1), 4: F(1)}, steps_of(arcs))
+        assert not any(v[0] == "hub" for v in residual_index(net).vertices)
+        saturated, flow = max_flow_saturates(net)
+        assert saturated and verify_flow_feasible(net, flow) == []
+        assert flow.job_totals() == {(1, 4): 1, (2, 3): 1}
+        # the complete layer gets its hub
+        complete = replace(net, arcs={**arcs, (job(1), dummy(3)): inf, (job(2), dummy(4)): inf})
+        assert ("hub", 0) in residual_index(complete).number
+        saturated, flow = max_flow_saturates(complete)
+        assert saturated and verify_flow_feasible(complete, flow) == []
+
+    def test_holder_arc_within_the_supply_keeps_the_direct_arcs(self):
+        # jobs 1 and 4 hold interval 0 and feed job 2's dummy, job 1
+        # through an arc of 1/2, below the total supply of 2, which binds
+        arcs = {
+            (SOURCE, job(1)): F(1),
+            (SOURCE, job(4)): F(1),
+            (job(1), dummy(2)): F(1, 2),
+            (job(4), dummy(2)): F(10),
+            (dummy(2), job(2)): F(2),
+            (job(2), SINK): F(2),
+        }
+        net = FlowNetwork((F(0), F(1)), arcs, {1: F(1), 4: F(1)}, {2: F(2)}, steps_of(arcs))
+        assert not any(v[0] == "hub" for v in residual_index(net).vertices)
+        saturated, flow = max_flow_saturates(net)
+        assert not saturated and flow.value == F(3, 2)
+        assert flow.cut == {SOURCE, job(1)}
+        assert check_min_cut(net, flow) == [] and verify_flow_feasible(net, flow) == []
+        # with every holder arc above the total supply, the layer gets its hub
+        roomy = replace(net, arcs={**arcs, (job(1), dummy(2)): F(10)})
+        assert ("hub", 0) in residual_index(roomy).number
+        saturated, flow = max_flow_saturates(roomy)
+        assert saturated and flow.flow == {
+            (SOURCE, job(1)): 1,
+            (SOURCE, job(4)): 1,
+            (job(1), dummy(2)): 1,
+            (job(4), dummy(2)): 1,
+            (dummy(2), job(2)): 2,
+            (job(2), SINK): 2,
+        }
+
+    def test_hub_flow_maps_back_without_cycles(self):
+        # a flow on an index: job 2 passes its own dummy (2, 0) through hub 0
+        # (step 1 cancels that, so the split does not pair job 1 with
+        # (2, 0)), jobs 1 and 4 share hub 0's outflow to dummy (3, 0)
+        # (step 2 splits it), and jobs 5 and 6 carry a cycle through
+        # dummies (6, 1) and (5, 2) (step 3 cancels it)
+        hub = ("hub", 0)
+        index_flow = {
+            (SOURCE, job(1)): F(1),
+            (SOURCE, job(4)): F(1),
+            (SOURCE, job(7)): F(1, 2),
+            (job(1), hub): F(1),
+            (job(2), hub): F(1),
+            (job(4), hub): F(1),
+            (hub, dummy(2)): F(1),
+            (hub, dummy(3)): F(2),
+            (dummy(2), job(2)): F(1),
+            (dummy(3), job(3)): F(2),
+            (job(5), dummy(6, 1)): F(1, 2),
+            (job(7), dummy(6, 1)): F(1, 2),
+            (dummy(6, 1), job(6)): F(1),
+            (job(6), dummy(5, 2)): F(1, 2),
+            (dummy(5, 2), job(5)): F(1, 2),
+            (job(3), SINK): F(2),
+            (job(6), SINK): F(1, 2),
+        }
+        flow = network_flow(index_flow)
+        assert flow == {
+            (SOURCE, job(1)): 1,
+            (SOURCE, job(4)): 1,
+            (SOURCE, job(7)): F(1, 2),
+            (job(1), dummy(3)): 1,
+            (job(4), dummy(3)): 1,
+            (dummy(3), job(3)): 2,
+            (job(7), dummy(6, 1)): F(1, 2),
+            (dummy(6, 1), job(6)): F(1, 2),
+            (job(3), SINK): 2,
+            (job(6), SINK): F(1, 2),
+        }
+        assert list(flow) == sorted(flow)
+        result = FlowResult(F(5, 2), flow)
+        assert without_cycles(result) == result
+
+    def test_demand_job_passes_no_flow_on(self):
+        # supply job 1 reaches demand job 2, which holds an interval of
+        # demand job 3: the arc 2 -> (3, 1) is not in the solved network,
+        # so job 2's sink arc is the cut
+        inf = F(10)
+        arcs = {
+            (SOURCE, job(1)): F(2),
+            (job(1), dummy(2)): inf,
+            (dummy(2), job(2)): F(2),
+            (job(2), dummy(3, 1)): inf,
+            (dummy(3, 1), job(3)): F(1),
+            (job(2), SINK): F(1),
+            (job(3), SINK): F(1),
+        }
+        net = FlowNetwork((F(0), F(1), F(2)), arcs, {1: F(2)}, {2: F(1), 3: F(1)}, steps_of(arcs))
+        assert ("hub", 1) in residual_index(net).number
+        saturated, flow = max_flow_saturates(net)
+        assert not saturated and flow.value == 1
+        assert flow.cut == {SOURCE, job(1), dummy(2), job(2)}
+        assert check_min_cut(net, flow) == [] and verify_flow_feasible(net, flow) == []
+
+    def test_sweep_networks_get_one_hub_per_interval(self, pair_traces):
+        alg, opt = pair_traces
+        net = build_flow_network(NetworkSweep(alg), TimePoint.at(alg, opt, F(5, 2)))
+        hubs = sorted(v for v in residual_index(net).vertices if v[0] == "hub")
+        intervals = sorted({u[2] for u, _ in net.arcs if u[0] == "dummy"})
+        assert hubs == [("hub", l) for l in intervals]
 
 
 class TestBetaMatrix:
@@ -1060,6 +1227,27 @@ class TestVerify:
         report = verify_instance(gen_random_instance(32, 8, 0.8, 32))
         assert report.ok, report.first_failure
         assert len(report.time_checks) > 4 * 32
+
+    # sha256 of report.json, recorded before the max flow moved to one hub
+    # per interval; both go beyond the corpus's n <= 6
+    @pytest.mark.parametrize(
+        "make, digest",
+        [
+            (
+                lambda: gen_random_instance(48, 8, 0.8, seed=48, alpha=F(1, 2)),
+                "50ca4cf6b8d92991f108e959ba82b33eef2edc61c67f648d65f69670e29dfee4",
+            ),
+            (
+                lambda: append_dos_tail(*gen_det_lb2(F(1, 2), 3), 50),
+                "aba73409872c9afba1729e0f1595a651670351f0f48d2fa6d7fac0de188eadb7",
+            ),
+        ],
+        ids=["random_n48", "lb2_k3_dos50"],
+    )
+    def test_large_reports_are_pinned(self, make, digest):
+        report = verify_instance(make())
+        assert report.ok, report.first_failure
+        assert hashlib.sha256(report_bytes(report)).hexdigest() == digest
 
     def test_max_flow_below_supply_names_the_cut(self, pair_instance, monkeypatch):
         # starve job 2's dummies in the base network at the event time 2:

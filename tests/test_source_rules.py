@@ -16,9 +16,9 @@ and floats stay out of the computation: ``float(...)`` is called only in
 except in ``__init__.py``, whose imports are the package's re-exports, and
 every module-level private name (``_name``) is read in its module.  The
 verifier's layers import one way: ``borrow.py`` imports neither ``flow`` nor
-``analysis``, and ``flow.py`` does not import ``analysis``.  Dummy vertices
-are a detail of the flow network: the string constant ``"dummy"`` appears
-in no module but ``flow.py``.
+``analysis``, and ``flow.py`` does not import ``analysis``.  Dummy and hub
+vertices are a detail of the flow network: the string constants
+``"dummy"`` and ``"hub"`` appear in no module but ``flow.py``.
 
 Every function and class the package defines is read somewhere: a method
 through an attribute, a module-level function or class through a name or an
@@ -40,7 +40,9 @@ FLOAT_MODULES = {"cli.py"}
 FRACTION_MODULES = {"rational.py"}
 FRACTION_SLOTS = {"_numerator", "_denominator"}
 REEXPORT_MODULES = {"__init__.py"}
-DUMMY_MODULES = {"flow.py"}
+# the flow network's vertex kinds that only these modules name
+FLOW_VERTEX_KINDS = {"dummy", "hub"}
+FLOW_MODULES = {"flow.py"}
 UNREAD_ALLOWED = {
     "brute_force_min_total_flow": "the documented optimum oracle that tier-1 checks SRPT against",
 }
@@ -52,6 +54,7 @@ SNIPPET_MODULES = {
     "from alphasched import analysis\nx = analysis": "borrow.py",
     "from . import analysis\nx = analysis": "flow.py",
     'x = v[0] == "dummy"': "analysis.py",
+    'x = v[0] == "hub"': "analysis.py",
 }
 
 
@@ -90,8 +93,12 @@ def violations(tree: ast.AST, filename: str = "") -> list[str]:
             and node not in named
         ):
             found.append(f"line {node.lineno}: Fraction call")
-        elif isinstance(node, ast.Constant) and node.value == "dummy" and filename not in DUMMY_MODULES:
-            found.append(f"line {node.lineno}: dummy vertex outside flow.py")
+        elif (
+            isinstance(node, ast.Constant)
+            and node.value in FLOW_VERTEX_KINDS
+            and filename not in FLOW_MODULES
+        ):
+            found.append(f"line {node.lineno}: {node.value} vertex outside flow.py")
         elif (
             isinstance(node, ast.Attribute)
             and node.attr in FRACTION_SLOTS
