@@ -26,22 +26,25 @@ that arrives, or that a commitment gives its p, is tested after the
 commitments and arrivals.  Each alive job keeps one immutable view entry,
 rebuilt only when the job changed.  The alive jobs that the decision does
 not rate sit in rankings of what the rule reads: by progress, unsignalled
-and signalled jobs (all unsignalled if the rule reads no signal); by
-remaining work, signalled jobs in the fused rule's order, or every job in
-SRPT's under SRPT and the fused rule at alpha = 0.  A ranking holds one
-entry per distinct key with that key's jobs in id order, so an
+and signalled jobs (all unsignalled if the rule reads no signal), but not
+under SRPT; by remaining work, signalled jobs in the fused rule's order, or
+every job in SRPT's under SRPT and the fused rule at alpha = 0.  A ranking
+holds one entry per distinct key with that key's jobs in id order, so an
 evenly-shared set is one progress level.  From their fronts the
 next-event search reads the merge level and the threshold, and a view its
-minima, with the k rated jobs; a job is re-ranked when it changes while
-unrated and when it enters or leaves the rated set, in O(log d) comparisons
-of a ranking's d distinct keys plus list shifts.  With c changed jobs, e
-jobs entering or leaving the rated set and n alive jobs, a stop costs
-O((c + e) log n) exact operations and a fused-rule or SRPT decision
-O(k + log n); a view lists every alive job only if the rule reads them.  No
-exact value is built twice: one product per distinct rate advances the
-rated jobs, and the fused rule's two threshold factors are computed once per
-run.  Consecutive stops under equal rates extend one open segment, so
-one ``ExecutionSegment`` is built per maximal constant-rate run.
+minima in one pass over its candidates: the k rated jobs, whose ids come in
+id order, with the at most two fronts inserted.  A job is re-ranked when it
+changes while unrated and when it enters or leaves the rated set, in
+O(log d) comparisons of a ranking's d distinct keys plus list shifts.  With
+c changed jobs, e jobs entering or leaving the rated set and n alive jobs,
+a stop costs O((c + e) log n) exact operations and a fused-rule or SRPT
+decision O(k + log n); a view lists every alive job only if the rule reads
+them.  No exact value is built twice: a rate shared by k jobs is one object,
+which the unit-speed checks total once as r * k and one product per
+distinct rate advances, and the fused rule's two threshold factors are
+computed once per run.  Consecutive stops under equal rates extend one open
+segment, so one ``ExecutionSegment`` is built per maximal constant-rate run,
+and it keeps the decision's rates, already canonical, without a re-sort.
 """
 
 from __future__ import annotations
@@ -192,6 +195,9 @@ class SimState:
         self._unsignalled = _Ranking()
         self._signalled = _Ranking()
         self._remaining = _Ranking()
+        # SRPT keys _remaining alone, since every job is committed; the fused
+        # rule at alpha = 0 meets an uncommitted job at _unsignalled's front
+        self._ranks_progress = policy is not PolicyKind.SRPT
         self._arr_ptr = 0  # next arrival in instance.jobs, sorted by (release, id)
         self._triggers = list(instance.adversary.triggers) if instance.adversary else []
         self._trg_ptr = 0
@@ -207,18 +213,24 @@ class SimState:
     # -- view entries and rankings ---------------------------------------------
 
     def _rank(self, j: int, entry: ViewJob) -> None:
-        """Rank a job by its view entry, which must be current."""
-        signalled = entry.emitted and self._reads_signals
-        self._unsignalled.put(j, None if signalled else entry.elapsed)
-        self._signalled.put(j, entry.elapsed if signalled else None)
-        if self._srpt_order:
-            self._remaining.put(j, entry.remaining)
+        """Rank a job by its view entry, which must be current.  A signal
+        is never taken back, so a job ranked as unsignalled has never been
+        in _signalled, nor in _remaining unless that is in SRPT's order."""
+        if entry.emitted and self._reads_signals:
+            self._unsignalled.put(j, None)
+            self._signalled.put(j, entry.elapsed)
+            self._remaining.put(
+                j, entry.remaining if self._srpt_order else (entry.remaining, -entry.signal_time))
         else:
-            self._remaining.put(j, (entry.remaining, -entry.signal_time) if signalled else None)
+            if self._ranks_progress:
+                self._unsignalled.put(j, entry.elapsed)
+            if self._srpt_order:
+                self._remaining.put(j, entry.remaining)
 
     def _unrank(self, j: int) -> None:
         for ranking in (self._unsignalled, self._signalled, self._remaining):
-            ranking.put(j, None)
+            if j in ranking.key_of:
+                ranking.put(j, None)
 
     def _refresh(self) -> None:
         """Rebuild the view entry of every changed job, and rank the changed
@@ -254,11 +266,16 @@ class SimState:
 
     def view_candidates(self) -> tuple[ViewJob, ...]:
         """The rated alive jobs and the first job of each ranking, in id
-        order.  Every other alive job is ranked behind these."""
+        order.  Every other alive job is ranked behind these.  The rated
+        ids come in id order, and the fronts are unrated and distinct: the
+        two rankings share no job, since _unsignalled is empty under SRPT
+        and _remaining holds signalled jobs only under the other rules."""
         entries = self._entries
-        ids = {j for j in self._rated if j in entries}
-        ids.update(j for j in (self._unsignalled.first(), self._remaining.first()) if j is not None)
-        return tuple([entries[j] for j in sorted(ids)])
+        ids = [j for j in self.decision.rated_ids if j in entries]
+        for j in (self._unsignalled.first(), self._remaining.first()):
+            if j is not None:
+                insort(ids, j)
+        return tuple([entries[j] for j in ids])
 
     def view_unsignalled_at(self, level: Fraction) -> list[int]:
         """The unrated unsignalled jobs at this progress."""
@@ -267,7 +284,8 @@ class SimState:
     # -- event machinery -------------------------------------------------------
 
     def _log(self, kind: str, jobs) -> None:
-        self.log.append(Event(self.now, kind, tuple(sorted(jobs))))
+        """Log an event now; the jobs come in id order."""
+        self.log.append(Event(self.now, kind, tuple(jobs)))
 
     def apply_instant_events(self, expected_kinds: Sequence[str] = ()) -> None:
         """Apply all state changes due exactly at the current time, in the
@@ -282,7 +300,7 @@ class SimState:
                 # only rated jobs moved since the rankings were refreshed
                 joiners = self._unsignalled.at(level) + self._signalled.at(level)
                 if joiners:
-                    merge_entry = joiners
+                    merge_entry = sorted(joiners)
         self._complete_and_emit(self._changed)
         retest = []
         while self._trg_ptr < len(self._triggers) and self._triggers[self._trg_ptr].fire_at == self.now:
@@ -355,34 +373,39 @@ class SimState:
             if j in self._entries:
                 self._changed.add(j)
                 alive.append(j)
-        self._log("adversary-commit", commits)
+        self._log("adversary-commit", sorted(commits))
         return alive
 
     def make_decision(self) -> RateDecision:
         # the module global, looked up per call so that a tracer can wrap it
         decision = decide(self.policy, self.build_view())
-        total = Rat(0)
+        entries = self._entries
+        # a rate object shared by a run of jobs is tested once, totalled as r * count
+        total, last, count = 0, None, 0
         for j, r in decision.rates:
-            if j not in self._entries:
+            if j not in entries:
                 raise EngineError(f"policy rated job {j} which is not alive")
-            if r <= 0:
-                raise EngineError(f"policy rated job {j} at nonpositive rate")
-            total += r
-        if total > 1:
+            if r is not last:
+                if r <= 0:
+                    raise EngineError(f"policy rated job {j} at nonpositive rate")
+                if count:
+                    total += last * count
+                last, count = r, 0
+            count += 1
+        if count and total + last * count > 1:
             raise EngineError("policy rates exceed unit speed")
         # segments are built when a constant-rate run closes, so the one
         # segment check a valid decision can still fail is made here
-        if len({j for j, _ in decision.rates}) != len(decision.rates):
+        old, new = self._rated, set(decision.rated_ids)
+        if len(new) != len(decision.rates):
             raise ModelError("duplicate job in segment rates")
         if self._alive and not decision.rates:
             raise EngineError("built-in policy idled with alive jobs")
         branch = decision.branch
         if branch in ("srpt", "setf") and self._last_branch in ("srpt", "setf") and branch != self._last_branch:
-            self._log("mode-switch", decision.rated_ids)
+            self._log("mode-switch", sorted(new))
         if branch in ("srpt", "setf"):
             self._last_branch = branch
-        old, new = self._rated, set(decision.rated_ids)
-        entries = self._entries
         for j in old - new:
             if j in entries:
                 self._rank(j, entries[j])
@@ -395,7 +418,11 @@ class SimState:
         """Exact earliest future event and every kind tied at that instant.
 
         Candidates are compared as waits from now; adding now to the least
-        wait gives the same exact time as taking the least sum."""
+        wait gives the same exact time as taking the least sum.  Every wait
+        is positive: the arrivals and commitments due now were applied, a
+        rated job is alive, so short of its p, an emission is sought only
+        below its signal point, a merge level lies strictly above the shared
+        one, and a threshold wait at most 0 raises here."""
         self._refresh()
         now = self.now
         waits: dict[str, Fraction] = {}  # least wait of each kind
@@ -442,6 +469,9 @@ class SimState:
                     waits["mode-switch"] = wait
         if not waits:
             return None
+        if len(waits) == 1:
+            (kind, wait), = waits.items()
+            return now + wait, (kind,)
         wait = min(waits.values())
         kinds = tuple(k for k in EVENT_ORDER if k in waits and waits[k] == wait)
         return now + wait, kinds
@@ -450,7 +480,8 @@ class SimState:
 
     def _advance(self, until: Fraction) -> None:
         if until == self.now:
-            return
+            # lemma check: next_event returns only positive waits
+            raise EngineError(f"zero wait at {self.now}: the run would not advance")
         rates = self.decision.rates
         if rates:
             run = self._run

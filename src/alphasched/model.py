@@ -11,9 +11,9 @@ from __future__ import annotations
 
 import json
 from bisect import bisect_left, bisect_right
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import attrgetter
 from pathlib import Path
 from types import MappingProxyType
 from typing import Iterable, Mapping, NamedTuple, Optional, Sequence, Union
@@ -331,6 +331,22 @@ def _rate_entry(j, r) -> tuple[int, Fraction]:
     return j, Rat(r)
 
 
+def _canonical(rates) -> bool:
+    """Whether rates are a tuple of (int, Rat) pairs with strictly
+    increasing ids, which sorting and normalising would leave as they are."""
+    if type(rates) is not tuple:
+        return False
+    last = None
+    for entry in rates:
+        if type(entry) is not tuple:
+            return False
+        j, r = entry  # raises as the slow path would for any other length
+        if type(j) is not int or type(r) is not Rat or (last is not None and j <= last):
+            return False
+        last = j
+    return True
+
+
 @dataclass(frozen=True)
 class ExecutionSegment:
     """Constant rate assignment on [start, end); rates are positive and sum to at most 1."""
@@ -346,19 +362,29 @@ class ExecutionSegment:
             value = getattr(self, name)
             if type(value) is not Rat and not isinstance(value, Fraction):
                 object.__setattr__(self, name, Rat(value))
-        rates = tuple(sorted(
-            (j, r) if type(j) is int and (type(r) is Rat or isinstance(r, Fraction)) else _rate_entry(j, r)
-            for j, r in self.rates
-        ))
-        object.__setattr__(self, "rates", rates)
+        rates = self.rates
+        canonical = _canonical(rates)
+        if not canonical:
+            rates = tuple(sorted(
+                (j, r) if type(j) is int and (type(r) is Rat or isinstance(r, Fraction)) else _rate_entry(j, r)
+                for j, r in rates
+            ))
+            object.__setattr__(self, "rates", rates)
         if self.start < 0 or self.start >= self.end:
             raise ModelError(f"bad segment bounds [{self.start}, {self.end}]")
-        ids = [j for j, _ in rates]
-        if len(set(ids)) != len(ids):
+        if not canonical and len({j for j, _ in rates}) != len(rates):
             raise ModelError("duplicate job in segment rates")
-        if any(r <= 0 for _, r in rates):
-            raise ModelError("segment rates must be positive")
-        if sum((r for _, r in rates), Rat(0)) > 1:
+        # a rate object shared by a run of jobs is tested once, totalled as r * count
+        total, last, count = 0, None, 0
+        for _, r in rates:
+            if r is not last:
+                if r <= 0:
+                    raise ModelError("segment rates must be positive")
+                if count:
+                    total += last * count
+                last, count = r, 0
+            count += 1
+        if count and total + last * count > 1:
             raise ModelError("segment rates exceed unit speed")
 
     @property
@@ -431,7 +457,7 @@ class ScheduleTrace:
             raise ModelError("schedule trace requires a fully resolved instance")
         self.instance = instance
         self.horizon = None if horizon is None else Rat(horizon)
-        self.segments = _merge_adjacent(sorted(segments, key=lambda s: s.start))
+        self.segments = _merge_adjacent(sorted(segments, key=attrgetter("start")))
         self._starts = [seg.start for seg in self.segments]
         self._columns: dict[Fraction, Mapping[int, Fraction]] = {}  # work_at, filled on demand
         self._partitions: dict[Fraction, Partition] = {}  # partition, filled on demand
@@ -449,7 +475,11 @@ class ScheduleTrace:
                 raise ModelError(f"overlapping segments at {seg.start}")
             last = seg.end
             length = seg.end - seg.start
+            # shared rates are one object: one product per distinct rate
+            rate = step = None
             for j, r in seg.rates:
+                if r is not rate:
+                    rate, step = r, r * length
                 if j not in busy:
                     raise UnknownJobError(f"segment rates unknown job {j}")
                 times, cums, rates = self._profiles[j]
@@ -460,7 +490,7 @@ class ScheduleTrace:
                     cums.append(cums[-1])
                     rates.append(Rat(0))
                 times.append(seg.end)
-                cums.append(cums[-1] + r * length)
+                cums.append(cums[-1] + step)
                 rates.append(r)
                 spans = busy[j]
                 if spans and spans[-1][1] == seg.start:
@@ -489,15 +519,22 @@ class ScheduleTrace:
         if self.makespan < last:
             raise ModelError("horizon precedes the last segment")
         # alive count: +1 at each release, -1 at each completion; an
-        # unfinished job stays alive through the horizon
-        deltas = Counter(job.release for job in instance.jobs if job.release <= self.makespan)
-        deltas.subtract(self.completions.values())
-        points = sorted(deltas.keys() | {Rat(0), self.makespan})
-        curve, area, count = [], Rat(0), 0
-        for lo, hi in zip(points, points[1:]):
-            count += deltas[lo]
+        # unfinished job stays alive through the horizon.  The releases come
+        # sorted with the jobs, so one walk merges them with the completions
+        ups = [job.release for job in instance.jobs]
+        downs = sorted(self.completions.values())
+        ups.append(self.makespan)
+        downs.append(self.makespan)
+        curve, area, count, lo, i, k = [], Rat(0), 0, Rat(0), 0, 0
+        while lo < self.makespan:
+            while ups[i] == lo:
+                count, i = count + 1, i + 1
+            while downs[k] == lo:
+                count, k = count - 1, k + 1
+            hi = min(ups[i], downs[k])
             curve.append((lo, count))
             area += count * (hi - lo)
+            lo = hi
         self.alive_curve = tuple(curve) + ((self.makespan, 0),)
         self.total_flow = area
         if self.complete:

@@ -48,15 +48,17 @@ class PolicyView:
     """The alive jobs at one decision, in id order, and the minima the
     rules read.  A view given its ``jobs`` scans them for the minima.  A
     live engine view (``source``) scans its few candidates, which hold the
-    minima its run's rule reads, and builds ``jobs`` only when read.
+    minima its run's rule reads, and builds ``jobs`` only when read.  The
+    fused rule's minima come from one pass over the candidates, made when
+    the first of them is read.
     """
 
-    __slots__ = ("now", "alpha", "_jobs", "_candidates", "_source")
+    __slots__ = ("now", "alpha", "_jobs", "_candidates", "_source", "_fused")
 
     def __init__(self, now: Fraction, alpha: Fraction,
                  jobs: Optional[tuple[ViewJob, ...]] = None, source=None):
         self.now, self.alpha = now, alpha
-        self._jobs, self._candidates, self._source = jobs, None, source
+        self._jobs, self._candidates, self._source, self._fused = jobs, None, source, None
 
     @property
     def jobs(self) -> tuple[ViewJob, ...]:
@@ -77,35 +79,58 @@ class PolicyView:
             return self._source.threshold_factor
         return (1 - self.alpha) / self.alpha
 
+    def _fused_minima(self) -> tuple:
+        """(least unsignalled progress, best signalled job, the unsignalled
+        candidates at that progress), in one pass over the candidates."""
+        if self._fused is None:
+            least = best = None
+            level: list[int] = []
+            for j in self.candidates():
+                if j.emitted:
+                    if best is None or j.remaining < best.remaining or (
+                            j.remaining == best.remaining and (j.signal_time, -j.job_id)
+                            > (best.signal_time, -best.job_id)):
+                        best = j
+                elif least is None or j.elapsed < least:
+                    least, level = j.elapsed, [j.job_id]
+                elif j.elapsed == least:
+                    level.append(j.job_id)
+            self._fused = least, best, level
+        return self._fused
+
     @property
     def least_unsignalled(self) -> Optional[Fraction]:
         """The least progress of an unsignalled job."""
-        return min((j.elapsed for j in self.candidates() if not j.emitted), default=None)
+        return self._fused_minima()[0]
 
     def unsignalled_at(self, level: Fraction) -> tuple[int, ...]:
         """The unsignalled jobs at this progress, in id order."""
-        ids = {j.job_id for j in self.candidates() if not j.emitted and j.elapsed == level}
+        least, _, ids = self._fused_minima()
+        if level != least:
+            ids = [j.job_id for j in self.candidates() if not j.emitted and j.elapsed == level]
         if self._source is not None:
-            ids.update(self._source.view_unsignalled_at(level))
+            ids = set(ids).union(self._source.view_unsignalled_at(level))
         return tuple(sorted(ids))
 
     @property
     def best_signalled(self) -> Optional[ViewJob]:
         """The signalled job of least remaining time; a later signal, then
         the lower id, breaks ties."""
-        signalled = [j for j in self.candidates() if j.emitted]
-        return min(signalled, key=lambda j: (j.remaining, -j.signal_time, j.job_id), default=None)
+        return self._fused_minima()[1]
 
     @property
     def shortest(self) -> Optional[ViewJob]:
         """The job of least remaining time, the lower id first among ties."""
-        pool = self.candidates()
-        for j in pool:
+        best = None
+        for j in self.candidates():
             if j.remaining is None:
                 raise UnresolvedProcError(
                     f"job {j.job_id}: remaining time unavailable to an SRPT decision"
                 )
-        return min(pool, key=lambda j: (j.remaining, j.job_id), default=None)
+            if best is None or j.remaining < best.remaining or (
+                    j.remaining == best.remaining and j.job_id < best.job_id):
+                best = j
+        return best
 
     def __eq__(self, other) -> bool:
         return isinstance(other, PolicyView) and (self.now, self.alpha, self.jobs) == (
@@ -123,6 +148,7 @@ class RateDecision:
 
 
 IDLE = RateDecision(rates=(), branch="idle")
+ALONE = Rat(1)  # the rate of a job that runs alone, one object for every decision
 
 
 def setf_decide(view: PolicyView) -> RateDecision:
@@ -138,7 +164,7 @@ def setf_decide(view: PolicyView) -> RateDecision:
 def srpt_decide(view: PolicyView) -> RateDecision:
     """Run the alive job with the least remaining work; ties go to the lowest id."""
     best = view.shortest
-    return IDLE if best is None else RateDecision(((best.job_id, Rat(1)),), "srpt")
+    return IDLE if best is None else RateDecision(((best.job_id, ALONE),), "srpt")
 
 
 def alpha_clairvoyant_decide(view: PolicyView) -> RateDecision:
@@ -157,7 +183,7 @@ def alpha_clairvoyant_decide(view: PolicyView) -> RateDecision:
         return setf_decide(view)
     best, least = view.best_signalled, view.least_unsignalled
     if best is not None and (least is None or best.remaining <= view.threshold_factor * least):
-        return RateDecision(((best.job_id, Rat(1)),), "srpt")
+        return RateDecision(((best.job_id, ALONE),), "srpt")
     if least is None:
         return IDLE
     share = view.unsignalled_at(least)

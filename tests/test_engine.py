@@ -37,6 +37,7 @@ from alphasched.policies import (
     ViewJob,
     setf_decide,
 )
+from alphasched.rational import Rat
 from conftest import CORPUS_SIZE, corpus_instance, json_instances
 
 DATA = Path(__file__).parent / "data"
@@ -368,6 +369,34 @@ class TestGuards:
         with pytest.raises(EngineError, match=f"^{message}$"):
             simulate(worked_example, PolicyKind.ALPHA)
 
+    @pytest.mark.parametrize("layout", ["shared", "distinct", "split"])
+    def test_a_shared_rate_counts_once_per_job(self, monkeypatch, layout):
+        # one Rat(1, 2) object rating three jobs totals 3/2, as three
+        # objects do, and as one object rating jobs 1 and 3 around job 2's
+        half = Rat(1, 2)
+        second = {"shared": half, "distinct": Rat(1, 2), "split": Rat(1, 4)}[layout]
+        rates = ((1, half), (2, second), (3, half if layout != "distinct" else Rat(1, 2)))
+        monkeypatch.setattr(engine, "decide", lambda kind, view: RateDecision(rates, "custom"))
+        inst = Instance(tuple(Job(j, 0, 2) for j in (1, 2, 3)), F(1, 2))
+        with pytest.raises(EngineError, match="^policy rates exceed unit speed$"):
+            simulate(inst, PolicyKind.ALPHA)
+
+    @pytest.mark.parametrize("shared", [True, False])
+    def test_a_shared_nonpositive_rate_names_its_first_job(self, monkeypatch, shared):
+        zero = Rat(0)
+        rates = ((1, Rat(1, 4)), (2, zero), (3, zero if shared else Rat(0)))
+        monkeypatch.setattr(engine, "decide", lambda kind, view: RateDecision(rates, "custom"))
+        inst = Instance(tuple(Job(j, 0, 2) for j in (1, 2, 3)), F(1, 2))
+        with pytest.raises(EngineError, match="^policy rated job 2 at nonpositive rate$"):
+            simulate(inst, PolicyKind.ALPHA)
+
+    def test_a_zero_wait_is_an_engine_error(self, worked_example, monkeypatch):
+        # next_event returns only positive waits; a stop at the current
+        # time would repeat it without advancing
+        monkeypatch.setattr(SimState, "next_event", lambda state: (state.now, ("completion",)))
+        with pytest.raises(EngineError, match="^zero wait at 0: the run would not advance$"):
+            simulate(worked_example, PolicyKind.ALPHA)
+
     def test_builtin_policy_may_not_idle(self, worked_example, monkeypatch):
         monkeypatch.setattr(engine, "decide", lambda kind, view: RateDecision((), "idle"))
         with pytest.raises(EngineError, match="^built-in policy idled with alive jobs$"):
@@ -600,7 +629,9 @@ class TestViewReference:
             # the engine's minima against one scan of the rebuilt view
             reference = minima(full_view(state), state.policy)
             assert minima(view, state.policy) == reference, f"minima at {state.now}"
-            sizes[0] += len(view.candidates())
+            ids = [j.job_id for j in view.candidates()]
+            assert ids == sorted(set(ids)), f"candidates at {state.now} not in strict id order"
+            sizes[0] += len(ids)
             sizes[1] += len(view.jobs)
             calls.append(state.now)
             return view
@@ -619,7 +650,7 @@ class TestViewReference:
 class TestRankingsFollowTheRule:
     def test_no_rule_keys_a_ranking_it_does_not_read(self, monkeypatch):
         # SETF scans its jobs and merges on _unsignalled, which holds every
-        # unrated job; SRPT reads _remaining only
+        # unrated job; SRPT reads _remaining only, whose front is its least
         keyed = set()  # the rankings of the current run given a key
         original = _Ranking.put
 
@@ -629,7 +660,7 @@ class TestRankingsFollowTheRule:
             original(ranking, job, key)
 
         monkeypatch.setattr(_Ranking, "put", spy)
-        unread = {PolicyKind.SETF: ("_signalled", "_remaining"), PolicyKind.SRPT: ("_signalled",)}
+        unread = {PolicyKind.SETF: ("_signalled", "_remaining"), PolicyKind.SRPT: ("_unsignalled", "_signalled")}
         read = {PolicyKind.SETF: "_unsignalled", PolicyKind.SRPT: "_remaining"}
         used = Counter()
         for inst, policy in view_reference_runs():

@@ -491,6 +491,87 @@ class TestIntervalWork:
         )
 
 
+def reference_segment_rates(rates) -> tuple:
+    """``ExecutionSegment``'s rates as normalising every entry, sorting
+    them and testing one rate at a time gives them: the reference for its
+    fast path, which keeps canonical rates and tests a shared rate object
+    once."""
+    entries = []
+    for j, r in rates:
+        if type(j) is not int:
+            raise ModelError(f"segment job id {j!r} is not an int")
+        entries.append((j, r if isinstance(r, F) else Rat(r)))
+    rates = tuple(sorted(entries))
+    ids = [j for j, _ in rates]
+    if len(set(ids)) != len(ids):
+        raise ModelError("duplicate job in segment rates")
+    if any(r <= 0 for _, r in rates):
+        raise ModelError("segment rates must be positive")
+    if sum((r for _, r in rates), Rat(0)) > 1:
+        raise ModelError("segment rates exceed unit speed")
+    return rates
+
+
+@st.composite
+def rate_lists(draw):
+    """Rates as callers pass them: ids in order or shuffled, repeated or
+    not, now and then a bool; Fraction or Rat values; a value object
+    shared by several entries or one object per entry; a list or a tuple
+    of tuples, or of lists now and then."""
+    positive = [(1, 4), (1, 3), (1, 2), (2, 3), (1, 1)]
+    values = draw(st.lists(st.sampled_from(positive * 4 + [(0, 1), (-1, 2)]), min_size=1, max_size=3))
+    kinds = draw(st.lists(st.sampled_from([Rat, F]), min_size=len(values), max_size=len(values)))
+    pool = [kind(*value) for kind, value in zip(kinds, values)]
+    size = draw(st.integers(0, 5))
+    ids = draw(st.lists(st.integers(0, 6), min_size=size, max_size=size, unique=draw(st.booleans())))
+    if draw(st.booleans()):
+        ids.sort()
+    if ids and draw(st.integers(0, 9)) == 0:
+        ids[draw(st.integers(0, len(ids) - 1))] = True
+    shared = draw(st.booleans())
+    pair = draw(st.sampled_from([tuple, list]))
+    entries = []
+    for j in ids:
+        k = draw(st.integers(0, len(pool) - 1))
+        r = pool[k] if shared else type(pool[k])(*values[k])
+        entries.append(pair((j, r)))
+    return draw(st.sampled_from([tuple, list]))(entries)
+
+
+class TestSegmentRates:
+    @settings(max_examples=400, deadline=None, database=None, derandomize=True)
+    @given(rate_lists())
+    def test_rates_equal_the_reference(self, rates):
+        try:
+            want = reference_segment_rates(rates)
+        except ModelError as exc:
+            with pytest.raises(ModelError, match=f"^{re.escape(str(exc))}$"):
+                ExecutionSegment(0, 1, rates)
+            return
+        got = ExecutionSegment(0, 1, rates).rates
+        assert got == want and type(got) is tuple
+
+        def types(rates):
+            return [(type(entry), *map(type, entry)) for entry in rates]
+
+        assert types(got) == types(want)
+
+    def test_canonical_rates_are_kept(self):
+        half = Rat(1, 2)
+        rates = ((1, half), (4, half))
+        assert ExecutionSegment(0, 1, rates).rates is rates
+        for other in ([(1, half), (4, half)], ((4, half), (1, half)), ((1, F(1, 2)), (4, F(1, 2)))):
+            segment = ExecutionSegment(0, 1, other)
+            assert segment.rates == rates and segment.rates is not other
+
+    def test_a_shared_rate_counts_once_per_job(self):
+        half, zero = Rat(1, 2), Rat(0)
+        with pytest.raises(ModelError, match="^segment rates exceed unit speed$"):
+            ExecutionSegment(0, 1, ((1, half), (2, half), (3, half)))
+        with pytest.raises(ModelError, match="^segment rates must be positive$"):
+            ExecutionSegment(0, 1, ((1, Rat(1, 4)), (2, zero), (3, zero)))
+
+
 class TestTraceValidation:
     def test_overlapping_segments_rejected(self, pair_instance):
         segs = [

@@ -106,6 +106,13 @@ class TestFusedRule:
         assert dec.branch == "setf"
         assert dec.rates == ((2, F(1)),)
 
+    def test_unsignalled_at_any_level(self):
+        # the fused rule reads the least level; any other level is found too
+        v = view(3, F(1, 2), [(3, 1, False, None, None), (1, 0, False, None, None),
+                              (2, 1, False, None, None), (4, 1, True, 2, 1)])
+        assert v.least_unsignalled == 0
+        assert (v.unsignalled_at(F(0)), v.unsignalled_at(F(1)), v.unsignalled_at(F(2))) == ((1,), (2, 3), ())
+
     def test_threshold_equality_takes_single_job_branch(self):
         # remaining 1 <= 1 * progress 1 holds with equality
         dec = alpha_clairvoyant_decide(
