@@ -23,15 +23,15 @@ for every such capacity.
 
 The solver works on a residual index (``ResidualIndex``) in which each
 interval's holder -> dummy layer is one hub: holder -> ("hub", l) ->
-dummy (i, l), both arcs at the least holder arc's capacity (``infinite`` in
-the sweep's networks).  ``index_arcs`` builds it from arcs in index order,
-(interval, tail, head) with the source and sink arcs last; ``NetworkSweep``
-calls it once per closed interval, and the solver adds the open interval
-and the source and sink arcs to a copy.  A layer gets a hub only where it
-is complete, every holder j having an arc into every dummy (i, l) of the
-layer but its own, and where every holder arc exceeds the total supply;
-elsewhere the index keeps the direct arcs.  A dummy with no positive
-out-arc gets no arc in the index: no flow can leave it.
+dummy (i, l), both arcs at the holder capacity ``infinite``.  The sweep
+builds every layer complete, every holder j having an arc into every dummy
+(i, l) of the interval but its own, so it writes the hub directly:
+``NetworkSweep`` indexes each closed interval once, and
+``build_flow_network`` adds the open interval and the sink and source arcs
+to a copy, in index order, (interval, tail, head) with the sink and source
+arcs last.  A layer with no holder arc keeps only its dummies' arcs.  The
+rule by which an arbitrary arc map gets its hubs, for hand-built networks,
+lives in the tests' reference builder.
 
 The hub is equivalent.  Routing each amount on j -> (i, l) through the hub
 turns a flow on the network into one on the index, and the three steps
@@ -87,8 +87,9 @@ from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import compress, groupby, islice
-from typing import Iterable, Optional
+from itertools import compress, islice
+from types import MappingProxyType
+from typing import Iterable, Mapping, Optional
 
 from .borrow import closure
 from .model import ScheduleTrace, TimePoint
@@ -121,65 +122,8 @@ class ResidualIndex:
 _EMPTY_INDEX = ResidualIndex([SOURCE, SINK], {SOURCE: 0, SINK: 1}, [], [], [[], []])
 
 
-Layer = tuple[Optional[int], list[tuple[Arc, Fraction]]]
-
-
-def _interval_of(item: tuple[Arc, Fraction]) -> Optional[int]:
-    """The interval of an arc into or out of a dummy; None for the others."""
-    (u, v), _ = item
-    if v[0] == "dummy":
-        return v[2]
-    if u[0] == "dummy":
-        return u[2]
-    return None
-
-
-def _index_layers(arcs: Iterable[tuple[Arc, Fraction]]) -> list[Layer]:
-    """Positive-capacity arcs grouped in index order: per interval l, in
-    increasing l, (l, its arcs by (tail, head)), then (None, the arcs of no
-    interval by (tail, head))."""
-
-    def order(item: tuple[Arc, Fraction]) -> tuple:
-        l = _interval_of(item)
-        return (l is None, l or 0, item[0])
-
-    ordered = sorted(arcs, key=order)
-    return [(l, list(group)) for l, group in groupby(ordered, key=_interval_of)]
-
-
-def _layer_arcs(l: int, arcs: list[tuple[Arc, Fraction]], bound: Fraction) -> list[tuple[Arc, Fraction]]:
-    """Interval l's arcs, by (tail, head), as the index holds them.  The
-    holder -> dummy layer goes through one hub where it is complete (the
-    holder arcs are exactly those from each holder job into each dummy but
-    its own, and each dummy's one out-arc goes to its job) and every holder
-    arc exceeds ``bound``; otherwise the arcs stay, less those into a dummy
-    with no out-arc."""
-    n = 0
-    while n < len(arcs) and arcs[n][0][0][0] == "dummy":
-        n += 1
-    own = arcs[:n]
-    dummies = [u for (u, _), _ in own]
-    live = set(dummies)
-    holder_arcs = [item for item in arcs[n:] if item[0][1] in live]
-    holders = sorted({u for (u, _), _ in holder_arcs})
-    if (
-        holder_arcs
-        and all(v == ("job", u[1]) for (u, v), _ in own)
-        and all(h[0] == "job" for h in holders)
-        and [arc for arc, _ in holder_arcs] == [(h, d) for h in holders for d in dummies if h[1] != d[1]]
-        and (cap := min(cap for _, cap in holder_arcs)) > bound
-    ):
-        hub = ("hub", l)
-        return own + [((hub, d), cap) for d in dummies] + [((h, hub), cap) for h in holders]
-    live = {u for (u, _), _ in arcs if u[0] == "dummy"}
-    return [item for item in arcs if item[0][1][0] != "dummy" or item[0][1] in live]
-
-
-def index_arcs(index: ResidualIndex, layers: Iterable[Layer], bound: Fraction) -> ResidualIndex:
-    """``index`` extended by ``layers``, positive-capacity arcs grouped in
-    index order as ``_index_layers`` groups them, each interval's arcs as
-    ``_layer_arcs`` holds them; ``bound`` is at least the total supply of every
-    network the index is solved for."""
+def index_arcs(index: ResidualIndex, arcs: Iterable[tuple[Arc, Fraction]]) -> ResidualIndex:
+    """``index`` extended by ``arcs``, in their order."""
     vertices, number = list(index.vertices), dict(index.number)
     heads, residual, out = list(index.heads), list(index.residual), list(index.out)
     new: dict[int, list[int]] = {}  # per vertex, its residual arcs added here
@@ -192,39 +136,29 @@ def index_arcs(index: ResidualIndex, layers: Iterable[Layer], bound: Fraction) -
             out.append([])
         return k
 
-    for l, arcs in layers:
-        for (u, v), cap in arcs if l is None else _layer_arcs(l, arcs, bound):
-            a, b = vertex(u), vertex(v)
-            new.setdefault(a, []).append(len(heads))
-            new.setdefault(b, []).append(len(heads) + 1)
-            heads += (b, a)
-            residual += (cap, _ZERO)
+    for (u, v), cap in arcs:
+        a, b = vertex(u), vertex(v)
+        new.setdefault(a, []).append(len(heads))
+        new.setdefault(b, []).append(len(heads) + 1)
+        heads += (b, a)
+        residual += (cap, _ZERO)
     for k, added in new.items():
         out[k] = out[k] + added
     return ResidualIndex(vertices, number, heads, residual, out)
 
 
 @dataclass(frozen=True)
-class _Prebuilt:
-    """A base network's share of the sweep's work: the index of its closed
-    intervals, its other arcs in index order, and its arcs as built, so that
-    an arc edited after the build is seen."""
-
-    index: ResidualIndex
-    rest: list[Layer]
-    arcs: Arcs
-
-
-@dataclass
 class FlowNetwork:
     time_points: tuple[Fraction, ...]
-    arcs: Arcs
+    arcs: Mapping[Arc, Fraction]  # read-only
     supplies: dict[int, Fraction]
     demands: dict[int, Fraction]
     # job-to-job steps (j, i): a positive-capacity arc from job j into a
     # dummy of job i whose own out-arc has positive capacity
     steps: frozenset[tuple[int, int]]
-    _prebuilt: Optional[_Prebuilt] = field(default=None, init=False, repr=False, compare=False)
+    # the residual graph ``max_flow_saturates`` solves; None on a refined
+    # network, which is never solved
+    index: Optional[ResidualIndex] = field(repr=False)
 
     @property
     def total_supply(self) -> Fraction:
@@ -256,13 +190,15 @@ class FlowNetwork:
 class _Grid:
     """A network at one time less its supplies and demands: the closed
     intervals' arcs (the sweep's own map, kept while t stays) and the open
-    interval's, and on the base grid the closed intervals' residual index."""
+    interval's; on the base grid, the closed intervals' residual index and
+    the open interval's index arcs."""
 
     time_points: tuple[Fraction, ...]
     steps: frozenset[tuple[int, int]]
     closed_arcs: Arcs
     open_arcs: Arcs
     index: Optional[ResidualIndex]
+    open_layer: list[tuple[Arc, Fraction]]
 
 
 class NetworkSweep:
@@ -278,8 +214,8 @@ class NetworkSweep:
     too.  So a closed interval's arcs, in the base network (index l) and in
     the refined one (halves 2l and 2l + 1, which have its holders), and its
     job-to-job steps are built once, when t first reaches b; each time adds
-    only the open interval.  The base arcs of each closed interval enter the
-    solver's residual index then too (``index_arcs``).
+    only the open interval.  Each closed interval enters the solver's
+    residual index then too, as one hub (``index_arcs``).
     """
 
     def __init__(self, trace: ScheduleTrace):
@@ -308,32 +244,34 @@ class NetworkSweep:
         grid = self._grid
         while self._closed + 1 < len(grid) and grid[self._closed + 1] <= t:
             l, a, b = self._closed, grid[self._closed], grid[self._closed + 1]
-            arcs: Arcs = {}
-            self._steps |= self._interval(l, a, b, arcs, self._refined_arcs)
-            self._arcs.update(arcs)
-            # no supply exceeds the total work, infinite - 1
-            self._index = index_arcs(self._index, [(l, list(arcs.items()))], self.infinite - 1)
+            more, layer = self._interval(l, a, b, self._arcs, self._refined_arcs)
+            self._steps |= more
+            self._index = index_arcs(self._index, layer)
             self._refined_points += [(a + b) / 2, b]
             self._closed += 1
         points, refined_points = grid[: self._closed + 1], self._refined_points
-        arcs, refined_arcs, steps = {}, {}, self._steps
+        arcs, refined_arcs, steps, layer = {}, {}, self._steps, []
         last = points[-1]
         if t > last:
-            steps = steps | self._interval(self._closed, last, t, arcs, refined_arcs)
+            more, layer = self._interval(self._closed, last, t, arcs, refined_arcs)
+            steps = steps | more
             points = points + [t]
             refined_points = refined_points + [(last + t) / 2, t]
         self._now = (
-            _Grid(tuple(points), steps, self._arcs, arcs, self._index),
-            _Grid(tuple(refined_points), steps, self._refined_arcs, refined_arcs, None),
+            _Grid(tuple(points), steps, self._arcs, arcs, self._index, layer),
+            _Grid(tuple(refined_points), steps, self._refined_arcs, refined_arcs, None, []),
         )
         return self._now
 
     def _interval(
         self, l: int, a: Fraction, b: Fraction, arcs: Arcs, refined_arcs: Arcs
-    ) -> frozenset[tuple[int, int]]:
+    ) -> tuple[frozenset[tuple[int, int]], list[tuple[Arc, Fraction]]]:
         """Add the arcs of interval l = [a, b] and of its two halves to the
-        base and the refined arc maps, each interval's in index order; the
-        interval's steps."""
+        base and the refined arc maps.  Return the interval's steps and its
+        base arcs as the residual index holds them, in index order: each
+        dummy's arc to its job, then, if some holder feeds a dummy other than
+        its own, ("hub", l) into every dummy and every such holder into the
+        hub, at the holder capacity."""
         trace, infinite = self.trace, self.infinite
         at_a, at_mid, at_b = trace.work_at(a), trace.work_at((a + b) / 2), trace.work_at(b)
         released = sorted(job.id for job in trace.instance.jobs[: bisect_right(self._releases, a)])
@@ -358,14 +296,23 @@ class NetworkSweep:
                 for dummy in dummies:
                     if dummy[1] != holder[1]:
                         into[(holder, dummy)] = infinite
-        return frozenset((holder[1], i) for holder in holders for i in worked if i != holder[1])
+        # in the base interval every worked job has a dummy, and every holder
+        # an arc into each dummy but its own
+        dummies = [("dummy", i, l) for i in worked]
+        layer = [((d, ("job", d[1])), arcs[(d, ("job", d[1]))]) for d in dummies]
+        feeders = [h for h in holders if any(d[1] != h[1] for d in dummies)]
+        if feeders:
+            hub = ("hub", l)
+            layer += [((hub, d), infinite) for d in dummies] + [((h, hub), infinite) for h in feeders]
+        steps = frozenset((holder[1], i) for holder in holders for i in worked if i != holder[1])
+        return steps, layer
 
 
 def build_flow_network(sweep: NetworkSweep, point: TimePoint, refined: bool = False) -> FlowNetwork:
     """Interval network of the sweep's trace at the point's time t, on the
     base grid or, refined, with every interval split at its midpoint.  A
-    base network carries the sweep's residual index of its closed
-    intervals."""
+    base network carries its residual index: the sweep's, extended by the
+    open interval and the sink and source arcs."""
     base, fine = sweep.at(point.t)
     grid = fine if refined else base
     work = point.work
@@ -380,18 +327,14 @@ def build_flow_network(sweep: NetworkSweep, point: TimePoint, refined: bool = Fa
     # the sink and the source arcs, in index order
     terminal = [((("job", i), SINK), d) for i, d in demands.items()]
     terminal += [((SOURCE, ("job", j)), s) for j, s in supplies.items()]
-    arcs = {**grid.closed_arcs, **grid.open_arcs, **dict(terminal)}
-    net = FlowNetwork(
+    return FlowNetwork(
         time_points=grid.time_points,
-        arcs=arcs,
+        arcs=MappingProxyType({**grid.closed_arcs, **grid.open_arcs, **dict(terminal)}),
         supplies=supplies,
         demands=demands,
         steps=grid.steps,
+        index=None if grid.index is None else index_arcs(grid.index, grid.open_layer + terminal),
     )
-    if grid.index is not None:
-        layers = [(len(grid.time_points) - 2, list(grid.open_arcs.items()))] if grid.open_arcs else []
-        net._prebuilt = _Prebuilt(grid.index, layers + [(None, terminal)], dict(arcs))
-    return net
 
 
 @dataclass
@@ -415,23 +358,9 @@ class FlowResult:
         return totals
 
 
-def residual_index(net: FlowNetwork) -> ResidualIndex:
-    """The residual graph ``max_flow_saturates`` solves for ``net``: the
-    sweep's index of the closed intervals plus the open interval's and the
-    source and sink arcs while ``net.arcs`` is as built, and otherwise an
-    index of the network's own positive-capacity arcs.  Both go through
-    ``index_arcs`` in index order, so the index depends on the network
-    alone."""
-    built = net._prebuilt
-    if built is not None and net.arcs == built.arcs:
-        return index_arcs(built.index, built.rest, net.total_supply)
-    positive = ((arc, cap) for arc, cap in net.arcs.items() if cap > 0)
-    return index_arcs(_EMPTY_INDEX, _index_layers(positive), net.total_supply)
-
-
 def max_flow_saturates(net: FlowNetwork) -> tuple[bool, FlowResult]:
     """Exact max flow on ``net.solved_arcs()``, by breadth-first
-    augmentation on ``residual_index(net)``, its witness mapped back to the
+    augmentation on ``net.index``, its witness mapped back to the
     network's arcs without a cycle (the module docstring's three steps).
 
     The arcs out of each vertex are tried in index order, so the augmenting
@@ -450,7 +379,7 @@ def max_flow_saturates(net: FlowNetwork) -> tuple[bool, FlowResult]:
     """
     if not net.supplies:
         return True, FlowResult(value=Rat(0), flow={})
-    index = residual_index(net)
+    index = net.index
     number, out, heads, residual = index.number, index.out, index.heads, list(index.residual)
     source, sink = number[SOURCE], number[SINK]
     is_open = [True, False] * (len(heads) // 2)  # residual[e] > 0, kept in step

@@ -6,9 +6,20 @@ it scans every pair of jobs released by t for work of positive measure
 inside a lifetime.  The package reads the same edges off
 ``borrow_thresholds``, and the tests compare every swept graph with it.
 
+``network_from_arcs`` indexes an arbitrary arc map for the package's
+solver, detecting each interval's hub where the package's sweep writes it
+by construction: a layer gets one only where it is complete (each dummy's one
+out-arc goes to its job, and the holder arcs are exactly those from each
+holder job into each dummy but its own) and every holder arc exceeds the
+total supply; elsewhere it keeps the direct arcs, less those into a dummy
+with no positive out-arc.  Hand-built networks, and the tests that edit a
+built one, go through it.
+
 ``build_flow_network_from_scratch`` builds the network of one time as the
-package's ``NetworkSweep`` does, with nothing carried from an earlier time:
-the tests compare every swept base and refined network with it, arc for arc.
+package's ``NetworkSweep`` does, with nothing carried from an earlier time,
+and indexes it through ``network_from_arcs``: the tests compare every swept
+base and refined network with it, arc for arc, and each base network's
+constructed index with the detected one.
 
 ``build_flow_network_with_dead_dummies`` also keeps every dead dummy, a
 ("dummy", i, l) whose interval l gave job i no work.  The package omits it,
@@ -35,9 +46,11 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from itertools import groupby
+from types import MappingProxyType
 
 from alphasched.borrow import BorrowGraph
-from alphasched.flow import SINK, SOURCE, BetaMatrix, FlowNetwork, FlowResult
+from alphasched.flow import SINK, SOURCE, BetaMatrix, FlowNetwork, FlowResult, ResidualIndex, index_arcs
 from alphasched.model import ScheduleTrace, TimePoint
 
 
@@ -83,6 +96,75 @@ def steps_of(arcs) -> frozenset:
     )
 
 
+def _interval_of(item) -> int | None:
+    """The interval of an arc into or out of a dummy; None for the others."""
+    (u, v), _ = item
+    if v[0] == "dummy":
+        return v[2]
+    if u[0] == "dummy":
+        return u[2]
+    return None
+
+
+def _layer_arcs(l, arcs, bound):
+    """Interval l's arcs, by (tail, head), as the index holds them: through
+    one hub ("hub", l) at the least holder arc's capacity where the layer is
+    complete and every holder arc exceeds ``bound``; otherwise the arcs, less
+    those into a dummy with no out-arc."""
+    n = 0
+    while n < len(arcs) and arcs[n][0][0][0] == "dummy":
+        n += 1
+    own = arcs[:n]
+    dummies = [u for (u, _), _ in own]
+    live = set(dummies)
+    holder_arcs = [item for item in arcs[n:] if item[0][1] in live]
+    holders = sorted({u for (u, _), _ in holder_arcs})
+    if (
+        holder_arcs
+        and all(v == ("job", u[1]) for (u, v), _ in own)
+        and all(h[0] == "job" for h in holders)
+        and [arc for arc, _ in holder_arcs] == [(h, d) for h in holders for d in dummies if h[1] != d[1]]
+        and (cap := min(cap for _, cap in holder_arcs)) > bound
+    ):
+        hub = ("hub", l)
+        return own + [((hub, d), cap) for d in dummies] + [((h, hub), cap) for h in holders]
+    live = {u for (u, _), _ in arcs if u[0] == "dummy"}
+    return [item for item in arcs if item[0][1][0] != "dummy" or item[0][1] in live]
+
+
+def network_from_arcs(time_points, arcs, supplies, demands) -> FlowNetwork:
+    """A network of the given arcs, read-only, with its job-to-job steps and
+    its residual index: the positive-capacity arcs per interval l, in
+    increasing l, by (tail, head), each interval as ``_layer_arcs`` holds it
+    for the total supply, then the arcs of no interval by (tail, head)."""
+
+    def order(item):
+        l = _interval_of(item)
+        return (l is None, l or 0, item[0])
+
+    bound = sum(supplies.values(), Fraction(0))
+    positive = sorted(((arc, cap) for arc, cap in arcs.items() if cap > 0), key=order)
+    indexed = []
+    for l, layer in groupby(positive, key=_interval_of):
+        layer = list(layer)
+        indexed += layer if l is None else _layer_arcs(l, layer, bound)
+    empty = ResidualIndex([SOURCE, SINK], {SOURCE: 0, SINK: 1}, [], [], [[], []])
+    return FlowNetwork(
+        time_points=tuple(time_points),
+        arcs=MappingProxyType(dict(arcs)),
+        supplies=dict(supplies),
+        demands=dict(demands),
+        steps=steps_of(arcs),
+        index=index_arcs(empty, indexed),
+    )
+
+
+def edited(net: FlowNetwork, changes) -> FlowNetwork:
+    """``net`` with the arcs of ``changes`` set to their capacities there,
+    rebuilt through ``network_from_arcs``."""
+    return network_from_arcs(net.time_points, {**net.arcs, **changes}, net.supplies, net.demands)
+
+
 def _grid(alg_trace: ScheduleTrace, point: TimePoint, extra_points):
     t = point.t
     jobs = [job for job in alg_trace.instance.jobs if job.release <= t]
@@ -108,13 +190,7 @@ def _network(alg_trace, point, tps, arcs) -> FlowNetwork:
         arcs[(SOURCE, ("job", j))] = s
     for i, d in demands.items():
         arcs[(("job", i), SINK)] = d
-    return FlowNetwork(
-        time_points=tps,
-        arcs=arcs,
-        supplies=supplies,
-        demands=demands,
-        steps=steps_of(arcs),
-    )
+    return network_from_arcs(tps, arcs, supplies, demands)
 
 
 def infinite_of(alg_trace: ScheduleTrace) -> Fraction:

@@ -9,6 +9,7 @@ import json
 import time
 from collections import Counter
 from fractions import Fraction as F
+from itertools import combinations_with_replacement, product
 
 import pytest
 
@@ -23,7 +24,7 @@ from alphasched.analysis import simulate_pair, verify_instance, verify_traces
 from alphasched.cli import main as cli_main
 from alphasched.engine import simulate
 from alphasched.metrics import build_report, delta, integrate_curve
-from alphasched.model import ModelError, ScheduleTrace, save_instance
+from alphasched.model import Instance, Job, ModelError, ScheduleTrace, save_instance
 from alphasched.oracle import brute_force_min_total_flow, quantum_simulate
 from alphasched.policies import PolicyKind
 from conftest import CORPUS_SIZE, corpus_instance, small_instance
@@ -36,6 +37,8 @@ LOWER_BOUND_REPORTS_SHA256 = "c3f211f672f9f1b662585977f2ee67f4f61eb7589df13ce7ba
 # the same over failing reports of edited corpus traces: it pins which checks
 # fire, their order within a time and the first failure
 FAILING_REPORTS_SHA256 = "eafc3407b2a4c3ab7529077ac63168f1e32730fe253ca8dfa51712d9d6fad11b"
+# the same over every instance of the small scope, in `small_scope` order
+SMALL_SCOPE_REPORTS_SHA256 = "daaf4aa15e4500f12937efd4ecb3bd682e01bb847aeca69b60bfc9a1e3eb9757"
 # sha256 over the trace.csv, events.csv and metrics.json bytes that simulate
 # writes for the fused rule, then SRPT and SETF on its realized instance
 CORPUS_SIMULATE_SHA256 = "cafbf85335c4b2cf95ad1e3675413a063a74f0ca669547ba7ef2c152d189930f"
@@ -265,6 +268,30 @@ def test_lower_bound_reports_byte_identical():
             for k in range(2, 6):
                 digest.update(report_bytes(verify_instance(gen(alpha, k)[0])))
     assert digest.hexdigest() == LOWER_BOUND_REPORTS_SHA256
+
+
+def small_scope():
+    """Every instance of at most 3 jobs with integer releases 0-3, the least
+    0, and processing times 1-4, at alpha = 1/2: each multiset of
+    (release, p) once, its jobs numbered from 1 in sorted order."""
+    kinds = sorted(product(range(4), range(1, 5)))
+    for n in range(1, 4):
+        for jobs in combinations_with_replacement(kinds, n):
+            if jobs[0][0] == 0:
+                yield Instance(tuple(Job(k, r, p) for k, (r, p) in enumerate(jobs, 1)), F(1, 2))
+
+
+def test_small_scope_reports_ok_and_byte_identical():
+    digest, count = hashlib.sha256(), 0
+    for inst in small_scope():
+        report = verify_instance(inst)
+        assert report.ok, (inst, report.first_failure)
+        srpt_flow = build_report(simulate(inst, PolicyKind.SRPT)[0]).total_flow
+        assert srpt_flow == brute_force_min_total_flow(inst), inst
+        digest.update(report_bytes(report))
+        count += 1
+    assert count == 4 + 58 + 452
+    assert digest.hexdigest() == SMALL_SCOPE_REPORTS_SHA256
 
 
 def trace_edits(rows):

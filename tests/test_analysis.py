@@ -36,7 +36,6 @@ from alphasched.flow import (
     SINK,
     SOURCE,
     BetaMatrix,
-    FlowNetwork,
     FlowResult,
     NetworkSweep,
     build_flow_network,
@@ -44,7 +43,6 @@ from alphasched.flow import (
     max_flow_saturates,
     network_flow,
     refine_flow,
-    residual_index,
 )
 from alphasched.model import (
     ExecutionSegment,
@@ -64,8 +62,9 @@ from flow_reference import (
     build_flow_network_from_scratch,
     build_flow_network_with_dead_dummies,
     decompose_beta_by_vertex,
+    edited,
     max_flow_depth_first,
-    steps_of,
+    network_from_arcs,
     without_cycles,
 )
 from test_acceptance import report_bytes, trace_edits
@@ -150,12 +149,11 @@ def verifier_networks(draw):
     arcs.update({(SOURCE, ("job", j)): s for j, s in supplies.items()})
     arcs.update({(("job", i), SINK): d for i, d in demands.items()})
     order = draw(st.permutations(sorted(arcs)))
-    return FlowNetwork(
+    return network_from_arcs(
         tuple(F(k) for k in range(intervals + 1)),
         {arc: arcs[arc] for arc in order},
         supplies,
         demands,
-        steps_of(arcs),
     )
 
 
@@ -320,9 +318,8 @@ class TestFlowNetwork:
     def test_starved_network_fails_saturation(self, pair_traces):
         alg, opt = pair_traces
         net = build_flow_network(NetworkSweep(alg), TimePoint.at(alg, opt, F(5, 2)))
-        for (u, v) in list(net.arcs):
-            if v == ("job", 2) and u[0] == "dummy":
-                net.arcs[(u, v)] = F(1, 8)  # below the 1/2 supply
+        # below the 1/2 supply
+        net = edited(net, {(u, v): F(1, 8) for u, v in net.arcs if v == ("job", 2) and u[0] == "dummy"})
         saturated, flow = max_flow_saturates(net)
         assert not saturated and flow.value == F(1, 8)
         # the cut runs between job 2's dummy and job 2, not at the source
@@ -332,7 +329,7 @@ class TestFlowNetwork:
     def test_min_cut_certificate_rejects_a_wrong_witness(self, pair_traces):
         alg, opt = pair_traces
         net = build_flow_network(NetworkSweep(alg), TimePoint.at(alg, opt, F(5, 2)))
-        net.arcs[(("dummy", 2, 0), ("job", 2))] = F(1, 8)
+        net = edited(net, {(("dummy", 2, 0), ("job", 2)): F(1, 8)})
         _, flow = max_flow_saturates(net)
         at_source = FlowResult(flow.value, flow.flow, cut=frozenset({SOURCE}))
         assert check_min_cut(net, at_source) == ["min cut capacity 1/2 is not the max flow 1/8"]
@@ -361,9 +358,7 @@ class TestFlowNetwork:
             (("job", 2), SINK): F(1),
             (("job", 4), SINK): F(1),
         }
-        net = FlowNetwork(
-            (F(0), F(1)), arcs, {1: F(2), 3: F(1)}, {2: F(1), 4: F(1)}, steps_of(arcs)
-        )
+        net = network_from_arcs((F(0), F(1)), arcs, {1: F(2), 3: F(1)}, {2: F(1), 4: F(1)})
         saturated, flow = max_flow_saturates(net)
         assert not saturated and flow.value == F(3, 2)
         assert flow.cut == {SOURCE, ("job", 1), ("dummy", 2, 0), ("job", 2), ("job", 3), ("dummy", 4, 0)}
@@ -387,9 +382,7 @@ class TestFlowNetwork:
             (("job", 3), SINK): F(1),
             (("job", 4), SINK): F(1),
         }
-        net = FlowNetwork(
-            (F(0), F(1), F(2)), arcs, {1: F(1), 2: F(1)}, {3: F(1), 4: F(1)}, steps_of(arcs)
-        )
+        net = network_from_arcs((F(0), F(1), F(2)), arcs, {1: F(1), 2: F(1)}, {3: F(1), 4: F(1)})
         saturated, flow = max_flow_saturates(net)
         assert saturated and flow.value == 2 and flow.cut is None
         assert verify_flow_feasible(net, flow) == []
@@ -431,15 +424,16 @@ def assert_swept_networks_equal_rebuilds(inst):
         net = build_flow_network(sweep, point)
         fresh = ScheduleTrace(alg.instance, alg.segments)
         scratch = build_flow_network_from_scratch(fresh, TimePoint.at(fresh, opt, t))
+        # the residual index too: the sweep's hubs, written by construction,
+        # are the ones the reference builder detects from the arcs
         assert net == scratch
-        # the sweep's residual index and the one built from the network's
-        # own arcs give the same witness
         assert max_flow_saturates(net) == max_flow_saturates(scratch)
         tps = net.time_points
         mids = [(a + b) / 2 for a, b in zip(tps, tps[1:])]
         fresh = ScheduleTrace(alg.instance, alg.segments)
         refined = build_flow_network_from_scratch(fresh, TimePoint.at(fresh, opt, t), extra_points=mids)
-        assert build_flow_network(sweep, point, refined=True) == refined
+        # a refined network is never solved and carries no index
+        assert build_flow_network(sweep, point, refined=True) == replace(refined, index=None)
 
 
 def witness_lines(inst):
@@ -540,7 +534,8 @@ class TestFlowOracles:
             assert check_min_cut(net, flow) == []
         # the result depends on the network alone, not on the arcs' order
         for order in (sorted(net.arcs), sorted(net.arcs, reverse=True)):
-            reordered = replace(net, arcs={arc: net.arcs[arc] for arc in order})
+            arcs = {arc: net.arcs[arc] for arc in order}
+            reordered = network_from_arcs(net.time_points, arcs, net.supplies, net.demands)
             assert max_flow_saturates(reordered) == (saturated, flow)
 
     @settings(max_examples=300, deadline=None, database=None, derandomize=True)
@@ -562,9 +557,11 @@ class TestFlowOracles:
                     assert decompose_beta(flow).discarded_cycle_flow == 0
 
     def test_max_flow_reads_arcs_replaced_after_the_build(self, pair_traces):
+        # a network rebuilt with a replaced arc is solved on its own arcs,
+        # and the network it came from keeps its value
         alg, opt = pair_traces
         net = build_flow_network(NetworkSweep(alg), TimePoint.at(alg, opt, F(5, 2)))
-        starved = replace(net, arcs={**net.arcs, (dummy(2), job(2)): F(1, 8)})
+        starved = edited(net, {(dummy(2), job(2)): F(1, 8)})
         assert max_flow_saturates(starved)[1].value == F(1, 8)
         assert max_flow_saturates(net)[1].value == F(1, 2)
 
@@ -572,10 +569,20 @@ class TestFlowOracles:
         alg, opt = pair_traces
         net = build_flow_network(NetworkSweep(alg), TimePoint.at(alg, opt, F(5, 2)))
         assert max_flow_saturates(net)[1].value == F(1, 2)
-        for arc in list(net.arcs):
-            if arc[0] == ("source",):
-                net.arcs[arc] = F(1, 3)
-        assert max_flow_saturates(net)[1].value == F(1, 3)
+        narrowed = edited(net, {arc: F(1, 3) for arc in net.arcs if arc[0] == SOURCE})
+        assert max_flow_saturates(narrowed)[1].value == F(1, 3)
+        assert max_flow_saturates(net)[1].value == F(1, 2)
+
+    def test_swept_network_arcs_are_read_only(self, pair_traces):
+        # the solver reads the index built with the arcs, so an edit must
+        # not pass silently
+        alg, opt = pair_traces
+        net = build_flow_network(NetworkSweep(alg), TimePoint.at(alg, opt, F(5, 2)))
+        with pytest.raises(TypeError):
+            net.arcs[(SOURCE, job(1))] = F(1, 3)
+        with pytest.raises(TypeError):
+            del net.arcs[(SOURCE, job(1))]
+        assert max_flow_saturates(net)[1].value == F(1, 2)
 
     def test_job_totals_sum_over_intervals(self, pair_traces):
         alg, opt = pair_traces
@@ -766,9 +773,10 @@ class TestDeadDummies:
 
 
 class TestHubs:
-    """The residual index puts one hub per interval only where the holder
-    layer is complete and no holder arc can bind; elsewhere it keeps the
-    network's direct holder arcs."""
+    """The sweep writes one hub per interval into its networks' residual
+    index.  The reference builder detects them in a hand-built network: one
+    hub per interval only where the holder layer is complete and no holder
+    arc can bind; elsewhere it keeps the network's direct holder arcs."""
 
     def test_incomplete_layer_keeps_its_direct_arcs(self):
         # supplies 1 and 2, demands 3 and 4; in interval 0 job 1 feeds
@@ -787,14 +795,14 @@ class TestHubs:
             (job(3), SINK): F(1),
             (job(4), SINK): F(1),
         }
-        net = FlowNetwork((F(0), F(1)), arcs, {1: F(1), 2: F(1)}, {3: F(1), 4: F(1)}, steps_of(arcs))
-        assert not any(v[0] == "hub" for v in residual_index(net).vertices)
+        net = network_from_arcs((F(0), F(1)), arcs, {1: F(1), 2: F(1)}, {3: F(1), 4: F(1)})
+        assert not any(v[0] == "hub" for v in net.index.vertices)
         saturated, flow = max_flow_saturates(net)
         assert saturated and verify_flow_feasible(net, flow) == []
         assert flow.job_totals() == {(1, 4): 1, (2, 3): 1}
         # the complete layer gets its hub
-        complete = replace(net, arcs={**arcs, (job(1), dummy(3)): inf, (job(2), dummy(4)): inf})
-        assert ("hub", 0) in residual_index(complete).number
+        complete = edited(net, {(job(1), dummy(3)): inf, (job(2), dummy(4)): inf})
+        assert ("hub", 0) in complete.index.number
         saturated, flow = max_flow_saturates(complete)
         assert saturated and verify_flow_feasible(complete, flow) == []
 
@@ -809,15 +817,15 @@ class TestHubs:
             (dummy(2), job(2)): F(2),
             (job(2), SINK): F(2),
         }
-        net = FlowNetwork((F(0), F(1)), arcs, {1: F(1), 4: F(1)}, {2: F(2)}, steps_of(arcs))
-        assert not any(v[0] == "hub" for v in residual_index(net).vertices)
+        net = network_from_arcs((F(0), F(1)), arcs, {1: F(1), 4: F(1)}, {2: F(2)})
+        assert not any(v[0] == "hub" for v in net.index.vertices)
         saturated, flow = max_flow_saturates(net)
         assert not saturated and flow.value == F(3, 2)
         assert flow.cut == {SOURCE, job(1)}
         assert check_min_cut(net, flow) == [] and verify_flow_feasible(net, flow) == []
         # with every holder arc above the total supply, the layer gets its hub
-        roomy = replace(net, arcs={**arcs, (job(1), dummy(2)): F(10)})
-        assert ("hub", 0) in residual_index(roomy).number
+        roomy = edited(net, {(job(1), dummy(2)): F(10)})
+        assert ("hub", 0) in roomy.index.number
         saturated, flow = max_flow_saturates(roomy)
         assert saturated and flow.flow == {
             (SOURCE, job(1)): 1,
@@ -885,8 +893,8 @@ class TestHubs:
             (job(2), SINK): F(1),
             (job(3), SINK): F(1),
         }
-        net = FlowNetwork((F(0), F(1), F(2)), arcs, {1: F(2)}, {2: F(1), 3: F(1)}, steps_of(arcs))
-        assert ("hub", 1) in residual_index(net).number
+        net = network_from_arcs((F(0), F(1), F(2)), arcs, {1: F(2)}, {2: F(1), 3: F(1)})
+        assert ("hub", 1) in net.index.number
         saturated, flow = max_flow_saturates(net)
         assert not saturated and flow.value == 1
         assert flow.cut == {SOURCE, job(1), dummy(2), job(2)}
@@ -895,7 +903,7 @@ class TestHubs:
     def test_sweep_networks_get_one_hub_per_interval(self, pair_traces):
         alg, opt = pair_traces
         net = build_flow_network(NetworkSweep(alg), TimePoint.at(alg, opt, F(5, 2)))
-        hubs = sorted(v for v in residual_index(net).vertices if v[0] == "hub")
+        hubs = sorted(v for v in net.index.vertices if v[0] == "hub")
         intervals = sorted({u[2] for u, _ in net.arcs if u[0] == "dummy"})
         assert hubs == [("hub", l) for l in intervals]
 
@@ -1259,9 +1267,8 @@ class TestVerify:
         def starved(sweep, point, refined=False):
             net = build(sweep, point, refined)
             if point.t == 2 and not refined:
-                for (u, v) in list(net.arcs):
-                    if v == ("job", 2) and u[0] == "dummy":
-                        net.arcs[(u, v)] = F(1, 8)
+                starve = {(u, v): F(1, 8) for u, v in net.arcs if v == ("job", 2) and u[0] == "dummy"}
+                net = edited(net, starve)
             return net
 
         monkeypatch.setattr(analysis, "build_flow_network", starved)
@@ -1430,9 +1437,7 @@ class TestNamedChecks:
         build = analysis.build_flow_network
 
         def starved(sweep, point, refined=False):
-            net = build(sweep, point, refined)
-            net.arcs[(dummy(2), job(2))] = F(1, 8)
-            return net
+            return edited(build(sweep, point, refined), {(dummy(2), job(2)): F(1, 8)})
 
         monkeypatch.setattr(analysis, "build_flow_network", starved)
         assert names(F(2), True) == TIME_CHECKS[: TIME_CHECKS.index("flow_reachability") + 1]
@@ -1443,7 +1448,7 @@ class TestNamedChecks:
         net = build_flow_network(NetworkSweep(alg), TimePoint.at(alg, opt, F(5, 2)))
         _, flow = max_flow_saturates(net)
         assert check_max_flow(net, flow, F(5, 2)) == []
-        net.arcs[(dummy(2), job(2))] = F(1, 8)
+        net = edited(net, {(dummy(2), job(2)): F(1, 8)})
         _, flow = max_flow_saturates(net)
         assert check_max_flow(net, flow, F(5, 2)) == [
             "max flow 1/8 below supply 1/2 at t=5/2: min cut source side holds jobs [1]"
@@ -1459,7 +1464,7 @@ class TestNamedChecks:
             (job(2), SINK): F(1),
             (job(3), SINK): F(1),
         }
-        net = FlowNetwork((F(0), F(1)), arcs, {1: F(1)}, {2: F(1), 3: F(1)}, steps_of(arcs))
+        net = network_from_arcs((F(0), F(1)), arcs, {1: F(1)}, {2: F(1), 3: F(1)})
         same = BorrowGraph((1, 2, 3), frozenset({(1, 2, "N")}))
         assert check_flow_reachability(net, same, F(1)) == []
         crossed = BorrowGraph((1, 2, 3), frozenset({(1, 3, "C")}))
@@ -1475,7 +1480,7 @@ class TestNamedChecks:
         ]
 
     def test_refinement_direct_flow_compares_job_totals(self):
-        net = FlowNetwork((F(0), F(1)), {}, {1: F(1)}, {2: F(1), 3: F(1)}, frozenset())
+        net = network_from_arcs((F(0), F(1)), {}, {1: F(1)}, {2: F(1), 3: F(1)})
         flow = FlowResult(F(1), {(job(1), dummy(2)): F(1)})
         halves = FlowResult(F(1), {(job(1), dummy(2, 0)): F(1, 2), (job(1), dummy(2, 1)): F(1, 2)})
         assert check_refinement_direct_flow(net, flow, halves) == []
@@ -1591,7 +1596,7 @@ class TestEveryViolationFires:
             (job(2), SINK): F(1),
             **dict(extra),
         }
-        return FlowNetwork((F(0), F(1)), arcs, {1: F(1)}, {2: F(1)}, steps_of(arcs))
+        return network_from_arcs((F(0), F(1)), arcs, {1: F(1)}, {2: F(1)})
 
     def test_flow_audit_names_a_negative_flow(self):
         flow = {}
