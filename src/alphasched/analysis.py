@@ -472,13 +472,9 @@ def check_reachability_closure(
             intervals = trace.lifetime(reach, t)
             outsiders = []
             if len(intervals) == 1:
-                lo, hi = intervals[0]
-                outsiders = [
-                    i
-                    for i in graph.vertices
-                    if i not in reach
-                    and any(max(a, lo) < min(b, hi) for a, b in trace.busy_intervals(i))
-                ]
+                ran = trace.ran_within(*intervals[0]) - reach
+                if ran:
+                    outsiders = [i for i in graph.vertices if i in ran]
             seen[reach] = (intervals, outsiders)
         intervals, outsiders = seen[reach]
         if len(intervals) != 1:

@@ -12,10 +12,12 @@ at their exact times.  Simultaneous happenings are applied in a fixed order
 (completions, emissions, commitments, arrivals, merges, then re-decision),
 which makes runs reproducible event for event.
 
-Information hiding is enforced when the policy view is built: a view for a
-non-omniscient policy carries no remaining time for a job that has not yet
-emitted its signal, and a job with an uncommitted processing time never
-counts as emitted.
+The three rules are one decision (``policies.decide``) over views that mark
+each job signalled as the run's rule reads it: every job under SRPT's order
+(SRPT, and the fused rule at alpha = 0), at one signal time so that ties go
+to the lowest id; no job under SETF; otherwise each job that has emitted.
+An unsignalled job's entry carries no remaining time, and an uncommitted job
+never counts as emitted, and is an error under SRPT's order.
 
 Per-stop cost.  Only a job rated in the segment just run, or one that
 arrived or was committed at this instant, can have new progress or a new
@@ -25,24 +27,24 @@ once per instant, against alpha * p computed once when p is committed; a job
 that arrives, or that a commitment gives its p, is tested after the
 commitments and arrivals.  Each alive job keeps one immutable view entry,
 rebuilt only when the job changed.  The alive jobs that the decision does
-not rate sit in rankings of what the rule reads: by progress, unsignalled
-and signalled jobs (all unsignalled if the rule reads no signal), but not
-under SRPT; by remaining work, signalled jobs in the fused rule's order, or
-every job in SRPT's under SRPT and the fused rule at alpha = 0.  A ranking
-holds one entry per distinct key with that key's jobs in id order, so an
-evenly-shared set is one progress level.  From their fronts the
-next-event search reads the merge level and the threshold, and a view its
-minima in one pass over its candidates: the k rated jobs, whose ids come in
-id order, with the at most two fronts inserted.  A job is re-ranked when it
-changes while unrated and when it enters or leaves the rated set, in
-O(log d) comparisons of a ranking's d distinct keys plus list shifts.  With
-c changed jobs, e jobs entering or leaving the rated set and n alive jobs,
-a stop costs O((c + e) log n) exact operations and a fused-rule or SRPT
-decision O(k + log n); a view lists every alive job only if the rule reads
-them.  No exact value is built twice: a rate shared by k jobs is one object,
-which the unit-speed checks total once as r * k and one product per
-distinct rate advances, and the fused rule's two threshold factors are
-computed once per run.  Consecutive stops under equal rates extend one open
+not rate sit in rankings of what the rule reads, as the entries mark them:
+unsignalled jobs by progress; signalled jobs by progress, and by remaining
+work in the fused rule's order, except under SRPT's order, which ranks them
+by remaining work alone.  A ranking holds one entry per distinct key with
+that key's jobs in id order, so an evenly-shared set is one progress level.
+From their fronts the next-event search reads the merge level and the
+threshold, and a view its minima in one pass over its candidates: the k
+rated jobs, whose ids come in id order, with the at most two fronts
+inserted.  A job is re-ranked when it changes while unrated and when it
+enters or leaves the rated set, in O(log d) comparisons of a ranking's d
+distinct keys plus list shifts.  With c changed jobs, e jobs entering or
+leaving the rated set and n alive jobs, a stop costs O((c + e) log n) exact
+operations and a decision O(k + log n) under every rule; a view lists
+every alive job only if it is read.  No exact value is built twice: a rate
+shared by k jobs is one object, which the unit-speed checks total once as
+r * k, one product per distinct rate advances and one quotient per distinct
+rate gives each next-event wait, and the fused rule's two threshold factors
+are computed once per run.  Consecutive stops under equal rates extend one open
 segment, so one ``ExecutionSegment`` is built per maximal constant-rate run,
 and it keeps the decision's rates, already canonical, without a re-sort.
 """
@@ -61,7 +63,9 @@ from .rational import Rat
 
 
 class EngineError(Exception):
-    """Simulation cannot proceed (stall, runaway loop, unresolved job)."""
+    """The input leaves the simulation unable to proceed (a runaway loop,
+    an unresolved or uncommitted job).  A broken engine lemma raises
+    ``RuntimeError`` instead: it is a bug, not bad input."""
 
 
 class CommitmentError(EngineError):
@@ -71,6 +75,8 @@ class CommitmentError(EngineError):
 EVENT_ORDER = ("completion", "emission", "adversary-commit", "arrival", "merge", "mode-switch")
 
 EVENT_CAP_FACTOR = 64
+
+SRPT_SIGNAL = Rat(0)  # every job's signal time under SRPT's order
 
 
 class Event(NamedTuple):
@@ -160,9 +166,8 @@ class SimState:
             raise ModelError(f"simulation needs a PolicyKind, got {policy!r}")
         self.instance = instance
         self.policy = policy
-        self.omniscient = policy.omniscient
-        # stopping at emissions can be switched on alone; ranking follows the rule
-        self.stops_at_emissions = self._reads_signals = policy.reads_signals
+        # stopping at emissions can be switched on alone; the marking follows the rule
+        self.stops_at_emissions = policy.reads_signals
         self.horizon = None if horizon is None else Rat(horizon)
         if self.horizon is not None and self.horizon < 0:
             raise ModelError(f"horizon {self.horizon} is negative")
@@ -186,18 +191,15 @@ class SimState:
         # one view entry per alive job; an arrival gets its entry when the
         # changed jobs are next refreshed
         self._entries: dict[int, ViewJob] = {}
-        # alive jobs the decision does not rate: unsignalled and signalled
-        # ones by progress, every job unsignalled if the rule reads no
-        # signal, and by remaining work the signalled ones in the fused
-        # rule's order, or every job in SRPT's where the rule is SRPT, as
-        # the fused rule is at alpha = 0, where every committed job signals
+        # the entries mark every job signalled under SRPT's order, as the
+        # fused rule is at alpha = 0, no job under SETF, else the emitted ones
         self._srpt_order = policy is PolicyKind.SRPT or (policy is PolicyKind.ALPHA and self.alpha == 0)
+        self._marks = {} if policy is PolicyKind.SETF else self.signal
+        # alive jobs the decision does not rate, as their entries mark them:
+        # by progress, and signalled ones by remaining work in the rule's order
         self._unsignalled = _Ranking()
         self._signalled = _Ranking()
         self._remaining = _Ranking()
-        # SRPT keys _remaining alone, since every job is committed; the fused
-        # rule at alpha = 0 meets an uncommitted job at _unsignalled's front
-        self._ranks_progress = policy is not PolicyKind.SRPT
         self._arr_ptr = 0  # next arrival in instance.jobs, sorted by (release, id)
         self._triggers = list(instance.adversary.triggers) if instance.adversary else []
         self._trg_ptr = 0
@@ -213,19 +215,18 @@ class SimState:
     # -- view entries and rankings ---------------------------------------------
 
     def _rank(self, j: int, entry: ViewJob) -> None:
-        """Rank a job by its view entry, which must be current.  A signal
-        is never taken back, so a job ranked as unsignalled has never been
-        in _signalled, nor in _remaining unless that is in SRPT's order."""
-        if entry.emitted and self._reads_signals:
+        """Rank a job by its view entry, which must be current.  A mark is
+        never taken back, so a job ranked as unsignalled has never been in
+        _signalled or _remaining.  Under SRPT's order, which never shares,
+        _signalled would be read by no merge."""
+        if not entry.emitted:
+            self._unsignalled.put(j, entry.elapsed)
+        elif self._srpt_order:
+            self._remaining.put(j, entry.remaining)
+        else:
             self._unsignalled.put(j, None)
             self._signalled.put(j, entry.elapsed)
-            self._remaining.put(
-                j, entry.remaining if self._srpt_order else (entry.remaining, -entry.signal_time))
-        else:
-            if self._ranks_progress:
-                self._unsignalled.put(j, entry.elapsed)
-            if self._srpt_order:
-                self._remaining.put(j, entry.remaining)
+            self._remaining.put(j, (entry.remaining, -entry.signal_time))
 
     def _unrank(self, j: int) -> None:
         for ranking in (self._unsignalled, self._signalled, self._remaining):
@@ -237,21 +238,17 @@ class SimState:
         jobs the decision does not rate."""
         if not self._changed:
             return
-        rated = self._rated
+        rated, marks = self._rated, self._marks
         for j in sorted(self._changed):
             p, y = self.proc[j], self.progress[j]
-            signal = self.signal.get(j)
-            emitted = signal is not None
-            remaining = None
-            if self.omniscient:
+            if self._srpt_order:
                 if p is None:
-                    raise EngineError(
-                        f"job {j}: omniscient policy requires a committed processing time"
-                    )
-                remaining = p - y
-            elif emitted:
-                remaining = p - y
-            entry = self._entries[j] = ViewJob(j, y, emitted, remaining, signal)
+                    raise EngineError(f"job {j}: SRPT's order needs a committed processing time")
+                signal = SRPT_SIGNAL
+            else:
+                signal = marks.get(j)
+            entry = self._entries[j] = (
+                ViewJob(j, y, False, None, None) if signal is None else ViewJob(j, y, True, p - y, signal))
             if j not in rated:
                 self._rank(j, entry)
         self._changed.clear()
@@ -268,8 +265,8 @@ class SimState:
         """The rated alive jobs and the first job of each ranking, in id
         order.  Every other alive job is ranked behind these.  The rated
         ids come in id order, and the fronts are unrated and distinct: the
-        two rankings share no job, since _unsignalled is empty under SRPT
-        and _remaining holds signalled jobs only under the other rules."""
+        two rankings share no job, since _unsignalled holds unsignalled
+        jobs and _remaining signalled ones."""
         entries = self._entries
         ids = [j for j in self.decision.rated_ids if j in entries]
         for j in (self._unsignalled.first(), self._remaining.first()):
@@ -344,7 +341,7 @@ class SimState:
         if emits:
             for j in emits:
                 if self.progress[j] != self._signal_work[j]:
-                    raise EngineError(
+                    raise RuntimeError(
                         f"job {j} passed its signal point unobserved: progress "
                         f"{self.progress[j]} > alpha * p = {self._signal_work[j]}"
                     )
@@ -377,30 +374,31 @@ class SimState:
         return alive
 
     def make_decision(self) -> RateDecision:
-        # the module global, looked up per call so that a tracer can wrap it
-        decision = decide(self.policy, self.build_view())
+        # the module global, looked up per call so that a tracer can wrap it;
+        # the guards below are lemma checks, so a failure is a bug
+        decision = decide(self.build_view())
         entries = self._entries
         # a rate object shared by a run of jobs is tested once, totalled as r * count
         total, last, count = 0, None, 0
         for j, r in decision.rates:
             if j not in entries:
-                raise EngineError(f"policy rated job {j} which is not alive")
+                raise RuntimeError(f"policy rated job {j} which is not alive")
             if r is not last:
                 if r <= 0:
-                    raise EngineError(f"policy rated job {j} at nonpositive rate")
+                    raise RuntimeError(f"policy rated job {j} at nonpositive rate")
                 if count:
                     total += last * count
                 last, count = r, 0
             count += 1
         if count and total + last * count > 1:
-            raise EngineError("policy rates exceed unit speed")
+            raise RuntimeError("policy rates exceed unit speed")
         # segments are built when a constant-rate run closes, so the one
         # segment check a valid decision can still fail is made here
         old, new = self._rated, set(decision.rated_ids)
         if len(new) != len(decision.rates):
-            raise ModelError("duplicate job in segment rates")
+            raise RuntimeError("duplicate job in segment rates")
         if self._alive and not decision.rates:
-            raise EngineError("built-in policy idled with alive jobs")
+            raise RuntimeError("built-in policy idled with alive jobs")
         branch = decision.branch
         if branch in ("srpt", "setf") and self._last_branch in ("srpt", "setf") and branch != self._last_branch:
             self._log("mode-switch", sorted(new))
@@ -431,25 +429,35 @@ class SimState:
         if self._trg_ptr < len(self._triggers):
             waits["adversary-commit"] = self._triggers[self._trg_ptr].fire_at - now
         rates = self.decision.rates
-        done = emit = None
-        for j, r in rates:
-            p = self.proc[j]
-            if p is None:
-                continue
-            y = self.progress[j]
-            wait = (p - y) / r
-            if done is None or wait < done:
-                done = wait
-            if self.stops_at_emissions and j not in self.signal:
-                target = self._signal_work[j]
-                if y < target:
-                    wait = (target - y) / r
-                    if emit is None or wait < emit:
-                        emit = wait
-        if done is not None:
-            waits["completion"] = done
-        if emit is not None:
-            waits["emission"] = emit
+        # the jobs sharing one rate object wait least where the work left is
+        # least: one quotient per distinct rate for each kind
+        dones, emits = [], []
+        k, n = 0, len(rates)
+        while k < n:
+            r = rates[k][1]
+            left = gap = None
+            while k < n and rates[k][1] is r:
+                j = rates[k][0]
+                k += 1
+                p = self.proc[j]
+                if p is None:
+                    continue
+                y = self.progress[j]
+                work = p - y
+                if left is None or work < left:
+                    left = work
+                if self.stops_at_emissions and j not in self.signal:
+                    work = self._signal_work[j] - y
+                    if work > 0 and (gap is None or work < gap):
+                        gap = work
+            if left is not None:
+                dones.append(left / r)
+            if gap is not None:
+                emits.append(gap / r)
+        if dones:
+            waits["completion"] = min(dones)
+        if emits:
+            waits["emission"] = min(emits)
         if self.decision.branch == "setf" and rates:
             level, rho = self.progress[rates[0][0]], rates[0][1]
             if all(self.progress[j] == level and r == rho for j, r in rates[1:]):
@@ -462,7 +470,7 @@ class SimState:
                 if self._crossing_factor is not None and least is not None:
                     wait = (self._crossing_factor * least[0] - level) / rho
                     if wait <= 0:
-                        raise EngineError(
+                        raise RuntimeError(
                             f"fused-rule threshold already crossed at {now + wait} "
                             f"while sharing at {now}"
                         )
@@ -481,7 +489,7 @@ class SimState:
     def _advance(self, until: Fraction) -> None:
         if until == self.now:
             # lemma check: next_event returns only positive waits
-            raise EngineError(f"zero wait at {self.now}: the run would not advance")
+            raise RuntimeError(f"zero wait at {self.now}: the run would not advance")
         rates = self.decision.rates
         if rates:
             run = self._run
@@ -541,7 +549,7 @@ class SimState:
                     # lemma check: alive jobs get a nonempty decision (the
                     # idle guard), and a rated job with a committed p has a
                     # completion wait, so a run cannot get here
-                    raise EngineError("simulation stalled with alive jobs")
+                    raise RuntimeError("simulation stalled with alive jobs")
                 break
             t2, kinds = nxt
             if self.horizon is not None and t2 > self.horizon:

@@ -658,6 +658,20 @@ class ScheduleTrace:
             return self.segments[idx]
         return None
 
+    def ran_within(self, lo: Fraction, hi: Fraction) -> set[int]:
+        """The jobs rated on some stretch of positive length inside
+        [lo, hi]: those of the segments that start before hi and end after
+        lo, found by bisecting the segment starts."""
+        ran: set[int] = set()
+        if lo < hi:
+            segments = self.segments
+            k = max(bisect_right(self._starts, lo) - 1, 0)
+            while k < len(segments) and segments[k].start < hi:
+                if segments[k].end > lo:
+                    ran.update(j for j, _ in segments[k].rates)
+                k += 1
+        return ran
+
     def busy_intervals(self, job_id: int) -> tuple[Interval, ...]:
         """Maximal intervals on which the job receives positive rate."""
         try:

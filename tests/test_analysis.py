@@ -256,6 +256,19 @@ class TestBorrowGraph:
             "job 2 executed inside lifetime of reachability set of 1 but is not reachable (t=5/2)"
         ]
 
+    def test_closure_finds_no_outsider_in_an_empty_lifetime(self):
+        # job 2 arrives at 2 while job 1 runs alone on one segment [0, 4):
+        # at t = 2 job 2's lifetime is the point [2, 2], inside which no job
+        # runs for any positive time, even with every borrow edge cut
+        trace, _ = simulate(Instance((Job(1, 0, 4), Job(2, 2, 10)), F(1, 2)), PolicyKind.SRPT)
+        assert trace.segments[0] == ExecutionSegment(0, 4, ((1, F(1)),))
+        t = F(2)
+        graph = build_borrow_graph(trace, t)
+        cut = BorrowGraph(graph.vertices, frozenset())
+        assert trace.lifetime({2}, t) == [(t, t)]
+        assert (trace.ran_within(t, t), trace.ran_within(t, F(3))) == (set(), {1})
+        assert check_reachability_closure(trace, cut, TimePoint.at(trace, trace, t)) == []
+
 
 class TestBorrowSweep:
     @pytest.mark.parametrize(
@@ -1249,8 +1262,14 @@ class TestVerify:
                 lambda: append_dos_tail(*gen_det_lb2(F(1, 2), 3), 50),
                 "aba73409872c9afba1729e0f1595a651670351f0f48d2fa6d7fac0de188eadb7",
             ),
+            # recorded before the reachability-closure check read who ran
+            # inside a lifetime from the trace's segments
+            (
+                lambda: append_dos_tail(*gen_det_lb2(F(1, 2), 3), 200),
+                "a3ce57bc43dfebb154ee844b3f3b590c36522a1f72191c1b9ca98d3a986eb107",
+            ),
         ],
-        ids=["random_n48", "lb2_k3_dos50"],
+        ids=["random_n48", "lb2_k3_dos50", "lb2_k3_dos200"],
     )
     def test_large_reports_are_pinned(self, make, digest):
         report = verify_instance(make())

@@ -11,11 +11,12 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from alphasched import analysis, cli
+from alphasched import analysis, cli, engine
 from alphasched.adversary import gen_rand32
 from alphasched.cli import main
 from alphasched.model import TRACE_CSV_HEADER, Instance, Job, instance_to_json, save_instance
 from alphasched.oracle import quantum_simulate
+from alphasched.policies import RateDecision
 from conftest import json_instances
 
 
@@ -78,6 +79,13 @@ class TestSimulateCommand:
 
         monkeypatch.setattr(cli, "build_report", broken)
         with pytest.raises(KeyError):
+            main(["simulate", "--instance", str(pair_path), "--out", str(tmp_path / "out")])
+
+    def test_broken_engine_lemma_is_not_bad_input(self, tmp_path, pair_path, monkeypatch):
+        # a decision rating a job that does not exist trips a lemma check:
+        # its RuntimeError surfaces instead of exiting 2
+        monkeypatch.setattr(engine, "decide", lambda view: RateDecision(((9, F(1)),), "srpt"))
+        with pytest.raises(RuntimeError, match="^policy rated job 9 which is not alive$"):
             main(["simulate", "--instance", str(pair_path), "--out", str(tmp_path / "out")])
 
     @pytest.mark.parametrize("option", [["--alpha", "x"], ["--alpha", "1/0"], ["--horizon", "1.5"]])
@@ -202,7 +210,7 @@ def malformed_instances(draw):
 
 
 class TestMalformedInstances:
-    @settings(max_examples=80, deadline=None)
+    @settings(max_examples=80, deadline=None, database=None, derandomize=True)
     @given(malformed_instances())
     def test_exit_2_with_a_one_line_message(self, obj):
         stderr = io.StringIO()

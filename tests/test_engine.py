@@ -28,15 +28,8 @@ from alphasched.model import (
     ProgressScaledRule,
     ScheduleTrace,
     Trigger,
-    UnresolvedProcError,
 )
-from alphasched.policies import (
-    PolicyKind,
-    PolicyView,
-    RateDecision,
-    ViewJob,
-    setf_decide,
-)
+from alphasched.policies import PolicyKind, PolicyView, RateDecision, ViewJob, decide
 from alphasched.rational import Rat
 from conftest import CORPUS_SIZE, corpus_instance, json_instances
 
@@ -95,7 +88,7 @@ class TestSimulateBasics:
         assert not trace.complete
         assert trace.elapsed_work(1, 3) == F(3, 2)
 
-    @pytest.mark.parametrize("policy", ["setf", setf_decide, None])
+    @pytest.mark.parametrize("policy", ["setf", decide, None])
     def test_policy_must_be_a_policy_kind(self, pair_instance, policy):
         trace, _ = simulate(pair_instance, PolicyKind.SETF)
         message = rf"^simulation needs a PolicyKind, got {re.escape(repr(policy))}$"
@@ -179,9 +172,9 @@ def decided_views(monkeypatch):
     inside the decision, in the order the engine asked."""
     seen = []
 
-    def spy(kind, view):
+    def spy(view):
         seen.append((view.now, view.jobs))
-        return policies.decide(kind, view)
+        return policies.decide(view)
 
     monkeypatch.setattr(engine, "decide", spy)
     return seen
@@ -196,9 +189,9 @@ def run_stopping_at_emissions(inst, kind):
 
 
 class TestPolicyProtocol:
-    """The engine's contract with a rule: it asks ``decide(kind, view)``
-    through its module global, and reads the kind's ``omniscient`` and
-    ``reads_signals`` once per run."""
+    """The engine's contract with the rule: it asks ``decide(view)``
+    through its module global, and reads the kind's ``reads_signals`` once
+    per run."""
 
     @pytest.mark.parametrize("seed", range(60))
     def test_custom_setf_equals_builtin(self, seed, decided_views):
@@ -215,25 +208,25 @@ class TestPolicyProtocol:
         emission_only = emissions - {e.time for e in custom_log if e.kind != "emission"}
         assert custom_stops == len(decided_views) + len(emission_only)
 
-    def test_builtin_attributes(self):
-        assert [k.omniscient for k in PolicyKind] == [False, True, False]
-
 
 class TestInformationHiding:
     def test_unsignalled_jobs_hide_remaining(self, worked_example, decided_views):
+        # the fused rule sees a job signalled from its signal point on; SETF
+        # sees no job signalled
         for kind in (PolicyKind.ALPHA, PolicyKind.SETF):
+            decided_views.clear()
             simulate(worked_example, kind)
-        assert decided_views
-        for _, jobs in decided_views:
-            for entry in jobs:
-                p = worked_example.job(entry.job_id).proc
-                if entry.elapsed < worked_example.alpha * p:
-                    assert not entry.emitted
-                    assert entry.remaining is None
-                    assert entry.signal_time is None
-                else:
-                    assert entry.emitted
-                    assert entry.remaining == p - entry.elapsed
+            assert decided_views
+            for _, jobs in decided_views:
+                for entry in jobs:
+                    p = worked_example.job(entry.job_id).proc
+                    if kind is PolicyKind.SETF or entry.elapsed < worked_example.alpha * p:
+                        assert not entry.emitted
+                        assert entry.remaining is None
+                        assert entry.signal_time is None
+                    else:
+                        assert entry.emitted
+                        assert entry.remaining == p - entry.elapsed
 
     def test_deferred_jobs_never_signalled(self, decided_views):
         script = AdversaryScript(
@@ -294,11 +287,14 @@ class TestAdversaryExecution:
             (Trigger("c", F(2), ProgressScaledRule((1,), 2, 1)),)
         )
         inst = Instance((Job(1, 0, Deferred("c")),), F(1, 2), script)
-        with pytest.raises(EngineError, match="omniscient"):
+        with pytest.raises(EngineError, match=r"^job 1: SRPT's order needs a committed processing time$"):
             simulate(inst, PolicyKind.SRPT)
 
 
 class TestGuards:
+    """A guard that input can trip raises ``EngineError``; a broken engine
+    lemma raises ``RuntimeError``, which is a bug and not bad input."""
+
     def test_event_cap_is_diagnostic(self, worked_example):
         state = SimState(worked_example, PolicyKind.ALPHA)
         state._event_cap = 1
@@ -311,7 +307,7 @@ class TestGuards:
         state = SimState(worked_example, PolicyKind.ALPHA)
         state.apply_instant_events()
         state.progress[1] = F(3)
-        with pytest.raises(EngineError, match="passed its signal point"):
+        with pytest.raises(RuntimeError, match="passed its signal point"):
             state.apply_instant_events()
 
     def test_emission_overshoot_between_stops_is_an_engine_error(self):
@@ -326,7 +322,7 @@ class TestGuards:
         time, kinds = state.next_event()
         state._advance(time)
         assert [e.kind for e in state.log] == ["arrival"]
-        with pytest.raises(EngineError, match="passed its signal point"):
+        with pytest.raises(RuntimeError, match="passed its signal point"):
             state.apply_instant_events(kinds)
 
     def test_crossed_threshold_while_sharing_is_an_engine_error(self, worked_example):
@@ -337,17 +333,17 @@ class TestGuards:
         state.progress.update({1: F(1), 2: F(3, 2)})
         state.signal[2] = F(0)
         state.decision = RateDecision(((1, F(1)),), "setf")
-        with pytest.raises(EngineError, match="threshold already crossed"):
+        with pytest.raises(RuntimeError, match="threshold already crossed"):
             state.next_event()
 
     def test_duplicate_rates_rejected_before_any_progress(self, worked_example, monkeypatch):
         # a decision rating job 1 twice at 1/2 passes the per-rate checks; it
         # must fail as the segment it would build does, before it runs
         twice = RateDecision(((1, F(1, 2)), (1, F(1, 2))), "setf")
-        monkeypatch.setattr(engine, "decide", lambda kind, view: twice)
+        monkeypatch.setattr(engine, "decide", lambda view: twice)
         state = SimState(worked_example, PolicyKind.SETF)
         state.apply_instant_events()
-        with pytest.raises(ModelError, match="duplicate job in segment rates"):
+        with pytest.raises(RuntimeError, match="duplicate job in segment rates"):
             state.make_decision()
         assert state.progress[1] == 0
 
@@ -364,9 +360,9 @@ class TestGuards:
         # the guards reject a bad decision before the next event is sought; a
         # valid decision always has a next event, so with none found the run
         # reports the broken lemma instead of ending with jobs alive
-        monkeypatch.setattr(engine, "decide", lambda kind, view: RateDecision(rates, "custom"))
+        monkeypatch.setattr(engine, "decide", lambda view: RateDecision(rates, "custom"))
         monkeypatch.setattr(SimState, "next_event", lambda state: None)
-        with pytest.raises(EngineError, match=f"^{message}$"):
+        with pytest.raises(RuntimeError, match=f"^{message}$"):
             simulate(worked_example, PolicyKind.ALPHA)
 
     @pytest.mark.parametrize("layout", ["shared", "distinct", "split"])
@@ -376,30 +372,30 @@ class TestGuards:
         half = Rat(1, 2)
         second = {"shared": half, "distinct": Rat(1, 2), "split": Rat(1, 4)}[layout]
         rates = ((1, half), (2, second), (3, half if layout != "distinct" else Rat(1, 2)))
-        monkeypatch.setattr(engine, "decide", lambda kind, view: RateDecision(rates, "custom"))
+        monkeypatch.setattr(engine, "decide", lambda view: RateDecision(rates, "custom"))
         inst = Instance(tuple(Job(j, 0, 2) for j in (1, 2, 3)), F(1, 2))
-        with pytest.raises(EngineError, match="^policy rates exceed unit speed$"):
+        with pytest.raises(RuntimeError, match="^policy rates exceed unit speed$"):
             simulate(inst, PolicyKind.ALPHA)
 
     @pytest.mark.parametrize("shared", [True, False])
     def test_a_shared_nonpositive_rate_names_its_first_job(self, monkeypatch, shared):
         zero = Rat(0)
         rates = ((1, Rat(1, 4)), (2, zero), (3, zero if shared else Rat(0)))
-        monkeypatch.setattr(engine, "decide", lambda kind, view: RateDecision(rates, "custom"))
+        monkeypatch.setattr(engine, "decide", lambda view: RateDecision(rates, "custom"))
         inst = Instance(tuple(Job(j, 0, 2) for j in (1, 2, 3)), F(1, 2))
-        with pytest.raises(EngineError, match="^policy rated job 2 at nonpositive rate$"):
+        with pytest.raises(RuntimeError, match="^policy rated job 2 at nonpositive rate$"):
             simulate(inst, PolicyKind.ALPHA)
 
     def test_a_zero_wait_is_an_engine_error(self, worked_example, monkeypatch):
         # next_event returns only positive waits; a stop at the current
         # time would repeat it without advancing
         monkeypatch.setattr(SimState, "next_event", lambda state: (state.now, ("completion",)))
-        with pytest.raises(EngineError, match="^zero wait at 0: the run would not advance$"):
+        with pytest.raises(RuntimeError, match="^zero wait at 0: the run would not advance$"):
             simulate(worked_example, PolicyKind.ALPHA)
 
     def test_builtin_policy_may_not_idle(self, worked_example, monkeypatch):
-        monkeypatch.setattr(engine, "decide", lambda kind, view: RateDecision((), "idle"))
-        with pytest.raises(EngineError, match="^built-in policy idled with alive jobs$"):
+        monkeypatch.setattr(engine, "decide", lambda view: RateDecision((), "idle"))
+        with pytest.raises(RuntimeError, match="^built-in policy idled with alive jobs$"):
             simulate(worked_example, PolicyKind.ALPHA)
 
     def test_trigger_that_commits_nothing_stalls_the_run(self):
@@ -512,20 +508,20 @@ class TestSignalReadingScope:
 
     def test_custom_srpt_still_stops_at_each_emission(self, decided_views):
         # SRPT made to stop at every emission, as a signal-reading rule
-        # does, decides there and sees the flag flip; SRPT itself is not
-        # asked then, and both runs write the same bytes
+        # does, decides there; SRPT itself is not asked then, and both runs
+        # write the same bytes
         skipped = 0
         for seed in range(1, 61):
             inst = corpus_instance(seed)
             decided_views.clear()
             trace, log = run_stopping_at_emissions(inst, PolicyKind.SRPT)
             times = [now for now, _ in decided_views]
-            flags = [{j.job_id: j.emitted for j in jobs} for _, jobs in decided_views]
+            # SRPT's views mark every job signalled, at one time, whether
+            # it has emitted or not
+            assert all(j.emitted and j.signal_time == 0 for _, jobs in decided_views for j in jobs)
             emissions = [(e.time, e.jobs) for e in log if e.kind == "emission"]
-            for t, jobs in emissions:
-                k = times.index(t)
-                for j in jobs:
-                    assert flags[k][j] is True and flags[k - 1][j] is False
+            for t, _ in emissions:
+                assert t in times
             stops = {e.time for e in log if e.kind != "emission"}
             emission_only = {t for t, _ in emissions} - stops
             decided_views.clear()
@@ -541,22 +537,30 @@ class TestSignalReadingScope:
 
 def full_view(state):
     """The policy view rebuilt from scratch out of the state's progress,
-    processing times and signals: alive means released and not finished, and
-    emitted means committed with progress at least alpha * p, since every
-    emission due is applied before a view is built."""
+    processing times and signals: alive means released and not finished.
+    Under SRPT, and the fused rule at alpha = 0, every job is marked
+    signalled at time 0; under SETF none is; otherwise emitted means
+    committed with progress at least alpha * p, since every emission due is
+    applied before a view is built."""
+    srpt_order = state.policy is PolicyKind.SRPT or (state.policy is PolicyKind.ALPHA and state.alpha == 0)
     entries = []
     for job in sorted(state.instance.jobs, key=lambda job: job.id):
         j, p = job.id, state.proc[job.id]
         if job.release > state.now or (p is not None and state.progress[j] == p):
             continue
-        emitted = p is not None and state.progress[j] >= state.alpha * p
-        visible = state.omniscient or emitted
+        if srpt_order:
+            emitted, signal_time = True, F(0)
+        elif state.policy is PolicyKind.SETF:
+            emitted, signal_time = False, None
+        else:
+            emitted = p is not None and state.progress[j] >= state.alpha * p
+            signal_time = state.signal.get(j)
         entries.append(ViewJob(
             job_id=j,
             elapsed=state.progress[j],
             emitted=emitted,
-            remaining=p - state.progress[j] if visible else None,
-            signal_time=state.signal.get(j),
+            remaining=p - state.progress[j] if emitted else None,
+            signal_time=signal_time,
         ))
     return PolicyView(state.now, state.alpha, tuple(entries))
 
@@ -603,16 +607,9 @@ def view_reference_runs():
         yield from deferred_runs(waiting_commit_instance(alpha))
 
 
-def minima(view, policy):
-    """The minima the run's rule decides from: SRPT's, none for SETF, which
-    scans every job, and the fused rule's two; at alpha = 0 and 1 the
-    fused rule decides as SRPT and SETF."""
-    if policy is PolicyKind.ALPHA and view.alpha in (0, 1):
-        policy = PolicyKind.SRPT if view.alpha == 0 else PolicyKind.SETF
-    if policy is PolicyKind.SRPT:
-        return (view.shortest,)
-    if policy is PolicyKind.SETF:
-        return ()
+def minima(view):
+    """The minima every rule decides from: the least unsignalled progress,
+    the unsignalled jobs there and the best signalled job."""
     least = view.least_unsignalled
     return (least, least is not None and view.unsignalled_at(least), view.best_signalled)
 
@@ -627,8 +624,8 @@ class TestViewReference:
             view = original(state)
             assert view == full_view(state), f"view at {state.now} differs from a full rebuild"
             # the engine's minima against one scan of the rebuilt view
-            reference = minima(full_view(state), state.policy)
-            assert minima(view, state.policy) == reference, f"minima at {state.now}"
+            reference = minima(full_view(state))
+            assert minima(view) == reference, f"minima at {state.now}"
             ids = [j.job_id for j in view.candidates()]
             assert ids == sorted(set(ids)), f"candidates at {state.now} not in strict id order"
             sizes[0] += len(ids)
@@ -649,8 +646,8 @@ class TestViewReference:
 
 class TestRankingsFollowTheRule:
     def test_no_rule_keys_a_ranking_it_does_not_read(self, monkeypatch):
-        # SETF scans its jobs and merges on _unsignalled, which holds every
-        # unrated job; SRPT reads _remaining only, whose front is its least
+        # SETF marks no job signalled, so _unsignalled holds every unrated
+        # job; SRPT marks every job, and reads _remaining only
         keyed = set()  # the rankings of the current run given a key
         original = _Ranking.put
 
@@ -699,13 +696,13 @@ class TestTieBreaksThroughSimulate:
         assert trace.segments == tuple(ExecutionSegment(j - 1, j, ((j, F(1)),)) for j in (1, 2, 3))
 
     def test_alpha_zero_needs_every_remaining_time(self):
-        # at alpha = 0 the fused rule is SRPT over a view that hides job 1's
-        # remaining time until its commitment at 2
+        # at alpha = 0 the fused rule decides in SRPT's order, which needs
+        # job 1's remaining time before its commitment at 2
         script = AdversaryScript((Trigger("c", 2, ProgressScaledRule((1,), 2, 1)),))
         inst = Instance((Job(1, 0, Deferred("c")), Job(2, 0, 3)), 0, script)
-        with pytest.raises(UnresolvedProcError) as err:
+        with pytest.raises(EngineError) as err:
             simulate(inst, PolicyKind.ALPHA)
-        assert str(err.value) == "job 1: remaining time unavailable to an SRPT decision"
+        assert str(err.value) == "job 1: SRPT's order needs a committed processing time"
 
 
 # few distinct values, so keys tie often

@@ -469,6 +469,22 @@ class TestLifetime:
         trace = run(pair_instance)
         assert trace.lifetime({1, 2}, 3) == [(F(0), F(3))]
 
+    @settings(max_examples=100, deadline=None, database=None, derandomize=True)
+    @given(json_instances())
+    def test_ran_within_matches_the_busy_intervals(self, inst):
+        # a job ran within [lo, hi] iff one of its busy intervals overlaps
+        # it for a positive time, so a point interval holds no job
+        trace = run(inst)
+        times = sorted(set(trace.event_times()) | {F(0)})
+        times += [(a + b) / 2 for a, b in zip(times, times[1:])]
+        for lo in times:
+            for hi in times:
+                expected = {
+                    job.id for job in trace.instance.jobs
+                    if any(max(a, lo) < min(b, hi) for a, b in trace.busy_intervals(job.id))
+                }
+                assert trace.ran_within(lo, hi) == expected
+
 
 class TestIntervalWork:
     def test_full_rate_segment(self):

@@ -4,15 +4,8 @@ import pytest
 
 from alphasched.engine import simulate
 from alphasched.metrics import build_report
-from alphasched.model import Instance, Job, UnresolvedProcError
-from alphasched.policies import (
-    PolicyKind,
-    PolicyView,
-    ViewJob,
-    alpha_clairvoyant_decide,
-    setf_decide,
-    srpt_decide,
-)
+from alphasched.model import Instance, Job
+from alphasched.policies import PolicyKind, PolicyView, ViewJob, decide
 from conftest import small_instance
 
 
@@ -31,16 +24,18 @@ def view(now, alpha, entries):
 
 
 class TestSetf:
+    """SETF is the fused rule on views that mark no job signalled."""
+
     def test_pair_shares_evenly(self):
-        dec = setf_decide(view(0, 1, [(1, 0, False, None, None), (2, 0, False, None, None)]))
+        dec = decide(view(0, 1, [(1, 0, False, None, None), (2, 0, False, None, None)]))
         assert dec.rates == ((1, F(1, 2)), (2, F(1, 2)))
 
     def test_fresh_arrival_runs_alone(self):
-        dec = setf_decide(view(3, 1, [(1, 2, False, None, None), (2, 0, False, None, None)]))
+        dec = decide(view(3, 1, [(1, 2, False, None, None), (2, 0, False, None, None)]))
         assert dec.rates == ((2, F(1)),)
 
     def test_three_jobs_two_minima(self):
-        dec = setf_decide(
+        dec = decide(
             view(
                 9,
                 1,
@@ -54,10 +49,13 @@ class TestSetf:
         assert dec.rates == ((1, F(1, 2)), (2, F(1, 2)))
 
     def test_empty_view_idles(self):
-        assert setf_decide(view(0, 1, [])).branch == "idle"
+        assert decide(view(0, 1, [])).branch == "idle"
 
 
 class TestSrpt:
+    """SRPT is the fused rule on views that mark every job signalled, at
+    one time."""
+
     def test_preempts_for_short_job(self):
         inst = Instance((Job(1, 0, 3), Job(2, 1, 1)), F(1, 2))
         trace, _ = simulate(inst, PolicyKind.SRPT)
@@ -65,16 +63,12 @@ class TestSrpt:
         assert build_report(trace).total_flow == 5
 
     def test_single_job(self):
-        dec = srpt_decide(view(0, 0, [(1, 0, True, 4, 0)]))
+        dec = decide(view(0, 0, [(1, 0, True, 4, 0)]))
         assert dec.rates == ((1, F(1)),)
 
     def test_equal_remaining_lowest_id(self):
-        dec = srpt_decide(view(0, 0, [(2, 0, True, 3, 0), (1, 0, True, 3, 0)]))
+        dec = decide(view(0, 0, [(2, 0, True, 3, 0), (1, 0, True, 3, 0)]))
         assert dec.rates == ((1, F(1)),)
-
-    def test_missing_remaining_errors(self):
-        with pytest.raises(UnresolvedProcError):
-            srpt_decide(view(0, 0, [(1, 0, False, None, None)]))
 
 
 class TestFusedRule:
@@ -90,13 +84,13 @@ class TestFusedRule:
         assert report.total_flow == 9
 
     def test_empty_signalled_side_forces_sharing(self):
-        dec = alpha_clairvoyant_decide(view(0, F(1, 2), [(1, 0, False, None, None)]))
+        dec = decide(view(0, F(1, 2), [(1, 0, False, None, None)]))
         assert dec.branch == "setf"
         assert dec.rates == ((1, F(1)),)
 
     def test_fresh_zero_progress_preempts_signalled_work(self):
         # remaining 5 <= (1-a)/a * 0 fails: new arrival wins the machine
-        dec = alpha_clairvoyant_decide(
+        dec = decide(
             view(
                 4,
                 F(1, 2),
@@ -115,7 +109,7 @@ class TestFusedRule:
 
     def test_threshold_equality_takes_single_job_branch(self):
         # remaining 1 <= 1 * progress 1 holds with equality
-        dec = alpha_clairvoyant_decide(
+        dec = decide(
             view(
                 2,
                 F(1, 2),
@@ -126,7 +120,7 @@ class TestFusedRule:
         assert dec.rates == ((2, F(1)),)
 
     def test_remaining_tie_latest_signal_wins(self):
-        dec = alpha_clairvoyant_decide(
+        dec = decide(
             view(
                 5,
                 F(1, 2),
@@ -139,7 +133,7 @@ class TestFusedRule:
         assert dec.rates == ((2, F(1)),)
 
     def test_remaining_and_signal_tie_lowest_id(self):
-        dec = alpha_clairvoyant_decide(
+        dec = decide(
             view(
                 5,
                 F(1, 2),
@@ -168,13 +162,10 @@ class TestViewMinima:
         assert v.least_unsignalled == 2
         assert v.unsignalled_at(F(2)) == (1, 4)
         assert v.best_signalled.job_id == 2  # remaining tie: the later signal
-        with pytest.raises(UnresolvedProcError, match="job 4: remaining time unavailable"):
-            v.shortest
 
     def test_empty_view(self):
         v = view(0, F(1, 2), [])
-        assert (v.least_unsignalled, v.unsignalled_at(F(0)), v.best_signalled, v.shortest) == (
-            None, (), None, None)
+        assert (v.least_unsignalled, v.unsignalled_at(F(0)), v.best_signalled) == (None, (), None)
 
     def test_views_compare_by_content(self):
         assert view(6, F(1, 2), self.JOBS) == view(6, F(1, 2), self.JOBS)
