@@ -23,17 +23,22 @@ exact rationals involved so it can be replayed.
 
 ``checks_at`` lists the per-time checks in run order under their report
 names, and ``verify_traces`` runs it at each check time, then the trace
-checks.  A time's state (``TimePoint``), borrow graph (``BorrowSweep``) and
-flow networks (``NetworkSweep``) are each computed once.
+checks.  The check times increase, and each time's state is carried
+forward from the last one's, not rebuilt: the time point
+(``TimePoint.sweep``), the borrow graph with its reachable sets
+(``BorrowSweep``), the flow networks (``NetworkSweep``) and each
+reachability set's lifetime (``ReachLifetimes``).  The catch-up check
+reads the swept points as they pass (``CatchUp``), so no time's state is
+kept once the next one is made.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, Mapping, Optional, Sequence
 
 from .borrow import BorrowGraph, BorrowSweep
 from .engine import simulate
@@ -50,7 +55,7 @@ from .flow import (
     max_flow_saturates,
     refine_flow,
 )
-from .model import Instance, ModelError, ScheduleTrace, TimePoint, instance_to_json
+from .model import Instance, ModelError, ScheduleTrace, TimePoint, instance_to_json, merge_intervals
 from .policies import PolicyKind
 from .rational import Rat, format_rat
 
@@ -320,11 +325,10 @@ def check_branch_observations(trace: ScheduleTrace) -> list[str]:
     """
     alpha = trace.instance.alpha
     violations = []
-    for t in trace.event_times():
-        if t >= trace.makespan:
-            continue
+    times = [t for t in trace.event_times() if t < trace.makespan]
+    for point in TimePoint.sweep(trace, trace, times):
+        t, alive, work = point.t, point.part.alive, point.work
         seg = trace.segment_at(t)
-        alive = trace.alive_at(t)
         if seg is None:
             continue  # idle gap; feasibility check owns non-idling
         if not alive:
@@ -332,7 +336,6 @@ def check_branch_observations(trace: ScheduleTrace) -> list[str]:
             continue
         signalled = {j for j in alive if j in trace.emissions and trace.emissions[j] <= t}
         fresh = alive - signalled
-        work = trace.work_at(t)
         remaining = {j: trace.instance.proc_of(j) - work[j] for j in alive}
         srpt_side = bool(signalled)
         if signalled and fresh:
@@ -388,7 +391,15 @@ def check_clairvoyant_runs_block(trace: ScheduleTrace) -> list[str]:
     if not trace.complete:
         return []
     violations = []
-    for seg in trace.segments:
+    # a job alive inside a segment is alive at its start or released inside
+    # it; those are tried, in instance order
+    jobs = trace.instance.jobs
+    releases = [job.release for job in jobs]
+    position = {job.id: p for p, job in enumerate(jobs)}
+    starts = [seg.start for seg in trace.segments]
+    for seg, alive in zip(trace.segments, trace.alive_sets(starts)):
+        arriving = range(bisect_right(releases, seg.start), bisect_left(releases, seg.end))
+        candidates = [jobs[p] for p in sorted({position[j] for j in alive}.union(arriving))]
         for k, _ in seg.rates:
             s_k = trace.emissions.get(k)
             if s_k is None:
@@ -397,14 +408,14 @@ def check_clairvoyant_runs_block(trace: ScheduleTrace) -> list[str]:
             if clair_lo >= seg.end:
                 continue  # k not yet signalled anywhere on this stretch
             ck = trace.completions[k]
-            for job in trace.instance.jobs:
+            for job in candidates:
                 j = job.id
                 if j == k:
                     continue
+                # j completes at the end of a segment after seg.start, so at
+                # seg.end or later: it is alive on [t0, seg.end), t0 < seg.end
                 cj = trace.completions[j]
                 t0 = max(clair_lo, job.release)
-                if t0 >= min(seg.end, cj):
-                    continue  # j never alive strictly inside the signalled stretch
                 if ck > cj:
                     violations.append(
                         f"job {k} ran signalled at {format_rat(t0)} but completes after job {j}"
@@ -421,24 +432,43 @@ def check_catch_up(trace: ScheduleTrace, times: Sequence[Fraction]) -> list[str]
     """If an unsignalled job i is processed while j is also unsignalled, then
     j stays at least as progressed as i for as long as both stay unsignalled.
     The times must be given in increasing order."""
-    violations = []
-    dominated: set[tuple[int, int]] = set()  # (i, j): y_j must stay >= y_i
-    for t in times:
-        t = Rat(t)
-        work, fresh = trace.work_at(t), trace.partition(t).nonclairvoyant
-        for i, j in dominated:
-            if i in fresh and j in fresh and work[j] < work[i]:
-                violations.append(
-                    f"catch-up violated at {format_rat(t)}: y_{j}={format_rat(work[j])} "
-                    f"< y_{i}={format_rat(work[i])} after {i} ran"
-                )
-        seg = trace.segment_at(t)
+    catch_up = CatchUp(trace)
+    for point in TimePoint.sweep(trace, trace, times):
+        catch_up.step(point)
+    return catch_up.violations
+
+
+class CatchUp:
+    """``check_catch_up`` fed one time point at a time, in increasing order,
+    so that the verifier runs it on the points it sweeps anyway."""
+
+    def __init__(self, trace: ScheduleTrace):
+        self.trace = trace
+        self.violations: list[str] = []
+        # (i, j): y_j must stay >= y_i while both stay unsignalled.  Every
+        # pair recorded, in whose order the violations are listed, and the
+        # live ones: a job that leaves the unsignalled set never returns
+        self._dominated: set[tuple[int, int]] = set()
+        self._live: set[tuple[int, int]] = set()
+
+    def step(self, point: TimePoint) -> None:
+        t, work, fresh = point.t, point.work, point.part.nonclairvoyant
+        self._live = {(i, j) for i, j in self._live if i in fresh and j in fresh}
+        if any(work[j] < work[i] for i, j in self._live):
+            for i, j in self._dominated:
+                if i in fresh and j in fresh and work[j] < work[i]:
+                    self.violations.append(
+                        f"catch-up violated at {format_rat(t)}: y_{j}={format_rat(work[j])} "
+                        f"< y_{i}={format_rat(work[i])} after {i} ran"
+                    )
+        seg = self.trace.segment_at(t)
         if seg is None or seg.start == t:
-            continue  # record processing only strictly inside a segment
+            return  # record processing only strictly inside a segment
         for i, _ in seg.rates:
             if i in fresh:
-                dominated.update((i, j) for j in fresh if j != i)
-    return violations
+                pairs = [(i, j) for j in fresh if j != i]
+                self._dominated.update(pairs)
+                self._live.update(pairs)
 
 
 def check_direct_borrow_order(graph: BorrowGraph, point: TimePoint) -> list[str]:
@@ -446,10 +476,9 @@ def check_direct_borrow_order(graph: BorrowGraph, point: TimePoint) -> list[str]
     jobs implies j has at least i's progress."""
     t, work = point.t, point.work
     fresh = point.part.nonclairvoyant
-    found = []
-    for (j, i, tag) in graph.edges:
-        if tag == "N" and j in fresh and i in fresh and work[j] < work[i]:
-            found.append((j, i))
+    found = [
+        (j, i) for j in fresh for i in graph.unsignalled_heads(j) if i in fresh and work[j] < work[i]
+    ]
     return [
         f"borrow edge ({j},{i},N) at t={format_rat(t)} with "
         f"y_{j}={format_rat(work[j])} < y_{i}={format_rat(work[i])}"
@@ -457,26 +486,135 @@ def check_direct_borrow_order(graph: BorrowGraph, point: TimePoint) -> list[str]
     ]
 
 
+class _Lifetime:
+    """A reachability set's lifetime at one time, and the jobs outside the
+    set that ran inside it (None unless the lifetime is one interval).
+
+    Each member's span [r_i, min(C_i, t)] only grows to the right, and the
+    spans still growing all end at t, in the last interval.  So a later t
+    moves only the last interval's end, to min(t, the members' last
+    completion), and the jobs that ran inside a one-interval lifetime gain
+    only those of the segments past its old end (``extend``).  A superset's
+    lifetime merges the added members' spans into it, and its jobs run
+    inside gain only those of the segments it adds at either end
+    (``grown``).  Every member is released by the first time."""
+
+    __slots__ = ("intervals", "last_done", "outsiders")
+
+    def __init__(self, intervals: list, last_done: Optional[Fraction], outsiders: Optional[set[int]]):
+        self.intervals = intervals
+        self.last_done = last_done  # None while some member never completes
+        self.outsiders = outsiders
+
+    @classmethod
+    def of(cls, trace: ScheduleTrace, reach: frozenset[int], t: Fraction) -> "_Lifetime":
+        intervals = trace.lifetime(reach, t)
+        outsiders = trace.ran_within(*intervals[0]) - reach if len(intervals) == 1 else None
+        return cls(intervals, _last_done(trace, reach), outsiders)
+
+    def grown(
+        self, trace: ScheduleTrace, old: frozenset[int], reach: frozenset[int], t: Fraction
+    ) -> "_Lifetime":
+        """The lifetime of ``reach`` at t, given this one, of its subset
+        ``old``, at t."""
+        added = reach - old
+        intervals = merge_intervals(self.intervals + trace.lifetime(added, t))
+        done = _last_done(trace, added)
+        last_done = None if done is None or self.last_done is None else max(done, self.last_done)
+        outsiders = None
+        if len(intervals) == 1:
+            lo, hi = intervals[0]
+            if self.outsiders is None:
+                outsiders = trace.ran_within(lo, hi) - reach
+            else:
+                (a, e), = self.intervals
+                ran = trace.ran_within(lo, a) | trace.ran_within(e, hi)
+                outsiders = (self.outsiders - added) | (ran - reach)
+        return _Lifetime(intervals, last_done, outsiders)
+
+    def extend(self, trace: ScheduleTrace, reach: frozenset[int], t: Fraction) -> None:
+        lo, hi = self.intervals[-1]
+        end = t if self.last_done is None else min(t, self.last_done)
+        if end != hi:
+            self.intervals[-1] = (lo, end)
+            if self.outsiders is not None:
+                self.outsiders |= trace.ran_within(hi, end) - reach
+
+    @property
+    def clean(self) -> bool:
+        return len(self.intervals) == 1 and not self.outsiders
+
+
+def _last_done(trace: ScheduleTrace, jobs: frozenset[int]) -> Optional[Fraction]:
+    """The last completion among the jobs, None if one never completes."""
+    done = [trace.completions.get(i) for i in jobs]
+    return max(done) if all(c is not None for c in done) else None
+
+
+class ReachLifetimes:
+    """``check_reachability_closure``'s state, carried across increasing
+    check times: the ``_Lifetime`` of every reachability set of the latest
+    time.  A new set is grown from its vertex's set at the last time when
+    that is a subset, as ``BorrowSweep``'s sets are, and computed from
+    scratch otherwise.  A clean set whose members have all completed by t
+    is settled: nothing at a later time changes it, and it is not looked at
+    again while it stays."""
+
+    def __init__(self):
+        self.lives: dict[frozenset[int], _Lifetime] = {}
+        self._reach: Mapping[int, frozenset[int]] = {}
+        self._settled: set[frozenset[int]] = set()
+
+    def update(self, trace: ScheduleTrace, reach: Mapping[int, frozenset[int]], t: Fraction) -> set:
+        """Bring the lifetime of every set of ``reach`` (vertex to its
+        reachable set) to t; return the sets not settled."""
+        lives = self.lives
+        for v, new in reach.items() - self._reach.items():
+            if new in lives:
+                continue
+            old = self._reach.get(v)
+            life = lives.get(old)
+            if life is not None and old <= new:
+                life.extend(trace, old, t)
+                lives[new] = life.grown(trace, old, new, t)
+            else:
+                lives[new] = _Lifetime.of(trace, new, t)
+        present = set(reach.values())
+        for gone in lives.keys() - present:
+            del lives[gone]
+        self._settled &= present
+        unsettled = present - self._settled
+        for s in unsettled:
+            life = lives[s]
+            life.extend(trace, s, t)
+            if life.clean and life.last_done is not None and life.last_done <= t:
+                self._settled.add(s)
+        self._reach = reach
+        return unsettled
+
+
 def check_reachability_closure(
-    trace: ScheduleTrace, graph: BorrowGraph, point: TimePoint
+    trace: ScheduleTrace, graph: BorrowGraph, point: TimePoint,
+    carried: Optional[ReachLifetimes] = None,
 ) -> list[str]:
     """The lifetime of a reachability set is one interval; every job executed
-    inside it belongs to the set; for alive jobs the interval ends at t."""
+    inside it belongs to the set; for alive jobs the interval ends at t.
+
+    ``carried`` is the state a caller keeps from one check time to the next,
+    in increasing order; without it each set's lifetime is computed from
+    scratch.  Each vertex is looked at only when some set fails."""
     t, alive = point.t, point.part.alive
-    # vertices often share their reachability set: look at each set once
-    seen: dict[frozenset[int], tuple[list, list[int]]] = {}
+    state = ReachLifetimes() if carried is None else carried
+    reach = graph.reach_map()
+    unsettled = state.update(trace, reach, t)
+    lives = state.lives
+    if all(lives[s].clean for s in unsettled) and all(
+        lives[reach[j]].intervals[0][1] == t for j in alive if j in reach
+    ):
+        return []
     violations = []
     for j in graph.vertices:
-        reach = graph.reachable(j)
-        if reach not in seen:
-            intervals = trace.lifetime(reach, t)
-            outsiders = []
-            if len(intervals) == 1:
-                ran = trace.ran_within(*intervals[0]) - reach
-                if ran:
-                    outsiders = [i for i in graph.vertices if i in ran]
-            seen[reach] = (intervals, outsiders)
-        intervals, outsiders = seen[reach]
+        intervals, outsiders = lives[reach[j]].intervals, lives[reach[j]].outsiders or ()
         if len(intervals) != 1:
             violations.append(
                 f"lifetime of reachability set of {j} at t={format_rat(t)} is "
@@ -487,11 +625,12 @@ def check_reachability_closure(
             violations.append(
                 f"alive job {j}: reachability lifetime ends at {format_rat(intervals[0][1])}, not t"
             )
-        for i in outsiders:
-            violations.append(
-                f"job {i} executed inside lifetime of reachability set of {j} "
-                f"but is not reachable (t={format_rat(t)})"
-            )
+        violations += [
+            f"job {i} executed inside lifetime of reachability set of {j} "
+            f"but is not reachable (t={format_rat(t)})"
+            for i in graph.vertices
+            if i in outsiders
+        ]
     return violations
 
 
@@ -506,9 +645,8 @@ def check_feasibility(trace: ScheduleTrace) -> list[str]:
     last piece is not 0."""
     violations = []
     busy = [seg for seg in trace.segments if seg.rates]
-    for seg in busy:
-        mid = (seg.start + seg.end) / 2
-        alive = trace.alive_at(mid)
+    mids = [(seg.start + seg.end) / 2 for seg in busy]
+    for seg, mid, alive in zip(busy, mids, trace.alive_sets(mids)):
         for j, _ in seg.rates:
             if j not in alive:
                 violations.append(f"job {j} rated while not alive at {format_rat(mid)}")
@@ -564,14 +702,15 @@ class VerificationReport:
 
 def checks_at(
     alg_trace: ScheduleTrace, point: TimePoint, graph: BorrowGraph, networks: NetworkSweep,
-    event: bool, entry: dict,
+    event: bool, entry: dict, lifetimes: Optional[ReachLifetimes] = None,
 ) -> Iterator[tuple[str, list[str]]]:
     """The per-time checks in run order: (report name, violations) each, with
     the report values written into ``entry``.  The flow checks run at event
-    times, and those reading beta or the refined flow on a saturating flow."""
+    times, and those reading beta or the refined flow on a saturating flow.
+    ``lifetimes`` is the reachability-closure check's carried state."""
     instance, t = alg_trace.instance, point.t
     yield "direct_borrow_order", check_direct_borrow_order(graph, point)
-    yield "reachability_closure", check_reachability_closure(alg_trace, graph, point)
+    yield "reachability_closure", check_reachability_closure(alg_trace, graph, point, lifetimes)
     if instance.alpha != 1:
         entry["counts"], violations = check_local_bounds(instance.alpha, point)
         yield "local_bounds", violations
@@ -604,11 +743,16 @@ def verify_traces(alg_trace: ScheduleTrace, opt_trace: ScheduleTrace) -> Verific
     trace checks; the first failure is the first of them to fail."""
     events, dense = check_times(alg_trace, opt_trace)
     borrow, networks, event_set = BorrowSweep(alg_trace), NetworkSweep(alg_trace), set(events)
+    lifetimes = ReachLifetimes()
+    catch_up = CatchUp(alg_trace)
     time_checks, failures = [], []
-    for t in dense:
+    for point in TimePoint.sweep(alg_trace, opt_trace, dense):
+        t = point.t
         entry: dict = {"t": format_rat(t)}
-        point = TimePoint.at(alg_trace, opt_trace, t)
-        checks = checks_at(alg_trace, point, borrow.at(t), networks, t in event_set, entry)
+        catch_up.step(point)
+        checks = checks_at(
+            alg_trace, point, borrow.at(t), networks, t in event_set, entry, lifetimes
+        )
         failed = [(check, violations) for check, violations in checks if violations]
         if failed:
             entry["violations"] = [line for _, violations in failed for line in violations]
@@ -617,7 +761,7 @@ def verify_traces(alg_trace: ScheduleTrace, opt_trace: ScheduleTrace) -> Verific
     trace_checks = {
         "feasibility_alg": check_feasibility(alg_trace),
         "feasibility_opt": check_feasibility(opt_trace),
-        "catch_up": check_catch_up(alg_trace, dense),
+        "catch_up": catch_up.violations,
         "branch_observations": check_branch_observations(alg_trace),
         "clairvoyant_runs_block": check_clairvoyant_runs_block(alg_trace),
     }

@@ -83,7 +83,6 @@ fails, which pairs it names depends on the witness.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -92,7 +91,7 @@ from types import MappingProxyType
 from typing import Iterable, Mapping, Optional
 
 from .borrow import closure
-from .model import ScheduleTrace, TimePoint
+from .model import ScheduleTrace, TimePoint, add_work
 from .rational import Rat, format_rat
 
 Vertex = tuple
@@ -215,16 +214,21 @@ class NetworkSweep:
     the refined one (halves 2l and 2l + 1, which have its holders), and its
     job-to-job steps are built once, when t first reaches b; each time adds
     only the open interval.  Each closed interval enters the solver's
-    residual index then too, as one hub (``index_arcs``).
+    residual index then too, as one hub (``index_arcs``).  The work each
+    job received on an interval and on its halves is read from the
+    segments inside it.
     """
 
     def __init__(self, trace: ScheduleTrace):
         self.trace = trace
         jobs = trace.instance.jobs
         self.infinite = sum((job.proc for job in jobs), Rat(1))
-        self._releases = [job.release for job in jobs]  # jobs are sorted by release
-        self._grid = sorted({_ZERO, *self._releases, *trace.completions.values()})
+        self._grid = sorted({_ZERO, *(job.release for job in jobs), *trace.completions.values()})
         self._closed = 0  # grid intervals built so far
+        # the jobs alive at each grid point in turn, and at grid[_closed]:
+        # the holders of every interval that starts there
+        self._alive = trace.alive_sets(self._grid)
+        self._holders = [("job", j) for j in sorted(next(self._alive))]
         self._arcs: Arcs = {}
         self._index = _EMPTY_INDEX
         self._refined_arcs: Arcs = {}
@@ -249,6 +253,7 @@ class NetworkSweep:
             self._index = index_arcs(self._index, layer)
             self._refined_points += [(a + b) / 2, b]
             self._closed += 1
+            self._holders = [("job", j) for j in sorted(next(self._alive))]
         points, refined_points = grid[: self._closed + 1], self._refined_points
         arcs, refined_arcs, steps, layer = {}, {}, self._steps, []
         last = points[-1]
@@ -273,21 +278,28 @@ class NetworkSweep:
         its own, ("hub", l) into every dummy and every such holder into the
         hub, at the holder capacity."""
         trace, infinite = self.trace, self.infinite
-        at_a, at_mid, at_b = trace.work_at(a), trace.work_at((a + b) / 2), trace.work_at(b)
-        released = sorted(job.id for job in trace.instance.jobs[: bisect_right(self._releases, a)])
-        holders = [
-            ("job", j) for j in released
-            if (done := trace.completions.get(j)) is None or done >= b
-        ]
-        worked = [i for i in released if at_b[i] != at_a[i]]
-        for into, k, lo, hi in (
-            (arcs, l, at_a, at_b),
-            (refined_arcs, 2 * l, at_a, at_mid),
-            (refined_arcs, 2 * l + 1, at_mid, at_b),
+        mid = (a + b) / 2
+        # no job is released or completes inside (a, b): the holders are
+        # the jobs alive at a, and every job rated there is released by a.
+        # Per job, the work received on [a, mid] and on [mid, b]
+        first: dict[int, Fraction] = {}
+        second: dict[int, Fraction] = {}
+        for seg in trace.segments_meeting(a, b):
+            for half, lo, hi in ((first, a, mid), (second, mid, b)):
+                lo, hi = max(seg.start, lo), min(seg.end, hi)
+                if lo < hi:
+                    add_work(half, seg, hi - lo)
+        whole = dict(first)
+        for i, w in second.items():
+            whole[i] = whole[i] + w if i in whole else w
+        holders = self._holders
+        worked = sorted(whole)
+        for into, k, received_on in (
+            (arcs, l, whole), (refined_arcs, 2 * l, first), (refined_arcs, 2 * l + 1, second)
         ):
             dummies = []
             for i in worked:
-                received = hi[i] - lo[i]
+                received = received_on.get(i)
                 if received:
                     dummy = ("dummy", i, k)
                     into[(dummy, ("job", i))] = received

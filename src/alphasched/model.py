@@ -16,7 +16,7 @@ from fractions import Fraction
 from operator import attrgetter
 from pathlib import Path
 from types import MappingProxyType
-from typing import Iterable, Mapping, NamedTuple, Optional, Sequence, Union
+from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence, Union
 
 from .rational import Rat, format_rat, parse_int, parse_rat
 
@@ -407,7 +407,9 @@ class Partition(NamedTuple):
 @dataclass(frozen=True)
 class TimePoint:
     """Both schedules' state at one check time, computed once and read by
-    every check made at that time; the only way a check gets that state."""
+    every check made at that time; the only way a check gets that state.
+    ``sweep`` makes the points of increasing times, each carried forward
+    from the last."""
 
     t: Fraction
     work: Mapping[int, Fraction]  # the algorithm's elapsed work y_j(t), every job
@@ -415,11 +417,63 @@ class TimePoint:
     opt_alive: frozenset[int]  # the optimum's alive set O(t)
 
     @classmethod
-    def at(cls, alg_trace: ScheduleTrace, opt_trace: ScheduleTrace, t: Fraction) -> "TimePoint":
+    def sweep(
+        cls, alg_trace: ScheduleTrace, opt_trace: ScheduleTrace, times: Sequence[Fraction]
+    ) -> Iterator["TimePoint"]:
+        """The points of the non-decreasing times.  The work column
+        advances by the segments passed since the last time
+        (``ScheduleTrace.work_columns``) and the alive sets change only at
+        releases and completions (``ScheduleTrace.alive_sets``).  A job
+        turns clairvoyant at its first work beyond alpha * p, not at its
+        signal time: one that idles at its signal point stays unsignalled.
+        A partition is kept while none of that changes."""
         if alg_trace.instance.jobs != opt_trace.instance.jobs:
             raise ModelError("traces must share one instance")
-        t = Rat(t)
-        return cls(t, alg_trace.work_at(t), alg_trace.partition(t), opt_trace.alive_at(t))
+        times = [Rat(t) for t in times]
+        # (last time at which the job's work is at most alpha * p, job)
+        turns = sorted(
+            (end, j) for j in alg_trace._profiles if (end := alg_trace._signal_end(j)) is not None
+        )
+        clairvoyant: set[int] = set()
+        k, part = 0, Partition(frozenset(), frozenset(), frozenset())
+        columns = alg_trace.work_columns(times)
+        alive_sets, opt_sets = alg_trace.alive_sets(times), opt_trace.alive_sets(times)
+        last = Rat(0)
+        for t, work, alive, opt_alive in zip(times, columns, alive_sets, opt_sets):
+            if t < last:
+                raise ValueError(
+                    f"time point sweep asked for t={format_rat(t)} after t={format_rat(last)}"
+                )
+            last, turned = t, k
+            while k < len(turns) and turns[k][0] < t:
+                clairvoyant.add(turns[k][1])
+                k += 1
+            if k != turned or alive is not part.alive:
+                signalled = alive & clairvoyant
+                part = Partition(alive, alive - signalled, signalled)
+            yield cls(t, work, part, opt_alive)
+
+
+def merge_intervals(spans: Iterable[Interval]) -> list[Interval]:
+    """Closed intervals merged to maximal disjoint ones, in order."""
+    merged: list[list[Fraction]] = []
+    for lo, hi in sorted(spans):
+        if merged and lo <= merged[-1][1]:
+            merged[-1][1] = max(merged[-1][1], hi)
+        else:
+            merged.append([lo, hi])
+    return [(lo, hi) for lo, hi in merged]
+
+
+def add_work(column: dict[int, Fraction], seg: ExecutionSegment, length: Fraction) -> None:
+    """Add to the column the work each job rated on the segment receives in
+    a stretch of it of the given length; a rate shared by several jobs is
+    multiplied once."""
+    rate = step = None
+    for j, r in seg.rates:
+        if r is not rate:
+            rate, step = r, r * length
+        column[j] = column[j] + step if j in column else step
 
 
 def _merge_adjacent(segments: Sequence[ExecutionSegment]) -> tuple[ExecutionSegment, ...]:
@@ -450,6 +504,11 @@ class ScheduleTrace:
     ``alive_curve``, the breakpoints (t, |alive on [t, next)|) at 0, releases
     and completions closed by (makespan, 0), and ``total_flow``, its area over
     [0, makespan]: the flow accrued up to the horizon.
+
+    Point queries (``work_at``, ``alive_at``, ``partition``) compute their
+    answer afresh and keep nothing.  A caller that reads many increasing
+    times sweeps instead: ``work_columns`` and ``alive_sets`` carry each
+    answer forward from the last, and ``TimePoint.sweep`` builds on them.
     """
 
     def __init__(self, instance: Instance, segments: Sequence[ExecutionSegment], horizon: Optional[Fraction] = None):
@@ -459,8 +518,6 @@ class ScheduleTrace:
         self.horizon = None if horizon is None else Rat(horizon)
         self.segments = _merge_adjacent(sorted(segments, key=attrgetter("start")))
         self._starts = [seg.start for seg in self.segments]
-        self._columns: dict[Fraction, Mapping[int, Fraction]] = {}  # work_at, filled on demand
-        self._partitions: dict[Fraction, Partition] = {}  # partition, filled on demand
 
         # per job: profile breakpoints, cumulative work at each and the rate
         # on each piece between them (0 on gaps); busy intervals; alpha * p_j
@@ -556,6 +613,17 @@ class ScheduleTrace:
             return times[k]
         return times[k - 1] + (target - cums[k - 1]) / rates[k - 1]
 
+    def _signal_end(self, job_id: int) -> Optional[Fraction]:
+        """The last time at which the job's work is at most alpha * p (it
+        exceeds it at every later time), if its work ever exceeds it."""
+        times, cums, rates = self._profiles[job_id]
+        target = self._signal_work[job_id]
+        k = bisect_right(cums, target)
+        if k == len(cums):
+            return None
+        # the piece before breakpoint k adds positive work, so its rate is positive
+        return times[k - 1] + (target - cums[k - 1]) / rates[k - 1]
+
     def _work(self, job_id: int, t: Fraction) -> Fraction:
         """``elapsed_work`` without the argument checks."""
         times, cums, rates = self._profiles[job_id]
@@ -579,15 +647,25 @@ class ScheduleTrace:
         return self._work(job_id, t)
 
     def work_at(self, t: Fraction) -> Mapping[int, Fraction]:
-        """Elapsed work of every job of the instance at time t, read-only;
-        each time's column is computed once and kept for every later caller."""
+        """Elapsed work of every job of the instance at time t, read-only."""
         t = Rat(t)
         if t < 0:
             raise ModelError("time must be nonnegative")
-        column = self._columns.get(t)
-        if column is None:
-            column = self._columns[t] = MappingProxyType({j: self._work(j, t) for j in self._profiles})
-        return column
+        return MappingProxyType({j: self._work(j, t) for j in self._profiles})
+
+    def work_columns(self, times: Iterable[Fraction]) -> Iterator[Mapping[int, Fraction]]:
+        """``work_at`` at each of the non-decreasing, nonnegative times,
+        each column advanced from the last by the segments passed since."""
+        segments, k = self.segments, 0
+        done = {j: Rat(0) for j in self._profiles}  # the work on segments[:k]
+        for t in times:
+            while k < len(segments) and segments[k].end <= t:
+                add_work(done, segments[k], segments[k].end - segments[k].start)
+                k += 1
+            column = dict(done)
+            if k < len(segments) and segments[k].start < t:
+                add_work(column, segments[k], t - segments[k].start)
+            yield MappingProxyType(column)
 
     def remaining(self, job_id: int, t: Fraction) -> Fraction:
         """Remaining processing time at t; zero once completed."""
@@ -604,19 +682,37 @@ class ScheduleTrace:
                 out.add(job.id)
         return frozenset(out)
 
+    def alive_sets(self, times: Iterable[Fraction]) -> Iterator[frozenset[int]]:
+        """``alive_at`` at each of the non-decreasing times: the set changes
+        only at releases and completions, and is the same object while it
+        does not."""
+        changes = sorted(
+            [(job.release, True, job.id) for job in self.instance.jobs]
+            + [(done, False, j) for j, done in self.completions.items()]
+        )
+        alive: set[int] = set()
+        k, current = 0, frozenset()
+        for t in times:
+            if k < len(changes) and changes[k][0] <= t:
+                while k < len(changes) and changes[k][0] <= t:
+                    _, released, j = changes[k]
+                    if released:
+                        alive.add(j)
+                    else:
+                        alive.discard(j)
+                    k += 1
+                current = frozenset(alive)
+            yield current
+
     def partition(self, t: Fraction) -> Partition:
         """``alive_at(t)`` split by elapsed work: a job sits on the
         nonclairvoyant side while ``work_at(t)`` is at most alpha * p
         (boundary inclusive), and strictly beyond it counts as clairvoyant.
-        Each time's partition is computed once and kept.
         """
         t = Rat(t)
-        part = self._partitions.get(t)
-        if part is None:
-            alive, work = self.alive_at(t), self.work_at(t)
-            nonclair = frozenset(j for j in alive if work[j] <= self._signal_work[j])
-            part = self._partitions[t] = Partition(alive, nonclair, alive - nonclair)
-        return part
+        alive, work = self.alive_at(t), self.work_at(t)
+        nonclair = frozenset(j for j in alive if work[j] <= self._signal_work[j])
+        return Partition(alive, nonclair, alive - nonclair)
 
     def lifetime(self, job_ids: Iterable[int], t: Fraction) -> list[Interval]:
         """Union of per-job intervals [release, min(completion, t)], merged to
@@ -630,14 +726,7 @@ class ScheduleTrace:
             lo, hi = self.instance.job(j).release, self.lifetime_end(j, t)
             if lo <= hi:
                 spans.append((lo, hi))
-        spans.sort()
-        merged: list[list[Fraction]] = []
-        for lo, hi in spans:
-            if merged and lo <= merged[-1][1]:
-                merged[-1][1] = max(merged[-1][1], hi)
-            else:
-                merged.append([lo, hi])
-        return [(lo, hi) for lo, hi in merged]
+        return merge_intervals(spans)
 
     def lifetime_end(self, job_id: int, t: Fraction) -> Fraction:
         """End min(C_j, t) of the job's lifetime at time t."""
@@ -658,18 +747,23 @@ class ScheduleTrace:
             return self.segments[idx]
         return None
 
+    def segments_meeting(self, lo: Fraction, hi: Fraction) -> Iterator[ExecutionSegment]:
+        """The segments that start before hi and end after lo, in order,
+        found by bisecting the segment starts."""
+        segments = self.segments
+        k = max(bisect_right(self._starts, lo) - 1, 0)
+        while k < len(segments) and segments[k].start < hi:
+            if segments[k].end > lo:
+                yield segments[k]
+            k += 1
+
     def ran_within(self, lo: Fraction, hi: Fraction) -> set[int]:
         """The jobs rated on some stretch of positive length inside
-        [lo, hi]: those of the segments that start before hi and end after
-        lo, found by bisecting the segment starts."""
+        [lo, hi]: those of ``segments_meeting(lo, hi)``."""
         ran: set[int] = set()
         if lo < hi:
-            segments = self.segments
-            k = max(bisect_right(self._starts, lo) - 1, 0)
-            while k < len(segments) and segments[k].start < hi:
-                if segments[k].end > lo:
-                    ran.update(j for j, _ in segments[k].rates)
-                k += 1
+            for seg in self.segments_meeting(lo, hi):
+                ran.update(j for j, _ in seg.rates)
         return ran
 
     def busy_intervals(self, job_id: int) -> tuple[Interval, ...]:

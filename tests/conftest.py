@@ -13,8 +13,11 @@ from alphasched.model import (
     Job,
     ProgressScaledRule,
     RankPairRule,
+    ScheduleTrace,
+    TimePoint,
     Trigger,
 )
+from alphasched.rational import Rat
 
 CORPUS_ALPHAS = (Fraction(1, 2), Fraction(2, 3), Fraction(3, 4))
 CORPUS_SIZE = 500
@@ -26,6 +29,14 @@ def corpus_instance(seed: int) -> Instance:
     alpha = CORPUS_ALPHAS[seed % 3]
     n = 2 + seed % 5
     return gen_random_instance(n, max_p=8, density=0.8, seed=seed, alpha=alpha)
+
+
+def point_at(alg_trace: ScheduleTrace, opt_trace: ScheduleTrace, t) -> TimePoint:
+    """Both schedules' state at one time from the traces' point queries,
+    with nothing carried from an earlier time: the reference for every
+    point ``TimePoint.sweep`` makes, and the way a test reads one time."""
+    t = Rat(t)
+    return TimePoint(t, alg_trace.work_at(t), alg_trace.partition(t), opt_trace.alive_at(t))
 
 
 def small_instance(seed: int, alpha=Fraction(1, 2)) -> Instance:

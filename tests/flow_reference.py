@@ -6,6 +6,11 @@ it scans every pair of jobs released by t for work of positive measure
 inside a lifetime.  The package reads the same edges off
 ``borrow_thresholds``, and the tests compare every swept graph with it.
 
+``borrow_thresholds_all_pairs`` lists the edge thresholds as the package
+once did, trying every ordered pair of jobs; the package's
+``borrow_thresholds`` tries only the jobs that ran inside j's lifetime, and
+the tests compare the two lists.
+
 ``network_from_arcs`` indexes an arbitrary arc map for the package's
 solver, detecting each interval's hub where the package's sweep writes it
 by construction: a layer gets one only where it is complete (each dummy's one
@@ -83,6 +88,31 @@ def build_borrow_graph_from_scratch(trace: ScheduleTrace, t) -> BorrowGraph:
                 if s_i is not None and max(ov_lo, s_i) < ov_hi:
                     edges.add((j, i, "C"))
     return BorrowGraph(tuple(ids), frozenset(edges))
+
+
+def borrow_thresholds_all_pairs(trace: ScheduleTrace) -> list:
+    """(tau, j, i, tag) for every borrow edge that ever appears, sorted,
+    found by trying every ordered pair of jobs."""
+    out = []
+    for job_j in trace.instance.jobs:
+        j, r_j = job_j.id, job_j.release
+        c_j = trace.completions.get(j)
+        for job_i in trace.instance.jobs:
+            i = job_i.id
+            if i == j:
+                continue
+            s_i = trace.emissions.get(i)
+            windows = {"N": (r_j, min((x for x in (c_j, s_i) if x is not None), default=None))}
+            if s_i is not None:
+                windows["C"] = (max(r_j, s_i), c_j)
+            for tag, (lo, hi) in windows.items():
+                for a, b in trace.busy_intervals(i):
+                    start, end = max(a, lo), b if hi is None else min(b, hi)
+                    if start < end:
+                        out.append((start, j, i, tag))
+                        break
+    out.sort()
+    return out
 
 
 def steps_of(arcs) -> frozenset:

@@ -13,6 +13,7 @@ from alphasched.analysis import (
     check_branch_observations,
     check_catch_up,
     check_clairvoyant_runs_block,
+    check_direct_borrow_order,
     check_feasibility,
     check_flow_reachability,
     check_local_bounds,
@@ -29,8 +30,9 @@ from alphasched.analysis import (
     verify_flow_feasible,
     verify_instance,
     verify_traces,
+    ReachLifetimes,
 )
-from alphasched.borrow import BorrowGraph, BorrowSweep
+from alphasched.borrow import BorrowGraph, BorrowSweep, borrow_thresholds, closure
 from alphasched.engine import simulate
 from alphasched.flow import (
     SINK,
@@ -55,9 +57,10 @@ from alphasched.model import (
     UnknownJobError,
 )
 from alphasched.policies import PolicyKind
-from alphasched.rational import format_rat
-from conftest import corpus_instance
+from alphasched.rational import format_rat, parse_rat
+from conftest import corpus_instance, point_at
 from flow_reference import (
+    borrow_thresholds_all_pairs,
     build_borrow_graph_from_scratch,
     build_flow_network_from_scratch,
     build_flow_network_with_dead_dummies,
@@ -182,7 +185,7 @@ class TestBorrowGraph:
         inst = Instance((Job(1, 0, 1),), F(1, 2))
         trace, _ = simulate(inst, PolicyKind.ALPHA)
         graph = build_borrow_graph(trace, 1)
-        assert graph.edges == frozenset()
+        assert graph.edges == ()
         assert graph.reachable(1) == {1}
 
     def test_setf_pair_mutual_unsignalled_edges(self, pair_instance):
@@ -190,7 +193,7 @@ class TestBorrowGraph:
         inst = pair_instance.with_alpha(F(1))
         trace, _ = simulate(inst, PolicyKind.SETF)
         graph = build_borrow_graph(trace, 3)
-        assert graph.edges == {(1, 2, "N"), (2, 1, "N")}
+        assert set(graph.edges) == {(1, 2, "N"), (2, 1, "N")}
         assert graph.reachable(1) == {1, 2}
 
     def test_late_job_not_borrowable(self):
@@ -251,8 +254,8 @@ class TestBorrowGraph:
         t = F(5, 2)
         graph = build_borrow_graph(alg, t)
         cut = BorrowGraph(graph.vertices, frozenset(e for e in graph.edges if e[:2] != (1, 2)))
-        assert check_reachability_closure(alg, graph, TimePoint.at(alg, opt, t)) == []
-        assert check_reachability_closure(alg, cut, TimePoint.at(alg, opt, t)) == [
+        assert check_reachability_closure(alg, graph, point_at(alg, opt, t)) == []
+        assert check_reachability_closure(alg, cut, point_at(alg, opt, t)) == [
             "job 2 executed inside lifetime of reachability set of 1 but is not reachable (t=5/2)"
         ]
 
@@ -267,7 +270,7 @@ class TestBorrowGraph:
         cut = BorrowGraph(graph.vertices, frozenset())
         assert trace.lifetime({2}, t) == [(t, t)]
         assert (trace.ran_within(t, t), trace.ran_within(t, F(3))) == (set(), {1})
-        assert check_reachability_closure(trace, cut, TimePoint.at(trace, trace, t)) == []
+        assert check_reachability_closure(trace, cut, point_at(trace, trace, t)) == []
 
 
 class TestBorrowSweep:
@@ -281,7 +284,7 @@ class TestBorrowSweep:
         for t in check_times(alg, opt)[1]:
             carried, rebuilt = sweep.at(t), build_borrow_graph_from_scratch(alg, t)
             assert carried.vertices == rebuilt.vertices
-            assert carried.edges == rebuilt.edges
+            assert sorted(carried.edges) == sorted(rebuilt.edges)
             for j in rebuilt.vertices:
                 assert carried.reachable(j) == rebuilt.reachable(j)
 
@@ -299,10 +302,117 @@ class TestBorrowSweep:
             sweep.at(1)
 
 
+def lower_bound_instance(gen, alpha, k, m):
+    inst, t = gen(alpha, k)
+    return append_dos_tail(inst, t, m) if m else inst
+
+
+# lb1 (k 2-4; it needs k >= 2) and lb2 (k 1-4) at alpha 1/2 and 2/3, each
+# bare and with a denial-of-service tail of 8 unit jobs
+LOWER_BOUND_CASES = [
+    (gen, alpha, k, m)
+    for gen, ks in ((gen_det_lb1, range(2, 5)), (gen_det_lb2, range(1, 5)))
+    for k in ks
+    for alpha in (F(1, 2), F(2, 3))
+    for m in (0, 8)
+]
+
+
+def assert_swept_state_equals_rebuilds(inst) -> int:
+    """The verifier's carried state against its from-scratch definitions at
+    every dense time: thresholds against every pair, each swept time point
+    against ``point_at``, each vertex's carried reachable set against
+    ``closure`` over the whole edge list, and the carried closure check's
+    verdicts against the from-scratch ones, on the borrow graph and on one
+    missing every edge (j, i) with j + i even, whose checks fail.  The
+    number of violations the failing graphs gave."""
+    alg, opt = trace_pair(inst)
+    assert borrow_thresholds(alg) == borrow_thresholds_all_pairs(alg)
+    sweep, carried, carried_cut, fired = BorrowSweep(alg), ReachLifetimes(), ReachLifetimes(), 0
+    for point in TimePoint.sweep(alg, opt, check_times(alg, opt)[1]):
+        assert point == point_at(alg, opt, point.t)
+        graph = sweep.at(point.t)
+        succ = {}
+        for j, i, _ in graph.edges:
+            succ.setdefault(j, set()).add(i)
+        assert all(graph.reachable(j) == closure(succ, j) for j in graph.vertices)
+        cut = BorrowGraph(graph.vertices, [e for e in graph.edges if (e[0] + e[1]) % 2])
+        for g, kept in ((graph, carried), (cut, carried_cut)):
+            verdict = check_reachability_closure(alg, g, point, kept)
+            assert verdict == check_reachability_closure(alg, g, point)
+        fired += len(verdict)
+    return fired
+
+
+class TestSweptStateEqualsRebuilds:
+    @pytest.mark.parametrize("first", range(1, 501, 50))
+    def test_corpus(self, first):
+        fired = sum(assert_swept_state_equals_rebuilds(corpus_instance(s)) for s in range(first, first + 50))
+        assert fired > 0
+
+    @pytest.mark.parametrize("gen, alpha, k, m", LOWER_BOUND_CASES)
+    def test_lower_bounds(self, gen, alpha, k, m):
+        assert_swept_state_equals_rebuilds(lower_bound_instance(gen, alpha, k, m))
+
+    def test_closure_state_carries_outsiders_and_split_lifetimes(self, pair_traces):
+        # job 1 alone keeps reaching only itself while job 2 runs inside its
+        # lifetime, and two jobs that never meet keep a two-piece lifetime
+        alg, opt = pair_traces
+        inst = Instance((Job(1, 0, 1), Job(2, 2, 1)), F(1, 2))
+        apart, apart_opt = trace_pair(inst)
+        for trace, other, graph in (
+            (alg, opt, BorrowGraph((1, 2), [(2, 1, "N")])),
+            (apart, apart_opt, BorrowGraph((1, 2), [(1, 2, "N")])),
+        ):
+            carried = ReachLifetimes()
+            for t in (F(5, 2), F(3), F(7, 2), F(4)):
+                point = point_at(trace, other, t)
+                verdict = check_reachability_closure(trace, graph, point, carried)
+                assert verdict and verdict == check_reachability_closure(trace, graph, point)
+                assert set(carried.lives) == {graph.reachable(1), graph.reachable(2)}
+
+
+    def test_grown_set_gains_the_jobs_run_before_it(self):
+        # job 1 (released at 2) first reaches itself, then job 2 too, whose
+        # lifetime starts at 0: the grown set's lifetime takes in [0, 1],
+        # where job 3, outside the set, ran
+        inst = Instance((Job(2, 0, 2), Job(3, 0, 1), Job(1, 2, 2)), F(1, 2))
+        trace = ScheduleTrace(inst, [
+            ExecutionSegment(k, k + 1, ((j, F(1)),)) for k, j in enumerate((3, 2, 1, 2, 1))
+        ])
+        carried = ReachLifetimes()
+        for t, edges in ((F(5, 2), []), (F(7, 2), [(1, 2, "N")])):
+            graph = BorrowGraph((2, 3, 1), edges)
+            point = point_at(trace, trace, t)
+            verdict = check_reachability_closure(trace, graph, point, carried)
+            assert verdict == check_reachability_closure(trace, graph, point)
+        assert "job 3 executed inside lifetime of reachability set of 1 but is not reachable (t=7/2)" in verdict
+
+    def test_split_lifetime_joined_by_a_grown_set(self):
+        # jobs 1 and 2 never meet, so {1, 2} lives on two intervals; job 3,
+        # alive on [1/2, 7/2], joins them into one, inside which no job
+        # outside {1, 2, 3} ran
+        inst = Instance((Job(1, 0, 1), Job(3, F(1, 2), F(3, 2)), Job(2, 2, 1)), F(1, 2))
+        trace = ScheduleTrace(inst, [
+            ExecutionSegment(0, 1, ((1, F(1)),)),
+            ExecutionSegment(1, 2, ((3, F(1)),)),
+            ExecutionSegment(2, 3, ((2, F(1)),)),
+            ExecutionSegment(3, F(7, 2), ((3, F(1)),)),
+        ])
+        carried, verdicts = ReachLifetimes(), []
+        for t, edges in ((F(4), [(1, 2, "N")]), (F(9, 2), [(1, 2, "N"), (1, 3, "N")])):
+            graph = BorrowGraph((1, 3, 2), edges)
+            point = point_at(trace, trace, t)
+            verdicts.append(check_reachability_closure(trace, graph, point, carried))
+            assert verdicts[-1] == check_reachability_closure(trace, graph, point)
+        assert verdicts[0][0] == "lifetime of reachability set of 1 at t=4/1 is 2 intervals"
+        assert not [line for line in verdicts[1] if "set of 1 " in line]
+
+
 class TestFlowNetwork:
     def test_pair_example_at_five_halves(self, pair_traces):
         alg, opt = pair_traces
-        net = build_flow_network(NetworkSweep(alg), TimePoint.at(alg, opt, F(5, 2)))
+        net = build_flow_network(NetworkSweep(alg), point_at(alg, opt, F(5, 2)))
         assert net.supplies == {1: F(1, 2)}
         assert net.demands == {2: F(1)}
         chain_caps = [
@@ -317,7 +427,7 @@ class TestFlowNetwork:
 
     def test_zero_time_network_is_empty(self, pair_traces):
         alg, opt = pair_traces
-        net = build_flow_network(NetworkSweep(alg), TimePoint.at(alg, opt, 0))
+        net = build_flow_network(NetworkSweep(alg), point_at(alg, opt, 0))
         assert not net.supplies and not net.demands
         saturated, flow = max_flow_saturates(net)
         assert saturated and flow.value == 0
@@ -325,12 +435,12 @@ class TestFlowNetwork:
     def test_no_surplus_means_zero_supply(self, pair_traces):
         alg, opt = pair_traces
         # at t=7/2 the fused policy finished job 1; only job 2 is alive in both
-        net = build_flow_network(NetworkSweep(alg), TimePoint.at(alg, opt, F(7, 2)))
+        net = build_flow_network(NetworkSweep(alg), point_at(alg, opt, F(7, 2)))
         assert net.total_supply == 0
 
     def test_starved_network_fails_saturation(self, pair_traces):
         alg, opt = pair_traces
-        net = build_flow_network(NetworkSweep(alg), TimePoint.at(alg, opt, F(5, 2)))
+        net = build_flow_network(NetworkSweep(alg), point_at(alg, opt, F(5, 2)))
         # below the 1/2 supply
         net = edited(net, {(u, v): F(1, 8) for u, v in net.arcs if v == ("job", 2) and u[0] == "dummy"})
         saturated, flow = max_flow_saturates(net)
@@ -341,7 +451,7 @@ class TestFlowNetwork:
 
     def test_min_cut_certificate_rejects_a_wrong_witness(self, pair_traces):
         alg, opt = pair_traces
-        net = build_flow_network(NetworkSweep(alg), TimePoint.at(alg, opt, F(5, 2)))
+        net = build_flow_network(NetworkSweep(alg), point_at(alg, opt, F(5, 2)))
         net = edited(net, {(("dummy", 2, 0), ("job", 2)): F(1, 8)})
         _, flow = max_flow_saturates(net)
         at_source = FlowResult(flow.value, flow.flow, cut=frozenset({SOURCE}))
@@ -403,7 +513,7 @@ class TestFlowNetwork:
 
     def test_feasibility_audit_catches_overflow(self, pair_traces):
         alg, opt = pair_traces
-        net = build_flow_network(NetworkSweep(alg), TimePoint.at(alg, opt, F(5, 2)))
+        net = build_flow_network(NetworkSweep(alg), point_at(alg, opt, F(5, 2)))
         _, flow = max_flow_saturates(net)
         doctored = dict(flow.flow)
         for (u, v), f in list(doctored.items()):
@@ -418,7 +528,7 @@ class TestFlowNetwork:
     def test_reachability_matches_borrow_graph(self, pair_traces):
         alg, opt = pair_traces
         t = F(5, 2)
-        net = build_flow_network(NetworkSweep(alg), TimePoint.at(alg, opt, t))
+        net = build_flow_network(NetworkSweep(alg), point_at(alg, opt, t))
         graph = build_borrow_graph(alg, t)
         for j in net.supplies:
             assert net.job_reachable(j) & set(net.demands) == graph.reachable(j) & set(
@@ -433,10 +543,10 @@ def assert_swept_networks_equal_rebuilds(inst):
     alg, opt = trace_pair(inst)
     sweep = NetworkSweep(alg)
     for t in check_times(alg, opt)[0]:
-        point = TimePoint.at(alg, opt, t)
+        point = point_at(alg, opt, t)
         net = build_flow_network(sweep, point)
         fresh = ScheduleTrace(alg.instance, alg.segments)
-        scratch = build_flow_network_from_scratch(fresh, TimePoint.at(fresh, opt, t))
+        scratch = build_flow_network_from_scratch(fresh, point_at(fresh, opt, t))
         # the residual index too: the sweep's hubs, written by construction,
         # are the ones the reference builder detects from the arcs
         assert net == scratch
@@ -444,7 +554,7 @@ def assert_swept_networks_equal_rebuilds(inst):
         tps = net.time_points
         mids = [(a + b) / 2 for a, b in zip(tps, tps[1:])]
         fresh = ScheduleTrace(alg.instance, alg.segments)
-        refined = build_flow_network_from_scratch(fresh, TimePoint.at(fresh, opt, t), extra_points=mids)
+        refined = build_flow_network_from_scratch(fresh, point_at(fresh, opt, t), extra_points=mids)
         # a refined network is never solved and carries no index
         assert build_flow_network(sweep, point, refined=True) == replace(refined, index=None)
 
@@ -459,7 +569,7 @@ def witness_lines(inst):
     alg, opt = trace_pair(inst)
     sweep = NetworkSweep(alg)
     for t in check_times(alg, opt)[0]:
-        point = TimePoint.at(alg, opt, t)
+        point = point_at(alg, opt, t)
         net = build_flow_network(sweep, point)
         saturated, flow = max_flow_saturates(net)
         yield f"{format_rat(t)} {saturated} {format_rat(flow.value)} {rats(flow.flow)}"
@@ -490,9 +600,9 @@ class TestFlowOracles:
     def test_sweep_time_may_not_go_back(self, pair_traces):
         alg, opt = pair_traces
         sweep = NetworkSweep(alg)
-        build_flow_network(sweep, TimePoint.at(alg, opt, 2))
+        build_flow_network(sweep, point_at(alg, opt, 2))
         with pytest.raises(ValueError, match="network sweep asked for t=1/1 after t=2/1"):
-            build_flow_network(sweep, TimePoint.at(alg, opt, 1))
+            build_flow_network(sweep, point_at(alg, opt, 1))
 
     def test_witness_flows_and_betas_are_pinned(self):
         # the sha256 of every witness flow and borrowing matrix the verifier
@@ -518,7 +628,7 @@ class TestFlowOracles:
         alg, opt = trace_pair(corpus_instance(seed))
         sweep = NetworkSweep(alg)
         for t in check_times(alg, opt)[0]:
-            net = build_flow_network(sweep, TimePoint.at(alg, opt, t))
+            net = build_flow_network(sweep, point_at(alg, opt, t))
             # a demand job only absorbs: its flow leaves to the sink alone
             graph = nx.DiGraph()
             graph.add_nodes_from([("source",), ("sink",)])
@@ -564,7 +674,7 @@ class TestFlowOracles:
             alg, opt = trace_pair(corpus_instance(seed))
             sweep = NetworkSweep(alg)
             for t in check_times(alg, opt)[0]:
-                saturated, flow = max_flow_saturates(build_flow_network(sweep, TimePoint.at(alg, opt, t)))
+                saturated, flow = max_flow_saturates(build_flow_network(sweep, point_at(alg, opt, t)))
                 assert without_cycles(flow) == flow
                 if saturated:
                     assert decompose_beta(flow).discarded_cycle_flow == 0
@@ -573,14 +683,14 @@ class TestFlowOracles:
         # a network rebuilt with a replaced arc is solved on its own arcs,
         # and the network it came from keeps its value
         alg, opt = pair_traces
-        net = build_flow_network(NetworkSweep(alg), TimePoint.at(alg, opt, F(5, 2)))
+        net = build_flow_network(NetworkSweep(alg), point_at(alg, opt, F(5, 2)))
         starved = edited(net, {(dummy(2), job(2)): F(1, 8)})
         assert max_flow_saturates(starved)[1].value == F(1, 8)
         assert max_flow_saturates(net)[1].value == F(1, 2)
 
     def test_max_flow_reads_arcs_edited_after_the_build(self, pair_traces):
         alg, opt = pair_traces
-        net = build_flow_network(NetworkSweep(alg), TimePoint.at(alg, opt, F(5, 2)))
+        net = build_flow_network(NetworkSweep(alg), point_at(alg, opt, F(5, 2)))
         assert max_flow_saturates(net)[1].value == F(1, 2)
         narrowed = edited(net, {arc: F(1, 3) for arc in net.arcs if arc[0] == SOURCE})
         assert max_flow_saturates(narrowed)[1].value == F(1, 3)
@@ -590,7 +700,7 @@ class TestFlowOracles:
         # the solver reads the index built with the arcs, so an edit must
         # not pass silently
         alg, opt = pair_traces
-        net = build_flow_network(NetworkSweep(alg), TimePoint.at(alg, opt, F(5, 2)))
+        net = build_flow_network(NetworkSweep(alg), point_at(alg, opt, F(5, 2)))
         with pytest.raises(TypeError):
             net.arcs[(SOURCE, job(1))] = F(1, 3)
         with pytest.raises(TypeError):
@@ -599,7 +709,7 @@ class TestFlowOracles:
 
     def test_job_totals_sum_over_intervals(self, pair_traces):
         alg, opt = pair_traces
-        net = build_flow_network(NetworkSweep(alg), TimePoint.at(alg, opt, F(5, 2)))
+        net = build_flow_network(NetworkSweep(alg), point_at(alg, opt, F(5, 2)))
         _, flow = max_flow_saturates(net)
         assert flow.job_totals() == {(1, 2): F(1, 2)}
 
@@ -616,7 +726,7 @@ class TestFlowOracles:
         ]
         alg = ScheduleTrace(inst, segments)
         opt, _ = simulate(inst, PolicyKind.SRPT)
-        point = TimePoint.at(alg, opt, 2)
+        point = point_at(alg, opt, 2)
         sweep = NetworkSweep(alg)
         net = build_flow_network(sweep, point)
         assert net.time_points == (0, 2)
@@ -638,10 +748,10 @@ class TestFlowOracles:
     def test_refine_rejects_a_network_of_another_time(self, pair_traces):
         alg, opt = pair_traces
         sweep = NetworkSweep(alg)
-        net = build_flow_network(sweep, TimePoint.at(alg, opt, F(5, 2)))
+        net = build_flow_network(sweep, point_at(alg, opt, F(5, 2)))
         _, flow = max_flow_saturates(net)
         with pytest.raises(ValueError):
-            refine_flow(net, flow, build_flow_network(sweep, TimePoint.at(alg, opt, F(3)), refined=True))
+            refine_flow(net, flow, build_flow_network(sweep, point_at(alg, opt, F(3)), refined=True))
 
 
 # the pools the second solver is drawn over, each a list of keys: corpus
@@ -761,7 +871,7 @@ class TestDeadDummies:
         alg, opt = trace_pair(corpus_instance(seed))
         sweep = NetworkSweep(alg)
         for t in check_times(alg, opt)[0]:
-            point = TimePoint.at(alg, opt, t)
+            point = point_at(alg, opt, t)
             net = build_flow_network(sweep, point)
             full = build_flow_network_with_dead_dummies(alg, point)
             assert all(cap > 0 for cap in net.arcs.values())
@@ -915,7 +1025,7 @@ class TestHubs:
 
     def test_sweep_networks_get_one_hub_per_interval(self, pair_traces):
         alg, opt = pair_traces
-        net = build_flow_network(NetworkSweep(alg), TimePoint.at(alg, opt, F(5, 2)))
+        net = build_flow_network(NetworkSweep(alg), point_at(alg, opt, F(5, 2)))
         hubs = sorted(v for v in net.index.vertices if v[0] == "hub")
         intervals = sorted({u[2] for u, _ in net.arcs if u[0] == "dummy"})
         assert hubs == [("hub", l) for l in intervals]
@@ -925,17 +1035,17 @@ class TestBetaMatrix:
     def test_pair_unique_path(self, pair_traces):
         alg, opt = pair_traces
         t = F(5, 2)
-        net = build_flow_network(NetworkSweep(alg), TimePoint.at(alg, opt, t))
+        net = build_flow_network(NetworkSweep(alg), point_at(alg, opt, t))
         _, flow = max_flow_saturates(net)
         beta = decompose_beta(flow)
         assert beta.values == {(1, 2): F(1, 2)}
         assert beta.discarded_cycle_flow == 0
         graph = build_borrow_graph(alg, t)
-        assert check_beta_properties(beta, graph, alg.instance, TimePoint.at(alg, opt, t)) == []
+        assert check_beta_properties(beta, graph, alg.instance, point_at(alg, opt, t)) == []
 
     def test_zero_flow_all_zero(self, pair_traces):
         alg, opt = pair_traces
-        net = build_flow_network(NetworkSweep(alg), TimePoint.at(alg, opt, 0))
+        net = build_flow_network(NetworkSweep(alg), point_at(alg, opt, 0))
         _, flow = max_flow_saturates(net)
         beta = decompose_beta(flow)
         assert beta.values == {}
@@ -945,7 +1055,7 @@ class TestBetaMatrix:
         t = F(5, 2)
         graph = build_borrow_graph(alg, t)
         bumped = BetaMatrix(values={(1, 2): F(3, 2)})
-        violations = check_beta_properties(bumped, graph, alg.instance, TimePoint.at(alg, opt, t))
+        violations = check_beta_properties(bumped, graph, alg.instance, point_at(alg, opt, t))
         assert any("column sum" in v for v in violations)
         assert any("row sum" in v for v in violations)
 
@@ -953,10 +1063,10 @@ class TestBetaMatrix:
         alg, opt = pair_traces
         t = F(5, 2)
         sweep = NetworkSweep(alg)
-        net = build_flow_network(sweep, TimePoint.at(alg, opt, t))
+        net = build_flow_network(sweep, point_at(alg, opt, t))
         _, flow = max_flow_saturates(net)
         beta = decompose_beta(flow)
-        refined_net = build_flow_network(sweep, TimePoint.at(alg, opt, t), refined=True)
+        refined_net = build_flow_network(sweep, point_at(alg, opt, t), refined=True)
         refined_flow = refine_flow(net, flow, refined_net)
         assert len(refined_net.time_points) == 2 * len(net.time_points) - 1
         assert verify_flow_feasible(refined_net, refined_flow) == []
@@ -1063,7 +1173,7 @@ class TestPathDecomposition:
             alg, opt = trace_pair(corpus_instance(seed))
             sweep = NetworkSweep(alg)
             for t in check_times(alg, opt)[0]:
-                cyclic += assert_peelings_agree(build_flow_network(sweep, TimePoint.at(alg, opt, t)), seed)
+                cyclic += assert_peelings_agree(build_flow_network(sweep, point_at(alg, opt, t)), seed)
         assert cyclic >= CYCLIC_FLOOR
 
 
@@ -1083,7 +1193,7 @@ def assert_peelings_agree(net, seed):
 class TestSegments:
     def test_no_candidates_no_segments(self, pair_traces):
         alg, opt = pair_traces
-        count, violations = compute_segments(alg.instance, TimePoint.at(alg, opt, F(1, 4)))
+        count, violations = compute_segments(alg.instance, point_at(alg, opt, F(1, 4)))
         # both jobs alive in the optimum as well: nothing to partition
         assert (count, violations) == (0, [])
 
@@ -1091,7 +1201,7 @@ class TestSegments:
         inst = Instance((Job(1, 0, 4), Job(2, 0, 4), Job(3, 0, 4)), F(1, 2))
         alg, _ = simulate(inst, PolicyKind.ALPHA)
         opt, _ = simulate(inst, PolicyKind.SRPT)
-        count, violations = compute_segments(alg.instance, TimePoint.at(alg, opt, F(3)))
+        count, violations = compute_segments(alg.instance, point_at(alg, opt, F(3)))
         assert count <= len(opt.alive_at(F(3))) + 1
         assert violations == []
 
@@ -1101,7 +1211,7 @@ class TestSegments:
         alg, _ = simulate(inst, PolicyKind.ALPHA)
         opt, _ = simulate(inst, PolicyKind.SRPT)
         for t in alg.event_times():
-            count, violations = compute_segments(alg.instance, TimePoint.at(alg, opt, t))
+            count, violations = compute_segments(alg.instance, point_at(alg, opt, t))
             assert violations == []
             assert count <= len(opt.alive_at(t)) + 1
 
@@ -1133,13 +1243,13 @@ ALPHA_C = [(F(1, 2), 2), (F(2, 3), 3), (F(1, 3), 2)]
 class TestLocalBounds:
     def test_pair_at_five_halves(self, pair_traces):
         alg, opt = pair_traces
-        counts, violations = check_local_bounds(alg.instance.alpha, TimePoint.at(alg, opt, F(5, 2)))
+        counts, violations = check_local_bounds(alg.instance.alpha, point_at(alg, opt, F(5, 2)))
         assert violations == []
         assert counts["alive_minus_opt"] == 1
 
     def test_vacuous_when_optimum_idle(self, pair_traces):
         alg, opt = pair_traces
-        counts, violations = check_local_bounds(alg.instance.alpha, TimePoint.at(alg, opt, F(100)))
+        counts, violations = check_local_bounds(alg.instance.alpha, point_at(alg, opt, F(100)))
         assert violations == []
         assert counts["alive"] == 0
 
@@ -1268,8 +1378,14 @@ class TestVerify:
                 lambda: append_dos_tail(*gen_det_lb2(F(1, 2), 3), 200),
                 "a3ce57bc43dfebb154ee844b3f3b590c36522a1f72191c1b9ca98d3a986eb107",
             ),
+            # recorded before the verifier carried its per-time state
+            # across the check times
+            (
+                lambda: append_dos_tail(*gen_det_lb2(F(1, 2), 3), 400),
+                "a2dd0f6d3446cbc9a6c50861094518912ca6ee5d32dfbbc80e4756a47c7c3740",
+            ),
         ],
-        ids=["random_n48", "lb2_k3_dos50", "lb2_k3_dos200"],
+        ids=["random_n48", "lb2_k3_dos50", "lb2_k3_dos200", "lb2_k3_dos400"],
     )
     def test_large_reports_are_pinned(self, make, digest):
         report = verify_instance(make())
@@ -1305,7 +1421,7 @@ class TestVerify:
         with pytest.raises(ModelError, match="share one instance"):
             verify_traces(alg, other)
         with pytest.raises(ModelError, match="share one instance"):
-            TimePoint.at(alg, other, 1)
+            next(TimePoint.sweep(alg, other, [1]))
         # the same ids with other releases and processing times
         a = Instance((Job(1, 0, 2), Job(2, 0, 3)), F(1, 2))
         b = Instance((Job(1, 0, 5), Job(2, 1, 1)), F(1, 2))
@@ -1371,6 +1487,73 @@ class TestVerify:
         report = verify_instance(pair_instance)
         blob = json.dumps(report.to_json(), sort_keys=True)
         assert '"ok": true' in blob
+
+
+def mapped_segments(trace, scale, shift):
+    return [ExecutionSegment(scale * s.start + shift, scale * s.end + shift, s.rates) for s in trace.segments]
+
+
+def verdict(report, scale=F(1), shift=F(0)):
+    """What a time shift and scale must keep: ok; the first failure's check
+    and time; per trace check, its number of violations; and per check
+    time from the first release on, the time, supply and max flow mapped
+    back, the counts, the segment number and whether a check failed."""
+    def back(text):
+        return (parse_rat(text) - shift) / scale
+
+    def amount(text):
+        return None if text is None else parse_rat(text) / scale
+
+    first_release = min(job.release for job in report.instance.jobs)
+    entries = [
+        (back(e["t"]), e.get("counts"), e["segments"], "violations" in e,
+         amount(e.get("supply")), amount(e.get("max_flow")))
+        for e in report.time_checks
+        if parse_rat(e["t"]) >= first_release
+    ]
+    failure = report.first_failure
+    if failure is not None:
+        failure = (failure["check"], back(failure["t"]) if "t" in failure else None)
+    return report.ok, failure, {name: len(v) for name, v in report.trace_checks.items()}, entries
+
+
+class TestMetamorphic:
+    @settings(max_examples=60, deadline=None, database=None, derandomize=True)
+    @given(
+        seed=st.integers(1, 500),
+        scale=st.fractions(F(1, 8), 8, max_denominator=8),
+        shift=st.fractions(0, 9, max_denominator=7),
+        edit=st.integers(0, 40),
+    )
+    def test_time_shift_and_scale_keep_the_verdict(self, seed, scale, shift, edit):
+        # r -> scale * r + shift and p -> scale * p: both traces map segment
+        # by segment with their rates, and so does a trace edited by hand,
+        # which often fails; the verifier's verdict, counts and segment
+        # numbers stay, and its times and amounts map
+        inst = corpus_instance(seed)
+        image = Instance(
+            tuple(Job(j.id, scale * j.release + shift, scale * j.proc) for j in inst.jobs), inst.alpha
+        )
+        alg, opt = simulate_pair(inst)
+        image_alg, image_opt = simulate_pair(image)
+        for trace, image_trace in ((alg, image_alg), (opt, image_opt)):
+            assert list(image_trace.segments) == mapped_segments(trace, scale, shift)
+            for times, image_times in (
+                (trace.completions, image_trace.completions), (trace.emissions, image_trace.emissions)
+            ):
+                assert image_times == {j: scale * t + shift for j, t in times.items()}
+        edits = list(trace_edits(alg.csv_rows()))
+        if edit < len(edits):
+            _, rows, cut = edits[edit]
+            horizon = alg.makespan if cut else None
+            try:
+                alg = ScheduleTrace.from_csv_rows(alg.instance, rows, horizon)
+            except ModelError:
+                pass
+            else:
+                image_horizon = None if horizon is None else scale * horizon + shift
+                image_alg = ScheduleTrace(image, mapped_segments(alg, scale, shift), image_horizon)
+        assert verdict(verify_traces(image_alg, image_opt), scale, shift) == verdict(verify_traces(alg, opt))
 
 
 class TestTraceObservations:
@@ -1446,7 +1629,7 @@ class TestNamedChecks:
         alg, opt = pair_traces
 
         def names(t, event):
-            point = TimePoint.at(alg, opt, t)
+            point = point_at(alg, opt, t)
             graph = build_borrow_graph(alg, t)
             return [name for name, _ in checks_at(alg, point, graph, NetworkSweep(alg), event, {})]
 
@@ -1464,7 +1647,7 @@ class TestNamedChecks:
 
     def test_max_flow_names_the_source_side(self, pair_traces):
         alg, opt = pair_traces
-        net = build_flow_network(NetworkSweep(alg), TimePoint.at(alg, opt, F(5, 2)))
+        net = build_flow_network(NetworkSweep(alg), point_at(alg, opt, F(5, 2)))
         _, flow = max_flow_saturates(net)
         assert check_max_flow(net, flow, F(5, 2)) == []
         net = edited(net, {(dummy(2), job(2)): F(1, 8)})
@@ -1657,7 +1840,7 @@ class TestEveryViolationFires:
         graph = build_borrow_graph(alg, t)
         if cut:
             graph = BorrowGraph(graph.vertices, frozenset(e for e in graph.edges if e[:2] != (1, 2)))
-        point = TimePoint.at(alg, opt, t)
+        point = point_at(alg, opt, t)
         assert check_beta_properties(BetaMatrix(values), graph, alg.instance, point) == expected
 
     @pytest.fixture
@@ -1669,8 +1852,17 @@ class TestEveryViolationFires:
     def test_closure_names_a_lifetime_of_two_intervals(self, apart):
         alg, opt = apart
         graph = BorrowGraph((1, 2), frozenset({(1, 2, "N")}))
-        assert check_reachability_closure(alg, graph, TimePoint.at(alg, opt, 3)) == [
+        assert check_reachability_closure(alg, graph, point_at(alg, opt, 3)) == [
             "lifetime of reachability set of 1 at t=3/1 is 2 intervals"
+        ]
+
+    def test_direct_borrow_order_on_a_hand_built_graph(self):
+        # a graph given only its edges finds the heads of its N edges
+        both = frozenset({1, 2})
+        point = TimePoint(F(1), {1: F(0), 2: F(1, 2)}, Partition(both, both, frozenset()), frozenset())
+        graph = BorrowGraph((1, 2), [(1, 2, "C"), (2, 1, "N"), (1, 2, "N")])
+        assert check_direct_borrow_order(graph, point) == [
+            "borrow edge (1,2,N) at t=1/1 with y_1=0/1 < y_2=1/2"
         ]
 
     def test_closure_names_a_lifetime_that_ends_before_t(self, apart):
@@ -1697,6 +1889,20 @@ class TestEveryViolationFires:
         assert check_clairvoyant_runs_block(trace) == [
             "job 1 ran signalled at 1/1 but completes after job 2",
             "job 2 received work during [1/1, 3/1] while signalled job 1 was pending",
+        ]
+
+    def test_blocking_tries_a_job_released_inside_a_segment(self):
+        # job 1 (p 3) runs on [0, 2] and signals at 3/2; job 2, released at
+        # 1, is alive at no segment start before it runs on [2, 3]
+        inst = Instance((Job(1, 0, 3), Job(2, 1, 1)), F(1, 2))
+        segments = [
+            ExecutionSegment(0, 2, ((1, F(1)),)),
+            ExecutionSegment(2, 3, ((2, F(1)),)),
+            ExecutionSegment(3, 4, ((1, F(1)),)),
+        ]
+        assert check_clairvoyant_runs_block(ScheduleTrace(inst, segments)) == [
+            "job 1 ran signalled at 3/2 but completes after job 2",
+            "job 2 received work during [3/2, 4/1] while signalled job 1 was pending",
         ]
 
     def test_local_bounds_undefined_at_alpha_one(self):

@@ -16,6 +16,7 @@ from types import SimpleNamespace
 from alphasched import adversary, analysis, engine, metrics, model, oracle, policies, rational
 from alphasched.model import Instance, Job
 from alphasched.policies import PolicyKind
+from conftest import point_at
 from flow_reference import build_flow_network_from_scratch
 
 TRACING = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
@@ -112,7 +113,7 @@ def test_traced_verifier_counts_every_network_it_builds():
     events = analysis.check_times(alg, opt)[0]
     arcs = 0
     for t in events:
-        point = analysis.TimePoint.at(alg, opt, t)
+        point = point_at(alg, opt, t)
         net = build_flow_network_from_scratch(alg, point)
         tps = net.time_points
         refined = build_flow_network_from_scratch(alg, point, [(a + b) / 2 for a, b in zip(tps, tps[1:])])

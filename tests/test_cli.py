@@ -564,7 +564,7 @@ class TestVerifyCommand:
             return events, dense[::-1]
 
         monkeypatch.setattr(analysis, "check_times", reversed_dense)
-        with pytest.raises(ValueError, match=r"^borrow sweep asked for t=7/2 after t=4/1$"):
+        with pytest.raises(ValueError, match=r"^time point sweep asked for t=7/2 after t=4/1$"):
             main(["verify", "--instance", str(pair_path)])
 
 

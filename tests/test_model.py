@@ -21,6 +21,7 @@ from alphasched.model import (
     ProgressScaledRule,
     RankPairRule,
     ScheduleTrace,
+    TimePoint,
     Trigger,
     UnknownJobError,
     UnresolvedProcError,
@@ -29,7 +30,7 @@ from alphasched.model import (
 )
 from alphasched.policies import PolicyKind
 from alphasched.rational import Rat, format_rat, parse_rat
-from conftest import json_instances
+from conftest import json_instances, point_at
 
 
 def run(instance, kind=PolicyKind.SETF):
@@ -385,11 +386,12 @@ class TestElapsedWork:
 
 
 class TestWorkAt:
-    def test_column_computed_once_per_time(self, pair_instance):
+    def test_column_is_computed_afresh(self, pair_instance):
+        # no column is kept: a verifier's many check times would hold them all
         trace = run(pair_instance)
         column = trace.work_at(3)
         assert column == {1: F(3, 2), 2: F(3, 2)}
-        assert trace.work_at(F(6, 2)) is column
+        assert trace.work_at(F(6, 2)) == column and trace.work_at(F(6, 2)) is not column
 
     def test_column_is_read_only(self, pair_instance):
         trace = run(pair_instance)
@@ -710,3 +712,43 @@ class TestTraceProperties:
             released = {j.id for j in inst.jobs if j.release <= t}
             finished = {j for j, done in trace.completions.items() if done <= t}
             assert part.alive == released - finished
+
+
+class TestSweeps:
+    def test_idle_at_the_signal_point_stays_unsignalled(self):
+        # job 1 (p 2) reaches alpha * p = 1 at time 1 and waits while job 2
+        # (p 1/2) runs on [1, 3/2]: it signals at 1 but is clairvoyant only
+        # once it runs again, after 3/2
+        inst = Instance((Job(1, 0, 2), Job(2, 1, F(1, 2))), F(1, 2))
+        trace = ScheduleTrace(inst, [
+            ExecutionSegment(0, 1, ((1, F(1)),)),
+            ExecutionSegment(1, F(3, 2), ((2, F(1)),)),
+            ExecutionSegment(F(3, 2), F(5, 2), ((1, F(1)),)),
+        ])
+        assert trace.emissions[1] == 1
+        times = [F(0), F(1), F(11, 8), F(3, 2), F(7, 4), F(5, 2), F(3)]
+        swept = list(TimePoint.sweep(trace, trace, times))
+        assert swept == [point_at(trace, trace, t) for t in times]
+        assert [sorted(p.part.clairvoyant) for p in swept] == [[], [], [2], [], [1], [], []]
+
+    @settings(max_examples=40, deadline=None)
+    @given(integer_instances(), st.sampled_from(list(PolicyKind)))
+    def test_swept_columns_and_sets_equal_the_point_queries(self, inst, kind):
+        trace, _ = simulate(inst, kind)
+        points = trace.event_times()
+        times = sorted(set(points) | {(a + b) / 2 for a, b in zip(points, points[1:])})
+        times += [times[-1], times[-1] + 1]  # a repeated time, and one past the makespan
+        assert list(trace.work_columns(times)) == [trace.work_at(t) for t in times]
+        assert list(trace.alive_sets(times)) == [trace.alive_at(t) for t in times]
+        assert list(TimePoint.sweep(trace, trace, times)) == [point_at(trace, trace, t) for t in times]
+
+    def test_unchanged_sets_are_kept(self, pair_instance):
+        trace = run(pair_instance)
+        first, second, third = TimePoint.sweep(trace, trace, [F(1, 2), F(1), F(4)])
+        assert second.part is first.part and second.opt_alive is first.opt_alive
+        assert third.part.alive == frozenset()
+
+    def test_time_may_not_go_back(self, pair_instance):
+        trace = run(pair_instance)
+        with pytest.raises(ValueError, match=r"^time point sweep asked for t=1/2 after t=1/1$"):
+            list(TimePoint.sweep(trace, trace, [F(1), F(1, 2)]))
