@@ -172,12 +172,14 @@ CYCLIC_FLOOR = 5
 # the verifier's incremental paths are checked against the from-scratch
 # builders on these instances
 ORACLE_SEEDS = range(1, 61)
-LOWER_BOUND_INSTANCES = [
-    gen(alpha, k)[0]
+# (instance, time at which a denial-of-service tail may start)
+LOWER_BOUND_RUNS = [
+    gen(alpha, k)
     for alpha in (F(1, 2), F(2, 3))
     for gen, ks in ((gen_det_lb1, range(2, 5)), (gen_det_lb2, range(1, 5)))
     for k in ks
 ]
+LOWER_BOUND_INSTANCES = [inst for inst, _ in LOWER_BOUND_RUNS]
 
 
 class TestBorrowGraph:
@@ -302,22 +304,6 @@ class TestBorrowSweep:
             sweep.at(1)
 
 
-def lower_bound_instance(gen, alpha, k, m):
-    inst, t = gen(alpha, k)
-    return append_dos_tail(inst, t, m) if m else inst
-
-
-# lb1 (k 2-4; it needs k >= 2) and lb2 (k 1-4) at alpha 1/2 and 2/3, each
-# bare and with a denial-of-service tail of 8 unit jobs
-LOWER_BOUND_CASES = [
-    (gen, alpha, k, m)
-    for gen, ks in ((gen_det_lb1, range(2, 5)), (gen_det_lb2, range(1, 5)))
-    for k in ks
-    for alpha in (F(1, 2), F(2, 3))
-    for m in (0, 8)
-]
-
-
 def assert_swept_state_equals_rebuilds(inst) -> int:
     """The verifier's carried state against its from-scratch definitions at
     every dense time: thresholds against every pair, each swept time point
@@ -350,9 +336,12 @@ class TestSweptStateEqualsRebuilds:
         fired = sum(assert_swept_state_equals_rebuilds(corpus_instance(s)) for s in range(first, first + 50))
         assert fired > 0
 
-    @pytest.mark.parametrize("gen, alpha, k, m", LOWER_BOUND_CASES)
-    def test_lower_bounds(self, gen, alpha, k, m):
-        assert_swept_state_equals_rebuilds(lower_bound_instance(gen, alpha, k, m))
+    # each bare, and with a denial-of-service tail of 8 unit jobs
+    @pytest.mark.parametrize(
+        "inst", LOWER_BOUND_INSTANCES + [append_dos_tail(inst, t, 8) for inst, t in LOWER_BOUND_RUNS]
+    )
+    def test_lower_bounds(self, inst):
+        assert_swept_state_equals_rebuilds(inst)
 
     def test_closure_state_carries_outsiders_and_split_lifetimes(self, pair_traces):
         # job 1 alone keeps reaching only itself while job 2 runs inside its
@@ -370,7 +359,6 @@ class TestSweptStateEqualsRebuilds:
                 verdict = check_reachability_closure(trace, graph, point, carried)
                 assert verdict and verdict == check_reachability_closure(trace, graph, point)
                 assert set(carried.lives) == {graph.reachable(1), graph.reachable(2)}
-
 
     def test_grown_set_gains_the_jobs_run_before_it(self):
         # job 1 (released at 2) first reaches itself, then job 2 too, whose
