@@ -315,14 +315,16 @@ def assert_swept_state_equals_rebuilds(inst) -> int:
     alg, opt = trace_pair(inst)
     assert borrow_thresholds(alg) == borrow_thresholds_all_pairs(alg)
     sweep, carried, carried_cut, fired = BorrowSweep(alg), ReachLifetimes(), ReachLifetimes(), 0
+    graph = None
     for point in TimePoint.sweep(alg, opt, check_times(alg, opt)[1]):
         assert point == point_at(alg, opt, point.t)
-        graph = sweep.at(point.t)
-        succ = {}
-        for j, i, _ in graph.edges:
-            succ.setdefault(j, set()).add(i)
-        assert all(graph.reachable(j) == closure(succ, j) for j in graph.vertices)
-        cut = BorrowGraph(graph.vertices, [e for e in graph.edges if (e[0] + e[1]) % 2])
+        if sweep.at(point.t) is not graph:  # a vertex or an edge joined
+            graph = sweep.at(point.t)
+            succ = {}
+            for j, i, _ in graph.edges:
+                succ.setdefault(j, set()).add(i)
+            assert all(graph.reachable(j) == closure(succ, j) for j in graph.vertices)
+            cut = BorrowGraph(graph.vertices, [e for e in graph.edges if (e[0] + e[1]) % 2])
         for g, kept in ((graph, carried), (cut, carried_cut)):
             verdict = check_reachability_closure(alg, g, point, kept)
             assert verdict == check_reachability_closure(alg, g, point)
@@ -1506,7 +1508,7 @@ def verdict(report, scale=F(1), shift=F(0)):
 
 
 class TestMetamorphic:
-    @settings(max_examples=60, deadline=None, database=None, derandomize=True)
+    @settings(max_examples=40, deadline=None, database=None, derandomize=True)
     @given(
         seed=st.integers(1, 500),
         scale=st.fractions(F(1, 8), 8, max_denominator=8),
