@@ -57,7 +57,7 @@ from .flow import (
 )
 from .model import Instance, ModelError, ScheduleTrace, TimePoint, instance_to_json, merge_intervals
 from .policies import PolicyKind
-from .rational import Rat, format_rat
+from .rational import Rat, format_rat, over_common_denominator
 
 _ZERO = Rat(0)
 
@@ -112,33 +112,39 @@ def check_min_cut(net: FlowNetwork, result: FlowResult) -> list[str]:
 
 
 def verify_flow_feasible(net: FlowNetwork, result: FlowResult) -> list[str]:
-    """Capacity and conservation audit of a witness flow."""
+    """Capacity and conservation audit of a witness flow.  The signs,
+    capacities, balances and demand outflows are compared as ints: each
+    amount of the flow and the capacity of its arc, times their least
+    common denominator D.  A message prints an amount or a capacity as
+    given, and a balance or an outflow k as ``Rat(k, D)``."""
+    flow = result.flow
+    caps = [net.arcs.get(arc) for arc in flow]
+    d, scaled = over_common_denominator([*flow.values(), *(0 if cap is None else cap for cap in caps)])
     violations = []
-    balance: dict[Vertex, Fraction] = {}
-    outflow = {("job", i): Rat(0) for i in net.demands}  # other than to the sink
-    for (u, v), f in result.flow.items():
-        if f < 0:
+    balance: dict[Vertex, int] = {}
+    outflow = {("job", i): 0 for i in net.demands}  # other than to the sink
+    for ((u, v), f), k, cap, c in zip(flow.items(), scaled, caps, scaled[len(flow):]):
+        if k < 0:
             violations.append(f"negative flow on {u}->{v}")
-        cap = net.arcs.get((u, v))
         if cap is None:
             violations.append(f"flow on missing arc {u}->{v}")
-        elif f > cap:
+        elif k > c:
             violations.append(
                 f"capacity violated on {u}->{v}: {format_rat(f)} > {format_rat(cap)}"
             )
-        balance[u] = balance.get(u, _ZERO) - f
-        balance[v] = balance.get(v, _ZERO) + f
+        balance[u] = balance.get(u, 0) - k
+        balance[v] = balance.get(v, 0) + k
         if u in outflow and v != SINK:
-            outflow[u] += f
+            outflow[u] += k
     for v, b in balance.items():
         if v in (SOURCE, SINK):
             continue
         if b != 0:
-            violations.append(f"conservation violated at {v}: net {format_rat(b)}")
+            violations.append(f"conservation violated at {v}: net {format_rat(Rat(b, d))}")
     for i in net.demands:
         out = outflow[("job", i)]
         if out != 0:
-            violations.append(f"demand job {i} has outgoing flow {format_rat(out)}")
+            violations.append(f"demand job {i} has outgoing flow {format_rat(Rat(out, d))}")
     return violations
 
 
@@ -707,7 +713,10 @@ def checks_at(
     """The per-time checks in run order: (report name, violations) each, with
     the report values written into ``entry``.  The flow checks run at event
     times, and those reading beta or the refined flow on a saturating flow.
-    ``lifetimes`` is the reachability-closure check's carried state."""
+    Beta reads only a flow's peel input (``FlowResult.peel_input``), so the
+    refined flow is peeled only where its peel input differs from the base
+    flow's; elsewhere its beta is the base flow's.  ``lifetimes`` is the
+    reachability-closure check's carried state."""
     instance, t = alg_trace.instance, point.t
     yield "direct_borrow_order", check_direct_borrow_order(graph, point)
     yield "reachability_closure", check_reachability_closure(alg_trace, graph, point, lifetimes)
@@ -735,7 +744,8 @@ def checks_at(
     refined_flow = refine_flow(net, flow, refined_net)
     yield "refined_flow_feasible", verify_flow_feasible(refined_net, refined_flow)
     yield "refinement_direct_flow", check_refinement_direct_flow(net, flow, refined_flow)
-    yield "refinement_beta", check_refinement_beta(beta, decompose_beta(refined_flow), t)
+    same = refined_flow.peel_input == flow.peel_input
+    yield "refinement_beta", check_refinement_beta(beta, beta if same else decompose_beta(refined_flow), t)
 
 
 def verify_traces(alg_trace: ScheduleTrace, opt_trace: ScheduleTrace) -> VerificationReport:

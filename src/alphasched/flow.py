@@ -79,12 +79,25 @@ and job-to-job amounts, and ``refine_flow`` keeps all three, so
 are at most the demands, and every path runs along positive-capacity arcs,
 so ``beta_properties`` holds wherever ``flow_reachability`` does; where that
 fails, which pairs it names depends on the witness.
+
+The flow audit (``analysis.verify_flow_feasible``), the job-level flow
+(``FlowResult.peel_input``) and the peel (``decompose_beta``) compute on
+ints: each amount they read times the least common denominator D of them
+all (``rational.over_common_denominator``).  Each builds ``Rat(k, D)`` only
+for what it returns or prints, so no ``int`` leaves it, and every message
+and report byte is the one the same work on ``Rat``s gives.  A
+``FlowResult``'s flow is a read-only copy, so what is read off it once
+stays its own.  The solver stays on ``Rat``: a long-horizon solve takes few
+augmenting paths over thousands of arcs, so scaling its whole residual
+index to ints at every solve costs more than the paths' arithmetic saves;
+verifying lb2 (k 3) + DoS M = 400 took longer that way (CHANGES.md).
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from functools import cached_property
 from fractions import Fraction
 from itertools import compress, islice
 from types import MappingProxyType
@@ -92,7 +105,7 @@ from typing import Iterable, Mapping, Optional
 
 from .borrow import closure
 from .model import ScheduleTrace, TimePoint, add_work
-from .rational import Rat, format_rat
+from .rational import Rat, format_rat, over_common_denominator
 
 Vertex = tuple
 _ZERO = Rat(0)
@@ -349,25 +362,51 @@ def build_flow_network(sweep: NetworkSweep, point: TimePoint, refined: bool = Fa
     )
 
 
-@dataclass
+@dataclass(frozen=True)
 class FlowResult:
     value: Fraction
-    flow: dict[tuple[Vertex, Vertex], Fraction]
+    # read-only: a copy of the flow given, so what is read off it once
+    # (``peel_input``) stays the flow's
+    flow: Mapping[Arc, Fraction]
     # below supply only: the vertices reachable from the source in the
     # flow's residual graph, the source side of a minimum cut
     # (``check_min_cut``)
     cut: Optional[frozenset[Vertex]] = None
 
-    def job_totals(self) -> dict[tuple[int, int], Fraction]:
+    def __post_init__(self):
+        object.__setattr__(self, "flow", MappingProxyType(dict(self.flow)))
+
+    @cached_property
+    def peel_input(
+        self,
+    ) -> tuple[Mapping[int, Fraction], Mapping[int, Fraction], Mapping[tuple[int, int], Fraction]]:
+        """All that ``decompose_beta`` reads of the flow, read-only and read
+        once: per job the amount on its source arc (excess) and on its sink
+        arc (absorption), and the job-level flow (``job_totals``).  Two flows
+        with equal peel inputs peel to the same beta."""
+        excess: dict[int, Fraction] = {}
+        absorb: dict[int, Fraction] = {}
+        keys, amounts = [], []
+        for (u, v), f in self.flow.items():
+            if u == SOURCE:
+                excess[v[1]] = f
+            elif v == SINK:
+                absorb[u[1]] = f
+            elif u[0] == "job" and v[0] == "dummy":
+                keys.append((u[1], v[1]))
+                amounts.append(f)
+        d, scaled = over_common_denominator(amounts)
+        totals: dict[tuple[int, int], int] = {}
+        for key, k in zip(keys, scaled):
+            totals[key] = totals.get(key, 0) + k
+        job_flow = {key: Rat(k, d) for key, k in totals.items()}
+        return MappingProxyType(excess), MappingProxyType(absorb), MappingProxyType(job_flow)
+
+    def job_totals(self) -> Mapping[tuple[int, int], Fraction]:
         """The job-level flow: from each job j into the dummies of each job
         i, summed over the intervals, keyed (j, i).  Beta is peeled from it
         and ``refinement_direct_flow`` compares it."""
-        totals: dict[tuple[int, int], Fraction] = {}
-        for (u, v), f in self.flow.items():
-            if u[0] == "job" and v[0] == "dummy":
-                key = (u[1], v[1])
-                totals[key] = totals.get(key, _ZERO) + f
-        return totals
+        return self.peel_input[2]
 
 
 def max_flow_saturates(net: FlowNetwork) -> tuple[bool, FlowResult]:
@@ -541,29 +580,32 @@ def decompose_beta(result: FlowResult) -> BetaMatrix:
     """Peel source-to-sink path flows off the job-level flow, least job
     sequence first; beta sums peeled amounts by path endpoints.  Excess comes
     from the source arcs, absorption from the sink arcs, and the job-to-job
-    amounts from ``result.job_totals()``.  Cycle flow carries no supply: it
-    is cancelled, and any flow left once no walk reaches a sink is counted
-    with it, once per job-to-job amount (logged in the result)."""
-    excess: dict[int, Fraction] = {}
-    absorb: dict[int, Fraction] = {}
-    for (u, v), f in result.flow.items():
-        if u == SOURCE:
-            excess[v[1]] = f
-        elif v == SINK:
-            absorb[u[1]] = f
-    fl: dict[int, dict[int, Fraction]] = {}
-    for (j, i), f in result.job_totals().items():
-        fl.setdefault(j, {})[i] = f
+    amounts from the job-level flow, all three read off
+    ``result.peel_input``.  Cycle flow carries no supply: it is cancelled,
+    and any flow left once no walk reaches a sink is counted with it, once
+    per job-to-job amount (logged in the result).
 
-    beta: dict[tuple[int, int], Fraction] = {}
-    discarded = Rat(0)
+    The peel runs on ints: every amount it reads times their least common
+    denominator D (``over_common_denominator``).  Only the beta values and
+    the discarded cycle flow are built back, as ``Rat(k, D)``, so no ``int``
+    leaves this function."""
+    excess_of, absorb_of, totals = result.peel_input
+    d, scaled = over_common_denominator([*excess_of.values(), *absorb_of.values(), *totals.values()])
+    excess = dict(zip(excess_of, scaled))
+    absorb = dict(zip(absorb_of, scaled[len(excess):]))
+    fl: dict[int, dict[int, int]] = {}
+    for (j, i), k in zip(totals, scaled[len(excess) + len(absorb):]):
+        fl.setdefault(j, {})[i] = k
+
+    beta: dict[tuple[int, int], int] = {}
+    discarded = 0
     for j in sorted(excess):
         while excess[j] > 0:
             path, on_path = [j], {j: 0}
             reached: Optional[int] = None
             while True:
                 u = path[-1]
-                if absorb.get(u, _ZERO) > 0 and len(path) > 1:
+                if absorb.get(u, 0) > 0 and len(path) > 1:
                     reached = u
                     break
                 v = min((i for i, f in fl.get(u, {}).items() if f > 0), default=None)
@@ -588,9 +630,11 @@ def decompose_beta(result: FlowResult) -> BetaMatrix:
                 fl[a][b] -= gamma
             excess[j] -= gamma
             absorb[reached] -= gamma
-            beta[(j, reached)] = beta.get((j, reached), _ZERO) + gamma
-    discarded += sum((f for outs in fl.values() for f in outs.values() if f > 0), Rat(0))
-    return BetaMatrix(values=beta, discarded_cycle_flow=discarded)
+            beta[(j, reached)] = beta.get((j, reached), 0) + gamma
+    discarded += sum(f for outs in fl.values() for f in outs.values() if f > 0)
+    return BetaMatrix(
+        values={key: Rat(k, d) for key, k in beta.items()}, discarded_cycle_flow=Rat(discarded, d)
+    )
 
 
 def refine_flow(net: FlowNetwork, result: FlowResult, refined: FlowNetwork) -> FlowResult:

@@ -33,6 +33,12 @@ are in normal form:
   of d modulo ``sys.hash_info.modulus``, or ``sys.hash_info.inf`` when d
   has no inverse, signed as n.
 
+``over_common_denominator`` is the bulk form of the same integer work: it
+scales a list of rationals to integers over their least common denominator,
+so that a function summing or comparing many of them does so on ``int``s
+and builds a ``Rat`` only for what it returns (Knuth, *TAOCP* vol. 2,
+section 4.5.1).
+
 Construction is exact too: ``Rat(x)`` takes an ``int``, any ``Fraction`` or
 "num/den" text as ``parse_rat`` reads it, and ``Rat(n, d)`` two ``int``s.
 Anything else, a float, a bool or text such as "0.1", raises ``TypeError``
@@ -51,7 +57,7 @@ from __future__ import annotations
 import re
 import sys
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 _new = object.__new__
 _MODULUS = sys.hash_info.modulus
@@ -331,6 +337,17 @@ class Rat(Fraction):
         r._numerator = abs(a._numerator)
         r._denominator = a._denominator
         return r
+
+
+def over_common_denominator(values) -> tuple[int, list[int]]:
+    """(D, [v * D for v in values]): D is the least common denominator of
+    ``values``, each an ``int`` or a ``Fraction``, and every product an
+    ``int``; D is 1 for no values.  ``Rat(k, D)`` is the value again."""
+    dens = [1 if type(v) is int else v._denominator for v in values]
+    d = lcm(*dens)
+    return d, [
+        (v if type(v) is int else v._numerator) * (d // q) for v, q in zip(values, dens)
+    ]
 
 
 def parse_int(text: str) -> int:

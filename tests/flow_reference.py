@@ -45,6 +45,15 @@ them.  The tests run the verifier with each solver and compare the reports.
 ``decompose_beta_by_vertex`` peels beta off the vertex-level flow, walking
 through every dummy, as the package did before it peeled the job-level
 flow; the tests compare the two on the witnesses of both solvers.
+
+``verify_flow_feasible_on_rats``, ``job_totals_on_rats`` and
+``decompose_beta_on_rats`` are the flow audit, the job-level flow and the
+job-level peel as the package computed them before it scaled the amounts to
+ints over one denominator: one ``Rat`` operation per sign, capacity,
+balance, outflow, summed and peeled amount.  The tests compare each with
+the package on flows of every kind, negative amounts and unbalanced
+vertices included, where the vertex-level peel, whose walks stop at a dummy
+that passes less on than it takes in, is no reference.
 """
 
 from __future__ import annotations
@@ -57,6 +66,7 @@ from types import MappingProxyType
 from alphasched.borrow import BorrowGraph
 from alphasched.flow import SINK, SOURCE, BetaMatrix, FlowNetwork, FlowResult, ResidualIndex, index_arcs
 from alphasched.model import ScheduleTrace, TimePoint
+from alphasched.rational import Rat, format_rat
 
 
 def build_borrow_graph_from_scratch(trace: ScheduleTrace, t) -> BorrowGraph:
@@ -435,4 +445,93 @@ def decompose_beta_by_vertex(result: FlowResult) -> BetaMatrix:
         (f for outs in fl.values() for f in outs.values() if f > 0), Fraction(0)
     )
     discarded += leftover
+    return BetaMatrix(values=beta, discarded_cycle_flow=discarded)
+
+
+def verify_flow_feasible_on_rats(net: FlowNetwork, result: FlowResult) -> list:
+    """``analysis.verify_flow_feasible`` computed on the amounts as given."""
+    violations = []
+    balance = {}
+    outflow = {("job", i): Rat(0) for i in net.demands}  # other than to the sink
+    for (u, v), f in result.flow.items():
+        if f < 0:
+            violations.append(f"negative flow on {u}->{v}")
+        cap = net.arcs.get((u, v))
+        if cap is None:
+            violations.append(f"flow on missing arc {u}->{v}")
+        elif f > cap:
+            violations.append(
+                f"capacity violated on {u}->{v}: {format_rat(f)} > {format_rat(cap)}"
+            )
+        balance[u] = balance.get(u, Rat(0)) - f
+        balance[v] = balance.get(v, Rat(0)) + f
+        if u in outflow and v != SINK:
+            outflow[u] += f
+    for v, b in balance.items():
+        if v in (SOURCE, SINK):
+            continue
+        if b != 0:
+            violations.append(f"conservation violated at {v}: net {format_rat(b)}")
+    for i in net.demands:
+        out = outflow[("job", i)]
+        if out != 0:
+            violations.append(f"demand job {i} has outgoing flow {format_rat(out)}")
+    return violations
+
+
+def job_totals_on_rats(result: FlowResult) -> dict:
+    """``FlowResult.job_totals`` summed on the amounts as given."""
+    totals = {}
+    for (u, v), f in result.flow.items():
+        if u[0] == "job" and v[0] == "dummy":
+            key = (u[1], v[1])
+            totals[key] = totals.get(key, Rat(0)) + f
+    return totals
+
+
+def decompose_beta_on_rats(result: FlowResult) -> BetaMatrix:
+    """``flow.decompose_beta`` computed on the amounts as given."""
+    excess, absorb, fl = {}, {}, {}
+    for (u, v), f in result.flow.items():
+        if u == SOURCE:
+            excess[v[1]] = f
+        elif v == SINK:
+            absorb[u[1]] = f
+    for (j, i), f in job_totals_on_rats(result).items():
+        fl.setdefault(j, {})[i] = f
+
+    beta = {}
+    discarded = Rat(0)
+    for j in sorted(excess):
+        while excess[j] > 0:
+            path, on_path = [j], {j: 0}
+            reached = None
+            while True:
+                u = path[-1]
+                if absorb.get(u, Rat(0)) > 0 and len(path) > 1:
+                    reached = u
+                    break
+                v = min((i for i, f in fl.get(u, {}).items() if f > 0), default=None)
+                if v is None:
+                    break
+                if v in on_path:
+                    # cancel the cycle and restart the walk
+                    cycle = path[on_path[v]:] + [v]
+                    gamma = min(fl[a][b] for a, b in zip(cycle, cycle[1:]))
+                    for a, b in zip(cycle, cycle[1:]):
+                        fl[a][b] -= gamma
+                    discarded += gamma
+                    path, on_path = [j], {j: 0}
+                    continue
+                on_path[v] = len(path)
+                path.append(v)
+            if reached is None:
+                break
+            gamma = min([excess[j], absorb[reached]] + [fl[a][b] for a, b in zip(path, path[1:])])
+            for a, b in zip(path, path[1:]):
+                fl[a][b] -= gamma
+            excess[j] -= gamma
+            absorb[reached] -= gamma
+            beta[(j, reached)] = beta.get((j, reached), Rat(0)) + gamma
+    discarded += sum((f for outs in fl.values() for f in outs.values() if f > 0), Rat(0))
     return BetaMatrix(values=beta, discarded_cycle_flow=discarded)

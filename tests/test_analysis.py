@@ -1,5 +1,5 @@
 import hashlib
-from dataclasses import replace
+from dataclasses import astuple, replace
 from fractions import Fraction as F
 
 import pytest
@@ -57,7 +57,7 @@ from alphasched.model import (
     UnknownJobError,
 )
 from alphasched.policies import PolicyKind
-from alphasched.rational import format_rat, parse_rat
+from alphasched.rational import Rat, format_rat, parse_rat
 from conftest import corpus_instance, point_at
 from flow_reference import (
     borrow_thresholds_all_pairs,
@@ -65,9 +65,12 @@ from flow_reference import (
     build_flow_network_from_scratch,
     build_flow_network_with_dead_dummies,
     decompose_beta_by_vertex,
+    decompose_beta_on_rats,
     edited,
+    job_totals_on_rats,
     max_flow_depth_first,
     network_from_arcs,
+    verify_flow_feasible_on_rats,
     without_cycles,
 )
 from test_acceptance import report_bytes, trace_edits
@@ -158,6 +161,39 @@ def verifier_networks(draw):
         supplies,
         demands,
     )
+
+
+# amounts over the denominators 1, 2, 3, 4 and 6, negative ones included;
+# an integral one is an int
+MIXED_AMOUNTS = st.sampled_from([1, 2, 3, 4, 6]).flatmap(
+    lambda q: st.integers(-2 * q, 4 * q).map(lambda k: F(k, q) if q > 1 else k)
+)
+
+
+@st.composite
+def audited_flows(draw):
+    """A network of ``verifier_networks`` and a flow of any kind on it: its
+    max-flow witness or no flow, plus up to six amounts drawn from
+    ``MIXED_AMOUNTS``, each added on one of the network's arcs (some out of
+    demand jobs, some pushed past capacity) or on an arc the network lacks,
+    so the vertices they touch are left unbalanced; in a shuffled order."""
+    net = draw(verifier_networks())
+    flow = dict(max_flow_saturates(net)[1].flow) if draw(st.booleans()) else {}
+    arcs = sorted(net.arcs)
+    inner = sorted({v for arc in arcs for v in arc} - {SOURCE, SINK}) or [job(1)]
+    for _ in range(draw(st.integers(0, 6))):
+        kind = draw(st.sampled_from(["arc", "through", "missing"] if arcs else ["missing"]))
+        if kind == "missing":
+            walk = [draw(st.sampled_from([SOURCE, *inner])), draw(st.sampled_from([*inner, SINK]))]
+            if walk == [SOURCE, SINK]:
+                walk[1] = inner[0]
+        else:
+            walk = list(draw(st.sampled_from(arcs)))
+            if kind == "through" and walk[1][0] == "dummy":
+                walk.append(job(walk[1][1]))
+        push(flow, walk, draw(MIXED_AMOUNTS))
+    order = draw(st.permutations(sorted(flow)))
+    return net, FlowResult(draw(MIXED_AMOUNTS), {arc: flow[arc] for arc in order})
 
 
 def carries_cycle(flow):
@@ -669,6 +705,24 @@ class TestFlowOracles:
                 if saturated:
                     assert decompose_beta(flow).discarded_cycle_flow == 0
 
+    def test_peeled_values_on_corpus_witnesses_are_rats(self):
+        # the peel and the job-level flow compute on ints; an int equals
+        # and hashes as its Rat, so no report digest would show one leaking
+        for seed in ORACLE_SEEDS:
+            alg, opt = trace_pair(corpus_instance(seed))
+            sweep = NetworkSweep(alg)
+            for t in check_times(alg, opt)[0]:
+                point = point_at(alg, opt, t)
+                net = build_flow_network(sweep, point)
+                saturated, flow = max_flow_saturates(net)
+                if not saturated:
+                    continue
+                refined = refine_flow(net, flow, build_flow_network(sweep, point, refined=True))
+                for result in (flow, refined):
+                    beta = decompose_beta(result)
+                    values = [*beta.values.values(), beta.discarded_cycle_flow, *result.job_totals().values()]
+                    assert all(type(v) is Rat for v in values)
+
     def test_max_flow_reads_arcs_replaced_after_the_build(self, pair_traces):
         # a network rebuilt with a replaced arc is solved on its own arcs,
         # and the network it came from keeps its value
@@ -1178,6 +1232,41 @@ def assert_peelings_agree(net, seed):
         assert beta.values == reference.values
         assert (beta.discarded_cycle_flow == 0) == (reference.discarded_cycle_flow == 0)
     return carries_cycle(other)
+
+
+class TestIntegerKernels:
+    """The flow audit and the peel compute on ints over one common
+    denominator; their references compute on the amounts as given."""
+
+    @settings(max_examples=100, deadline=None, database=None, derandomize=True)
+    @given(audited_flows())
+    def test_audit_and_peel_match_their_references(self, case):
+        net, result = case
+        assert verify_flow_feasible(net, result) == verify_flow_feasible_on_rats(net, result)
+        assert result.job_totals() == job_totals_on_rats(result)
+        beta = decompose_beta(result)
+        assert (beta.values, beta.discarded_cycle_flow) == astuple(decompose_beta_on_rats(result))
+        assert all(type(v) is Rat for v in [*beta.values.values(), beta.discarded_cycle_flow])
+        if passes_through_dummies(result.flow):
+            reference = decompose_beta_by_vertex(result)
+            assert beta.values == reference.values
+            assert (beta.discarded_cycle_flow == 0) == (reference.discarded_cycle_flow == 0)
+
+
+def passes_through_dummies(flow):
+    """Whether every amount is nonnegative, every arc runs from the source
+    to a job, from a job to a dummy, from a dummy to its own job or from a
+    job to the sink, and every dummy passes on all it takes in: the flows
+    on which the vertex-level peel walks the job-level one's paths."""
+    net = {}
+    for (u, v), f in flow.items():
+        along = (u[0], v[0]) in (("source", "job"), ("job", "dummy"), ("job", "sink"))
+        if f < 0 or not (along or u[0] == "dummy" and v == job(u[1])):
+            return False
+        for w, sign in ((u, -1), (v, 1)):
+            if w[0] == "dummy":
+                net[w] = net.get(w, 0) + sign * f
+    return not any(net.values())
 
 
 class TestSegments:
@@ -1715,7 +1804,9 @@ class TestNamedChecks:
         def with_cycle(net):
             saturated, flow = solve(net)
             if net.time_points[-1] == 5:
-                push(flow.flow, [job(1), dummy(2, 2), job(2), dummy(1, 3), job(1)], F(1, 3))
+                cyclic = dict(flow.flow)
+                push(cyclic, [job(1), dummy(2, 2), job(2), dummy(1, 3), job(1)], F(1, 3))
+                flow = replace(flow, flow=cyclic)
             return saturated, flow
 
         monkeypatch.setattr(analysis, "max_flow_saturates", with_cycle)
@@ -1767,12 +1858,72 @@ class TestNamedChecks:
         def lossy(net, flow, refined):
             carried = refine(net, flow, refined)
             if net.time_points[-1] == t:
-                push(carried.flow, walk, -amount)
+                lost = dict(carried.flow)
+                push(lost, walk, -amount)
+                carried = replace(carried, flow=lost)
             return carried
 
         monkeypatch.setattr(analysis, "refine_flow", lossy)
         failure = verify_instance(inst).first_failure
         assert (failure["t"], failure["check"], failure["violations"][0]) == (format_rat(F(t)), check, first)
+
+
+def checks_with_refined_flow(pair_traces, monkeypatch, edits=()):
+    """``checks_at`` on the pair at event time 2, where the base flow sends
+    1 from supply job 1 to demand job 2, with each (walk, amount) of
+    ``edits`` pushed in the refined flow: the checks by report name, and the
+    number of flows peeled."""
+    alg, opt = pair_traces
+    refine, peel = analysis.refine_flow, analysis.decompose_beta
+    peeled = []
+
+    def edited_refinement(net, flow, refined):
+        carried = refine(net, flow, refined)
+        moved = dict(carried.flow)
+        for walk, amount in edits:
+            push(moved, walk, amount)
+        return replace(carried, flow=moved)
+
+    def counted(flow):
+        peeled.append(flow)
+        return peel(flow)
+
+    monkeypatch.setattr(analysis, "refine_flow", edited_refinement)
+    monkeypatch.setattr(analysis, "decompose_beta", counted)
+    point = point_at(alg, opt, 2)
+    checks = dict(checks_at(alg, point, build_borrow_graph(alg, 2), NetworkSweep(alg), True, {}))
+    return checks, len(peeled)
+
+
+class TestRefinedPeel:
+    """``checks_at`` peels the refined flow only where its peel input (its
+    source, sink and job-to-job amounts) differs from the base flow's."""
+
+    def test_refined_flow_that_peels_alike_keeps_beta(self, pair_traces, monkeypatch):
+        # job 2, which absorbs, sends 1/2 into a dummy of job 1: the
+        # job-level flow moves, and the walk from job 1 stops at job 2
+        # before it, so the peel discards it and beta stays
+        edits = [([job(2), dummy(1, 0)], F(1, 2))]
+        checks, peeled = checks_with_refined_flow(pair_traces, monkeypatch, edits)
+        assert checks["refinement_beta"] == []
+        assert checks["refined_flow_feasible"] != [] and peeled == 2
+
+    def test_refined_flow_that_peels_otherwise_changes_beta(self, pair_traces, monkeypatch):
+        # half of the path from job 1 to job 2 goes missing
+        edits = [([SOURCE, job(1), dummy(2, 0), job(2), SINK], F(-1, 2))]
+        checks, peeled = checks_with_refined_flow(pair_traces, monkeypatch, edits)
+        assert checks["refinement_beta"] == ["refinement changed the borrowing matrix at t=2/1"]
+        assert peeled == 2
+
+    def test_refined_flow_with_the_same_peel_input_is_not_peeled(self, pair_traces, monkeypatch):
+        checks, peeled = checks_with_refined_flow(pair_traces, monkeypatch)
+        assert all(violations == [] for violations in checks.values()) and peeled == 1
+        # 1/4 moves from job 2's first half to its second: the job-level
+        # flow stays, and the halves' capacities are broken
+        edits = [([job(1), dummy(2, 0), job(2)], F(-1, 4)), ([job(1), dummy(2, 1), job(2)], F(1, 4))]
+        checks, peeled = checks_with_refined_flow(pair_traces, monkeypatch, edits)
+        assert checks["refined_flow_feasible"] != []
+        assert checks["refinement_beta"] == [] and peeled == 1
 
 
 class TestEveryViolationFires:

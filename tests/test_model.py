@@ -6,6 +6,7 @@ import re
 import sys
 from decimal import Decimal
 from fractions import Fraction as F
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -29,7 +30,7 @@ from alphasched.model import (
     instance_to_json,
 )
 from alphasched.policies import PolicyKind
-from alphasched.rational import Rat, format_rat, parse_rat
+from alphasched.rational import Rat, format_rat, over_common_denominator, parse_rat
 from conftest import json_instances, point_at
 
 
@@ -209,6 +210,34 @@ class TestRational:
             Job(1, " ٣ ", 2)
         with pytest.raises(TypeError):
             simulate(pair_instance, PolicyKind.ALPHA, horizon=0.3)
+
+    @pytest.mark.parametrize(
+        "values, d",
+        [
+            ([], 1),
+            ([3, 0, -7], 1),
+            ([Rat(-1, 2), F(1, 3), Rat(5, 4), F(-7, 6), 2], 12),
+            ([Rat(-3, 4), Rat(1, 4), -1], 4),
+            ([F(1, 2**70), Rat(1, 3 * 2**69), 5], 3 * 2**70),
+        ],
+    )
+    def test_common_denominator_scales_to_ints(self, values, d):
+        got, scaled = over_common_denominator(values)
+        assert got == d
+        assert all(type(k) is int for k in scaled)
+        assert [Rat(k, d) for k in scaled] == values
+
+    @settings(max_examples=200, deadline=None, database=None, derandomize=True)
+    @given(st.lists(_OPERANDS, max_size=12))
+    def test_common_denominator_is_the_least(self, values):
+        d, scaled = over_common_denominator(values)
+        least = 1
+        for v in values:
+            q = F(v).denominator
+            least = least * q // gcd(least, q)
+        assert d == least
+        assert len(scaled) == len(values)
+        assert all(type(k) is int and Rat(k, d) == v for k, v in zip(scaled, values))
 
 
 class TestInstanceValidation:
